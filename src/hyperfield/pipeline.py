@@ -2,11 +2,11 @@
 
 Each stage reads its inputs from files, writes its outputs under the
 output directory, and records a manifest (content hashes of inputs,
-the relevant config slice, and output hashes). A stage whose manifest
-still matches is skipped, which makes reruns cheap and interrupted
-pipelines resumable. Nothing in a manifest depends on absolute paths
-or timestamps, so two runs from the same inputs produce byte-identical
-trees.
+the relevant config slice, output hashes, and the code version). A
+stage whose manifest still matches is skipped, which makes reruns
+cheap and interrupted pipelines resumable. Nothing in a manifest
+depends on absolute paths or timestamps, so two runs from the same
+inputs produce byte-identical trees.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import hashlib
 import json
 import logging
 import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -181,6 +182,37 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+class FileDigests:
+    """sha256 of files, each computed at most once per run.
+
+    Entries are keyed by the file's stat identity (device, inode, size,
+    mtime, ctime), so a relative and an absolute path to the same file
+    share one entry, and any write to a file gives it a new key. A
+    rewrite inside the filesystem's timestamp granularity can keep the
+    old key, so the files a stage has just written are always rehashed
+    (``rehash``) rather than looked up. Nothing is persisted.
+    """
+
+    def __init__(self) -> None:
+        self._known: dict[tuple[int, int, int, int, int], str] = {}
+
+    def of(self, paths: list[str], rehash: frozenset[str] = frozenset()) -> dict[str, str]:
+        """{path: sha256}; unknown files (and ``rehash`` ones) are hashed concurrently."""
+        keys = {}
+        for path in paths:
+            st = os.stat(path)
+            keys[path] = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        todo: dict[tuple[int, int, int, int, int], str] = {}
+        for path, key in keys.items():
+            if path in rehash or key not in self._known:
+                todo.setdefault(key, path)
+        if todo:
+            workers = min(len(todo), os.cpu_count() or 1)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                self._known.update(zip(todo, pool.map(_sha256, todo.values())))
+        return {path: self._known[key] for path, key in keys.items()}
+
+
 def _section_hash(config: PipelineConfig, sections: tuple[str, ...]) -> str:
     h = hashlib.sha256()
     for section in sections:
@@ -193,17 +225,13 @@ def _manifest_path(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, "manifests", f"{stage}.json")
 
 
-def _hash_inputs(inputs: dict[str, str]) -> dict[str, str]:
-    """{manifest key: resolved path} -> {manifest key: content hash}."""
-    return {key: _sha256(path) for key, path in sorted(inputs.items())}
-
-
 def _should_skip(
     out_dir: str,
     stage: str,
     inputs: dict[str, str],
     config_hash: str,
     outputs: list[str],
+    digests: FileDigests,
 ) -> bool:
     path = _manifest_path(out_dir, stage)
     if not os.path.exists(path):
@@ -213,23 +241,23 @@ def _should_skip(
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return False
+    if manifest.get("version") != __version__:
+        return False
     if manifest.get("config_hash") != config_hash:
         return False
-    if set(manifest.get("inputs", {})) != set(inputs):
+    recorded_inputs = manifest.get("inputs", {})
+    recorded_outputs = manifest.get("outputs", {})
+    if set(recorded_inputs) != set(inputs) or set(recorded_outputs) != set(outputs):
         return False
-    for key, resolved in inputs.items():
-        if not os.path.exists(resolved):
-            return False
-        if _sha256(resolved) != manifest["inputs"][key]:
-            return False
-    recorded = manifest.get("outputs", {})
-    if set(recorded) != set(outputs):
+    expected = [(resolved, recorded_inputs[key]) for key, resolved in inputs.items()]
+    expected += [
+        (os.path.join(out_dir, rel), digest) for rel, digest in recorded_outputs.items()
+    ]
+    try:
+        found = digests.of([target for target, _ in expected])
+    except FileNotFoundError:
         return False
-    for rel, digest in recorded.items():
-        target = os.path.join(out_dir, rel)
-        if not os.path.exists(target) or _sha256(target) != digest:
-            return False
-    return True
+    return all(found[target] == digest for target, digest in expected)
 
 
 def _write_manifest(
@@ -238,13 +266,18 @@ def _write_manifest(
     inputs: dict[str, str],
     config_hash: str,
     outputs: list[str],
+    digests: FileDigests,
 ) -> None:
+    written = {rel: os.path.join(out_dir, rel) for rel in outputs}
+    found = digests.of(
+        [*inputs.values(), *written.values()], rehash=frozenset(written.values())
+    )
     manifest = {
         "stage": stage,
         "version": __version__,
         "config_hash": config_hash,
-        "inputs": _hash_inputs(inputs),
-        "outputs": {rel: _sha256(os.path.join(out_dir, rel)) for rel in sorted(outputs)},
+        "inputs": {key: found[resolved] for key, resolved in sorted(inputs.items())},
+        "outputs": {rel: found[target] for rel, target in sorted(written.items())},
     }
     path = _manifest_path(out_dir, stage)
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -284,10 +317,13 @@ def _input_key(config: PipelineConfig, key: str) -> tuple[str, str]:
 class _Stage:
     """Input/output bookkeeping shared by every stage body."""
 
-    def __init__(self, name: str, config: PipelineConfig, force: bool):
+    def __init__(
+        self, name: str, config: PipelineConfig, force: bool, digests: FileDigests
+    ):
         self.name = name
         self.config = config
         self.force = force
+        self.digests = digests
         self.out_dir = config.out_dir()
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
@@ -326,12 +362,14 @@ class _Stage:
         if self.force:
             return False
         return _should_skip(
-            self.out_dir, self.name, self.inputs, self.config_hash, self.outputs
+            self.out_dir, self.name, self.inputs, self.config_hash, self.outputs,
+            self.digests,
         )
 
     def finish(self) -> None:
         _write_manifest(
-            self.out_dir, self.name, self.inputs, self.config_hash, self.outputs
+            self.out_dir, self.name, self.inputs, self.config_hash, self.outputs,
+            self.digests,
         )
 
 
@@ -591,9 +629,15 @@ def _read_split_csv(path: str) -> dict[str, np.ndarray]:
         if header != ["index", "role"]:
             raise DataError(f"{path}: expected header index,role")
         for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != 2:
+                raise DataError(f"{where}: expected 2 fields, got {len(row)}")
             if row[1] not in roles:
-                raise DataError(f"{path}: unknown split role {row[1]!r}")
-            roles[row[1]].append(int(row[0]))
+                raise DataError(f"{where}: unknown split role {row[1]!r}")
+            try:
+                roles[row[1]].append(int(row[0]))
+            except ValueError:
+                raise DataError(f"{where}: index {row[0]!r} is not an integer") from None
     return {role: np.asarray(idx, dtype=np.intp) for role, idx in roles.items()}
 
 
@@ -714,7 +758,6 @@ def _stage_report(st: _Stage) -> None:
     assignment_path = st.need(F_ASSIGNMENT)
     abund_stem = st.need_cube(F_ABUNDANCES)
 
-    records = read_records_csv(records_path)
     assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
 
     out_metrics = st.emit(F_REPORT_METRICS)
@@ -727,6 +770,8 @@ def _stage_report(st: _Stage) -> None:
     if st.skip():
         log.info("report: manifest up to date, skipping")
         return
+
+    records = read_records_csv(records_path)
 
     # metrics: same content as the evaluate stage, under the report roof
     with open(metrics_path, "rb") as src, open(out_metrics, "wb") as dst:
@@ -805,15 +850,26 @@ _STAGE_BODIES = {
 }
 
 
-def run_stage(name: str, config: PipelineConfig, force: bool = False) -> None:
-    """Run one stage (or skip it when its manifest is still valid)."""
+def run_stage(
+    name: str,
+    config: PipelineConfig,
+    force: bool = False,
+    digests: FileDigests | None = None,
+) -> None:
+    """Run one stage (or skip it when its manifest is still valid).
+
+    ``digests`` carries file hashes between the stages of one run.
+    """
     if name not in _STAGE_BODIES:
         raise ConfigError(f"unknown stage {name!r}")
     log.info("stage %s: starting", name)
-    _STAGE_BODIES[name](_Stage(name, config, force))
+    if digests is None:
+        digests = FileDigests()
+    _STAGE_BODIES[name](_Stage(name, config, force, digests))
 
 
 def run_all(config: PipelineConfig, force: bool = False) -> None:
     """All pipeline stages in order. The synth stage is not included."""
+    digests = FileDigests()
     for name in STAGE_ORDER:
-        run_stage(name, config, force)
+        run_stage(name, config, force, digests)

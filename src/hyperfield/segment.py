@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .cube import HyperCube
 from .errors import (
@@ -121,6 +120,8 @@ def threshold_mask(plane: np.ndarray, threshold: float | None = None) -> np.ndar
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill background components not 4-connected to the image border."""
+    from scipy import ndimage  # imported here so the CLI starts without scipy
+
     mask = np.asarray(mask, dtype=bool)
     # default cross structuring element = 4-connectivity
     return ndimage.binary_fill_holes(mask)
@@ -166,6 +167,8 @@ def extract_plots(mask: np.ndarray, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
     Boxes are ordered by (top, left); overlapping boxes are allowed and
     left for the grid mapper to resolve.
     """
+    from scipy import ndimage
+
     mask = np.asarray(mask, dtype=bool)
     labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
     boxes = []

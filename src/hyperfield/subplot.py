@@ -13,6 +13,7 @@ and the pixel count (2*bands + 1 entries).
 from __future__ import annotations
 
 import csv
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -46,8 +47,11 @@ class PlotYieldRecord:
     yield_grams: float
 
     def __post_init__(self):
-        if self.yield_grams < 0:
-            raise DataError(f"plot {self.plot_id}: negative yield")
+        if not (math.isfinite(self.yield_grams) and self.yield_grams >= 0):
+            raise DataError(
+                f"plot {self.plot_id}: yield {self.yield_grams!r} is not a "
+                "finite non-negative number"
+            )
 
 
 def write_yields_csv(path: str | os.PathLike, records: list[PlotYieldRecord]) -> None:
@@ -71,9 +75,12 @@ def read_yields_csv(path: str | os.PathLike) -> dict[str, float]:
             if row[0] in yields:
                 raise DataError(f"{path}: duplicate plot id {row[0]!r}")
             try:
-                yields[row[0]] = float(row[1])
+                record = PlotYieldRecord(row[0], float(row[1]))
+            except DataError as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
             except (IndexError, ValueError):
                 raise DataError(f"{path}: malformed yield row {row!r}")
+            yields[record.plot_id] = record.yield_grams
     return yields
 
 

@@ -1,15 +1,21 @@
 """Config, stage orchestration, and command-line behaviour."""
 
+import hashlib
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hyperfield
+from hyperfield import pipeline
 from hyperfield.cli import main
 from hyperfield.config import DEFAULTS, load_config
 from hyperfield.errors import ConfigError
-from hyperfield.pipeline import read_metrics_csv, run_stage
+from hyperfield.pipeline import STAGE_ORDER, FileDigests, read_metrics_csv, run_stage
 from hyperfield.subplot import read_records_csv
 
 TINY_INI = """\
@@ -37,6 +43,46 @@ def tiny_run(tmp_path_factory):
     assert main(["synth", "--out", str(out), "--config", str(ini)]) == 0
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
     return ini, out
+
+
+@pytest.fixture(scope="module")
+def memo_base(tmp_path_factory):
+    """A tiny synth + run-all tree of its own, copied by ``memo_run``."""
+    root = tmp_path_factory.mktemp("memo")
+    ini = root / "config.ini"
+    ini.write_text(TINY_INI.replace("epochs = 30", "epochs = 10"))
+    out = root / "out"
+    assert main(["synth", "--out", str(out), "--config", str(ini)]) == 0
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    return ini, out
+
+
+@pytest.fixture
+def memo_run(memo_base, tmp_path):
+    """A private copy of the ``memo_base`` tree, free to modify."""
+    ini, base = memo_base
+    out = tmp_path / "out"
+    shutil.copytree(base, out)
+    return ini, out
+
+
+def _sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _manifest_mtimes(out) -> dict[str, int]:
+    return {p.stem: p.stat().st_mtime_ns for p in (out / "manifests").iterdir()}
+
+
+def _assert_manifests_match_disk(out) -> None:
+    """Every digest in the manifests run-all keeps equals the file's on disk."""
+    for stage in STAGE_ORDER:
+        manifest = json.loads((out / "manifests" / f"{stage}.json").read_text())
+        for key, digest in manifest["inputs"].items():
+            assert _sha256_of(out / key) == digest, (stage, key)
+        for rel, digest in manifest["outputs"].items():
+            assert _sha256_of(out / rel) == digest, (stage, rel)
 
 
 def _tree_bytes(root) -> dict[str, bytes]:
@@ -298,6 +344,115 @@ def test_config_change_invalidates_only_affected_stages(tiny_run, tmp_path):
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
 
 
+def test_panel_edit_reruns_calibrate_and_its_readers_in_one_run(memo_run):
+    ini, out = memo_run
+    raw = out / "calibrate" / "reflectance.raw"
+    old_digest = _sha256_of(raw)
+    panel = out / "synth" / "panel.csv"
+    lines = panel.read_text().splitlines()
+    row = len(lines) // 2  # a band inside the kept range, away from the ends
+    wavelength, value = lines[row].split(",")
+    lines[row] = f"{wavelength},{float(value) * 1.01!r}"
+    panel.write_text("\n".join(lines) + "\n")
+    before = _manifest_mtimes(out)
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    after = _manifest_mtimes(out)
+    new_digest = _sha256_of(raw)
+    assert new_digest != old_digest
+    for stage in ("calibrate", "segment", "unmix", "dataset"):
+        assert after[stage] != before[stage], stage
+    for stage in ("segment", "unmix", "dataset"):
+        manifest = json.loads((out / "manifests" / f"{stage}.json").read_text())
+        assert manifest["inputs"]["calibrate/reflectance.raw"] == new_digest, stage
+    _assert_manifests_match_disk(out)
+
+
+def test_damaged_output_is_rebuilt_without_touching_its_readers(memo_run):
+    ini, out = memo_run
+    before = _tree_bytes(out)
+    stamps = {}
+    for dirpath, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            if "calibrate" not in os.path.relpath(path, out):
+                stamps[path] = os.stat(path).st_mtime_ns
+    raw = out / "calibrate" / "reflectance.raw"
+    offset = raw.stat().st_size // 2
+    with open(raw, "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ 0xFF]))
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    assert _tree_bytes(out) == before
+    for path, stamp in stamps.items():
+        assert os.stat(path).st_mtime_ns == stamp, path
+    _assert_manifests_match_disk(out)
+
+
+def test_manifest_from_another_version_is_stale(memo_run):
+    ini, out = memo_run
+    before = _tree_bytes(out)
+    path = out / "manifests" / "train.json"
+    manifest = json.loads(path.read_text())
+    manifest["version"] = "0.0.0-other"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    stamps = _manifest_mtimes(out)
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    now = _manifest_mtimes(out)
+    rerun = {stage for stage in stamps if now[stage] != stamps[stage]}
+    assert "train" in rerun
+    assert rerun <= {"train", "evaluate", "report"}
+    assert json.loads(path.read_text())["version"] == hyperfield.__version__
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("force", [False, True])
+def test_run_all_hashes_each_file_once(memo_run, monkeypatch, force):
+    ini, out = memo_run
+    hashed = []
+
+    def counting(path):
+        hashed.append(os.path.realpath(path))
+        return _sha256_of(path)
+
+    _assert_manifests_match_disk(out)
+    monkeypatch.setattr(pipeline, "_sha256", counting)
+    args = ["run-all", "--out", str(out), "--config", str(ini)]
+    assert main(args + ["--stage-force"] * force) == 0
+    assert hashed
+    assert len(hashed) == len(set(hashed))
+    _assert_manifests_match_disk(out)
+
+
+def test_file_digests_share_entries_and_rehash_on_request(tmp_path, monkeypatch):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"a" * 64)
+    digests = FileDigests()
+    monkeypatch.chdir(tmp_path)
+    found = digests.of([str(path), "f.bin"])
+    assert found[str(path)] == found["f.bin"] == hashlib.sha256(b"a" * 64).hexdigest()
+    # same size and mtime: only a rehash can see the new bytes
+    stat = path.stat()
+    path.write_bytes(b"b" * 64)
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    found = digests.of(["f.bin"], rehash=frozenset(["f.bin"]))
+    assert found["f.bin"] == hashlib.sha256(b"b" * 64).hexdigest()
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(hyperfield.__file__))
+    code = (
+        "import sys, hyperfield.cli\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 # ---------------------------------------------------------------------------
 # flags and exit codes
 
@@ -341,6 +496,31 @@ def test_data_error_exits_4(tiny_run, tmp_path, capsys):
     assert code == 4
     # restore the dataset stage outputs for later tests
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+
+
+@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+def test_negative_or_non_finite_yield_exits_4(tiny_run, tmp_path, capsys, value):
+    ini, out = tiny_run
+    broken = tmp_path / "broken.ini"
+    broken.write_text(TINY_INI + f"\n[input]\nyields = {tmp_path / 'y.csv'}\n")
+    lines = (out / "synth" / "yields.csv").read_text().splitlines()
+    lines[2] = lines[2].split(",")[0] + "," + value
+    (tmp_path / "y.csv").write_text("\n".join(lines) + "\n")
+    code = main(["dataset", "--out", str(out), "--config", str(broken),
+                 "--stage-force"])
+    assert code == 4
+    assert "y.csv: line 3" in capsys.readouterr().err
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+
+
+@pytest.mark.parametrize("row", ["7", "seven,train"])
+def test_malformed_split_row_exits_4(memo_run, capsys, row):
+    ini, out = memo_run
+    split = out / "train" / "split.csv"
+    split.write_text(split.read_text() + row + "\n")
+    lines = len(split.read_text().splitlines())
+    assert main(["evaluate", "--out", str(out), "--config", str(ini)]) == 4
+    assert f"split.csv: line {lines}" in capsys.readouterr().err
 
 
 def test_divergence_exits_5(tiny_run, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from hyperfield.errors import DataError, EmptyPlotError, ShapeMismatchError
 from hyperfield.subplot import (
+    PlotYieldRecord,
     SubPlotRecord,
     Window,
     allocate_yield,
@@ -313,3 +314,10 @@ class TestIdenticalYieldFraction:
                 records += build_records(f"p{p}", data, mask, 100.0, window_px=w)
             fractions[w] = identical_yield_fraction(records)
         assert fractions[10] > fractions[20]
+
+
+class TestPlotYieldRecord:
+    @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
+    def test_rejects_negative_and_non_finite(self, value):
+        with pytest.raises(DataError, match="P0001"):
+            PlotYieldRecord("P0001", value)
