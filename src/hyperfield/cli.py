@@ -15,21 +15,7 @@ import sys
 
 from .config import load_config
 from .errors import ConfigError, HyperfieldError, exit_code_for
-from .pipeline import STAGE_ORDER, run_all, run_stage
-
-_COMMAND_HELP = {
-    "synth": "generate a synthetic scene, truth files, and reference cube",
-    "calibrate": "radiance to reflectance via the panel, then band masking",
-    "segment": "index plane, threshold, cleanup, plot bounding boxes",
-    "gridmap": "snap boxes to the field grid and assign plot ids",
-    "endmembers": "extract (or load) and label the endmember spectra",
-    "unmix": "per-pixel constrained abundances and the foreground mask",
-    "dataset": "window each plot, allocate yields, extract features",
-    "train": "split records and fit the yield regressor",
-    "evaluate": "held-out metrics at sub-plot, plot, and field level",
-    "report": "metrics, scatter data, colormaps, and the text summary",
-    "run-all": "every pipeline stage in order (synth not included)",
-}
+from .pipeline import STAGES, run_all, run_stage
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,8 +33,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--stage-force", action="store_true",
                         help="rerun even when the stage manifest matches")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name in ("synth", *STAGE_ORDER, "run-all"):
-        sub.add_parser(name, parents=[common], help=_COMMAND_HELP[name])
+    for name, stage in STAGES.items():
+        sub.add_parser(name, parents=[common], help=stage.help)
+    sub.add_parser("run-all", parents=[common],
+                   help="every pipeline stage in order (synth not included)")
     return parser
 
 

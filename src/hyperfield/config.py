@@ -276,16 +276,17 @@ class PipelineConfig:
 
     # -- hashing and serialization ----------------------------------------
 
-    def config_hash(self) -> str:
-        """Digest of every section except [output], for stage manifests.
+    def config_hash(self, sections: tuple[str, ...] | None = None) -> str:
+        """Digest of ``sections`` in the order given, for stage manifests.
 
-        The output directory must not invalidate manifests: the same
-        inputs into two different trees are still the same computation.
+        The default is every section except [output], sorted: the output
+        directory must not invalidate manifests, because the same inputs
+        into two different trees are still the same computation.
         """
+        if sections is None:
+            sections = tuple(sorted(self.values.keys() - {"output"}))
         h = hashlib.sha256()
-        for section in sorted(self.values):
-            if section == "output":
-                continue
+        for section in sections:
             for key in sorted(self.values[section]):
                 h.update(f"[{section}] {key} = {self.values[section][key]}\n".encode())
         return h.hexdigest()

@@ -1,4 +1,4 @@
-"""Minimal binary netpbm writers and readers (P4/P5/P6, maxval 255).
+"""Minimal binary netpbm writers (P4/P5/P6, maxval 255) and P4/P6 readers.
 
 Masks and score planes are exported in these formats because any image
 viewer opens them and round-tripping them in tests needs no external
@@ -80,45 +80,41 @@ def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
     return tokens, i + 1
 
 
-def read_pbm(path: str | os.PathLike) -> np.ndarray:
+def _read_netpbm(
+    path: str | os.PathLike, magic: bytes, kind: str, fields: int
+) -> tuple[list[int], memoryview]:
+    """(header integers, payload) of a binary netpbm file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens, offset = _read_tokens(data, 3)
-    if tokens[0] != b"P4":
-        raise UnsupportedFormatError(f"not a binary PBM file: magic {tokens[0]!r}")
-    cols, rows = int(tokens[1]), int(tokens[2])
+    tokens, offset = _read_tokens(data, 1 + fields)
+    if tokens[0] != magic:
+        raise UnsupportedFormatError(f"not a binary {kind} file: magic {tokens[0]!r}")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise UnsupportedFormatError(
+            f"{path}: {kind} header values {tokens[1:]} are not non-negative integers"
+        )
+    return [int(t) for t in tokens[1:]], memoryview(data)[offset:]
+
+
+def _payload(path: str | os.PathLike, payload: memoryview, size: int) -> np.ndarray:
+    if len(payload) < size:
+        raise UnsupportedFormatError(
+            f"{path}: truncated payload, {len(payload)} of {size} bytes"
+        )
+    return np.frombuffer(payload, dtype=np.uint8, count=size)
+
+
+def read_pbm(path: str | os.PathLike) -> np.ndarray:
+    (cols, rows), payload = _read_netpbm(path, b"P4", "PBM", 2)
     row_bytes = (cols + 7) // 8
-    packed = np.frombuffer(data, dtype=np.uint8, count=rows * row_bytes, offset=offset)
+    packed = _payload(path, payload, rows * row_bytes)
     bits = np.unpackbits(packed.reshape(rows, row_bytes), axis=1)[:, :cols]
     return bits.astype(bool)
 
 
-def read_pgm(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens, offset = _read_tokens(data, 4)
-    if tokens[0] != b"P5":
-        raise UnsupportedFormatError(f"not a binary PGM file: magic {tokens[0]!r}")
-    cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if maxval != 255:
-        raise UnsupportedFormatError(f"unsupported PGM maxval {maxval}")
-    gray = np.frombuffer(data, dtype=np.uint8, count=rows * cols, offset=offset)
-    return gray.reshape(rows, cols).copy()
-
-
 def read_ppm(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens, offset = _read_tokens(data, 4)
-    if tokens[0] != b"P6":
-        raise UnsupportedFormatError(f"not a binary PPM file: magic {tokens[0]!r}")
-    cols, rows, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    (cols, rows, maxval), payload = _read_netpbm(path, b"P6", "PPM", 3)
     if maxval != 255:
         raise UnsupportedFormatError(f"unsupported PPM maxval {maxval}")
-    rgb = np.frombuffer(data, dtype=np.uint8, count=rows * cols * 3, offset=offset)
+    rgb = _payload(path, payload, rows * cols * 3)
     return rgb.reshape(rows, cols, 3).copy()
-
-
-def pgm_values(gray: np.ndarray) -> np.ndarray:
-    """Invert the PGM export scaling back to [-1, 1] plane values."""
-    return gray.astype(np.float64) / 255.0 * 2.0 - 1.0

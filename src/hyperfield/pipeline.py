@@ -15,7 +15,9 @@ import hashlib
 import json
 import logging
 import os
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,20 +85,9 @@ from .unmix import AbundanceMap, sl_mask, unmix_cube, write_score_ppm
 
 log = logging.getLogger("hyperfield.pipeline")
 
-STAGE_ORDER = (
-    "calibrate",
-    "segment",
-    "gridmap",
-    "endmembers",
-    "unmix",
-    "dataset",
-    "train",
-    "evaluate",
-    "report",
-)
-
 # Output files, relative to the output directory. Cube entries are
-# stems; the container writes <stem>.hdr plus <stem>.raw.
+# stems; the container writes <stem>.hdr plus <stem>.raw. Each stage
+# writes only under the directory named after it.
 F_SCENE = "synth/scene"
 F_PANEL = "synth/panel.csv"
 F_PLOT_MAP = "synth/plot_map.csv"
@@ -127,49 +118,6 @@ F_SCATTER = "report/scatter.csv"
 F_MIDDLE_THIRDS = "report/middle_thirds.csv"
 D_SL_MAPS = "report/sl_maps"
 F_SUMMARY = "report/summary.txt"
-
-# Which stage produces which file; used to name the missing stage in
-# dependency errors. Input files with these relative names come from
-# the synth stage by default.
-_PRODUCERS = {
-    F_SCENE + ".hdr": "synth",
-    F_SCENE + ".raw": "synth",
-    F_PANEL: "synth",
-    F_PLOT_MAP: "synth",
-    F_YIELDS: "synth",
-    F_REFERENCE + ".hdr": "synth",
-    F_REFERENCE + ".raw": "synth",
-    F_REFERENCE_EMS: "synth",
-    F_REFLECTANCE + ".hdr": "calibrate",
-    F_REFLECTANCE + ".raw": "calibrate",
-    F_BOXES: "segment",
-    F_ASSIGNMENT: "gridmap",
-    F_ENDMEMBERS: "endmembers",
-    F_ABUNDANCES + ".hdr": "unmix",
-    F_ABUNDANCES + ".raw": "unmix",
-    F_SL_MASK: "unmix",
-    F_RECORDS: "dataset",
-    F_MODEL: "train",
-    F_SPLIT: "train",
-    F_PREDICTIONS: "evaluate",
-    F_METRICS: "evaluate",
-}
-
-# Config sections each stage's behaviour depends on; the manifest keys
-# on their digest, so edits invalidate exactly the affected stages.
-_STAGE_SECTIONS = {
-    "synth": ("synth",),
-    "calibrate": ("input", "calibrate"),
-    "segment": ("segment",),
-    "gridmap": ("input", "gridmap"),
-    "endmembers": ("input", "endmembers"),
-    "unmix": ("unmix",),
-    "dataset": ("input", "dataset"),
-    "train": ("split", "model", "train"),
-    "evaluate": (),
-    "report": ("dataset", "unmix"),
-}
-
 
 # ---------------------------------------------------------------------------
 # manifests
@@ -213,27 +161,12 @@ class FileDigests:
         return {path: self._known[key] for path, key in keys.items()}
 
 
-def _section_hash(config: PipelineConfig, sections: tuple[str, ...]) -> str:
-    h = hashlib.sha256()
-    for section in sections:
-        for key in sorted(config.values[section]):
-            h.update(f"[{section}] {key} = {config.values[section][key]}\n".encode())
-    return h.hexdigest()
-
-
 def _manifest_path(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, "manifests", f"{stage}.json")
 
 
-def _should_skip(
-    out_dir: str,
-    stage: str,
-    inputs: dict[str, str],
-    config_hash: str,
-    outputs: list[str],
-    digests: FileDigests,
-) -> bool:
-    path = _manifest_path(out_dir, stage)
+def _should_skip(st: _Stage, config_hash: str) -> bool:
+    path = _manifest_path(st.out_dir, st.name)
     if not os.path.exists(path):
         return False
     try:
@@ -247,56 +180,36 @@ def _should_skip(
         return False
     recorded_inputs = manifest.get("inputs", {})
     recorded_outputs = manifest.get("outputs", {})
-    if set(recorded_inputs) != set(inputs) or set(recorded_outputs) != set(outputs):
+    if set(recorded_inputs) != set(st.inputs) or set(recorded_outputs) != set(st.outputs):
         return False
-    expected = [(resolved, recorded_inputs[key]) for key, resolved in inputs.items()]
+    expected = [(path, recorded_inputs[key]) for key, path in st.inputs.items()]
     expected += [
-        (os.path.join(out_dir, rel), digest) for rel, digest in recorded_outputs.items()
+        (os.path.join(st.out_dir, rel), digest) for rel, digest in recorded_outputs.items()
     ]
     try:
-        found = digests.of([target for target, _ in expected])
+        found = st.digests.of([target for target, _ in expected])
     except FileNotFoundError:
         return False
     return all(found[target] == digest for target, digest in expected)
 
 
-def _write_manifest(
-    out_dir: str,
-    stage: str,
-    inputs: dict[str, str],
-    config_hash: str,
-    outputs: list[str],
-    digests: FileDigests,
-) -> None:
-    written = {rel: os.path.join(out_dir, rel) for rel in outputs}
-    found = digests.of(
-        [*inputs.values(), *written.values()], rehash=frozenset(written.values())
+def _write_manifest(st: _Stage, config_hash: str) -> None:
+    written = {rel: os.path.join(st.out_dir, rel) for rel in st.outputs}
+    found = st.digests.of(
+        [*st.inputs.values(), *written.values()], rehash=frozenset(written.values())
     )
     manifest = {
-        "stage": stage,
+        "stage": st.name,
         "version": __version__,
         "config_hash": config_hash,
-        "inputs": {key: found[resolved] for key, resolved in sorted(inputs.items())},
+        "inputs": {key: found[resolved] for key, resolved in sorted(st.inputs.items())},
         "outputs": {rel: found[target] for rel, target in sorted(written.items())},
     }
-    path = _manifest_path(out_dir, stage)
+    path = _manifest_path(st.out_dir, st.name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _require(stage: str, key: str, resolved: str) -> None:
-    """Fail with the producing stage's name when an upstream file is absent."""
-    if os.path.exists(resolved):
-        return
-    producer = _PRODUCERS.get(key)
-    if producer is not None:
-        raise DependencyError(
-            f"stage {stage!r} needs {key!r}, which stage {producer!r} produces; "
-            f"run {producer!r} first"
-        )
-    raise DataError(f"stage {stage!r}: required input not found: {resolved}")
 
 
 def _out_path(out_dir: str, rel: str) -> str:
@@ -309,41 +222,42 @@ def _cube_files(stem: str) -> list[str]:
     return [stem + ".hdr", stem + ".raw"]
 
 
-def _input_key(config: PipelineConfig, key: str) -> tuple[str, str]:
-    """(manifest key, resolved path) for an [input] entry."""
-    return config.get("input", key), config.input_path(key)
-
-
 class _Stage:
     """Input/output bookkeeping shared by every stage body."""
 
-    def __init__(
-        self, name: str, config: PipelineConfig, force: bool, digests: FileDigests
-    ):
+    def __init__(self, name: str, config: PipelineConfig, digests: FileDigests):
         self.name = name
         self.config = config
-        self.force = force
         self.digests = digests
         self.out_dir = config.out_dir()
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
 
-    def need(self, key: str, resolved: str | None = None) -> str:
-        """Register an input file; returns its resolved path."""
-        resolved = os.path.join(self.out_dir, key) if resolved is None else resolved
-        _require(self.name, key, resolved)
+    def need(self, key: str) -> str:
+        """Register an input file; returns its path.
+
+        ``key`` is relative to the output directory unless absolute. A
+        missing relative file under a stage's directory names that
+        stage, since every stage writes only under its own directory.
+        """
+        resolved = os.path.join(self.out_dir, key)
+        if not os.path.exists(resolved):
+            producer, slash, _ = key.partition("/")
+            if slash and producer in STAGES:
+                raise DependencyError(
+                    f"stage {self.name!r} needs {key!r}, which stage {producer!r} "
+                    f"produces; run {producer!r} first"
+                )
+            raise DataError(
+                f"stage {self.name!r}: required input not found: {resolved}"
+            )
         self.inputs[key] = resolved
         return resolved
 
-    def need_cube(self, stem_key: str, resolved_stem: str | None = None) -> str:
-        stem = (
-            os.path.join(self.out_dir, stem_key)
-            if resolved_stem is None
-            else resolved_stem
-        )
-        for key, resolved in zip(_cube_files(stem_key), _cube_files(stem)):
-            self.need(key, resolved)
-        return stem
+    def need_cube(self, stem_key: str) -> str:
+        for key in _cube_files(stem_key):
+            self.need(key)
+        return os.path.join(self.out_dir, stem_key)
 
     def emit(self, rel: str) -> str:
         self.outputs.append(rel)
@@ -354,24 +268,6 @@ class _Stage:
             self.outputs.append(rel)
         return _out_path(self.out_dir, stem_rel)
 
-    @property
-    def config_hash(self) -> str:
-        return _section_hash(self.config, _STAGE_SECTIONS[self.name])
-
-    def skip(self) -> bool:
-        if self.force:
-            return False
-        return _should_skip(
-            self.out_dir, self.name, self.inputs, self.config_hash, self.outputs,
-            self.digests,
-        )
-
-    def finish(self) -> None:
-        _write_manifest(
-            self.out_dir, self.name, self.inputs, self.config_hash, self.outputs,
-            self.digests,
-        )
-
 
 def _float_line(path: str, value: float) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -381,7 +277,7 @@ def _float_line(path: str, value: float) -> None:
 # ---------------------------------------------------------------------------
 # stage bodies
 
-def _stage_synth(st: _Stage) -> None:
+def _stage_synth(st: _Stage) -> Iterator[None]:
     spec = st.config.synth_spec()
     scene_stem = st.emit_cube(F_SCENE)
     panel_path = st.emit(F_PANEL)
@@ -392,9 +288,7 @@ def _stage_synth(st: _Stage) -> None:
     truth_path = st.emit(F_TRUTH_JSON)
     ref_stem = st.emit_cube(F_REFERENCE)
     ref_ems_path = st.emit(F_REFERENCE_EMS)
-    if st.skip():
-        log.info("synth: manifest up to date, skipping")
-        return
+    yield
 
     cube, truth = generate_scene(spec)
     write_cube(cube, scene_stem)
@@ -428,16 +322,13 @@ def _stage_synth(st: _Stage) -> None:
     )
     write_cube(ref_cube, ref_stem)
     write_endmembers_csv(ref_ems_path, ref_ems)
-    st.finish()
 
 
-def _stage_calibrate(st: _Stage) -> None:
-    cube_stem = st.need_cube(*_input_key(st.config, "cube"))
-    panel_path = st.need(*_input_key(st.config, "panel_reflectance"))
+def _stage_calibrate(st: _Stage) -> Iterator[None]:
+    cube_stem = st.need_cube(st.config.get("input", "cube"))
+    panel_path = st.need(st.config.get("input", "panel_reflectance"))
     out_stem = st.emit_cube(F_REFLECTANCE)
-    if st.skip():
-        log.info("calibrate: manifest up to date, skipping")
-        return
+    yield
 
     cube = read_cube(cube_stem)
     _, panel = read_panel_reflectance_csv(panel_path)
@@ -452,18 +343,15 @@ def _stage_calibrate(st: _Stage) -> None:
         drop_windows=st.config.drop_windows_nm(),
     )
     write_cube(apply_band_mask(reflectance, mask), out_stem)
-    st.finish()
 
 
-def _stage_segment(st: _Stage) -> None:
+def _stage_segment(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     boxes_path = st.emit(F_BOXES)
     mask_path = st.emit(F_SEG_MASK)
     score_path = st.emit(F_SEG_SCORE)
     threshold_path = st.emit(F_SEG_THRESHOLD)
-    if st.skip():
-        log.info("segment: manifest up to date, skipping")
-        return
+    yield
 
     cube = read_cube(stem)
     plane = ndpsi(
@@ -483,16 +371,13 @@ def _stage_segment(st: _Stage) -> None:
     write_boxes_csv(boxes_path, boxes)
     _float_line(threshold_path, threshold)
     log.info("segment: %d plots above the area floor", len(boxes))
-    st.finish()
 
 
-def _stage_gridmap(st: _Stage) -> None:
+def _stage_gridmap(st: _Stage) -> Iterator[None]:
     boxes_path = st.need(F_BOXES)
-    map_path = st.need(*_input_key(st.config, "plot_map"))
+    map_path = st.need(st.config.get("input", "plot_map"))
     out_path = st.emit(F_ASSIGNMENT)
-    if st.skip():
-        log.info("gridmap: manifest up to date, skipping")
-        return
+    yield
 
     boxes = read_boxes_csv(boxes_path)
     plot_map = read_plot_map(map_path)
@@ -508,28 +393,22 @@ def _stage_gridmap(st: _Stage) -> None:
     assignment = assign_ids(boxes, row_lines, col_lines, plot_map, anchor)
     write_assignment_csv(out_path, assignment)
     log.info("gridmap: %d boxes labelled", len(assignment.assigned()))
-    st.finish()
 
 
-def _stage_endmembers(st: _Stage) -> None:
+def _stage_endmembers(st: _Stage) -> Iterator[None]:
     source = st.config.get("endmembers", "source").strip().lower()
     out_path = st.emit(F_ENDMEMBERS)
     if source == "csv":
         raw = st.config.get("endmembers", "csv").strip()
         if not raw:
             raise ConfigError("[endmembers] source = csv needs [endmembers] csv = <path>")
-        resolved = raw if os.path.isabs(raw) else os.path.join(st.out_dir, raw)
-        csv_path = st.need(raw, resolved)
-        if st.skip():
-            log.info("endmembers: manifest up to date, skipping")
-            return
+        csv_path = st.need(raw)
+        yield
         ems = read_endmembers_csv(csv_path)
     elif source == "cube":
-        ref_stem = st.need_cube(*_input_key(st.config, "reference_cube"))
-        ref_ems_path = st.need(*_input_key(st.config, "reference_endmembers"))
-        if st.skip():
-            log.info("endmembers: manifest up to date, skipping")
-            return
+        ref_stem = st.need_cube(st.config.get("input", "reference_cube"))
+        ref_ems_path = st.need(st.config.get("input", "reference_endmembers"))
+        yield
         cube = read_cube(ref_stem)
         pixels = cube.pixels()
         found = svmax(
@@ -545,18 +424,15 @@ def _stage_endmembers(st: _Stage) -> None:
     else:
         raise ConfigError(f"[endmembers] source = {source!r}; expected 'cube' or 'csv'")
     write_endmembers_csv(out_path, ems)
-    st.finish()
 
 
-def _stage_unmix(st: _Stage) -> None:
+def _stage_unmix(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     ems_path = st.need(F_ENDMEMBERS)
     abund_stem = st.emit_cube(F_ABUNDANCES)
     mask_path = st.emit(F_SL_MASK)
     residual_path = st.emit(F_RESIDUAL)
-    if st.skip():
-        log.info("unmix: manifest up to date, skipping")
-        return
+    yield
 
     cube = read_cube(stem)
     endmembers = read_endmembers_csv(ems_path)
@@ -581,18 +457,15 @@ def _stage_unmix(st: _Stage) -> None:
     _float_line(residual_path, residual)
     log.info("unmix: residual %.6g, %d foreground pixels",
              residual, int(foreground.mask.sum()))
-    st.finish()
 
 
-def _stage_dataset(st: _Stage) -> None:
+def _stage_dataset(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     mask_path = st.need(F_SL_MASK)
     assignment_path = st.need(F_ASSIGNMENT)
-    yields_path = st.need(*_input_key(st.config, "yields"))
+    yields_path = st.need(st.config.get("input", "yields"))
     out_path = st.emit(F_RECORDS)
-    if st.skip():
-        log.info("dataset: manifest up to date, skipping")
-        return
+    yield
 
     cube = read_cube(stem)
     mask = read_pbm(mask_path)
@@ -616,7 +489,6 @@ def _stage_dataset(st: _Stage) -> None:
         )
     write_records_csv(out_path, records)
     log.info("dataset: %d sub-plot records from %d plots", len(records), len(assigned))
-    st.finish()
 
 
 def _read_split_csv(path: str) -> dict[str, np.ndarray]:
@@ -641,14 +513,12 @@ def _read_split_csv(path: str) -> dict[str, np.ndarray]:
     return {role: np.asarray(idx, dtype=np.intp) for role, idx in roles.items()}
 
 
-def _stage_train(st: _Stage) -> None:
+def _stage_train(st: _Stage) -> Iterator[None]:
     records_path = st.need(F_RECORDS)
     model_path = st.emit(F_MODEL)
     log_path = st.emit(F_TRAIN_LOG)
     split_path = st.emit(F_SPLIT)
-    if st.skip():
-        log.info("train: manifest up to date, skipping")
-        return
+    yield
 
     records = read_records_csv(records_path)
     x, y, ids = records_to_arrays(records)
@@ -674,18 +544,15 @@ def _stage_train(st: _Stage) -> None:
         "train: %d/%d/%d records (train/val/test), best epoch %d",
         split.train.size, split.validation.size, split.test.size, model.best_epoch,
     )
-    st.finish()
 
 
-def _stage_evaluate(st: _Stage) -> None:
+def _stage_evaluate(st: _Stage) -> Iterator[None]:
     model_path = st.need(F_MODEL)
     records_path = st.need(F_RECORDS)
     split_path = st.need(F_SPLIT)
     predictions_path = st.emit(F_PREDICTIONS)
     metrics_path = st.emit(F_METRICS)
-    if st.skip():
-        log.info("evaluate: manifest up to date, skipping")
-        return
+    yield
 
     model = load_model(model_path)
     records = read_records_csv(records_path)
@@ -733,7 +600,6 @@ def _stage_evaluate(st: _Stage) -> None:
         "evaluate: %s split, sub-plot R2 %.4f, plot R2 %.4f",
         split_name, result.subplot.r2, result.plot.r2,
     )
-    st.finish()
 
 
 def read_metrics_csv(path: str | os.PathLike) -> dict[str, str]:
@@ -747,11 +613,15 @@ def read_metrics_csv(path: str | os.PathLike) -> dict[str, str]:
         if header != ["metric", "value"]:
             raise DataError(f"{path}: expected header metric,value")
         for row in reader:
+            if len(row) != 2:
+                raise DataError(
+                    f"{path}: line {reader.line_num}: expected 2 fields, got {len(row)}"
+                )
             out[row[0]] = row[1]
     return out
 
 
-def _stage_report(st: _Stage) -> None:
+def _stage_report(st: _Stage) -> Iterator[None]:
     metrics_path = st.need(F_METRICS)
     predictions_path = st.need(F_PREDICTIONS)
     records_path = st.need(F_RECORDS)
@@ -767,9 +637,7 @@ def _stage_report(st: _Stage) -> None:
     map_paths = {
         plot.plot_id: st.emit(f"{D_SL_MAPS}/{plot.plot_id}.ppm") for plot in assigned
     }
-    if st.skip():
-        log.info("report: manifest up to date, skipping")
-        return
+    yield
 
     records = read_records_csv(records_path)
 
@@ -833,21 +701,61 @@ def _stage_report(st: _Stage) -> None:
     ]
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    st.finish()
 
 
-_STAGE_BODIES = {
-    "synth": _stage_synth,
-    "calibrate": _stage_calibrate,
-    "segment": _stage_segment,
-    "gridmap": _stage_gridmap,
-    "endmembers": _stage_endmembers,
-    "unmix": _stage_unmix,
-    "dataset": _stage_dataset,
-    "train": _stage_train,
-    "evaluate": _stage_evaluate,
-    "report": _stage_report,
+class _StageDef(NamedTuple):
+    help: str  # one line for ``hyperfield --help``
+    sections: tuple[str, ...]  # config sections the manifest's config hash covers
+    body: Callable[[_Stage], Iterator[None]]
+
+
+# Every stage in pipeline order. A body declares its files with
+# need/emit and yields; the work after its yield runs only when the
+# manifest is stale. Bodies reach layer functions through module
+# globals, so the table holds no layer function.
+STAGES: dict[str, _StageDef] = {
+    "synth": _StageDef(
+        "generate a synthetic scene, truth files, and reference cube",
+        ("synth",), _stage_synth,
+    ),
+    "calibrate": _StageDef(
+        "radiance to reflectance via the panel, then band masking",
+        ("input", "calibrate"), _stage_calibrate,
+    ),
+    "segment": _StageDef(
+        "index plane, threshold, cleanup, plot bounding boxes",
+        ("segment",), _stage_segment,
+    ),
+    "gridmap": _StageDef(
+        "snap boxes to the field grid and assign plot ids",
+        ("input", "gridmap"), _stage_gridmap,
+    ),
+    "endmembers": _StageDef(
+        "extract (or load) and label the endmember spectra",
+        ("input", "endmembers"), _stage_endmembers,
+    ),
+    "unmix": _StageDef(
+        "per-pixel constrained abundances and the foreground mask",
+        ("unmix",), _stage_unmix,
+    ),
+    "dataset": _StageDef(
+        "window each plot, allocate yields, extract features",
+        ("input", "dataset"), _stage_dataset,
+    ),
+    "train": _StageDef(
+        "split records and fit the yield regressor",
+        ("split", "model", "train"), _stage_train,
+    ),
+    "evaluate": _StageDef(
+        "held-out metrics at sub-plot, plot, and field level",
+        (), _stage_evaluate,
+    ),
+    "report": _StageDef(
+        "metrics, scatter data, colormaps, and the text summary",
+        ("dataset", "unmix"), _stage_report,
+    ),
 }
+STAGE_ORDER = tuple(STAGES)[1:]  # what run-all runs: every stage but synth
 
 
 def run_stage(
@@ -860,12 +768,19 @@ def run_stage(
 
     ``digests`` carries file hashes between the stages of one run.
     """
-    if name not in _STAGE_BODIES:
+    if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
     log.info("stage %s: starting", name)
-    if digests is None:
-        digests = FileDigests()
-    _STAGE_BODIES[name](_Stage(name, config, force, digests))
+    stage = STAGES[name]
+    st = _Stage(name, config, FileDigests() if digests is None else digests)
+    work = stage.body(st)
+    next(work)
+    config_hash = config.config_hash(stage.sections)
+    if not force and _should_skip(st, config_hash):
+        log.info("%s: manifest up to date, skipping", name)
+        return
+    next(work, None)
+    _write_manifest(st, config_hash)
 
 
 def run_all(config: PipelineConfig, force: bool = False) -> None:

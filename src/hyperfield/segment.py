@@ -127,23 +127,6 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
     return ndimage.binary_fill_holes(mask)
 
 
-def _shift_reduce(mask, se, origin, op, pad_value):
-    se_h, se_w = se
-    c0, c1 = origin
-    if op is np.logical_and:
-        pad = ((c0, se_h - 1 - c0), (c1, se_w - 1 - c1))
-    else:
-        pad = ((se_h - 1 - c0, c0), (se_w - 1 - c1, c1))
-    padded = np.pad(mask, pad, constant_values=pad_value)
-    rows, cols = mask.shape
-    acc = None
-    for i in range(se_h):
-        for j in range(se_w):
-            window = padded[i : i + rows, j : j + cols]
-            acc = window.copy() if acc is None else op(acc, window)
-    return acc
-
-
 def binary_open(mask: np.ndarray, se: tuple[int, int] = DEFAULT_SE) -> np.ndarray:
     """Morphological opening with a flat rectangular structuring element.
 
@@ -152,13 +135,13 @@ def binary_open(mask: np.ndarray, se: tuple[int, int] = DEFAULT_SE) -> np.ndarra
     Erosion and dilation use the same (unmirrored) element, making the
     opening idempotent.
     """
+    from scipy import ndimage
+
     mask = np.asarray(mask, dtype=bool)
     se_h, se_w = se
     if se_h <= 0 or se_w <= 0:
         raise ShapeMismatchError(f"structuring element {se} must be positive")
-    origin = (se_h // 2, se_w // 2)
-    eroded = _shift_reduce(mask, se, origin, np.logical_and, False)
-    return _shift_reduce(eroded, se, origin, np.logical_or, False)
+    return ndimage.binary_opening(mask, structure=np.ones(se, dtype=bool))
 
 
 def extract_plots(mask: np.ndarray, min_area_px: int = DEFAULT_MIN_AREA_PX) -> list[PlotBox]:
@@ -187,10 +170,6 @@ def extract_plots(mask: np.ndarray, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
                 )
     boxes.sort(key=lambda b: (b.top, b.left))
     return boxes
-
-
-def crop_plot(cube: HyperCube, box: PlotBox) -> HyperCube:
-    return cube.crop(box.top, box.left, box.height, box.width)
 
 
 def write_boxes_csv(path: str | os.PathLike, boxes: list[PlotBox]) -> None:

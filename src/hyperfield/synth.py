@@ -170,9 +170,6 @@ class SynthTruth:
     noiseless: np.ndarray | None = None
     noise: np.ndarray | None = None
 
-    def crop_endmembers(self) -> EndmemberSet:
-        return self.endmembers.select(CROP_LABELS)
-
 
 def _bilinear_field(rng: np.random.Generator, shape, nodes, lo, hi) -> np.ndarray:
     """Smooth random field: coarse uniform nodes, bilinear upsampling."""

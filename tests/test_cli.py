@@ -14,8 +14,14 @@ import hyperfield
 from hyperfield import pipeline
 from hyperfield.cli import main
 from hyperfield.config import DEFAULTS, load_config
-from hyperfield.errors import ConfigError
-from hyperfield.pipeline import STAGE_ORDER, FileDigests, read_metrics_csv, run_stage
+from hyperfield.errors import ConfigError, DataError
+from hyperfield.pipeline import (
+    STAGE_ORDER,
+    STAGES,
+    FileDigests,
+    read_metrics_csv,
+    run_stage,
+)
 from hyperfield.subplot import read_records_csv
 
 TINY_INI = """\
@@ -178,6 +184,46 @@ def test_config_hash_ignores_output_dir():
     assert a.config_hash() == b.config_hash()
     b.values["train"]["epochs"] = "7"
     assert a.config_hash() != b.config_hash()
+
+
+# config_hash of each stage's sections for the default config, as
+# existing manifests record them; a change here makes every existing
+# tree rerun that stage.
+_DEFAULT_STAGE_HASHES = {
+    "synth": "02486baed71852044c70ca4c40f1b1eeff3d5c38a5a6f445daebdd41a157afde",
+    "calibrate": "a5a371d8c298bf38468ab2c03740b1ccddfa0b96d821ecf3d8f4d57e000ebb27",
+    "segment": "b22731443a585df57025ba42c5fd9573522b911f68ead86d05efce2cc8dcce17",
+    "gridmap": "2a006c008aafabf149908a05b824dfb1e8ec5a8d2e8351fde22c41c922aba972",
+    "endmembers": "a2c7074f9cf95f3e3a182f0482cfbf94cfa984eabfdc8f52366daa22666d6a8a",
+    "unmix": "ef5cee5535ccdbd3bf4bf1a84e90721430c154bd02b4d5c62693f2cb528711a7",
+    "dataset": "2659027f3cdc11eeadbe0bb6942bb19ba378f3ed1ae93acbd77a0e841804d412",
+    "train": "27010ad5e97e543ea20e42f5fb107257e8dc071905398f6e1efb5c26a004fa5e",
+    "evaluate": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "report": "2d88b2a706c2de9f9473b9ace0fb54d0b485b03baf7a9c7ddf77ab6b2f3e565a",
+}
+
+
+def test_stage_config_hashes_match_recorded_manifests():
+    config = load_config(None)
+    found = {name: config.config_hash(stage.sections) for name, stage in STAGES.items()}
+    assert found == _DEFAULT_STAGE_HASHES
+
+
+def test_stage_order_is_the_pipeline_order():
+    assert STAGE_ORDER == (
+        "calibrate", "segment", "gridmap", "endmembers", "unmix",
+        "dataset", "train", "evaluate", "report",
+    )
+    assert tuple(STAGES) == ("synth", *STAGE_ORDER)
+
+
+def test_help_lists_every_stage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, stage in STAGES.items():
+        assert f"{name} {stage.help}" in text, name
 
 
 def test_input_paths_resolve_against_out_dir():
@@ -463,6 +509,21 @@ def test_missing_dependency_names_the_stage(tmp_path, capsys):
     assert "train" in err and "model.ckpt" in err
 
 
+@pytest.mark.parametrize(
+    "yields, code", [("elsewhere/y.csv", 4), ("segment/y.csv", 3)]
+)
+def test_missing_input_names_the_stage_whose_directory_holds_it(
+    tiny_run, tmp_path, capsys, yields, code
+):
+    ini, out = tiny_run
+    moved = tmp_path / "moved.ini"
+    moved.write_text(TINY_INI + f"\n[input]\nyields = {yields}\n")
+    assert main(["dataset", "--out", str(out), "--config", str(moved)]) == code
+    err = capsys.readouterr().err
+    assert yields in err
+    assert ("run 'segment' first" in err) == (code == 3)
+
+
 def test_run_all_without_synth_names_synth(tmp_path, capsys):
     code = main(["run-all", "--out", str(tmp_path / "fresh")])
     assert code == 3
@@ -523,6 +584,20 @@ def test_malformed_split_row_exits_4(memo_run, capsys, row):
     assert f"split.csv: line {lines}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["truncate", "header"])
+def test_damaged_mask_exits_4(memo_run, capsys, damage):
+    ini, out = memo_run
+    mask = out / "unmix" / "sl_mask.pbm"
+    data = mask.read_bytes()
+    if damage == "truncate":
+        mask.write_bytes(data[: len(data) // 2])
+    else:
+        magic, dims, payload = data.split(b"\n", 2)
+        mask.write_bytes(b"\n".join([magic, dims + b".5", payload]))
+    assert main(["dataset", "--out", str(out), "--config", str(ini)]) == 4
+    assert "sl_mask.pbm" in capsys.readouterr().err
+
+
 def test_divergence_exits_5(tiny_run, tmp_path):
     ini, out = tiny_run
     div = tmp_path / "div.ini"
@@ -560,7 +635,12 @@ def test_unknown_stage_is_a_config_error():
 def test_read_metrics_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("a,b\n1,2\n")
-    from hyperfield.errors import DataError
-
     with pytest.raises(DataError, match="metric,value"):
+        read_metrics_csv(path)
+
+
+def test_read_metrics_csv_rejects_short_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("metric,value\nsplit\n")
+    with pytest.raises(DataError, match="m.csv: line 2"):
         read_metrics_csv(path)

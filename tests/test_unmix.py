@@ -7,7 +7,7 @@ import pytest
 from hyperfield import unmix
 from hyperfield.cube import HyperCube
 from hyperfield.endmember import EndmemberSet
-from hyperfield.errors import DataError, ShapeMismatchError
+from hyperfield.errors import DataError, ShapeMismatchError, UnsupportedFormatError
 
 import oracles
 
@@ -283,3 +283,18 @@ def test_score_ppm_accepts_sl_mask(tmp_path):
     rgb = read_ppm(tmp_path / "sl.ppm")
     assert tuple(rgb[0, 0]) == (0, 0, 255)
     assert tuple(rgb[0, 2]) == (255, 0, 0)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "header"])
+def test_read_ppm_rejects_damaged_files(tmp_path, damage):
+    from hyperfield.netpbm import read_ppm
+
+    path = tmp_path / "s.ppm"
+    unmix.write_score_ppm(path, np.zeros((4, 5)))
+    data = path.read_bytes()
+    if damage == "truncate":
+        path.write_bytes(data[:-1])
+    else:
+        path.write_bytes(data.replace(b"5 4", b"5 -4", 1))
+    with pytest.raises(UnsupportedFormatError, match="s.ppm"):
+        read_ppm(path)
