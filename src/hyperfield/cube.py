@@ -5,8 +5,11 @@ UTF-8 ``key = value`` metadata lines and ``<stem>.raw`` holds the
 little-endian sample payload in one of three interleaves (bip, bil,
 bsq). Wavelengths are recorded in nanometres at 0.1 nm precision.
 
-In memory the payload always sits in a (rows, cols, bands) array, so
-the interleave is purely a storage concern.
+In memory the payload is always indexed as (rows, cols, bands). A cube
+read from disk is a view of the file's samples in the file's order, so
+a bsq cube is band-major in memory and is written back to bsq without a
+transpose. Code whose floating-point result depends on summation order
+makes its own C- or Fortran-order copy.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class HyperCube:
     Attributes
     ----------
     data:
-        (rows, cols, bands) array, float32/float64/uint16.
+        (rows, cols, bands) array, float32/float64/uint16, in any memory
+        order.
     wavelengths:
         (bands,) strictly increasing band centres in nm.
     units:
@@ -119,8 +123,9 @@ class HyperCube:
         return self.data.shape[2]
 
     def pixels(self) -> np.ndarray:
-        """Payload as a (bands, rows*cols) matrix, row-major pixel order."""
-        return self.data.reshape(-1, self.bands).T
+        """Payload as a Fortran-order (bands, rows*cols) matrix, row-major
+        pixel order, whatever the cube's memory order."""
+        return np.asfortranarray(self.data.reshape(-1, self.bands).T)
 
     def crop(self, top: int, left: int, height: int, width: int) -> "HyperCube":
         if height <= 0 or width <= 0:
@@ -197,9 +202,11 @@ def _parse_header(hdr_path: str) -> dict:
 def read_cube(path: str | os.PathLike) -> HyperCube:
     """Read a cube pair back into memory.
 
-    Raises a parse error (with line number) for malformed headers, an
-    unsupported-format error for unknown interleave/sample type/units,
-    and a size error when the raw payload does not match the geometry.
+    The data is a (rows, cols, bands) view of the payload in the file's
+    interleave, not a C-order copy. Raises a parse error (with line
+    number) for malformed headers, an unsupported-format error for
+    unknown interleave/sample type/units, and a size error when the raw
+    payload does not match the geometry.
     """
     hdr_path, raw_path = _paths(path)
     fields = _parse_header(hdr_path)
@@ -263,10 +270,7 @@ def read_cube(path: str | os.PathLike) -> HyperCube:
     else:
         data = flat.reshape(dims["bands"], dims["lines"], dims["samples"]).transpose(1, 2, 0)
     return HyperCube(
-        data=np.ascontiguousarray(data),
-        wavelengths=wavelengths,
-        units=units,
-        band_labels=band_labels,
+        data=data, wavelengths=wavelengths, units=units, band_labels=band_labels
     )
 
 
@@ -274,6 +278,7 @@ def to_reflectance(
     cube: HyperCube,
     panel_region: tuple[int, int, int, int],
     panel_reflectance: np.ndarray,
+    mask: BandMask | None = None,
 ) -> HyperCube:
     """Single-panel empirical line correction.
 
@@ -282,6 +287,9 @@ def to_reflectance(
     reflectance per band. Each pixel is divided by the panel mean and
     rescaled by the known reflectance. Output is clamped below at zero;
     values above one are preserved (specular pixels stay visible).
+
+    With a ``mask`` the panel is still checked in every input band, but
+    only the kept bands are scaled and returned.
     """
     top, left, height, width = panel_region
     if height <= 0 or width <= 0:
@@ -300,7 +308,10 @@ def to_reflectance(
     if np.any(panel_reflectance <= 0):
         raise DegeneratePanelError("panel reflectance must be positive in every band")
 
-    panel = cube.data[top : top + height, left : left + width].astype(np.float64)
+    # a C-order copy fixes the summation order whatever the file's interleave
+    panel = np.ascontiguousarray(
+        cube.data[top : top + height, left : left + width], dtype=np.float64
+    )
     mean_panel = panel.mean(axis=(0, 1))
     if np.any(mean_panel <= 0):
         bad = int(np.argmax(mean_panel <= 0))
@@ -309,7 +320,15 @@ def to_reflectance(
             f"({cube.wavelengths[bad]:.1f} nm)"
         )
 
-    out = cube.data.astype(np.float64) * (panel_reflectance / mean_panel)
+    gain = panel_reflectance / mean_panel
+    out = None
+    if mask is not None:
+        # the selection is a fresh copy: scale it in place
+        cube = apply_band_mask(cube, mask)
+        gain = gain[mask.keep]
+        if cube.data.dtype == np.float64:
+            out = cube.data
+    out = np.multiply(cube.data, gain, out=out)
     np.maximum(out, 0.0, out=out)
     return HyperCube(
         data=out,
@@ -392,7 +411,7 @@ def band_mask_from_windows(
 
 
 def apply_band_mask(cube: HyperCube, mask: BandMask) -> HyperCube:
-    """Drop masked bands from the cube. At least two bands must survive."""
+    """Copy the kept bands into a new cube. At least two bands must survive."""
     if mask.keep.size != cube.bands:
         raise ShapeMismatchError(
             f"mask length {mask.keep.size} does not match band count {cube.bands}"
@@ -405,7 +424,7 @@ def apply_band_mask(cube: HyperCube, mask: BandMask) -> HyperCube:
     if cube.band_labels is not None:
         labels = tuple(l for l, k in zip(cube.band_labels, mask.keep) if k)
     return HyperCube(
-        data=np.ascontiguousarray(cube.data[:, :, mask.keep]),
+        data=cube.data[:, :, mask.keep],
         wavelengths=cube.wavelengths[mask.keep],
         units=cube.units,
         band_labels=labels,

@@ -57,13 +57,15 @@ def write_ppm(path: str | os.PathLike, rgb: np.ndarray) -> None:
         fh.write(rgb.tobytes())
 
 
-def _read_tokens(data: bytes, count: int) -> tuple[list[bytes], int]:
+def _read_tokens(
+    path: str | os.PathLike, data: bytes, count: int
+) -> tuple[list[bytes], int]:
     # netpbm headers: whitespace-separated tokens, # starts a comment.
     tokens: list[bytes] = []
     i = 0
     while len(tokens) < count:
         if i >= len(data):
-            raise UnsupportedFormatError("truncated netpbm header")
+            raise UnsupportedFormatError(f"{path}: truncated netpbm header")
         c = data[i : i + 1]
         if c == b"#":
             while i < len(data) and data[i : i + 1] != b"\n":
@@ -86,9 +88,11 @@ def _read_netpbm(
     """(header integers, payload) of a binary netpbm file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens, offset = _read_tokens(data, 1 + fields)
+    tokens, offset = _read_tokens(path, data, 1 + fields)
     if tokens[0] != magic:
-        raise UnsupportedFormatError(f"not a binary {kind} file: magic {tokens[0]!r}")
+        raise UnsupportedFormatError(
+            f"{path}: not a binary {kind} file: magic {tokens[0]!r}"
+        )
     if not all(t.isdigit() for t in tokens[1:]):
         raise UnsupportedFormatError(
             f"{path}: {kind} header values {tokens[1:]} are not non-negative integers"

@@ -11,6 +11,7 @@ inputs produce byte-identical trees.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
@@ -24,7 +25,6 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig
 from .cube import (
-    apply_band_mask,
     band_mask_from_windows,
     read_cube,
     read_panel_reflectance_csv,
@@ -336,13 +336,13 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
         raise DataError(
             f"panel reflectance has {panel.size} bands, cube has {cube.bands}"
         )
-    reflectance = to_reflectance(cube, st.config.panel_region(), panel)
     mask = band_mask_from_windows(
-        reflectance.wavelengths,
+        cube.wavelengths,
         keep_range=st.config.window_nm("calibrate", "keep_nm"),
         drop_windows=st.config.drop_windows_nm(),
     )
-    write_cube(apply_band_mask(reflectance, mask), out_stem)
+    # only the kept bands are scaled, in the scene file's memory order
+    write_cube(to_reflectance(cube, st.config.panel_region(), panel, mask), out_stem)
 
 
 def _stage_segment(st: _Stage) -> Iterator[None]:
@@ -494,9 +494,7 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
 def _read_split_csv(path: str) -> dict[str, np.ndarray]:
     roles: dict[str, list[int]] = {"train": [], "validation": [], "test": []}
     with open(path, encoding="utf-8", newline="") as fh:
-        import csv as _csv
-
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["index", "role"]:
             raise DataError(f"{path}: expected header index,role")
@@ -604,11 +602,9 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
 
 def read_metrics_csv(path: str | os.PathLike) -> dict[str, str]:
     """Key/value metrics as written by the evaluate stage."""
-    import csv as _csv
-
     out: dict[str, str] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["metric", "value"]:
             raise DataError(f"{path}: expected header metric,value")
@@ -619,6 +615,27 @@ def read_metrics_csv(path: str | os.PathLike) -> dict[str, str]:
                 )
             out[row[0]] = row[1]
     return out
+
+
+def _read_scatter_rows(path: str) -> list[tuple[str, ...]]:
+    """(actual_g, predicted_g, role) fields of each evaluate prediction row."""
+    columns = ("actual_g", "predicted_g", "role")
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+        idx = [header.index(name) for name in columns]
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: line {reader.line_num}: expected {len(header)} "
+                    f"fields, got {len(row)}"
+                )
+            rows.append(tuple(row[i] for i in idx))
+    return rows
 
 
 def _stage_report(st: _Stage) -> Iterator[None]:
@@ -646,17 +663,11 @@ def _stage_report(st: _Stage) -> Iterator[None]:
         dst.write(src.read())
 
     # scatter data: one row per record, for external plotting
-    import csv as _csv
-
-    with open(predictions_path, encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        pred_header = next(reader)
-        pred_rows = list(reader)
-    idx = {name: pred_header.index(name) for name in ("role", "actual_g", "predicted_g")}
+    scatter = _read_scatter_rows(predictions_path)
     with open(scatter_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("actual_g,predicted_g,role\n")
-        for row in pred_rows:
-            fh.write(f"{row[idx['actual_g']]},{row[idx['predicted_g']]},{row[idx['role']]}\n")
+        for row in scatter:
+            fh.write(",".join(row) + "\n")
 
     # middle-third yield share per plot
     window_px = st.config.getint("dataset", "window_px")

@@ -16,6 +16,7 @@ import numpy as np
 
 from .cube import HyperCube
 from .errors import (
+    DataError,
     DegenerateHistogramError,
     ShapeMismatchError,
     WavelengthCoverageError,
@@ -181,15 +182,20 @@ def write_boxes_csv(path: str | os.PathLike, boxes: list[PlotBox]) -> None:
 
 
 def read_boxes_csv(path: str | os.PathLike) -> list[PlotBox]:
+    fields = ("top", "left", "height", "width", "area_px")
+    boxes = []
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return [
-        PlotBox(
-            top=int(r["top"]),
-            left=int(r["left"]),
-            height=int(r["height"]),
-            width=int(r["width"]),
-            area_px=int(r["area_px"]),
-        )
-        for r in rows
-    ]
+        reader = csv.DictReader(fh)
+        missing = [name for name in fields if name not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            try:
+                values = {name: int(row[name]) for name in fields}
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"{path}: line {reader.line_num}: "
+                    f"{', '.join(fields)} must be integers"
+                ) from None
+            boxes.append(PlotBox(**values))
+    return boxes

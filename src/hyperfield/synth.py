@@ -418,7 +418,7 @@ def generate_regression_set(spec: RegressionSpec):
     ``intercept + c_mean . band_means + c_n . count + noise`` with the
     noise level solved from the requested theoretical ratio.
     """
-    from .cube import apply_band_mask, band_mask_from_windows, to_reflectance
+    from .cube import band_mask_from_windows, to_reflectance
     from .subplot import build_records
 
     scene_spec = SynthSpec(
@@ -432,10 +432,8 @@ def generate_regression_set(spec: RegressionSpec):
         window_px=spec.window_px,
     )
     cube, truth = generate_scene(scene_spec)
-    reflectance = to_reflectance(cube, truth.panel_region, truth.panel_reflectance)
-    masked = apply_band_mask(
-        reflectance, band_mask_from_windows(reflectance.wavelengths)
-    )
+    mask = band_mask_from_windows(cube.wavelengths)
+    masked = to_reflectance(cube, truth.panel_region, truth.panel_reflectance, mask)
     records = []
     for pid in sorted(truth.boxes):
         box = truth.boxes[pid]

@@ -213,7 +213,9 @@ def unmix_cube(
 
     def run(start):
         stop = min(start + chunk, n)
-        block = X[:, start:stop].astype(np.float64)
+        # each pixel's spectrum contiguous whatever the cube's memory order:
+        # the summation order, and so the residual's bits, depend on it
+        block = np.asfortranarray(X[:, start:stop], dtype=np.float64)
         h, obj = _solve_block(block, W, solvers, G)
         out[:, start:stop] = h
         sq_resid[start:stop] = obj

@@ -1,5 +1,6 @@
 """Config, stage orchestration, and command-line behaviour."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -14,6 +15,7 @@ import hyperfield
 from hyperfield import pipeline
 from hyperfield.cli import main
 from hyperfield.config import DEFAULTS, load_config
+from hyperfield.cube import read_cube, write_cube
 from hyperfield.errors import ConfigError, DataError
 from hyperfield.pipeline import (
     STAGE_ORDER,
@@ -584,18 +586,89 @@ def test_malformed_split_row_exits_4(memo_run, capsys, row):
     assert f"split.csv: line {lines}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncate", "header"])
+@pytest.mark.parametrize("damage", ["truncate", "header", "short-header"])
 def test_damaged_mask_exits_4(memo_run, capsys, damage):
     ini, out = memo_run
     mask = out / "unmix" / "sl_mask.pbm"
     data = mask.read_bytes()
     if damage == "truncate":
         mask.write_bytes(data[: len(data) // 2])
-    else:
+    elif damage == "header":
         magic, dims, payload = data.split(b"\n", 2)
         mask.write_bytes(b"\n".join([magic, dims + b".5", payload]))
+    else:
+        mask.write_bytes(b"P4\n12")
     assert main(["dataset", "--out", str(out), "--config", str(ini)]) == 4
     assert "sl_mask.pbm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "missing column(s) actual_g, predicted_g, role"),
+        ("plot_id,window_row\nP0000,0\n", "missing column(s) actual_g"),
+        ("role,actual_g,predicted_g\ntest,1.0\n", "line 2: expected 3 fields, got 2"),
+    ],
+    ids=["empty", "no-columns", "short-row"],
+)
+def test_malformed_predictions_exit_4(memo_run, capsys, text, message):
+    ini, out = memo_run
+    (out / "evaluate" / "predictions.csv").write_text(text)
+    assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
+    err = capsys.readouterr().err
+    assert "predictions.csv" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [("rename", "missing column(s) width"), ("value", "line 3: "), ("short", "line 2: ")],
+    ids=["rename", "value", "short"],
+)
+def test_malformed_boxes_exit_4(memo_run, capsys, damage, message):
+    ini, out = memo_run
+    boxes = out / "segment" / "boxes.csv"
+    lines = boxes.read_text().splitlines()
+    if damage == "rename":
+        lines[0] = lines[0].replace("width", "wide")
+    elif damage == "value":
+        lines[2] = lines[2].replace(",", ",x", 1)
+    else:
+        lines[1] = lines[1].rsplit(",", 1)[0]
+    boxes.write_text("\n".join(lines) + "\n")
+    assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 4
+    err = capsys.readouterr().err
+    assert "boxes.csv" in err and message in err
+
+
+def test_panel_degenerate_in_a_dropped_band_still_fails_calibrate(memo_run, capsys):
+    ini, out = memo_run
+    top, left, height, width = load_config(str(ini)).panel_region()
+    stem = out / "synth" / "scene"
+    scene = read_cube(stem)
+    data = scene.data.copy()
+    data[top : top + height, left : left + width, 0] = 0.0  # 400 nm is masked out
+    write_cube(dataclasses.replace(scene, data=data), stem)
+    assert main(["calibrate", "--out", str(out), "--config", str(ini)]) == 4
+    assert "panel mean is nonpositive in band 0 (400.0 nm)" in capsys.readouterr().err
+
+
+# sha256 of TINY_INI's calibrate output as written before cubes kept their
+# file order in memory. Calibration is elementwise IEEE arithmetic, so the
+# digests do not depend on the BLAS build.
+_TINY_REFLECTANCE_SHA256 = {
+    "reflectance.raw": "1fc4b1c6bf97cb257a7837fcf41fc0f052706bf77c2b557e6fa1ced4ea0dbd08",
+    "reflectance.hdr": "af44101db495c6bdd864abf33fa09c3a85a3d953f8a591e6aa80f0dfa49058d6",
+}
+
+
+def test_calibrate_output_bytes_are_pinned(tmp_path):
+    ini = tmp_path / "config.ini"
+    ini.write_text(TINY_INI)
+    out = tmp_path / "out"
+    for stage in ("synth", "calibrate"):
+        assert main([stage, "--out", str(out), "--config", str(ini)]) == 0
+    found = {name: _sha256_of(out / "calibrate" / name) for name in _TINY_REFLECTANCE_SHA256}
+    assert found == _TINY_REFLECTANCE_SHA256
 
 
 def test_divergence_exits_5(tiny_run, tmp_path):

@@ -48,6 +48,41 @@ def test_all_interleaves_store_the_same_cube(tmp_path):
     assert np.array_equal(loaded[0].data, loaded[2].data)
 
 
+def test_bsq_reads_as_a_band_major_view_and_writes_back_unchanged(tmp_path):
+    rng = np.random.default_rng(3)
+    cube = random_cube(rng, rows=6, cols=7, bands=9, dtype=np.float64)
+    hc.write_cube(cube, tmp_path / "a", interleave="bsq")
+    back = hc.read_cube(tmp_path / "a")
+    assert back.data.base is not None
+    assert back.data.transpose(2, 0, 1).flags.c_contiguous
+    hc.write_cube(back, tmp_path / "b", interleave="bsq")
+    assert (tmp_path / "b.raw").read_bytes() == (tmp_path / "a.raw").read_bytes()
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_rejects_non_finite_samples_in_every_interleave(tmp_path, interleave, bad):
+    rng = np.random.default_rng(4)
+    cube = random_cube(rng, rows=4, cols=5, bands=6)
+    hc.write_cube(cube, tmp_path / "c", interleave=interleave)
+    raw = tmp_path / "c.raw"
+    flat = np.fromfile(raw, dtype="<f4")
+    flat[37] = bad
+    flat.tofile(raw)
+    with pytest.raises(ShapeMismatchError, match="non-finite"):
+        hc.read_cube(tmp_path / "c")
+
+
+def test_pixels_are_fortran_ordered_in_every_interleave(tmp_path):
+    rng = np.random.default_rng(5)
+    cube = random_cube(rng, rows=4, cols=5, bands=6)
+    for il in hc.INTERLEAVES:
+        hc.write_cube(cube, tmp_path / il, interleave=il)
+        pixels = hc.read_cube(tmp_path / il).pixels()
+        assert pixels.flags.f_contiguous
+        assert np.array_equal(pixels, cube.pixels())
+
+
 def test_band_labels_round_trip(tmp_path):
     data = np.zeros((2, 3, 4), dtype=np.float32)
     cube = hc.HyperCube(
@@ -245,6 +280,51 @@ def test_mask_and_convert_commute():
     rel = np.max(np.abs(a.data - b.data) / (np.abs(b.data) + 1e-30))
     assert rel < 1e-12
     assert np.array_equal(a.wavelengths, b.wavelengths)
+
+
+def _band_major(data):
+    return np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("layout", ["C", "band-major"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint16])
+def test_masked_reflectance_is_bitwise_the_mask_of_the_full_one(layout, dtype):
+    rng = np.random.default_rng(12)
+    cube = random_cube(rng, rows=9, cols=11, bands=40, dtype=dtype)
+    if layout == "band-major":
+        cube = hc.HyperCube(_band_major(cube.data), cube.wavelengths, cube.units)
+    region = (1, 2, 4, 5)
+    panel_refl = rng.uniform(0.3, 0.5, size=40)
+    mask = hc.band_mask_from_windows(cube.wavelengths, keep_range=(410.0, 470.0))
+    full = hc.apply_band_mask(hc.to_reflectance(cube, region, panel_refl), mask)
+    masked = hc.to_reflectance(cube, region, panel_refl, mask)
+    assert masked.data.dtype == np.float64
+    assert np.array_equal(masked.data, full.data)
+    assert np.array_equal(masked.wavelengths, full.wavelengths)
+    if layout == "band-major":
+        assert masked.data.transpose(2, 0, 1).flags.c_contiguous
+
+
+def test_panel_mean_does_not_depend_on_memory_order():
+    rng = np.random.default_rng(13)
+    data = rng.uniform(0.1, 1.0, size=(40, 40, 3))
+    wl = np.arange(3.0)
+    panel_refl = np.full(3, 0.4)
+    region = (0, 0, 40, 40)
+    a = hc.to_reflectance(hc.HyperCube(data, wl, "radiance"), region, panel_refl)
+    b = hc.to_reflectance(hc.HyperCube(_band_major(data), wl, "radiance"), region, panel_refl)
+    assert np.array_equal(a.data, b.data)
+
+
+def test_masked_reflectance_still_checks_the_panel_in_dropped_bands():
+    wl = 400.0 + 20.0 * np.arange(6)
+    data = np.ones((4, 4, 6))
+    data[:2, :2, 0] = 0.0  # dead band over the panel, outside the kept range
+    mask = hc.band_mask_from_windows(wl, keep_range=(430.0, 510.0))
+    assert not mask.keep[0]
+    cube = hc.HyperCube(data, wl, "radiance")
+    with pytest.raises(DegeneratePanelError, match=r"band 0 \(400\.0 nm\)"):
+        hc.to_reflectance(cube, (0, 0, 2, 2), np.full(6, 0.4), mask)
 
 
 def test_empty_mask_raises():

@@ -1,5 +1,7 @@
 """Segmentation: index plane, Otsu, morphology, component boxes."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,20 @@ def test_ndpsi_averages_over_window_bands():
     plane = segment.ndpsi(HyperCube(data, wl, "reflectance"))
     red, blue = 0.6, 0.2
     assert plane[0, 0] == pytest.approx((red - blue) / (red + blue))
+
+
+@pytest.mark.parametrize("layout", ["C", "band-major"])
+def test_ndpsi_sums_window_bands_in_band_order(layout):
+    # 12 bands per window: numpy's pairwise summation would regroup them
+    rng = np.random.default_rng(4)
+    wl = np.concatenate([np.linspace(445, 455, 12), np.linspace(665, 675, 12)])
+    data = rng.uniform(0.0, 3.0, size=(30, 40, 24))
+    if layout == "band-major":
+        data = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
+    blue = functools.reduce(np.add, [data[:, :, i] for i in range(12)]) / 12
+    red = functools.reduce(np.add, [data[:, :, i] for i in range(12, 24)]) / 12
+    plane = segment.ndpsi(HyperCube(data, wl, "reflectance"))
+    assert np.array_equal(plane, (red - blue) / (red + blue))
 
 
 def test_ndpsi_missing_window_raises():

@@ -188,6 +188,22 @@ def test_thread_count_does_not_change_bits():
     assert r1 == r3
 
 
+def test_band_major_cube_gives_the_same_bits():
+    rng = np.random.default_rng(14)
+    cube, ems, _ = planted_cube(rng, rows=23, cols=17)
+    noisy = np.clip(cube.data + rng.normal(0, 0.02, cube.data.shape), 0, None)
+    c_order = HyperCube(np.ascontiguousarray(noisy), cube.wavelengths, "reflectance")
+    band_major = HyperCube(
+        np.ascontiguousarray(noisy.transpose(2, 0, 1)).transpose(1, 2, 0),
+        cube.wavelengths,
+        "reflectance",
+    )
+    a, ra = unmix.unmix_cube(c_order, ems, chunk=100)
+    b, rb = unmix.unmix_cube(band_major, ems, chunk=100)
+    assert np.array_equal(a.values, b.values)
+    assert ra == rb
+
+
 def test_wavelength_grid_must_match():
     rng = np.random.default_rng(11)
     cube, ems, _ = planted_cube(rng, rows=4, cols=4, d=30)
