@@ -10,10 +10,16 @@ read from disk is a view of the file's samples in the file's order, so
 a bsq cube is band-major in memory and is written back to bsq without a
 transpose. Code whose floating-point result depends on summation order
 makes its own C- or Fortran-order copy.
+
+The view maps the ``.raw`` file copy-on-write: pages are read on first
+touch, and writes into the array stay private to the process. A mapped
+file must never be truncated while the map lives, so ``write_cube``
+replaces a pair atomically instead of rewriting it in place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 from dataclasses import dataclass, replace
@@ -152,7 +158,10 @@ def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq"
 
     ``path`` may be the stem or either member of the pair. The payload
     dtype is taken from the cube and must be one of the supported
-    sample types.
+    sample types. Both files are written to ``.tmp`` siblings and moved
+    into place with ``os.replace``, raw first, so a cube that still maps
+    the old payload keeps reading it. A failed write removes its
+    temporaries and leaves the old pair as it was.
     """
     if interleave not in INTERLEAVES:
         raise UnsupportedFormatError(f"unsupported interleave {interleave!r}")
@@ -172,8 +181,6 @@ def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq"
     ]
     if cube.band_labels is not None:
         lines.append("band labels = " + ", ".join(cube.band_labels))
-    with open(hdr_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
     if interleave == "bip":
         payload = cube.data
@@ -181,7 +188,17 @@ def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq"
         payload = cube.data.transpose(0, 2, 1)
     else:
         payload = cube.data.transpose(2, 0, 1)
-    np.ascontiguousarray(payload, dtype=_DTYPES[dtype_name]).tofile(raw_path)
+    raw_tmp, hdr_tmp = raw_path + ".tmp", hdr_path + ".tmp"
+    try:
+        np.ascontiguousarray(payload, dtype=_DTYPES[dtype_name]).tofile(raw_tmp)
+        with open(hdr_tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(raw_tmp, raw_path)
+        os.replace(hdr_tmp, hdr_path)
+    finally:
+        for tmp in (raw_tmp, hdr_tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
     return hdr_path
 
 
@@ -202,11 +219,12 @@ def _parse_header(hdr_path: str) -> dict:
 def read_cube(path: str | os.PathLike) -> HyperCube:
     """Read a cube pair back into memory.
 
-    The data is a (rows, cols, bands) view of the payload in the file's
-    interleave, not a C-order copy. Raises a parse error (with line
-    number) for malformed headers, an unsupported-format error for
-    unknown interleave/sample type/units, and a size error when the raw
-    payload does not match the geometry.
+    The data is a (rows, cols, bands) view of a copy-on-write map of the
+    payload in the file's interleave: writable, but writes never reach
+    the file. Raises a parse error (with line number) for malformed
+    headers, an unsupported-format error for unknown interleave/sample
+    type/units, and a size error when the raw payload does not match
+    the geometry.
     """
     hdr_path, raw_path = _paths(path)
     fields = _parse_header(hdr_path)
@@ -261,7 +279,7 @@ def read_cube(path: str | os.PathLike) -> HyperCube:
             f"({dims['lines']}x{dims['samples']}x{dims['bands']} {dtype_name}), "
             f"found {actual_bytes}"
         )
-    flat = np.fromfile(raw_path, dtype=dtype)
+    flat = np.memmap(raw_path, dtype=dtype, mode="c").view(np.ndarray)
 
     if interleave == "bip":
         data = flat.reshape(dims["lines"], dims["samples"], dims["bands"])
@@ -364,7 +382,17 @@ def read_panel_reflectance_csv(
         header = next(reader, None)
         if header != ["wavelength", "reflectance"]:
             raise DataError(f"{path}: expected header wavelength,reflectance")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != 2:
+                raise DataError(f"{where}: expected 2 fields, got {len(row)}")
+            try:
+                rows.append((float(row[0]), float(row[1])))
+            except ValueError:
+                raise DataError(f"{where}: non-numeric value in {row!r}") from None
     if not rows:
         raise DataError(f"{path}: no panel samples")
     wavelengths = np.array([r[0] for r in rows])

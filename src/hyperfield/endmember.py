@@ -282,18 +282,29 @@ def write_endmembers_csv(path: str | os.PathLike, endmembers: EndmemberSet) -> N
 
 
 def read_endmembers_csv(path: str | os.PathLike) -> EndmemberSet:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["label"]:
-        raise DataError(f"{path}: expected header starting with 'label'")
-    wavelengths = np.array([float(tok) for tok in rows[0][1:]])
     labels = []
     spectra = []
-    for row in rows[1:]:
-        if not row:
-            continue
-        labels.append(row[0])
-        spectra.append([float(tok) for tok in row[1:]])
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if header[:1] != ["label"]:
+            raise DataError(f"{path}: expected header starting with 'label'")
+        try:
+            wavelengths = np.array([float(tok) for tok in header[1:]])
+        except ValueError:
+            where = f"{path}: line {reader.line_num}"
+            raise DataError(f"{where}: non-numeric wavelength") from None
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != len(header):
+                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            try:
+                spectra.append([float(tok) for tok in row[1:]])
+            except ValueError:
+                raise DataError(f"{where}: non-numeric value for {row[0]!r}") from None
+            labels.append(row[0])
     if not labels:
         raise DataError(f"{path}: no endmember rows")
     return EndmemberSet(

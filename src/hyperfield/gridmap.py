@@ -45,13 +45,25 @@ class PlotMap:
 
 
 def read_plot_map(path: str | os.PathLike) -> PlotMap:
+    fields = ("plot_id", "field_row", "field_col")
     positions: dict[str, tuple[int, int]] = {}
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = [name for name in fields if name not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if any(row[name] is None for name in fields):
+                raise DataError(f"{where}: expected {len(reader.fieldnames)} fields")
+            try:
+                position = (int(row["field_row"]), int(row["field_col"]))
+            except ValueError:
+                raise DataError(f"{where}: field_row, field_col must be integers") from None
             plot_id = row["plot_id"].strip()
             if plot_id in positions:
                 raise DataError(f"duplicate plot id {plot_id!r} in {path}")
-            positions[plot_id] = (int(row["field_row"]), int(row["field_col"]))
+            positions[plot_id] = position
     return PlotMap(positions)
 
 

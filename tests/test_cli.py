@@ -342,6 +342,11 @@ def test_truth_json_is_sorted_and_complete(tiny_run):
 # ---------------------------------------------------------------------------
 # resume, force, determinism
 
+def test_run_all_leaves_no_temporary_files(tiny_run):
+    ini, out = tiny_run
+    assert [p for p in out.rglob("*") if p.name.endswith(".tmp")] == []
+
+
 def test_rerun_skips_every_stage(tiny_run):
     ini, out = tiny_run
     stamps = {}
@@ -638,6 +643,75 @@ def test_malformed_boxes_exit_4(memo_run, capsys, damage, message):
     assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err
     assert "boxes.csv" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("rename", "missing column(s) field_col"),
+        ("short", "line 2: expected 3 fields"),
+        ("value", "line 3: field_row, field_col must be integers"),
+    ],
+    ids=["rename", "short", "value"],
+)
+def test_malformed_plot_map_exits_4(memo_run, capsys, damage, message):
+    ini, out = memo_run
+    plot_map = out / "synth" / "plot_map.csv"
+    lines = plot_map.read_text().splitlines()
+    if damage == "rename":
+        lines[0] = lines[0].replace("field_col", "column")
+    elif damage == "short":
+        lines[1] = lines[1].rsplit(",", 1)[0]
+    else:
+        lines[2] = lines[2] + ".5"
+    plot_map.write_text("\n".join(lines) + "\n")
+    assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 4
+    err = capsys.readouterr().err
+    assert "plot_map.csv" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [("value", "line 3: non-numeric value"), ("short", "line 2: expected 2 fields, got 1")],
+    ids=["value", "short"],
+)
+def test_malformed_panel_csv_exits_4(memo_run, capsys, damage, message):
+    ini, out = memo_run
+    panel = out / "synth" / "panel.csv"
+    lines = panel.read_text().splitlines()
+    if damage == "value":
+        lines[2] = lines[2].split(",")[0] + ",bright"
+    else:
+        lines[1] = lines[1].split(",")[0]
+    panel.write_text("\n".join(lines) + "\n")
+    assert main(["calibrate", "--out", str(out), "--config", str(ini)]) == 4
+    err = capsys.readouterr().err
+    assert "panel.csv" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("wavelength", "line 1: non-numeric wavelength"),
+        ("value", "line 2: non-numeric value"),
+        ("short", "line 3: expected "),
+    ],
+    ids=["wavelength", "value", "short"],
+)
+def test_malformed_endmembers_csv_exits_4(memo_run, capsys, damage, message):
+    ini, out = memo_run
+    ems = out / "endmembers" / "endmembers.csv"
+    lines = ems.read_text().splitlines()
+    if damage == "wavelength":
+        lines[0] = lines[0].replace(",", ",nm", 1)
+    elif damage == "value":
+        lines[1] = lines[1].replace(",", ",x", 1)
+    else:
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    ems.write_text("\n".join(lines) + "\n")
+    assert main(["unmix", "--out", str(out), "--config", str(ini)]) == 4
+    err = capsys.readouterr().err
+    assert "endmembers.csv" in err and message in err
 
 
 def test_panel_degenerate_in_a_dropped_band_still_fails_calibrate(memo_run, capsys):

@@ -60,6 +60,57 @@ def test_bsq_reads_as_a_band_major_view_and_writes_back_unchanged(tmp_path):
 
 
 @pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+def test_read_data_is_writable_and_writes_stay_private(tmp_path, interleave):
+    rng = np.random.default_rng(8)
+    cube = random_cube(rng, rows=4, cols=5, bands=6, dtype=np.float64)
+    hc.write_cube(cube, tmp_path / "c", interleave=interleave)
+    before = (tmp_path / "c.raw").read_bytes()
+    back = hc.read_cube(tmp_path / "c")
+    assert back.data.flags.writeable
+    back.data[1:3, 2, :] = -1.0
+    back.data *= 2.0
+    assert (tmp_path / "c.raw").read_bytes() == before
+    assert np.array_equal(hc.read_cube(tmp_path / "c").data, cube.data)
+
+
+@pytest.mark.parametrize("rows", [2, 9])
+def test_rewriting_a_mapped_cube_leaves_the_old_data_readable(tmp_path, rows):
+    rng = np.random.default_rng(9)
+    old = random_cube(rng, rows=6, cols=7, bands=8)
+    new = random_cube(rng, rows=rows, cols=7, bands=8)
+    hc.write_cube(old, tmp_path / "c")
+    mapped = hc.read_cube(tmp_path / "c")
+    hc.write_cube(new, tmp_path / "c")
+    # the map outlives both a shorter and a longer payload under its name
+    assert np.array_equal(mapped.data, old.data)
+    hc.write_cube(new, tmp_path / "ref")
+    for suffix in (".hdr", ".raw"):
+        assert (tmp_path / ("c" + suffix)).read_bytes() == \
+            (tmp_path / ("ref" + suffix)).read_bytes()
+    assert np.array_equal(hc.read_cube(tmp_path / "c").data, new.data)
+
+
+@pytest.mark.parametrize("failure", ["dtype", "replace"])
+def test_failed_write_keeps_the_old_pair_and_no_temporaries(tmp_path, monkeypatch, failure):
+    rng = np.random.default_rng(10)
+    hc.write_cube(random_cube(rng), tmp_path / "c")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    other = random_cube(rng, rows=3)
+    if failure == "dtype":
+        other = hc.HyperCube(other.data.astype(np.int32), other.wavelengths, "raw")
+        expected = UnsupportedFormatError
+    else:
+        def disk_full(src, dst):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(hc.os, "replace", disk_full)
+        expected = OSError
+    with pytest.raises(expected):
+        hc.write_cube(other, tmp_path / "c")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_read_rejects_non_finite_samples_in_every_interleave(tmp_path, interleave, bad):
     rng = np.random.default_rng(4)
