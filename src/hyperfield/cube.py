@@ -15,14 +15,22 @@ The view maps the ``.raw`` file copy-on-write: pages are read on first
 touch, and writes into the array stay private to the process. A mapped
 file must never be truncated while the map lives, so ``write_cube``
 replaces a pair atomically instead of rewriting it in place.
+
+``CubeStream`` and ``write_band_blocks`` instead move a payload through
+memory a block of band planes at a time, and hash its bytes on the way,
+for a stage that needs no more of the cube than one block.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import os
+import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -41,6 +49,9 @@ RAW_SUFFIX = ".raw"
 
 INTERLEAVES = ("bip", "bil", "bsq")
 UNITS = ("raw", "radiance", "reflectance", "abundance")
+
+# Upper bound on one block of band planes streamed by ``CubeStream``.
+BLOCK_BYTES = 16 << 20
 
 _DTYPES = {
     "float32": np.dtype("<f4"),
@@ -153,53 +164,154 @@ def _paths(path: str | os.PathLike) -> tuple[str, str]:
     return stem + HEADER_SUFFIX, stem + RAW_SUFFIX
 
 
-def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq") -> str:
-    """Write header and raw payload; returns the header path.
+# Axes of a (rows, cols, bands) array in each interleave's file order.
+_FILE_AXES = {"bip": (0, 1, 2), "bil": (0, 2, 1), "bsq": (2, 0, 1)}
 
-    ``path`` may be the stem or either member of the pair. The payload
-    dtype is taken from the cube and must be one of the supported
-    sample types. Both files are written to ``.tmp`` siblings and moved
-    into place with ``os.replace``, raw first, so a cube that still maps
-    the old payload keeps reading it. A failed write removes its
+
+class CubeHeader(NamedTuple):
+    """What a ``.hdr`` file says: geometry, sample type, file order, band metadata."""
+
+    rows: int
+    cols: int
+    bands: int
+    dtype_name: str
+    interleave: str
+    units: str
+    wavelengths: np.ndarray
+    band_labels: tuple[str, ...] | None = None
+
+    @classmethod
+    def of(cls, cube: HyperCube, interleave: str = "bsq") -> CubeHeader:
+        """The header ``cube`` is written with; rejects what no file can hold."""
+        if interleave not in INTERLEAVES:
+            raise UnsupportedFormatError(f"unsupported interleave {interleave!r}")
+        if cube.data.dtype.name not in _DTYPES:
+            raise UnsupportedFormatError(f"unsupported sample type {cube.data.dtype.name!r}")
+        return cls(cube.rows, cube.cols, cube.bands, cube.data.dtype.name, interleave,
+                   cube.units, cube.wavelengths, cube.band_labels)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return _DTYPES[self.dtype_name]
+
+    def file_shape(self) -> tuple[int, int, int]:
+        """Shape of the payload in file order."""
+        dims = (self.rows, self.cols, self.bands)
+        return tuple(dims[axis] for axis in _FILE_AXES[self.interleave])
+
+    def text(self) -> str:
+        lines = [
+            f"samples = {self.cols}",
+            f"lines = {self.rows}",
+            f"bands = {self.bands}",
+            f"data type = {self.dtype_name}",
+            f"interleave = {self.interleave}",
+            f"units = {self.units}",
+            "wavelength = " + ", ".join(f"{w:.1f}" for w in self.wavelengths),
+        ]
+        if self.band_labels is not None:
+            lines.append("band labels = " + ", ".join(self.band_labels))
+        return "\n".join(lines) + "\n"
+
+
+def _rows_cols_bands(payload: np.ndarray, interleave: str) -> np.ndarray:
+    """(rows, cols, bands) view of a payload shaped in file order."""
+    return payload.transpose(np.argsort(_FILE_AXES[interleave]))
+
+
+@contextlib.contextmanager
+def _replacing_pair(path: str | os.PathLike, header: CubeHeader) -> Iterator[BinaryIO]:
+    """The open ``<stem>.raw.tmp`` for the payload.
+
+    On a clean exit the header is written to ``<stem>.hdr.tmp`` and both
+    move into place with ``os.replace``, raw first, so a cube that still
+    maps the old payload keeps reading it. Any failure removes the
     temporaries and leaves the old pair as it was.
     """
-    if interleave not in INTERLEAVES:
-        raise UnsupportedFormatError(f"unsupported interleave {interleave!r}")
-    dtype_name = cube.data.dtype.name
-    if dtype_name not in _DTYPES:
-        raise UnsupportedFormatError(f"unsupported sample type {dtype_name!r}")
-
     hdr_path, raw_path = _paths(path)
-    lines = [
-        f"samples = {cube.cols}",
-        f"lines = {cube.rows}",
-        f"bands = {cube.bands}",
-        f"data type = {dtype_name}",
-        f"interleave = {interleave}",
-        f"units = {cube.units}",
-        "wavelength = " + ", ".join(f"{w:.1f}" for w in cube.wavelengths),
-    ]
-    if cube.band_labels is not None:
-        lines.append("band labels = " + ", ".join(cube.band_labels))
-
-    if interleave == "bip":
-        payload = cube.data
-    elif interleave == "bil":
-        payload = cube.data.transpose(0, 2, 1)
-    else:
-        payload = cube.data.transpose(2, 0, 1)
     raw_tmp, hdr_tmp = raw_path + ".tmp", hdr_path + ".tmp"
     try:
-        np.ascontiguousarray(payload, dtype=_DTYPES[dtype_name]).tofile(raw_tmp)
+        with open(raw_tmp, "wb") as fh:
+            yield fh
         with open(hdr_tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header.text())
         os.replace(raw_tmp, raw_path)
         os.replace(hdr_tmp, hdr_path)
     finally:
         for tmp in (raw_tmp, hdr_tmp):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
-    return hdr_path
+
+
+def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq") -> str:
+    """Write header and raw payload; returns the header path.
+
+    ``path`` may be the stem or either member of the pair. The payload
+    dtype is taken from the cube and must be one of the supported
+    sample types. The pair is replaced atomically (see ``_replacing_pair``).
+    """
+    header = CubeHeader.of(cube, interleave)
+    payload = cube.data.transpose(_FILE_AXES[interleave])
+    with _replacing_pair(path, header) as fh:
+        fh.write(np.ascontiguousarray(payload, dtype=header.dtype))
+    return _paths(path)[0]
+
+
+class _Sha256Behind:
+    """sha256 of buffers, each hashed on a thread while the caller goes on.
+
+    Buffers are hashed in the order given. A buffer must stay unchanged
+    until the next ``update`` (or ``hexdigest``) returns, which first
+    waits for the buffer before it; hashlib releases the GIL, so the
+    hash of one block overlaps the work on the next.
+    """
+
+    def __init__(self) -> None:
+        self._sha = hashlib.sha256()
+        self._thread: threading.Thread | None = None
+
+    def _join(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def update(self, data: np.ndarray) -> None:
+        self._join()
+        self._thread = threading.Thread(target=self._sha.update, args=(data,))
+        self._thread.start()
+
+    def hexdigest(self) -> str:
+        self._join()
+        return self._sha.hexdigest()
+
+
+def write_band_blocks(
+    path: str | os.PathLike, header: CubeHeader, blocks: Iterable[np.ndarray]
+) -> str:
+    """Write a bsq cube pair a block of band planes at a time; returns the payload's sha256.
+
+    Each block is an (n, rows, cols) array holding the next n planes.
+    Every byte written is hashed on its way to the file, so the digest
+    needs no second read. The pair is replaced atomically as
+    ``write_cube`` replaces it, also when ``blocks`` raises.
+    """
+    if header.interleave != "bsq":
+        raise UnsupportedFormatError(f"band blocks are written bsq, not {header.interleave}")
+    sha = _Sha256Behind()
+    planes = 0
+    with _replacing_pair(path, header) as fh:
+        for block in blocks:
+            block = np.ascontiguousarray(block, dtype=header.dtype)
+            if block.ndim != 3 or block.shape[1:] != (header.rows, header.cols):
+                raise ShapeMismatchError(
+                    f"block {block.shape} is not band planes of {header.rows}x{header.cols}"
+                )
+            planes += block.shape[0]
+            sha.update(block)
+            fh.write(block)
+        if planes != header.bands:
+            raise ShapeMismatchError(f"{planes} band planes for {header.bands} bands")
+    return sha.hexdigest()
 
 
 def _parse_header(hdr_path: str) -> dict:
@@ -216,15 +328,12 @@ def _parse_header(hdr_path: str) -> dict:
     return fields
 
 
-def read_cube(path: str | os.PathLike) -> HyperCube:
-    """Read a cube pair back into memory.
+def _read_header(path: str | os.PathLike) -> tuple[CubeHeader, str]:
+    """The parsed header and the raw path, after checking the payload size.
 
-    The data is a (rows, cols, bands) view of a copy-on-write map of the
-    payload in the file's interleave: writable, but writes never reach
-    the file. Raises a parse error (with line number) for malformed
-    headers, an unsupported-format error for unknown interleave/sample
-    type/units, and a size error when the raw payload does not match
-    the geometry.
+    Raises a parse error (with line number) for malformed headers, an
+    unsupported-format error for unknown interleave/sample type, and a
+    size error when the raw payload does not match the geometry.
     """
     hdr_path, raw_path = _paths(path)
     fields = _parse_header(hdr_path)
@@ -270,26 +379,126 @@ def read_cube(path: str | os.PathLike) -> HyperCube:
             tok.strip() for tok in fields["band labels"][0].split(",") if tok.strip()
         )
 
-    dtype = _DTYPES[dtype_name]
-    expected = dims["lines"] * dims["samples"] * dims["bands"]
+    header = CubeHeader(dims["lines"], dims["samples"], dims["bands"], dtype_name,
+                        interleave, units, wavelengths, band_labels)
+    expected = header.rows * header.cols * header.bands * header.dtype.itemsize
     actual_bytes = os.path.getsize(raw_path)
-    if actual_bytes != expected * dtype.itemsize:
+    if actual_bytes != expected:
         raise CubeSizeError(
-            f"{raw_path}: expected {expected * dtype.itemsize} bytes "
+            f"{raw_path}: expected {expected} bytes "
             f"({dims['lines']}x{dims['samples']}x{dims['bands']} {dtype_name}), "
             f"found {actual_bytes}"
         )
-    flat = np.memmap(raw_path, dtype=dtype, mode="c").view(np.ndarray)
+    return header, raw_path
 
-    if interleave == "bip":
-        data = flat.reshape(dims["lines"], dims["samples"], dims["bands"])
-    elif interleave == "bil":
-        data = flat.reshape(dims["lines"], dims["bands"], dims["samples"]).transpose(0, 2, 1)
-    else:
-        data = flat.reshape(dims["bands"], dims["lines"], dims["samples"]).transpose(1, 2, 0)
+
+def _mapped(header: CubeHeader, raw_path: str) -> np.ndarray:
+    """(rows, cols, bands) view of a copy-on-write map of the payload."""
+    flat = np.memmap(raw_path, dtype=header.dtype, mode="c").view(np.ndarray)
+    return _rows_cols_bands(flat.reshape(header.file_shape()), header.interleave)
+
+
+def read_cube(path: str | os.PathLike) -> HyperCube:
+    """Read a cube pair back into memory.
+
+    The data is a (rows, cols, bands) view of a copy-on-write map of the
+    payload in the file's interleave: writable, but writes never reach
+    the file. Header and size errors are those of ``_read_header``.
+    """
+    header, raw_path = _read_header(path)
     return HyperCube(
-        data=data, wavelengths=wavelengths, units=units, band_labels=band_labels
+        data=_mapped(header, raw_path),
+        wavelengths=header.wavelengths,
+        units=header.units,
+        band_labels=header.band_labels,
     )
+
+
+def _check_finite(block: np.ndarray, raw_path: str) -> None:
+    if block.dtype.kind == "f" and not np.isfinite(block).all():
+        raise ShapeMismatchError(f"{raw_path}: cube data contains non-finite samples")
+
+
+class CubeStream:
+    """One pass over a cube pair's payload, a block of whole band planes at a time.
+
+    The header is parsed and the payload size checked as ``read_cube``
+    does. Iterating yields ``(bands, block)``: the slice of band indices
+    and their (n, rows, cols) planes, each block checked for NaN and inf.
+    A bsq payload is read in file order, several planes per ``readinto``
+    into two reused buffers, so a block is valid only until the next one
+    is read. Every byte read is hashed: after a complete pass ``digest``
+    is the payload's sha256 and ``stat`` is the file's stat from before
+    the first read. bil and bip payloads give the same blocks from a
+    mapped view and leave ``digest`` None.
+
+    A block holds as many planes as fit in ``BLOCK_BYTES``, at least one.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        self.header, self.raw_path = _read_header(path)
+        self.digest: str | None = None
+        self._fh = open(self.raw_path, "rb")
+        self.stat = os.fstat(self._fh.fileno())
+
+    def __enter__(self) -> CubeStream:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def read_panel(self, region: tuple[int, int, int, int]) -> HyperCube:
+        """The (height, width, bands) pixels of the panel region.
+
+        Only the region's rows are read, with ``pread``: touching a small
+        crop through a map can map far more of the file than the crop.
+        """
+        h = self.header
+        _check_panel_region(region, h.rows, h.cols)
+        top, left, height, width = region
+        part = np.empty(h._replace(rows=height).file_shape(), h.dtype)
+        # the region's rows lie in one run per band plane (bsq) or in one run
+        runs = part.reshape(h.bands if h.interleave == "bsq" else 1, -1)
+        row_bytes = runs.shape[1] // height * h.dtype.itemsize
+        for i, run in enumerate(runs):
+            if os.preadv(self._fh.fileno(), [run], (i * h.rows + top) * row_bytes) != run.nbytes:
+                raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
+        data = _rows_cols_bands(part, h.interleave)[:, left : left + width]
+        return HyperCube(data, h.wavelengths, h.units, h.band_labels)
+
+    def __iter__(self) -> Iterator[tuple[slice, np.ndarray]]:
+        h = self.header
+        step = max(1, BLOCK_BYTES // (h.rows * h.cols * h.dtype.itemsize))
+        if h.interleave != "bsq":
+            planes = _mapped(h, self.raw_path).transpose(2, 0, 1)
+            for start in range(0, h.bands, step):
+                bands = slice(start, min(start + step, h.bands))
+                _check_finite(planes[bands], self.raw_path)
+                yield bands, planes[bands]
+            return
+        sha = _Sha256Behind()
+        # two buffers: one block is hashed while the next is read into the other
+        buffers = [np.empty((min(step, h.bands), h.rows, h.cols), h.dtype) for _ in range(2)]
+        self._fh.seek(0)
+        for i, start in enumerate(range(0, h.bands, step)):
+            bands = slice(start, min(start + step, h.bands))
+            block = buffers[i % 2][: bands.stop - start]
+            if self._fh.readinto(block) != block.nbytes:
+                raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
+            sha.update(block)
+            _check_finite(block, self.raw_path)
+            yield bands, block
+        self.digest = sha.hexdigest()
+
+
+def _check_panel_region(region: tuple[int, int, int, int], rows: int, cols: int) -> None:
+    top, left, height, width = region
+    if height <= 0 or width <= 0:
+        raise ShapeMismatchError("panel region must be non-empty")
+    if top < 0 or left < 0 or top + height > rows or left + width > cols:
+        raise ShapeMismatchError(
+            f"panel region ({top},{left},{height},{width}) exceeds cube {rows}x{cols}"
+        )
 
 
 def to_reflectance(
@@ -309,28 +518,24 @@ def to_reflectance(
     With a ``mask`` the panel is still checked in every input band, but
     only the kept bands are scaled and returned.
     """
+    _check_panel_region(panel_region, cube.rows, cube.cols)
     top, left, height, width = panel_region
-    if height <= 0 or width <= 0:
-        raise ShapeMismatchError("panel region must be non-empty")
-    if top < 0 or left < 0 or top + height > cube.rows or left + width > cube.cols:
-        raise ShapeMismatchError(
-            f"panel region ({top},{left},{height},{width}) exceeds cube "
-            f"{cube.rows}x{cube.cols}"
-        )
     panel_reflectance = np.asarray(panel_reflectance, dtype=np.float64)
     if panel_reflectance.shape != (cube.bands,):
         raise ShapeMismatchError(
             f"panel reflectance has {panel_reflectance.size} entries for "
             f"{cube.bands} bands"
         )
-    if np.any(panel_reflectance <= 0):
+    if not np.all(panel_reflectance > 0):  # also false for NaN
         raise DegeneratePanelError("panel reflectance must be positive in every band")
 
-    # a C-order copy fixes the summation order whatever the file's interleave
+    # One running sum per band over the pixels in row-major order: the
+    # same bits as a mean over a C-order copy of two or more bands, and
+    # unlike that mean (pairwise for one band) the same for any band count.
     panel = np.ascontiguousarray(
         cube.data[top : top + height, left : left + width], dtype=np.float64
     )
-    mean_panel = panel.mean(axis=(0, 1))
+    mean_panel = panel.reshape(-1, cube.bands).cumsum(axis=0)[-1] / (height * width)
     if np.any(mean_panel <= 0):
         bad = int(np.argmax(mean_panel <= 0))
         raise DegeneratePanelError(
@@ -390,9 +595,12 @@ def read_panel_reflectance_csv(
             if len(row) != 2:
                 raise DataError(f"{where}: expected 2 fields, got {len(row)}")
             try:
-                rows.append((float(row[0]), float(row[1])))
+                values = (float(row[0]), float(row[1]))
             except ValueError:
                 raise DataError(f"{where}: non-numeric value in {row!r}") from None
+            if not np.all(np.isfinite(values)):
+                raise DataError(f"{where}: non-finite value in {row!r}")
+            rows.append(values)
     if not rows:
         raise DataError(f"{path}: no panel samples")
     wavelengths = np.array([r[0] for r in rows])

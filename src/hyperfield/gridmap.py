@@ -47,6 +47,7 @@ class PlotMap:
 def read_plot_map(path: str | os.PathLike) -> PlotMap:
     fields = ("plot_id", "field_row", "field_col")
     positions: dict[str, tuple[int, int]] = {}
+    by_cell: dict[tuple[int, int], str] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in fields if name not in (reader.fieldnames or ())]
@@ -63,7 +64,13 @@ def read_plot_map(path: str | os.PathLike) -> PlotMap:
             plot_id = row["plot_id"].strip()
             if plot_id in positions:
                 raise DataError(f"duplicate plot id {plot_id!r} in {path}")
+            if position in by_cell:
+                raise DataError(
+                    f"{where}: plots {by_cell[position]!r} and {plot_id!r} share "
+                    f"field position {position}"
+                )
             positions[plot_id] = position
+            by_cell[position] = plot_id
     return PlotMap(positions)
 
 
@@ -233,22 +240,28 @@ def write_assignment_csv(path: str | os.PathLike, assignment: GridAssignment) ->
 
 
 def read_assignment_csv(path: str | os.PathLike) -> list[AssignedPlot]:
+    fields = ("plot_id", "top", "left", "height", "width", "grid_row", "grid_col")
     out = []
+    seen: set[str] = set()
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            area = int(row["height"]) * int(row["width"])
-            out.append(
-                AssignedPlot(
-                    plot_id=row["plot_id"],
-                    box=PlotBox(
-                        top=int(row["top"]),
-                        left=int(row["left"]),
-                        height=int(row["height"]),
-                        width=int(row["width"]),
-                        area_px=area,
-                    ),
-                    grid_row=int(row["grid_row"]),
-                    grid_col=int(row["grid_col"]),
+        reader = csv.DictReader(fh)
+        missing = [name for name in fields if name not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if any(row[name] is None for name in fields):
+                raise DataError(f"{where}: expected {len(reader.fieldnames)} fields")
+            try:
+                top, left, height, width, grid_row, grid_col = (
+                    int(row[name]) for name in fields[1:]
                 )
-            )
+            except ValueError:
+                raise DataError(f"{where}: {', '.join(fields[1:])} must be integers") from None
+            plot_id = row["plot_id"]
+            if plot_id in seen:
+                raise DataError(f"{where}: duplicate plot id {plot_id!r}")
+            seen.add(plot_id)
+            box = PlotBox(top=top, left=left, height=height, width=width, area_px=height * width)
+            out.append(AssignedPlot(plot_id, box, grid_row, grid_col))
     return out

@@ -25,10 +25,14 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig
 from .cube import (
+    CubeHeader,
+    CubeStream,
+    HyperCube,
     band_mask_from_windows,
     read_cube,
     read_panel_reflectance_csv,
     to_reflectance,
+    write_band_blocks,
     write_cube,
     write_panel_reflectance_csv,
 )
@@ -130,6 +134,10 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _identity(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
 class FileDigests:
     """sha256 of files, each computed at most once per run.
 
@@ -137,19 +145,31 @@ class FileDigests:
     mtime, ctime), so a relative and an absolute path to the same file
     share one entry, and any write to a file gives it a new key. A
     rewrite inside the filesystem's timestamp granularity can keep the
-    old key, so the files a stage has just written are always rehashed
-    (``rehash``) rather than looked up. Nothing is persisted.
+    old key, so the files a stage has just written are rehashed
+    (``rehash``) rather than looked up, unless the stage ``record``ed
+    the digest of the bytes it wrote. Nothing is persisted.
     """
 
     def __init__(self) -> None:
         self._known: dict[tuple[int, int, int, int, int], str] = {}
 
+    def record(self, path: str, digest: str, before: os.stat_result | None = None) -> bool:
+        """Enter the sha256 of bytes just read from or written to ``path``.
+
+        An output is keyed by its stat now, after its final rename. For an
+        input, ``before`` is its stat from before the read, and the digest
+        is entered only if the file's identity has not changed since;
+        returns whether it was entered.
+        """
+        key = _identity(os.stat(path))
+        if before is not None and _identity(before) != key:
+            return False
+        self._known[key] = digest
+        return True
+
     def of(self, paths: list[str], rehash: frozenset[str] = frozenset()) -> dict[str, str]:
         """{path: sha256}; unknown files (and ``rehash`` ones) are hashed concurrently."""
-        keys = {}
-        for path in paths:
-            st = os.stat(path)
-            keys[path] = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+        keys = {path: _identity(os.stat(path)) for path in paths}
         todo: dict[tuple[int, int, int, int, int], str] = {}
         for path, key in keys.items():
             if path in rehash or key not in self._known:
@@ -196,7 +216,8 @@ def _should_skip(st: _Stage, config_hash: str) -> bool:
 def _write_manifest(st: _Stage, config_hash: str) -> None:
     written = {rel: os.path.join(st.out_dir, rel) for rel in st.outputs}
     found = st.digests.of(
-        [*st.inputs.values(), *written.values()], rehash=frozenset(written.values())
+        [*st.inputs.values(), *written.values()],
+        rehash=frozenset(written.values()) - st.recorded,
     )
     manifest = {
         "stage": st.name,
@@ -232,6 +253,7 @@ class _Stage:
         self.out_dir = config.out_dir()
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
+        self.recorded: set[str] = set()  # paths whose digest came from the bytes
 
     def need(self, key: str) -> str:
         """Register an input file; returns its path.
@@ -267,6 +289,11 @@ class _Stage:
         for rel in _cube_files(stem_rel):
             self.outputs.append(rel)
         return _out_path(self.out_dir, stem_rel)
+
+    def record(self, path: str, digest: str, before: os.stat_result | None = None) -> None:
+        """Give the manifest the digest of bytes the body hashed as it read or wrote them."""
+        if self.digests.record(path, digest, before):
+            self.recorded.add(path)
 
 
 def _float_line(path: str, value: float) -> None:
@@ -330,19 +357,40 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     out_stem = st.emit_cube(F_REFLECTANCE)
     yield
 
-    cube = read_cube(cube_stem)
     _, panel = read_panel_reflectance_csv(panel_path)
-    if panel.size != cube.bands:
-        raise DataError(
-            f"panel reflectance has {panel.size} bands, cube has {cube.bands}"
+    with CubeStream(cube_stem) as scene:
+        head = scene.header
+        if panel.size != head.bands:
+            raise DataError(
+                f"panel reflectance has {panel.size} bands, cube has {head.bands}"
+            )
+        mask = band_mask_from_windows(
+            head.wavelengths,
+            keep_range=st.config.window_nm("calibrate", "keep_nm"),
+            drop_windows=st.config.drop_windows_nm(),
         )
-    mask = band_mask_from_windows(
-        cube.wavelengths,
-        keep_range=st.config.window_nm("calibrate", "keep_nm"),
-        drop_windows=st.config.drop_windows_nm(),
-    )
-    # only the kept bands are scaled, in the scene file's memory order
-    write_cube(to_reflectance(cube, st.config.panel_region(), panel, mask), out_stem)
+        region = st.config.panel_region()
+        # every panel and mask check of a whole-scene call, on the panel's
+        # pixels; its result carries the output's bands, units and dtype
+        panel_cube = scene.read_panel(region)
+        _, _, height, width = region
+        calibrated_panel = to_reflectance(panel_cube, (0, 0, height, width), panel, mask)
+
+        def kept_reflectance() -> Iterator[np.ndarray]:
+            for bands, block in scene:
+                kept = mask.keep[bands]
+                if kept.any():
+                    planes = block if kept.all() else block[kept]
+                    part = HyperCube(
+                        planes.transpose(1, 2, 0), head.wavelengths[bands][kept], head.units
+                    )
+                    yield to_reflectance(part, region, panel[bands][kept]).data.transpose(2, 0, 1)
+
+        header = CubeHeader.of(calibrated_panel)._replace(rows=head.rows, cols=head.cols)
+        digest = write_band_blocks(out_stem, header, kept_reflectance())
+    st.record(out_stem + ".raw", digest)
+    if scene.digest is not None:
+        st.record(scene.raw_path, scene.digest, before=scene.stat)
 
 
 def _stage_segment(st: _Stage) -> Iterator[None]:
@@ -491,8 +539,10 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     log.info("dataset: %d sub-plot records from %d plots", len(records), len(assigned))
 
 
-def _read_split_csv(path: str) -> dict[str, np.ndarray]:
+def _read_split_csv(path: str, count: int) -> dict[str, np.ndarray]:
+    """Record indices per role; each index in [0, count) and listed once."""
     roles: dict[str, list[int]] = {"train": [], "validation": [], "test": []}
+    seen: set[int] = set()
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -505,9 +555,15 @@ def _read_split_csv(path: str) -> dict[str, np.ndarray]:
             if row[1] not in roles:
                 raise DataError(f"{where}: unknown split role {row[1]!r}")
             try:
-                roles[row[1]].append(int(row[0]))
+                index = int(row[0])
             except ValueError:
                 raise DataError(f"{where}: index {row[0]!r} is not an integer") from None
+            if not 0 <= index < count:
+                raise DataError(f"{where}: index {index} outside the {count} records")
+            if index in seen:
+                raise DataError(f"{where}: index {index} listed twice")
+            seen.add(index)
+            roles[row[1]].append(index)
     return {role: np.asarray(idx, dtype=np.intp) for role, idx in roles.items()}
 
 
@@ -555,7 +611,7 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
     model = load_model(model_path)
     records = read_records_csv(records_path)
     x, y, ids = records_to_arrays(records)
-    roles = _read_split_csv(split_path)
+    roles = _read_split_csv(split_path, len(records))
     if roles["test"].size:
         held_out, split_name = roles["test"], "test"
     elif roles["validation"].size:
@@ -638,6 +694,13 @@ def _read_scatter_rows(path: str) -> list[tuple[str, ...]]:
     return rows
 
 
+# What the report summary formats: the split name, then numbers.
+_SUMMARY_METRICS = (
+    "split", "subplot_r2", "subplot_rmse_g", "subplot_nrmse", "plot_r2", "plot_rmse_g",
+    "plot_nrmse", "field_actual_g", "field_predicted_g", "field_percent_error",
+)
+
+
 def _stage_report(st: _Stage) -> Iterator[None]:
     metrics_path = st.need(F_METRICS)
     predictions_path = st.need(F_PREDICTIONS)
@@ -657,6 +720,16 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     yield
 
     records = read_records_csv(records_path)
+    metrics = read_metrics_csv(metrics_path)
+    missing = [name for name in _SUMMARY_METRICS if name not in metrics]
+    if missing:
+        raise DataError(f"{metrics_path}: missing metric(s) {', '.join(missing)}")
+    value = {}
+    for name in _SUMMARY_METRICS[1:]:
+        try:
+            value[name] = float(metrics[name])
+        except ValueError:
+            raise DataError(f"{metrics_path}: metric {name} is not a number") from None
 
     # metrics: same content as the evaluate stage, under the report roof
     with open(metrics_path, "rb") as src, open(out_metrics, "wb") as dst:
@@ -695,18 +768,17 @@ def _stage_report(st: _Stage) -> Iterator[None]:
         write_score_ppm(map_paths[plot.plot_id], crop)
 
     # human-readable summary
-    metrics = read_metrics_csv(metrics_path)
     lines = [
         f"held-out split: {metrics['split']}",
-        f"sub-plot  R2 {float(metrics['subplot_r2']):.4f}  "
-        f"RMSE {float(metrics['subplot_rmse_g']):.2f} g  "
-        f"nRMSE {float(metrics['subplot_nrmse']):.4f}",
-        f"plot      R2 {float(metrics['plot_r2']):.4f}  "
-        f"RMSE {float(metrics['plot_rmse_g']):.2f} g  "
-        f"nRMSE {float(metrics['plot_nrmse']):.4f}",
-        f"field     actual {float(metrics['field_actual_g']):.1f} g  "
-        f"predicted {float(metrics['field_predicted_g']):.1f} g  "
-        f"error {float(metrics['field_percent_error']):.2f}%",
+        f"sub-plot  R2 {value['subplot_r2']:.4f}  "
+        f"RMSE {value['subplot_rmse_g']:.2f} g  "
+        f"nRMSE {value['subplot_nrmse']:.4f}",
+        f"plot      R2 {value['plot_r2']:.4f}  "
+        f"RMSE {value['plot_rmse_g']:.2f} g  "
+        f"nRMSE {value['plot_nrmse']:.4f}",
+        f"field     actual {value['field_actual_g']:.1f} g  "
+        f"predicted {value['field_predicted_g']:.1f} g  "
+        f"error {value['field_percent_error']:.2f}%",
         f"plots reported: {len(assigned)}",
         f"sub-plot records: {len(records)}",
     ]

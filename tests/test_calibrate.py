@@ -1,0 +1,159 @@
+"""The calibrate stage streams its scene: output bytes, errors, manifest digests."""
+
+import hashlib
+import json
+import os
+
+import numpy as np
+import pytest
+
+from hyperfield import cube as hc
+from hyperfield import pipeline
+from hyperfield.cli import main
+
+ROWS, COLS, BANDS = 20, 30, 12
+REGION = (1, 2, 16, 25)  # top, left, height, width
+# Band b sits at 400 + 10 b nm. The kept range drops bands 0-1, the
+# window drops bands 9-10, so with 3-plane blocks the blocks [0, 3) and
+# [9, 12) each keep exactly one plane, at a block boundary.
+KEEP_NM, DROP_NM = (420.0, 510.0), ((495.0, 12.0),)
+CONFIG = f"""\
+[input]
+cube = {{scene}}
+panel_reflectance = {{panel}}
+
+[calibrate]
+panel_top = {REGION[0]}
+panel_left = {REGION[1]}
+panel_height = {REGION[2]}
+panel_width = {REGION[3]}
+keep_nm = {KEEP_NM[0]}:{KEEP_NM[1]}
+drop_nm = {DROP_NM[0][0]}:{DROP_NM[0][1]}
+"""
+
+
+def _sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _scene(tmp_path, monkeypatch, dtype, interleave, planes=3):
+    """A scene, its panel file and a config; returns (config path, out dir).
+
+    Calibrate then streams the scene ``planes`` band planes at a time.
+    """
+    monkeypatch.setattr(hc, "BLOCK_BYTES", planes * ROWS * COLS * np.dtype(dtype).itemsize)
+    rng = np.random.default_rng(21)
+    if dtype == np.uint16:
+        data = rng.integers(1, 4096, size=(ROWS, COLS, BANDS), dtype=np.uint16)
+    else:
+        data = rng.uniform(0.05, 2.0, size=(ROWS, COLS, BANDS)).astype(dtype)
+    wl = 400.0 + 10.0 * np.arange(BANDS)
+    hc.write_cube(hc.HyperCube(data, wl, "radiance"), tmp_path / "scene", interleave)
+    hc.write_panel_reflectance_csv(tmp_path / "panel.csv", wl, rng.uniform(0.3, 0.6, BANDS))
+    ini = tmp_path / "calibrate.ini"
+    ini.write_text(CONFIG.format(scene=tmp_path / "scene", panel=tmp_path / "panel.csv"))
+    return ini, tmp_path / "out"
+
+
+def _calibrate(ini, out, *extra) -> int:
+    return main(["calibrate", "--out", str(out), "--config", str(ini), *extra])
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.uint16])
+def test_streamed_output_is_the_whole_cube_calibration(
+    tmp_path, monkeypatch, interleave, dtype
+):
+    ini, out = _scene(tmp_path, monkeypatch, dtype, interleave)
+    assert _calibrate(ini, out) == 0
+    scene = hc.read_cube(tmp_path / "scene")
+    mask = hc.band_mask_from_windows(scene.wavelengths, KEEP_NM, DROP_NM)
+    keep = mask.keep.reshape(-1, 3)
+    assert list(keep.sum(axis=1)) == [1, 3, 3, 1]  # one kept plane at two block edges
+    _, panel = hc.read_panel_reflectance_csv(tmp_path / "panel.csv")
+    hc.write_cube(hc.to_reflectance(scene, REGION, panel, mask), tmp_path / "whole")
+    for suffix in (".raw", ".hdr"):
+        assert (out / "calibrate" / f"reflectance{suffix}").read_bytes() == \
+            (tmp_path / f"whole{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize("planes", [1, 2, 5, BANDS])
+def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, planes):
+    ini, out = _scene(tmp_path, monkeypatch, np.float32, "bsq", planes=BANDS)
+    assert _calibrate(ini, out) == 0
+    whole = (out / "calibrate" / "reflectance.raw").read_bytes()
+    monkeypatch.setattr(hc, "BLOCK_BYTES", planes * ROWS * COLS * 4)
+    assert _calibrate(ini, out, "--stage-force") == 0
+    assert (out / "calibrate" / "reflectance.raw").read_bytes() == whole
+
+
+def _poke(raw, interleave, dtype, band, value):
+    """Set the last pixel's sample of ``band`` in a raw payload."""
+    payload = np.fromfile(raw, dtype=dtype)
+    r, c = ROWS - 1, COLS - 1
+    index = {
+        "bsq": (band * ROWS + r) * COLS + c,
+        "bil": (r * BANDS + band) * COLS + c,
+        "bip": (r * COLS + c) * BANDS + band,
+    }[interleave]
+    payload[index] = value
+    payload.tofile(raw)
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("band", [BANDS - 1, BANDS - 2], ids=["kept-last", "dropped"])
+def test_non_finite_scene_sample_exits_4_and_keeps_the_old_output(
+    tmp_path, monkeypatch, capsys, interleave, bad, band
+):
+    ini, out = _scene(tmp_path, monkeypatch, np.float32, interleave)
+    assert _calibrate(ini, out) == 0
+    before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
+    _poke(tmp_path / "scene.raw", interleave, np.float32, band, bad)
+    assert _calibrate(ini, out, "--stage-force") == 4
+    assert "non-finite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
+
+
+def test_forced_calibrate_takes_both_cube_digests_from_its_own_pass(tmp_path, monkeypatch):
+    ini, out = _scene(tmp_path, monkeypatch, np.float64, "bsq")
+    hashed = []
+
+    def counting(path):
+        hashed.append(os.path.basename(path))
+        return _sha256_of(path)
+
+    monkeypatch.setattr(pipeline, "_sha256", counting)
+    assert _calibrate(ini, out, "--stage-force") == 0
+    assert "scene.raw" not in hashed and "reflectance.raw" not in hashed
+    assert sorted(hashed) == ["panel.csv", "reflectance.hdr", "scene.hdr"]
+    manifest = json.loads((out / "manifests" / "calibrate.json").read_text())
+    for key, digest in manifest["inputs"].items():
+        assert digest == _sha256_of(key), key
+    for rel, digest in manifest["outputs"].items():
+        assert digest == _sha256_of(out / rel), rel
+    stamp = (out / "manifests" / "calibrate.json").stat().st_mtime_ns
+    assert _calibrate(ini, out) == 0  # the manifest holds: a plain rerun skips
+    assert (out / "manifests" / "calibrate.json").stat().st_mtime_ns == stamp
+
+
+def test_recorded_digest_is_used_until_the_file_changes(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"a" * 64)
+    digests = pipeline.FileDigests()
+    assert digests.record(str(path), "recorded")
+    assert digests.of([str(path)]) == {str(path): "recorded"}
+    stat = path.stat()
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
+    assert digests.of([str(path)]) == {str(path): hashlib.sha256(b"a" * 64).hexdigest()}
+
+
+def test_input_digest_is_not_recorded_when_the_file_changed_during_the_read(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"a" * 64)
+    before = path.stat()
+    path.write_bytes(b"b" * 65)
+    digests = pipeline.FileDigests()
+    assert not digests.record(str(path), "stale", before=before)
+    assert digests.of([str(path)]) == {str(path): hashlib.sha256(b"b" * 65).hexdigest()}

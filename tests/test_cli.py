@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -506,6 +507,31 @@ def test_cli_import_loads_no_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def test_traced_cold_run_calls_every_layer_the_benchmark_expects(tmp_path):
+    """hyperbench's coverage guard for its ``cold`` workload, on the tiny scene.
+
+    A refactor that stops a stage from calling a layer function through
+    module globals (which is how the benchmark's tracer sees it) fails here.
+    """
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "hyperbench")
+    spec = importlib.util.spec_from_file_location("hyperbench_layers", os.path.join(bench, "layers.py"))
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    ini = tmp_path / "config.ini"
+    ini.write_text(TINY_INI)
+    spans = {}
+    for command in ("synth", "run-all"):
+        path = tmp_path / f"{command}.json"
+        result = subprocess.run(
+            [sys.executable, os.path.join(bench, "tracing.py"), str(path), command,
+             "--out", str(tmp_path / "out"), "--config", str(ini)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        spans[command] = layers.Spans.load(path)
+    assert layers.coverage_problems("cold", spans["run-all"], spans["synth"]) == []
+
+
 # ---------------------------------------------------------------------------
 # flags and exit codes
 
@@ -591,6 +617,72 @@ def test_malformed_split_row_exits_4(memo_run, capsys, row):
     assert f"split.csv: line {lines}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("-1,test", "index -1 outside the 192 records"),
+        ("192,test", "index 192 outside the 192 records"),
+        ("0,test", "index 0 listed twice"),
+    ],
+    ids=["negative", "past-the-end", "duplicate"],
+)
+def test_split_index_out_of_range_or_repeated_exits_4(memo_run, capsys, row, message):
+    ini, out = memo_run
+    split = out / "train" / "split.csv"
+    assert len(split.read_text().splitlines()) == 193
+    split.write_text(split.read_text() + row + "\n")
+    assert main(["evaluate", "--out", str(out), "--config", str(ini)]) == 4
+    assert f"split.csv: line 194: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        ("rename", "missing column(s) grid_col"),
+        ("short", "line 2: expected 7 fields"),
+        ("value", "line 3: top, left, height, width, grid_row, grid_col must be integers"),
+        ("duplicate", "line 18: duplicate plot id 'P0000'"),
+    ],
+    ids=["rename", "short", "value", "duplicate"],
+)
+def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
+    ini, out = memo_run
+    assignment = out / "gridmap" / "assignment.csv"
+    lines = assignment.read_text().splitlines()
+    assert len(lines) == 17
+    if damage == "rename":
+        lines[0] = lines[0].replace("grid_col", "col")
+    elif damage == "short":
+        lines[1] = lines[1].rsplit(",", 1)[0]
+    elif damage == "value":
+        lines[2] = lines[2].replace(",", ",x", 1)
+    else:
+        lines.append(lines[1])
+    assignment.write_text("\n".join(lines) + "\n")
+    assert main(["dataset", "--out", str(out), "--config", str(ini)]) == 4
+    err = capsys.readouterr().err
+    assert "assignment.csv" in err and message in err
+
+
+@pytest.mark.parametrize("metric", ["split", "plot_rmse_g"])
+def test_report_names_a_missing_metric(memo_run, capsys, metric):
+    ini, out = memo_run
+    metrics = out / "evaluate" / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    metrics.write_text("\n".join(l for l in lines if l.split(",")[0] != metric) + "\n")
+    assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
+    assert f"metrics.csv: missing metric(s) {metric}" in capsys.readouterr().err
+
+
+def test_report_names_a_non_numeric_metric(memo_run, capsys):
+    ini, out = memo_run
+    metrics = out / "evaluate" / "metrics.csv"
+    text = metrics.read_text()
+    metrics.write_text(text.replace("\nplot_r2,", "\nplot_r2,x"))
+    assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
+    assert "metrics.csv: metric plot_r2 is not a number" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["truncate", "header", "short-header"])
 def test_damaged_mask_exits_4(memo_run, capsys, damage):
     ini, out = memo_run
@@ -651,8 +743,9 @@ def test_malformed_boxes_exit_4(memo_run, capsys, damage, message):
         ("rename", "missing column(s) field_col"),
         ("short", "line 2: expected 3 fields"),
         ("value", "line 3: field_row, field_col must be integers"),
+        ("position", "line 3: plots 'P0000' and 'P0001' share field position (0, 0)"),
     ],
-    ids=["rename", "short", "value"],
+    ids=["rename", "short", "value", "position"],
 )
 def test_malformed_plot_map_exits_4(memo_run, capsys, damage, message):
     ini, out = memo_run
@@ -662,8 +755,10 @@ def test_malformed_plot_map_exits_4(memo_run, capsys, damage, message):
         lines[0] = lines[0].replace("field_col", "column")
     elif damage == "short":
         lines[1] = lines[1].rsplit(",", 1)[0]
-    else:
+    elif damage == "value":
         lines[2] = lines[2] + ".5"
+    else:
+        lines[2] = lines[2].split(",")[0] + "," + lines[1].split(",", 1)[1]
     plot_map.write_text("\n".join(lines) + "\n")
     assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err
@@ -672,8 +767,13 @@ def test_malformed_plot_map_exits_4(memo_run, capsys, damage, message):
 
 @pytest.mark.parametrize(
     "damage, message",
-    [("value", "line 3: non-numeric value"), ("short", "line 2: expected 2 fields, got 1")],
-    ids=["value", "short"],
+    [
+        ("value", "line 3: non-numeric value"),
+        ("short", "line 2: expected 2 fields, got 1"),
+        ("nan-kept", "line 61: non-finite value"),
+        ("nan-dropped", "line 6: non-finite value"),
+    ],
+    ids=["value", "short", "nan-kept", "nan-dropped"],
 )
 def test_malformed_panel_csv_exits_4(memo_run, capsys, damage, message):
     ini, out = memo_run
@@ -681,8 +781,12 @@ def test_malformed_panel_csv_exits_4(memo_run, capsys, damage, message):
     lines = panel.read_text().splitlines()
     if damage == "value":
         lines[2] = lines[2].split(",")[0] + ",bright"
-    else:
+    elif damage == "short":
         lines[1] = lines[1].split(",")[0]
+    else:
+        # line 61 is 529.5 nm, inside the kept range; line 6 is 411.0 nm, outside
+        row = 60 if damage == "nan-kept" else 5
+        lines[row] = lines[row].split(",")[0] + ",nan"
     panel.write_text("\n".join(lines) + "\n")
     assert main(["calibrate", "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ from hyperfield import cube as hc
 from hyperfield.errors import (
     CubeParseError,
     CubeSizeError,
+    DataError,
     DegeneratePanelError,
     EmptyBandMaskError,
     ShapeMismatchError,
@@ -367,6 +368,28 @@ def test_panel_mean_does_not_depend_on_memory_order():
     assert np.array_equal(a.data, b.data)
 
 
+def test_reflectance_of_one_band_is_that_band_of_the_whole_cube():
+    rng = np.random.default_rng(14)
+    data = rng.uniform(0.1, 1.0, size=(30, 40, 5))
+    wl = 400.0 + np.arange(5.0)
+    panel_refl = rng.uniform(0.3, 0.5, size=5)
+    region = (2, 3, 20, 30)
+    whole = hc.to_reflectance(hc.HyperCube(data, wl, "radiance"), region, panel_refl)
+    for b in range(5):
+        one = hc.HyperCube(data[:, :, b : b + 1], wl[b : b + 1], "radiance")
+        alone = hc.to_reflectance(one, region, panel_refl[b : b + 1])
+        assert np.array_equal(alone.data[:, :, 0], whole.data[:, :, b]), b
+
+
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -0.4])
+def test_panel_reflectance_must_be_positive(bad):
+    cube = hc.HyperCube(np.ones((2, 2, 3)), 400.0 + np.arange(3.0), "radiance")
+    panel_refl = np.full(3, 0.4)
+    panel_refl[1] = bad
+    with pytest.raises(DegeneratePanelError, match="positive in every band"):
+        hc.to_reflectance(cube, (0, 0, 2, 2), panel_refl)
+
+
 def test_masked_reflectance_still_checks_the_panel_in_dropped_bands():
     wl = 400.0 + 20.0 * np.arange(6)
     data = np.ones((4, 4, 6))
@@ -434,3 +457,11 @@ def test_panel_csv_rejects_bad_files(tmp_path):
     unsorted.write_text("wavelength,reflectance\n500.0,0.4\n400.0,0.4\n")
     with pytest.raises(DataError, match="increasing"):
         hc.read_panel_reflectance_csv(unsorted)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_panel_csv_rejects_non_finite_values(tmp_path, value):
+    path = tmp_path / "p.csv"
+    path.write_text(f"wavelength,reflectance\n400.0,0.4\n402.2,{value}\n")
+    with pytest.raises(DataError, match="p.csv: line 3: non-finite value"):
+        hc.read_panel_reflectance_csv(path)
