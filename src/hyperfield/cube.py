@@ -43,6 +43,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedFormatError,
 )
+from .table import read_table
 
 HEADER_SUFFIX = ".hdr"
 RAW_SUFFIX = ".raw"
@@ -582,31 +583,10 @@ def write_panel_reflectance_csv(
 def read_panel_reflectance_csv(
     path: str | os.PathLike,
 ) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["wavelength", "reflectance"]:
-            raise DataError(f"{path}: expected header wavelength,reflectance")
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != 2:
-                raise DataError(f"{where}: expected 2 fields, got {len(row)}")
-            try:
-                values = (float(row[0]), float(row[1]))
-            except ValueError:
-                raise DataError(f"{where}: non-numeric value in {row!r}") from None
-            if not np.all(np.isfinite(values)):
-                raise DataError(f"{where}: non-finite value in {row!r}")
-            rows.append(values)
-    if not rows:
-        raise DataError(f"{path}: no panel samples")
-    wavelengths = np.array([r[0] for r in rows])
+    wavelengths, reflectance = read_table(path, floats=("wavelength", "reflectance")).floats.T
     if not np.all(np.diff(wavelengths) > 0):
         raise DataError(f"{path}: wavelengths must be strictly increasing")
-    return wavelengths, np.array([r[1] for r in rows])
+    return wavelengths, reflectance
 
 
 @dataclass

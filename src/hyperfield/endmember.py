@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, DegenerateSimplexError, RankError, ShapeMismatchError
+from .table import read_table
 
 DEFAULT_REFINE_K = 25
 
@@ -282,35 +283,14 @@ def write_endmembers_csv(path: str | os.PathLike, endmembers: EndmemberSet) -> N
 
 
 def read_endmembers_csv(path: str | os.PathLike) -> EndmemberSet:
-    labels = []
-    spectra = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if header[:1] != ["label"]:
-            raise DataError(f"{path}: expected header starting with 'label'")
-        try:
-            wavelengths = np.array([float(tok) for tok in header[1:]])
-        except ValueError:
-            where = f"{path}: line {reader.line_num}"
-            raise DataError(f"{where}: non-numeric wavelength") from None
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != len(header):
-                raise DataError(f"{where}: expected {len(header)} fields, got {len(row)}")
-            try:
-                spectra.append([float(tok) for tok in row[1:]])
-            except ValueError:
-                raise DataError(f"{where}: non-numeric value for {row[0]!r}") from None
-            labels.append(row[0])
-    if not labels:
-        raise DataError(f"{path}: no endmember rows")
+    """Every column but ``label`` is a band, named by its wavelength."""
+    table = read_table(path, ("label",), extra_floats=True)
+    try:
+        wavelengths = np.array([float(name) for name in table.float_columns])
+    except ValueError:
+        raise DataError(f"{path}: line 1: non-numeric wavelength") from None
     return EndmemberSet(
-        labels=tuple(labels),
-        wavelengths=wavelengths,
-        spectra=np.array(spectra, dtype=np.float64).T,
+        labels=tuple(table.text("label")), wavelengths=wavelengths, spectra=table.floats.T
     )
 
 

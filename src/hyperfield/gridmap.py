@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import AmbiguousCellError, AnchorError, DataError, ShapeMismatchError
 from .segment import PlotBox
+from .table import read_table
 
 log = logging.getLogger(__name__)
 
@@ -45,33 +46,13 @@ class PlotMap:
 
 
 def read_plot_map(path: str | os.PathLike) -> PlotMap:
-    fields = ("plot_id", "field_row", "field_col")
-    positions: dict[str, tuple[int, int]] = {}
-    by_cell: dict[tuple[int, int], str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in fields if name not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if any(row[name] is None for name in fields):
-                raise DataError(f"{where}: expected {len(reader.fieldnames)} fields")
-            try:
-                position = (int(row["field_row"]), int(row["field_col"]))
-            except ValueError:
-                raise DataError(f"{where}: field_row, field_col must be integers") from None
-            plot_id = row["plot_id"].strip()
-            if plot_id in positions:
-                raise DataError(f"duplicate plot id {plot_id!r} in {path}")
-            if position in by_cell:
-                raise DataError(
-                    f"{where}: plots {by_cell[position]!r} and {plot_id!r} share "
-                    f"field position {position}"
-                )
-            positions[plot_id] = position
-            by_cell[position] = plot_id
-    return PlotMap(positions)
+    table = read_table(path, ("plot_id", "field_row", "field_col"), key="plot_id")
+    positions = table.ints("field_row", "field_col")
+    try:
+        return PlotMap(dict(zip(table.text("plot_id"), positions)))
+    except DataError as exc:  # a shared position: name the row that repeats it
+        i = next(i for i, position in enumerate(positions) if position in positions[:i])
+        raise DataError(f"{table.where(i)}: {exc}") from None
 
 
 def write_plot_map(path: str | os.PathLike, plot_map: PlotMap) -> None:
@@ -240,28 +221,12 @@ def write_assignment_csv(path: str | os.PathLike, assignment: GridAssignment) ->
 
 
 def read_assignment_csv(path: str | os.PathLike) -> list[AssignedPlot]:
-    fields = ("plot_id", "top", "left", "height", "width", "grid_row", "grid_col")
+    numbers = ("top", "left", "height", "width", "grid_row", "grid_col")
+    table = read_table(path, ("plot_id",) + numbers, key="plot_id")
     out = []
-    seen: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in fields if name not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if any(row[name] is None for name in fields):
-                raise DataError(f"{where}: expected {len(reader.fieldnames)} fields")
-            try:
-                top, left, height, width, grid_row, grid_col = (
-                    int(row[name]) for name in fields[1:]
-                )
-            except ValueError:
-                raise DataError(f"{where}: {', '.join(fields[1:])} must be integers") from None
-            plot_id = row["plot_id"]
-            if plot_id in seen:
-                raise DataError(f"{where}: duplicate plot id {plot_id!r}")
-            seen.add(plot_id)
-            box = PlotBox(top=top, left=left, height=height, width=width, area_px=height * width)
-            out.append(AssignedPlot(plot_id, box, grid_row, grid_col))
+    for plot_id, (top, left, height, width, grid_row, grid_col) in zip(
+        table.text("plot_id"), table.ints(*numbers)
+    ):
+        box = PlotBox(top=top, left=left, height=height, width=width, area_px=height * width)
+        out.append(AssignedPlot(plot_id, box, grid_row, grid_col))
     return out

@@ -696,16 +696,3 @@ def write_training_log_csv(path: str | os.PathLike, logbook: list[EpochLog]) -> 
         writer.writerow(["epoch", "train_rmse", "val_rmse"])
         for entry in logbook:
             writer.writerow([entry.epoch, repr(entry.train_rmse), repr(entry.val_rmse)])
-
-
-def read_training_log_csv(path: str | os.PathLike) -> list[EpochLog]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["epoch", "train_rmse", "val_rmse"]:
-            raise DataError(f"{path}: expected header epoch,train_rmse,val_rmse")
-        return [
-            EpochLog(int(row[0]), float(row[1]), float(row[2]))
-            for row in reader
-            if row
-        ]

@@ -11,7 +11,6 @@ inputs produce byte-identical trees.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -85,6 +84,7 @@ from .subplot import (
     write_yields_csv,
 )
 from .synth import generate_reference_cube, generate_scene
+from .table import read_table
 from .unmix import AbundanceMap, sl_mask, unmix_cube, write_score_ppm
 
 log = logging.getLogger("hyperfield.pipeline")
@@ -543,27 +543,17 @@ def _read_split_csv(path: str, count: int) -> dict[str, np.ndarray]:
     """Record indices per role; each index in [0, count) and listed once."""
     roles: dict[str, list[int]] = {"train": [], "validation": [], "test": []}
     seen: set[int] = set()
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["index", "role"]:
-            raise DataError(f"{path}: expected header index,role")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != 2:
-                raise DataError(f"{where}: expected 2 fields, got {len(row)}")
-            if row[1] not in roles:
-                raise DataError(f"{where}: unknown split role {row[1]!r}")
-            try:
-                index = int(row[0])
-            except ValueError:
-                raise DataError(f"{where}: index {row[0]!r} is not an integer") from None
-            if not 0 <= index < count:
-                raise DataError(f"{where}: index {index} outside the {count} records")
-            if index in seen:
-                raise DataError(f"{where}: index {index} listed twice")
-            seen.add(index)
-            roles[row[1]].append(index)
+    table = read_table(path, ("index", "role"))
+    for i, ((index,), role) in enumerate(zip(table.ints("index"), table.text("role"))):
+        where = table.where(i)
+        if role not in roles:
+            raise DataError(f"{where}: unknown split role {role!r}")
+        if not 0 <= index < count:
+            raise DataError(f"{where}: index {index} outside the {count} records")
+        if index in seen:
+            raise DataError(f"{where}: index {index} listed twice")
+        seen.add(index)
+        roles[role].append(index)
     return {role: np.asarray(idx, dtype=np.intp) for role, idx in roles.items()}
 
 
@@ -658,40 +648,27 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
 
 def read_metrics_csv(path: str | os.PathLike) -> dict[str, str]:
     """Key/value metrics as written by the evaluate stage."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["metric", "value"]:
-            raise DataError(f"{path}: expected header metric,value")
-        for row in reader:
-            if len(row) != 2:
-                raise DataError(
-                    f"{path}: line {reader.line_num}: expected 2 fields, got {len(row)}"
-                )
-            out[row[0]] = row[1]
-    return out
+    table = read_table(path, ("metric", "value"), key="metric")
+    return dict(zip(table.text("metric"), table.text("value")))
 
 
 def _read_scatter_rows(path: str) -> list[tuple[str, ...]]:
-    """(actual_g, predicted_g, role) fields of each evaluate prediction row."""
-    columns = ("actual_g", "predicted_g", "role")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [name for name in columns if name not in header]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-        idx = [header.index(name) for name in columns]
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: line {reader.line_num}: expected {len(header)} "
-                    f"fields, got {len(row)}"
-                )
-            rows.append(tuple(row[i] for i in idx))
-    return rows
+    """(actual_g, predicted_g, role) fields of each evaluate prediction row.
+
+    Both numbers must be finite; the fields are returned as text.
+    ``evaluate`` writes them as ``np.float64(...)`` reprs, so that
+    wrapper is accepted around the number.
+    """
+    table = read_table(path, ("actual_g", "predicted_g", "role"))
+    actual, predicted = table.text("actual_g"), table.text("predicted_g")
+    for i, fields in enumerate(zip(actual, predicted)):
+        try:
+            numbers = [float(f.removeprefix("np.float64(").removesuffix(")")) for f in fields]
+        except ValueError:
+            numbers = [np.nan]
+        if not np.isfinite(numbers).all():
+            raise DataError(f"{table.where(i)}: actual_g, predicted_g must be finite numbers")
+    return list(zip(actual, predicted, table.text("role")))
 
 
 # What the report summary formats: the split name, then numbers.
@@ -730,13 +707,13 @@ def _stage_report(st: _Stage) -> Iterator[None]:
             value[name] = float(metrics[name])
         except ValueError:
             raise DataError(f"{metrics_path}: metric {name} is not a number") from None
+    scatter = _read_scatter_rows(predictions_path)
 
     # metrics: same content as the evaluate stage, under the report roof
     with open(metrics_path, "rb") as src, open(out_metrics, "wb") as dst:
         dst.write(src.read())
 
     # scatter data: one row per record, for external plotting
-    scatter = _read_scatter_rows(predictions_path)
     with open(scatter_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("actual_g,predicted_g,role\n")
         for row in scatter:

@@ -16,11 +16,11 @@ import numpy as np
 
 from .cube import HyperCube
 from .errors import (
-    DataError,
     DegenerateHistogramError,
     ShapeMismatchError,
     WavelengthCoverageError,
 )
+from .table import read_table
 
 RED_WINDOW_NM = (665.0, 675.0)
 BLUE_WINDOW_NM = (445.0, 455.0)
@@ -183,19 +183,4 @@ def write_boxes_csv(path: str | os.PathLike, boxes: list[PlotBox]) -> None:
 
 def read_boxes_csv(path: str | os.PathLike) -> list[PlotBox]:
     fields = ("top", "left", "height", "width", "area_px")
-    boxes = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in fields if name not in (reader.fieldnames or ())]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            try:
-                values = {name: int(row[name]) for name in fields}
-            except (TypeError, ValueError):
-                raise DataError(
-                    f"{path}: line {reader.line_num}: "
-                    f"{', '.join(fields)} must be integers"
-                ) from None
-            boxes.append(PlotBox(**values))
-    return boxes
+    return [PlotBox(*values) for values in read_table(path, fields).ints(*fields)]

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyPlotError, ShapeMismatchError
+from .table import read_table
 
 SUPPORTED_WINDOWS_PX = (10, 15, 20)
 DEFAULT_WINDOW_PX = 15
@@ -63,24 +64,13 @@ def write_yields_csv(path: str | os.PathLike, records: list[PlotYieldRecord]) ->
 
 
 def read_yields_csv(path: str | os.PathLike) -> dict[str, float]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["plot_id", "yield_grams"]:
-            raise DataError(f"{path}: expected header plot_id,yield_grams")
-        yields: dict[str, float] = {}
-        for row in reader:
-            if not row:
-                continue
-            if row[0] in yields:
-                raise DataError(f"{path}: duplicate plot id {row[0]!r}")
-            try:
-                record = PlotYieldRecord(row[0], float(row[1]))
-            except DataError as exc:
-                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-            except (IndexError, ValueError):
-                raise DataError(f"{path}: malformed yield row {row!r}")
-            yields[record.plot_id] = record.yield_grams
+    table = read_table(path, ("plot_id",), floats=("yield_grams",), key="plot_id")
+    yields = dict(zip(table.text("plot_id"), table.floats[:, 0].tolist()))
+    for i, (plot_id, grams) in enumerate(yields.items()):
+        try:
+            PlotYieldRecord(plot_id, grams)
+        except DataError as exc:
+            raise DataError(f"{table.where(i)}: {exc}") from None
     return yields
 
 
@@ -255,29 +245,17 @@ def write_records_csv(path: str | os.PathLike, records: list[SubPlotRecord]) -> 
 
 
 def read_records_csv(path: str | os.PathLike) -> list[SubPlotRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[:5] != ["plot_id", "window_row", "window_col", "n_sl", "yield_g"]:
-            raise DataError(f"{path}: unexpected records header")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                records.append(
-                    SubPlotRecord(
-                        plot_id=row[0],
-                        window_row=int(row[1]),
-                        window_col=int(row[2]),
-                        n_sl=int(row[3]),
-                        yield_g=float(row[4]),
-                        features=np.array([float(v) for v in row[5:]]),
-                    )
-                )
-            except (IndexError, ValueError):
-                raise DataError(f"{path}: malformed record row {row[:5]!r}")
-    return records
+    """Every column but the five named ones is a feature, in header order."""
+    table = read_table(
+        path, ("plot_id", "window_row", "window_col", "n_sl"), floats=("yield_g",),
+        extra_floats=True,
+    )
+    return [
+        SubPlotRecord(plot_id, window_row, window_col, n_sl, float(v[0]), v[1:])
+        for plot_id, (window_row, window_col, n_sl), v in zip(
+            table.text("plot_id"), table.ints("window_row", "window_col", "n_sl"), table.floats
+        )
+    ]
 
 
 def middle_third_ratio(

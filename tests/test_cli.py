@@ -642,8 +642,9 @@ def test_split_index_out_of_range_or_repeated_exits_4(memo_run, capsys, row, mes
         ("short", "line 2: expected 7 fields"),
         ("value", "line 3: top, left, height, width, grid_row, grid_col must be integers"),
         ("duplicate", "line 18: duplicate plot id 'P0000'"),
+        ("header-only", "assignment.csv: no data rows"),
     ],
-    ids=["rename", "short", "value", "duplicate"],
+    ids=["rename", "short", "value", "duplicate", "header-only"],
 )
 def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
     ini, out = memo_run
@@ -656,8 +657,10 @@ def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
         lines[1] = lines[1].rsplit(",", 1)[0]
     elif damage == "value":
         lines[2] = lines[2].replace(",", ",x", 1)
-    else:
+    elif damage == "duplicate":
         lines.append(lines[1])
+    else:
+        lines = lines[:1]
     assignment.write_text("\n".join(lines) + "\n")
     assert main(["dataset", "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err
@@ -683,6 +686,32 @@ def test_report_names_a_non_numeric_metric(memo_run, capsys):
     assert "metrics.csv: metric plot_r2 is not a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rel, damage, message",
+    [
+        (
+            "dataset/records.csv",
+            lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]],
+            "records.csv: line 2: expected 386 fields, got 385",
+        ),
+        (
+            "evaluate/metrics.csv",
+            lambda lines: [*lines, "plot_r2,0.99"],
+            "metrics.csv: line 12: duplicate metric 'plot_r2'",
+        ),
+    ],
+    ids=["records-short-row", "metrics-repeated"],
+)
+def test_report_rejects_a_short_record_or_a_repeated_metric(
+    memo_run, capsys, rel, damage, message
+):
+    ini, out = memo_run
+    path = out / rel
+    path.write_text("\n".join(damage(path.read_text().splitlines())) + "\n")
+    assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["truncate", "header", "short-header"])
 def test_damaged_mask_exits_4(memo_run, capsys, damage):
     ini, out = memo_run
@@ -705,8 +734,11 @@ def test_damaged_mask_exits_4(memo_run, capsys, damage):
         ("", "missing column(s) actual_g, predicted_g, role"),
         ("plot_id,window_row\nP0000,0\n", "missing column(s) actual_g"),
         ("role,actual_g,predicted_g\ntest,1.0\n", "line 2: expected 3 fields, got 2"),
+        ("role,actual_g,predicted_g\ntest,1.0,2.0\ntest,x,2.0\n", "line 3: actual_g, predicted_g"),
+        ("role,actual_g,predicted_g\ntest,1.0,x\n", "line 2: actual_g, predicted_g"),
+        ("role,actual_g,predicted_g\ntest,1.0,np.float64(nan)\n", "line 2: actual_g, predicted_g"),
     ],
-    ids=["empty", "no-columns", "short-row"],
+    ids=["empty", "no-columns", "short-row", "actual-x", "predicted-x", "predicted-nan"],
 )
 def test_malformed_predictions_exit_4(memo_run, capsys, text, message):
     ini, out = memo_run
@@ -816,6 +848,58 @@ def test_malformed_endmembers_csv_exits_4(memo_run, capsys, damage, message):
     assert main(["unmix", "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err
     assert "endmembers.csv" in err and message in err
+
+
+# Every table a stage reads, the stage that reads it, and whether rows
+# carry a key (plot id, split index, metric name) that must not repeat.
+_TABLES = [
+    ("synth/panel.csv", "calibrate", False),
+    ("synth/plot_map.csv", "gridmap", True),
+    ("segment/boxes.csv", "gridmap", False),
+    ("endmembers/endmembers.csv", "unmix", False),
+    ("synth/yields.csv", "dataset", True),
+    ("gridmap/assignment.csv", "dataset", True),
+    ("train/split.csv", "evaluate", True),
+    ("dataset/records.csv", "report", False),
+    ("gridmap/assignment.csv", "report", True),
+    ("evaluate/metrics.csv", "report", True),
+    ("evaluate/predictions.csv", "report", False),
+]
+_TABLE_DAMAGES = {
+    "empty": lambda lines: [],
+    "header-only": lambda lines: lines[:1],
+    "short-row": lambda lines: [lines[0], lines[1].rsplit(",", 1)[0], *lines[2:]],
+    "long-row": lambda lines: [lines[0], lines[1] + ",0", *lines[2:]],
+    "repeated-row": lambda lines: [*lines[:2], *lines[1:]],
+}
+
+
+@pytest.mark.parametrize(
+    "rel, stage, damage",
+    [
+        (rel, stage, damage)
+        for rel, stage, keyed in _TABLES
+        for damage in _TABLE_DAMAGES
+        if keyed or damage != "repeated-row"
+    ],
+)
+def test_damaged_table_exits_4(memo_base, capsys, rel, stage, damage):
+    """Damages ``memo_base`` in place and puts the original bytes back.
+
+    ``--stage-force`` skips the manifest check, so no case hashes the
+    cubes. Every reader fails before its stage writes anything.
+    """
+    ini, out = memo_base
+    path = out / rel
+    original = path.read_bytes()
+    lines = original.decode().splitlines()
+    try:
+        path.write_text("".join(line + "\n" for line in _TABLE_DAMAGES[damage](lines)))
+        code = main([stage, "--out", str(out), "--config", str(ini), "--stage-force"])
+    finally:
+        path.write_bytes(original)
+    assert code == 4
+    assert path.name in capsys.readouterr().err
 
 
 def test_panel_degenerate_in_a_dropped_band_still_fails_calibrate(memo_run, capsys):

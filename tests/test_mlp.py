@@ -25,7 +25,6 @@ from hyperfield.mlp import (
     load_model,
     predict,
     r2_score,
-    read_training_log_csv,
     records_to_arrays,
     rmse,
     save_model,
@@ -37,6 +36,7 @@ from hyperfield.mlp import (
     write_training_log_csv,
 )
 from hyperfield.subplot import SubPlotRecord
+from hyperfield.table import read_table
 
 from oracles import central_difference, mlp_forward_naive
 
@@ -501,13 +501,12 @@ class TestTrainingLogCsv:
         logbook = [EpochLog(0, 5.5, 6.25), EpochLog(1, 4.125, 5.0)]
         path = tmp_path / "log.csv"
         write_training_log_csv(path, logbook)
-        assert read_training_log_csv(path) == logbook
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(DataError):
-            read_training_log_csv(path)
+        table = read_table(path, ("epoch",), floats=("train_rmse", "val_rmse"))
+        back = [
+            EpochLog(epoch, *rmse)
+            for (epoch,), rmse in zip(table.ints("epoch"), table.floats.tolist())
+        ]
+        assert back == logbook
 
 
 class TestRecordsToArrays:
