@@ -267,13 +267,6 @@ class PipelineConfig:
     def out_dir(self) -> str:
         return self.get("output", "dir")
 
-    def input_path(self, key: str) -> str:
-        """[input] paths resolve against the output directory when relative."""
-        raw = self.get("input", key)
-        if os.path.isabs(raw):
-            return raw
-        return os.path.join(self.out_dir(), raw)
-
     # -- hashing and serialization ----------------------------------------
 
     def config_hash(self, sections: tuple[str, ...] | None = None) -> str:
@@ -291,14 +284,6 @@ class PipelineConfig:
                 h.update(f"[{section}] {key} = {self.values[section][key]}\n".encode())
         return h.hexdigest()
 
-    def to_ini_text(self) -> str:
-        lines = []
-        for section in sorted(self.values):
-            lines.append(f"[{section}]")
-            for key in sorted(self.values[section]):
-                lines.append(f"{key} = {self.values[section][key]}")
-            lines.append("")
-        return "\n".join(lines)
 
 
 def load_config(path: str | os.PathLike | None = None) -> PipelineConfig:

@@ -39,12 +39,6 @@ class PcaBasis:
     def k(self) -> int:
         return self.components.shape[1]
 
-    def explained_variance_ratio(self) -> np.ndarray:
-        total = self.explained_variance.sum()
-        if total == 0:
-            return np.zeros_like(self.explained_variance)
-        return self.explained_variance / total
-
 
 def pca_fit(pixels: np.ndarray, k: int) -> PcaBasis:
     """Fit an affine PCA basis to a (bands, pixels) matrix.
@@ -82,10 +76,6 @@ def pca_project(basis: PcaBasis, pixels: np.ndarray) -> np.ndarray:
     """Coordinates of (bands, pixels) columns in the basis: (k, pixels)."""
     X = np.asarray(pixels, dtype=np.float64)
     return basis.components.T @ (X - basis.mean[:, None])
-
-
-def pca_reconstruct(basis: PcaBasis, scores: np.ndarray) -> np.ndarray:
-    return basis.mean[:, None] + basis.components @ np.asarray(scores, dtype=np.float64)
 
 
 @dataclass

@@ -47,9 +47,9 @@ class PlotMap:
 
 def read_plot_map(path: str | os.PathLike) -> PlotMap:
     table = read_table(path, ("plot_id", "field_row", "field_col"), key="plot_id")
-    positions = table.ints("field_row", "field_col")
+    plot_ids, positions = table.ids("plot_id"), table.ints("field_row", "field_col")
     try:
-        return PlotMap(dict(zip(table.text("plot_id"), positions)))
+        return PlotMap(dict(zip(plot_ids, positions)))
     except DataError as exc:  # a shared position: name the row that repeats it
         i = next(i for i, position in enumerate(positions) if position in positions[:i])
         raise DataError(f"{table.where(i)}: {exc}") from None
@@ -225,7 +225,7 @@ def read_assignment_csv(path: str | os.PathLike) -> list[AssignedPlot]:
     table = read_table(path, ("plot_id",) + numbers, key="plot_id")
     out = []
     for plot_id, (top, left, height, width, grid_row, grid_col) in zip(
-        table.text("plot_id"), table.ints(*numbers)
+        table.ids("plot_id"), table.ints(*numbers)
     ):
         box = PlotBox(top=top, left=left, height=height, width=width, area_px=height * width)
         out.append(AssignedPlot(plot_id, box, grid_row, grid_col))

@@ -30,32 +30,12 @@ from .errors import (
     DivergenceError,
     ShapeMismatchError,
 )
-from .subplot import SubPlotRecord
 
 log = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = (256, 128, 64, 32)
 SIGMA_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"HYPERFIELD-MLP-1\n"
-
-
-# ---------------------------------------------------------------------------
-# dataset plumbing
-
-def records_to_arrays(
-    records: list[SubPlotRecord],
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Stack records into (features, yields, plot ids)."""
-    if not records:
-        raise DataError("no records")
-    k = records[0].features.size
-    for r in records:
-        if r.features.size != k:
-            raise ShapeMismatchError("records carry differing feature lengths")
-    x = np.stack([r.features for r in records]).astype(np.float64)
-    y = np.array([r.yield_g for r in records], dtype=np.float64)
-    ids = [r.plot_id for r in records]
-    return x, y, ids
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +331,6 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         )
     activations, _ = _forward_cache(model.weights, model.biases, x)
     return activations[-1][:, 0]
-
-
-def batch_mse(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    diff = forward(model, x) - np.asarray(y, dtype=np.float64)
-    return float(np.mean(diff * diff))
 
 
 def backward(

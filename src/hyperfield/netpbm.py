@@ -114,11 +114,3 @@ def read_pbm(path: str | os.PathLike) -> np.ndarray:
     packed = _payload(path, payload, rows * row_bytes)
     bits = np.unpackbits(packed.reshape(rows, row_bytes), axis=1)[:, :cols]
     return bits.astype(bool)
-
-
-def read_ppm(path: str | os.PathLike) -> np.ndarray:
-    (cols, rows, maxval), payload = _read_netpbm(path, b"P6", "PPM", 3)
-    if maxval != 255:
-        raise UnsupportedFormatError(f"unsupported PPM maxval {maxval}")
-    rgb = _payload(path, payload, rows * cols * 3)
-    return rgb.reshape(rows, cols, 3).copy()

@@ -56,7 +56,6 @@ from .mlp import (
     evaluate,
     load_model,
     predict,
-    records_to_arrays,
     save_model,
     stratified_split,
     train,
@@ -75,6 +74,7 @@ from .segment import (
 )
 from .subplot import (
     PlotYieldRecord,
+    Records,
     build_records,
     middle_third_ratio,
     read_records_csv,
@@ -525,16 +525,15 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     assigned = read_assignment_csv(assignment_path)
     yields = read_yields_csv(yields_path)
     window_px = st.config.getint("dataset", "window_px")
-    records = []
+    parts = []
     for plot in sorted(assigned, key=lambda p: p.plot_id):
         if plot.plot_id not in yields:
             raise DataError(f"no measured yield for plot {plot.plot_id!r}")
         box = plot.box
         data = cube.data[box.top : box.top + box.height, box.left : box.left + box.width]
         crop = mask[box.top : box.top + box.height, box.left : box.left + box.width]
-        records.extend(
-            build_records(plot.plot_id, data, crop, yields[plot.plot_id], window_px)
-        )
+        parts.append(build_records(plot.plot_id, data, crop, yields[plot.plot_id], window_px))
+    records = Records.concat(parts)
     write_records_csv(out_path, records)
     log.info("dataset: %d sub-plot records from %d plots", len(records), len(assigned))
 
@@ -565,8 +564,8 @@ def _stage_train(st: _Stage) -> Iterator[None]:
     yield
 
     records = read_records_csv(records_path)
-    x, y, ids = records_to_arrays(records)
-    split = stratified_split(y, ids, st.config.split_spec())
+    x, y = records.features, records.yields
+    split = stratified_split(y, records.plot_ids, st.config.split_spec())
     model, logbook = train(
         x[split.train],
         y[split.train],
@@ -600,7 +599,7 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
 
     model = load_model(model_path)
     records = read_records_csv(records_path)
-    x, y, ids = records_to_arrays(records)
+    x, y = records.features, records.yields
     roles = _read_split_csv(split_path, len(records))
     if roles["test"].size:
         held_out, split_name = roles["test"], "test"
@@ -613,21 +612,19 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
         model,
         x[held_out],
         y[held_out],
-        [ids[i] for i in held_out],
+        [records.plot_ids[i] for i in held_out],
     )
 
-    role_of = {}
+    role_of = ["train"] * len(records)
     for role, indices in roles.items():
-        for i in indices:
-            role_of[int(i)] = role
+        for i in indices.tolist():
+            role_of[i] = role
     predicted = np.maximum(predict(model, x), 0.0)
+    rows = zip(records.plot_ids, records.windows.tolist(), role_of, y.tolist(), predicted.tolist())
     with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("plot_id,window_row,window_col,role,actual_g,predicted_g\n")
-        for i, record in enumerate(records):
-            fh.write(
-                f"{record.plot_id},{record.window_row},{record.window_col},"
-                f"{role_of.get(i, 'train')},{y[i]!r},{predicted[i]!r}\n"
-            )
+        for plot_id, (row, col, _), role, actual, guess in rows:
+            fh.write(f"{plot_id},{row},{col},{role},{actual!r},{guess!r}\n")
     with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("metric,value\n")
         fh.write(f"split,{split_name}\n")
@@ -652,23 +649,10 @@ def read_metrics_csv(path: str | os.PathLike) -> dict[str, str]:
     return dict(zip(table.text("metric"), table.text("value")))
 
 
-def _read_scatter_rows(path: str) -> list[tuple[str, ...]]:
-    """(actual_g, predicted_g, role) fields of each evaluate prediction row.
-
-    Both numbers must be finite; the fields are returned as text.
-    ``evaluate`` writes them as ``np.float64(...)`` reprs, so that
-    wrapper is accepted around the number.
-    """
-    table = read_table(path, ("actual_g", "predicted_g", "role"))
-    actual, predicted = table.text("actual_g"), table.text("predicted_g")
-    for i, fields in enumerate(zip(actual, predicted)):
-        try:
-            numbers = [float(f.removeprefix("np.float64(").removesuffix(")")) for f in fields]
-        except ValueError:
-            numbers = [np.nan]
-        if not np.isfinite(numbers).all():
-            raise DataError(f"{table.where(i)}: actual_g, predicted_g must be finite numbers")
-    return list(zip(actual, predicted, table.text("role")))
+def _read_scatter_rows(path: str) -> list[tuple[float, float, str]]:
+    """(actual_g, predicted_g, role) of each evaluate prediction row; both numbers finite."""
+    table = read_table(path, ("role",), floats=("actual_g", "predicted_g"))
+    return [(*numbers, role) for numbers, role in zip(table.floats.tolist(), table.text("role"))]
 
 
 # What the report summary formats: the split name, then numbers.
@@ -716,23 +700,23 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     # scatter data: one row per record, for external plotting
     with open(scatter_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("actual_g,predicted_g,role\n")
-        for row in scatter:
-            fh.write(",".join(row) + "\n")
+        for actual, predicted, role in scatter:
+            fh.write(f"{actual!r},{predicted!r},{role}\n")
 
     # middle-third yield share per plot
     window_px = st.config.getint("dataset", "window_px")
     tau = st.config.getfloat("dataset", "middle_tau")
-    by_plot: dict[str, list] = {}
-    for record in records:
-        by_plot.setdefault(record.plot_id, []).append(record)
+    plot_ids = np.array(records.plot_ids)
     with open(middle_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("plot_id,middle_fraction,label\n")
         for plot in assigned:
-            plot_records = by_plot.get(plot.plot_id)
-            if not plot_records:
+            rows = np.flatnonzero(plot_ids == plot.plot_id)
+            if not rows.size:
                 continue
             shape = window_grid_shape(plot.box.height, plot.box.width, window_px)
-            fraction, label = middle_third_ratio(plot_records, *shape, tau=tau)
+            fraction, label = middle_third_ratio(
+                records.windows[rows], records.yields[rows], *shape, tau=tau
+            )
             fh.write(f"{plot.plot_id},{fraction!r},{label}\n")
 
     # per-plot foreground-score colormaps

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,30 +158,47 @@ def extract_features(data: np.ndarray, mask: np.ndarray, window: Window) -> np.n
     return np.concatenate([mean, np.sqrt(var), [float(n)]])
 
 
-def feature_length(bands: int) -> int:
-    return 2 * bands + 1
+@dataclass(frozen=True)
+class Records:
+    """Sub-plot records as columns: one row per window with foreground pixels.
 
+    ``windows`` holds each row's window_row, window_col and n_sl.
+    """
 
-@dataclass
-class SubPlotRecord:
-    """One window of one plot: target yield plus its feature vector."""
+    plot_ids: list[str]
+    windows: np.ndarray  # (n, 3) int
+    yields: np.ndarray  # (n,) grams
+    features: np.ndarray  # (n, k)
 
-    plot_id: str
-    window_row: int
-    window_col: int
-    n_sl: int
-    yield_g: float
-    features: np.ndarray
+    def __post_init__(self):
+        n = len(self.plot_ids)
+        if (
+            np.shape(self.windows) != (n, 3)
+            or np.shape(self.yields) != (n,)
+            or np.ndim(self.features) != 2
+            or len(self.features) != n
+        ):
+            raise ShapeMismatchError(
+                f"record columns do not align: {n} plot ids, windows "
+                f"{np.shape(self.windows)}, yields {np.shape(self.yields)}, "
+                f"features {np.shape(self.features)}"
+            )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubPlotRecord)
-            and self.plot_id == other.plot_id
-            and self.window_row == other.window_row
-            and self.window_col == other.window_col
-            and self.n_sl == other.n_sl
-            and self.yield_g == other.yield_g
-            and np.array_equal(self.features, other.features)
+    def __len__(self) -> int:
+        return len(self.plot_ids)
+
+    @classmethod
+    def concat(cls, parts: list[Records]) -> Records:
+        """The rows of ``parts``, in order."""
+        if not parts:
+            raise DataError("no records")
+        if len({part.features.shape[1] for part in parts}) > 1:
+            raise ShapeMismatchError("records carry differing feature lengths")
+        return cls(
+            [plot_id for part in parts for plot_id in part.plot_ids],
+            np.concatenate([part.windows for part in parts]),
+            np.concatenate([part.yields for part in parts]),
+            np.concatenate([part.features for part in parts]),
         )
 
 
@@ -192,7 +208,7 @@ def build_records(
     mask: np.ndarray,
     plot_yield: float,
     window_px: int = DEFAULT_WINDOW_PX,
-) -> list[SubPlotRecord]:
+) -> Records:
     """Tile, allocate, and featurize one plot crop.
 
     Windows without foreground pixels receive zero yield and are
@@ -208,82 +224,75 @@ def build_records(
     windows = tile_plot(mask.shape[0], mask.shape[1], window_px)
     counts = count_sl(mask, windows)
     allocated = allocate_yield(counts, plot_yield)
-    records = []
-    for w, n, y in zip(windows, counts, allocated):
-        if n == 0:
-            continue
-        records.append(
-            SubPlotRecord(
-                plot_id=plot_id,
-                window_row=w.row,
-                window_col=w.col,
-                n_sl=int(n),
-                yield_g=float(y),
-                features=extract_features(data, mask, w),
-            )
-        )
-    return records
+    keep = np.flatnonzero(counts)
+    kept = [windows[i] for i in keep]
+    return Records(
+        plot_ids=[plot_id] * keep.size,
+        windows=np.array([(w.row, w.col, n) for w, n in zip(kept, counts[keep])]),
+        yields=allocated[keep],
+        features=np.array([extract_features(data, mask, w) for w in kept]),
+    )
 
 
-def write_records_csv(path: str | os.PathLike, records: list[SubPlotRecord]) -> None:
-    if not records:
+def write_records_csv(path: str | os.PathLike, records: Records) -> None:
+    if not len(records):
         raise DataError("no records to write")
-    k = records[0].features.size
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["plot_id", "window_row", "window_col", "n_sl", "yield_g"]
-            + [f"f{i + 1}" for i in range(k)]
+            + [f"f{i + 1}" for i in range(records.features.shape[1])]
         )
-        for r in records:
-            if r.features.size != k:
-                raise ShapeMismatchError("records carry differing feature lengths")
-            writer.writerow(
-                [r.plot_id, r.window_row, r.window_col, r.n_sl, repr(r.yield_g)]
-                + [repr(float(v)) for v in r.features]
-            )
+        for plot_id, window, grams, features in zip(
+            records.plot_ids,
+            records.windows.tolist(),
+            records.yields.tolist(),
+            records.features.tolist(),
+        ):
+            writer.writerow([plot_id, *window, repr(grams), *map(repr, features)])
 
 
-def read_records_csv(path: str | os.PathLike) -> list[SubPlotRecord]:
+def read_records_csv(path: str | os.PathLike) -> Records:
     """Every column but the five named ones is a feature, in header order."""
-    table = read_table(
-        path, ("plot_id", "window_row", "window_col", "n_sl"), floats=("yield_g",),
-        extra_floats=True,
+    names = ("window_row", "window_col", "n_sl")
+    table = read_table(path, ("plot_id", *names), floats=("yield_g",), extra_floats=True)
+    return Records(
+        table.ids("plot_id"),
+        np.array(table.ints(*names), dtype=np.int64),
+        table.floats[:, 0],
+        table.floats[:, 1:],
     )
-    return [
-        SubPlotRecord(plot_id, window_row, window_col, n_sl, float(v[0]), v[1:])
-        for plot_id, (window_row, window_col, n_sl), v in zip(
-            table.text("plot_id"), table.ints("window_row", "window_col", "n_sl"), table.floats
-        )
-    ]
 
 
 def middle_third_ratio(
-    records: list[SubPlotRecord],
+    windows: np.ndarray,
+    yields: np.ndarray,
     n_window_rows: int,
     n_window_cols: int,
     tau: float = DEFAULT_MIDDLE_TAU,
 ) -> tuple[float, str]:
     """Fraction of plot yield in the middle third of the long axis.
 
+    ``windows`` and ``yields`` are the columns of one plot's records.
     Thirds partition window indices along the longer window-grid axis
     (columns on ties); leftover indices join the middle. Returns the
     fraction and a label: ``uniform`` within 1/3 +- tau,
-    ``one-side-heavy`` below, ``middle-heavy`` above.
+    ``one-side-heavy`` below, ``middle-heavy`` above. Yields are summed
+    one at a time in record order: ``np.sum`` adds pairwise, which can
+    change the last bit of the fraction.
     """
-    if not records:
+    if not len(yields):
         raise DataError("no records for this plot")
-    axis_len, pick = (
-        (n_window_cols, lambda r: r.window_col)
-        if n_window_cols >= n_window_rows
-        else (n_window_rows, lambda r: r.window_row)
+    axis_len, axis = (
+        (n_window_cols, 1) if n_window_cols >= n_window_rows else (n_window_rows, 0)
     )
     base = axis_len // 3
     lo, hi = base, axis_len - base  # middle = [lo, hi), holds the remainder
-    total = sum(r.yield_g for r in records)
+    grams = yields.tolist()
+    total = sum(grams)
     if total <= 0:
         raise DataError("plot yield is zero; ratio undefined")
-    middle = sum(r.yield_g for r in records if lo <= pick(r) < hi)
+    middle = sum(g for g, at in zip(grams, windows[:, axis].tolist()) if lo <= at < hi)
     fraction = middle / total
     if fraction < 1.0 / 3.0 - tau:
         label = "one-side-heavy"
@@ -292,23 +301,3 @@ def middle_third_ratio(
     else:
         label = "uniform"
     return fraction, label
-
-
-def identical_yield_fraction(records: list[SubPlotRecord]) -> float:
-    """Fraction of records whose allocated yield repeats within their plot.
-
-    Smaller windows produce fewer distinct pixel counts, so this is the
-    quantization cost of the window size.
-    """
-    if not records:
-        raise DataError("no records")
-    by_plot: dict[str, Counter] = {}
-    for r in records:
-        by_plot.setdefault(r.plot_id, Counter())[r.yield_g] += 1
-    duplicated = sum(
-        count
-        for counter in by_plot.values()
-        for count in counter.values()
-        if count > 1
-    )
-    return duplicated / len(records)

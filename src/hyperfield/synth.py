@@ -377,105 +377,3 @@ def generate_reference_cube(
     data = np.einsum("rce,be->rcb", h, crop.spectra)
     cube = HyperCube(data=data, wavelengths=lam, units="reflectance")
     return cube, crop, regions
-
-
-# ---------------------------------------------------------------------------
-# planted-target regression datasets
-
-@dataclass(frozen=True)
-class RegressionSpec:
-    """Planted-target dataset riding on real pipeline features."""
-
-    seed: int = 0
-    target_r2: float | None = None
-    noise_sigma: float | None = None
-    pure_noise: bool = False
-    window_px: int = 15
-
-    def __post_init__(self):
-        if self.target_r2 is not None and self.noise_sigma is not None:
-            raise ConfigError("give target_r2 or noise_sigma, not both")
-        if self.target_r2 is not None and not (0.0 < self.target_r2 < 1.0):
-            raise ConfigError("target coefficient of determination not in (0, 1)")
-        if self.noise_sigma is not None and self.noise_sigma < 0:
-            raise ConfigError("noise sigma cannot be negative")
-
-
-@dataclass(frozen=True)
-class RegressionTruth:
-    intercept: float
-    mean_coefficients: np.ndarray
-    count_coefficient: float
-    noise_sigma: float
-    theoretical_r2: float
-
-
-def generate_regression_set(spec: RegressionSpec):
-    """Sub-plot records whose targets follow a known linear function.
-
-    Features come from an actual small synthetic scene (calibrated,
-    band-masked, windowed); targets are replaced by
-    ``intercept + c_mean . band_means + c_n . count + noise`` with the
-    noise level solved from the requested theoretical ratio.
-    """
-    from .cube import band_mask_from_windows, to_reflectance
-    from .subplot import build_records
-
-    scene_spec = SynthSpec(
-        seed=spec.seed,
-        grid_rows=6,
-        grid_cols=8,
-        plot_height_px=30,
-        plot_width_px=90,
-        alley_px=10,
-        jitter_px=2,
-        window_px=spec.window_px,
-    )
-    cube, truth = generate_scene(scene_spec)
-    mask = band_mask_from_windows(cube.wavelengths)
-    masked = to_reflectance(cube, truth.panel_region, truth.panel_reflectance, mask)
-    records = []
-    for pid in sorted(truth.boxes):
-        box = truth.boxes[pid]
-        data = masked.data[
-            box.top : box.top + box.height, box.left : box.left + box.width
-        ]
-        mask = truth.sl_mask[
-            box.top : box.top + box.height, box.left : box.left + box.width
-        ]
-        records.extend(
-            build_records(pid, data, mask, plot_yield=1.0, window_px=spec.window_px)
-        )
-
-    d = masked.bands
-    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
-    c_mean = np.zeros(d)
-    if spec.pure_noise:
-        c_n = 0.0
-    else:
-        # sparse planted map: a handful of bands plus the count term
-        active = rng.choice(d, size=12, replace=False)
-        c_mean[active] = rng.uniform(-1.5, 1.5, size=active.size)
-        c_n = float(rng.uniform(0.08, 0.15))
-    intercept = 30.0
-    features = np.stack([r.features for r in records])
-    signal = intercept + features[:, :d] @ c_mean + c_n * features[:, -1]
-    var_s = float(signal.var())
-
-    if spec.pure_noise:
-        sigma = 1.0
-    elif spec.target_r2 is not None:
-        sigma = float(np.sqrt(var_s * (1.0 - spec.target_r2) / spec.target_r2))
-    else:
-        sigma = float(spec.noise_sigma or 0.0)
-    targets = signal + sigma * rng.standard_normal(signal.size)
-    for record, value in zip(records, targets):
-        record.yield_g = float(value)
-    theoretical = 0.0 if var_s == 0.0 else var_s / (var_s + sigma**2)
-    return records, RegressionTruth(
-        intercept=intercept,
-        mean_coefficients=c_mean,
-        count_coefficient=c_n,
-        noise_sigma=sigma,
-        theoretical_r2=theoretical,
-    )

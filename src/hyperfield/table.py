@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import operator
 import os
+import unicodedata
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -47,6 +48,23 @@ class Table:
         """One column's fields, without surrounding whitespace."""
         j = self.columns.index(name)
         return [row[j].strip() for row in self.rows]
+
+    def ids(self, name: str) -> list[str]:
+        """One column's fields as ids that can name a file and stand unquoted in a CSV row.
+
+        An id is not empty, ``.`` or ``..``, and holds no ``/``, ``\\``,
+        ``,``, ``"`` or control character.
+        """
+        ids = self.text(name)
+        for i, value in enumerate(ids):
+            if value in ("", ".", "..") or any(
+                ch in '/\\,"' or unicodedata.category(ch) == "Cc" for ch in value
+            ):
+                raise DataError(
+                    f"{self.where(i)}: {name.replace('_', ' ')} {value!r} "
+                    "is unsafe as a file name or CSV field"
+                )
+        return ids
 
     def ints(self, *names: str) -> list[tuple[int, ...]]:
         """The named columns of each row as integers."""

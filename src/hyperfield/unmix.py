@@ -145,20 +145,6 @@ def _solve_block(X, W, solvers, G):
     return best_h, np.maximum(sq + best_obj, 0.0)
 
 
-def unmix_pixel(W: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact simplex-constrained least squares for a single spectrum.
-
-    Returns (abundances, squared residual).
-    """
-    W = np.asarray(W, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
-    _check_W(W, x.shape[0])
-    G = W.T @ W
-    solvers = [_SupportSolver(s, G) for s in _supports(W.shape[1])]
-    h, obj = _solve_block(x, W, solvers, G)
-    return h[:, 0], float(obj[0])
-
-
 def _check_W(W, bands):
     if W.ndim != 2:
         raise ShapeMismatchError("endmember matrix must be (bands, members)")
@@ -234,28 +220,6 @@ def unmix_cube(
     )
 
 
-def kkt_residual(W: np.ndarray, x: np.ndarray, h: np.ndarray) -> float:
-    """Max violation of the KKT conditions at h; 0 means exactly optimal.
-
-    Checks primal feasibility, complementary slackness against the
-    support-averaged multiplier, and dual feasibility off the support.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    g = 2.0 * W.T @ (W @ h - x)
-    support = h > 1e-10
-    resid = abs(float(h.sum() - 1.0))
-    resid = max(resid, float(-h.min()) if h.min() < 0 else 0.0)
-    if support.any():
-        lam = -g[support].mean()
-        resid = max(resid, float(np.max(np.abs(g[support] + lam))))
-        off = ~support
-        if off.any():
-            resid = max(resid, float(max(0.0, -np.min(g[off] + lam))))
-    return resid
-
-
 # ---------------------------------------------------------------------------
 # spike+leaf mask
 
@@ -309,12 +273,6 @@ def score_to_rgb(score: np.ndarray) -> np.ndarray:
     score = np.asarray(score, dtype=np.float64)
     idx = np.clip(np.round(score * 255.0), 0, 255).astype(np.intp)
     return COLOR_RAMP[idx]
-
-
-def rgb_to_score(rgb: np.ndarray) -> np.ndarray:
-    """Invert the ramp: the red channel is the scaled score."""
-    rgb = np.asarray(rgb)
-    return rgb[..., 0].astype(np.float64) / 255.0
 
 
 def write_score_ppm(path: str | os.PathLike, source) -> None:

@@ -1,12 +1,19 @@
 """Independent brute-force reference implementations used only by tests.
 
 Everything here favours obviousness over speed: double loops, explicit
-enumeration, no shared code with the package under test.
+enumeration, no shared code with the package under test. The last
+section holds the few test-only entry points that do call into the
+package: single-pixel unmixing and the batch loss.
 """
 
 import itertools
+from collections import Counter
 
 import numpy as np
+
+from hyperfield.errors import DataError
+from hyperfield.mlp import forward
+from hyperfield.unmix import _check_W, _solve_block, _SupportSolver, _supports
 
 
 def erode_naive(mask, se_h, se_w, c0, c1):
@@ -212,3 +219,60 @@ def central_difference(f, theta, eps):
         theta[i] = orig
         grad[i] = (hi - lo) / (2.0 * eps)
     return grad
+
+
+def kkt_residual(W, x, h):
+    """Max violation of the KKT conditions at h; 0 means exactly optimal.
+
+    Checks primal feasibility, complementary slackness against the
+    support-averaged multiplier, and dual feasibility off the support.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    g = 2.0 * W.T @ (W @ h - x)
+    support = h > 1e-10
+    resid = abs(float(h.sum() - 1.0))
+    resid = max(resid, float(-h.min()) if h.min() < 0 else 0.0)
+    if support.any():
+        lam = -g[support].mean()
+        resid = max(resid, float(np.max(np.abs(g[support] + lam))))
+        off = ~support
+        if off.any():
+            resid = max(resid, float(max(0.0, -np.min(g[off] + lam))))
+    return resid
+
+
+def identical_yield_fraction(records):
+    """Fraction of records whose allocated yield repeats within their plot.
+
+    Smaller windows produce fewer distinct pixel counts, so this is the
+    quantization cost of the window size.
+    """
+    if not len(records):
+        raise DataError("no records")
+    counts = Counter(zip(records.plot_ids, records.yields.tolist()))
+    return sum(count for count in counts.values() if count > 1) / len(records)
+
+
+# ---------------------------------------------------------------------------
+# test-only entry points into the package
+
+
+def unmix_pixel(W, x):
+    """Exact simplex-constrained least squares for a single spectrum.
+
+    Returns (abundances, squared residual), from the solver ``unmix_cube`` runs.
+    """
+    W = np.asarray(W, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
+    _check_W(W, x.shape[0])
+    G = W.T @ W
+    solvers = [_SupportSolver(s, G) for s in _supports(W.shape[1])]
+    h, obj = _solve_block(x, W, solvers, G)
+    return h[:, 0], float(obj[0])
+
+
+def batch_mse(model, x, y):
+    diff = forward(model, x) - np.asarray(y, dtype=np.float64)
+    return float(np.mean(diff * diff))

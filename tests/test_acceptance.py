@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import central_difference, simplex_ls_enumerate
+from oracles import (
+    batch_mse,
+    central_difference,
+    identical_yield_fraction,
+    simplex_ls_enumerate,
+    unmix_pixel,
+)
 
 from hyperfield import cli
 from hyperfield.cube import (
@@ -35,7 +41,6 @@ from hyperfield.mlp import (
     MlpModel,
     SplitSpec,
     backward,
-    batch_mse,
     init_model,
     stratified_split,
 )
@@ -49,7 +54,7 @@ from hyperfield.segment import (
     otsu_threshold,
     threshold_mask,
 )
-from hyperfield.subplot import build_records, identical_yield_fraction
+from hyperfield.subplot import Records, build_records
 from hyperfield.synth import (
     CROP_LABELS,
     SynthSpec,
@@ -57,7 +62,7 @@ from hyperfield.synth import (
     generate_reference_cube,
     generate_scene,
 )
-from hyperfield.unmix import unmix_cube, unmix_pixel
+from hyperfield.unmix import unmix_cube
 
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -242,7 +247,7 @@ def test_04_allocation_conserves_plot_yield():
             records = build_records(
                 pid, dummy, mask, truth.plot_yields[pid], window_px=window
             )
-            total = sum(r.yield_g for r in records)
+            total = sum(records.yields.tolist())
             worst = max(
                 worst,
                 abs(total - truth.plot_yields[pid]) / abs(truth.plot_yields[pid]),
@@ -531,19 +536,19 @@ def test_10_window_size_tie_ordering():
         del cube
         fractions = {}
         for window in (10, 15, 20):
-            records = []
+            parts = []
             for pid, box in sorted(truth.boxes.items()):
                 mask = truth.sl_mask[
                     box.top : box.top + box.height,
                     box.left : box.left + box.width,
                 ]
                 dummy = np.zeros((box.height, box.width, 1))
-                records.extend(
+                parts.append(
                     build_records(
                         pid, dummy, mask, truth.plot_yields[pid], window_px=window
                     )
                 )
-            fractions[window] = identical_yield_fraction(records)
+            fractions[window] = identical_yield_fraction(Records.concat(parts))
         if not (fractions[10] > fractions[15] > fractions[20]):
             violations += 1
         last = fractions

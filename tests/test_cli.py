@@ -1,8 +1,10 @@
 """Config, stage orchestration, and command-line behaviour."""
 
+import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import shutil
@@ -229,19 +231,35 @@ def test_help_lists_every_stage(capsys):
         assert f"{name} {stage.help}" in text, name
 
 
-def test_input_paths_resolve_against_out_dir():
+def test_input_paths_resolve_against_out_dir(tmp_path):
     config = load_config(None)
-    config.values["output"]["dir"] = "/work/run1"
-    assert config.input_path("cube") == os.path.join("/work/run1", "synth/scene")
-    config.values["input"]["cube"] = "/data/field.hdr"
-    assert config.input_path("cube") == "/data/field.hdr"
+    out = tmp_path / "run1"
+    config.values["output"]["dir"] = str(out)
+    (out / "synth").mkdir(parents=True)
+    (out / "synth" / "scene.hdr").touch()
+    stage = pipeline._Stage("calibrate", config, FileDigests())
+    hdr = config.get("input", "cube") + ".hdr"
+    assert stage.need(hdr) == os.path.join(str(out), "synth/scene.hdr")
+    field = tmp_path / "field.hdr"
+    field.touch()
+    assert stage.need(str(field)) == str(field)
+
+
+def _ini_text(config) -> str:
+    lines = []
+    for section in sorted(config.values):
+        lines.append(f"[{section}]")
+        for key in sorted(config.values[section]):
+            lines.append(f"{key} = {config.values[section][key]}")
+        lines.append("")
+    return "\n".join(lines)
 
 
 def test_ini_round_trip(tmp_path):
     config = load_config(None)
     config.values["train"]["epochs"] = "17"
     path = tmp_path / "eff.ini"
-    path.write_text(config.to_ini_text())
+    path.write_text(_ini_text(config))
     again = load_config(path)
     assert again.values == config.values
 
@@ -329,6 +347,17 @@ def test_scatter_is_plain_three_columns(tiny_run):
     lines = (out / "report" / "scatter.csv").read_text().splitlines()
     assert lines[0] == "actual_g,predicted_g,role"
     assert len(lines[1].split(",")) == 3
+
+
+def test_prediction_numbers_are_plain_floats(tiny_run):
+    _, out = tiny_run
+    for rel in ("evaluate/predictions.csv", "report/scatter.csv"):
+        header, *rows = (out / rel).read_text().splitlines()
+        columns = [header.split(",").index(name) for name in ("actual_g", "predicted_g")]
+        for row in rows:
+            fields = row.split(",")
+            for j in columns:
+                float(fields[j])
 
 
 def test_truth_json_is_sorted_and_complete(tiny_run):
@@ -643,8 +672,9 @@ def test_split_index_out_of_range_or_repeated_exits_4(memo_run, capsys, row, mes
         ("value", "line 3: top, left, height, width, grid_row, grid_col must be integers"),
         ("duplicate", "line 18: duplicate plot id 'P0000'"),
         ("header-only", "assignment.csv: no data rows"),
+        ("unsafe-id", "line 2: plot id '../P0000' is unsafe as a file name or CSV field"),
     ],
-    ids=["rename", "short", "value", "duplicate", "header-only"],
+    ids=["rename", "short", "value", "duplicate", "header-only", "unsafe-id"],
 )
 def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
     ini, out = memo_run
@@ -659,6 +689,8 @@ def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
         lines[2] = lines[2].replace(",", ",x", 1)
     elif damage == "duplicate":
         lines.append(lines[1])
+    elif damage == "unsafe-id":
+        lines[1] = "../" + lines[1]
     else:
         lines = lines[:1]
     assignment.write_text("\n".join(lines) + "\n")
@@ -731,12 +763,15 @@ def test_damaged_mask_exits_4(memo_run, capsys, damage):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("", "missing column(s) actual_g, predicted_g, role"),
-        ("plot_id,window_row\nP0000,0\n", "missing column(s) actual_g"),
+        ("", "missing column(s) role, actual_g, predicted_g"),
+        ("plot_id,window_row\nP0000,0\n", "missing column(s) role, actual_g"),
         ("role,actual_g,predicted_g\ntest,1.0\n", "line 2: expected 3 fields, got 2"),
-        ("role,actual_g,predicted_g\ntest,1.0,2.0\ntest,x,2.0\n", "line 3: actual_g, predicted_g"),
-        ("role,actual_g,predicted_g\ntest,1.0,x\n", "line 2: actual_g, predicted_g"),
-        ("role,actual_g,predicted_g\ntest,1.0,np.float64(nan)\n", "line 2: actual_g, predicted_g"),
+        (
+            "role,actual_g,predicted_g\ntest,1.0,2.0\ntest,x,2.0\n",
+            "line 3: non-numeric value 'x' in actual_g",
+        ),
+        ("role,actual_g,predicted_g\ntest,1.0,x\n", "line 2: non-numeric value 'x' in predicted_g"),
+        ("role,actual_g,predicted_g\ntest,1.0,nan\n", "line 2: non-finite value nan in predicted_g"),
     ],
     ids=["empty", "no-columns", "short-row", "actual-x", "predicted-x", "predicted-nan"],
 )
@@ -746,6 +781,18 @@ def test_malformed_predictions_exit_4(memo_run, capsys, text, message):
     assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err
     assert "predictions.csv" in err and message in err
+
+
+@pytest.mark.parametrize("stage", ["train", "evaluate", "report"])
+def test_unsafe_plot_id_in_records_exits_4(memo_run, capsys, stage):
+    """A plot id that would break the predictions row stops every reader of records.csv."""
+    ini, out = memo_run
+    records = out / "dataset" / "records.csv"
+    lines = records.read_text().splitlines()
+    lines[1] = '"a,b"' + lines[1][lines[1].index(","):]
+    records.write_text("\n".join(lines) + "\n")
+    assert main([stage, "--out", str(out), "--config", str(ini), "--stage-force"]) == 4
+    assert "records.csv: line 2: plot id 'a,b' is unsafe" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -769,6 +816,16 @@ def test_malformed_boxes_exit_4(memo_run, capsys, damage, message):
     assert "boxes.csv" in err and message in err
 
 
+# plot ids that would name a file outside its directory, or break a CSV row
+UNSAFE_PLOT_IDS = ["", ".", "..", "../../../escaped", "a/b", "a\\b", "a,b", 'a"b', "a\tb", "a\x7fb"]
+
+
+def _csv_field(text: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow([text])
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [
@@ -776,10 +833,14 @@ def test_malformed_boxes_exit_4(memo_run, capsys, damage, message):
         ("short", "line 2: expected 3 fields"),
         ("value", "line 3: field_row, field_col must be integers"),
         ("position", "line 3: plots 'P0000' and 'P0001' share field position (0, 0)"),
+        *[
+            (("id", plot_id), f"line 17: plot id {plot_id!r} is unsafe as a file name")
+            for plot_id in UNSAFE_PLOT_IDS
+        ],
     ],
-    ids=["rename", "short", "value", "position"],
+    ids=["rename", "short", "value", "position", *(f"id-{repr(p)[1:-1]}" for p in UNSAFE_PLOT_IDS)],
 )
-def test_malformed_plot_map_exits_4(memo_run, capsys, damage, message):
+def test_malformed_plot_map_exits_4(memo_run, tmp_path, capsys, damage, message):
     ini, out = memo_run
     plot_map = out / "synth" / "plot_map.csv"
     lines = plot_map.read_text().splitlines()
@@ -789,12 +850,19 @@ def test_malformed_plot_map_exits_4(memo_run, capsys, damage, message):
         lines[1] = lines[1].rsplit(",", 1)[0]
     elif damage == "value":
         lines[2] = lines[2] + ".5"
-    else:
+    elif damage == "position":
         lines[2] = lines[2].split(",")[0] + "," + lines[1].split(",", 1)[1]
+    else:  # rename the last plot, in the field book and in the yields
+        old, position = lines[-1].split(",", 1)
+        new = _csv_field(damage[1])
+        lines[-1] = f"{new},{position}"
+        yields = out / "synth" / "yields.csv"
+        yields.write_text(yields.read_text().replace(f"\n{old},", f"\n{new},"))
     plot_map.write_text("\n".join(lines) + "\n")
-    assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 4
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err
     assert "plot_map.csv" in err and message in err
+    assert os.listdir(tmp_path) == ["out"]
 
 
 @pytest.mark.parametrize(

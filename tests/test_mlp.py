@@ -18,14 +18,12 @@ from hyperfield.mlp import (
     TrainConfig,
     adam_step,
     backward,
-    batch_mse,
     evaluate,
     forward,
     init_model,
     load_model,
     predict,
     r2_score,
-    records_to_arrays,
     rmse,
     save_model,
     standardize_apply,
@@ -35,27 +33,30 @@ from hyperfield.mlp import (
     train,
     write_training_log_csv,
 )
-from hyperfield.subplot import SubPlotRecord
+from hyperfield.subplot import Records
 from hyperfield.table import read_table
 
-from oracles import central_difference, mlp_forward_naive
+from oracles import batch_mse, central_difference, mlp_forward_naive
 
 
-def _fake_records(rng, n_plots=20, per_plot=8, k=5):
-    records = []
-    for p in range(n_plots):
-        for w in range(per_plot):
-            records.append(
-                SubPlotRecord(
-                    plot_id=f"p{p:03d}",
-                    window_row=0,
-                    window_col=w,
-                    n_sl=int(rng.integers(1, 40)),
-                    yield_g=float(rng.uniform(1.0, 30.0)),
-                    features=rng.normal(size=k),
-                )
-            )
-    return records
+def _fake_rows(rng, n_plots=20, per_plot=8, k=5):
+    """(plot_id, window_row, window_col, n_sl, yield_g, features) per record."""
+    return [
+        (f"p{p:03d}", 0, w, int(rng.integers(1, 40)), float(rng.uniform(1.0, 30.0)),
+         rng.normal(size=k))
+        for p in range(n_plots)
+        for w in range(per_plot)
+    ]
+
+
+def _fake_records(rng, **kwargs):
+    rows = _fake_rows(rng, **kwargs)
+    return Records(
+        [row[0] for row in rows],
+        np.array([row[1:4] for row in rows]),
+        np.array([row[4] for row in rows]),
+        np.stack([row[5] for row in rows]),
+    )
 
 
 class TestSplit:
@@ -99,7 +100,7 @@ class TestSplit:
     def test_plot_holdout_by_id_is_leak_free(self):
         rng = np.random.default_rng(11)
         records = _fake_records(rng)
-        x, y, ids = records_to_arrays(records)
+        y, ids = records.yields, records.plot_ids
         split = stratified_split(
             y, ids, SplitSpec(test_plot_ids=("p003", "p011"))
         )
@@ -112,7 +113,7 @@ class TestSplit:
     def test_plot_holdout_by_count(self):
         rng = np.random.default_rng(13)
         records = _fake_records(rng, n_plots=30)
-        _, y, ids = records_to_arrays(records)
+        y, ids = records.yields, records.plot_ids
         split = stratified_split(y, ids, SplitSpec(seed=2, test_plots=6))
         assert len({ids[i] for i in split.test}) == 6
         assert split.test.size == 48
@@ -510,15 +511,17 @@ class TestTrainingLogCsv:
 
 
 class TestRecordsToArrays:
+    """The records table hands ``train`` and ``evaluate`` their arrays as columns."""
+
     def test_stacking(self):
-        rng = np.random.default_rng(59)
-        records = _fake_records(rng, n_plots=3, per_plot=2, k=4)
-        x, y, ids = records_to_arrays(records)
+        rows = _fake_rows(np.random.default_rng(59), n_plots=3, per_plot=2, k=4)
+        records = _fake_records(np.random.default_rng(59), n_plots=3, per_plot=2, k=4)
+        x, y, ids = records.features, records.yields, records.plot_ids
         assert x.shape == (6, 4)
         assert y.shape == (6,)
         assert ids[0] == "p000"
-        assert x[3] == pytest.approx(records[3].features)
+        assert x[3] == pytest.approx(rows[3][5])
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            records_to_arrays([])
+            Records.concat([])

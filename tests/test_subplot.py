@@ -6,20 +6,20 @@ import pytest
 from hyperfield.errors import DataError, EmptyPlotError, ShapeMismatchError
 from hyperfield.subplot import (
     PlotYieldRecord,
-    SubPlotRecord,
+    Records,
     Window,
     allocate_yield,
     build_records,
     count_sl,
     extract_features,
-    feature_length,
-    identical_yield_fraction,
     middle_third_ratio,
     read_records_csv,
     tile_plot,
     window_grid_shape,
     write_records_csv,
 )
+
+from oracles import identical_yield_fraction
 
 
 def _random_plot(rng, rows=33, cols=71, bands=7, density=0.4):
@@ -139,12 +139,13 @@ class TestFeatures:
         assert extract_features(poisoned, mask, window) == pytest.approx(base)
 
     def test_length_and_count_entry(self):
-        assert feature_length(190) == 381
+        window = tile_plot(10, 10, 10)[0]
+        assert extract_features(np.ones((10, 10, 190)), np.ones((10, 10)), window).size == 381
         data = np.ones((10, 10, 4))
         mask = np.zeros((10, 10), dtype=bool)
         mask[:3, :2] = True
-        feats = extract_features(data, mask, tile_plot(10, 10, 10)[0])
-        assert feats.size == feature_length(4)
+        feats = extract_features(data, mask, window)
+        assert feats.size == 2 * 4 + 1
         assert feats[-1] == 6.0
         assert feats[:4] == pytest.approx(np.ones(4))
         assert feats[4:8] == pytest.approx(np.zeros(4))
@@ -162,24 +163,25 @@ class TestBuildRecords:
         data, mask = _random_plot(rng, rows=30, cols=45, density=0.3)
         mask[:, 15:30] = False  # middle column of windows is empty
         records = build_records("p7", data, mask, 120.0, window_px=15)
-        keys = [(r.window_row, r.window_col) for r in records]
+        keys = [(row, col) for row, col, _ in records.windows.tolist()]
         assert keys == sorted(keys)
         assert all(c != 1 for _, c in keys)
-        assert all(r.n_sl >= 1 for r in records)
+        assert all(records.windows[:, 2] >= 1)
 
     def test_surviving_records_conserve_yield(self):
         rng = np.random.default_rng(22)
         data, mask = _random_plot(rng, rows=31, cols=64, density=0.25)
         records = build_records("p1", data, mask, 333.25, window_px=10)
-        assert sum(r.yield_g for r in records) == pytest.approx(333.25, rel=1e-12)
+        assert sum(records.yields.tolist()) == pytest.approx(333.25, rel=1e-12)
 
     def test_yield_tracks_pixel_count(self):
         rng = np.random.default_rng(23)
         data, mask = _random_plot(rng, rows=30, cols=60)
         records = build_records("p1", data, mask, 90.0, window_px=15)
-        total = sum(r.n_sl for r in records)
-        for r in records:
-            assert r.yield_g == pytest.approx(90.0 * r.n_sl / total, rel=1e-12)
+        n_sl = records.windows[:, 2].tolist()
+        total = sum(n_sl)
+        for n, grams in zip(n_sl, records.yields.tolist()):
+            assert grams == pytest.approx(90.0 * n / total, rel=1e-12)
 
     def test_all_background_raises(self):
         data = np.ones((20, 20, 3))
@@ -192,6 +194,46 @@ class TestBuildRecords:
             build_records("p1", np.ones((5, 5, 2)), np.ones((6, 5), dtype=bool), 1.0)
 
 
+class TestRecords:
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            (["a", "b"], np.zeros((3, 3), int), np.zeros(3), np.zeros((3, 2))),
+            (["a", "b", "c"], np.zeros((3, 2), int), np.zeros(3), np.zeros((3, 2))),
+            (["a", "b", "c"], np.zeros((3, 3), int), np.zeros(2), np.zeros((3, 2))),
+            (["a", "b", "c"], np.zeros((3, 3), int), np.zeros((3, 1)), np.zeros((3, 2))),
+            (["a", "b", "c"], np.zeros((3, 3), int), np.zeros(3), np.zeros((2, 2))),
+            (["a", "b", "c"], np.zeros((3, 3), int), np.zeros(3), np.zeros(3)),
+        ],
+        ids=["plot-ids", "windows", "yields", "yields-2d", "features", "features-1d"],
+    )
+    def test_misaligned_columns_rejected(self, columns):
+        with pytest.raises(ShapeMismatchError, match="do not align"):
+            Records(*columns)
+
+    def test_length_is_the_row_count(self):
+        records = Records(["a", "b"], np.zeros((2, 3), int), np.zeros(2), np.zeros((2, 4)))
+        assert len(records) == 2
+
+    def test_concat_keeps_row_order(self):
+        rng = np.random.default_rng(32)
+        parts = [build_records(f"p{i}", *_random_plot(rng), 10.0 + i) for i in range(3)]
+        joined = Records.concat(parts)
+        assert joined.plot_ids == [pid for part in parts for pid in part.plot_ids]
+        assert np.array_equal(joined.windows, np.concatenate([p.windows for p in parts]))
+        assert np.array_equal(joined.yields, np.concatenate([p.yields for p in parts]))
+        assert np.array_equal(joined.features, np.concatenate([p.features for p in parts]))
+
+    def test_concat_rejects_differing_feature_lengths(self):
+        rng = np.random.default_rng(33)
+        parts = [
+            build_records("p0", *_random_plot(rng, bands=3), 1.0),
+            build_records("p1", *_random_plot(rng, bands=4), 1.0),
+        ]
+        with pytest.raises(ShapeMismatchError):
+            Records.concat(parts)
+
+
 class TestRecordsCsv:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -200,7 +242,10 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         write_records_csv(path, records)
         back = read_records_csv(path)
-        assert back == records
+        assert back.plot_ids == records.plot_ids
+        assert np.array_equal(back.windows, records.windows)
+        assert back.yields.tobytes() == records.yields.tobytes()
+        assert back.features.tobytes() == records.features.tobytes()
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -209,50 +254,55 @@ class TestRecordsCsv:
             read_records_csv(path)
 
     def test_empty_list_rejected(self, tmp_path):
+        empty = Records([], np.zeros((0, 3), int), np.zeros(0), np.zeros((0, 3)))
         with pytest.raises(DataError):
-            write_records_csv(tmp_path / "none.csv", [])
+            write_records_csv(tmp_path / "none.csv", empty)
 
 
-def _record(plot_id, row, col, y, n=1):
-    return SubPlotRecord(
-        plot_id=plot_id,
-        window_row=row,
-        window_col=col,
-        n_sl=n,
-        yield_g=y,
-        features=np.zeros(3),
+def _records(rows):
+    """A table of ``(plot_id, window_row, window_col, yield_g)`` rows, one pixel each."""
+    return Records(
+        [plot_id for plot_id, *_ in rows],
+        np.array([(row, col, 1) for _, row, col, _ in rows], dtype=np.int64).reshape(-1, 3),
+        np.array([y for *_, y in rows], dtype=np.float64),
+        np.zeros((len(rows), 3)),
     )
+
+
+def _middle_third_ratio(rows, *shape, **kwargs):
+    records = _records(rows)
+    return middle_third_ratio(records.windows, records.yields, *shape, **kwargs)
 
 
 class TestMiddleThird:
     def test_uniform_plot_is_exactly_one_third(self):
         # 6 window columns split 2/2/2; equal yields put 1/3 in the middle.
-        records = [_record("p", 0, c, 10.0) for c in range(6)]
-        fraction, label = middle_third_ratio(records, 1, 6)
+        records = [("p", 0, c, 10.0) for c in range(6)]
+        fraction, label = _middle_third_ratio(records, 1, 6)
         assert fraction == pytest.approx(1.0 / 3.0)
         assert label == "uniform"
 
     def test_side_heavy_detection(self):
-        records = [_record("p", 0, c, y) for c, y in enumerate([30, 5, 5, 5, 5, 30])]
-        fraction, label = middle_third_ratio(records, 1, 6)
+        records = [("p", 0, c, y) for c, y in enumerate([30, 5, 5, 5, 5, 30])]
+        fraction, label = _middle_third_ratio(records, 1, 6)
         assert fraction < 1.0 / 3.0 - 0.05
         assert label == "one-side-heavy"
 
     def test_middle_heavy_detection(self):
-        records = [_record("p", 0, c, y) for c, y in enumerate([5, 5, 30, 30, 5, 5])]
-        fraction, label = middle_third_ratio(records, 1, 6)
+        records = [("p", 0, c, y) for c, y in enumerate([5, 5, 30, 30, 5, 5])]
+        fraction, label = _middle_third_ratio(records, 1, 6)
         assert fraction > 1.0 / 3.0 + 0.05
         assert label == "middle-heavy"
 
     def test_remainder_windows_join_the_middle(self):
         # 7 columns split 2/3/2: only indices 2..4 count as middle.
-        records = [_record("p", 0, c, 1.0) for c in range(7)]
-        fraction, _ = middle_third_ratio(records, 1, 7)
+        records = [("p", 0, c, 1.0) for c in range(7)]
+        fraction, _ = _middle_third_ratio(records, 1, 7)
         assert fraction == pytest.approx(3.0 / 7.0)
 
     def test_long_axis_is_rows_when_taller(self):
-        records = [_record("p", r, 0, y) for r, y in enumerate([1, 10, 10, 10, 1, 1])]
-        fraction, label = middle_third_ratio(records, 6, 1)
+        records = [("p", r, 0, y) for r, y in enumerate([1, 10, 10, 10, 1, 1])]
+        fraction, label = _middle_third_ratio(records, 6, 1)
         assert fraction == pytest.approx(20.0 / 33.0)
         assert label == "middle-heavy"
 
@@ -260,46 +310,46 @@ class TestMiddleThird:
         # 2x2 grid: yields vary across columns only; a row split would
         # see one half, the column split sees the outer columns.
         records = [
-            _record("p", 0, 0, 10.0),
-            _record("p", 0, 1, 1.0),
-            _record("p", 1, 0, 10.0),
-            _record("p", 1, 1, 1.0),
+            ("p", 0, 0, 10.0),
+            ("p", 0, 1, 1.0),
+            ("p", 1, 0, 10.0),
+            ("p", 1, 1, 1.0),
         ]
-        fraction, _ = middle_third_ratio(records, 2, 2)
+        fraction, _ = _middle_third_ratio(records, 2, 2)
         # 2 columns: base 0, middle = [0, 2) = everything.
         assert fraction == pytest.approx(1.0)
 
     def test_tau_widens_the_uniform_band(self):
-        records = [_record("p", 0, c, y) for c, y in enumerate([12, 10, 10, 10, 10, 12])]
-        _, wide = middle_third_ratio(records, 1, 6, tau=0.2)
-        _, tight = middle_third_ratio(records, 1, 6, tau=0.001)
+        records = [("p", 0, c, y) for c, y in enumerate([12, 10, 10, 10, 10, 12])]
+        _, wide = _middle_third_ratio(records, 1, 6, tau=0.2)
+        _, tight = _middle_third_ratio(records, 1, 6, tau=0.001)
         assert wide == "uniform"
         assert tight == "one-side-heavy"
 
     def test_no_records_rejected(self):
         with pytest.raises(DataError):
-            middle_third_ratio([], 1, 6)
+            _middle_third_ratio([], 1, 6)
 
 
 class TestIdenticalYieldFraction:
     def test_hand_example(self):
         records = [
-            _record("a", 0, 0, 5.0),
-            _record("a", 0, 1, 5.0),
-            _record("a", 0, 2, 7.0),
-            _record("b", 0, 0, 5.0),
-            _record("b", 0, 1, 3.0),
+            ("a", 0, 0, 5.0),
+            ("a", 0, 1, 5.0),
+            ("a", 0, 2, 7.0),
+            ("b", 0, 0, 5.0),
+            ("b", 0, 1, 3.0),
         ]
         # Duplicates within a plot: the two 5.0 records of plot a.
-        assert identical_yield_fraction(records) == pytest.approx(2.0 / 5.0)
+        assert identical_yield_fraction(_records(records)) == pytest.approx(2.0 / 5.0)
 
     def test_all_distinct_is_zero(self):
-        records = [_record("a", 0, c, float(c)) for c in range(5)]
-        assert identical_yield_fraction(records) == 0.0
+        records = [("a", 0, c, float(c)) for c in range(5)]
+        assert identical_yield_fraction(_records(records)) == 0.0
 
     def test_duplicates_counted_per_plot_not_across(self):
-        records = [_record("a", 0, 0, 5.0), _record("b", 0, 0, 5.0)]
-        assert identical_yield_fraction(records) == 0.0
+        records = [("a", 0, 0, 5.0), ("b", 0, 0, 5.0)]
+        assert identical_yield_fraction(_records(records)) == 0.0
 
     def test_smaller_windows_collide_more(self):
         # A dithered density mask: smaller windows see fewer distinct
@@ -307,12 +357,12 @@ class TestIdenticalYieldFraction:
         rng = np.random.default_rng(41)
         fractions = {}
         for w in (10, 20):
-            records = []
+            parts = []
             for p in range(12):
                 mask = rng.uniform(size=(60, 60)) < 0.35
                 data = np.ones((60, 60, 2))
-                records += build_records(f"p{p}", data, mask, 100.0, window_px=w)
-            fractions[w] = identical_yield_fraction(records)
+                parts.append(build_records(f"p{p}", data, mask, 100.0, window_px=w))
+            fractions[w] = identical_yield_fraction(Records.concat(parts))
         assert fractions[10] > fractions[20]
 
 

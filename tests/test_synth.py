@@ -1,6 +1,7 @@
 """Generator checks: planted truth must be exactly self-consistent."""
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -13,20 +14,23 @@ from hyperfield.mlp import (
     TrainConfig,
     predict,
     r2_score,
-    records_to_arrays,
     stratified_split,
     train,
 )
-from hyperfield.subplot import SubPlotRecord, middle_third_ratio, window_grid_shape
+from hyperfield.subplot import (
+    Records,
+    build_records,
+    middle_third_ratio,
+    tile_plot,
+    window_grid_shape,
+)
 from hyperfield.synth import (
     CROP_LABELS,
     LIBRARY_LABELS,
     SCENE_LABELS,
-    RegressionSpec,
     SynthSpec,
     endmember_library,
     generate_reference_cube,
-    generate_regression_set,
     generate_scene,
     illumination_spectrum,
 )
@@ -249,23 +253,20 @@ def test_unmix_recovers_planted_abundances():
 
 
 def _records_from_truth(truth, window_px):
-    from hyperfield.subplot import tile_plot
-
-    records = []
+    """Per plot: the (window_row, window_col, n_sl) and planted yield of each window."""
+    records = {}
     for pid, box in truth.boxes.items():
         crop = truth.sl_mask[box.top : box.top + box.height,
                              box.left : box.left + box.width]
         grid = truth.window_yields[pid]
+        rows = []
         for w in tile_plot(box.height, box.width, window_px):
             n = int(crop[w.top : w.top + w.height, w.left : w.left + w.width].sum())
             if n == 0:
                 continue
-            wr, wc = w.row, w.col
-            records.append(SubPlotRecord(
-                plot_id=pid, window_row=wr, window_col=wc, n_sl=n,
-                yield_g=float(grid[wr, wc]),
-                features=np.array([float(n)]),
-            ))
+            rows.append((w.row, w.col, n))
+        windows = np.array(rows)
+        records[pid] = (windows, grid[windows[:, 0], windows[:, 1]].astype(np.float64))
     return records
 
 
@@ -276,8 +277,7 @@ def test_uniform_density_classifies_uniform():
     records = _records_from_truth(truth, spec.window_px)
     labels = []
     for pid in truth.boxes:
-        plot_records = [r for r in records if r.plot_id == pid]
-        _, label = middle_third_ratio(plot_records, *shape)
+        _, label = middle_third_ratio(*records[pid], *shape)
         labels.append(label)
     uniform = sum(1 for v in labels if v == "uniform")
     assert uniform >= 0.7 * len(labels)
@@ -292,8 +292,7 @@ def test_margin_boost_classifies_side_heavy():
     records = _records_from_truth(truth, spec.window_px)
     labels = []
     for pid in truth.boxes:
-        plot_records = [r for r in records if r.plot_id == pid]
-        _, label = middle_third_ratio(plot_records, *shape)
+        _, label = middle_third_ratio(*records[pid], *shape)
         labels.append(label)
     heavy = sum(1 for v in labels if v == "one-side-heavy")
     assert heavy >= 0.7 * len(labels)
@@ -346,6 +345,102 @@ def test_reference_cube_rejects_tiny_patches():
 # ---------------------------------------------------------------------------
 # planted-target regression sets
 
+@dataclass(frozen=True)
+class RegressionSpec:
+    """Planted-target dataset riding on real pipeline features."""
+
+    seed: int = 0
+    target_r2: float | None = None
+    noise_sigma: float | None = None
+    pure_noise: bool = False
+    window_px: int = 15
+
+    def __post_init__(self):
+        if self.target_r2 is not None and self.noise_sigma is not None:
+            raise ConfigError("give target_r2 or noise_sigma, not both")
+        if self.target_r2 is not None and not (0.0 < self.target_r2 < 1.0):
+            raise ConfigError("target coefficient of determination not in (0, 1)")
+        if self.noise_sigma is not None and self.noise_sigma < 0:
+            raise ConfigError("noise sigma cannot be negative")
+
+
+@dataclass(frozen=True)
+class RegressionTruth:
+    intercept: float
+    mean_coefficients: np.ndarray
+    count_coefficient: float
+    noise_sigma: float
+    theoretical_r2: float
+
+
+def generate_regression_set(spec: RegressionSpec) -> tuple[Records, RegressionTruth]:
+    """Sub-plot records whose targets follow a known linear function.
+
+    Features come from an actual small synthetic scene (calibrated,
+    band-masked, windowed); targets are replaced by
+    ``intercept + c_mean . band_means + c_n . count + noise`` with the
+    noise level solved from the requested theoretical ratio.
+    """
+    scene_spec = SynthSpec(
+        seed=spec.seed,
+        grid_rows=6,
+        grid_cols=8,
+        plot_height_px=30,
+        plot_width_px=90,
+        alley_px=10,
+        jitter_px=2,
+        window_px=spec.window_px,
+    )
+    cube, truth = generate_scene(scene_spec)
+    mask = band_mask_from_windows(cube.wavelengths)
+    masked = to_reflectance(cube, truth.panel_region, truth.panel_reflectance, mask)
+    parts = []
+    for pid in sorted(truth.boxes):
+        box = truth.boxes[pid]
+        data = masked.data[
+            box.top : box.top + box.height, box.left : box.left + box.width
+        ]
+        mask = truth.sl_mask[
+            box.top : box.top + box.height, box.left : box.left + box.width
+        ]
+        parts.append(
+            build_records(pid, data, mask, plot_yield=1.0, window_px=spec.window_px)
+        )
+    records = Records.concat(parts)
+
+    d = masked.bands
+    rng = np.random.default_rng(np.random.SeedSequence((spec.seed, 1)))
+    c_mean = np.zeros(d)
+    if spec.pure_noise:
+        c_n = 0.0
+    else:
+        # sparse planted map: a handful of bands plus the count term
+        active = rng.choice(d, size=12, replace=False)
+        c_mean[active] = rng.uniform(-1.5, 1.5, size=active.size)
+        c_n = float(rng.uniform(0.08, 0.15))
+    intercept = 30.0
+    features = records.features
+    signal = intercept + features[:, :d] @ c_mean + c_n * features[:, -1]
+    var_s = float(signal.var())
+
+    if spec.pure_noise:
+        sigma = 1.0
+    elif spec.target_r2 is not None:
+        sigma = float(np.sqrt(var_s * (1.0 - spec.target_r2) / spec.target_r2))
+    else:
+        sigma = float(spec.noise_sigma or 0.0)
+    targets = signal + sigma * rng.standard_normal(signal.size)
+    records = Records(records.plot_ids, records.windows, targets, features)
+    theoretical = 0.0 if var_s == 0.0 else var_s / (var_s + sigma**2)
+    return records, RegressionTruth(
+        intercept=intercept,
+        mean_coefficients=c_mean,
+        count_coefficient=c_n,
+        noise_sigma=sigma,
+        theoretical_r2=theoretical,
+    )
+
+
 def test_regression_spec_validation():
     with pytest.raises(ConfigError):
         RegressionSpec(target_r2=0.8, noise_sigma=0.1)
@@ -359,7 +454,7 @@ def test_regression_targets_follow_the_planted_map():
     records, truth = generate_regression_set(RegressionSpec(seed=6, noise_sigma=0.0))
     assert truth.noise_sigma == 0.0
     assert truth.theoretical_r2 == 1.0
-    x, y, _ = records_to_arrays(records)
+    x, y = records.features, records.yields
     d = truth.mean_coefficients.size
     signal = truth.intercept + x[:, :d] @ truth.mean_coefficients
     signal += truth.count_coefficient * x[:, -1]
@@ -381,7 +476,7 @@ def test_regression_theoretical_ratio_matches_request():
 
 def _fit_and_score(spec):
     records, truth = generate_regression_set(spec)
-    x, y, ids = records_to_arrays(records)
+    x, y, ids = records.features, records.yields, records.plot_ids
     split = stratified_split(y, ids, SplitSpec(seed=5, test_plots=8))
     config = TrainConfig(epochs=500, batch_size=32, seed=3)
     model, _ = train(

@@ -1,6 +1,7 @@
 """The shared CSV table reader, and that every reader goes through it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -94,3 +95,29 @@ def test_only_the_table_module_reads_csv():
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
+
+
+def _names(node: ast.AST) -> list[str]:
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_every_src_definition_is_named_elsewhere_in_src():
+    """A function or class in ``src/hyperfield`` that only tests use belongs in ``tests/``."""
+    trees = {
+        path.name: ast.parse(path.read_text(), str(path))
+        for path in sorted(Path(hyperfield.__file__).parent.glob("*.py"))
+    }
+    named = Counter(name for tree in trees.values() for name in _names(tree))
+    unnamed = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] == _names(node).count(node.name)
+    ]
+    assert not unnamed
