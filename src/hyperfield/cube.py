@@ -17,8 +17,8 @@ file must never be truncated while the map lives, so ``write_cube``
 replaces a pair atomically instead of rewriting it in place.
 
 ``CubeStream`` and ``write_band_blocks`` instead move a payload through
-memory a block of band planes at a time, and hash its bytes on the way,
-for a stage that needs no more of the cube than one block.
+memory a bounded part at a time: band planes, a run of pixels or a
+strip of rows. A pass in file order hashes the bytes on the way.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ UNITS = ("raw", "radiance", "reflectance", "abundance")
 
 # Upper bound on one block of band planes streamed by ``CubeStream``.
 BLOCK_BYTES = 16 << 20
+# Upper bound on the samples ``CubeStream.pixels`` stages at a time: small
+# enough that copying them into a Fortran-order block stays in cache.
+STAGE_BYTES = 2 << 20
 
 _DTYPES = {
     "float32": np.dtype("<f4"),
@@ -140,10 +143,24 @@ class HyperCube:
     def bands(self) -> int:
         return self.data.shape[2]
 
-    def pixels(self) -> np.ndarray:
-        """Payload as a Fortran-order (bands, rows*cols) matrix, row-major
-        pixel order, whatever the cube's memory order."""
-        return np.asfortranarray(self.data.reshape(-1, self.bands).T)
+    def pixels(
+        self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Pixels ``start`` to ``stop`` in row-major order as a Fortran-order
+        (bands, stop - start) matrix, whatever the cube's memory order.
+
+        Only the rows that hold them are copied: into ``out`` when given, a
+        Fortran-order array of that shape, which is returned.
+        """
+        stop = self.rows * self.cols if stop is None else stop
+        _check_pixel_range(start, stop, self.rows * self.cols)
+        top, bottom = start // self.cols, -(-stop // self.cols)
+        flat = self.data[top:bottom].reshape(-1, self.bands)
+        part = flat[start - top * self.cols : stop - top * self.cols].T
+        if out is None:
+            return np.asfortranarray(part)
+        np.copyto(out, part)
+        return out
 
     def crop(self, top: int, left: int, height: int, width: int) -> "HyperCube":
         if height <= 0 or width <= 0:
@@ -399,6 +416,14 @@ def _mapped(header: CubeHeader, raw_path: str) -> np.ndarray:
     return _rows_cols_bands(flat.reshape(header.file_shape()), header.interleave)
 
 
+def _payload_cube(data: np.ndarray, header: CubeHeader, raw_path: str) -> HyperCube:
+    """A cube of payload samples; a sample or header fault names the file."""
+    try:
+        return HyperCube(data, header.wavelengths, header.units, header.band_labels)
+    except ShapeMismatchError as exc:
+        raise ShapeMismatchError(f"{raw_path}: {exc}") from None
+
+
 def read_cube(path: str | os.PathLike) -> HyperCube:
     """Read a cube pair back into memory.
 
@@ -407,12 +432,7 @@ def read_cube(path: str | os.PathLike) -> HyperCube:
     the file. Header and size errors are those of ``_read_header``.
     """
     header, raw_path = _read_header(path)
-    return HyperCube(
-        data=_mapped(header, raw_path),
-        wavelengths=header.wavelengths,
-        units=header.units,
-        band_labels=header.band_labels,
-    )
+    return _payload_cube(_mapped(header, raw_path), header, raw_path)
 
 
 def _check_finite(block: np.ndarray, raw_path: str) -> None:
@@ -420,24 +440,41 @@ def _check_finite(block: np.ndarray, raw_path: str) -> None:
         raise ShapeMismatchError(f"{raw_path}: cube data contains non-finite samples")
 
 
+def _check_pixel_range(start: int, stop: int, pixels: int) -> None:
+    if not 0 <= start < stop <= pixels:
+        raise ShapeMismatchError(
+            f"pixel range [{start}, {stop}) is empty or exceeds {pixels} pixels"
+        )
+
+
 class CubeStream:
-    """One pass over a cube pair's payload, a block of whole band planes at a time.
+    """Reads of a cube pair's payload that hold a bounded part of it at a time.
 
     The header is parsed and the payload size checked as ``read_cube``
-    does. Iterating yields ``(bands, block)``: the slice of band indices
-    and their (n, rows, cols) planes, each block checked for NaN and inf.
-    A bsq payload is read in file order, several planes per ``readinto``
-    into two reused buffers, so a block is valid only until the next one
-    is read. Every byte read is hashed: after a complete pass ``digest``
-    is the payload's sha256 and ``stat`` is the file's stat from before
-    the first read. bil and bip payloads give the same blocks from a
-    mapped view and leave ``digest`` None.
+    does, and every sample read is checked for NaN and inf.
 
-    A block holds as many planes as fit in ``BLOCK_BYTES``, at least one.
+    - Iterating makes one pass over whole band planes, yielding
+      ``(bands, block)``: the slice of band indices and their
+      (n, rows, cols) planes. A block holds as many planes as fit in
+      ``BLOCK_BYTES``, at least one. A bsq payload is read in file order,
+      several planes per ``readinto`` into two reused buffers, so a block
+      is valid only until the next one is read. With ``hashing`` set,
+      every byte read is hashed: after a complete pass ``digest`` is the
+      payload's sha256. bil and bip payloads give the same blocks from a
+      mapped view and leave ``digest`` None. ``read_bands`` keeps some
+      planes of such a pass.
+    - ``read_rows`` reads whole image rows with ``pread``; ``read_strips``
+      and ``read_panel`` are built on it. Touching a small part of a
+      mapped file can map far more of the file than the part.
+    - ``pixels`` reads a run of pixels, every band, as ``HyperCube.pixels``
+      gives them.
+
+    ``stat`` is the file's stat from before the first read.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.header, self.raw_path = _read_header(path)
+        self.hashing = True
         self.digest: str | None = None
         self._fh = open(self.raw_path, "rb")
         self.stat = os.fstat(self._fh.fileno())
@@ -448,24 +485,122 @@ class CubeStream:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    def read_panel(self, region: tuple[int, int, int, int]) -> HyperCube:
-        """The (height, width, bands) pixels of the panel region.
+    @property
+    def rows(self) -> int:
+        return self.header.rows
 
-        Only the region's rows are read, with ``pread``: touching a small
-        crop through a map can map far more of the file than the crop.
+    @property
+    def cols(self) -> int:
+        return self.header.cols
+
+    @property
+    def bands(self) -> int:
+        return self.header.bands
+
+    @property
+    def wavelengths(self) -> np.ndarray:
+        return self.header.wavelengths
+
+    def _pread(self, buffer: np.ndarray, offset: int) -> None:
+        if os.preadv(self._fh.fileno(), [buffer], offset) != buffer.nbytes:
+            raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
+
+    def read_rows(self, top: int, height: int, buffer: np.ndarray | None = None) -> HyperCube:
+        """Rows ``top`` to ``top + height``, every band, in the file's memory order.
+
+        With ``buffer``, a 1-d array of the payload's sample type with room
+        for the rows, they are read into it and are valid until it is reused.
         """
         h = self.header
-        _check_panel_region(region, h.rows, h.cols)
-        top, left, height, width = region
-        part = np.empty(h._replace(rows=height).file_shape(), h.dtype)
-        # the region's rows lie in one run per band plane (bsq) or in one run
+        if height <= 0 or top < 0 or top + height > h.rows:
+            raise ShapeMismatchError(f"rows [{top}, {top + height}) exceed the cube's {h.rows}")
+        shape = h._replace(rows=height).file_shape()
+        if buffer is None:
+            part = np.empty(shape, h.dtype)
+        else:
+            part = buffer[: height * h.cols * h.bands].reshape(shape)
+        # the rows lie in one run per band plane (bsq) or in one run
         runs = part.reshape(h.bands if h.interleave == "bsq" else 1, -1)
         row_bytes = runs.shape[1] // height * h.dtype.itemsize
         for i, run in enumerate(runs):
-            if os.preadv(self._fh.fileno(), [run], (i * h.rows + top) * row_bytes) != run.nbytes:
-                raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
-        data = _rows_cols_bands(part, h.interleave)[:, left : left + width]
-        return HyperCube(data, h.wavelengths, h.units, h.band_labels)
+            self._pread(run, (i * h.rows + top) * row_bytes)
+        return _payload_cube(_rows_cols_bands(part, h.interleave), h, self.raw_path)
+
+    def read_strips(self, cuts: Iterable[int]) -> Iterator[tuple[int, HyperCube]]:
+        """Every row once, top to bottom, as ``(top, strip)`` with ``strip`` a
+        ``read_rows`` cube, valid until the next strip is read.
+
+        A strip ends only before a row index in ``cuts`` or at the last
+        row. It holds as many rows as fit in ``BLOCK_BYTES``, or if no
+        cut allows that, the fewest that reach one.
+        """
+        h = self.header
+        step = max(1, BLOCK_BYTES // (h.cols * h.bands * h.dtype.itemsize))
+        tops = [0]
+        bottom = 0
+        for end in sorted({int(row) for row in cuts if 0 < row < h.rows} | {h.rows}):
+            if end - tops[-1] > step and bottom > tops[-1]:
+                tops.append(bottom)
+            bottom = end
+        bounds = list(zip(tops, tops[1:] + [h.rows]))
+        # one buffer for every strip: fresh pages for each would cost more than the copy
+        buffer = np.empty(max(b - t for t, b in bounds) * h.cols * h.bands, h.dtype)
+        for top, bottom in bounds:
+            yield top, self.read_rows(top, bottom - top, buffer)
+
+    def read_panel(self, region: tuple[int, int, int, int]) -> HyperCube:
+        """The (height, width, bands) pixels of the panel region."""
+        _check_panel_region(region, self.rows, self.cols)
+        top, left, height, width = region
+        return self.read_rows(top, height).crop(0, left, height, width)
+
+    def pixels(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+        """``HyperCube.pixels(start, stop, out)`` of the payload.
+
+        From a bsq payload the pixels are staged in runs of as many as fit
+        in ``STAGE_BYTES`` with every band: each band's part of a run is
+        read with ``pread`` into one reused buffer, which is then copied
+        into the result. Other interleaves read the pixels' rows.
+        """
+        h = self.header
+        _check_pixel_range(start, stop, h.rows * h.cols)
+        if h.interleave != "bsq":
+            top, bottom = start // h.cols, -(-stop // h.cols)
+            rows = self.read_rows(top, bottom - top)
+            return rows.pixels(start - top * h.cols, stop - top * h.cols, out)
+        size = h.dtype.itemsize
+        if out is None:
+            out = np.empty((h.bands, stop - start), h.dtype, order="F")
+        step = max(1, STAGE_BYTES // (h.bands * size))
+        staged = np.empty((h.bands, min(step, stop - start)), h.dtype)
+        for first in range(start, stop, step):
+            runs = staged[:, : min(step, stop - first)]
+            for band, run in enumerate(runs):
+                self._pread(run, (band * h.rows * h.cols + first) * size)
+            _check_finite(runs, self.raw_path)
+            out[:, first - start : first - start + runs.shape[1]] = runs
+        return out
+
+    def read_bands(self, keep: np.ndarray) -> HyperCube:
+        """The bands flagged in ``keep``, in the file's memory order.
+
+        They come from one pass of iteration, so every band is read,
+        checked and (with ``hashing``) hashed.
+        """
+        h = self.header
+        keep = np.asarray(keep, dtype=bool)
+        kept = _rows_cols_bands(
+            np.empty(h._replace(bands=int(keep.sum())).file_shape(), h.dtype), h.interleave
+        )
+        done = 0
+        for bands, block in self:
+            planes = block[keep[bands]]
+            kept[:, :, done : done + len(planes)] = planes.transpose(1, 2, 0)
+            done += len(planes)
+        labels = None
+        if h.band_labels is not None:
+            labels = tuple(label for label, k in zip(h.band_labels, keep) if k)
+        return HyperCube(kept, h.wavelengths[keep], h.units, labels)
 
     def __iter__(self) -> Iterator[tuple[slice, np.ndarray]]:
         h = self.header
@@ -477,7 +612,7 @@ class CubeStream:
                 _check_finite(planes[bands], self.raw_path)
                 yield bands, planes[bands]
             return
-        sha = _Sha256Behind()
+        sha = _Sha256Behind() if self.hashing else None
         # two buffers: one block is hashed while the next is read into the other
         buffers = [np.empty((min(step, h.bands), h.rows, h.cols), h.dtype) for _ in range(2)]
         self._fh.seek(0)
@@ -486,10 +621,12 @@ class CubeStream:
             block = buffers[i % 2][: bands.stop - start]
             if self._fh.readinto(block) != block.nbytes:
                 raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
-            sha.update(block)
+            if sha is not None:
+                sha.update(block)
             _check_finite(block, self.raw_path)
             yield bands, block
-        self.digest = sha.hexdigest()
+        if sha is not None:
+            self.digest = sha.hexdigest()
 
 
 def _check_panel_region(region: tuple[int, int, int, int], rows: int, cols: int) -> None:

@@ -92,19 +92,14 @@ def build_grid(
 
 @dataclass(frozen=True)
 class Anchor:
-    """Ties one grid cell to one plot id.
-
-    Exactly one of ``cell`` (grid_row, grid_col) or ``box_index``
-    (index into the box list, whose cell is used) must be given.
-    """
+    """Ties one grid cell, (grid_row, grid_col), to one plot id."""
 
     plot_id: str
     cell: tuple[int, int] | None = None
-    box_index: int | None = None
 
     def __post_init__(self):
-        if (self.cell is None) == (self.box_index is None):
-            raise AnchorError("anchor needs exactly one of cell or box_index")
+        if self.cell is None:
+            raise AnchorError("anchor needs a cell")
 
 
 @dataclass(frozen=True)
@@ -171,19 +166,9 @@ def assign_ids(
 
     if anchor.plot_id not in plot_map.positions:
         raise AnchorError(f"anchor plot id {anchor.plot_id!r} is not in the plot map")
-    if anchor.box_index is not None:
-        if not 0 <= anchor.box_index < len(boxes):
-            raise AnchorError(
-                f"anchor box index {anchor.box_index} out of range "
-                f"(boxes: {len(boxes)})"
-            )
-        anchor_cell = cell_of_box[anchor.box_index]
-    else:
-        anchor_cell = (int(anchor.cell[0]), int(anchor.cell[1]))
-        if not (
-            0 <= anchor_cell[0] < row_lines.size and 0 <= anchor_cell[1] < col_lines.size
-        ):
-            raise AnchorError(f"anchor cell {anchor_cell} outside the detected grid")
+    anchor_cell = (int(anchor.cell[0]), int(anchor.cell[1]))
+    if not (0 <= anchor_cell[0] < row_lines.size and 0 <= anchor_cell[1] < col_lines.size):
+        raise AnchorError(f"anchor cell {anchor_cell} outside the detected grid")
     anchor_field = plot_map.positions[anchor.plot_id]
 
     cells: dict[tuple[int, int], tuple[PlotBox | None, str | None]] = {}

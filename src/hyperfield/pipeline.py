@@ -11,6 +11,7 @@ inputs produce byte-identical trees.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -70,6 +71,7 @@ from .segment import (
     otsu_threshold,
     read_boxes_csv,
     threshold_mask,
+    window_indices,
     write_boxes_csv,
 )
 from .subplot import (
@@ -166,6 +168,10 @@ class FileDigests:
             return False
         self._known[key] = digest
         return True
+
+    def knows(self, st: os.stat_result) -> bool:
+        """Whether the file with this stat has a digest in this run."""
+        return _identity(st) in self._known
 
     def of(self, paths: list[str], rehash: frozenset[str] = frozenset()) -> dict[str, str]:
         """{path: sha256}; unknown files (and ``rehash`` ones) are hashed concurrently."""
@@ -295,6 +301,19 @@ class _Stage:
         if self.digests.record(path, digest, before):
             self.recorded.add(path)
 
+    @contextlib.contextmanager
+    def stream(self, stem: str) -> Iterator[CubeStream]:
+        """A ``CubeStream`` of a needed cube.
+
+        Its file-order pass hashes the payload only when this run has no
+        digest for the file, and the manifest takes the digest it makes.
+        """
+        with CubeStream(stem) as cube:
+            cube.hashing = not self.digests.knows(cube.stat)
+            yield cube
+        if cube.digest is not None:
+            self.record(cube.raw_path, cube.digest, before=cube.stat)
+
 
 def _float_line(path: str, value: float) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -358,7 +377,7 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     yield
 
     _, panel = read_panel_reflectance_csv(panel_path)
-    with CubeStream(cube_stem) as scene:
+    with st.stream(cube_stem) as scene:
         head = scene.header
         if panel.size != head.bands:
             raise DataError(
@@ -389,8 +408,6 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
         header = CubeHeader.of(calibrated_panel)._replace(rows=head.rows, cols=head.cols)
         digest = write_band_blocks(out_stem, header, kept_reflectance())
     st.record(out_stem + ".raw", digest)
-    if scene.digest is not None:
-        st.record(scene.raw_path, scene.digest, before=scene.stat)
 
 
 def _stage_segment(st: _Stage) -> Iterator[None]:
@@ -401,12 +418,15 @@ def _stage_segment(st: _Stage) -> Iterator[None]:
     threshold_path = st.emit(F_SEG_THRESHOLD)
     yield
 
-    cube = read_cube(stem)
-    plane = ndpsi(
-        cube,
-        red_window=st.config.window_nm("segment", "red_window_nm"),
-        blue_window=st.config.window_nm("segment", "blue_window_nm"),
-    )
+    red = st.config.window_nm("segment", "red_window_nm")
+    blue = st.config.window_nm("segment", "blue_window_nm")
+    with st.stream(stem) as cube:
+        # ndpsi reads only its two windows: keep just those planes
+        keep = np.zeros(cube.bands, dtype=bool)
+        for window in (red, blue):
+            keep[window_indices(cube.wavelengths, window)] = True
+        windows = cube.read_bands(keep)
+    plane = ndpsi(windows, red_window=red, blue_window=blue)
     threshold = st.config.segment_threshold()
     if threshold is None:
         threshold = otsu_threshold(plane)
@@ -482,18 +502,18 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
     residual_path = st.emit(F_RESIDUAL)
     yield
 
-    cube = read_cube(stem)
     endmembers = read_endmembers_csv(ems_path)
-    if endmembers.wavelengths.size != cube.bands or not np.allclose(
-        endmembers.wavelengths, cube.wavelengths, atol=0.05, rtol=0.0
-    ):
-        endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
-    abundances, residual = unmix_cube(
-        cube,
-        endmembers,
-        threads=st.config.getint("unmix", "threads"),
-        chunk=st.config.getint("unmix", "chunk"),
-    )
+    with st.stream(stem) as cube:
+        if endmembers.wavelengths.size != cube.bands or not np.allclose(
+            endmembers.wavelengths, cube.wavelengths, atol=0.05, rtol=0.0
+        ):
+            endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
+        abundances, residual = unmix_cube(
+            cube,
+            endmembers,
+            threads=st.config.getint("unmix", "threads"),
+            chunk=st.config.getint("unmix", "chunk"),
+        )
     foreground = sl_mask(
         abundances,
         spike_label=st.config.get("unmix", "spike_label"),
@@ -515,25 +535,43 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     out_path = st.emit(F_RECORDS)
     yield
 
-    cube = read_cube(stem)
     mask = read_pbm(mask_path)
-    if mask.shape != (cube.rows, cube.cols):
-        raise DataError(
-            f"foreground mask {mask.shape} does not match cube "
-            f"{(cube.rows, cube.cols)}"
-        )
-    assigned = read_assignment_csv(assignment_path)
+    assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
     yields = read_yields_csv(yields_path)
     window_px = st.config.getint("dataset", "window_px")
-    parts = []
-    for plot in sorted(assigned, key=lambda p: p.plot_id):
+    for plot in assigned:
         if plot.plot_id not in yields:
             raise DataError(f"no measured yield for plot {plot.plot_id!r}")
-        box = plot.box
-        data = cube.data[box.top : box.top + box.height, box.left : box.left + box.width]
-        crop = mask[box.top : box.top + box.height, box.left : box.left + box.width]
-        parts.append(build_records(plot.plot_id, data, crop, yields[plot.plot_id], window_px))
-    records = Records.concat(parts)
+    parts = {}
+    with st.stream(stem) as cube:
+        rows, cols = cube.rows, cube.cols
+        if mask.shape != (rows, cols):
+            raise DataError(f"foreground mask {mask.shape} does not match cube {(rows, cols)}")
+        # a row strip may end only where no plot box crosses into the next row
+        crossed = np.zeros(rows, dtype=bool)
+        for plot in assigned:
+            box = plot.box
+            if (
+                min(box.top, box.left) < 0
+                or box.top + box.height > rows
+                or box.left + box.width > cols
+            ):
+                raise DataError(
+                    f"{assignment_path}: plot {plot.plot_id!r} box ({box.top},{box.left},"
+                    f"{box.height},{box.width}) exceeds cube {rows}x{cols}"
+                )
+            crossed[box.top + 1 : box.top + box.height] = True
+        for top, strip in cube.read_strips(np.flatnonzero(~crossed)):
+            for plot in assigned:
+                box = plot.box
+                if top <= box.top < top + strip.rows:
+                    at = box.top - top
+                    data = strip.data[at : at + box.height, box.left : box.left + box.width]
+                    crop = mask[box.top : box.top + box.height, box.left : box.left + box.width]
+                    parts[plot.plot_id] = build_records(
+                        plot.plot_id, data, crop, yields[plot.plot_id], window_px
+                    )
+    records = Records.concat([parts[plot.plot_id] for plot in assigned])
     write_records_csv(out_path, records)
     log.info("dataset: %d sub-plot records from %d plots", len(records), len(assigned))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyPlotError, ShapeMismatchError
-from .table import read_table
+from .table import is_safe_id, read_table
 
 SUPPORTED_WINDOWS_PX = (10, 15, 20)
 DEFAULT_WINDOW_PX = 15
@@ -235,21 +235,28 @@ def build_records(
 
 
 def write_records_csv(path: str | os.PathLike, records: Records) -> None:
+    """One CRLF-ended row per record, as ``csv.writer`` writes them.
+
+    No field needs quoting: numbers are ``repr`` strings, and a plot id
+    that ``is_safe_id`` rejects raises ``DataError``.
+    """
     if not len(records):
         raise DataError("no records to write")
+    unsafe = [plot_id for plot_id in records.plot_ids if not is_safe_id(plot_id)]
+    if unsafe:
+        raise DataError(f"plot id {unsafe[0]!r} is unsafe as a file name or CSV field")
+    header = ["plot_id", "window_row", "window_col", "n_sl", "yield_g"]
+    header += [f"f{i + 1}" for i in range(records.features.shape[1])]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["plot_id", "window_row", "window_col", "n_sl", "yield_g"]
-            + [f"f{i + 1}" for i in range(records.features.shape[1])]
-        )
+        fh.write(",".join(header) + "\r\n")
         for plot_id, window, grams, features in zip(
             records.plot_ids,
             records.windows.tolist(),
             records.yields.tolist(),
             records.features.tolist(),
         ):
-            writer.writerow([plot_id, *window, repr(grams), *map(repr, features)])
+            row = [plot_id, *map(repr, window), repr(grams), *map(repr, features)]
+            fh.write(",".join(row) + "\r\n")
 
 
 def read_records_csv(path: str | os.PathLike) -> Records:

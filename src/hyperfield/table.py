@@ -20,6 +20,17 @@ import numpy as np
 from .errors import DataError
 
 
+def is_safe_id(value: str) -> bool:
+    """Whether ``value`` can name a file and stand unquoted in a CSV row.
+
+    A safe id is not empty, ``.`` or ``..``, and holds no ``/``, ``\\``,
+    ``,``, ``"`` or control character.
+    """
+    return value not in ("", ".", "..") and not any(
+        ch in '/\\,"' or unicodedata.category(ch) == "Cc" for ch in value
+    )
+
+
 def _first_repeat(values: list[str]) -> int | None:
     seen: set[str] = set()
     for i, value in enumerate(values):
@@ -50,16 +61,10 @@ class Table:
         return [row[j].strip() for row in self.rows]
 
     def ids(self, name: str) -> list[str]:
-        """One column's fields as ids that can name a file and stand unquoted in a CSV row.
-
-        An id is not empty, ``.`` or ``..``, and holds no ``/``, ``\\``,
-        ``,``, ``"`` or control character.
-        """
+        """One column's fields, each an id that ``is_safe_id`` accepts."""
         ids = self.text(name)
         for i, value in enumerate(ids):
-            if value in ("", ".", "..") or any(
-                ch in '/\\,"' or unicodedata.category(ch) == "Cc" for ch in value
-            ):
+            if not is_safe_id(value):
                 raise DataError(
                     f"{self.where(i)}: {name.replace('_', ' ')} {value!r} "
                     "is unsafe as a file name or CSV field"

@@ -12,12 +12,13 @@ smallest-norm candidate wins, deterministically.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HyperCube
+from .cube import CubeStream, HyperCube
 from .endmember import EndmemberSet
 from .errors import DataError, ShapeMismatchError
 from .netpbm import write_ppm
@@ -164,7 +165,7 @@ def _check_W(W, bands):
 
 
 def unmix_cube(
-    cube: HyperCube,
+    cube: HyperCube | CubeStream,
     endmembers: EndmemberSet,
     threads: int = 1,
     chunk: int = 65536,
@@ -173,7 +174,9 @@ def unmix_cube(
 
     Returns the abundance map and the Frobenius residual ||X - W H||_F.
     Pixels are independent; the fixed chunk grid makes the result
-    byte-identical for any thread count.
+    byte-identical for any thread count. Each thread holds the pixels of
+    one chunk, taken with ``cube.pixels``, so a ``CubeStream`` is never
+    read whole.
     """
     wl_diff = (
         np.inf
@@ -191,17 +194,20 @@ def unmix_cube(
     G = W.T @ W
     solvers = [_SupportSolver(s, G) for s in _supports(e)]
 
-    X = cube.data.reshape(-1, cube.bands).T
-    n = X.shape[1]
+    n = cube.rows * cube.cols
     out = np.empty((e, n))
     sq_resid = np.empty(n)
     starts = range(0, n, chunk)
+    blocks = threading.local()
 
     def run(start):
         stop = min(start + chunk, n)
         # each pixel's spectrum contiguous whatever the cube's memory order:
-        # the summation order, and so the residual's bits, depend on it
-        block = np.asfortranarray(X[:, start:stop], dtype=np.float64)
+        # the summation order, and so the residual's bits, depend on it.
+        # Each thread reuses one block: fresh pages cost more than filling it.
+        if not hasattr(blocks, "x"):
+            blocks.x = np.empty((cube.bands, min(chunk, n)), order="F")
+        block = cube.pixels(start, stop, out=blocks.x[:, : stop - start])
         h, obj = _solve_block(block, W, solvers, G)
         out[:, start:stop] = h
         sq_resid[start:stop] = obj

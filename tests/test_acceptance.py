@@ -464,7 +464,12 @@ def test_08_grid_labeling_under_jitter_and_gaps():
             )
             truth_ids.append(ids[i])
         row_lines, col_lines = build_grid(boxes, pitch_row, pitch_col)
-        anchor = Anchor(plot_id=truth_ids[0], box_index=0)
+        # anchor the first box's plot at the grid cell nearest that box
+        cell = (
+            int(np.argmin(np.abs(row_lines - boxes[0].top))),
+            int(np.argmin(np.abs(col_lines - boxes[0].left))),
+        )
+        anchor = Anchor(plot_id=truth_ids[0], cell=cell)
         assignment = assign_ids(boxes, row_lines, col_lines, plot_map, anchor)
         labeled = {
             (a.box.top, a.box.left): a.plot_id for a in assignment.assigned()

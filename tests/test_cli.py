@@ -673,8 +673,11 @@ def test_split_index_out_of_range_or_repeated_exits_4(memo_run, capsys, row, mes
         ("duplicate", "line 18: duplicate plot id 'P0000'"),
         ("header-only", "assignment.csv: no data rows"),
         ("unsafe-id", "line 2: plot id '../P0000' is unsafe as a file name or CSV field"),
+        ("past-edge", "plot 'P0000' box (42,18,30,9000) exceeds cube 212x428"),
+        ("negative", "plot 'P0000' box (-42,18,30,90) exceeds cube 212x428"),
     ],
-    ids=["rename", "short", "value", "duplicate", "header-only", "unsafe-id"],
+    ids=["rename", "short", "value", "duplicate", "header-only", "unsafe-id", "past-edge",
+         "negative"],
 )
 def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
     ini, out = memo_run
@@ -691,6 +694,10 @@ def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
         lines.append(lines[1])
     elif damage == "unsafe-id":
         lines[1] = "../" + lines[1]
+    elif damage == "past-edge":
+        lines[1] = lines[1].replace(",30,90,", ",30,9000,")
+    elif damage == "negative":
+        lines[1] = lines[1].replace(",42,", ",-42,")
     else:
         lines = lines[:1]
     assignment.write_text("\n".join(lines) + "\n")

@@ -1,5 +1,7 @@
 """Cube container: file round trips, calibration, band masking."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -121,7 +123,8 @@ def test_read_rejects_non_finite_samples_in_every_interleave(tmp_path, interleav
     flat = np.fromfile(raw, dtype="<f4")
     flat[37] = bad
     flat.tofile(raw)
-    with pytest.raises(ShapeMismatchError, match="non-finite"):
+    message = f"{raw}: cube data contains non-finite samples"
+    with pytest.raises(ShapeMismatchError, match=re.escape(message)):
         hc.read_cube(tmp_path / "c")
 
 
@@ -133,6 +136,60 @@ def test_pixels_are_fortran_ordered_in_every_interleave(tmp_path):
         pixels = hc.read_cube(tmp_path / il).pixels()
         assert pixels.flags.f_contiguous
         assert np.array_equal(pixels, cube.pixels())
+
+
+def _stride_order(array: np.ndarray) -> list[int]:
+    return np.argsort(array.strides, kind="stable").tolist()
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16])
+@pytest.mark.parametrize("planes", [0.5, 1, 4])
+def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, dtype, planes):
+    rows, cols, bands = 7, 5, 6
+    cube = random_cube(np.random.default_rng(8), rows=rows, cols=cols, bands=bands, dtype=dtype)
+    hc.write_cube(cube, tmp_path / "c", interleave)
+    whole = hc.read_cube(tmp_path / "c")
+    monkeypatch.setattr(hc, "BLOCK_BYTES", int(planes * rows * cols * np.dtype(dtype).itemsize))
+    with hc.CubeStream(tmp_path / "c") as stream:
+        assert (stream.rows, stream.cols, stream.bands) == (rows, cols, bands)
+        for start, stop in [(0, 35), (0, 1), (3, 17), (34, 35), (5, 10)]:
+            got = stream.pixels(start, stop)
+            want = whole.pixels(start, stop)
+            assert got.flags.f_contiguous and got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            for source in (stream, whole):
+                out = np.empty((bands, stop - start), order="F")
+                assert source.pixels(start, stop, out) is out
+                assert np.array_equal(out, want)
+        for start, stop in [(3, 3), (-1, 2), (30, 36)]:
+            with pytest.raises(ShapeMismatchError, match="pixel range"):
+                stream.pixels(start, stop)
+        part = stream.read_rows(2, 3)
+        assert np.array_equal(part.data, whole.data[2:5])
+        assert _stride_order(part.data) == _stride_order(whole.data)
+        keep = np.array([True, False, False, True, True, False])
+        kept = stream.read_bands(keep)
+        assert np.array_equal(kept.data, whole.data[:, :, keep])
+        assert np.array_equal(kept.wavelengths, whole.wavelengths[keep])
+        assert _stride_order(kept.data) == _stride_order(whole.data)
+        for bad in [(-1, 2), (5, 3), (0, 0)]:
+            with pytest.raises(ShapeMismatchError, match="rows"):
+                stream.read_rows(*bad)
+
+
+def test_strips_cover_every_row_once_and_end_only_at_cuts(tmp_path, monkeypatch):
+    rows, cols, bands = 7, 5, 6
+    cube = random_cube(np.random.default_rng(9), rows=rows, cols=cols, bands=bands)
+    hc.write_cube(cube, tmp_path / "c")
+    monkeypatch.setattr(hc, "BLOCK_BYTES", 2 * cols * bands * 4)  # two rows
+    strips = []
+    with hc.CubeStream(tmp_path / "c") as stream:
+        for top, strip in stream.read_strips([0, 3, 4, 6, 7, 9]):
+            assert np.array_equal(strip.data, cube.data[top : top + strip.rows])
+            strips.append((top, strip.rows))
+    # rows 0-2 hold no cut, so the first strip needs three
+    assert strips == [(0, 3), (3, 1), (4, 2), (6, 1)]
 
 
 def test_band_labels_round_trip(tmp_path):

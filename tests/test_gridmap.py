@@ -75,19 +75,6 @@ def test_assign_ids_full_grid():
         assert ap.plot_id == f"P-{r:02d}-{c:02d}"
 
 
-def test_assign_ids_by_anchor_box():
-    boxes, truth = grid_boxes(2, 2)
-    plot_map = make_plot_map(2, 2, start_row=5, start_col=3)
-    rl, cl = gridmap.build_grid(boxes, 40, 70)
-    # anchor through the last box instead of an explicit cell
-    r, c = truth[(boxes[-1].top, boxes[-1].left)]
-    anchor = gridmap.Anchor(plot_id=f"P-{r:02d}-{c:02d}", box_index=len(boxes) - 1)
-    assignment = gridmap.assign_ids(boxes, rl, cl, plot_map, anchor)
-    for ap in assignment.assigned():
-        rr, cc = truth[(ap.box.top, ap.box.left)]
-        assert ap.plot_id == f"P-{rr:02d}-{cc:02d}"
-
-
 def test_assignment_is_translation_invariant():
     boxes, truth = grid_boxes(3, 3)
     plot_map = make_plot_map(3, 3)
@@ -164,18 +151,12 @@ def test_nearest_line_tie_goes_to_lower_index():
 
 def test_anchor_validation():
     with pytest.raises(AnchorError):
-        gridmap.Anchor(plot_id="P", cell=(0, 0), box_index=1)
-    with pytest.raises(AnchorError):
         gridmap.Anchor(plot_id="P")
     boxes, _ = grid_boxes(2, 2)
     plot_map = make_plot_map(2, 2)
     rl, cl = gridmap.build_grid(boxes, 40, 70)
     with pytest.raises(AnchorError, match="not in the plot map"):
         gridmap.assign_ids(boxes, rl, cl, plot_map, gridmap.Anchor("NOPE", cell=(0, 0)))
-    with pytest.raises(AnchorError, match="out of range"):
-        gridmap.assign_ids(
-            boxes, rl, cl, plot_map, gridmap.Anchor("P-00-00", box_index=9)
-        )
     with pytest.raises(AnchorError, match="outside the detected grid"):
         gridmap.assign_ids(
             boxes, rl, cl, plot_map, gridmap.Anchor("P-00-00", cell=(5, 0))

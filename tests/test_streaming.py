@@ -1,0 +1,216 @@
+"""segment, unmix and dataset stream the reflectance cube.
+
+Their outputs equal the whole-cube layers run on ``read_cube`` of the
+same cube, every sample they read is checked, and a run hashes the
+reflectance payload at most once.
+"""
+
+import hashlib
+import json
+import os
+import shutil
+
+import numpy as np
+import pytest
+
+from hyperfield import cube as hc
+from hyperfield import pipeline
+from hyperfield.cli import main
+from hyperfield.config import load_config
+from hyperfield.endmember import read_endmembers_csv
+from hyperfield.gridmap import read_assignment_csv
+from hyperfield.netpbm import read_pbm, write_pgm
+from hyperfield.segment import ndpsi, otsu_threshold, window_indices
+from hyperfield.subplot import Records, build_records, read_yields_csv, write_records_csv
+from hyperfield.unmix import unmix_cube
+
+from test_cli import TINY_INI
+
+# 1000 pixels divide neither the tiny scene's 428 columns nor its pixels
+CONFIG = TINY_INI + "\n[unmix]\nchunk = 1000\n"
+STAGES = ("segment", "unmix", "dataset")
+# what the stages read besides the reflectance cube and each other's outputs
+INPUTS = ("endmembers/endmembers.csv", "gridmap/assignment.csv", "synth/yields.csv")
+
+
+def _sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _run(stage, ini, out, *extra) -> int:
+    return main([stage, "--out", str(out), "--config", str(ini), "--stage-force", *extra])
+
+
+@pytest.fixture(scope="module")
+def tiny(tmp_path_factory):
+    """A tiny synth + run-all tree."""
+    root = tmp_path_factory.mktemp("stream")
+    ini = root / "config.ini"
+    ini.write_text(CONFIG)
+    out = root / "out"
+    assert main(["synth", "--out", str(out), "--config", str(ini)]) == 0
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    return ini, out
+
+
+@pytest.fixture(scope="module")
+def streamed(request, tiny, tmp_path_factory):
+    """The tiny tree's stage inputs with the reflectance in one interleave.
+
+    segment, unmix and dataset have run on it with one band plane per
+    block, on two unmix threads.
+    """
+    ini, base = tiny
+    out = tmp_path_factory.mktemp(f"stream-{request.param}") / "out"
+    for rel in INPUTS:
+        os.makedirs(out / os.path.dirname(rel), exist_ok=True)
+        shutil.copyfile(base / rel, out / rel)
+    stem = out / pipeline.F_REFLECTANCE
+    os.makedirs(stem.parent)
+    cube = hc.read_cube(base / pipeline.F_REFLECTANCE)
+    hc.write_cube(cube, stem, request.param)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hc, "BLOCK_BYTES", cube.rows * cube.cols * cube.data.itemsize)
+        for stage in STAGES:
+            assert _run(stage, ini, out, "--threads", "2") == 0, stage
+    yield ini, out
+    shutil.rmtree(out)
+
+
+@pytest.mark.parametrize("streamed", hc.INTERLEAVES, indirect=True)
+def test_streamed_stages_match_the_whole_cube_layers(streamed, tmp_path):
+    ini, out = streamed
+    config = load_config(str(ini))
+    cube = hc.read_cube(out / pipeline.F_REFLECTANCE)
+
+    red = config.window_nm("segment", "red_window_nm")
+    blue = config.window_nm("segment", "blue_window_nm")
+    plane = ndpsi(cube, red_window=red, blue_window=blue)
+    write_pgm(tmp_path / "score.pgm", plane)
+    assert (out / pipeline.F_SEG_SCORE).read_bytes() == (tmp_path / "score.pgm").read_bytes()
+    threshold = (out / pipeline.F_SEG_THRESHOLD).read_text()
+    assert threshold == repr(otsu_threshold(plane)) + "\n"
+
+    endmembers = read_endmembers_csv(out / pipeline.F_ENDMEMBERS)
+    if endmembers.wavelengths.size != cube.bands or not np.allclose(
+        endmembers.wavelengths, cube.wavelengths, atol=0.05, rtol=0.0
+    ):
+        endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
+    abundances, residual = unmix_cube(cube, endmembers, chunk=config.getint("unmix", "chunk"))
+    hc.write_cube(abundances.to_cube(), tmp_path / "abundances")
+    for suffix in (".hdr", ".raw"):
+        assert (out / f"{pipeline.F_ABUNDANCES}{suffix}").read_bytes() == \
+            (tmp_path / f"abundances{suffix}").read_bytes()
+    assert (out / pipeline.F_RESIDUAL).read_text() == repr(residual) + "\n"
+
+    mask = read_pbm(out / pipeline.F_SL_MASK)
+    yields = read_yields_csv(out / "synth" / "yields.csv")
+    window_px = config.getint("dataset", "window_px")
+    parts = []
+    for plot in sorted(read_assignment_csv(out / pipeline.F_ASSIGNMENT), key=lambda p: p.plot_id):
+        box = plot.box
+        rows = slice(box.top, box.top + box.height)
+        cols = slice(box.left, box.left + box.width)
+        parts.append(build_records(
+            plot.plot_id, cube.data[rows, cols], mask[rows, cols], yields[plot.plot_id], window_px
+        ))
+    write_records_csv(tmp_path / "records.csv", Records.concat(parts))
+    assert (out / pipeline.F_RECORDS).read_bytes() == (tmp_path / "records.csv").read_bytes()
+
+
+def _sample(ini, out, position):
+    """(row, col, band) of a reflectance sample in the named position."""
+    header, _ = hc._read_header(out / pipeline.F_REFLECTANCE)
+    boxes = [plot.box for plot in read_assignment_csv(out / pipeline.F_ASSIGNMENT)]
+    red_nm = load_config(str(ini)).window_nm("segment", "red_window_nm")
+    red = window_indices(header.wavelengths, red_nm)
+    box = boxes[0]
+    inside = (box.top + box.height // 2, box.left + box.width // 2)
+    if position == "band-outside-windows":
+        return (*inside, header.bands - 1)
+    if position == "row-outside-plots":
+        covered = {row for b in boxes for row in range(b.top, b.top + b.height)}
+        row = max(set(range(header.rows)) - covered)
+        return row, header.cols // 2, red[0]
+    return (*inside, red[0])
+
+
+@pytest.mark.parametrize("streamed", ["bsq", "bil"], indirect=True)
+@pytest.mark.parametrize("position", ["band-outside-windows", "row-outside-plots", "inside-plot"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_reflectance_exits_4_naming_the_file(streamed, capsys, position, bad):
+    ini, out = streamed
+    header, raw = hc._read_header(out / pipeline.F_REFLECTANCE)
+    row, col, band = _sample(ini, out, position)
+    if header.interleave == "bsq":
+        at = (band, row, col)
+    else:
+        at = (row, band, col)
+    payload = np.memmap(raw, dtype=header.dtype, mode="r+", shape=header.file_shape())
+    good = payload[at]
+    try:
+        payload[at] = bad
+        payload.flush()
+        for stage in STAGES:
+            assert _run(stage, ini, out) == 4, stage
+            err = capsys.readouterr().err
+            assert f"{raw}: cube data contains non-finite samples" in err, (stage, err)
+    finally:
+        payload[at] = good
+        payload.flush()
+        del payload
+
+
+def test_no_stage_maps_the_whole_reflectance_cube(tiny, monkeypatch):
+    ini, out = tiny
+    read_cube, mapped = hc.read_cube, hc._mapped
+
+    def refuse(path):
+        stem = os.fspath(path).replace(os.sep, "/").removesuffix(hc.RAW_SUFFIX)
+        if stem.endswith(pipeline.F_REFLECTANCE):
+            raise AssertionError(f"the whole reflectance cube is mapped: {path}")
+
+    def guarded_read(path):
+        refuse(path)
+        return read_cube(path)
+
+    def guarded_map(header, raw_path):
+        refuse(raw_path)
+        return mapped(header, raw_path)
+
+    monkeypatch.setattr(hc, "read_cube", guarded_read)
+    monkeypatch.setattr(pipeline, "read_cube", guarded_read)
+    monkeypatch.setattr(hc, "_mapped", guarded_map)
+    for stage in STAGES:
+        assert _run(stage, ini, out) == 0, stage
+
+
+def test_a_run_hashes_the_reflectance_payload_at_most_once(tiny, monkeypatch):
+    ini, out = tiny
+    raw = os.path.realpath(out / f"{pipeline.F_REFLECTANCE}.raw")
+    hashed, streams = [], []
+
+    def counting(path):
+        hashed.append(os.path.realpath(path))
+        return _sha256_of(path)
+
+    class Counting(hc._Sha256Behind):
+        def __init__(self):
+            streams.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(pipeline, "_sha256", counting)
+    monkeypatch.setattr(hc, "_Sha256Behind", Counting)
+    assert main(["run-all", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
+    assert raw not in hashed
+    # calibrate hashes the scene it reads and the reflectance it writes; no later stage hashes
+    assert len(streams) == 2
+
+    hashed.clear()
+    streams.clear()
+    assert _run("segment", ini, out) == 0
+    assert raw not in hashed
+    assert len(streams) == 1  # the file-order pass segment makes anyway
+    manifest = json.loads((out / "manifests" / "segment.json").read_text())
+    assert manifest["inputs"][f"{pipeline.F_REFLECTANCE}.raw"] == _sha256_of(raw)

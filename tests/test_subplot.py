@@ -1,5 +1,8 @@
 """Window tiling, yield allocation, and feature extraction."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -252,6 +255,32 @@ class TestRecordsCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError):
             read_records_csv(path)
+
+    def test_bytes_are_what_csv_writer_writes(self, tmp_path):
+        rng = np.random.default_rng(32)
+        records = Records.concat([
+            build_records(plot_id, *_random_plot(rng, rows=30, cols=45, bands=5), 100.0 + i)
+            for i, plot_id in enumerate(["P0000", "plot 03", "näher-7"])
+        ])
+        write_records_csv(tmp_path / "records.csv", records)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["plot_id", "window_row", "window_col", "n_sl", "yield_g"]
+                        + [f"f{i + 1}" for i in range(records.features.shape[1])])
+        for plot_id, window, grams, features in zip(
+            records.plot_ids, records.windows.tolist(), records.yields.tolist(),
+            records.features.tolist(),
+        ):
+            writer.writerow([plot_id, *window, repr(grams), *map(repr, features)])
+        with open(tmp_path / "records.csv", newline="") as fh:
+            assert fh.read() == expected.getvalue()
+
+    @pytest.mark.parametrize("plot_id", ["", "..", "a,b", 'a"b', "a\nb", "a\rb", "../x", "a\\b"])
+    def test_unsafe_plot_id_rejected(self, tmp_path, plot_id):
+        records = Records([plot_id], np.ones((1, 3), dtype=np.int64), np.ones(1), np.ones((1, 3)))
+        with pytest.raises(DataError, match="unsafe as a file name or CSV field"):
+            write_records_csv(tmp_path / "records.csv", records)
+        assert not (tmp_path / "records.csv").exists()
 
     def test_empty_list_rejected(self, tmp_path):
         empty = Records([], np.zeros((0, 3), int), np.zeros(0), np.zeros((0, 3)))
