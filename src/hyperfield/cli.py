@@ -4,6 +4,12 @@ Exit codes are stable: 0 success, 2 config error, 3 dependency error
 (a required stage has not run), 4 data error, 5 numeric divergence,
 1 unexpected crash. The ``HYPERFIELD_LOG`` environment variable sets
 the log level (DEBUG, INFO, WARNING, ERROR); the default is WARNING.
+
+BLAS runs on one thread in this process, whatever the environment
+says. The other cores go to the unmix threads, the hashing pool and the
+trainer's worker thread, which a second BLAS thread spinning between
+the MLP's small products would compete with. BLAS reads its thread
+count when numpy loads, so it is set before anything imports numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +18,9 @@ import argparse
 import logging
 import os
 import sys
+
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
 
 from .config import load_config
 from .errors import ConfigError, HyperfieldError, exit_code_for

@@ -125,12 +125,15 @@ class PipelineConfig:
         except KeyError:
             raise ConfigError(f"missing config value [{section}] {key}")
 
-    def getint(self, section: str, key: str) -> int:
+    def getint(self, section: str, key: str, minimum: int | None = None) -> int:
         raw = self.get(section, key)
         try:
-            return int(raw)
+            value = int(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"[{section}] {key} = {raw!r} must be at least {minimum}")
+        return value
 
     def getfloat(self, section: str, key: str) -> float:
         raw = self.get(section, key)

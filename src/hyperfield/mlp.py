@@ -16,10 +16,13 @@ so checkpoints always map standardized features straight to grams.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import json
 import logging
 import os
+from collections.abc import Callable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,20 +309,21 @@ def init_model(
     )
 
 
-def _forward_cache(
-    weights: list[np.ndarray], biases: list[np.ndarray], x: np.ndarray
+def _param_views(
+    flat: np.ndarray, layer_sizes: tuple[int, ...]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Activations and pre-activations for every layer; a[0] is the input."""
-    activations = [x]
-    preacts = []
-    a = x
-    last = len(weights) - 1
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w + b
-        preacts.append(z)
-        a = z if i == last else np.maximum(z, 0.0)
-        activations.append(a)
-    return activations, preacts
+    """Per-layer weight and bias views of one flat vector.
+
+    The layout is the checkpoint's: each layer's weights (row-major),
+    then its biases.
+    """
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -329,32 +333,76 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
         raise ShapeMismatchError(
             f"input has {x.shape[1]} features, model expects {model.layer_sizes[0]}"
         )
-    activations, _ = _forward_cache(model.weights, model.biases, x)
-    return activations[-1][:, 0]
+    a = x
+    last = model.n_layers - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w
+        a += b
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+    return a[:, 0]
+
+
+class Workspace:
+    """What ``backward`` writes, allocated once for a whole training run.
+
+    ``grads`` is one flat vector laid out as ``_param_views`` lays out
+    parameters, and ``grads_w`` / ``grads_b`` are its per-layer views.
+    ``acts`` and ``deltas`` hold each layer's outputs and error terms
+    for up to ``rows`` batch rows.
+    """
+
+    def __init__(self, layer_sizes: tuple[int, ...], rows: int):
+        pairs = zip(layer_sizes[:-1], layer_sizes[1:])
+        self.rows = rows
+        self.grads = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs))
+        self.grads_w, self.grads_b = _param_views(self.grads, layer_sizes)
+        self.acts = [np.empty((rows, size)) for size in layer_sizes[1:]]
+        self.deltas = [np.empty((rows, size)) for size in layer_sizes[1:]]
 
 
 def backward(
-    model: MlpModel, x: np.ndarray, y: np.ndarray
+    model: MlpModel, x: np.ndarray, y: np.ndarray, work: Workspace | None = None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of the batch-mean squared error.
+    """Gradients of the batch-mean squared error, per layer.
 
-    The ReLU subgradient at exactly zero is taken as zero.
+    They are written into ``work`` (a fresh one when none is given) and
+    returned as its ``grads_w`` and ``grads_b`` views. The ReLU
+    subgradient at exactly zero is taken as zero.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.size != x.shape[0]:
-        raise ShapeMismatchError(f"{x.shape[0]} inputs but {y.size} targets")
-    activations, preacts = _forward_cache(model.weights, model.biases, x)
     n = x.shape[0]
-    delta = 2.0 * (activations[-1] - y[:, None]) / n
-    grads_w = [np.empty(0)] * model.n_layers
-    grads_b = [np.empty(0)] * model.n_layers
-    for layer in range(model.n_layers - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+    if y.size != n:
+        raise ShapeMismatchError(f"{n} inputs but {y.size} targets")
+    if work is None:
+        work = Workspace(model.layer_sizes, n)
+    elif n > work.rows:
+        raise ShapeMismatchError(f"{n} rows but a workspace for {work.rows}")
+    last = model.n_layers - 1
+    acts = [x]
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(acts[i], w, out=work.acts[i][:n])
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        acts.append(z)
+    delta = np.subtract(acts[-1], y[:, None], out=work.deltas[last][:n])
+    delta *= 2.0
+    delta /= n
+    for layer in range(last, -1, -1):
+        np.matmul(acts[layer].T, delta, out=work.grads_w[layer])
+        np.sum(delta, axis=0, out=work.grads_b[layer])
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * (preacts[layer - 1] > 0.0)
-    return grads_w, grads_b
+            # a ReLU output is positive exactly where its input is
+            delta = np.matmul(delta, model.weights[layer].T, out=work.deltas[layer - 1][:n])
+            delta *= acts[layer] > 0.0
+    return work.grads_w, work.grads_b
+
+
+def _submit(worker: ThreadPoolExecutor, fn: Callable, *args) -> Future:
+    """``fn(*args)`` on ``worker``, under the caller's numpy error state."""
+    return worker.submit(contextvars.copy_context().run, fn, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -382,33 +430,71 @@ class TrainConfig:
 
 
 class AdamState:
-    """First/second moment accumulators for a flat parameter list."""
+    """Adam's moments and step count for one flat parameter vector.
 
-    def __init__(self, params: list[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    With a ``worker`` (an executor with one thread), each step's passes
+    over the first half of the vector run there while the calling thread
+    runs the second half.
+    """
+
+    def __init__(self, params: np.ndarray, worker: ThreadPoolExecutor | None = None):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
+        self.scratch = np.empty((2, params.size))
+        self.worker = worker
+
+
+def _adam_passes(
+    params: np.ndarray,
+    grads: np.ndarray,
+    state: AdamState,
+    config: TrainConfig,
+    part: slice,
+) -> None:
+    """``adam_step``'s update of ``params[part]``, as in-place elementwise passes.
+
+    The passes round as ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``
+    does, one operation at a time in the same order (c1 and c2 are the
+    bias corrections), so any cut of the vector gives the same bits.
+    """
+    b1, b2 = config.beta1, config.beta2
+    p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
+    s, r = state.scratch[0, part], state.scratch[1, part]
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=s)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=s)
+    v += np.multiply(s, g, out=s)
+    np.divide(m, 1.0 - b1**state.t, out=s)
+    s *= config.learning_rate
+    np.divide(v, 1.0 - b2**state.t, out=r)
+    np.sqrt(r, out=r)
+    r += config.eps
+    s /= r
+    p -= s
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
-    if len(params) != len(state.m) or len(params) != len(grads):
-        raise ShapeMismatchError("parameter, gradient, and state lists disagree")
+    """One bias-corrected Adam update of a flat parameter vector, in place."""
+    if params.ndim != 1 or params.shape != state.m.shape or grads.shape != params.shape:
+        raise ShapeMismatchError("parameter, gradient, and state vectors disagree")
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
-    c1 = 1.0 - b1**state.t
-    c2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
+    cut = params.size // 2
+    if state.worker is None or cut == 0:
+        _adam_passes(params, grads, state, config, slice(None))
+        return
+    head = _submit(state.worker, _adam_passes, params, grads, state, config, slice(0, cut))
+    _adam_passes(params, grads, state, config, slice(cut, None))
+    if head.cancel():  # the worker is still scoring an epoch: take its half back
+        _adam_passes(params, grads, state, config, slice(0, cut))
+    else:
+        head.result()
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +521,11 @@ def train(
     and stored with the model. Epoch 0 is the untrained network, so the
     checkpoint can never be worse than initialization. Ties in
     validation RMSE keep the earliest epoch.
+
+    The parameters, their gradients and Adam's moments are flat
+    vectors. One worker thread takes half of every Adam step and scores
+    each epoch on a copy of its parameters while the next epoch trains;
+    the arithmetic is the same as one thread doing it all in order.
     """
     config = config or TrainConfig()
     train_x = np.asarray(train_x, dtype=np.float64)
@@ -467,43 +558,53 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     model = init_model(layer_sizes, seed=config.seed, rng=rng)
     model.norm_stats = stats
+    params = np.concatenate(
+        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
+    )
+    model.weights, model.biases = _param_views(params, layer_sizes)
+    n = train_y.size
+    work = Workspace(layer_sizes, min(config.batch_size, n))
 
-    params = [p for pair in zip(model.weights, model.biases) for p in pair]
-    state = AdamState(params)
-
-    def snapshot():
-        return [w.copy() for w in model.weights], [b.copy() for b in model.biases]
-
-    def grams_rmse(z_features, y_grams):
-        pred = forward(model, z_features) * scale + target_mean
+    def grams_rmse(net, z_features, y_grams):
+        pred = forward(net, z_features) * scale + target_mean
         diff = pred - y_grams
         return float(np.sqrt(np.mean(diff * diff)))
 
+    def score(snapshot):
+        net = MlpModel(layer_sizes, *_param_views(snapshot, layer_sizes))
+        return grams_rmse(net, zx, train_y), grams_rmse(net, zv, val_y)
+
     logbook = []
-    train_rmse = grams_rmse(zx, train_y)
-    val_rmse = grams_rmse(zv, val_y)
-    if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
-        raise DivergenceError("non-finite loss at epoch 0")
-    logbook.append(EpochLog(0, train_rmse, val_rmse))
-    best_val, best_epoch, best_params = val_rmse, 0, snapshot()
+    best_val, best_epoch, best_params = np.inf, 0, params
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="hyperfield-train") as worker:
+        state = AdamState(params, worker)
 
-    n = train_y.size
-    for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = perm[start : start + config.batch_size]
-            grads_w, grads_b = backward(model, zx[batch], zy[batch])
-            grads = [g for pair in zip(grads_w, grads_b) for g in pair]
-            adam_step(params, grads, state, config)
-        train_rmse = grams_rmse(zx, train_y)
-        val_rmse = grams_rmse(zv, val_y)
-        if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        logbook.append(EpochLog(epoch, train_rmse, val_rmse))
-        if val_rmse < best_val:
-            best_val, best_epoch, best_params = val_rmse, epoch, snapshot()
+        def epochs():
+            """(epoch, parameters, future RMSEs), each yielded once the next epoch is queued."""
+            previous = None
+            for epoch in range(config.epochs + 1):
+                if epoch:
+                    perm = rng.permutation(n)
+                    for start in range(0, n, config.batch_size):
+                        batch = perm[start : start + config.batch_size]
+                        backward(model, zx[batch], zy[batch], work)
+                        adam_step(params, work.grads, state, config)
+                snapshot = params.copy()
+                current = epoch, snapshot, _submit(worker, score, snapshot)
+                if previous is not None:
+                    yield previous
+                previous = current
+            yield previous
 
-    model.weights, model.biases = best_params
+        for epoch, snapshot, rmse in epochs():
+            train_rmse, val_rmse = rmse.result()
+            if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            logbook.append(EpochLog(epoch, train_rmse, val_rmse))
+            if val_rmse < best_val:
+                best_val, best_epoch, best_params = val_rmse, epoch, snapshot
+
+    model.weights, model.biases = _param_views(best_params, layer_sizes)
     # Fold the target scale into the linear output layer: the returned
     # model maps standardized features straight to grams.
     model.weights[-1] = model.weights[-1] * scale

@@ -187,6 +187,29 @@ class FileDigests:
         return {path: self._known[key] for path, key in keys.items()}
 
 
+class ParsedRecords:
+    """``dataset/records.csv`` parsed once per run, for every stage that reads it.
+
+    The parse is keyed like a ``FileDigests`` entry, by the file's stat
+    identity, so a rewritten file is parsed again; only the latest parse
+    is kept. Its arrays are read-only because the stages share them. A
+    run writes the records (``dataset``) before any stage reads them.
+    """
+
+    def __init__(self) -> None:
+        self._key: tuple[int, int, int, int, int] | None = None
+        self._records: Records | None = None
+
+    def read(self, path: str) -> Records:
+        key = _identity(os.stat(path))
+        if self._records is None or key != self._key:
+            records = read_records_csv(path)
+            for column in (records.windows, records.yields, records.features):
+                column.flags.writeable = False
+            self._key, self._records = key, records
+        return self._records
+
+
 def _manifest_path(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, "manifests", f"{stage}.json")
 
@@ -252,10 +275,17 @@ def _cube_files(stem: str) -> list[str]:
 class _Stage:
     """Input/output bookkeeping shared by every stage body."""
 
-    def __init__(self, name: str, config: PipelineConfig, digests: FileDigests):
+    def __init__(
+        self,
+        name: str,
+        config: PipelineConfig,
+        digests: FileDigests,
+        records: ParsedRecords | None = None,
+    ):
         self.name = name
         self.config = config
         self.digests = digests
+        self.records = ParsedRecords() if records is None else records
         self.out_dir = config.out_dir()
         self.inputs: dict[str, str] = {}
         self.outputs: list[str] = []
@@ -511,8 +541,8 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
         abundances, residual = unmix_cube(
             cube,
             endmembers,
-            threads=st.config.getint("unmix", "threads"),
-            chunk=st.config.getint("unmix", "chunk"),
+            threads=st.config.getint("unmix", "threads", minimum=1),
+            chunk=st.config.getint("unmix", "chunk", minimum=1),
         )
     foreground = sl_mask(
         abundances,
@@ -601,7 +631,7 @@ def _stage_train(st: _Stage) -> Iterator[None]:
     split_path = st.emit(F_SPLIT)
     yield
 
-    records = read_records_csv(records_path)
+    records = st.records.read(records_path)
     x, y = records.features, records.yields
     split = stratified_split(y, records.plot_ids, st.config.split_spec())
     model, logbook = train(
@@ -636,7 +666,7 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
     yield
 
     model = load_model(model_path)
-    records = read_records_csv(records_path)
+    records = st.records.read(records_path)
     x, y = records.features, records.yields
     roles = _read_split_csv(split_path, len(records))
     if roles["test"].size:
@@ -718,7 +748,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     }
     yield
 
-    records = read_records_csv(records_path)
+    records = st.records.read(records_path)
     metrics = read_metrics_csv(metrics_path)
     missing = [name for name in _SUMMARY_METRICS if name not in metrics]
     if missing:
@@ -845,16 +875,18 @@ def run_stage(
     config: PipelineConfig,
     force: bool = False,
     digests: FileDigests | None = None,
+    records: ParsedRecords | None = None,
 ) -> None:
     """Run one stage (or skip it when its manifest is still valid).
 
-    ``digests`` carries file hashes between the stages of one run.
+    ``digests`` and ``records`` carry file hashes and the parsed records
+    between the stages of one run.
     """
     if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
     log.info("stage %s: starting", name)
     stage = STAGES[name]
-    st = _Stage(name, config, FileDigests() if digests is None else digests)
+    st = _Stage(name, config, FileDigests() if digests is None else digests, records)
     work = stage.body(st)
     next(work)
     config_hash = config.config_hash(stage.sections)
@@ -867,6 +899,6 @@ def run_stage(
 
 def run_all(config: PipelineConfig, force: bool = False) -> None:
     """All pipeline stages in order. The synth stage is not included."""
-    digests = FileDigests()
+    digests, records = FileDigests(), ParsedRecords()
     for name in STAGE_ORDER:
-        run_stage(name, config, force, digests)
+        run_stage(name, config, force, digests, records)

@@ -2,8 +2,8 @@
 
 Everything here favours obviousness over speed: double loops, explicit
 enumeration, no shared code with the package under test. The last
-section holds the few test-only entry points that do call into the
-package: single-pixel unmixing and the batch loss.
+sections hold the few test-only entry points that do call into the
+package: the per-array trainer, single-pixel unmixing and the batch loss.
 """
 
 import itertools
@@ -11,8 +11,16 @@ from collections import Counter
 
 import numpy as np
 
-from hyperfield.errors import DataError
-from hyperfield.mlp import forward
+from hyperfield.errors import DataError, DivergenceError
+from hyperfield.mlp import (
+    SIGMA_FLOOR,
+    EpochLog,
+    TrainConfig,
+    forward,
+    init_model,
+    standardize_apply,
+    standardize_fit_apply,
+)
 from hyperfield.unmix import _check_W, _solve_block, _SupportSolver, _supports
 
 
@@ -253,6 +261,122 @@ def identical_yield_fraction(records):
         raise DataError("no records")
     counts = Counter(zip(records.plot_ids, records.yields.tolist()))
     return sum(count for count in counts.values() if count > 1) / len(records)
+
+
+# ---------------------------------------------------------------------------
+# the per-array trainer: ``mlp.train`` must match it bit for bit
+
+
+def _forward_cache(weights, biases, x):
+    """Activations and pre-activations for every layer; a[0] is the input."""
+    activations = [x]
+    preacts = []
+    a = x
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w + b
+        preacts.append(z)
+        a = z if i == last else np.maximum(z, 0.0)
+        activations.append(a)
+    return activations, preacts
+
+
+def _backward_lists(weights, biases, x, y):
+    activations, preacts = _forward_cache(weights, biases, x)
+    n = x.shape[0]
+    delta = 2.0 * (activations[-1] - y[:, None]) / n
+    grads_w = [np.empty(0)] * len(weights)
+    grads_b = [np.empty(0)] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (preacts[layer - 1] > 0.0)
+    return grads_w, grads_b
+
+
+class AdamState:
+    """First/second moment accumulators for a list of parameter arrays."""
+
+    def __init__(self, params):
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+
+def adam_step_lists(params, grads, state, config):
+    """One bias-corrected Adam update of every array, in place."""
+    state.t += 1
+    b1, b2 = config.beta1, config.beta2
+    c1 = 1.0 - b1**state.t
+    c2 = 1.0 - b2**state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
+
+
+def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None):
+    """``mlp.train``'s arithmetic, one array at a time and one epoch after another."""
+    config = config or TrainConfig()
+    train_x = np.asarray(train_x, dtype=np.float64)
+    train_y = np.asarray(train_y, dtype=np.float64).reshape(-1)
+    val_x = np.asarray(val_x, dtype=np.float64)
+    val_y = np.asarray(val_y, dtype=np.float64).reshape(-1)
+    stats, zx = standardize_fit_apply(train_x)
+    zv = standardize_apply(stats, val_x)
+    target_mean = float(train_y.mean())
+    target_std = float(train_y.std())
+    scale = target_std if target_std > SIGMA_FLOOR else 0.0
+    zy = (train_y - target_mean) / scale if scale else np.zeros_like(train_y)
+
+    layer_sizes = (train_x.shape[1], *hidden_sizes, 1)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    model = init_model(layer_sizes, seed=config.seed, rng=rng)
+    model.norm_stats = stats
+
+    params = [p for pair in zip(model.weights, model.biases) for p in pair]
+    state = AdamState(params)
+
+    def snapshot():
+        return [w.copy() for w in model.weights], [b.copy() for b in model.biases]
+
+    def grams_rmse(z_features, y_grams):
+        out = _forward_cache(model.weights, model.biases, z_features)[0][-1][:, 0]
+        diff = out * scale + target_mean - y_grams
+        return float(np.sqrt(np.mean(diff * diff)))
+
+    logbook = []
+    train_rmse = grams_rmse(zx, train_y)
+    val_rmse = grams_rmse(zv, val_y)
+    if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
+        raise DivergenceError("non-finite loss at epoch 0")
+    logbook.append(EpochLog(0, train_rmse, val_rmse))
+    best_val, best_epoch, best_params = val_rmse, 0, snapshot()
+
+    n = train_y.size
+    for epoch in range(1, config.epochs + 1):
+        perm = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            batch = perm[start : start + config.batch_size]
+            grads_w, grads_b = _backward_lists(model.weights, model.biases, zx[batch], zy[batch])
+            grads = [g for pair in zip(grads_w, grads_b) for g in pair]
+            adam_step_lists(params, grads, state, config)
+        train_rmse = grams_rmse(zx, train_y)
+        val_rmse = grams_rmse(zv, val_y)
+        if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
+            raise DivergenceError(f"non-finite loss at epoch {epoch}")
+        logbook.append(EpochLog(epoch, train_rmse, val_rmse))
+        if val_rmse < best_val:
+            best_val, best_epoch, best_params = val_rmse, epoch, snapshot()
+
+    model.weights, model.biases = best_params
+    model.weights[-1] = model.weights[-1] * scale
+    model.biases[-1] = model.biases[-1] * scale + target_mean
+    model.best_epoch = best_epoch
+    return model, logbook
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from hyperfield.pipeline import (
 )
 from hyperfield.subplot import read_records_csv
 
+HYPERBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "hyperbench")
+
 TINY_INI = """\
 [synth]
 grid_rows = 4
@@ -508,6 +510,48 @@ def test_run_all_hashes_each_file_once(memo_run, monkeypatch, force):
     _assert_manifests_match_disk(out)
 
 
+def _count_records_parses(monkeypatch) -> list[str]:
+    parsed = []
+
+    def counting(path):
+        parsed.append(path)
+        return read_records_csv(path)
+
+    monkeypatch.setattr(pipeline, "read_records_csv", counting)
+    return parsed
+
+
+def test_forced_run_all_parses_the_records_once(memo_run, monkeypatch):
+    ini, out = memo_run
+    parsed = _count_records_parses(monkeypatch)
+    assert main(["run-all", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
+    assert parsed == [str(out / "dataset" / "records.csv")]
+
+
+def test_rewritten_records_are_parsed_again(memo_run, monkeypatch):
+    ini, out = memo_run
+    config = load_config(str(ini))
+    config.set("output", "dir", str(out))
+    parsed = _count_records_parses(monkeypatch)
+    memo = pipeline.ParsedRecords()
+    run_stage("train", config, force=True, records=memo)
+    path = out / "dataset" / "records.csv"
+    fresh = out / "dataset" / "records.csv.new"
+    shutil.copyfile(path, fresh)
+    os.replace(fresh, path)  # same bytes, new inode: a new stat identity
+    run_stage("evaluate", config, force=True, records=memo)
+    run_stage("report", config, force=True, records=memo)
+    assert len(parsed) == 2
+
+
+@pytest.mark.parametrize("column", ["features", "yields", "windows"])
+def test_shared_records_are_read_only(memo_run, column):
+    _, out = memo_run
+    records = pipeline.ParsedRecords().read(str(out / "dataset" / "records.csv"))
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(records, column)[0] += 1
+
+
 def test_file_digests_share_entries_and_rehash_on_request(tmp_path, monkeypatch):
     path = tmp_path / "f.bin"
     path.write_bytes(b"a" * 64)
@@ -536,14 +580,50 @@ def test_cli_import_loads_no_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def test_cli_runs_blas_on_one_thread():
+    """Importing the CLI pins BLAS to one thread, even over the environment.
+
+    The pin only works if it comes before numpy loads, so the child also
+    records the thread variables at the moment numpy is imported.
+    """
+    src = os.path.dirname(os.path.dirname(hyperfield.__file__))
+    envinfo = os.path.join(HYPERBENCH, "envinfo.py")
+    code = (
+        "import importlib.util, json, os, sys\n"
+        "seen = []\n"
+        "class Watch:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'numpy':\n"
+        "            seen.append({v: os.environ.get(v) for v in"
+        " ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')})\n"
+        "sys.meta_path.insert(0, Watch())\n"
+        "import hyperfield.cli\n"
+        "import numpy\n"
+        f"spec = importlib.util.spec_from_file_location('envinfo', {envinfo!r})\n"
+        "envinfo = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(envinfo)\n"
+        "print(json.dumps({'seen': seen, 'threads': envinfo._openblas_threads()}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2",
+           "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    found = json.loads(result.stdout.splitlines()[-1])
+    pinned = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    assert found["seen"] == [pinned]
+    if found["threads"] is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert found["threads"] == 1
+
+
 def test_traced_cold_run_calls_every_layer_the_benchmark_expects(tmp_path):
     """hyperbench's coverage guard for its ``cold`` workload, on the tiny scene.
 
     A refactor that stops a stage from calling a layer function through
     module globals (which is how the benchmark's tracer sees it) fails here.
     """
-    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "hyperbench")
-    spec = importlib.util.spec_from_file_location("hyperbench_layers", os.path.join(bench, "layers.py"))
+    spec = importlib.util.spec_from_file_location("hyperbench_layers", os.path.join(HYPERBENCH, "layers.py"))
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
     ini = tmp_path / "config.ini"
@@ -552,13 +632,27 @@ def test_traced_cold_run_calls_every_layer_the_benchmark_expects(tmp_path):
     for command in ("synth", "run-all"):
         path = tmp_path / f"{command}.json"
         result = subprocess.run(
-            [sys.executable, os.path.join(bench, "tracing.py"), str(path), command,
+            [sys.executable, os.path.join(HYPERBENCH, "tracing.py"), str(path), command,
              "--out", str(tmp_path / "out"), "--config", str(ini)],
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
         spans[command] = layers.Spans.load(path)
-    assert layers.coverage_problems("cold", spans["run-all"], spans["synth"]) == []
+    run = spans["run-all"]
+    assert layers.coverage_problems("cold", run, spans["synth"]) == []
+
+    # one Adam call per optimizer step, the epochs scored on the trainer's
+    # worker thread still traced, and one records parse for the whole run
+    config = load_config(str(ini))
+    epochs, batch = config.getint("train", "epochs"), config.getint("train", "batch_size")
+    with open(tmp_path / "out" / "train" / "split.csv", newline="") as fh:
+        n_train = sum(row["role"] == "train" for row in csv.DictReader(fh))
+    assert run.calls("mlp.adam_step") == epochs * -(-n_train // batch)
+    forward = [row for row in run.rows if row[2] == "mlp.forward"]
+    worker = [row for row in forward if row[1] is None]  # no span open on its thread
+    assert len(worker) == 2 * (epochs + 1)
+    assert len(forward) == len(worker) + run.calls("mlp.predict")
+    assert run.calls("subplot.read_records_csv") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +701,19 @@ def test_missing_config_file_exits_2(tmp_path):
 def test_flag_validation():
     assert main(["synth", "--seed", "-1"]) == 2
     assert main(["synth", "--threads", "0"]) == 2
+
+
+@pytest.mark.parametrize("key", ["chunk", "threads"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_unmix_sizes_below_one_exit_2(memo_run, tmp_path, capsys, key, value):
+    ini, out = memo_run
+    bad = tmp_path / "bad.ini"
+    bad.write_text(ini.read_text() + f"\n[unmix]\n{key} = {value}\n")
+    abundances = out / "unmix" / "abundances.raw"
+    stamp = abundances.stat().st_mtime_ns
+    assert main(["unmix", "--out", str(out), "--config", str(bad)]) == 2
+    assert f"[unmix] {key} = '{value}' must be at least 1" in capsys.readouterr().err
+    assert abundances.stat().st_mtime_ns == stamp
 
 
 def test_data_error_exits_4(tiny_run, tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Splitting, standardization, network math, Adam, training, metrics."""
 
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -10,12 +14,14 @@ from hyperfield.errors import (
     ShapeMismatchError,
 )
 from hyperfield.mlp import (
+    DEFAULT_HIDDEN,
     AdamState,
     EpochLog,
     MlpModel,
     NormStats,
     SplitSpec,
     TrainConfig,
+    _submit,
     adam_step,
     backward,
     evaluate,
@@ -36,7 +42,7 @@ from hyperfield.mlp import (
 from hyperfield.subplot import Records
 from hyperfield.table import read_table
 
-from oracles import batch_mse, central_difference, mlp_forward_naive
+from oracles import batch_mse, central_difference, mlp_forward_naive, train_lists
 
 
 def _fake_rows(rng, n_plots=20, per_plot=8, k=5):
@@ -318,28 +324,54 @@ class TestAdam:
         # Holds whenever |g| dominates Adam's epsilon.
         config = TrainConfig(learning_rate=1e-3)
         for g0 in (0.5, -2.0, 0.05, 300.0):
-            params = [np.array([1.0])]
+            params = np.array([1.0])
             state = AdamState(params)
-            adam_step(params, [np.array([g0])], state, config)
-            step = abs(params[0][0] - 1.0)
+            adam_step(params, np.array([g0]), state, config)
+            step = abs(params[0] - 1.0)
             assert config.learning_rate * (1 - 1e-6) <= step <= config.learning_rate
-            assert np.sign(1.0 - params[0][0]) == np.sign(g0)
+            assert np.sign(1.0 - params[0]) == np.sign(g0)
 
     def test_zero_gradients_leave_parameters_alone(self):
-        params = [np.array([3.0, -1.0])]
+        params = np.array([3.0, -1.0])
         state = AdamState(params)
         for _ in range(10):
-            adam_step(params, [np.zeros(2)], state, TrainConfig())
-        assert params[0] == pytest.approx([3.0, -1.0])
+            adam_step(params, np.zeros(2), state, TrainConfig())
+        assert params == pytest.approx([3.0, -1.0])
+
+    def test_step_split_with_a_worker_matches_one_pass(self):
+        rng = np.random.default_rng(67)
+        start = rng.normal(size=100_001)  # odd: the halves differ in length
+        grads = rng.normal(size=(20, start.size))
+        config = TrainConfig(learning_rate=1e-2)
+        found = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                for helper in (None, worker):
+                    params = start.copy()
+                    state = AdamState(params, helper)
+                    for g in grads:
+                        adam_step(params, g, state, config)
+                    found.append(params.tobytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert found[0] == found[1]
+
+    def test_worker_jobs_run_under_the_callers_error_state(self):
+        with ThreadPoolExecutor(max_workers=1) as worker, np.errstate(divide="raise"):
+            job = _submit(worker, np.divide, np.ones(1), np.zeros(1))
+            with pytest.raises(FloatingPointError):
+                job.result()
 
     def test_scalar_quadratic_convergence(self):
         config = TrainConfig(learning_rate=0.1)
-        params = [np.array([0.0])]
+        params = np.array([0.0])
         state = AdamState(params)
         for _ in range(200):
-            g = 2.0 * (params[0] - 3.0)
-            adam_step(params, [g.copy()], state, config)
-        assert abs(params[0][0] - 3.0) < 0.05
+            g = 2.0 * (params - 3.0)
+            adam_step(params, g, state, config)
+        assert abs(params[0] - 3.0) < 0.05
 
 
 def _linear_problem(rng, n, k, noise=0.5, intercept=30.0):
@@ -403,6 +435,49 @@ class TestTrain:
         )
         assert model.norm_stats is not None
         assert model.norm_stats.mean == pytest.approx(x[:120].mean(axis=0))
+
+
+class TestTrainMatchesPerArrayReference:
+    """The flat-vector trainer with its worker thread repeats the per-array loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n_train, hidden, epochs, batch_size",
+        [
+            (150, DEFAULT_HIDDEN, 6, 64),  # the default net
+            (128, (12,), 10, 64),  # one hidden layer, whole batches only
+            (100, (16, 8), 8, 32),  # a partial last batch of 4
+            (90, (10, 6), 5, 500),  # one batch larger than the training set
+            (200, (20, 10), 3, 64),  # three epochs
+        ],
+    )
+    def test_same_bits_as_the_reference(self, n_train, hidden, epochs, batch_size):
+        rng = np.random.default_rng(61)
+        x, y = _linear_problem(rng, n_train + 40, 9)
+        config = TrainConfig(epochs=epochs, batch_size=batch_size, seed=5)
+        args = (x[:n_train], y[:n_train], x[n_train:], y[n_train:], hidden, config)
+        model, logbook = train(*args)
+        ref_model, ref_logbook = train_lists(*args)
+        assert model.best_epoch == ref_model.best_epoch
+        assert logbook == ref_logbook
+        assert len(logbook) == epochs + 1
+        for a, b in zip(model.weights + model.biases, ref_model.weights + ref_model.biases):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_divergence_names_the_reference_epoch(self):
+        rng = np.random.default_rng(43)
+        x, y = _linear_problem(rng, 120, 4)
+        config = TrainConfig(epochs=5, learning_rate=1e28, seed=0)
+        args = (x[:100], y[:100], x[100:], y[100:], (8,) * 7, config)
+        # the worker thread scores under the caller's error state: a
+        # warning it raised would surface here instead of the divergence
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as ref:
+                train_lists(*args)
+            with pytest.raises(DivergenceError) as found:
+                train(*args)
+        assert str(found.value) == str(ref.value)
 
 
 def _identity_model():
