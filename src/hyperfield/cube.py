@@ -19,6 +19,10 @@ replaces a pair atomically instead of rewriting it in place.
 ``CubeStream`` and ``write_band_blocks`` instead move a payload through
 memory a bounded part at a time: band planes, a run of pixels or a
 strip of rows. A pass in file order hashes the bytes on the way.
+
+Each check has one owner: the header parser checks the metadata, each
+reader checks every sample it brings in, once, for NaN and inf, and
+``to_reflectance`` the samples it computes. ``HyperCube`` never scans.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import os
 import threading
 from collections.abc import Iterable, Iterator
@@ -82,9 +87,31 @@ def default_wavelengths() -> np.ndarray:
     return WAVELENGTH_START_NM + WAVELENGTH_STEP_NM * np.arange(BAND_COUNT)
 
 
+def _check_metadata(bands: int, wavelengths: np.ndarray, units: str,
+                    band_labels: tuple[str, ...] | None, wavelength_line: int | None = None):
+    """The band metadata rules of ``HyperCube`` and ``_parse_header``.
+
+    Wavelengths that are not one per band are a parse error of the header
+    line ``wavelength_line`` when that is given, else a shape mismatch.
+    """
+    if wavelengths.ndim != 1 or wavelengths.size != bands:
+        message = f"{wavelengths.size} wavelengths for {bands} bands"
+        if wavelength_line is None:
+            raise ShapeMismatchError(message)
+        raise CubeParseError(message, wavelength_line)
+    if not np.all(np.diff(wavelengths) > 0):
+        raise ShapeMismatchError("wavelengths must be strictly increasing")
+    if units not in UNITS:
+        raise UnsupportedFormatError(f"unsupported units tag {units!r}")
+    if band_labels is not None and len(band_labels) != bands:
+        raise ShapeMismatchError(f"{len(band_labels)} band labels for {bands} bands")
+
+
 @dataclass
 class HyperCube:
     """Dense hyperspectral image.
+
+    A plain container: it checks its shape and metadata, never the samples.
 
     Attributes
     ----------
@@ -112,36 +139,13 @@ class HyperCube:
             raise ShapeMismatchError(
                 f"cube data must be 3-d (rows, cols, bands), got {self.data.ndim}-d"
             )
-        if self.wavelengths.ndim != 1 or self.wavelengths.size != self.data.shape[2]:
-            raise ShapeMismatchError(
-                f"wavelength count {self.wavelengths.size} does not match "
-                f"band count {self.data.shape[2]}"
-            )
-        if self.wavelengths.size >= 2 and not np.all(np.diff(self.wavelengths) > 0):
-            raise ShapeMismatchError("wavelengths must be strictly increasing")
-        if self.units not in UNITS:
-            raise UnsupportedFormatError(f"unsupported units tag {self.units!r}")
-        if self.data.dtype.kind == "f" and not np.all(np.isfinite(self.data)):
-            raise ShapeMismatchError("cube data contains non-finite samples")
         if self.band_labels is not None:
             self.band_labels = tuple(self.band_labels)
-            if len(self.band_labels) != self.data.shape[2]:
-                raise ShapeMismatchError(
-                    f"{len(self.band_labels)} band labels for "
-                    f"{self.data.shape[2]} bands"
-                )
+        _check_metadata(self.data.shape[2], self.wavelengths, self.units, self.band_labels)
 
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def bands(self) -> int:
-        return self.data.shape[2]
+    rows = property(lambda self: self.data.shape[0])
+    cols = property(lambda self: self.data.shape[1])
+    bands = property(lambda self: self.data.shape[2])
 
     def pixels(
         self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
@@ -332,29 +336,23 @@ def write_band_blocks(
     return sha.hexdigest()
 
 
-def _parse_header(hdr_path: str) -> dict:
+def _parse_header(hdr_path: str) -> CubeHeader:
+    """The header a ``.hdr`` file holds, its metadata checked."""
+    with open(hdr_path, "rb") as fh:
+        blob = fh.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CubeParseError("not UTF-8 text", blob.count(b"\n", 0, exc.start) + 1) from None
     fields: dict[str, tuple[str, int]] = {}
-    with open(hdr_path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CubeParseError(f"expected 'key = value', got {line!r}", lineno)
-            key, _, value = line.partition("=")
-            fields[key.strip().lower()] = (value.strip(), lineno)
-    return fields
-
-
-def _read_header(path: str | os.PathLike) -> tuple[CubeHeader, str]:
-    """The parsed header and the raw path, after checking the payload size.
-
-    Raises a parse error (with line number) for malformed headers, an
-    unsupported-format error for unknown interleave/sample type, and a
-    size error when the raw payload does not match the geometry.
-    """
-    hdr_path, raw_path = _paths(path)
-    fields = _parse_header(hdr_path)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise CubeParseError(f"expected 'key = value', got {line!r}", lineno)
+        key, _, value = line.partition("=")
+        fields[key.strip().lower()] = (value.strip(), lineno)
 
     def need(key: str) -> tuple[str, int]:
         if key not in fields:
@@ -371,40 +369,50 @@ def _read_header(path: str | os.PathLike) -> tuple[CubeHeader, str]:
         if dims[key] <= 0:
             raise CubeParseError(f"{key} must be positive, got {dims[key]}", lineno)
 
-    dtype_name, lineno = need("data type")
+    dtype_name, _ = need("data type")
     if dtype_name not in _DTYPES:
         raise UnsupportedFormatError(f"unsupported sample type {dtype_name!r}")
-    interleave, lineno = need("interleave")
+    interleave, _ = need("interleave")
     if interleave not in INTERLEAVES:
         raise UnsupportedFormatError(f"unsupported interleave {interleave!r}")
-    units, lineno = need("units")
+    units, _ = need("units")
 
-    wl_text, lineno = need("wavelength")
+    wl_text, wl_line = need("wavelength")
     try:
         wavelengths = np.array(
             [float(tok) for tok in wl_text.split(",") if tok.strip()], dtype=np.float64
         )
     except ValueError:
-        raise CubeParseError("wavelength list contains a non-numeric entry", lineno)
-    if wavelengths.size != dims["bands"]:
-        raise CubeParseError(
-            f"{wavelengths.size} wavelengths for {dims['bands']} bands", lineno
-        )
+        raise CubeParseError("wavelength list contains a non-numeric entry", wl_line)
 
     band_labels = None
     if "band labels" in fields:
         band_labels = tuple(
             tok.strip() for tok in fields["band labels"][0].split(",") if tok.strip()
         )
+    _check_metadata(dims["bands"], wavelengths, units, band_labels, wl_line)
+    return CubeHeader(dims["lines"], dims["samples"], dims["bands"], dtype_name,
+                      interleave, units, wavelengths, band_labels)
 
-    header = CubeHeader(dims["lines"], dims["samples"], dims["bands"], dtype_name,
-                        interleave, units, wavelengths, band_labels)
+
+def _read_header(path: str | os.PathLike) -> tuple[CubeHeader, str]:
+    """The checked header and the raw path, after checking the payload size.
+
+    Each header fault keeps its error class (a parse error carries its
+    line) and names the ``.hdr`` file; a size error names the payload.
+    """
+    hdr_path, raw_path = _paths(path)
+    try:
+        header = _parse_header(hdr_path)
+    except DataError as exc:
+        exc.args = (f"{hdr_path}: {exc}",)
+        raise
     expected = header.rows * header.cols * header.bands * header.dtype.itemsize
     actual_bytes = os.path.getsize(raw_path)
     if actual_bytes != expected:
         raise CubeSizeError(
             f"{raw_path}: expected {expected} bytes "
-            f"({dims['lines']}x{dims['samples']}x{dims['bands']} {dtype_name}), "
+            f"({header.rows}x{header.cols}x{header.bands} {header.dtype_name}), "
             f"found {actual_bytes}"
         )
     return header, raw_path
@@ -416,28 +424,23 @@ def _mapped(header: CubeHeader, raw_path: str) -> np.ndarray:
     return _rows_cols_bands(flat.reshape(header.file_shape()), header.interleave)
 
 
-def _payload_cube(data: np.ndarray, header: CubeHeader, raw_path: str) -> HyperCube:
-    """A cube of payload samples; a sample or header fault names the file."""
-    try:
-        return HyperCube(data, header.wavelengths, header.units, header.band_labels)
-    except ShapeMismatchError as exc:
-        raise ShapeMismatchError(f"{raw_path}: {exc}") from None
-
-
 def read_cube(path: str | os.PathLike) -> HyperCube:
-    """Read a cube pair back into memory.
+    """Read a cube pair back into memory, every sample checked for NaN and inf.
 
     The data is a (rows, cols, bands) view of a copy-on-write map of the
     payload in the file's interleave: writable, but writes never reach
     the file. Header and size errors are those of ``_read_header``.
     """
     header, raw_path = _read_header(path)
-    return _payload_cube(_mapped(header, raw_path), header, raw_path)
+    data = _mapped(header, raw_path)
+    _check_finite(data, raw_path)
+    return HyperCube(data, header.wavelengths, header.units, header.band_labels)
 
 
-def _check_finite(block: np.ndarray, raw_path: str) -> None:
+def _check_finite(block: np.ndarray, source: str) -> None:
+    """Reject NaN and inf in a float ``block`` of the cube ``source`` names."""
     if block.dtype.kind == "f" and not np.isfinite(block).all():
-        raise ShapeMismatchError(f"{raw_path}: cube data contains non-finite samples")
+        raise ShapeMismatchError(f"{source}: cube data contains non-finite samples")
 
 
 def _check_pixel_range(start: int, stop: int, pixels: int) -> None:
@@ -451,7 +454,8 @@ class CubeStream:
     """Reads of a cube pair's payload that hold a bounded part of it at a time.
 
     The header is parsed and the payload size checked as ``read_cube``
-    does, and every sample read is checked for NaN and inf.
+    does, and every sample read is checked for NaN and inf, except by
+    ``read_panel``.
 
     - Iterating makes one pass over whole band planes, yielding
       ``(bands, block)``: the slice of band indices and their
@@ -485,31 +489,23 @@ class CubeStream:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    @property
-    def rows(self) -> int:
-        return self.header.rows
-
-    @property
-    def cols(self) -> int:
-        return self.header.cols
-
-    @property
-    def bands(self) -> int:
-        return self.header.bands
-
-    @property
-    def wavelengths(self) -> np.ndarray:
-        return self.header.wavelengths
+    rows = property(lambda self: self.header.rows)
+    cols = property(lambda self: self.header.cols)
+    bands = property(lambda self: self.header.bands)
+    wavelengths = property(lambda self: self.header.wavelengths)
 
     def _pread(self, buffer: np.ndarray, offset: int) -> None:
         if os.preadv(self._fh.fileno(), [buffer], offset) != buffer.nbytes:
             raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
 
-    def read_rows(self, top: int, height: int, buffer: np.ndarray | None = None) -> HyperCube:
+    def read_rows(
+        self, top: int, height: int, buffer: np.ndarray | None = None, check: bool = True
+    ) -> HyperCube:
         """Rows ``top`` to ``top + height``, every band, in the file's memory order.
 
         With ``buffer``, a 1-d array of the payload's sample type with room
         for the rows, they are read into it and are valid until it is reused.
+        Unless ``check`` is false, every sample is checked for NaN and inf.
         """
         h = self.header
         if height <= 0 or top < 0 or top + height > h.rows:
@@ -524,7 +520,11 @@ class CubeStream:
         row_bytes = runs.shape[1] // height * h.dtype.itemsize
         for i, run in enumerate(runs):
             self._pread(run, (i * h.rows + top) * row_bytes)
-        return _payload_cube(_rows_cols_bands(part, h.interleave), h, self.raw_path)
+        if check:
+            _check_finite(part, self.raw_path)
+        return HyperCube(
+            _rows_cols_bands(part, h.interleave), h.wavelengths, h.units, h.band_labels
+        )
 
     def read_strips(self, cuts: Iterable[int]) -> Iterator[tuple[int, HyperCube]]:
         """Every row once, top to bottom, as ``(top, strip)`` with ``strip`` a
@@ -549,10 +549,14 @@ class CubeStream:
             yield top, self.read_rows(top, bottom - top, buffer)
 
     def read_panel(self, region: tuple[int, int, int, int]) -> HyperCube:
-        """The (height, width, bands) pixels of the panel region."""
+        """The (height, width, bands) pixels of the panel region, unchecked.
+
+        A pass over the payload reads the panel's samples again and checks
+        them; a caller that makes none must check the panel itself.
+        """
         _check_panel_region(region, self.rows, self.cols)
         top, left, height, width = region
-        return self.read_rows(top, height).crop(0, left, height, width)
+        return self.read_rows(top, height, check=False).crop(0, left, height, width)
 
     def pixels(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """``HyperCube.pixels(start, stop, out)`` of the payload.
@@ -597,10 +601,7 @@ class CubeStream:
             planes = block[keep[bands]]
             kept[:, :, done : done + len(planes)] = planes.transpose(1, 2, 0)
             done += len(planes)
-        labels = None
-        if h.band_labels is not None:
-            labels = tuple(label for label, k in zip(h.band_labels, keep) if k)
-        return HyperCube(kept, h.wavelengths[keep], h.units, labels)
+        return HyperCube(kept, h.wavelengths[keep], h.units, _kept_labels(h.band_labels, keep))
 
     def __iter__(self) -> Iterator[tuple[slice, np.ndarray]]:
         h = self.header
@@ -655,6 +656,9 @@ def to_reflectance(
 
     With a ``mask`` the panel is still checked in every input band, but
     only the kept bands are scaled and returned.
+
+    The result is checked for NaN and inf: a finite sample times a finite
+    gain can overflow.
     """
     _check_panel_region(panel_region, cube.rows, cube.cols)
     top, left, height, width = panel_region
@@ -691,12 +695,8 @@ def to_reflectance(
             out = cube.data
     out = np.multiply(cube.data, gain, out=out)
     np.maximum(out, 0.0, out=out)
-    return HyperCube(
-        data=out,
-        wavelengths=cube.wavelengths,
-        units="reflectance",
-        band_labels=cube.band_labels,
-    )
+    _check_finite(out, "reflectance")
+    return replace(cube, data=out, units="reflectance")
 
 
 def write_panel_reflectance_csv(
@@ -741,9 +741,6 @@ class BandMask:
     def kept(self) -> int:
         return int(self.keep.sum())
 
-    def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.keep)
-
 
 def band_mask_from_windows(
     wavelengths: np.ndarray,
@@ -773,12 +770,9 @@ def apply_band_mask(cube: HyperCube, mask: BandMask) -> HyperCube:
         raise EmptyBandMaskError(
             f"band mask keeps {mask.kept} band(s); at least 2 are required"
         )
-    labels = None
-    if cube.band_labels is not None:
-        labels = tuple(l for l, k in zip(cube.band_labels, mask.keep) if k)
-    return HyperCube(
-        data=cube.data[:, :, mask.keep],
-        wavelengths=cube.wavelengths[mask.keep],
-        units=cube.units,
-        band_labels=labels,
-    )
+    return HyperCube(cube.data[:, :, mask.keep], cube.wavelengths[mask.keep], cube.units,
+                     _kept_labels(cube.band_labels, mask.keep))
+
+
+def _kept_labels(labels: tuple[str, ...] | None, keep: np.ndarray) -> tuple[str, ...] | None:
+    return None if labels is None else tuple(itertools.compress(labels, keep))

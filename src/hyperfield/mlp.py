@@ -20,6 +20,7 @@ import contextvars
 import csv
 import json
 import logging
+import math
 import os
 from collections.abc import Callable
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -729,40 +730,58 @@ def save_model(model: MlpModel, path: str | os.PathLike) -> None:
             )
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_model(path: str | os.PathLike) -> MlpModel:
+    """The model a ``save_model`` checkpoint holds; a damaged one is a ``DataError`` naming it."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: not a model checkpoint")
         try:
             header = json.loads(fh.readline().decode("ascii"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # not ASCII, not JSON or too deep
             raise DataError(f"{path}: bad checkpoint header: {exc}") from exc
-        sizes = tuple(int(s) for s in header["layer_sizes"])
+        payload = fh.read()
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: checkpoint header is not a JSON object")
+    sizes = header.get("layer_sizes")
+    if not (isinstance(sizes, list) and len(sizes) >= 2
+            and all(_is_int(s) and s > 0 for s in sizes)):
+        raise DataError(f"{path}: checkpoint layer_sizes must be two or more positive integers")
+    if not isinstance(header.get("normalized"), bool):
+        raise DataError(f"{path}: checkpoint 'normalized' must be true or false")
+    for key in ("best_epoch", "rng_seed"):
+        if not _is_int(header.get(key)):
+            raise DataError(f"{path}: checkpoint {key!r} must be an integer")
 
-        def block(count):
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise DataError(f"{path}: checkpoint truncated")
-            return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-        weights, biases = [], []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            weights.append(block(fan_in * fan_out).reshape(fan_in, fan_out))
-            biases.append(block(fan_out))
-        stats = None
-        if header["normalized"]:
-            stats = NormStats(mean=block(sizes[0]), variance=block(sizes[0]))
-        extra = fh.read(1)
-        if extra:
-            raise DataError(f"{path}: trailing bytes after checkpoint payload")
+    # per layer weights then biases, then the normalization mean and variance
+    shapes = [shape for n, m in zip(sizes, sizes[1:]) for shape in ((n, m), (m,))]
+    if header["normalized"]:
+        shapes += [(sizes[0],)] * 2
+    counts = [math.prod(shape) for shape in shapes]
+    if len(payload) < 8 * sum(counts):
+        raise DataError(f"{path}: checkpoint truncated")
+    if len(payload) > 8 * sum(counts):
+        raise DataError(f"{path}: trailing bytes after checkpoint payload")
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    arrays = [
+        part.reshape(shape)
+        for part, shape in zip(np.split(values, np.cumsum(counts)[:-1]), shapes)
+    ]
+    layers = 2 * (len(sizes) - 1)
+    stats = None
+    if header["normalized"]:
+        stats = NormStats(mean=arrays[layers], variance=arrays[layers + 1])
     return MlpModel(
-        layer_sizes=sizes,
-        weights=weights,
-        biases=biases,
+        layer_sizes=tuple(sizes),
+        weights=arrays[0:layers:2],
+        biases=arrays[1:layers:2],
         norm_stats=stats,
-        best_epoch=int(header["best_epoch"]),
-        rng_seed=int(header["rng_seed"]),
+        best_epoch=header["best_epoch"],
+        rng_seed=header["rng_seed"],
     )
 
 

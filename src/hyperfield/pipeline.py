@@ -215,20 +215,25 @@ def _manifest_path(out_dir: str, stage: str) -> str:
 
 
 def _should_skip(st: _Stage, config_hash: str) -> bool:
+    """Whether the stage's manifest still matches; a damaged manifest does not."""
     path = _manifest_path(st.out_dir, st.name)
     if not os.path.exists(path):
         return False
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):  # also not UTF-8, not JSON or too deep
+        return False
+    if not isinstance(manifest, dict):
         return False
     if manifest.get("version") != __version__:
         return False
     if manifest.get("config_hash") != config_hash:
         return False
-    recorded_inputs = manifest.get("inputs", {})
-    recorded_outputs = manifest.get("outputs", {})
+    recorded_inputs = manifest.get("inputs")
+    recorded_outputs = manifest.get("outputs")
+    if not isinstance(recorded_inputs, dict) or not isinstance(recorded_outputs, dict):
+        return False
     if set(recorded_inputs) != set(st.inputs) or set(recorded_outputs) != set(st.outputs):
         return False
     expected = [(path, recorded_inputs[key]) for key, path in st.inputs.items()]
@@ -420,7 +425,8 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
         )
         region = st.config.panel_region()
         # every panel and mask check of a whole-scene call, on the panel's
-        # pixels; its result carries the output's bands, units and dtype
+        # pixels, which the pass below checks for NaN and inf; its result
+        # carries the output's bands, units and dtype
         panel_cube = scene.read_panel(region)
         _, _, height, width = region
         calibrated_panel = to_reflectance(panel_cube, (0, 0, height, width), panel, mask)

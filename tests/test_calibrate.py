@@ -116,6 +116,21 @@ def test_non_finite_scene_sample_exits_4_and_keeps_the_old_output(
     assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
 
 
+def test_reflectance_overflow_exits_4_and_keeps_the_old_output(tmp_path, monkeypatch, capsys):
+    """Finite scene samples times a finite gain can overflow to inf."""
+    ini, out = _scene(tmp_path, monkeypatch, np.float64, "bsq")
+    assert _calibrate(ini, out) == 0
+    before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
+    data = np.full((ROWS, COLS, BANDS), 1e300)
+    top, left, height, width = REGION
+    data[top : top + height, left : left + width] = 1e-10
+    wl = 400.0 + 10.0 * np.arange(BANDS)
+    hc.write_cube(hc.HyperCube(data, wl, "radiance"), tmp_path / "scene")
+    assert _calibrate(ini, out, "--stage-force") == 4
+    assert "non-finite samples" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
+
+
 def test_forced_calibrate_takes_both_cube_digests_from_its_own_pass(tmp_path, monkeypatch):
     ini, out = _scene(tmp_path, monkeypatch, np.float64, "bsq")
     hashed = []

@@ -7,6 +7,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import hyperfield
+from hyperfield import cube as cube_module
 from hyperfield import pipeline
 from hyperfield.cli import main
 from hyperfield.config import DEFAULTS, load_config
@@ -490,6 +492,35 @@ def test_manifest_from_another_version_is_stale(memo_run):
     assert rerun <= {"train", "evaluate", "report"}
     assert json.loads(path.read_text())["version"] == hyperfield.__version__
     assert _tree_bytes(out) == before
+
+
+def _set_manifest_field(key, value):
+    def damage(blob):
+        manifest = json.loads(blob)
+        manifest[key] = value
+        return json.dumps(manifest).encode()
+    return damage
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob[:20] + b"\xff" + blob[20:],
+        lambda blob: b"[]\n",
+        lambda blob: b'"x"\n',
+        lambda blob: b"[" * 100_000 + b"]" * 100_000,
+        _set_manifest_field("inputs", []),
+        _set_manifest_field("outputs", "x"),
+    ],
+    ids=["not-utf8", "list", "string", "too-deep", "inputs-not-object", "outputs-not-object"],
+)
+def test_damaged_manifest_is_stale(memo_run, damage):
+    ini, out = memo_run
+    path = out / "manifests" / "gridmap.json"
+    original = path.read_bytes()
+    path.write_bytes(damage(original))
+    assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 0
+    assert path.read_bytes() == original  # rerun, and rewritten as before
 
 
 @pytest.mark.parametrize("force", [False, True])
@@ -1082,6 +1113,112 @@ def test_damaged_table_exits_4(memo_base, capsys, rel, stage, damage):
         path.write_bytes(original)
     assert code == 4
     assert path.name in capsys.readouterr().err
+
+
+# Each stage that reads a cube, and the stem of the cube it reads.
+_CUBE_READERS = [
+    ("calibrate", "synth/scene"),
+    ("segment", "calibrate/reflectance"),
+    ("unmix", "calibrate/reflectance"),
+    ("dataset", "calibrate/reflectance"),
+    ("endmembers", "synth/reference"),
+    ("report", "unmix/abundances"),
+]
+
+
+def _swap_first_wavelengths(blob):
+    lines = blob.decode().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("wavelength"))
+    key, _, values = lines[at].partition("=")
+    first, second, *rest = values.split(",")
+    lines[at] = key + "=" + ",".join([second, first, *rest])
+    return "".join(line + "\n" for line in lines).encode()
+
+
+_HEADER_DAMAGES = {
+    "not-utf8": lambda blob: blob[: len(blob) // 2] + b"\xff" + blob[len(blob) // 2 :],
+    "units": lambda blob: re.sub(rb"(?m)^units = .*$", b"units = counts", blob),
+    "label-count": lambda blob: re.sub(rb"(?m)^band labels = .*\n", b"", blob)
+    + b"band labels = only\n",
+    "wavelength-order": _swap_first_wavelengths,
+}
+
+
+@pytest.mark.parametrize("stage, stem", _CUBE_READERS)
+@pytest.mark.parametrize("damage", _HEADER_DAMAGES)
+def test_damaged_cube_header_exits_4_naming_it(memo_base, capsys, stage, stem, damage):
+    """Damages ``memo_base`` in place and puts the original bytes back."""
+    ini, out = memo_base
+    path = out / f"{stem}.hdr"
+    original = path.read_bytes()
+    try:
+        path.write_bytes(_HEADER_DAMAGES[damage](original))
+        code = main([stage, "--out", str(out), "--config", str(ini), "--stage-force"])
+    finally:
+        path.write_bytes(original)
+    assert code == 4
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+def test_forced_run_all_checks_each_sample_once(memo_run, monkeypatch):
+    """Bytes passed to the finite check, per stage and cube, equal the cube's payload.
+
+    ``to_reflectance`` checks what it computes under the name
+    ``reflectance``: in calibrate, the payload it writes and the panel's
+    kept bands, which calibrate computes first and does not write.
+    """
+    ini, out = memo_run
+    checked: dict[tuple[str, str], int] = {}
+    stages = []
+    run_stage, check_finite = pipeline.run_stage, cube_module._check_finite
+
+    def tracking(name, *args, **kwargs):
+        stages.append(name)
+        return run_stage(name, *args, **kwargs)
+
+    def counting(block, source):
+        key = stages[-1], os.path.relpath(source, out) if os.path.isabs(source) else source
+        checked[key] = checked.get(key, 0) + block.nbytes
+        check_finite(block, source)
+
+    monkeypatch.setattr(pipeline, "run_stage", tracking)
+    monkeypatch.setattr(cube_module, "_check_finite", counting)
+    assert main(["run-all", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
+
+    def size(rel):
+        return os.path.getsize(out / rel)
+
+    _, _, height, width = load_config(str(ini)).panel_region()
+    kept = cube_module._read_header(out / "calibrate" / "reflectance")[0].bands
+    reflectance = os.path.join("calibrate", "reflectance.raw")
+    assert checked == {
+        ("calibrate", os.path.join("synth", "scene.raw")): size("synth/scene.raw"),
+        ("calibrate", "reflectance"): size(reflectance) + height * width * kept * 8,
+        ("segment", reflectance): size(reflectance),
+        ("endmembers", os.path.join("synth", "reference.raw")): size("synth/reference.raw"),
+        ("unmix", reflectance): size(reflectance),
+        ("dataset", reflectance): size(reflectance),
+        ("report", os.path.join("unmix", "abundances.raw")): size("unmix/abundances.raw"),
+    }
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"{}",
+        b"[]",
+        b'{"best_epoch": 0, "layer_sizes": ["a", 1], "normalized": true, "rng_seed": 0}',
+        b'{"best_epoch": 0, "layer_sizes": [-3, 1], "normalized": true, "rng_seed": 0}',
+    ],
+    ids=["empty", "list", "non-integer-size", "negative-size"],
+)
+def test_damaged_checkpoint_header_exits_4(memo_run, capsys, header):
+    ini, out = memo_run
+    path = out / "train" / "model.ckpt"
+    magic, _, payload = path.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"\n".join([magic, header, payload]))
+    assert main(["evaluate", "--out", str(out), "--config", str(ini), "--stage-force"]) == 4
+    assert f"error: {path}: checkpoint" in capsys.readouterr().err
 
 
 def test_panel_degenerate_in_a_dropped_band_still_fails_calibrate(memo_run, capsys):

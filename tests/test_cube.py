@@ -234,6 +234,42 @@ def test_wavelength_count_mismatch_is_a_parse_error(tmp_path):
         hc.read_cube(hdr)
 
 
+def test_non_utf8_header_is_a_parse_error_naming_the_header_and_line(tmp_path):
+    rng = np.random.default_rng(0)
+    hdr = hc.write_cube(random_cube(rng), tmp_path / "c")
+    lines = open(hdr, "rb").read().split(b"\n")
+    lines[4] = lines[4] + b"\xff"
+    open(hdr, "wb").write(b"\n".join(lines))
+    with pytest.raises(CubeParseError, match=re.escape(f"{hdr}: line 5: not UTF-8 text")) as err:
+        hc.read_cube(hdr)
+    assert err.value.line == 5
+
+
+@pytest.mark.parametrize(
+    "old, new, error, message",
+    [
+        ("units = radiance", "units = counts", UnsupportedFormatError,
+         "unsupported units tag 'counts'"),
+        ("wavelength = 400.0, 402.2,", "wavelength = 402.2, 400.0,", ShapeMismatchError,
+         "wavelengths must be strictly increasing"),
+        ("wavelength = 400.0, 402.2,", "wavelength = 402.2,", CubeParseError,
+         "line 7: 18 wavelengths for 19 bands"),
+        ("units = radiance", "units = radiance\nband labels = a, b", ShapeMismatchError,
+         "2 band labels for 19 bands"),
+    ],
+    ids=["units", "order", "count", "labels"],
+)
+def test_header_metadata_faults_name_the_header(tmp_path, old, new, error, message):
+    rng = np.random.default_rng(0)
+    hdr = hc.write_cube(random_cube(rng), tmp_path / "c")
+    text = open(hdr).read()
+    assert old in text
+    open(hdr, "w").write(text.replace(old, new))
+    for reader in (hc.read_cube, hc.CubeStream):
+        with pytest.raises(error, match=re.escape(f"{hdr}: {message}")):
+            reader(hdr)
+
+
 @pytest.mark.parametrize("delta", [-7, +13])
 def test_payload_size_mismatch_is_a_size_error(tmp_path, delta):
     rng = np.random.default_rng(0)
@@ -272,10 +308,15 @@ def test_cube_validation_rejects_bad_shapes():
         hc.HyperCube(np.zeros((2, 2, 3)), np.array([1.0, 3.0, 2.0]), "raw")
     with pytest.raises(UnsupportedFormatError):
         hc.HyperCube(np.zeros((2, 2, 3)), np.arange(3.0), "counts")
-    bad = np.zeros((2, 2, 3))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ShapeMismatchError):
-        hc.HyperCube(bad, np.arange(3.0), "raw")
+    with pytest.raises(ShapeMismatchError, match="2 band labels for 3 bands"):
+        hc.HyperCube(np.zeros((2, 2, 3)), np.arange(3.0), "abundance", ("a", "b"))
+
+
+def test_cube_holds_non_finite_samples_unchecked():
+    """Readers and ``to_reflectance`` check samples; the container never scans them."""
+    data = np.zeros((2, 2, 3))
+    data[0, 0, 0] = np.nan
+    assert np.isnan(hc.HyperCube(data, np.arange(3.0), "raw").data[0, 0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Splitting, standardization, network math, Adam, training, metrics."""
 
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -570,6 +571,32 @@ class TestCheckpoint:
         padded.write_bytes(good.read_bytes() + b"x")
         with pytest.raises(DataError):
             load_model(padded)
+
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"{}",
+            b"[]",
+            b'{"best_epoch": 0, "layer_sizes": [2], "normalized": true, "rng_seed": 0}',
+            b'{"best_epoch": 0, "layer_sizes": [2, 2.0, 1], "normalized": true, "rng_seed": 0}',
+            b'{"best_epoch": 0, "layer_sizes": [2, true, 1], "normalized": true, "rng_seed": 0}',
+            b'{"best_epoch": 0, "layer_sizes": [2, 0, 1], "normalized": true, "rng_seed": 0}',
+            b'{"best_epoch": 0, "layer_sizes": [2, 2, 1], "normalized": 1, "rng_seed": 0}',
+            b'{"best_epoch": "0", "layer_sizes": [2, 2, 1], "normalized": true, "rng_seed": 0}',
+            b'{"best_epoch": 0, "layer_sizes": [2, 2, 1], "normalized": true, "rng_seed": 0.5}',
+            b'{"best_epoch": 0, "layer_sizes": [99999999999, 99999999999], "normalized": true,'
+            b' "rng_seed": 0}',
+            b"[" * 100_000 + b"]" * 100_000,
+        ],
+    )
+    def test_bad_header_rejected_naming_the_file(self, tmp_path, header):
+        path = tmp_path / "model.hfm"
+        save_model(init_model((2, 2, 1), seed=0), path)
+        magic, _, payload = path.read_bytes().split(b"\n", 2)
+        path.write_bytes(b"\n".join([magic, header, payload]))
+        with pytest.raises(DataError, match=re.escape(f"{path}: ")):
+            load_model(path)
 
 
 class TestTrainingLogCsv:
