@@ -6,10 +6,10 @@ Exit codes are stable: 0 success, 2 config error, 3 dependency error
 the log level (DEBUG, INFO, WARNING, ERROR); the default is WARNING.
 
 BLAS runs on one thread in this process, whatever the environment
-says. The other cores go to the unmix threads, the hashing pool and the
-trainer's worker thread, which a second BLAS thread spinning between
-the MLP's small products would compete with. BLAS reads its thread
-count when numpy loads, so it is set before anything imports numpy.
+says. The other cores go to the hashing pool and the trainer's worker
+thread, which a second BLAS thread spinning between the MLP's small
+products would compete with. BLAS reads its thread count when numpy
+loads, so it is set before anything imports numpy.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="DIR", help="output directory")
     common.add_argument("--seed", type=int, metavar="N",
                         help="override the synth, split, and train seeds")
-    common.add_argument("--threads", type=int, metavar="N",
-                        help="worker cap for the unmixing stage")
     common.add_argument("--stage-force", action="store_true",
                         help="rerun even when the stage manifest matches")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -71,10 +69,6 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError("--seed must be non-negative")
             for section in ("synth", "split", "train"):
                 config.set(section, "seed", str(args.seed))
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be at least 1")
-            config.set("unmix", "threads", str(args.threads))
 
         if args.command == "run-all":
             run_all(config, force=args.stage_force)

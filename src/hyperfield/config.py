@@ -56,8 +56,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "refine_k": "1",
     },
     "unmix": {
-        "threads": "1",
-        "chunk": "65536",
         "sl_threshold": "0.5",
         "spike_label": "spike",
         "leaf_label": "leaf",
@@ -125,15 +123,12 @@ class PipelineConfig:
         except KeyError:
             raise ConfigError(f"missing config value [{section}] {key}")
 
-    def getint(self, section: str, key: str, minimum: int | None = None) -> int:
+    def getint(self, section: str, key: str) -> int:
         raw = self.get(section, key)
         try:
-            value = int(raw)
+            return int(raw)
         except ValueError:
             raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer")
-        if minimum is not None and value < minimum:
-            raise ConfigError(f"[{section}] {key} = {raw!r} must be at least {minimum}")
-        return value
 
     def getfloat(self, section: str, key: str) -> float:
         raw = self.get(section, key)
@@ -272,21 +267,13 @@ class PipelineConfig:
 
     # -- hashing and serialization ----------------------------------------
 
-    def config_hash(self, sections: tuple[str, ...] | None = None) -> str:
-        """Digest of ``sections`` in the order given, for stage manifests.
-
-        The default is every section except [output], sorted: the output
-        directory must not invalidate manifests, because the same inputs
-        into two different trees are still the same computation.
-        """
-        if sections is None:
-            sections = tuple(sorted(self.values.keys() - {"output"}))
+    def config_hash(self, sections: tuple[str, ...]) -> str:
+        """Digest of ``sections`` in the order given, for stage manifests."""
         h = hashlib.sha256()
         for section in sections:
             for key in sorted(self.values[section]):
                 h.update(f"[{section}] {key} = {self.values[section][key]}\n".encode())
         return h.hexdigest()
-
 
 
 def load_config(path: str | os.PathLike | None = None) -> PipelineConfig:

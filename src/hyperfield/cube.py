@@ -678,8 +678,8 @@ def to_reflectance(
         cube.data[top : top + height, left : left + width], dtype=np.float64
     )
     mean_panel = panel.reshape(-1, cube.bands).cumsum(axis=0)[-1] / (height * width)
-    if np.any(mean_panel <= 0):
-        bad = int(np.argmax(mean_panel <= 0))
+    if not np.all(mean_panel > 0):  # also false for NaN
+        bad = int(np.argmin(mean_panel > 0))
         raise DegeneratePanelError(
             f"panel mean is nonpositive in band {bad} "
             f"({cube.wavelengths[bad]:.1f} nm)"
@@ -693,7 +693,8 @@ def to_reflectance(
         gain = gain[mask.keep]
         if cube.data.dtype == np.float64:
             out = cube.data
-    out = np.multiply(cube.data, gain, out=out)
+    with np.errstate(over="ignore"):  # _check_finite reports an overflow
+        out = np.multiply(cube.data, gain, out=out)
     np.maximum(out, 0.0, out=out)
     _check_finite(out, "reflectance")
     return replace(cube, data=out, units="reflectance")

@@ -95,11 +95,7 @@ class Anchor:
     """Ties one grid cell, (grid_row, grid_col), to one plot id."""
 
     plot_id: str
-    cell: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        if self.cell is None:
-            raise AnchorError("anchor needs a cell")
+    cell: tuple[int, int]
 
 
 @dataclass(frozen=True)

@@ -544,12 +544,7 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
             endmembers.wavelengths, cube.wavelengths, atol=0.05, rtol=0.0
         ):
             endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
-        abundances, residual = unmix_cube(
-            cube,
-            endmembers,
-            threads=st.config.getint("unmix", "threads", minimum=1),
-            chunk=st.config.getint("unmix", "chunk", minimum=1),
-        )
+        abundances, residual = unmix_cube(cube, endmembers)
     foreground = sl_mask(
         abundances,
         spike_label=st.config.get("unmix", "spike_label"),
@@ -830,7 +825,8 @@ class _StageDef(NamedTuple):
 # Every stage in pipeline order. A body declares its files with
 # need/emit and yields; the work after its yield runs only when the
 # manifest is stale. Bodies reach layer functions through module
-# globals, so the table holds no layer function.
+# globals, so the table holds no layer function. No stage hashes
+# [output]: the same inputs in another tree are the same computation.
 STAGES: dict[str, _StageDef] = {
     "synth": _StageDef(
         "generate a synthetic scene, truth files, and reference cube",

@@ -12,8 +12,6 @@ smallest-norm candidate wins, deterministically.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +23,7 @@ from .netpbm import write_ppm
 
 SL_THRESHOLD = 0.5
 MAX_ENDMEMBERS = 12  # supports grow as 2^e; beyond this enumeration is misuse
+CHUNK_PIXELS = 65536  # pixels solved at once: one 100 MB block at 190 bands
 
 _FEAS_EPS = 1e-12
 _SUM_EPS = 1e-6
@@ -165,18 +164,13 @@ def _check_W(W, bands):
 
 
 def unmix_cube(
-    cube: HyperCube | CubeStream,
-    endmembers: EndmemberSet,
-    threads: int = 1,
-    chunk: int = 65536,
+    cube: HyperCube | CubeStream, endmembers: EndmemberSet
 ) -> tuple[AbundanceMap, float]:
     """Unmix every pixel of a cube against the endmember set.
 
     Returns the abundance map and the Frobenius residual ||X - W H||_F.
-    Pixels are independent; the fixed chunk grid makes the result
-    byte-identical for any thread count. Each thread holds the pixels of
-    one chunk, taken with ``cube.pixels``, so a ``CubeStream`` is never
-    read whole.
+    Pixels are solved ``CHUNK_PIXELS`` at a time, taken with
+    ``cube.pixels``, so a ``CubeStream`` is never read whole.
     """
     wl_diff = (
         np.inf
@@ -197,27 +191,14 @@ def unmix_cube(
     n = cube.rows * cube.cols
     out = np.empty((e, n))
     sq_resid = np.empty(n)
-    starts = range(0, n, chunk)
-    blocks = threading.local()
-
-    def run(start):
-        stop = min(start + chunk, n)
-        # each pixel's spectrum contiguous whatever the cube's memory order:
-        # the summation order, and so the residual's bits, depend on it.
-        # Each thread reuses one block: fresh pages cost more than filling it.
-        if not hasattr(blocks, "x"):
-            blocks.x = np.empty((cube.bands, min(chunk, n)), order="F")
-        block = cube.pixels(start, stop, out=blocks.x[:, : stop - start])
-        h, obj = _solve_block(block, W, solvers, G)
-        out[:, start:stop] = h
-        sq_resid[start:stop] = obj
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, starts))
-    else:
-        for start in starts:
-            run(start)
+    # each pixel's spectrum contiguous whatever the cube's memory order:
+    # the summation order, and so the residual's bits, depend on it.
+    # One block is reused: fresh pages cost more than filling it.
+    block = np.empty((cube.bands, min(CHUNK_PIXELS, n)), order="F")
+    for start in range(0, n, CHUNK_PIXELS):
+        stop = min(start + CHUNK_PIXELS, n)
+        pixels = cube.pixels(start, stop, out=block[:, : stop - start])
+        out[:, start:stop], sq_resid[start:stop] = _solve_block(pixels, W, solvers, G)
 
     values = out.T.reshape(cube.rows, cube.cols, e)
     return (

@@ -88,10 +88,10 @@ def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, planes):
     assert (out / "calibrate" / "reflectance.raw").read_bytes() == whole
 
 
-def _poke(raw, interleave, dtype, band, value):
-    """Set the last pixel's sample of ``band`` in a raw payload."""
+def _poke(raw, interleave, dtype, band, value, pixel=(ROWS - 1, COLS - 1)):
+    """Set the sample of ``band`` at ``pixel``, the last one by default, in a raw payload."""
     payload = np.fromfile(raw, dtype=dtype)
-    r, c = ROWS - 1, COLS - 1
+    r, c = pixel
     index = {
         "bsq": (band * ROWS + r) * COLS + c,
         "bil": (r * BANDS + band) * COLS + c,
@@ -113,6 +113,21 @@ def test_non_finite_scene_sample_exits_4_and_keeps_the_old_output(
     _poke(tmp_path / "scene.raw", interleave, np.float32, band, bad)
     assert _calibrate(ini, out, "--stage-force") == 4
     assert "non-finite" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+@pytest.mark.parametrize("band", [BANDS - 1, BANDS - 2], ids=["kept-last", "dropped"])
+def test_nan_in_the_panel_exits_4_naming_the_panel_band(
+    tmp_path, monkeypatch, capsys, interleave, band
+):
+    ini, out = _scene(tmp_path, monkeypatch, np.float32, interleave)
+    assert _calibrate(ini, out) == 0
+    before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
+    _poke(tmp_path / "scene.raw", interleave, np.float32, band, np.nan, pixel=(2, 3))
+    assert _calibrate(ini, out, "--stage-force") == 4
+    assert f"panel mean is nonpositive in band {band} ({400 + 10 * band:.1f} nm)" in \
+        capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
 
 

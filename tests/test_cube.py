@@ -1,6 +1,7 @@
 """Cube container: file round trips, calibration, band masking."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,16 @@ def test_reflectance_is_scale_invariant():
     a = hc.to_reflectance(hc.HyperCube(data, wl, "radiance"), region, panel_refl)
     b = hc.to_reflectance(hc.HyperCube(data * 37.5, wl, "radiance"), region, panel_refl)
     assert np.max(np.abs(a.data - b.data)) < 1e-12
+
+
+def test_reflectance_overflow_is_reported_without_a_numpy_warning():
+    data = np.full((2, 2, 2), 1e300)
+    data[0] = 1e-10  # the panel row: a gain of 5e9 overflows the other row
+    cube = hc.HyperCube(data, np.arange(2.0), "radiance")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeMismatchError, match="^reflectance: .*non-finite"):
+            hc.to_reflectance(cube, (0, 0, 1, 2), np.full(2, 0.5))
 
 
 def test_reflectance_clamps_below_zero_and_keeps_above_one():

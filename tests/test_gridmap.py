@@ -150,8 +150,6 @@ def test_nearest_line_tie_goes_to_lower_index():
 
 
 def test_anchor_validation():
-    with pytest.raises(AnchorError):
-        gridmap.Anchor(plot_id="P")
     boxes, _ = grid_boxes(2, 2)
     plot_map = make_plot_map(2, 2)
     rl, cl = gridmap.build_grid(boxes, 40, 70)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hyperfield import cube as hc
-from hyperfield import pipeline
+from hyperfield import pipeline, unmix
 from hyperfield.cli import main
 from hyperfield.config import load_config
 from hyperfield.endmember import read_endmembers_csv
@@ -26,8 +26,6 @@ from hyperfield.unmix import unmix_cube
 
 from test_cli import TINY_INI
 
-# 1000 pixels divide neither the tiny scene's 428 columns nor its pixels
-CONFIG = TINY_INI + "\n[unmix]\nchunk = 1000\n"
 STAGES = ("segment", "unmix", "dataset")
 # what the stages read besides the reflectance cube and each other's outputs
 INPUTS = ("endmembers/endmembers.csv", "gridmap/assignment.csv", "synth/yields.csv")
@@ -38,8 +36,16 @@ def _sha256_of(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _run(stage, ini, out, *extra) -> int:
-    return main([stage, "--out", str(out), "--config", str(ini), "--stage-force", *extra])
+def _run(stage, ini, out) -> int:
+    return main([stage, "--out", str(out), "--config", str(ini), "--stage-force"])
+
+
+@pytest.fixture(scope="module", autouse=True)
+def small_unmix_chunks():
+    """1000 pixels divide neither the tiny scene's 428 columns nor its pixels."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(unmix, "CHUNK_PIXELS", 1000)
+        yield
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +53,7 @@ def tiny(tmp_path_factory):
     """A tiny synth + run-all tree."""
     root = tmp_path_factory.mktemp("stream")
     ini = root / "config.ini"
-    ini.write_text(CONFIG)
+    ini.write_text(TINY_INI)
     out = root / "out"
     assert main(["synth", "--out", str(out), "--config", str(ini)]) == 0
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
@@ -59,7 +65,7 @@ def streamed(request, tiny, tmp_path_factory):
     """The tiny tree's stage inputs with the reflectance in one interleave.
 
     segment, unmix and dataset have run on it with one band plane per
-    block, on two unmix threads.
+    block.
     """
     ini, base = tiny
     out = tmp_path_factory.mktemp(f"stream-{request.param}") / "out"
@@ -73,7 +79,7 @@ def streamed(request, tiny, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hc, "BLOCK_BYTES", cube.rows * cube.cols * cube.data.itemsize)
         for stage in STAGES:
-            assert _run(stage, ini, out, "--threads", "2") == 0, stage
+            assert _run(stage, ini, out) == 0, stage
     yield ini, out
     shutil.rmtree(out)
 
@@ -97,7 +103,7 @@ def test_streamed_stages_match_the_whole_cube_layers(streamed, tmp_path):
         endmembers.wavelengths, cube.wavelengths, atol=0.05, rtol=0.0
     ):
         endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
-    abundances, residual = unmix_cube(cube, endmembers, chunk=config.getint("unmix", "chunk"))
+    abundances, residual = unmix_cube(cube, endmembers)
     hc.write_cube(abundances.to_cube(), tmp_path / "abundances")
     for suffix in (".hdr", ".raw"):
         assert (out / f"{pipeline.F_ABUNDANCES}{suffix}").read_bytes() == \

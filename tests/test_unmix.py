@@ -179,7 +179,8 @@ def test_noisy_cube_keeps_mean_error_small():
     assert np.mean(np.abs(abund.values - H_true)) < 0.02
 
 
-def test_unmix_cube_matches_pixel_solver():
+def test_unmix_cube_matches_pixel_solver(monkeypatch):
+    monkeypatch.setattr(unmix, "CHUNK_PIXELS", 7)
     rng = np.random.default_rng(9)
     cube, ems, _ = planted_cube(rng, rows=6, cols=5, d=40)
     noisy = HyperCube(
@@ -187,23 +188,15 @@ def test_unmix_cube_matches_pixel_solver():
         cube.wavelengths,
         "reflectance",
     )
-    abund, _ = unmix.unmix_cube(noisy, ems, chunk=7)
+    abund, _ = unmix.unmix_cube(noisy, ems)
     for r in range(6):
         for c in range(5):
             h, _ = oracles.unmix_pixel(ems.spectra, noisy.data[r, c].astype(np.float64))
             assert np.max(np.abs(abund.values[r, c] - h)) < 1e-12
 
 
-def test_thread_count_does_not_change_bits():
-    rng = np.random.default_rng(10)
-    cube, ems, _ = planted_cube(rng, rows=16, cols=11, d=60)
-    a1, r1 = unmix.unmix_cube(cube, ems, threads=1, chunk=37)
-    a3, r3 = unmix.unmix_cube(cube, ems, threads=3, chunk=37)
-    assert np.array_equal(a1.values, a3.values)
-    assert r1 == r3
-
-
-def test_band_major_cube_gives_the_same_bits():
+def test_band_major_cube_gives_the_same_bits(monkeypatch):
+    monkeypatch.setattr(unmix, "CHUNK_PIXELS", 100)
     rng = np.random.default_rng(14)
     cube, ems, _ = planted_cube(rng, rows=23, cols=17)
     noisy = np.clip(cube.data + rng.normal(0, 0.02, cube.data.shape), 0, None)
@@ -213,8 +206,8 @@ def test_band_major_cube_gives_the_same_bits():
         cube.wavelengths,
         "reflectance",
     )
-    a, ra = unmix.unmix_cube(c_order, ems, chunk=100)
-    b, rb = unmix.unmix_cube(band_major, ems, chunk=100)
+    a, ra = unmix.unmix_cube(c_order, ems)
+    b, rb = unmix.unmix_cube(band_major, ems)
     assert np.array_equal(a.values, b.values)
     assert ra == rb
 
