@@ -657,8 +657,12 @@ def to_reflectance(
     With a ``mask`` the panel is still checked in every input band, but
     only the kept bands are scaled and returned.
 
+    The result keeps the scene's precision: float64 samples give float64
+    reflectance, float32 and uint16 samples give float32, the float64
+    product rounded once.
+
     The result is checked for NaN and inf: a finite sample times a finite
-    gain can overflow.
+    gain can overflow, and so can its rounding to float32.
     """
     _check_panel_region(panel_region, cube.rows, cube.cols)
     top, left, height, width = panel_region
@@ -681,20 +685,23 @@ def to_reflectance(
     if not np.all(mean_panel > 0):  # also false for NaN
         bad = int(np.argmin(mean_panel > 0))
         raise DegeneratePanelError(
-            f"panel mean is nonpositive in band {bad} "
+            f"panel mean is not positive in band {bad} "
             f"({cube.wavelengths[bad]:.1f} nm)"
         )
 
     gain = panel_reflectance / mean_panel
+    dtype = np.float64 if cube.data.dtype == np.float64 else np.float32
     out = None
     if mask is not None:
-        # the selection is a fresh copy: scale it in place
         cube = apply_band_mask(cube, mask)
         gain = gain[mask.keep]
-        if cube.data.dtype == np.float64:
+        if cube.data.dtype == dtype:  # the selection is a fresh copy: scale it in place
             out = cube.data
+    if out is None:
+        out = np.empty_like(cube.data, dtype=dtype)
+    # the product is taken in float64 and rounded once into ``out``
     with np.errstate(over="ignore"):  # _check_finite reports an overflow
-        out = np.multiply(cube.data, gain, out=out)
+        np.multiply(cube.data, gain, out=out)
     np.maximum(out, 0.0, out=out)
     _check_finite(out, "reflectance")
     return replace(cube, data=out, units="reflectance")

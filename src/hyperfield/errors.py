@@ -51,7 +51,7 @@ class ShapeMismatchError(DataError):
 
 
 class DegeneratePanelError(DataError):
-    """Reference panel has nonpositive mean signal in some band."""
+    """Reference panel's mean signal is not positive (zero, negative or NaN) in some band."""
 
 
 class EmptyBandMaskError(DataError):

@@ -372,7 +372,10 @@ def _stage_synth(st: _Stage) -> Iterator[None]:
     yield
 
     cube, truth = generate_scene(spec)
-    write_cube(cube, scene_stem)
+    # stored as float32: the radiance rounded once, straight into the
+    # band-major order that write_cube stores as bsq without a copy
+    planes = np.ascontiguousarray(cube.data.transpose(2, 0, 1), dtype=np.float32)
+    write_cube(HyperCube(planes.transpose(1, 2, 0), cube.wavelengths, cube.units), scene_stem)
     write_panel_reflectance_csv(panel_path, cube.wavelengths, truth.panel_reflectance)
     write_plot_map(map_path, truth.plot_map)
     write_yields_csv(

@@ -23,7 +23,7 @@ from .netpbm import write_ppm
 
 SL_THRESHOLD = 0.5
 MAX_ENDMEMBERS = 12  # supports grow as 2^e; beyond this enumeration is misuse
-CHUNK_PIXELS = 65536  # pixels solved at once: one 100 MB block at 190 bands
+CHUNK_PIXELS = 8192  # pixels solved at once: one 12.5 MB float64 block at 190 bands
 
 _FEAS_EPS = 1e-12
 _SUM_EPS = 1e-6

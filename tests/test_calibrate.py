@@ -126,7 +126,7 @@ def test_nan_in_the_panel_exits_4_naming_the_panel_band(
     before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
     _poke(tmp_path / "scene.raw", interleave, np.float32, band, np.nan, pixel=(2, 3))
     assert _calibrate(ini, out, "--stage-force") == 4
-    assert f"panel mean is nonpositive in band {band} ({400 + 10 * band:.1f} nm)" in \
+    assert f"panel mean is not positive in band {band} ({400 + 10 * band:.1f} nm)" in \
         capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
 
@@ -143,6 +143,23 @@ def test_reflectance_overflow_exits_4_and_keeps_the_old_output(tmp_path, monkeyp
     hc.write_cube(hc.HyperCube(data, wl, "radiance"), tmp_path / "scene")
     assert _calibrate(ini, out, "--stage-force") == 4
     assert "non-finite samples" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
+
+
+def test_float32_reflectance_past_its_range_exits_4_and_keeps_the_old_output(
+    tmp_path, monkeypatch, capsys
+):
+    """A float32 scene gives float32 reflectance: a product finite in float64 can still overflow."""
+    ini, out = _scene(tmp_path, monkeypatch, np.float32, "bsq")
+    assert _calibrate(ini, out) == 0
+    before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
+    data = np.full((ROWS, COLS, BANDS), 1e31, dtype=np.float32)
+    top, left, height, width = REGION
+    data[top : top + height, left : left + width] = 1e-10  # gains of 3e9 to 6e9
+    wl = 400.0 + 10.0 * np.arange(BANDS)
+    hc.write_cube(hc.HyperCube(data, wl, "radiance"), tmp_path / "scene")
+    assert _calibrate(ini, out, "--stage-force") == 4
+    assert "error: reflectance: cube data contains non-finite samples" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
 
 

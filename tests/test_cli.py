@@ -1186,11 +1186,12 @@ def test_forced_run_all_checks_each_sample_once(memo_run, monkeypatch):
         return os.path.getsize(out / rel)
 
     _, _, height, width = load_config(str(ini)).panel_region()
-    kept = cube_module._read_header(out / "calibrate" / "reflectance")[0].bands
+    header = cube_module._read_header(out / "calibrate" / "reflectance")[0]
+    panel_bytes = height * width * header.bands * header.dtype.itemsize
     reflectance = os.path.join("calibrate", "reflectance.raw")
     assert checked == {
         ("calibrate", os.path.join("synth", "scene.raw")): size("synth/scene.raw"),
-        ("calibrate", "reflectance"): size(reflectance) + height * width * kept * 8,
+        ("calibrate", "reflectance"): size(reflectance) + panel_bytes,
         ("segment", reflectance): size(reflectance),
         ("endmembers", os.path.join("synth", "reference.raw")): size("synth/reference.raw"),
         ("unmix", reflectance): size(reflectance),
@@ -1227,15 +1228,15 @@ def test_panel_degenerate_in_a_dropped_band_still_fails_calibrate(memo_run, caps
     data[top : top + height, left : left + width, 0] = 0.0  # 400 nm is masked out
     write_cube(dataclasses.replace(scene, data=data), stem)
     assert main(["calibrate", "--out", str(out), "--config", str(ini)]) == 4
-    assert "panel mean is nonpositive in band 0 (400.0 nm)" in capsys.readouterr().err
+    assert "panel mean is not positive in band 0 (400.0 nm)" in capsys.readouterr().err
 
 
-# sha256 of TINY_INI's calibrate output as written before cubes kept their
-# file order in memory. Calibration is elementwise IEEE arithmetic, so the
-# digests do not depend on the BLAS build.
+# sha256 of TINY_INI's calibrate output: float32 reflectance of the float32
+# scene, each sample the float64 product rounded once. Calibration is
+# elementwise IEEE arithmetic, so the digests do not depend on the BLAS build.
 _TINY_REFLECTANCE_SHA256 = {
-    "reflectance.raw": "1fc4b1c6bf97cb257a7837fcf41fc0f052706bf77c2b557e6fa1ced4ea0dbd08",
-    "reflectance.hdr": "af44101db495c6bdd864abf33fa09c3a85a3d953f8a591e6aa80f0dfa49058d6",
+    "reflectance.raw": "7ea2c4146ba75bb775cc90f2a31a197e462cd5d9de1c46395b902403b8f15e69",
+    "reflectance.hdr": "488b38799de0a514ed0fb8fccc019229af31904a3f04117d5d49b605d0ef2661",
 }
 
 
@@ -1247,6 +1248,20 @@ def test_calibrate_output_bytes_are_pinned(tmp_path):
         assert main([stage, "--out", str(out), "--config", str(ini)]) == 0
     found = {name: _sha256_of(out / "calibrate" / name) for name in _TINY_REFLECTANCE_SHA256}
     assert found == _TINY_REFLECTANCE_SHA256
+
+
+def test_measurement_cubes_are_float32_and_derived_cubes_float64(tiny_run):
+    _, out = tiny_run
+    sample_types = {
+        stem: cube_module._read_header(out / stem)[0].dtype_name
+        for stem in ("synth/scene", "calibrate/reflectance", "unmix/abundances", "synth/reference")
+    }
+    assert sample_types == {
+        "synth/scene": "float32",
+        "calibrate/reflectance": "float32",
+        "unmix/abundances": "float64",
+        "synth/reference": "float64",
+    }
 
 
 def test_divergence_exits_5(tiny_run, tmp_path):

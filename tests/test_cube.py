@@ -371,6 +371,16 @@ def test_reflectance_overflow_is_reported_without_a_numpy_warning():
             hc.to_reflectance(cube, (0, 0, 1, 2), np.full(2, 0.5))
 
 
+def test_float32_reflectance_past_its_range_is_an_overflow():
+    data = np.full((2, 2, 2), 1e31, dtype=np.float32)
+    data[0] = 1e-10  # the panel row: the product, 5e40, is finite only in float64
+    cube = hc.HyperCube(data, np.arange(2.0), "radiance")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShapeMismatchError, match="^reflectance: .*non-finite"):
+            hc.to_reflectance(cube, (0, 0, 1, 2), np.full(2, 0.5))
+
+
 def test_reflectance_clamps_below_zero_and_keeps_above_one():
     wl = np.arange(3.0)
     data = np.ones((2, 2, 3))
@@ -405,7 +415,7 @@ def test_uint16_input_converts():
     data = rng.integers(100, 4000, size=(5, 5, 6), dtype=np.uint16)
     cube = hc.HyperCube(data, np.arange(6.0), "raw")
     out = hc.to_reflectance(cube, (0, 0, 2, 2), np.full(6, 0.5))
-    assert out.data.dtype == np.float64
+    assert out.data.dtype == np.float32
     assert np.all(np.isfinite(out.data))
 
 
@@ -459,11 +469,31 @@ def test_masked_reflectance_is_bitwise_the_mask_of_the_full_one(layout, dtype):
     mask = hc.band_mask_from_windows(cube.wavelengths, keep_range=(410.0, 470.0))
     full = hc.apply_band_mask(hc.to_reflectance(cube, region, panel_refl), mask)
     masked = hc.to_reflectance(cube, region, panel_refl, mask)
-    assert masked.data.dtype == np.float64
+    assert masked.data.dtype == (np.float64 if dtype == np.float64 else np.float32)
     assert np.array_equal(masked.data, full.data)
     assert np.array_equal(masked.wavelengths, full.wavelengths)
     if layout == "band-major":
         assert masked.data.transpose(2, 0, 1).flags.c_contiguous
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["whole", "masked"])
+@pytest.mark.parametrize("layout", ["C", "band-major"])
+@pytest.mark.parametrize("dtype", [np.float32, np.uint16])
+def test_narrow_samples_give_the_float64_reflectance_rounded_once(layout, dtype, masked):
+    rng = np.random.default_rng(16)
+    cube = random_cube(rng, rows=9, cols=11, bands=40, dtype=dtype)
+    if layout == "band-major":
+        cube = hc.HyperCube(_band_major(cube.data), cube.wavelengths, cube.units)
+    wide = hc.HyperCube(cube.data.astype(np.float64), cube.wavelengths, cube.units)
+    region = (1, 2, 4, 5)
+    panel_refl = rng.uniform(0.3, 0.5, size=40)
+    mask = None
+    if masked:
+        mask = hc.band_mask_from_windows(cube.wavelengths, keep_range=(410.0, 470.0))
+    narrow = hc.to_reflectance(cube, region, panel_refl, mask)
+    want = hc.to_reflectance(wide, region, panel_refl, mask).data.astype(np.float32)
+    assert narrow.data.dtype == np.float32
+    assert np.array_equal(narrow.data.view(np.uint32), want.view(np.uint32))
 
 
 def test_panel_mean_does_not_depend_on_memory_order():

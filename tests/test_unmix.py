@@ -195,6 +195,23 @@ def test_unmix_cube_matches_pixel_solver(monkeypatch):
             assert np.max(np.abs(abund.values[r, c] - h)) < 1e-12
 
 
+def test_chunk_size_does_not_change_bits(monkeypatch):
+    rng = np.random.default_rng(15)
+    cube, ems, _ = planted_cube(rng, rows=263, cols=257, e=3, d=24)  # 67,591 pixels
+    noisy = HyperCube(
+        np.clip(cube.data + rng.normal(0, 0.02, cube.data.shape), 0, None),
+        cube.wavelengths,
+        "reflectance",
+    )
+    results = []
+    for chunk in (65536, 8192, 1000, 7):
+        assert (noisy.rows * noisy.cols) % chunk
+        monkeypatch.setattr(unmix, "CHUNK_PIXELS", chunk)
+        abund, resid = unmix.unmix_cube(noisy, ems)
+        results.append((abund.values.tobytes(), repr(resid)))
+    assert all(result == results[0] for result in results[1:])
+
+
 def test_band_major_cube_gives_the_same_bits(monkeypatch):
     monkeypatch.setattr(unmix, "CHUNK_PIXELS", 100)
     rng = np.random.default_rng(14)
