@@ -11,14 +11,16 @@ a bsq cube is band-major in memory and is written back to bsq without a
 transpose. Code whose floating-point result depends on summation order
 makes its own C- or Fortran-order copy.
 
-The view maps the ``.raw`` file copy-on-write: pages are read on first
-touch, and writes into the array stay private to the process. A mapped
-file must never be truncated while the map lives, so ``write_cube``
-replaces a pair atomically instead of rewriting it in place.
+``read_cube`` reads the whole payload into memory. ``CubeStream`` and
+``write_band_blocks`` instead move a payload through memory a bounded
+part at a time: band planes, a run of pixels or a strip of rows. A pass
+in file order hashes the bytes on the way. Only the band pass over a bil
+or bip payload maps the file, which must then not be rewritten while
+the pass runs.
 
-``CubeStream`` and ``write_band_blocks`` instead move a payload through
-memory a bounded part at a time: band planes, a run of pixels or a
-strip of rows. A pass in file order hashes the bytes on the way.
+The writers write ``<stem>.raw``, then ``<stem>.hdr``, in place. A
+pipeline stage writes them into a staging directory that replaces its
+output directory only when the stage succeeds.
 
 Each check has one owner: the header parser checks the metadata, each
 reader checks every sample it brings in, once, for NaN and inf, and
@@ -242,27 +244,13 @@ def _rows_cols_bands(payload: np.ndarray, interleave: str) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _replacing_pair(path: str | os.PathLike, header: CubeHeader) -> Iterator[BinaryIO]:
-    """The open ``<stem>.raw.tmp`` for the payload.
-
-    On a clean exit the header is written to ``<stem>.hdr.tmp`` and both
-    move into place with ``os.replace``, raw first, so a cube that still
-    maps the old payload keeps reading it. Any failure removes the
-    temporaries and leaves the old pair as it was.
-    """
+def _writing_pair(path: str | os.PathLike, header: CubeHeader) -> Iterator[BinaryIO]:
+    """The open ``<stem>.raw`` for the payload; on a clean exit the header follows."""
     hdr_path, raw_path = _paths(path)
-    raw_tmp, hdr_tmp = raw_path + ".tmp", hdr_path + ".tmp"
-    try:
-        with open(raw_tmp, "wb") as fh:
-            yield fh
-        with open(hdr_tmp, "w", encoding="utf-8") as fh:
-            fh.write(header.text())
-        os.replace(raw_tmp, raw_path)
-        os.replace(hdr_tmp, hdr_path)
-    finally:
-        for tmp in (raw_tmp, hdr_tmp):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+    with open(raw_path, "wb") as fh:
+        yield fh
+    with open(hdr_path, "w", encoding="utf-8") as fh:
+        fh.write(header.text())
 
 
 def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq") -> str:
@@ -270,11 +258,11 @@ def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq"
 
     ``path`` may be the stem or either member of the pair. The payload
     dtype is taken from the cube and must be one of the supported
-    sample types. The pair is replaced atomically (see ``_replacing_pair``).
+    sample types.
     """
     header = CubeHeader.of(cube, interleave)
     payload = cube.data.transpose(_FILE_AXES[interleave])
-    with _replacing_pair(path, header) as fh:
+    with _writing_pair(path, header) as fh:
         fh.write(np.ascontiguousarray(payload, dtype=header.dtype))
     return _paths(path)[0]
 
@@ -314,14 +302,13 @@ def write_band_blocks(
 
     Each block is an (n, rows, cols) array holding the next n planes.
     Every byte written is hashed on its way to the file, so the digest
-    needs no second read. The pair is replaced atomically as
-    ``write_cube`` replaces it, also when ``blocks`` raises.
+    needs no second read.
     """
     if header.interleave != "bsq":
         raise UnsupportedFormatError(f"band blocks are written bsq, not {header.interleave}")
     sha = _Sha256Behind()
     planes = 0
-    with _replacing_pair(path, header) as fh:
+    with _writing_pair(path, header) as fh:
         for block in blocks:
             block = np.ascontiguousarray(block, dtype=header.dtype)
             if block.ndim != 3 or block.shape[1:] != (header.rows, header.cols):
@@ -425,16 +412,13 @@ def _mapped(header: CubeHeader, raw_path: str) -> np.ndarray:
 
 
 def read_cube(path: str | os.PathLike) -> HyperCube:
-    """Read a cube pair back into memory, every sample checked for NaN and inf.
+    """Read a cube pair into memory, every sample checked for NaN and inf.
 
-    The data is a (rows, cols, bands) view of a copy-on-write map of the
-    payload in the file's interleave: writable, but writes never reach
-    the file. Header and size errors are those of ``_read_header``.
+    The data is a (rows, cols, bands) view of the payload in the file's
+    interleave. Header and size errors are those of ``_read_header``.
     """
-    header, raw_path = _read_header(path)
-    data = _mapped(header, raw_path)
-    _check_finite(data, raw_path)
-    return HyperCube(data, header.wavelengths, header.units, header.band_labels)
+    with CubeStream(path) as stream:
+        return stream.read_rows(0, stream.rows)
 
 
 def _check_finite(block: np.ndarray, source: str) -> None:
@@ -453,8 +437,8 @@ def _check_pixel_range(start: int, stop: int, pixels: int) -> None:
 class CubeStream:
     """Reads of a cube pair's payload that hold a bounded part of it at a time.
 
-    The header is parsed and the payload size checked as ``read_cube``
-    does, and every sample read is checked for NaN and inf, except by
+    The header is parsed and the payload size checked by ``_read_header``,
+    and every sample read is checked for NaN and inf, except by
     ``read_panel``.
 
     - Iterating makes one pass over whole band planes, yielding

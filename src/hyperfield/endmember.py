@@ -19,8 +19,6 @@ import numpy as np
 from .errors import DataError, DegenerateSimplexError, RankError, ShapeMismatchError
 from .table import read_table
 
-DEFAULT_REFINE_K = 25
-
 
 @dataclass
 class PcaBasis:
@@ -238,7 +236,7 @@ def svmax(
 
 
 def refine_by_neighborhood(
-    endmembers: EndmemberSet, pixels: np.ndarray, k: int = DEFAULT_REFINE_K
+    endmembers: EndmemberSet, pixels: np.ndarray, k: int
 ) -> EndmemberSet:
     """Replace each member by the mean of its k spectrally nearest pixels.
 

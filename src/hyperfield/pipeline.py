@@ -16,6 +16,7 @@ import hashlib
 import json
 import logging
 import os
+import shutil
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -149,7 +150,8 @@ class FileDigests:
     rewrite inside the filesystem's timestamp granularity can keep the
     old key, so the files a stage has just written are rehashed
     (``rehash``) rather than looked up, unless the stage ``record``ed
-    the digest of the bytes it wrote. Nothing is persisted.
+    the digest of the bytes it wrote. Renaming a stage's directory into
+    place keeps its files' keys. Nothing is persisted.
     """
 
     def __init__(self) -> None:
@@ -158,10 +160,10 @@ class FileDigests:
     def record(self, path: str, digest: str, before: os.stat_result | None = None) -> bool:
         """Enter the sha256 of bytes just read from or written to ``path``.
 
-        An output is keyed by its stat now, after its final rename. For an
-        input, ``before`` is its stat from before the read, and the digest
-        is entered only if the file's identity has not changed since;
-        returns whether it was entered.
+        An output is keyed by its stat now, which renaming its directory
+        into place keeps. For an input, ``before`` is its stat from before
+        the read, and the digest is entered only if the file's identity
+        has not changed since; returns whether it was entered.
         """
         key = _identity(os.stat(path))
         if before is not None and _identity(before) != key:
@@ -214,8 +216,42 @@ def _manifest_path(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, "manifests", f"{stage}.json")
 
 
+def _files_under(st: _Stage) -> list[str]:
+    """Every file under the stage's directory, relative to the output directory."""
+    return [
+        os.path.relpath(os.path.join(dirpath, name), st.out_dir)
+        for dirpath, _, names in os.walk(st.dir)
+        for name in names
+    ]
+
+
+def _check_inputs(st: _Stage) -> None:
+    """Each declared input, in order, exists and lies outside the stage's directory.
+
+    A missing relative file under a stage's directory names that stage,
+    since every stage writes only under its own directory.
+    """
+    own = os.path.realpath(st.dir)  # the swap would delete an input under it
+    for key, resolved in st.inputs.items():
+        if os.path.commonpath([own, os.path.realpath(resolved)]) == own:
+            raise ConfigError(
+                f"stage {st.name!r} cannot read {key!r}: it lies under {own}, "
+                "which the stage replaces"
+            )
+        if not os.path.exists(resolved):
+            producer, slash, _ = key.partition("/")
+            if slash and producer in STAGES:
+                raise DependencyError(
+                    f"stage {st.name!r} needs {key!r}, which stage {producer!r} "
+                    f"produces; run {producer!r} first"
+                )
+            raise DataError(
+                f"stage {st.name!r}: required input not found: {resolved}"
+            )
+
+
 def _should_skip(st: _Stage, config_hash: str) -> bool:
-    """Whether the stage's manifest still matches; a damaged manifest does not."""
+    """Whether the manifest still matches; its outputs must be the files under ``<stage>/``."""
     path = _manifest_path(st.out_dir, st.name)
     if not os.path.exists(path):
         return False
@@ -234,7 +270,9 @@ def _should_skip(st: _Stage, config_hash: str) -> bool:
     recorded_outputs = manifest.get("outputs")
     if not isinstance(recorded_inputs, dict) or not isinstance(recorded_outputs, dict):
         return False
-    if set(recorded_inputs) != set(st.inputs) or set(recorded_outputs) != set(st.outputs):
+    if set(recorded_inputs) != set(st.inputs) or not os.path.isdir(st.dir):
+        return False
+    if set(recorded_outputs) != set(_files_under(st)):
         return False
     expected = [(path, recorded_inputs[key]) for key, path in st.inputs.items()]
     expected += [
@@ -248,10 +286,11 @@ def _should_skip(st: _Stage, config_hash: str) -> bool:
 
 
 def _write_manifest(st: _Stage, config_hash: str) -> None:
-    written = {rel: os.path.join(st.out_dir, rel) for rel in st.outputs}
+    """The manifest of the swapped-in outputs, written last and atomically."""
+    written = {rel: os.path.join(st.out_dir, rel) for rel in _files_under(st)}
     found = st.digests.of(
         [*st.inputs.values(), *written.values()],
-        rehash=frozenset(written.values()) - st.recorded,
+        rehash=frozenset(path for rel, path in written.items() if rel not in st.recorded),
     )
     manifest = {
         "stage": st.name,
@@ -262,23 +301,19 @@ def _write_manifest(st: _Stage, config_hash: str) -> None:
     }
     path = _manifest_path(st.out_dir, st.name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _out_path(out_dir: str, rel: str) -> str:
-    path = os.path.join(out_dir, rel)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    return path
-
-
-def _cube_files(stem: str) -> list[str]:
-    return [stem + ".hdr", stem + ".raw"]
+    os.replace(path + ".tmp", path)
 
 
 class _Stage:
-    """Input/output bookkeeping shared by every stage body."""
+    """Input/output bookkeeping shared by every stage body.
+
+    A body declares its inputs before its ``yield``, touching no disk, and
+    after it writes its outputs into ``staging``, which ``run_stage`` swaps
+    in as the stage's directory ``dir`` when the body succeeds.
+    """
 
     def __init__(
         self,
@@ -292,49 +327,44 @@ class _Stage:
         self.digests = digests
         self.records = ParsedRecords() if records is None else records
         self.out_dir = config.out_dir()
+        self.dir = os.path.join(self.out_dir, name)
+        self.staging = os.path.join(self.out_dir, f".{name}.partial")
         self.inputs: dict[str, str] = {}
-        self.outputs: list[str] = []
-        self.recorded: set[str] = set()  # paths whose digest came from the bytes
+        self.recorded: set[str] = set()  # outputs whose digest came from the bytes
 
     def need(self, key: str) -> str:
-        """Register an input file; returns its path.
+        """Declare an input file and return its path; nothing is checked yet.
 
-        ``key`` is relative to the output directory unless absolute. A
-        missing relative file under a stage's directory names that
-        stage, since every stage writes only under its own directory.
+        ``key`` is relative to the output directory unless absolute.
+        ``run_stage`` checks every input once the body has declared them.
         """
         resolved = os.path.join(self.out_dir, key)
-        if not os.path.exists(resolved):
-            producer, slash, _ = key.partition("/")
-            if slash and producer in STAGES:
-                raise DependencyError(
-                    f"stage {self.name!r} needs {key!r}, which stage {producer!r} "
-                    f"produces; run {producer!r} first"
-                )
-            raise DataError(
-                f"stage {self.name!r}: required input not found: {resolved}"
-            )
         self.inputs[key] = resolved
         return resolved
 
     def need_cube(self, stem_key: str) -> str:
-        for key in _cube_files(stem_key):
-            self.need(key)
+        for suffix in (".hdr", ".raw"):
+            self.need(stem_key + suffix)
         return os.path.join(self.out_dir, stem_key)
 
     def emit(self, rel: str) -> str:
-        self.outputs.append(rel)
-        return _out_path(self.out_dir, rel)
+        """Where the body writes the output ``rel``, a file or a cube stem.
 
-    def emit_cube(self, stem_rel: str) -> str:
-        for rel in _cube_files(stem_rel):
-            self.outputs.append(rel)
-        return _out_path(self.out_dir, stem_rel)
+        ``rel`` is relative to the output directory and lies under the
+        stage's own directory. The path returned is its place in the
+        staging directory, whose parent directories are made.
+        """
+        inner = os.path.relpath(rel, self.name)
+        if inner.partition(os.sep)[0] in (os.curdir, os.pardir):
+            raise ValueError(f"stage {self.name!r} writes only under {self.name}/, not {rel!r}")
+        path = os.path.join(self.staging, inner)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
 
-    def record(self, path: str, digest: str, before: os.stat_result | None = None) -> None:
-        """Give the manifest the digest of bytes the body hashed as it read or wrote them."""
-        if self.digests.record(path, digest, before):
-            self.recorded.add(path)
+    def record(self, rel: str, digest: str) -> None:
+        """Give the manifest the digest of the bytes the body wrote to the output ``rel``."""
+        self.digests.record(self.emit(rel), digest)
+        self.recorded.add(rel)
 
     @contextlib.contextmanager
     def stream(self, stem: str) -> Iterator[CubeStream]:
@@ -347,7 +377,7 @@ class _Stage:
             cube.hashing = not self.digests.knows(cube.stat)
             yield cube
         if cube.digest is not None:
-            self.record(cube.raw_path, cube.digest, before=cube.stat)
+            self.digests.record(cube.raw_path, cube.digest, before=cube.stat)
 
 
 def _float_line(path: str, value: float) -> None:
@@ -360,30 +390,22 @@ def _float_line(path: str, value: float) -> None:
 
 def _stage_synth(st: _Stage) -> Iterator[None]:
     spec = st.config.synth_spec()
-    scene_stem = st.emit_cube(F_SCENE)
-    panel_path = st.emit(F_PANEL)
-    map_path = st.emit(F_PLOT_MAP)
-    yields_path = st.emit(F_YIELDS)
-    mask_path = st.emit(F_TRUTH_MASK)
-    boxes_path = st.emit(F_TRUTH_BOXES)
-    truth_path = st.emit(F_TRUTH_JSON)
-    ref_stem = st.emit_cube(F_REFERENCE)
-    ref_ems_path = st.emit(F_REFERENCE_EMS)
     yield
 
     cube, truth = generate_scene(spec)
     # stored as float32: the radiance rounded once, straight into the
     # band-major order that write_cube stores as bsq without a copy
     planes = np.ascontiguousarray(cube.data.transpose(2, 0, 1), dtype=np.float32)
-    write_cube(HyperCube(planes.transpose(1, 2, 0), cube.wavelengths, cube.units), scene_stem)
-    write_panel_reflectance_csv(panel_path, cube.wavelengths, truth.panel_reflectance)
-    write_plot_map(map_path, truth.plot_map)
+    scene = HyperCube(planes.transpose(1, 2, 0), cube.wavelengths, cube.units)
+    write_cube(scene, st.emit(F_SCENE))
+    write_panel_reflectance_csv(st.emit(F_PANEL), cube.wavelengths, truth.panel_reflectance)
+    write_plot_map(st.emit(F_PLOT_MAP), truth.plot_map)
     write_yields_csv(
-        yields_path,
+        st.emit(F_YIELDS),
         [PlotYieldRecord(pid, truth.plot_yields[pid]) for pid in sorted(truth.plot_yields)],
     )
-    write_pbm(mask_path, truth.sl_mask)
-    write_boxes_csv(boxes_path, [truth.boxes[pid] for pid in sorted(truth.boxes)])
+    write_pbm(st.emit(F_TRUTH_MASK), truth.sl_mask)
+    write_boxes_csv(st.emit(F_TRUTH_BOXES), [truth.boxes[pid] for pid in sorted(truth.boxes)])
     payload = {
         "boxes": {
             pid: [b.top, b.left, b.height, b.width]
@@ -397,21 +419,20 @@ def _stage_synth(st: _Stage) -> Iterator[None]:
         "window_px": truth.window_px,
         "yield_noise_sigma": truth.yield_noise_sigma,
     }
-    with open(truth_path, "w", encoding="utf-8") as fh:
+    with open(st.emit(F_TRUTH_JSON), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     ref_cube, ref_ems, _ = generate_reference_cube(
         seed=st.config.getint("synth", "reference_seed")
     )
-    write_cube(ref_cube, ref_stem)
-    write_endmembers_csv(ref_ems_path, ref_ems)
+    write_cube(ref_cube, st.emit(F_REFERENCE))
+    write_endmembers_csv(st.emit(F_REFERENCE_EMS), ref_ems)
 
 
 def _stage_calibrate(st: _Stage) -> Iterator[None]:
     cube_stem = st.need_cube(st.config.get("input", "cube"))
     panel_path = st.need(st.config.get("input", "panel_reflectance"))
-    out_stem = st.emit_cube(F_REFLECTANCE)
     yield
 
     _, panel = read_panel_reflectance_csv(panel_path)
@@ -445,16 +466,12 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
                     yield to_reflectance(part, region, panel[bands][kept]).data.transpose(2, 0, 1)
 
         header = CubeHeader.of(calibrated_panel)._replace(rows=head.rows, cols=head.cols)
-        digest = write_band_blocks(out_stem, header, kept_reflectance())
-    st.record(out_stem + ".raw", digest)
+        digest = write_band_blocks(st.emit(F_REFLECTANCE), header, kept_reflectance())
+    st.record(F_REFLECTANCE + ".raw", digest)
 
 
 def _stage_segment(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
-    boxes_path = st.emit(F_BOXES)
-    mask_path = st.emit(F_SEG_MASK)
-    score_path = st.emit(F_SEG_SCORE)
-    threshold_path = st.emit(F_SEG_THRESHOLD)
     yield
 
     red = st.config.window_nm("segment", "red_window_nm")
@@ -473,17 +490,16 @@ def _stage_segment(st: _Stage) -> Iterator[None]:
     se = (st.config.getint("segment", "se_rows"), st.config.getint("segment", "se_cols"))
     mask = binary_open(fill_holes(mask), se=se)
     boxes = extract_plots(mask, st.config.getint("segment", "min_area_px"))
-    write_pgm(score_path, plane)
-    write_pbm(mask_path, mask)
-    write_boxes_csv(boxes_path, boxes)
-    _float_line(threshold_path, threshold)
+    write_pgm(st.emit(F_SEG_SCORE), plane)
+    write_pbm(st.emit(F_SEG_MASK), mask)
+    write_boxes_csv(st.emit(F_BOXES), boxes)
+    _float_line(st.emit(F_SEG_THRESHOLD), threshold)
     log.info("segment: %d plots above the area floor", len(boxes))
 
 
 def _stage_gridmap(st: _Stage) -> Iterator[None]:
     boxes_path = st.need(F_BOXES)
     map_path = st.need(st.config.get("input", "plot_map"))
-    out_path = st.emit(F_ASSIGNMENT)
     yield
 
     boxes = read_boxes_csv(boxes_path)
@@ -498,13 +514,12 @@ def _stage_gridmap(st: _Stage) -> Iterator[None]:
         cell=st.config.anchor_cell(),
     )
     assignment = assign_ids(boxes, row_lines, col_lines, plot_map, anchor)
-    write_assignment_csv(out_path, assignment)
+    write_assignment_csv(st.emit(F_ASSIGNMENT), assignment)
     log.info("gridmap: %d boxes labelled", len(assignment.assigned()))
 
 
 def _stage_endmembers(st: _Stage) -> Iterator[None]:
     source = st.config.get("endmembers", "source").strip().lower()
-    out_path = st.emit(F_ENDMEMBERS)
     if source == "csv":
         raw = st.config.get("endmembers", "csv").strip()
         if not raw:
@@ -530,15 +545,12 @@ def _stage_endmembers(st: _Stage) -> Iterator[None]:
         ems = relabel_by_reference(found, reference)
     else:
         raise ConfigError(f"[endmembers] source = {source!r}; expected 'cube' or 'csv'")
-    write_endmembers_csv(out_path, ems)
+    write_endmembers_csv(st.emit(F_ENDMEMBERS), ems)
 
 
 def _stage_unmix(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     ems_path = st.need(F_ENDMEMBERS)
-    abund_stem = st.emit_cube(F_ABUNDANCES)
-    mask_path = st.emit(F_SL_MASK)
-    residual_path = st.emit(F_RESIDUAL)
     yield
 
     endmembers = read_endmembers_csv(ems_path)
@@ -554,9 +566,9 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
         leaf_label=st.config.get("unmix", "leaf_label"),
         threshold=st.config.getfloat("unmix", "sl_threshold"),
     )
-    write_cube(abundances.to_cube(), abund_stem)
-    write_pbm(mask_path, foreground.mask)
-    _float_line(residual_path, residual)
+    write_cube(abundances.to_cube(), st.emit(F_ABUNDANCES))
+    write_pbm(st.emit(F_SL_MASK), foreground.mask)
+    _float_line(st.emit(F_RESIDUAL), residual)
     log.info("unmix: residual %.6g, %d foreground pixels",
              residual, int(foreground.mask.sum()))
 
@@ -566,7 +578,6 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     mask_path = st.need(F_SL_MASK)
     assignment_path = st.need(F_ASSIGNMENT)
     yields_path = st.need(st.config.get("input", "yields"))
-    out_path = st.emit(F_RECORDS)
     yield
 
     mask = read_pbm(mask_path)
@@ -606,7 +617,7 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
                         plot.plot_id, data, crop, yields[plot.plot_id], window_px
                     )
     records = Records.concat([parts[plot.plot_id] for plot in assigned])
-    write_records_csv(out_path, records)
+    write_records_csv(st.emit(F_RECORDS), records)
     log.info("dataset: %d sub-plot records from %d plots", len(records), len(assigned))
 
 
@@ -630,9 +641,6 @@ def _read_split_csv(path: str, count: int) -> dict[str, np.ndarray]:
 
 def _stage_train(st: _Stage) -> Iterator[None]:
     records_path = st.need(F_RECORDS)
-    model_path = st.emit(F_MODEL)
-    log_path = st.emit(F_TRAIN_LOG)
-    split_path = st.emit(F_SPLIT)
     yield
 
     records = st.records.read(records_path)
@@ -646,9 +654,9 @@ def _stage_train(st: _Stage) -> Iterator[None]:
         hidden_sizes=st.config.hidden_sizes(),
         config=st.config.train_config(),
     )
-    save_model(model, model_path)
-    write_training_log_csv(log_path, logbook)
-    with open(split_path, "w", encoding="utf-8", newline="") as fh:
+    save_model(model, st.emit(F_MODEL))
+    write_training_log_csv(st.emit(F_TRAIN_LOG), logbook)
+    with open(st.emit(F_SPLIT), "w", encoding="utf-8", newline="") as fh:
         fh.write("index,role\n")
         rows = [(int(i), "train") for i in split.train]
         rows += [(int(i), "validation") for i in split.validation]
@@ -665,8 +673,6 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
     model_path = st.need(F_MODEL)
     records_path = st.need(F_RECORDS)
     split_path = st.need(F_SPLIT)
-    predictions_path = st.emit(F_PREDICTIONS)
-    metrics_path = st.emit(F_METRICS)
     yield
 
     model = load_model(model_path)
@@ -693,11 +699,11 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
             role_of[i] = role
     predicted = np.maximum(predict(model, x), 0.0)
     rows = zip(records.plot_ids, records.windows.tolist(), role_of, y.tolist(), predicted.tolist())
-    with open(predictions_path, "w", encoding="utf-8", newline="") as fh:
+    with open(st.emit(F_PREDICTIONS), "w", encoding="utf-8", newline="") as fh:
         fh.write("plot_id,window_row,window_col,role,actual_g,predicted_g\n")
         for plot_id, (row, col, _), role, actual, guess in rows:
             fh.write(f"{plot_id},{row},{col},{role},{actual!r},{guess!r}\n")
-    with open(metrics_path, "w", encoding="utf-8", newline="") as fh:
+    with open(st.emit(F_METRICS), "w", encoding="utf-8", newline="") as fh:
         fh.write("metric,value\n")
         fh.write(f"split,{split_name}\n")
         fh.write(f"subplot_r2,{result.subplot.r2!r}\n")
@@ -740,18 +746,9 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     records_path = st.need(F_RECORDS)
     assignment_path = st.need(F_ASSIGNMENT)
     abund_stem = st.need_cube(F_ABUNDANCES)
-
-    assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
-
-    out_metrics = st.emit(F_REPORT_METRICS)
-    scatter_path = st.emit(F_SCATTER)
-    middle_path = st.emit(F_MIDDLE_THIRDS)
-    summary_path = st.emit(F_SUMMARY)
-    map_paths = {
-        plot.plot_id: st.emit(f"{D_SL_MAPS}/{plot.plot_id}.ppm") for plot in assigned
-    }
     yield
 
+    assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
     records = st.records.read(records_path)
     metrics = read_metrics_csv(metrics_path)
     missing = [name for name in _SUMMARY_METRICS if name not in metrics]
@@ -766,11 +763,11 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     scatter = _read_scatter_rows(predictions_path)
 
     # metrics: same content as the evaluate stage, under the report roof
-    with open(metrics_path, "rb") as src, open(out_metrics, "wb") as dst:
+    with open(metrics_path, "rb") as src, open(st.emit(F_REPORT_METRICS), "wb") as dst:
         dst.write(src.read())
 
     # scatter data: one row per record, for external plotting
-    with open(scatter_path, "w", encoding="utf-8", newline="") as fh:
+    with open(st.emit(F_SCATTER), "w", encoding="utf-8", newline="") as fh:
         fh.write("actual_g,predicted_g,role\n")
         for actual, predicted, role in scatter:
             fh.write(f"{actual!r},{predicted!r},{role}\n")
@@ -779,7 +776,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     window_px = st.config.getint("dataset", "window_px")
     tau = st.config.getfloat("dataset", "middle_tau")
     plot_ids = np.array(records.plot_ids)
-    with open(middle_path, "w", encoding="utf-8", newline="") as fh:
+    with open(st.emit(F_MIDDLE_THIRDS), "w", encoding="utf-8", newline="") as fh:
         fh.write("plot_id,middle_fraction,label\n")
         for plot in assigned:
             rows = np.flatnonzero(plot_ids == plot.plot_id)
@@ -798,7 +795,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     for plot in assigned:
         box = plot.box
         crop = score[box.top : box.top + box.height, box.left : box.left + box.width]
-        write_score_ppm(map_paths[plot.plot_id], crop)
+        write_score_ppm(st.emit(f"{D_SL_MAPS}/{plot.plot_id}.ppm"), crop)
 
     # human-readable summary
     lines = [
@@ -815,7 +812,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
         f"plots reported: {len(assigned)}",
         f"sub-plot records: {len(records)}",
     ]
-    with open(summary_path, "w", encoding="utf-8") as fh:
+    with open(st.emit(F_SUMMARY), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -825,9 +822,9 @@ class _StageDef(NamedTuple):
     body: Callable[[_Stage], Iterator[None]]
 
 
-# Every stage in pipeline order. A body declares its files with
-# need/emit and yields; the work after its yield runs only when the
-# manifest is stale. Bodies reach layer functions through module
+# Every stage in pipeline order. A body declares its inputs with need
+# and yields; the work after its yield, which names each output with
+# emit, runs only when the manifest is stale. Bodies reach layer functions through module
 # globals, so the table holds no layer function. No stage hashes
 # [output]: the same inputs in another tree are the same computation.
 STAGES: dict[str, _StageDef] = {
@@ -884,8 +881,10 @@ def run_stage(
 ) -> None:
     """Run one stage (or skip it when its manifest is still valid).
 
-    ``digests`` and ``records`` carry file hashes and the parsed records
-    between the stages of one run.
+    What the body writes replaces the stage's directory only when the
+    body succeeds, and the manifest is written after that. ``digests``
+    and ``records`` carry file hashes and the parsed records between the
+    stages of one run.
     """
     if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
@@ -894,11 +893,23 @@ def run_stage(
     st = _Stage(name, config, FileDigests() if digests is None else digests, records)
     work = stage.body(st)
     next(work)
+    _check_inputs(st)
     config_hash = config.config_hash(stage.sections)
+    old = os.path.join(st.out_dir, f".{name}.old")  # where the swap moves the old directory
+    for leftover in (st.staging, old):  # of a failed or killed run
+        shutil.rmtree(leftover, ignore_errors=True)
     if not force and _should_skip(st, config_hash):
         log.info("%s: manifest up to date, skipping", name)
         return
-    next(work, None)
+    os.makedirs(st.staging)
+    try:
+        next(work, None)
+        with contextlib.suppress(FileNotFoundError):
+            os.rename(st.dir, old)
+        os.rename(st.staging, st.dir)
+    finally:
+        shutil.rmtree(st.staging, ignore_errors=True)
+    shutil.rmtree(old, ignore_errors=True)
     _write_manifest(st, config_hash)
 
 

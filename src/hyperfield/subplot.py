@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DataError, EmptyPlotError, ShapeMismatchError
 from .table import is_safe_id, read_table
 
-SUPPORTED_WINDOWS_PX = (10, 15, 20)
 DEFAULT_WINDOW_PX = 15
 DEFAULT_MIDDLE_TAU = 0.05
 

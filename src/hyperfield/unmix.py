@@ -262,9 +262,9 @@ def score_to_rgb(score: np.ndarray) -> np.ndarray:
     return COLOR_RAMP[idx]
 
 
-def write_score_ppm(path: str | os.PathLike, source) -> None:
-    """Export an SlMask score plane (or bare score array) as a PPM colormap."""
-    score = source.score if isinstance(source, SlMask) else np.asarray(source)
+def write_score_ppm(path: str | os.PathLike, score: np.ndarray) -> None:
+    """Export a score plane as a PPM colormap."""
+    score = np.asarray(score)
     if score.ndim != 2:
         raise ShapeMismatchError("score plane must be 2-d")
     write_ppm(path, score_to_rgb(score))

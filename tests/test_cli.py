@@ -1,5 +1,6 @@
 """Config, stage orchestration, and command-line behaviour."""
 
+import builtins
 import csv
 import dataclasses
 import hashlib
@@ -379,9 +380,95 @@ def test_truth_json_is_sorted_and_complete(tiny_run):
 # ---------------------------------------------------------------------------
 # resume, force, determinism
 
+def _leftovers(out) -> list:
+    """Temporary files and the staging or replaced directories of a stage."""
+    return [
+        p for p in out.rglob("*")
+        if p.name.endswith(".tmp")
+        or p.is_dir() and p.name.startswith(".") and p.suffix in (".partial", ".old")
+    ]
+
+
 def test_run_all_leaves_no_temporary_files(tiny_run):
     ini, out = tiny_run
-    assert [p for p in out.rglob("*") if p.name.endswith(".tmp")] == []
+    assert _leftovers(out) == []
+
+
+# ---------------------------------------------------------------------------
+# publishing a stage: its directory is replaced whole, or not at all
+
+def test_rerun_removes_outputs_the_new_config_does_not_make(memo_run, tmp_path):
+    """Another anchor cell labels fewer plots: report keeps no colormap of the old ones."""
+    base, out = memo_run
+    ini = tmp_path / "anchored.ini"
+    ini.write_text(base.read_text() + "\n[gridmap]\nanchor_cell = 0,1\n")
+    before = {p.name for p in (out / "report" / "sl_maps").iterdir()}
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    maps = {p.name for p in (out / "report" / "sl_maps").iterdir()}
+    listed = json.loads((out / "manifests" / "report.json").read_text())["outputs"]
+    assert maps == {os.path.basename(rel) for rel in listed if "/sl_maps/" in rel}
+    assert maps < before
+    fresh = tmp_path / "fresh"
+    assert main(["synth", "--out", str(fresh), "--config", str(ini)]) == 0
+    assert main(["run-all", "--out", str(fresh), "--config", str(ini)]) == 0
+    assert _tree_bytes(out) == _tree_bytes(fresh)
+    assert _leftovers(out) == []
+
+
+def test_failed_stage_keeps_its_old_directory_and_manifest(memo_run, tmp_path, monkeypatch):
+    base, out = memo_run
+    ini = tmp_path / "reseeded.ini"
+    ini.write_text(base.read_text().replace("[train]\n", "[train]\nseed = 5\n"))
+    before = _tree_bytes(out)
+
+    def fail(path, logbook):
+        raise DataError("disk full")
+
+    monkeypatch.setattr(pipeline, "write_training_log_csv", fail)
+    assert main(["train", "--out", str(out), "--config", str(ini), "--stage-force"]) == 4
+    assert _tree_bytes(out) == before
+    assert _leftovers(out) == []
+
+
+def test_a_leftover_staging_directory_is_removed(memo_run):
+    ini, out = memo_run
+    before = _tree_bytes(out)
+    for leftover in (".gridmap.partial", ".gridmap.old"):
+        (out / leftover / "sub").mkdir(parents=True)
+        (out / leftover / "sub" / "stale.csv").write_text("x\n")
+    assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 0
+    assert _leftovers(out) == []
+    assert _tree_bytes(out) == before
+
+
+def test_declaring_a_stage_touches_no_disk(tmp_path, monkeypatch):
+    config = load_config(None)
+    config.set("output", "dir", str(tmp_path / "absent"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the declaration touched the disk: {args}")
+
+    with monkeypatch.context() as patched:
+        for module, name in [(builtins, "open"), (os, "stat"), (os, "makedirs"),
+                             (os.path, "exists")]:
+            patched.setattr(module, name, refuse)
+        for name, stage in STAGES.items():
+            next(stage.body(pipeline._Stage(name, config, FileDigests())))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("absolute", [False, True])
+def test_an_input_inside_the_stage_directory_exits_2(tmp_path, capsys, absolute):
+    out = tmp_path / "out"
+    (out / "endmembers").mkdir(parents=True)
+    mine = out / "endmembers" / "mine.csv"
+    mine.write_text("wavelength,soil\n400.0,0.1\n")
+    key = str(mine) if absolute else "endmembers/mine.csv"
+    ini = tmp_path / "csv.ini"
+    ini.write_text(f"[endmembers]\nsource = csv\ncsv = {key}\n")
+    assert main(["endmembers", "--out", str(out), "--config", str(ini)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["endmembers"]
 
 
 def test_rerun_skips_every_stage(tiny_run):

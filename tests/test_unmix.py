@@ -316,7 +316,7 @@ def test_score_ppm_round_trip(tmp_path):
 def test_score_ppm_accepts_sl_mask(tmp_path):
     score = np.array([[0.0, 0.5, 1.0]])
     sl = unmix.SlMask(score=score, mask=score > 0.5)
-    unmix.write_score_ppm(tmp_path / "sl.ppm", sl)
+    unmix.write_score_ppm(tmp_path / "sl.ppm", sl.score)
     rgb = read_ppm(tmp_path / "sl.ppm")
     assert tuple(rgb[0, 0]) == (0, 0, 255)
     assert tuple(rgb[0, 2]) == (255, 0, 0)
