@@ -13,10 +13,13 @@ from __future__ import annotations
 import configparser
 import hashlib
 import os
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
-from .mlp import SplitSpec, TrainConfig
-from .synth import SynthSpec
+
+if TYPE_CHECKING:  # imported where used, so loading the config loads no layer module
+    from .mlp import SplitSpec, TrainConfig
+    from .synth import SynthSpec
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "input": {
@@ -216,6 +219,8 @@ class PipelineConfig:
         return sizes
 
     def split_spec(self) -> SplitSpec:
+        from .mlp import SplitSpec
+
         ids_raw = self.get("split", "test_plot_ids").strip()
         ids = tuple(p.strip() for p in ids_raw.split(",") if p.strip()) or None
         return SplitSpec(
@@ -228,6 +233,8 @@ class PipelineConfig:
         )
 
     def train_config(self) -> TrainConfig:
+        from .mlp import TrainConfig
+
         return TrainConfig(
             epochs=self.getint("train", "epochs"),
             batch_size=self.getint("train", "batch_size"),
@@ -239,6 +246,8 @@ class PipelineConfig:
         )
 
     def synth_spec(self) -> SynthSpec:
+        from .synth import SynthSpec
+
         return SynthSpec(
             seed=self.getint("synth", "seed"),
             grid_rows=self.getint("synth", "grid_rows"),

@@ -7,6 +7,10 @@ stage whose manifest still matches is skipped, which makes reruns
 cheap and interrupted pipelines resumable. Nothing in a manifest
 depends on absolute paths or timestamps, so two runs from the same
 inputs produce byte-identical trees.
+
+Layer modules, and numpy with them, are imported inside the stage
+bodies after their declaration pass, so a run whose stages all skip
+loads neither.
 """
 
 from __future__ import annotations
@@ -19,76 +23,17 @@ import os
 import shutil
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .config import PipelineConfig
-from .cube import (
-    CubeHeader,
-    CubeStream,
-    HyperCube,
-    band_mask_from_windows,
-    read_cube,
-    read_panel_reflectance_csv,
-    to_reflectance,
-    write_band_blocks,
-    write_cube,
-    write_panel_reflectance_csv,
-)
-from .endmember import (
-    read_endmembers_csv,
-    refine_by_neighborhood,
-    relabel_by_reference,
-    svmax,
-    write_endmembers_csv,
-)
 from .errors import ConfigError, DataError, DependencyError
-from .gridmap import (
-    Anchor,
-    assign_ids,
-    build_grid,
-    read_assignment_csv,
-    read_plot_map,
-    write_assignment_csv,
-    write_plot_map,
-)
-from .mlp import (
-    evaluate,
-    load_model,
-    predict,
-    save_model,
-    stratified_split,
-    train,
-    write_training_log_csv,
-)
-from .netpbm import read_pbm, write_pbm, write_pgm
-from .segment import (
-    binary_open,
-    extract_plots,
-    fill_holes,
-    ndpsi,
-    otsu_threshold,
-    read_boxes_csv,
-    threshold_mask,
-    window_indices,
-    write_boxes_csv,
-)
-from .subplot import (
-    PlotYieldRecord,
-    Records,
-    build_records,
-    middle_third_ratio,
-    read_records_csv,
-    read_yields_csv,
-    window_grid_shape,
-    write_records_csv,
-    write_yields_csv,
-)
-from .synth import generate_reference_cube, generate_scene
-from .table import read_table
-from .unmix import AbundanceMap, sl_mask, unmix_cube, write_score_ppm
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cube import CubeStream
+    from .subplot import Records
 
 log = logging.getLogger("hyperfield.pipeline")
 
@@ -203,6 +148,8 @@ class ParsedRecords:
         self._records: Records | None = None
 
     def read(self, path: str) -> Records:
+        from .subplot import read_records_csv
+
         key = _identity(os.stat(path))
         if self._records is None or key != self._key:
             records = read_records_csv(path)
@@ -373,6 +320,8 @@ class _Stage:
         Its file-order pass hashes the payload only when this run has no
         digest for the file, and the manifest takes the digest it makes.
         """
+        from .cube import CubeStream
+
         with CubeStream(stem) as cube:
             cube.hashing = not self.digests.knows(cube.stat)
             yield cube
@@ -391,6 +340,15 @@ def _float_line(path: str, value: float) -> None:
 def _stage_synth(st: _Stage) -> Iterator[None]:
     spec = st.config.synth_spec()
     yield
+    import numpy as np
+
+    from .cube import HyperCube, write_cube, write_panel_reflectance_csv
+    from .endmember import write_endmembers_csv
+    from .gridmap import write_plot_map
+    from .netpbm import write_pbm
+    from .segment import write_boxes_csv
+    from .subplot import PlotYieldRecord, write_yields_csv
+    from .synth import generate_reference_cube, generate_scene
 
     cube, truth = generate_scene(spec)
     # stored as float32: the radiance rounded once, straight into the
@@ -434,6 +392,14 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     cube_stem = st.need_cube(st.config.get("input", "cube"))
     panel_path = st.need(st.config.get("input", "panel_reflectance"))
     yield
+    from .cube import (
+        CubeHeader,
+        HyperCube,
+        band_mask_from_windows,
+        read_panel_reflectance_csv,
+        to_reflectance,
+        write_band_blocks,
+    )
 
     _, panel = read_panel_reflectance_csv(panel_path)
     with st.stream(cube_stem) as scene:
@@ -473,6 +439,19 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
 def _stage_segment(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     yield
+    import numpy as np
+
+    from .netpbm import write_pbm, write_pgm
+    from .segment import (
+        binary_open,
+        extract_plots,
+        fill_holes,
+        ndpsi,
+        otsu_threshold,
+        threshold_mask,
+        window_indices,
+        write_boxes_csv,
+    )
 
     red = st.config.window_nm("segment", "red_window_nm")
     blue = st.config.window_nm("segment", "blue_window_nm")
@@ -501,6 +480,8 @@ def _stage_gridmap(st: _Stage) -> Iterator[None]:
     boxes_path = st.need(F_BOXES)
     map_path = st.need(st.config.get("input", "plot_map"))
     yield
+    from .gridmap import Anchor, assign_ids, build_grid, read_plot_map, write_assignment_csv
+    from .segment import read_boxes_csv
 
     boxes = read_boxes_csv(boxes_path)
     plot_map = read_plot_map(map_path)
@@ -525,12 +506,24 @@ def _stage_endmembers(st: _Stage) -> Iterator[None]:
         if not raw:
             raise ConfigError("[endmembers] source = csv needs [endmembers] csv = <path>")
         csv_path = st.need(raw)
-        yield
-        ems = read_endmembers_csv(csv_path)
     elif source == "cube":
         ref_stem = st.need_cube(st.config.get("input", "reference_cube"))
         ref_ems_path = st.need(st.config.get("input", "reference_endmembers"))
-        yield
+    else:
+        raise ConfigError(f"[endmembers] source = {source!r}; expected 'cube' or 'csv'")
+    yield
+    from .cube import read_cube
+    from .endmember import (
+        read_endmembers_csv,
+        refine_by_neighborhood,
+        relabel_by_reference,
+        svmax,
+        write_endmembers_csv,
+    )
+
+    if source == "csv":
+        ems = read_endmembers_csv(csv_path)
+    else:
         cube = read_cube(ref_stem)
         pixels = cube.pixels()
         found = svmax(
@@ -543,8 +536,6 @@ def _stage_endmembers(st: _Stage) -> Iterator[None]:
             found = refine_by_neighborhood(found, pixels, k=k)
         reference = read_endmembers_csv(ref_ems_path)
         ems = relabel_by_reference(found, reference)
-    else:
-        raise ConfigError(f"[endmembers] source = {source!r}; expected 'cube' or 'csv'")
     write_endmembers_csv(st.emit(F_ENDMEMBERS), ems)
 
 
@@ -552,6 +543,12 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     ems_path = st.need(F_ENDMEMBERS)
     yield
+    import numpy as np
+
+    from .cube import write_cube
+    from .endmember import read_endmembers_csv
+    from .netpbm import write_pbm
+    from .unmix import sl_mask, unmix_cube
 
     endmembers = read_endmembers_csv(ems_path)
     with st.stream(stem) as cube:
@@ -579,6 +576,11 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     assignment_path = st.need(F_ASSIGNMENT)
     yields_path = st.need(st.config.get("input", "yields"))
     yield
+    import numpy as np
+
+    from .gridmap import read_assignment_csv
+    from .netpbm import read_pbm
+    from .subplot import Records, build_records, read_yields_csv, write_records_csv
 
     mask = read_pbm(mask_path)
     assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
@@ -623,6 +625,10 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
 
 def _read_split_csv(path: str, count: int) -> dict[str, np.ndarray]:
     """Record indices per role; each index in [0, count) and listed once."""
+    import numpy as np
+
+    from .table import read_table
+
     roles: dict[str, list[int]] = {"train": [], "validation": [], "test": []}
     seen: set[int] = set()
     table = read_table(path, ("index", "role"))
@@ -642,6 +648,7 @@ def _read_split_csv(path: str, count: int) -> dict[str, np.ndarray]:
 def _stage_train(st: _Stage) -> Iterator[None]:
     records_path = st.need(F_RECORDS)
     yield
+    from .mlp import save_model, stratified_split, train, write_training_log_csv
 
     records = st.records.read(records_path)
     x, y = records.features, records.yields
@@ -674,6 +681,9 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
     records_path = st.need(F_RECORDS)
     split_path = st.need(F_SPLIT)
     yield
+    import numpy as np
+
+    from .mlp import evaluate, load_model, predict
 
     model = load_model(model_path)
     records = st.records.read(records_path)
@@ -723,12 +733,16 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
 
 def read_metrics_csv(path: str | os.PathLike) -> dict[str, str]:
     """Key/value metrics as written by the evaluate stage."""
+    from .table import read_table
+
     table = read_table(path, ("metric", "value"), key="metric")
     return dict(zip(table.text("metric"), table.text("value")))
 
 
 def _read_scatter_rows(path: str) -> list[tuple[float, float, str]]:
     """(actual_g, predicted_g, role) of each evaluate prediction row; both numbers finite."""
+    from .table import read_table
+
     table = read_table(path, ("role",), floats=("actual_g", "predicted_g"))
     return [(*numbers, role) for numbers, role in zip(table.floats.tolist(), table.text("role"))]
 
@@ -747,6 +761,12 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     assignment_path = st.need(F_ASSIGNMENT)
     abund_stem = st.need_cube(F_ABUNDANCES)
     yield
+    import numpy as np
+
+    from .cube import read_cube
+    from .gridmap import read_assignment_csv
+    from .subplot import middle_third_ratio, window_grid_shape
+    from .unmix import AbundanceMap, write_score_ppm
 
     assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
     records = st.records.read(records_path)
@@ -824,8 +844,10 @@ class _StageDef(NamedTuple):
 
 # Every stage in pipeline order. A body declares its inputs with need
 # and yields; the work after its yield, which names each output with
-# emit, runs only when the manifest is stale. Bodies reach layer functions through module
-# globals, so the table holds no layer function. No stage hashes
+# emit, runs only when the manifest is stale. Bodies import the layer
+# functions they call after their yield, so a skipped stage loads no
+# layer module; hyperbench's tracer rebinds each layer function in its
+# defining module, which such an import then finds. No stage hashes
 # [output]: the same inputs in another tree are the same computation.
 STAGES: dict[str, _StageDef] = {
     "synth": _StageDef(

@@ -18,7 +18,7 @@ import pytest
 
 import hyperfield
 from hyperfield import cube as cube_module
-from hyperfield import pipeline
+from hyperfield import mlp, pipeline, subplot
 from hyperfield.cli import main
 from hyperfield.config import DEFAULTS, load_config
 from hyperfield.cube import read_cube, write_cube
@@ -420,12 +420,15 @@ def test_failed_stage_keeps_its_old_directory_and_manifest(memo_run, tmp_path, m
     ini = tmp_path / "reseeded.ini"
     ini.write_text(base.read_text().replace("[train]\n", "[train]\nseed = 5\n"))
     before = _tree_bytes(out)
+    calls = []
 
     def fail(path, logbook):
+        calls.append(path)
         raise DataError("disk full")
 
-    monkeypatch.setattr(pipeline, "write_training_log_csv", fail)
+    monkeypatch.setattr(mlp, "write_training_log_csv", fail)
     assert main(["train", "--out", str(out), "--config", str(ini), "--stage-force"]) == 4
+    assert len(calls) == 1  # the failure came from the patched writer
     assert _tree_bytes(out) == before
     assert _leftovers(out) == []
 
@@ -638,7 +641,7 @@ def _count_records_parses(monkeypatch) -> list[str]:
         parsed.append(path)
         return read_records_csv(path)
 
-    monkeypatch.setattr(pipeline, "read_records_csv", counting)
+    monkeypatch.setattr(subplot, "read_records_csv", counting)
     return parsed
 
 
@@ -689,16 +692,42 @@ def test_file_digests_share_entries_and_rehash_on_request(tmp_path, monkeypatch)
 
 
 def test_cli_import_loads_no_scipy():
+    """Importing the CLI loads neither scipy nor numpy; stage bodies load them."""
     src = os.path.dirname(os.path.dirname(hyperfield.__file__))
     code = (
         "import sys, hyperfield.cli\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy'))\n"
         "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_noop_run_all_loads_no_numpy(tiny_run):
+    """A run-all whose stages all skip imports neither numpy nor scipy.
+
+    ``-X importtime`` lists every module the process imports on stderr.
+    """
+    ini, out = tiny_run
+    src = os.path.dirname(os.path.dirname(hyperfield.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "HYPERFIELD_LOG": "INFO"}
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hyperfield.cli", "run-all",
+         "--out", str(out), "--config", str(ini)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    skipped = re.findall(r"pipeline: (\w+): manifest up to date, skipping", result.stderr)
+    assert skipped == list(STAGE_ORDER)
+    imported = [
+        line.rpartition("|")[2].strip()
+        for line in result.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "hyperfield.pipeline" in imported
+    assert [m for m in imported if m.split(".")[0] in ("numpy", "scipy")] == []
 
 
 def test_cli_runs_blas_on_one_thread():
@@ -741,8 +770,8 @@ def test_cli_runs_blas_on_one_thread():
 def test_traced_cold_run_calls_every_layer_the_benchmark_expects(tmp_path):
     """hyperbench's coverage guard for its ``cold`` workload, on the tiny scene.
 
-    A refactor that stops a stage from calling a layer function through
-    module globals (which is how the benchmark's tracer sees it) fails here.
+    A refactor that stops a stage from reaching a layer function through
+    its defining module, where the benchmark's tracer rebinds it, fails here.
     """
     spec = importlib.util.spec_from_file_location("hyperbench_layers", os.path.join(HYPERBENCH, "layers.py"))
     layers = importlib.util.module_from_spec(spec)

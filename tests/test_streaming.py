@@ -168,9 +168,10 @@ def test_non_finite_reflectance_exits_4_naming_the_file(streamed, capsys, positi
         del payload
 
 
-def test_no_stage_maps_the_whole_reflectance_cube(tiny, monkeypatch):
+def test_no_stage_maps_the_whole_reflectance_cube(tiny, monkeypatch, tmp_path):
     ini, out = tiny
     read_cube, mapped = hc.read_cube, hc._mapped
+    seen = {"read_cube": [], "_mapped": []}
 
     def refuse(path):
         stem = os.fspath(path).replace(os.sep, "/").removesuffix(hc.RAW_SUFFIX)
@@ -178,18 +179,29 @@ def test_no_stage_maps_the_whole_reflectance_cube(tiny, monkeypatch):
             raise AssertionError(f"the whole reflectance cube is mapped: {path}")
 
     def guarded_read(path):
+        seen["read_cube"].append(os.fspath(path))
         refuse(path)
         return read_cube(path)
 
     def guarded_map(header, raw_path):
+        seen["_mapped"].append(raw_path)
         refuse(raw_path)
         return mapped(header, raw_path)
 
     monkeypatch.setattr(hc, "read_cube", guarded_read)
-    monkeypatch.setattr(pipeline, "read_cube", guarded_read)
     monkeypatch.setattr(hc, "_mapped", guarded_map)
     for stage in STAGES:
         assert _run(stage, ini, out) == 0, stage
+
+    # both guards sit where the code looks the functions up: report reads
+    # the abundances with read_cube, and a bil stream maps its payload
+    assert _run("report", ini, out) == 0
+    assert seen["read_cube"] == [str(out / pipeline.F_ABUNDANCES)]
+    hc.write_cube(read_cube(out / pipeline.F_ABUNDANCES), tmp_path / "bil", "bil")
+    with hc.CubeStream(tmp_path / "bil") as stream:
+        for _ in stream:
+            pass
+    assert seen["_mapped"] == [str(tmp_path / "bil.raw")]
 
 
 def test_a_run_hashes_the_reflectance_payload_at_most_once(tiny, monkeypatch):
