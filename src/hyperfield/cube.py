@@ -13,10 +13,10 @@ makes its own C- or Fortran-order copy.
 
 ``read_cube`` reads the whole payload into memory. ``CubeStream`` and
 ``write_band_blocks`` instead move a payload through memory a bounded
-part at a time: band planes, a run of pixels or a strip of rows. A pass
-in file order hashes the bytes on the way. Only the band pass over a bil
-or bip payload maps the file, which must then not be rewritten while
-the pass runs.
+part at a time: band planes, a run of pixels or a strip of rows. The
+writer hashes the bytes on their way to the file; the readers hash
+nothing. Only the band pass over a bil or bip payload maps the file,
+which must then not be rewritten while the pass runs.
 
 The writers write ``<stem>.raw``, then ``<stem>.hdr``, in place. A
 pipeline stage writes them into a staging directory that replaces its
@@ -438,34 +438,27 @@ class CubeStream:
     """Reads of a cube pair's payload that hold a bounded part of it at a time.
 
     The header is parsed and the payload size checked by ``_read_header``,
-    and every sample read is checked for NaN and inf, except by
-    ``read_panel``.
+    and every sample read is checked for NaN and inf. Nothing is hashed:
+    a pipeline stage hashes its input files on their own.
 
     - Iterating makes one pass over whole band planes, yielding
       ``(bands, block)``: the slice of band indices and their
       (n, rows, cols) planes. A block holds as many planes as fit in
       ``BLOCK_BYTES``, at least one. A bsq payload is read in file order,
-      several planes per ``readinto`` into two reused buffers, so a block
-      is valid only until the next one is read. With ``hashing`` set,
-      every byte read is hashed: after a complete pass ``digest`` is the
-      payload's sha256. bil and bip payloads give the same blocks from a
-      mapped view and leave ``digest`` None. ``read_bands`` keeps some
+      several planes per ``pread`` into one reused buffer, so a block is
+      valid only until the next one is read. bil and bip payloads give
+      the same blocks from a mapped view. ``read_bands`` keeps some
       planes of such a pass.
     - ``read_rows`` reads whole image rows with ``pread``; ``read_strips``
       and ``read_panel`` are built on it. Touching a small part of a
       mapped file can map far more of the file than the part.
     - ``pixels`` reads a run of pixels, every band, as ``HyperCube.pixels``
       gives them.
-
-    ``stat`` is the file's stat from before the first read.
     """
 
     def __init__(self, path: str | os.PathLike):
         self.header, self.raw_path = _read_header(path)
-        self.hashing = True
-        self.digest: str | None = None
         self._fh = open(self.raw_path, "rb")
-        self.stat = os.fstat(self._fh.fileno())
 
     def __enter__(self) -> CubeStream:
         return self
@@ -482,14 +475,12 @@ class CubeStream:
         if os.preadv(self._fh.fileno(), [buffer], offset) != buffer.nbytes:
             raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
 
-    def read_rows(
-        self, top: int, height: int, buffer: np.ndarray | None = None, check: bool = True
-    ) -> HyperCube:
+    def read_rows(self, top: int, height: int, buffer: np.ndarray | None = None) -> HyperCube:
         """Rows ``top`` to ``top + height``, every band, in the file's memory order.
 
         With ``buffer``, a 1-d array of the payload's sample type with room
         for the rows, they are read into it and are valid until it is reused.
-        Unless ``check`` is false, every sample is checked for NaN and inf.
+        Every sample is checked for NaN and inf.
         """
         h = self.header
         if height <= 0 or top < 0 or top + height > h.rows:
@@ -504,8 +495,7 @@ class CubeStream:
         row_bytes = runs.shape[1] // height * h.dtype.itemsize
         for i, run in enumerate(runs):
             self._pread(run, (i * h.rows + top) * row_bytes)
-        if check:
-            _check_finite(part, self.raw_path)
+        _check_finite(part, self.raw_path)
         return HyperCube(
             _rows_cols_bands(part, h.interleave), h.wavelengths, h.units, h.band_labels
         )
@@ -533,14 +523,10 @@ class CubeStream:
             yield top, self.read_rows(top, bottom - top, buffer)
 
     def read_panel(self, region: tuple[int, int, int, int]) -> HyperCube:
-        """The (height, width, bands) pixels of the panel region, unchecked.
-
-        A pass over the payload reads the panel's samples again and checks
-        them; a caller that makes none must check the panel itself.
-        """
+        """The (height, width, bands) pixels of the panel region, from its checked rows."""
         _check_panel_region(region, self.rows, self.cols)
         top, left, height, width = region
-        return self.read_rows(top, height, check=False).crop(0, left, height, width)
+        return self.read_rows(top, height).crop(0, left, height, width)
 
     def pixels(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
         """``HyperCube.pixels(start, stop, out)`` of the payload.
@@ -572,8 +558,8 @@ class CubeStream:
     def read_bands(self, keep: np.ndarray) -> HyperCube:
         """The bands flagged in ``keep``, in the file's memory order.
 
-        They come from one pass of iteration, so every band is read,
-        checked and (with ``hashing``) hashed.
+        They come from one pass of iteration, so every band is read and
+        checked.
         """
         h = self.header
         keep = np.asarray(keep, dtype=bool)
@@ -597,21 +583,13 @@ class CubeStream:
                 _check_finite(planes[bands], self.raw_path)
                 yield bands, planes[bands]
             return
-        sha = _Sha256Behind() if self.hashing else None
-        # two buffers: one block is hashed while the next is read into the other
-        buffers = [np.empty((min(step, h.bands), h.rows, h.cols), h.dtype) for _ in range(2)]
-        self._fh.seek(0)
-        for i, start in enumerate(range(0, h.bands, step)):
+        buffer = np.empty((min(step, h.bands), h.rows, h.cols), h.dtype)
+        for start in range(0, h.bands, step):
             bands = slice(start, min(start + step, h.bands))
-            block = buffers[i % 2][: bands.stop - start]
-            if self._fh.readinto(block) != block.nbytes:
-                raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
-            if sha is not None:
-                sha.update(block)
+            block = buffer[: bands.stop - start]
+            self._pread(block, start * buffer[0].nbytes)
             _check_finite(block, self.raw_path)
             yield bands, block
-        if sha is not None:
-            self.digest = sha.hexdigest()
 
 
 def _check_panel_region(region: tuple[int, int, int, int], rows: int, cols: int) -> None:

@@ -32,7 +32,6 @@ from .errors import ConfigError, DataError, DependencyError
 if TYPE_CHECKING:
     import numpy as np
 
-    from .cube import CubeStream
     from .subplot import Records
 
 log = logging.getLogger("hyperfield.pipeline")
@@ -89,36 +88,28 @@ def _identity(st: os.stat_result) -> tuple[int, int, int, int, int]:
 class FileDigests:
     """sha256 of files, each computed at most once per run.
 
-    Entries are keyed by the file's stat identity (device, inode, size,
-    mtime, ctime), so a relative and an absolute path to the same file
-    share one entry, and any write to a file gives it a new key. A
-    rewrite inside the filesystem's timestamp granularity can keep the
-    old key, so the files a stage has just written are rehashed
-    (``rehash``) rather than looked up, unless the stage ``record``ed
-    the digest of the bytes it wrote. Renaming a stage's directory into
-    place keeps its files' keys. Nothing is persisted.
+    This is the one place a file's digest comes from: hashed from disk by
+    ``of``, or ``record``ed by the stage that wrote the bytes. Entries are
+    keyed by the file's stat identity (device, inode, size, mtime, ctime)
+    taken before the hash, so a relative and an absolute path to the same
+    file share one entry, and any write to a file, even during its hash,
+    gives it a new key. A rewrite inside the filesystem's timestamp
+    granularity can keep the old key, so the files a stage has just
+    written are rehashed (``rehash``) rather than looked up, unless the
+    stage recorded them. Renaming a stage's directory into place keeps its
+    files' keys. Nothing is persisted.
     """
 
     def __init__(self) -> None:
         self._known: dict[tuple[int, int, int, int, int], str] = {}
 
-    def record(self, path: str, digest: str, before: os.stat_result | None = None) -> bool:
-        """Enter the sha256 of bytes just read from or written to ``path``.
+    def record(self, path: str, digest: str) -> None:
+        """Enter the sha256 of the bytes a stage just wrote to its output ``path``.
 
-        An output is keyed by its stat now, which renaming its directory
-        into place keeps. For an input, ``before`` is its stat from before
-        the read, and the digest is entered only if the file's identity
-        has not changed since; returns whether it was entered.
+        The entry is keyed by the file's stat now, which renaming its
+        directory into place keeps.
         """
-        key = _identity(os.stat(path))
-        if before is not None and _identity(before) != key:
-            return False
-        self._known[key] = digest
-        return True
-
-    def knows(self, st: os.stat_result) -> bool:
-        """Whether the file with this stat has a digest in this run."""
-        return _identity(st) in self._known
+        self._known[_identity(os.stat(path))] = digest
 
     def of(self, paths: list[str], rehash: frozenset[str] = frozenset()) -> dict[str, str]:
         """{path: sha256}; unknown files (and ``rehash`` ones) are hashed concurrently."""
@@ -313,21 +304,6 @@ class _Stage:
         self.digests.record(self.emit(rel), digest)
         self.recorded.add(rel)
 
-    @contextlib.contextmanager
-    def stream(self, stem: str) -> Iterator[CubeStream]:
-        """A ``CubeStream`` of a needed cube.
-
-        Its file-order pass hashes the payload only when this run has no
-        digest for the file, and the manifest takes the digest it makes.
-        """
-        from .cube import CubeStream
-
-        with CubeStream(stem) as cube:
-            cube.hashing = not self.digests.knows(cube.stat)
-            yield cube
-        if cube.digest is not None:
-            self.digests.record(cube.raw_path, cube.digest, before=cube.stat)
-
 
 def _float_line(path: str, value: float) -> None:
     with open(path, "w", encoding="utf-8") as fh:
@@ -394,6 +370,7 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     yield
     from .cube import (
         CubeHeader,
+        CubeStream,
         HyperCube,
         band_mask_from_windows,
         read_panel_reflectance_csv,
@@ -402,7 +379,7 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     )
 
     _, panel = read_panel_reflectance_csv(panel_path)
-    with st.stream(cube_stem) as scene:
+    with CubeStream(cube_stem) as scene:
         head = scene.header
         if panel.size != head.bands:
             raise DataError(
@@ -415,8 +392,7 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
         )
         region = st.config.panel_region()
         # every panel and mask check of a whole-scene call, on the panel's
-        # pixels, which the pass below checks for NaN and inf; its result
-        # carries the output's bands, units and dtype
+        # pixels; its result carries the output's bands, units and dtype
         panel_cube = scene.read_panel(region)
         _, _, height, width = region
         calibrated_panel = to_reflectance(panel_cube, (0, 0, height, width), panel, mask)
@@ -441,6 +417,7 @@ def _stage_segment(st: _Stage) -> Iterator[None]:
     yield
     import numpy as np
 
+    from .cube import CubeStream
     from .netpbm import write_pbm, write_pgm
     from .segment import (
         binary_open,
@@ -455,7 +432,7 @@ def _stage_segment(st: _Stage) -> Iterator[None]:
 
     red = st.config.window_nm("segment", "red_window_nm")
     blue = st.config.window_nm("segment", "blue_window_nm")
-    with st.stream(stem) as cube:
+    with CubeStream(stem) as cube:
         # ndpsi reads only its two windows: keep just those planes
         keep = np.zeros(cube.bands, dtype=bool)
         for window in (red, blue):
@@ -545,13 +522,13 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
     yield
     import numpy as np
 
-    from .cube import write_cube
+    from .cube import CubeStream, write_cube
     from .endmember import read_endmembers_csv
     from .netpbm import write_pbm
     from .unmix import sl_mask, unmix_cube
 
     endmembers = read_endmembers_csv(ems_path)
-    with st.stream(stem) as cube:
+    with CubeStream(stem) as cube:
         if endmembers.wavelengths.size != cube.bands or not np.allclose(
             endmembers.wavelengths, cube.wavelengths, atol=0.05, rtol=0.0
         ):
@@ -578,6 +555,7 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     yield
     import numpy as np
 
+    from .cube import CubeStream
     from .gridmap import read_assignment_csv
     from .netpbm import read_pbm
     from .subplot import Records, build_records, read_yields_csv, write_records_csv
@@ -590,7 +568,7 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
         if plot.plot_id not in yields:
             raise DataError(f"no measured yield for plot {plot.plot_id!r}")
     parts = {}
-    with st.stream(stem) as cube:
+    with CubeStream(stem) as cube:
         rows, cols = cube.rows, cube.cols
         if mask.shape != (rows, cols):
             raise DataError(f"foreground mask {mask.shape} does not match cube {(rows, cols)}")
@@ -904,9 +882,10 @@ def run_stage(
     """Run one stage (or skip it when its manifest is still valid).
 
     What the body writes replaces the stage's directory only when the
-    body succeeds, and the manifest is written after that. ``digests``
-    and ``records`` carry file hashes and the parsed records between the
-    stages of one run.
+    body succeeds, and the manifest is written after that. Inputs with
+    no digest yet are hashed on another thread while the body runs.
+    ``digests`` and ``records`` carry file hashes and the parsed records
+    between the stages of one run.
     """
     if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
@@ -920,17 +899,22 @@ def run_stage(
     old = os.path.join(st.out_dir, f".{name}.old")  # where the swap moves the old directory
     for leftover in (st.staging, old):  # of a failed or killed run
         shutil.rmtree(leftover, ignore_errors=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(_manifest_path(st.out_dir, name) + ".tmp")
     if not force and _should_skip(st, config_hash):
         log.info("%s: manifest up to date, skipping", name)
         return
     os.makedirs(st.staging)
-    try:
-        next(work, None)
-        with contextlib.suppress(FileNotFoundError):
-            os.rename(st.dir, old)
-        os.rename(st.staging, st.dir)
-    finally:
-        shutil.rmtree(st.staging, ignore_errors=True)
+    with ThreadPoolExecutor(max_workers=1) as hashing:
+        inputs = hashing.submit(st.digests.of, list(st.inputs.values()))
+        try:
+            next(work, None)
+            with contextlib.suppress(FileNotFoundError):
+                os.rename(st.dir, old)
+            os.rename(st.staging, st.dir)
+        finally:
+            shutil.rmtree(st.staging, ignore_errors=True)
+        inputs.result()
     shutil.rmtree(old, ignore_errors=True)
     _write_manifest(st, config_hash)
 

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -109,24 +110,31 @@ def test_non_finite_scene_sample_exits_4_and_keeps_the_old_output(
 ):
     ini, out = _scene(tmp_path, monkeypatch, np.float32, interleave)
     assert _calibrate(ini, out) == 0
+    manifest = out / "manifests" / "calibrate.json"
     before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
+    recorded = manifest.read_bytes()
     _poke(tmp_path / "scene.raw", interleave, np.float32, band, bad)
+    threads = threading.active_count()
     assert _calibrate(ini, out, "--stage-force") == 4
-    assert "non-finite" in capsys.readouterr().err
+    assert threading.active_count() == threads  # the hashing beside the body has ended
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'scene.raw'}: cube data contains non-finite samples" in err
     assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
+    assert manifest.read_bytes() == recorded
 
 
 @pytest.mark.parametrize("interleave", hc.INTERLEAVES)
 @pytest.mark.parametrize("band", [BANDS - 1, BANDS - 2], ids=["kept-last", "dropped"])
-def test_nan_in_the_panel_exits_4_naming_the_panel_band(
+def test_nan_in_the_panel_exits_4_naming_the_scene(
     tmp_path, monkeypatch, capsys, interleave, band
 ):
+    """The panel's rows are read and checked like any other rows of the scene."""
     ini, out = _scene(tmp_path, monkeypatch, np.float32, interleave)
     assert _calibrate(ini, out) == 0
     before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
     _poke(tmp_path / "scene.raw", interleave, np.float32, band, np.nan, pixel=(2, 3))
     assert _calibrate(ini, out, "--stage-force") == 4
-    assert f"panel mean is not positive in band {band} ({400 + 10 * band:.1f} nm)" in \
+    assert f"{tmp_path / 'scene.raw'}: cube data contains non-finite samples" in \
         capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
 
@@ -163,8 +171,10 @@ def test_float32_reflectance_past_its_range_exits_4_and_keeps_the_old_output(
     assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
 
 
-def test_forced_calibrate_takes_both_cube_digests_from_its_own_pass(tmp_path, monkeypatch):
-    ini, out = _scene(tmp_path, monkeypatch, np.float64, "bsq")
+@pytest.mark.parametrize("interleave", ["bsq", "bil"])
+def test_forced_calibrate_hashes_each_input_once(tmp_path, monkeypatch, interleave):
+    """The inputs are hashed beside the body; the reflectance payload as it is written."""
+    ini, out = _scene(tmp_path, monkeypatch, np.float64, interleave)
     hashed = []
 
     def counting(path):
@@ -173,8 +183,7 @@ def test_forced_calibrate_takes_both_cube_digests_from_its_own_pass(tmp_path, mo
 
     monkeypatch.setattr(pipeline, "_sha256", counting)
     assert _calibrate(ini, out, "--stage-force") == 0
-    assert "scene.raw" not in hashed and "reflectance.raw" not in hashed
-    assert sorted(hashed) == ["panel.csv", "reflectance.hdr", "scene.hdr"]
+    assert sorted(hashed) == ["panel.csv", "reflectance.hdr", "scene.hdr", "scene.raw"]
     manifest = json.loads((out / "manifests" / "calibrate.json").read_text())
     for key, digest in manifest["inputs"].items():
         assert digest == _sha256_of(key), key
@@ -189,18 +198,46 @@ def test_recorded_digest_is_used_until_the_file_changes(tmp_path):
     path = tmp_path / "f.bin"
     path.write_bytes(b"a" * 64)
     digests = pipeline.FileDigests()
-    assert digests.record(str(path), "recorded")
+    digests.record(str(path), "recorded")
     assert digests.of([str(path)]) == {str(path): "recorded"}
     stat = path.stat()
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
     assert digests.of([str(path)]) == {str(path): hashlib.sha256(b"a" * 64).hexdigest()}
 
 
-def test_input_digest_is_not_recorded_when_the_file_changed_during_the_read(tmp_path):
-    path = tmp_path / "f.bin"
-    path.write_bytes(b"a" * 64)
-    before = path.stat()
-    path.write_bytes(b"b" * 65)
-    digests = pipeline.FileDigests()
-    assert not digests.record(str(path), "stale", before=before)
-    assert digests.of([str(path)]) == {str(path): hashlib.sha256(b"b" * 65).hexdigest()}
+def test_input_digest_is_not_recorded_when_the_file_changed_during_the_read(
+    tmp_path, monkeypatch
+):
+    """The scene is rewritten, at the same size, while a forced calibrate runs.
+
+    The manifest holds the digest of the bytes on disk when it is written,
+    not the one hashed beside the body before the rewrite.
+    """
+    ini, out = _scene(tmp_path, monkeypatch, np.float32, "bsq")
+    scene = tmp_path / "scene.raw"
+    old = _sha256_of(scene)
+    hashed_old = threading.Event()
+
+    def hashing(path):
+        digest = _sha256_of(path)
+        if digest == old:
+            hashed_old.set()
+        return digest
+
+    band_mask = hc.band_mask_from_windows
+
+    def rewriting(*args, **kwargs):
+        assert hashed_old.wait(10)
+        st = scene.stat()
+        (np.fromfile(scene, dtype=np.float32) * 2).tofile(scene)
+        # a rewrite inside the timestamp granularity would keep its stat identity
+        os.utime(scene, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+        return band_mask(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_sha256", hashing)
+    monkeypatch.setattr(hc, "band_mask_from_windows", rewriting)
+    assert _calibrate(ini, out, "--stage-force") == 0
+    new = _sha256_of(scene)
+    assert new != old
+    manifest = json.loads((out / "manifests" / "calibrate.json").read_text())
+    assert manifest["inputs"][str(scene)] == new

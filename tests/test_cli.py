@@ -444,6 +444,17 @@ def test_a_leftover_staging_directory_is_removed(memo_run):
     assert _tree_bytes(out) == before
 
 
+def test_a_leftover_manifest_temp_file_is_removed(memo_run):
+    """A run killed before replacing a manifest leaves its temp file, even if the stage then skips."""
+    ini, out = memo_run
+    before = _tree_bytes(out)
+    manifests = out / "manifests"
+    shutil.copyfile(manifests / "gridmap.json", manifests / "gridmap.json.tmp")
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    assert _leftovers(out) == []
+    assert _tree_bytes(out) == before
+
+
 def test_declaring_a_stage_touches_no_disk(tmp_path, monkeypatch):
     config = load_config(None)
     config.set("output", "dir", str(tmp_path / "absent"))
@@ -1276,7 +1287,8 @@ def test_damaged_cube_header_exits_4_naming_it(memo_base, capsys, stage, stem, d
 def test_forced_run_all_checks_each_sample_once(memo_run, monkeypatch):
     """Bytes passed to the finite check, per stage and cube, equal the cube's payload.
 
-    ``to_reflectance`` checks what it computes under the name
+    Calibrate also reads and checks the scene's panel rows before its
+    pass. ``to_reflectance`` checks what it computes under the name
     ``reflectance``: in calibrate, the payload it writes and the panel's
     kept bands, which calibrate computes first and does not write.
     """
@@ -1304,9 +1316,11 @@ def test_forced_run_all_checks_each_sample_once(memo_run, monkeypatch):
     _, _, height, width = load_config(str(ini)).panel_region()
     header = cube_module._read_header(out / "calibrate" / "reflectance")[0]
     panel_bytes = height * width * header.bands * header.dtype.itemsize
+    scene = cube_module._read_header(out / "synth" / "scene")[0]
+    panel_rows = height * scene.cols * scene.bands * scene.dtype.itemsize
     reflectance = os.path.join("calibrate", "reflectance.raw")
     assert checked == {
-        ("calibrate", os.path.join("synth", "scene.raw")): size("synth/scene.raw"),
+        ("calibrate", os.path.join("synth", "scene.raw")): size("synth/scene.raw") + panel_rows,
         ("calibrate", "reflectance"): size(reflectance) + panel_bytes,
         ("segment", reflectance): size(reflectance),
         ("endmembers", os.path.join("synth", "reference.raw")): size("synth/reference.raw"),
