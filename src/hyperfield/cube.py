@@ -11,33 +11,30 @@ a bsq cube is band-major in memory and is written back to bsq without a
 transpose. Code whose floating-point result depends on summation order
 makes its own C- or Fortran-order copy.
 
-``read_cube`` reads the whole payload into memory. ``CubeStream`` and
-``write_band_blocks`` instead move a payload through memory a bounded
-part at a time: band planes, a run of pixels or a strip of rows. The
-writer hashes the bytes on their way to the file; the readers hash
-nothing. Only the band pass over a bil or bip payload maps the file,
-which must then not be rewritten while the pass runs.
+``read_cube`` reads the whole payload into memory. ``CubeStream`` reads
+it a bounded part at a time, a run of pixels or a strip of rows, and
+``write_strips`` writes a payload a strip of rows at a time. A strip is
+moved in the file's runs, one per band plane (bsq) or one, with checked
+``pread`` and ``pwrite`` calls, whatever the interleave; no file is
+mapped, and nothing here hashes.
 
-The writers write ``<stem>.raw``, then ``<stem>.hdr``, in place. A
+The writer writes ``<stem>.raw``, then ``<stem>.hdr``, in place. A
 pipeline stage writes them into a staging directory that replaces its
 output directory only when the stage succeeds.
 
 Each check has one owner: the header parser checks the metadata, each
 reader checks every sample it brings in, once, for NaN and inf, and
-``to_reflectance`` the samples it computes. ``HyperCube`` never scans.
+``apply_gain`` the reflectance it computes. ``HyperCube`` never scans.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import hashlib
 import itertools
 import os
-import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +55,8 @@ RAW_SUFFIX = ".raw"
 INTERLEAVES = ("bip", "bil", "bsq")
 UNITS = ("raw", "radiance", "reflectance", "abundance")
 
-# Upper bound on one block of band planes streamed by ``CubeStream``.
+# Upper bound on one strip of rows from ``CubeStream.read_strips``, unless
+# its cuts need more rows or one row is larger.
 BLOCK_BYTES = 16 << 20
 # Upper bound on the samples ``CubeStream.pixels`` stages at a time: small
 # enough that copying them into a Fortran-order block stays in cache.
@@ -243,14 +241,60 @@ def _rows_cols_bands(payload: np.ndarray, interleave: str) -> np.ndarray:
     return payload.transpose(np.argsort(_FILE_AXES[interleave]))
 
 
-@contextlib.contextmanager
-def _writing_pair(path: str | os.PathLike, header: CubeHeader) -> Iterator[BinaryIO]:
-    """The open ``<stem>.raw`` for the payload; on a clean exit the header follows."""
+def _runs(payload: np.ndarray, header: CubeHeader, top: int) -> Iterator[tuple[np.ndarray, int]]:
+    """Each run of a C-contiguous file-order ``payload`` of whole rows from
+    ``top``, with its offset in the file: one run per band plane (bsq) or one.
+    """
+    bsq = header.interleave == "bsq"
+    row_bytes = header.cols * (1 if bsq else header.bands) * header.dtype.itemsize
+    for i, run in enumerate(payload.reshape(header.bands if bsq else 1, -1)):
+        yield run, (i * header.rows + top) * row_bytes
+
+
+def _pwrite(fd: int, run: np.ndarray, offset: int) -> None:
+    """Write all of ``run`` at ``offset``; one ``pwrite`` may write less than asked."""
+    view = memoryview(run).cast("B")
+    while view:
+        done = os.pwrite(fd, view, offset)
+        view, offset = view[done:], offset + done
+
+
+def write_strips(
+    path: str | os.PathLike, header: CubeHeader, strips: Iterable[tuple[int, HyperCube]]
+) -> None:
+    """Write a cube pair from ``(top, strip)`` pairs, as ``CubeStream.read_strips`` gives them.
+
+    A strip holds whole rows from ``top``, every band, in any memory order
+    and sample type; its samples are converted to the header's. Its runs
+    are written with ``pwrite`` in file order. Every row must be written
+    exactly once, in any order of strips, before the header follows the
+    payload.
+    """
     hdr_path, raw_path = _paths(path)
+    h = header
+    written = np.zeros(h.rows, dtype=bool)
     with open(raw_path, "wb") as fh:
-        yield fh
+        for top, strip in strips:
+            bottom = top + strip.rows
+            if (strip.cols, strip.bands) != (h.cols, h.bands) or not 0 <= top < bottom <= h.rows:
+                raise ShapeMismatchError(
+                    f"strip {strip.rows}x{strip.cols}x{strip.bands} at row {top} does not fit "
+                    f"a {h.rows}x{h.cols}x{h.bands} cube"
+                )
+            if written[top:bottom].any():
+                raise ShapeMismatchError(f"rows [{top}, {bottom}) overlap rows already written")
+            written[top:bottom] = True
+            payload = np.ascontiguousarray(
+                strip.data.transpose(_FILE_AXES[h.interleave]), dtype=h.dtype
+            )
+            for run, offset in _runs(payload, h, top):
+                _pwrite(fh.fileno(), run, offset)
+    if not written.all():
+        raise ShapeMismatchError(
+            f"{h.rows - int(written.sum())} of the cube's {h.rows} rows were not written"
+        )
     with open(hdr_path, "w", encoding="utf-8") as fh:
-        fh.write(header.text())
+        fh.write(h.text())
 
 
 def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq") -> str:
@@ -258,69 +302,10 @@ def write_cube(cube: HyperCube, path: str | os.PathLike, interleave: str = "bsq"
 
     ``path`` may be the stem or either member of the pair. The payload
     dtype is taken from the cube and must be one of the supported
-    sample types.
+    sample types. The cube is written as ``write_strips``' one strip.
     """
-    header = CubeHeader.of(cube, interleave)
-    payload = cube.data.transpose(_FILE_AXES[interleave])
-    with _writing_pair(path, header) as fh:
-        fh.write(np.ascontiguousarray(payload, dtype=header.dtype))
+    write_strips(path, CubeHeader.of(cube, interleave), [(0, cube)])
     return _paths(path)[0]
-
-
-class _Sha256Behind:
-    """sha256 of buffers, each hashed on a thread while the caller goes on.
-
-    Buffers are hashed in the order given. A buffer must stay unchanged
-    until the next ``update`` (or ``hexdigest``) returns, which first
-    waits for the buffer before it; hashlib releases the GIL, so the
-    hash of one block overlaps the work on the next.
-    """
-
-    def __init__(self) -> None:
-        self._sha = hashlib.sha256()
-        self._thread: threading.Thread | None = None
-
-    def _join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def update(self, data: np.ndarray) -> None:
-        self._join()
-        self._thread = threading.Thread(target=self._sha.update, args=(data,))
-        self._thread.start()
-
-    def hexdigest(self) -> str:
-        self._join()
-        return self._sha.hexdigest()
-
-
-def write_band_blocks(
-    path: str | os.PathLike, header: CubeHeader, blocks: Iterable[np.ndarray]
-) -> str:
-    """Write a bsq cube pair a block of band planes at a time; returns the payload's sha256.
-
-    Each block is an (n, rows, cols) array holding the next n planes.
-    Every byte written is hashed on its way to the file, so the digest
-    needs no second read.
-    """
-    if header.interleave != "bsq":
-        raise UnsupportedFormatError(f"band blocks are written bsq, not {header.interleave}")
-    sha = _Sha256Behind()
-    planes = 0
-    with _writing_pair(path, header) as fh:
-        for block in blocks:
-            block = np.ascontiguousarray(block, dtype=header.dtype)
-            if block.ndim != 3 or block.shape[1:] != (header.rows, header.cols):
-                raise ShapeMismatchError(
-                    f"block {block.shape} is not band planes of {header.rows}x{header.cols}"
-                )
-            planes += block.shape[0]
-            sha.update(block)
-            fh.write(block)
-        if planes != header.bands:
-            raise ShapeMismatchError(f"{planes} band planes for {header.bands} bands")
-    return sha.hexdigest()
 
 
 def _parse_header(hdr_path: str) -> CubeHeader:
@@ -405,12 +390,6 @@ def _read_header(path: str | os.PathLike) -> tuple[CubeHeader, str]:
     return header, raw_path
 
 
-def _mapped(header: CubeHeader, raw_path: str) -> np.ndarray:
-    """(rows, cols, bands) view of a copy-on-write map of the payload."""
-    flat = np.memmap(raw_path, dtype=header.dtype, mode="c").view(np.ndarray)
-    return _rows_cols_bands(flat.reshape(header.file_shape()), header.interleave)
-
-
 def read_cube(path: str | os.PathLike) -> HyperCube:
     """Read a cube pair into memory, every sample checked for NaN and inf.
 
@@ -441,19 +420,14 @@ class CubeStream:
     and every sample read is checked for NaN and inf. Nothing is hashed:
     a pipeline stage hashes its input files on their own.
 
-    - Iterating makes one pass over whole band planes, yielding
-      ``(bands, block)``: the slice of band indices and their
-      (n, rows, cols) planes. A block holds as many planes as fit in
-      ``BLOCK_BYTES``, at least one. A bsq payload is read in file order,
-      several planes per ``pread`` into one reused buffer, so a block is
-      valid only until the next one is read. bil and bip payloads give
-      the same blocks from a mapped view. ``read_bands`` keeps some
-      planes of such a pass.
-    - ``read_rows`` reads whole image rows with ``pread``; ``read_strips``
-      and ``read_panel`` are built on it. Touching a small part of a
-      mapped file can map far more of the file than the part.
+    - ``read_rows`` reads whole image rows in the file's runs with
+      ``pread``; ``read_strips``, ``read_panel`` and ``read_bands`` are
+      built on it.
     - ``pixels`` reads a run of pixels, every band, as ``HyperCube.pixels``
       gives them.
+
+    A ``pread`` that returns fewer bytes than asked is continued; one that
+    returns none means the payload shrank while it was read.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -472,8 +446,13 @@ class CubeStream:
     wavelengths = property(lambda self: self.header.wavelengths)
 
     def _pread(self, buffer: np.ndarray, offset: int) -> None:
-        if os.preadv(self._fh.fileno(), [buffer], offset) != buffer.nbytes:
-            raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
+        """Fill the C-contiguous ``buffer`` from ``offset``; one call may read less."""
+        view = memoryview(buffer).cast("B")
+        while view:
+            done = os.preadv(self._fh.fileno(), [view], offset)
+            if not done:
+                raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
+            view, offset = view[done:], offset + done
 
     def read_rows(self, top: int, height: int, buffer: np.ndarray | None = None) -> HyperCube:
         """Rows ``top`` to ``top + height``, every band, in the file's memory order.
@@ -490,25 +469,25 @@ class CubeStream:
             part = np.empty(shape, h.dtype)
         else:
             part = buffer[: height * h.cols * h.bands].reshape(shape)
-        # the rows lie in one run per band plane (bsq) or in one run
-        runs = part.reshape(h.bands if h.interleave == "bsq" else 1, -1)
-        row_bytes = runs.shape[1] // height * h.dtype.itemsize
-        for i, run in enumerate(runs):
-            self._pread(run, (i * h.rows + top) * row_bytes)
+        for run, offset in _runs(part, h, top):
+            self._pread(run, offset)
         _check_finite(part, self.raw_path)
         return HyperCube(
             _rows_cols_bands(part, h.interleave), h.wavelengths, h.units, h.band_labels
         )
 
-    def read_strips(self, cuts: Iterable[int]) -> Iterator[tuple[int, HyperCube]]:
+    def read_strips(
+        self, cuts: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, HyperCube]]:
         """Every row once, top to bottom, as ``(top, strip)`` with ``strip`` a
         ``read_rows`` cube, valid until the next strip is read.
 
-        A strip ends only before a row index in ``cuts`` or at the last
-        row. It holds as many rows as fit in ``BLOCK_BYTES``, or if no
-        cut allows that, the fewest that reach one.
+        A strip ends only before a row index in ``cuts`` (by default, any
+        row) or at the last row. It holds as many rows as fit in
+        ``BLOCK_BYTES``, or if no cut allows that, the fewest that reach one.
         """
         h = self.header
+        cuts = range(h.rows) if cuts is None else cuts
         step = max(1, BLOCK_BYTES // (h.cols * h.bands * h.dtype.itemsize))
         tops = [0]
         bottom = 0
@@ -558,38 +537,17 @@ class CubeStream:
     def read_bands(self, keep: np.ndarray) -> HyperCube:
         """The bands flagged in ``keep``, in the file's memory order.
 
-        They come from one pass of iteration, so every band is read and
-        checked.
+        They come from one pass of ``read_strips``, so every band is read
+        and checked.
         """
         h = self.header
         keep = np.asarray(keep, dtype=bool)
         kept = _rows_cols_bands(
             np.empty(h._replace(bands=int(keep.sum())).file_shape(), h.dtype), h.interleave
         )
-        done = 0
-        for bands, block in self:
-            planes = block[keep[bands]]
-            kept[:, :, done : done + len(planes)] = planes.transpose(1, 2, 0)
-            done += len(planes)
+        for top, strip in self.read_strips():
+            kept[top : top + strip.rows] = strip.data[:, :, keep]
         return HyperCube(kept, h.wavelengths[keep], h.units, _kept_labels(h.band_labels, keep))
-
-    def __iter__(self) -> Iterator[tuple[slice, np.ndarray]]:
-        h = self.header
-        step = max(1, BLOCK_BYTES // (h.rows * h.cols * h.dtype.itemsize))
-        if h.interleave != "bsq":
-            planes = _mapped(h, self.raw_path).transpose(2, 0, 1)
-            for start in range(0, h.bands, step):
-                bands = slice(start, min(start + step, h.bands))
-                _check_finite(planes[bands], self.raw_path)
-                yield bands, planes[bands]
-            return
-        buffer = np.empty((min(step, h.bands), h.rows, h.cols), h.dtype)
-        for start in range(0, h.bands, step):
-            bands = slice(start, min(start + step, h.bands))
-            block = buffer[: bands.stop - start]
-            self._pread(block, start * buffer[0].nbytes)
-            _check_finite(block, self.raw_path)
-            yield bands, block
 
 
 def _check_panel_region(region: tuple[int, int, int, int], rows: int, cols: int) -> None:
@@ -608,23 +566,26 @@ def to_reflectance(
     panel_reflectance: np.ndarray,
     mask: BandMask | None = None,
 ) -> HyperCube:
-    """Single-panel empirical line correction.
+    """Single-panel empirical line correction: ``panel_gain``, then ``apply_gain``.
 
     ``panel_region`` is (top, left, height, width) of pixels covering
     the reference panel; ``panel_reflectance`` gives the panel's known
     reflectance per band. Each pixel is divided by the panel mean and
-    rescaled by the known reflectance. Output is clamped below at zero;
-    values above one are preserved (specular pixels stay visible).
+    rescaled by the known reflectance.
 
     With a ``mask`` the panel is still checked in every input band, but
     only the kept bands are scaled and returned.
+    """
+    return apply_gain(cube, panel_gain(cube, panel_region, panel_reflectance), mask)
 
-    The result keeps the scene's precision: float64 samples give float64
-    reflectance, float32 and uint16 samples give float32, the float64
-    product rounded once.
 
-    The result is checked for NaN and inf: a finite sample times a finite
-    gain can overflow, and so can its rounding to float32.
+def panel_gain(
+    cube: HyperCube, panel_region: tuple[int, int, int, int], panel_reflectance: np.ndarray
+) -> np.ndarray:
+    """Per band, the panel's known reflectance over its mean in ``cube``.
+
+    The panel must be positive in every band, both its known reflectance
+    and its mean.
     """
     _check_panel_region(panel_region, cube.rows, cube.cols)
     top, left, height, width = panel_region
@@ -650,8 +611,23 @@ def to_reflectance(
             f"panel mean is not positive in band {bad} "
             f"({cube.wavelengths[bad]:.1f} nm)"
         )
+    return panel_reflectance / mean_panel
 
-    gain = panel_reflectance / mean_panel
+
+def apply_gain(cube: HyperCube, gain: np.ndarray, mask: BandMask | None = None) -> HyperCube:
+    """Reflectance: every pixel times the per-band ``gain``, clamped below at zero.
+
+    Values above one are preserved (specular pixels stay visible). With a
+    ``mask``, ``gain`` still has one entry per input band, but only the
+    kept bands are scaled and returned.
+
+    The result keeps the scene's precision: float64 samples give float64
+    reflectance, float32 and uint16 samples give float32, the float64
+    product rounded once.
+
+    The result is checked for NaN and inf: a finite sample times a finite
+    gain can overflow, and so can its rounding to float32.
+    """
     dtype = np.float64 if cube.data.dtype == np.float64 else np.float32
     out = None
     if mask is not None:

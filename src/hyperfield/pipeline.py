@@ -88,28 +88,19 @@ def _identity(st: os.stat_result) -> tuple[int, int, int, int, int]:
 class FileDigests:
     """sha256 of files, each computed at most once per run.
 
-    This is the one place a file's digest comes from: hashed from disk by
-    ``of``, or ``record``ed by the stage that wrote the bytes. Entries are
-    keyed by the file's stat identity (device, inode, size, mtime, ctime)
-    taken before the hash, so a relative and an absolute path to the same
-    file share one entry, and any write to a file, even during its hash,
-    gives it a new key. A rewrite inside the filesystem's timestamp
-    granularity can keep the old key, so the files a stage has just
-    written are rehashed (``rehash``) rather than looked up, unless the
-    stage recorded them. Renaming a stage's directory into place keeps its
-    files' keys. Nothing is persisted.
+    This is the one place a file's digest comes from: ``of`` hashes it
+    from disk. Entries are keyed by the file's stat identity (device,
+    inode, size, mtime, ctime) taken before the hash, so a relative and an
+    absolute path to the same file share one entry, and any write to a
+    file, even during its hash, gives it a new key. A rewrite inside the
+    filesystem's timestamp granularity can keep the old key, so the files
+    a stage has just written are rehashed (``rehash``) rather than looked
+    up. Renaming a stage's directory into place keeps its files' keys.
+    Nothing is persisted.
     """
 
     def __init__(self) -> None:
         self._known: dict[tuple[int, int, int, int, int], str] = {}
-
-    def record(self, path: str, digest: str) -> None:
-        """Enter the sha256 of the bytes a stage just wrote to its output ``path``.
-
-        The entry is keyed by the file's stat now, which renaming its
-        directory into place keeps.
-        """
-        self._known[_identity(os.stat(path))] = digest
 
     def of(self, paths: list[str], rehash: frozenset[str] = frozenset()) -> dict[str, str]:
         """{path: sha256}; unknown files (and ``rehash`` ones) are hashed concurrently."""
@@ -228,7 +219,7 @@ def _write_manifest(st: _Stage, config_hash: str) -> None:
     written = {rel: os.path.join(st.out_dir, rel) for rel in _files_under(st)}
     found = st.digests.of(
         [*st.inputs.values(), *written.values()],
-        rehash=frozenset(path for rel, path in written.items() if rel not in st.recorded),
+        rehash=frozenset(written.values()),
     )
     manifest = {
         "stage": st.name,
@@ -268,7 +259,6 @@ class _Stage:
         self.dir = os.path.join(self.out_dir, name)
         self.staging = os.path.join(self.out_dir, f".{name}.partial")
         self.inputs: dict[str, str] = {}
-        self.recorded: set[str] = set()  # outputs whose digest came from the bytes
 
     def need(self, key: str) -> str:
         """Declare an input file and return its path; nothing is checked yet.
@@ -298,11 +288,6 @@ class _Stage:
         path = os.path.join(self.staging, inner)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         return path
-
-    def record(self, rel: str, digest: str) -> None:
-        """Give the manifest the digest of the bytes the body wrote to the output ``rel``."""
-        self.digests.record(self.emit(rel), digest)
-        self.recorded.add(rel)
 
 
 def _float_line(path: str, value: float) -> None:
@@ -371,11 +356,12 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     from .cube import (
         CubeHeader,
         CubeStream,
-        HyperCube,
+        apply_gain,
         band_mask_from_windows,
+        panel_gain,
         read_panel_reflectance_csv,
         to_reflectance,
-        write_band_blocks,
+        write_strips,
     )
 
     _, panel = read_panel_reflectance_csv(panel_path)
@@ -390,26 +376,19 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
             keep_range=st.config.window_nm("calibrate", "keep_nm"),
             drop_windows=st.config.drop_windows_nm(),
         )
-        region = st.config.panel_region()
-        # every panel and mask check of a whole-scene call, on the panel's
-        # pixels; its result carries the output's bands, units and dtype
-        panel_cube = scene.read_panel(region)
-        _, _, height, width = region
-        calibrated_panel = to_reflectance(panel_cube, (0, 0, height, width), panel, mask)
-
-        def kept_reflectance() -> Iterator[np.ndarray]:
-            for bands, block in scene:
-                kept = mask.keep[bands]
-                if kept.any():
-                    planes = block if kept.all() else block[kept]
-                    part = HyperCube(
-                        planes.transpose(1, 2, 0), head.wavelengths[bands][kept], head.units
-                    )
-                    yield to_reflectance(part, region, panel[bands][kept]).data.transpose(2, 0, 1)
-
+        # the gain comes from the panel's pixels; calibrating them runs every
+        # panel and mask check of a whole-scene call, and the result carries
+        # the output's bands, units and dtype
+        panel_cube = scene.read_panel(st.config.panel_region())
+        whole_panel = (0, 0, panel_cube.rows, panel_cube.cols)
+        gain = panel_gain(panel_cube, whole_panel, panel)
+        calibrated_panel = to_reflectance(panel_cube, whole_panel, panel, mask)
         header = CubeHeader.of(calibrated_panel)._replace(rows=head.rows, cols=head.cols)
-        digest = write_band_blocks(st.emit(F_REFLECTANCE), header, kept_reflectance())
-    st.record(F_REFLECTANCE + ".raw", digest)
+        write_strips(
+            st.emit(F_REFLECTANCE),
+            header,
+            ((top, apply_gain(strip, gain, mask)) for top, strip in scene.read_strips()),
+        )
 
 
 def _stage_segment(st: _Stage) -> Iterator[None]:

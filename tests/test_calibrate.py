@@ -1,22 +1,29 @@
 """The calibrate stage streams its scene: output bytes, errors, manifest digests."""
 
+import filecmp
 import hashlib
 import json
 import os
+import shutil
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import hyperfield
 from hyperfield import cube as hc
 from hyperfield import pipeline
 from hyperfield.cli import main
 
+from test_cli import TINY_INI
+from test_cube import _trickle
+
 ROWS, COLS, BANDS = 20, 30, 12
 REGION = (1, 2, 16, 25)  # top, left, height, width
-# Band b sits at 400 + 10 b nm. The kept range drops bands 0-1, the
-# window drops bands 9-10, so with 3-plane blocks the blocks [0, 3) and
-# [9, 12) each keep exactly one plane, at a block boundary.
+# Band b sits at 400 + 10 b nm. The kept range drops bands 0-1 and the
+# window drops bands 9-10.
 KEEP_NM, DROP_NM = (420.0, 510.0), ((495.0, 12.0),)
 CONFIG = f"""\
 [input]
@@ -38,12 +45,17 @@ def _sha256_of(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _scene(tmp_path, monkeypatch, dtype, interleave, planes=3):
+def _strip_bytes(rows, dtype) -> int:
+    return rows * COLS * BANDS * np.dtype(dtype).itemsize
+
+
+def _scene(tmp_path, monkeypatch, dtype, interleave, rows=3):
     """A scene, its panel file and a config; returns (config path, out dir).
 
-    Calibrate then streams the scene ``planes`` band planes at a time.
+    Calibrate then streams the scene in strips of ``rows`` rows, whose
+    edges at rows 3, 6, ... cut through the panel's rows by default.
     """
-    monkeypatch.setattr(hc, "BLOCK_BYTES", planes * ROWS * COLS * np.dtype(dtype).itemsize)
+    monkeypatch.setattr(hc, "BLOCK_BYTES", _strip_bytes(rows, dtype))
     rng = np.random.default_rng(21)
     if dtype == np.uint16:
         data = rng.integers(1, 4096, size=(ROWS, COLS, BANDS), dtype=np.uint16)
@@ -70,8 +82,7 @@ def test_streamed_output_is_the_whole_cube_calibration(
     assert _calibrate(ini, out) == 0
     scene = hc.read_cube(tmp_path / "scene")
     mask = hc.band_mask_from_windows(scene.wavelengths, KEEP_NM, DROP_NM)
-    keep = mask.keep.reshape(-1, 3)
-    assert list(keep.sum(axis=1)) == [1, 3, 3, 1]  # one kept plane at two block edges
+    assert np.flatnonzero(mask.keep).tolist() == [2, 3, 4, 5, 6, 7, 8, 11]
     _, panel = hc.read_panel_reflectance_csv(tmp_path / "panel.csv")
     hc.write_cube(hc.to_reflectance(scene, REGION, panel, mask), tmp_path / "whole")
     for suffix in (".raw", ".hdr"):
@@ -79,12 +90,13 @@ def test_streamed_output_is_the_whole_cube_calibration(
             (tmp_path / f"whole{suffix}").read_bytes()
 
 
-@pytest.mark.parametrize("planes", [1, 2, 5, BANDS])
-def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, planes):
-    ini, out = _scene(tmp_path, monkeypatch, np.float32, "bsq", planes=BANDS)
+@pytest.mark.parametrize("rows", [1, 2, 5, 12])
+def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, rows):
+    """One-row strips, and strips whose edges cut through the panel's rows 1-16."""
+    ini, out = _scene(tmp_path, monkeypatch, np.float32, "bsq", rows=ROWS)
     assert _calibrate(ini, out) == 0
     whole = (out / "calibrate" / "reflectance.raw").read_bytes()
-    monkeypatch.setattr(hc, "BLOCK_BYTES", planes * ROWS * COLS * 4)
+    monkeypatch.setattr(hc, "BLOCK_BYTES", _strip_bytes(rows, np.float32))
     assert _calibrate(ini, out, "--stage-force") == 0
     assert (out / "calibrate" / "reflectance.raw").read_bytes() == whole
 
@@ -173,7 +185,7 @@ def test_float32_reflectance_past_its_range_exits_4_and_keeps_the_old_output(
 
 @pytest.mark.parametrize("interleave", ["bsq", "bil"])
 def test_forced_calibrate_hashes_each_input_once(tmp_path, monkeypatch, interleave):
-    """The inputs are hashed beside the body; the reflectance payload as it is written."""
+    """The inputs are hashed beside the body, the outputs once from disk after the swap."""
     ini, out = _scene(tmp_path, monkeypatch, np.float64, interleave)
     hashed = []
 
@@ -183,7 +195,9 @@ def test_forced_calibrate_hashes_each_input_once(tmp_path, monkeypatch, interlea
 
     monkeypatch.setattr(pipeline, "_sha256", counting)
     assert _calibrate(ini, out, "--stage-force") == 0
-    assert sorted(hashed) == ["panel.csv", "reflectance.hdr", "scene.hdr", "scene.raw"]
+    assert sorted(hashed) == [
+        "panel.csv", "reflectance.hdr", "reflectance.raw", "scene.hdr", "scene.raw"
+    ]
     manifest = json.loads((out / "manifests" / "calibrate.json").read_text())
     for key, digest in manifest["inputs"].items():
         assert digest == _sha256_of(key), key
@@ -192,17 +206,6 @@ def test_forced_calibrate_hashes_each_input_once(tmp_path, monkeypatch, interlea
     stamp = (out / "manifests" / "calibrate.json").stat().st_mtime_ns
     assert _calibrate(ini, out) == 0  # the manifest holds: a plain rerun skips
     assert (out / "manifests" / "calibrate.json").stat().st_mtime_ns == stamp
-
-
-def test_recorded_digest_is_used_until_the_file_changes(tmp_path):
-    path = tmp_path / "f.bin"
-    path.write_bytes(b"a" * 64)
-    digests = pipeline.FileDigests()
-    digests.record(str(path), "recorded")
-    assert digests.of([str(path)]) == {str(path): "recorded"}
-    stat = path.stat()
-    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1))
-    assert digests.of([str(path)]) == {str(path): hashlib.sha256(b"a" * 64).hexdigest()}
 
 
 def test_input_digest_is_not_recorded_when_the_file_changed_during_the_read(
@@ -241,3 +244,157 @@ def test_input_digest_is_not_recorded_when_the_file_changed_during_the_read(
     assert new != old
     manifest = json.loads((out / "manifests" / "calibrate.json").read_text())
     assert manifest["inputs"][str(scene)] == new
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+def test_short_reads_and_writes_give_the_same_calibration(
+    tmp_path, monkeypatch, capsys, interleave
+):
+    ini, out = _scene(tmp_path, monkeypatch, np.float64, interleave)
+    assert _calibrate(ini, out) == 0
+    names = ("reflectance.hdr", "reflectance.raw")
+    whole = {name: (out / "calibrate" / name).read_bytes() for name in names}
+    _trickle(monkeypatch)
+    assert _calibrate(ini, out, "--stage-force") == 0
+    assert {name: (out / "calibrate" / name).read_bytes() for name in names} == whole
+
+    # a payload that shrinks after its size check still exits 4
+    scene, gain = tmp_path / "scene.raw", hc.panel_gain
+
+    def truncating(*args):
+        os.truncate(scene, scene.stat().st_size // 2)
+        return gain(*args)
+
+    monkeypatch.setattr(hc, "panel_gain", truncating)
+    assert _calibrate(ini, out, "--stage-force") == 4
+    assert f"{scene}: payload shrank while it was read" in capsys.readouterr().err
+
+
+def _child(script, *args) -> subprocess.CompletedProcess:
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this hyperfield."""
+    src = os.path.dirname(os.path.dirname(hyperfield.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+
+
+# Forced calibrate that truncates its scene to half once it has scaled its first strip.
+_TRUNCATING_CALIBRATE = """\
+import os, sys
+from hyperfield import cube as hc
+from hyperfield.cli import main
+
+ini, out, raw, block_bytes = sys.argv[1:]
+hc.BLOCK_BYTES = int(block_bytes)
+check, computed = hc._check_finite, []
+
+def truncating(block, source):
+    check(block, source)
+    if source == "reflectance":  # the panel's reflectance, then each strip's
+        computed.append(source)
+        if len(computed) == 2:
+            os.truncate(raw, os.path.getsize(raw) // 2)
+
+hc._check_finite = truncating
+sys.exit(main(["calibrate", "--out", out, "--config", ini, "--stage-force"]))
+"""
+
+
+def test_a_scene_truncated_during_calibrate_exits_4_and_keeps_the_old_output(
+    tmp_path, monkeypatch
+):
+    """In a child process, since reading a mapped file past its new end raises SIGBUS."""
+    ini, out = _scene(tmp_path, monkeypatch, np.float32, "bil")
+    assert _calibrate(ini, out) == 0
+    before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
+    manifest = (out / "manifests" / "calibrate.json").read_bytes()
+    raw = tmp_path / "scene.raw"
+    result = _child(_TRUNCATING_CALIBRATE, ini, out, raw, _strip_bytes(3, np.float32))
+    assert result.returncode == 4, result.stderr
+    assert f"{raw}: payload shrank while it was read" in result.stderr
+    assert raw.stat().st_size == ROWS * COLS * BANDS * 4 // 2
+    assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
+    assert (out / "manifests" / "calibrate.json").read_bytes() == manifest
+
+
+# Forced calibrate that ends its process with status 9 at a named point.
+_KILLED_CALIBRATE = """\
+import os, sys
+from hyperfield import cube as hc
+from hyperfield.cli import main
+
+point, ini, out = sys.argv[1:]
+
+def dying(function, count):
+    calls = []
+    def call(*args):
+        calls.append(args)
+        if len(calls) == count:
+            os._exit(9)
+        return function(*args)
+    return call
+
+if point == "strip-pass":
+    check, computed = hc._check_finite, []
+    def checking(block, source):
+        check(block, source)
+        if source == "reflectance":  # the panel's reflectance, then each strip's
+            computed.append(source)
+            if len(computed) == 3:  # the first strip is written, the second scaled
+                os._exit(9)
+    hc._check_finite = checking
+elif point == "before-manifest":
+    os.replace = dying(os.replace, 1)
+else:  # the swap renames calibrate/ aside, then the staging directory into place
+    os.rename = dying(os.rename, 1 if point == "before-swap" else 2)
+sys.exit(main(["calibrate", "--out", out, "--config", ini, "--stage-force"]))
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_tree(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kill")
+    ini = root / "config.ini"
+    ini.write_text(TINY_INI)
+    out = root / "out"
+    for command in ("synth", "run-all"):
+        assert main([command, "--out", str(out), "--config", str(ini)]) == 0
+    return ini, out
+
+
+def _files(root) -> list[str]:
+    return sorted(
+        os.path.relpath(os.path.join(dirpath, name), root)
+        for dirpath, _, names in os.walk(root)
+        for name in names
+    )
+
+
+# What each kill point leaves behind: a file that is there, and one that is not.
+_KILL_POINTS = {
+    "strip-pass": (".calibrate.partial/reflectance.raw", ".calibrate.partial/reflectance.hdr"),
+    "before-swap": (".calibrate.partial/reflectance.hdr", ".calibrate.old"),
+    "between-renames": (".calibrate.old/reflectance.hdr", "calibrate"),
+    "before-manifest": ("manifests/calibrate.json.tmp", ".calibrate.old"),
+}
+
+
+@pytest.mark.parametrize("point", _KILL_POINTS)
+def test_run_all_after_a_killed_calibrate_gives_the_clean_tree(tiny_tree, tmp_path, point):
+    """A calibrate killed anywhere in its publish leaves a tree that run-all mends.
+
+    The tree is a hard-linked copy of a clean one: a stage never writes a
+    file in place, so the copy shares no write with it.
+    """
+    ini, clean = tiny_tree
+    out = tmp_path / "out"
+    shutil.copytree(clean, out, copy_function=os.link)
+    result = _child(_KILLED_CALIBRATE, point, ini, out)
+    assert result.returncode == 9, result.stderr
+    there, gone = _KILL_POINTS[point]
+    assert (out / there).is_file() and not (out / gone).exists()
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    assert _files(out) == _files(clean)
+    for rel in _files(clean):
+        assert filecmp.cmp(out / rel, clean / rel, shallow=False), rel

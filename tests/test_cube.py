@@ -1,5 +1,6 @@
 """Cube container: file round trips, calibration, band masking."""
 
+import os
 import re
 import warnings
 
@@ -141,13 +142,18 @@ def _stride_order(array: np.ndarray) -> list[int]:
 
 @pytest.mark.parametrize("interleave", hc.INTERLEAVES)
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16])
-@pytest.mark.parametrize("planes", [0.5, 1, 4])
-def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, dtype, planes):
+@pytest.mark.parametrize("strip_rows", [0.5, 1, 4])
+def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, dtype, strip_rows):
+    """Every ``CubeStream`` read equals the same part of ``read_cube``'s cube.
+
+    ``read_bands`` reads strips of ``strip_rows`` rows, at least one.
+    """
     rows, cols, bands = 7, 5, 6
     cube = random_cube(np.random.default_rng(8), rows=rows, cols=cols, bands=bands, dtype=dtype)
     hc.write_cube(cube, tmp_path / "c", interleave)
     whole = hc.read_cube(tmp_path / "c")
-    monkeypatch.setattr(hc, "BLOCK_BYTES", int(planes * rows * cols * np.dtype(dtype).itemsize))
+    row_bytes = cols * bands * np.dtype(dtype).itemsize
+    monkeypatch.setattr(hc, "BLOCK_BYTES", int(strip_rows * row_bytes))
     with hc.CubeStream(tmp_path / "c") as stream:
         assert (stream.rows, stream.cols, stream.bands) == (rows, cols, bands)
         for start, stop in [(0, 35), (0, 1), (3, 17), (34, 35), (5, 10)]:
@@ -185,8 +191,73 @@ def test_strips_cover_every_row_once_and_end_only_at_cuts(tmp_path, monkeypatch)
         for top, strip in stream.read_strips([0, 3, 4, 6, 7, 9]):
             assert np.array_equal(strip.data, cube.data[top : top + strip.rows])
             strips.append((top, strip.rows))
+        # by default a strip may end before any row
+        default = [(top, strip.rows) for top, strip in stream.read_strips()]
     # rows 0-2 hold no cut, so the first strip needs three
     assert strips == [(0, 3), (3, 1), (4, 2), (6, 1)]
+    assert default == [(0, 2), (2, 2), (4, 2), (6, 1)]
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+def test_strips_written_in_any_order_give_the_whole_cube(tmp_path, interleave):
+    cube = random_cube(np.random.default_rng(12), rows=7, cols=5, bands=6, dtype=np.float64)
+    hc.write_cube(cube, tmp_path / "whole", interleave)
+    header = hc.CubeHeader.of(cube, interleave)
+    strips = [(top, cube.crop(top, 0, height, cube.cols)) for top, height in [(4, 3), (0, 1), (1, 3)]]
+    hc.write_strips(tmp_path / "strips", header, strips)
+    for suffix in (".hdr", ".raw"):
+        assert (tmp_path / f"strips{suffix}").read_bytes() == \
+            (tmp_path / f"whole{suffix}").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "strips, message",
+    [
+        ([(0, 4), (3, 4)], r"rows \[3, 7\) overlap rows already written"),
+        ([(0, 4), (5, 2)], "1 of the cube's 7 rows were not written"),
+        ([(5, 3)], "does not fit"),
+        ([(-1, 2)], "does not fit"),
+    ],
+    ids=["twice", "missing", "past-the-end", "negative-top"],
+)
+def test_strip_writer_needs_every_row_exactly_once(tmp_path, strips, message):
+    cube = random_cube(np.random.default_rng(13), rows=8, cols=5, bands=6)
+    header = hc.CubeHeader.of(cube)._replace(rows=7)
+    with pytest.raises(ShapeMismatchError, match=message):
+        hc.write_strips(tmp_path / "c", header, [(top, cube.crop(max(top, 0), 0, height, 5))
+                                                 for top, height in strips])
+    assert not (tmp_path / "c.hdr").exists()
+
+
+def _trickle(monkeypatch, step=7):
+    """Make each ``os.preadv`` and ``os.pwrite`` move at most ``step`` bytes."""
+    preadv, pwrite = os.preadv, os.pwrite
+
+    def short_preadv(fd, buffers, offset):
+        (buffer,) = buffers
+        return preadv(fd, [memoryview(buffer).cast("B")[:step]], offset)
+
+    def short_pwrite(fd, data, offset):
+        return pwrite(fd, memoryview(data).cast("B")[:step], offset)
+
+    monkeypatch.setattr(os, "preadv", short_preadv)
+    monkeypatch.setattr(os, "pwrite", short_pwrite)
+
+
+@pytest.mark.parametrize("interleave", hc.INTERLEAVES)
+def test_short_reads_and_writes_are_continued(tmp_path, monkeypatch, interleave):
+    """Linux moves at most 0x7ffff000 bytes per call, so a large cube takes several."""
+    cube = random_cube(np.random.default_rng(14), rows=6, cols=5, bands=7, dtype=np.float64)
+    hc.write_cube(cube, tmp_path / "whole", interleave)
+    _trickle(monkeypatch)
+    hc.write_cube(cube, tmp_path / "c", interleave)
+    assert (tmp_path / "c.raw").read_bytes() == (tmp_path / "whole.raw").read_bytes()
+    assert np.array_equal(hc.read_cube(tmp_path / "c").data, cube.data)
+    with hc.CubeStream(tmp_path / "c") as stream:
+        assert np.array_equal(stream.pixels(3, 23), cube.pixels(3, 23))
+        os.truncate(tmp_path / "c.raw", 100)  # after the size check
+        with pytest.raises(CubeSizeError, match="payload shrank while it was read"):
+            stream.read_rows(0, 6)
 
 
 def test_band_labels_round_trip(tmp_path):

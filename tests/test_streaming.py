@@ -1,8 +1,8 @@
 """segment, unmix and dataset stream the reflectance cube.
 
 Their outputs equal the whole-cube layers run on ``read_cube`` of the
-same cube, every sample they read is checked, and a run hashes the
-reflectance payload at most once.
+same cube, every sample they read is checked, no stage maps a cube, and
+a run hashes the reflectance payload at most once.
 """
 
 import hashlib
@@ -60,12 +60,16 @@ def tiny(tmp_path_factory):
     return ini, out
 
 
+def _refuse_to_map(*args, **kwargs):
+    raise AssertionError(f"a cube is mapped: {args} {kwargs}")
+
+
 @pytest.fixture(scope="module")
 def streamed(request, tiny, tmp_path_factory):
     """The tiny tree's stage inputs with the reflectance in one interleave.
 
-    segment, unmix and dataset have run on it with one band plane per
-    block.
+    segment, unmix and dataset have run on it in one-row strips, with
+    ``numpy.memmap`` refusing to map anything.
     """
     ini, base = tiny
     out = tmp_path_factory.mktemp(f"stream-{request.param}") / "out"
@@ -77,7 +81,8 @@ def streamed(request, tiny, tmp_path_factory):
     cube = hc.read_cube(base / pipeline.F_REFLECTANCE)
     hc.write_cube(cube, stem, request.param)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hc, "BLOCK_BYTES", cube.rows * cube.cols * cube.data.itemsize)
+        mp.setattr(hc, "BLOCK_BYTES", cube.cols * cube.bands * cube.data.itemsize)
+        mp.setattr(np, "memmap", _refuse_to_map)
         for stage in STAGES:
             assert _run(stage, ini, out) == 0, stage
     yield ini, out
@@ -168,40 +173,42 @@ def test_non_finite_reflectance_exits_4_naming_the_file(streamed, capsys, positi
         del payload
 
 
-def test_no_stage_maps_the_whole_reflectance_cube(tiny, monkeypatch, tmp_path):
+def test_no_stage_maps_the_whole_reflectance_cube(tiny, monkeypatch):
     ini, out = tiny
-    read_cube, mapped = hc.read_cube, hc._mapped
-    seen = {"read_cube": [], "_mapped": []}
-
-    def refuse(path):
-        stem = os.fspath(path).replace(os.sep, "/").removesuffix(hc.RAW_SUFFIX)
-        if stem.endswith(pipeline.F_REFLECTANCE):
-            raise AssertionError(f"the whole reflectance cube is mapped: {path}")
+    read_cube = hc.read_cube
+    seen = []
 
     def guarded_read(path):
-        seen["read_cube"].append(os.fspath(path))
-        refuse(path)
+        seen.append(os.fspath(path))
+        stem = os.fspath(path).replace(os.sep, "/").removesuffix(hc.RAW_SUFFIX)
+        if stem.endswith(pipeline.F_REFLECTANCE):
+            raise AssertionError(f"the whole reflectance cube is read: {path}")
         return read_cube(path)
 
-    def guarded_map(header, raw_path):
-        seen["_mapped"].append(raw_path)
-        refuse(raw_path)
-        return mapped(header, raw_path)
-
     monkeypatch.setattr(hc, "read_cube", guarded_read)
-    monkeypatch.setattr(hc, "_mapped", guarded_map)
     for stage in STAGES:
         assert _run(stage, ini, out) == 0, stage
-
-    # both guards sit where the code looks the functions up: report reads
-    # the abundances with read_cube, and a bil stream maps its payload
+    # the guard sits where the code looks read_cube up: report reads the abundances with it
     assert _run("report", ini, out) == 0
-    assert seen["read_cube"] == [str(out / pipeline.F_ABUNDANCES)]
-    hc.write_cube(read_cube(out / pipeline.F_ABUNDANCES), tmp_path / "bil", "bil")
-    with hc.CubeStream(tmp_path / "bil") as stream:
-        for _ in stream:
-            pass
-    assert seen["_mapped"] == [str(tmp_path / "bil.raw")]
+    assert seen == [str(out / pipeline.F_ABUNDANCES)]
+
+
+@pytest.mark.parametrize("interleave", ["bil", "bip"])
+def test_calibrate_maps_no_scene(tiny, monkeypatch, tmp_path, interleave):
+    """A bil or bip scene is read in row strips, and calibrates to the same bytes."""
+    _, base = tiny
+    hc.write_cube(hc.read_cube(base / pipeline.F_SCENE), tmp_path / "scene", interleave)
+    ini = tmp_path / "config.ini"
+    ini.write_text(
+        f"{TINY_INI}\n[input]\ncube = {tmp_path / 'scene'}\n"
+        f"panel_reflectance = {base / pipeline.F_PANEL}\n"
+    )
+    out = tmp_path / "out"
+    monkeypatch.setattr(np, "memmap", _refuse_to_map)
+    assert _run("calibrate", ini, out) == 0
+    for suffix in (".hdr", ".raw"):
+        assert (out / f"{pipeline.F_REFLECTANCE}{suffix}").read_bytes() == \
+            (base / f"{pipeline.F_REFLECTANCE}{suffix}").read_bytes()
 
 
 def test_a_run_hashes_the_reflectance_payload_at_most_once(tiny, monkeypatch):
@@ -216,9 +223,10 @@ def test_a_run_hashes_the_reflectance_payload_at_most_once(tiny, monkeypatch):
 
     monkeypatch.setattr(pipeline, "_sha256", counting)
     assert main(["run-all", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
-    # calibrate hashes the scene beside its body and records the reflectance it writes
+    # calibrate hashes the scene beside its body and the reflectance it wrote
+    # after the swap; the stages that read it take that digest
     assert hashed.count(scene) == 1
-    assert raw not in hashed
+    assert hashed.count(raw) == 1
 
     hashed.clear()
     assert _run("segment", ini, out) == 0
