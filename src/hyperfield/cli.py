@@ -12,9 +12,9 @@ products would compete with. BLAS reads its thread count when numpy
 loads, so it is set before anything imports numpy.
 
 Importing this module loads only the standard library and the
-pipeline's bookkeeping. numpy, scipy and each layer module load when
-a stage body first runs, so a ``run-all`` whose stages all skip loads
-none of them.
+pipeline's bookkeeping. numpy and each layer module load when a stage
+body first runs, so a ``run-all`` whose stages all skip loads none of
+them.
 """
 
 from __future__ import annotations

@@ -119,56 +119,142 @@ def threshold_mask(plane: np.ndarray, threshold: float | None = None) -> np.ndar
     return np.asarray(plane) > threshold
 
 
+def _row_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The runs of True in each row of a 2-D mask, in row-major order.
+
+    Returns ``(rows, starts, stops)``; run ``i`` covers
+    ``mask[rows[i], starts[i]:stops[i]]``.
+    """
+    padded = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    edges = np.diff(padded, axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    stops = np.nonzero(edges == -1)[1]
+    return rows, starts, stops
+
+
+def _run_components(
+    rows: np.ndarray, starts: np.ndarray, stops: np.ndarray, width: int, slack: int
+) -> np.ndarray:
+    """The component of each row run, as the index of the component's first run.
+
+    Runs in adjacent rows join when their columns overlap (``slack`` 0,
+    4-connectivity) or overlap or touch at a corner (``slack`` 1,
+    8-connectivity). Each component takes the index of its first run in
+    row-major order, so sorting the roots numbers the components in the
+    order a raster scan meets them.
+    """
+    # Row-major keys; the pitch keeps a row's keys, widened by the slack,
+    # clear of the next row's. Run i touches runs first[i] to last[i] - 1
+    # of the row below: one edge per pair.
+    pitch = width + 2
+    below = (rows + 1) * pitch
+    first = np.searchsorted(rows * pitch + stops, below + starts - slack, side="right")
+    last = np.searchsorted(rows * pitch + starts, below + stops + slack, side="left")
+    count = np.maximum(last - first, 0)
+    upper = np.repeat(np.arange(rows.size), count)
+    lower = np.arange(upper.size) - np.repeat(np.cumsum(count) - count - first, count)
+    # Union-find: hook each root onto the smallest root it shares an edge
+    # with, then point every run at its root, until no edge joins two trees.
+    # Roots only ever hook onto smaller roots, so each component ends with
+    # its smallest run index as the root.
+    parent = np.arange(rows.size)
+    while upper.size:
+        a, b = parent[upper], parent[lower]
+        joins = a != b
+        upper, lower, a, b = upper[joins], lower[joins], a[joins], b[joins]
+        np.minimum.at(parent, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return parent
+
+
 def fill_holes(mask: np.ndarray) -> np.ndarray:
     """Fill background components not 4-connected to the image border."""
-    from scipy import ndimage  # imported here so the CLI starts without scipy
-
     mask = np.asarray(mask, dtype=bool)
-    # default cross structuring element = 4-connectivity
-    return ndimage.binary_fill_holes(mask)
+    height, width = mask.shape
+    rows, starts, stops = _row_runs(~mask)
+    roots = _run_components(rows, starts, stops, width, slack=0)
+    border = (rows == 0) | (rows == height - 1) | (starts == 0) | (stops == width)
+    outside = np.zeros(rows.size, dtype=bool)
+    outside[roots[border]] = True
+    hole = ~outside[roots]
+    # +1 where a hole run starts, -1 where it stops; the running sum paints it
+    paint = np.zeros((height, width + 1), dtype=np.int8)
+    paint[rows[hole], starts[hole]] = 1
+    paint[rows[hole], stops[hole]] = -1
+    return mask | (np.cumsum(paint[:, :width], axis=1) > 0)
+
+
+def _window_counts(mask: np.ndarray, size: int, offset: int, axis: int) -> np.ndarray:
+    """Count of True in ``[i + offset, i + offset + size)`` along ``axis``, per ``i``.
+
+    Positions outside the mask count as False.
+    """
+    n = mask.shape[axis]
+    total = np.insert(np.cumsum(mask, axis=axis), 0, 0, axis=axis)
+    lo = np.clip(np.arange(n) + offset, 0, n)
+    hi = np.clip(np.arange(n) + offset + size, 0, n)
+    return np.take(total, hi, axis=axis) - np.take(total, lo, axis=axis)
 
 
 def binary_open(mask: np.ndarray, se: tuple[int, int] = DEFAULT_SE) -> np.ndarray:
     """Morphological opening with a flat rectangular structuring element.
 
-    The origin sits at (height//2, width//2); pixels outside the image
-    are background, so blobs touching the border erode like any others.
-    Erosion and dilation use the same (unmirrored) element, making the
-    opening idempotent.
+    Pixels outside the image are background, so blobs touching the border
+    erode like any others. The rectangle is separable: erosion and then
+    dilation run along the rows and then the columns. Along an axis of
+    element size ``n``, erosion keeps a pixel when all of the ``n`` pixels
+    from ``n // 2`` before it are set. Dilation reflects the element, so
+    it sets a pixel when any of the ``n`` pixels from ``n - 1 - n // 2``
+    before it is set. For odd ``n`` both windows are centred; for even
+    ``n`` they sit one pixel apart, which keeps the opening idempotent.
     """
-    from scipy import ndimage
-
     mask = np.asarray(mask, dtype=bool)
     se_h, se_w = se
     if se_h <= 0 or se_w <= 0:
         raise ShapeMismatchError(f"structuring element {se} must be positive")
-    return ndimage.binary_opening(mask, structure=np.ones(se, dtype=bool))
+    for axis, size in enumerate(se):
+        mask = _window_counts(mask, size, -(size // 2), axis) == size
+    for axis, size in enumerate(se):
+        mask = _window_counts(mask, size, size // 2 - size + 1, axis) > 0
+    return mask
 
 
 def extract_plots(mask: np.ndarray, min_area_px: int = DEFAULT_MIN_AREA_PX) -> list[PlotBox]:
     """Bounding boxes of 8-connected components with enough area.
 
-    Boxes are ordered by (top, left); overlapping boxes are allowed and
-    left for the grid mapper to resolve.
+    Boxes are ordered by (top, left), ties in raster-scan order of the
+    components' first pixels; overlapping boxes are allowed and left for
+    the grid mapper to resolve.
     """
-    from scipy import ndimage
-
     mask = np.asarray(mask, dtype=bool)
-    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
-    boxes = []
-    if count:
-        areas = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
-        for idx, sl in enumerate(ndimage.find_objects(labels)):
-            if areas[idx] >= min_area_px:
-                boxes.append(
-                    PlotBox(
-                        top=int(sl[0].start),
-                        left=int(sl[1].start),
-                        height=int(sl[0].stop - sl[0].start),
-                        width=int(sl[1].stop - sl[1].start),
-                        area_px=int(areas[idx]),
-                    )
-                )
+    rows, starts, stops = _row_runs(mask)
+    roots = _run_components(rows, starts, stops, mask.shape[1], slack=1)
+    first, component = np.unique(roots, return_inverse=True)
+    count = first.size
+    areas = np.zeros(count, dtype=np.int64)
+    np.add.at(areas, component, stops - starts)
+    bottom = np.zeros(count, dtype=np.int64)
+    np.maximum.at(bottom, component, rows)
+    left = np.full(count, mask.shape[1], dtype=np.int64)
+    np.minimum.at(left, component, starts)
+    right = np.zeros(count, dtype=np.int64)
+    np.maximum.at(right, component, stops)
+    top = rows[first]
+    boxes = [
+        PlotBox(
+            top=int(top[i]),
+            left=int(left[i]),
+            height=int(bottom[i] - top[i] + 1),
+            width=int(right[i] - left[i]),
+            area_px=int(areas[i]),
+        )
+        for i in np.flatnonzero(areas >= min_area_px)
+    ]
     boxes.sort(key=lambda b: (b.top, b.left))
     return boxes
 

@@ -1,4 +1,8 @@
-"""The calibrate stage streams its scene: output bytes, errors, manifest digests."""
+"""The calibrate stage streams its scene: output bytes, errors, manifest digests.
+
+Also: a calibrate or segment killed in its publish leaves a tree that
+``run-all`` mends.
+"""
 
 import filecmp
 import hashlib
@@ -318,13 +322,13 @@ def test_a_scene_truncated_during_calibrate_exits_4_and_keeps_the_old_output(
     assert (out / "manifests" / "calibrate.json").read_bytes() == manifest
 
 
-# Forced calibrate that ends its process with status 9 at a named point.
-_KILLED_CALIBRATE = """\
+# Forced stage that ends its process with status 9 at a named point.
+_KILLED_STAGE = """\
 import os, sys
 from hyperfield import cube as hc
 from hyperfield.cli import main
 
-point, ini, out = sys.argv[1:]
+point, stage, ini, out = sys.argv[1:]
 
 def dying(function, count):
     calls = []
@@ -346,9 +350,9 @@ if point == "strip-pass":
     hc._check_finite = checking
 elif point == "before-manifest":
     os.replace = dying(os.replace, 1)
-else:  # the swap renames calibrate/ aside, then the staging directory into place
+else:  # the swap renames <stage>/ aside, then the staging directory into place
     os.rename = dying(os.rename, 1 if point == "before-swap" else 2)
-sys.exit(main(["calibrate", "--out", out, "--config", ini, "--stage-force"]))
+sys.exit(main([stage, "--out", out, "--config", ini, "--stage-force"]))
 """
 
 
@@ -371,30 +375,42 @@ def _files(root) -> list[str]:
     )
 
 
-# What each kill point leaves behind: a file that is there, and one that is not.
+# What each kill point leaves behind: a file that is there, and one that
+# is not. ``file`` is one of the stage's outputs; strip-pass is calibrate's.
 _KILL_POINTS = {
     "strip-pass": (".calibrate.partial/reflectance.raw", ".calibrate.partial/reflectance.hdr"),
-    "before-swap": (".calibrate.partial/reflectance.hdr", ".calibrate.old"),
-    "between-renames": (".calibrate.old/reflectance.hdr", "calibrate"),
-    "before-manifest": ("manifests/calibrate.json.tmp", ".calibrate.old"),
+    "before-swap": (".{stage}.partial/{file}", ".{stage}.old"),
+    "between-renames": (".{stage}.old/{file}", "{stage}"),
+    "before-manifest": ("manifests/{stage}.json.tmp", ".{stage}.old"),
 }
 
 
-@pytest.mark.parametrize("point", _KILL_POINTS)
-def test_run_all_after_a_killed_calibrate_gives_the_clean_tree(tiny_tree, tmp_path, point):
-    """A calibrate killed anywhere in its publish leaves a tree that run-all mends.
+def _kill_and_mend(tree, tmp_path, stage, point, file):
+    """Kill a forced ``stage`` at ``point``, then check run-all restores the clean tree.
 
     The tree is a hard-linked copy of a clean one: a stage never writes a
     file in place, so the copy shares no write with it.
     """
-    ini, clean = tiny_tree
+    ini, clean = tree
     out = tmp_path / "out"
     shutil.copytree(clean, out, copy_function=os.link)
-    result = _child(_KILLED_CALIBRATE, point, ini, out)
+    result = _child(_KILLED_STAGE, point, stage, ini, out)
     assert result.returncode == 9, result.stderr
-    there, gone = _KILL_POINTS[point]
+    there, gone = (path.format(stage=stage, file=file) for path in _KILL_POINTS[point])
     assert (out / there).is_file() and not (out / gone).exists()
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
     assert _files(out) == _files(clean)
     for rel in _files(clean):
         assert filecmp.cmp(out / rel, clean / rel, shallow=False), rel
+
+
+@pytest.mark.parametrize("point", _KILL_POINTS)
+def test_run_all_after_a_killed_calibrate_gives_the_clean_tree(tiny_tree, tmp_path, point):
+    """A calibrate killed anywhere in its publish leaves a tree that run-all mends."""
+    _kill_and_mend(tiny_tree, tmp_path, "calibrate", point, "reflectance.hdr")
+
+
+@pytest.mark.parametrize("point", [p for p in _KILL_POINTS if p != "strip-pass"])
+def test_run_all_after_a_killed_segment_gives_the_clean_tree(tiny_tree, tmp_path, point):
+    """A segment killed anywhere in its publish leaves a tree that run-all mends."""
+    _kill_and_mend(tiny_tree, tmp_path, "segment", point, "boxes.csv")

@@ -716,6 +716,15 @@ def test_cli_import_loads_no_scipy():
     assert result.returncode == 0, result.stderr
 
 
+def _imported(stderr: str) -> list[str]:
+    """The modules that ``-X importtime`` lists on ``stderr``."""
+    return [
+        line.rpartition("|")[2].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+
+
 def test_noop_run_all_loads_no_numpy(tiny_run):
     """A run-all whose stages all skip imports neither numpy nor scipy.
 
@@ -732,13 +741,30 @@ def test_noop_run_all_loads_no_numpy(tiny_run):
     assert result.returncode == 0, result.stderr
     skipped = re.findall(r"pipeline: (\w+): manifest up to date, skipping", result.stderr)
     assert skipped == list(STAGE_ORDER)
-    imported = [
-        line.rpartition("|")[2].strip()
-        for line in result.stderr.splitlines()
-        if line.startswith("import time:")
-    ]
+    imported = _imported(result.stderr)
     assert "hyperfield.pipeline" in imported
     assert [m for m in imported if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_forced_run_all_loads_no_scipy(tiny_run, tmp_path):
+    """Every stage runs, segment included, and none of them imports scipy.
+
+    The run works on a hard-linked copy of the tree: a stage never writes
+    a file in place, so the shared tree is left as it was.
+    """
+    ini, clean = tiny_run
+    out = tmp_path / "out"
+    shutil.copytree(clean, out, copy_function=os.link)
+    src = os.path.dirname(os.path.dirname(hyperfield.__file__))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hyperfield.cli", "run-all",
+         "--out", str(out), "--config", str(ini), "--stage-force"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    imported = _imported(result.stderr)
+    assert "hyperfield.segment" in imported
+    assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
 
 def test_cli_runs_blas_on_one_thread():
