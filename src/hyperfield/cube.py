@@ -251,6 +251,12 @@ def _runs(payload: np.ndarray, header: CubeHeader, top: int) -> Iterator[tuple[n
         yield run, (i * header.rows + top) * row_bytes
 
 
+def block_rows(cols: int, bands: int, itemsize: int) -> int:
+    """How many rows of ``cols`` x ``bands`` samples of ``itemsize`` bytes fit
+    in ``BLOCK_BYTES``; at least one."""
+    return max(1, BLOCK_BYTES // (cols * bands * itemsize))
+
+
 def _pwrite(fd: int, run: np.ndarray, offset: int) -> None:
     """Write all of ``run`` at ``offset``; one ``pwrite`` may write less than asked."""
     view = memoryview(run).cast("B")
@@ -488,7 +494,7 @@ class CubeStream:
         """
         h = self.header
         cuts = range(h.rows) if cuts is None else cuts
-        step = max(1, BLOCK_BYTES // (h.cols * h.bands * h.dtype.itemsize))
+        step = block_rows(h.cols, h.bands, h.dtype.itemsize)
         tops = [0]
         bottom = 0
         for end in sorted({int(row) for row in cuts if 0 < row < h.rows} | {h.rows}):

@@ -75,9 +75,11 @@ F_SUMMARY = "report/summary.txt"
 
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            h.update(block)
+    buffer = bytearray(256 << 10)
+    view = memoryview(buffer)
+    with open(path, "rb", buffering=0) as fh:
+        while done := fh.readinto(buffer):
+            h.update(view[:done])
     return h.hexdigest()
 
 
@@ -301,9 +303,13 @@ def _float_line(path: str, value: float) -> None:
 def _stage_synth(st: _Stage) -> Iterator[None]:
     spec = st.config.synth_spec()
     yield
-    import numpy as np
-
-    from .cube import HyperCube, write_cube, write_panel_reflectance_csv
+    from .cube import (
+        CubeHeader,
+        block_rows,
+        write_cube,
+        write_panel_reflectance_csv,
+        write_strips,
+    )
     from .endmember import write_endmembers_csv
     from .gridmap import write_plot_map
     from .netpbm import write_pbm
@@ -311,13 +317,14 @@ def _stage_synth(st: _Stage) -> Iterator[None]:
     from .subplot import PlotYieldRecord, write_yields_csv
     from .synth import generate_reference_cube, generate_scene
 
-    cube, truth = generate_scene(spec)
-    # stored as float32: the radiance rounded once, straight into the
-    # band-major order that write_cube stores as bsq without a copy
-    planes = np.ascontiguousarray(cube.data.transpose(2, 0, 1), dtype=np.float32)
-    scene = HyperCube(planes.transpose(1, 2, 0), cube.wavelengths, cube.units)
-    write_cube(scene, st.emit(F_SCENE))
-    write_panel_reflectance_csv(st.emit(F_PANEL), cube.wavelengths, truth.panel_reflectance)
+    radiance, truth = generate_scene(spec)
+    # stored as float32 in bsq: each float64 strip is rounded once as it is written
+    lam = radiance.wavelengths
+    header = CubeHeader(radiance.rows, radiance.cols, radiance.bands, "float32", "bsq",
+                        "radiance", lam)
+    height = block_rows(radiance.cols, radiance.bands, 8)  # of float64 samples
+    write_strips(st.emit(F_SCENE), header, radiance.strips(height))
+    write_panel_reflectance_csv(st.emit(F_PANEL), lam, truth.panel_reflectance)
     write_plot_map(st.emit(F_PLOT_MAP), truth.plot_map)
     write_yields_csv(
         st.emit(F_YIELDS),
@@ -332,7 +339,7 @@ def _stage_synth(st: _Stage) -> Iterator[None]:
         },
         "panel_region": list(truth.panel_region),
         "plot_yields": dict(sorted(truth.plot_yields.items())),
-        "realized_snr_db": truth.realized_snr_db,
+        "realized_snr_db": radiance.realized_snr_db,
         "side_heavy": dict(sorted(truth.side_heavy.items())),
         "theoretical_r2": truth.theoretical_r2,
         "window_px": truth.window_px,

@@ -5,14 +5,17 @@ each plot gets a smooth canopy density field, per-pixel dithering turns
 density into a crisp foreground mask (mixing fractions keep a gap
 around the 0.5 decision line), and plot yields are planted proportional
 to true foreground counts with an optional per-plot noise factor tuned
-to hit a requested theoretical coefficient of determination. The cube
-is emitted in radiance units with a flat reference panel in the top
-margin so the calibration stage has real work to do. Everything derives
-from named seed streams, so a spec is bit-reproducible.
+to hit a requested theoretical coefficient of determination. The scene
+is radiance, made a strip of rows at a time, with a flat reference panel
+in the top margin so the calibration stage has real work to do.
+Everything derives from named seed streams, so a spec is
+bit-reproducible, whatever the strip height.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +98,10 @@ class SynthSpec:
     keep_noise: bool = False
 
     def __post_init__(self):
+        for name in ("margin_boost", "snr_db", "yield_per_sl_pixel", "yield_noise_sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} = {value} is not a finite number")
         if min(self.grid_rows, self.grid_cols) < 1:
             raise ConfigError("grid must have at least one row and column")
         if min(self.plot_height_px, self.plot_width_px) < self.window_px:
@@ -163,12 +170,147 @@ class SynthTruth:
     illumination: np.ndarray
     yield_noise_sigma: float
     theoretical_r2: float | None
-    realized_snr_db: float | None
     window_px: int
     pitch_row_px: int
     pitch_col_px: int
+
+
+# numpy sums a contiguous float64 run pairwise: a run longer than this is
+# split in two, and a shorter one is summed in a loop of its own.
+_PAIRWISE_LEAF = 128
+
+
+class PairwiseSum:
+    """``np.add.reduce`` of ``n`` float64 values fed in order, in chunks, bit for bit.
+
+    numpy splits a run of ``m`` > 128 values at ``m//2 - (m//2) % 8`` and
+    adds the sums of the halves (``pairwise_sum`` in numpy's
+    ``loops_utils.h.src``). Each node of that tree lying inside the chunk
+    in hand is summed by ``np.add.reduce``, which splits it by the same
+    rule; the values of a leaf that crosses a chunk's end are copied and
+    kept until it is whole, so no chunk is held after ``add`` returns.
+    ``total`` is set once all ``n`` values are in.
+    """
+
+    def __init__(self, n: int):
+        self._n = n
+        self._chunk = np.empty(0)
+        self._end = 0  # values fed so far; the chunk in hand holds the last of them
+        self.total: float | None = None
+        self._steps = self._node(0, n)
+        self._advance()
+
+    def add(self, values: np.ndarray) -> None:
+        """Feed the next values, in C order; ``n`` in all."""
+        self._chunk = np.ravel(values)
+        if self._end + self._chunk.size > self._n:
+            raise ValueError(f"more than the {self._n} values summed")
+        self._end += self._chunk.size
+        if self.total is None:
+            self._advance()
+        self._chunk = np.empty(0)
+
+    def _advance(self) -> None:
+        try:
+            next(self._steps)
+        except StopIteration as done:
+            self.total = float(done.value)
+
+    def _node(self, lo: int, hi: int) -> Iterator[None]:
+        """The sum of values ``lo`` to ``hi``, yielding whenever it needs the next chunk."""
+        while self._end <= lo < hi:
+            yield
+        if hi <= self._end:
+            start = self._end - self._chunk.size
+            return np.add.reduce(self._chunk[lo - start : hi - start])
+        if hi - lo > _PAIRWISE_LEAF:
+            half = (hi - lo) // 2
+            mid = lo + half - half % 8
+            left = yield from self._node(lo, mid)
+            right = yield from self._node(mid, hi)
+            return left + right
+        parts = []
+        while True:
+            start = self._end - self._chunk.size
+            parts.append(self._chunk[max(lo, start) - start : hi - start].copy())
+            if hi <= self._end:
+                return np.add.reduce(np.concatenate(parts))
+            yield
+
+
+@dataclass
+class SceneRadiance:
+    """The scene's radiance, made a strip of rows at a time.
+
+    A pixel's radiance is its abundances mixed over the scene spectra,
+    times the illumination, plus, with ``snr_db``, white noise whose sigma
+    gives that ratio over the whole noiseless scene. The noise is drawn in
+    row order from one stream, and the signal and noise powers are means
+    taken by ``PairwiseSum``, so every strip height gives the bits of one
+    whole-array computation.
+
+    What the noise came to is known once ``strips`` has run out:
+    ``realized_snr_db`` and, with ``keep_noise``, the whole ``noiseless``
+    and ``noise`` arrays, joined from copies of the strips.
+    """
+
+    planes: np.ndarray  # (rows, cols, endmembers) abundances
+    spectra: np.ndarray  # (bands, endmembers) reflectance
+    illumination: np.ndarray
+    wavelengths: np.ndarray
+    snr_db: float | None
+    noise_seed: np.random.SeedSequence
+    keep_noise: bool
+    realized_snr_db: float | None = None
     noiseless: np.ndarray | None = None
     noise: np.ndarray | None = None
+
+    rows = property(lambda self: self.planes.shape[0])
+    cols = property(lambda self: self.planes.shape[1])
+    bands = property(lambda self: self.spectra.shape[0])
+
+    def _mixture(self, top: int, height: int) -> np.ndarray:
+        strip = np.einsum("rce,be->rcb", self.planes[top : top + height], self.spectra)
+        strip *= self.illumination
+        return strip
+
+    def strips(self, height: int) -> Iterator[tuple[int, HyperCube]]:
+        """Every row once, top to bottom, as ``(top, strip)``: float64 radiance
+        of ``height`` rows (fewer in the last strip).
+
+        With noise the noiseless strips are made twice: once for the signal
+        power, which sizes the noise, then again to add the noise.
+        """
+        tops = range(0, self.rows, height)
+        size = self.rows * self.cols * self.bands
+        if self.snr_db is not None:
+            signal = PairwiseSum(size)
+            for top in tops:
+                strip = self._mixture(top, height)
+                strip *= strip
+                signal.add(strip)
+            signal_power = signal.total / size
+            sigma = np.sqrt(signal_power / 10.0 ** (self.snr_db / 10.0))
+            noise_rng = np.random.default_rng(self.noise_seed)
+            noise_power = PairwiseSum(size)
+        noiseless, noise = [], []
+        for top in tops:
+            strip = self._mixture(top, height)
+            if self.keep_noise:
+                noiseless.append(strip.copy())
+            if self.snr_db is not None:
+                drawn = noise_rng.standard_normal(size=strip.shape)
+                drawn *= sigma
+                noise_power.add(drawn * drawn)
+                strip += drawn
+                if self.keep_noise:
+                    noise.append(drawn)
+            yield top, HyperCube(strip, self.wavelengths, "radiance")
+        if self.snr_db is not None:
+            self.realized_snr_db = 10.0 * np.log10(signal_power / (noise_power.total / size))
+        if self.keep_noise:
+            self.noiseless = np.concatenate(noiseless)
+            self.noise = np.concatenate(noise) if noise else None
 
 
 def _bilinear_field(rng: np.random.Generator, shape, nodes, lo, hi) -> np.ndarray:
@@ -189,8 +331,9 @@ def _plot_ids(grid_rows: int, grid_cols: int) -> list[str]:
     return [f"P{r:02d}{c:02d}" for r in range(grid_rows) for c in range(grid_cols)]
 
 
-def generate_scene(spec: SynthSpec) -> tuple[HyperCube, SynthTruth]:
-    """Build the radiance cube and its complete planted truth."""
+def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
+    """Plan the scene: its radiance, to be made a strip at a time, and its
+    complete planted truth."""
     lam = default_wavelengths()
     library = endmember_library()
     scene_lib = library.select(SCENE_LABELS)
@@ -202,7 +345,6 @@ def generate_scene(spec: SynthSpec) -> tuple[HyperCube, SynthTruth]:
     dither_rng = np.random.default_rng(streams[2])
     heavy_rng = np.random.default_rng(streams[3])
     plot_rng = np.random.default_rng(streams[4])
-    noise_rng = np.random.default_rng(streams[5])
 
     ids = _plot_ids(spec.grid_rows, spec.grid_cols)
     plot_map = PlotMap(
@@ -265,23 +407,11 @@ def generate_scene(spec: SynthSpec) -> tuple[HyperCube, SynthTruth]:
     planes[pt : pt + ph_, pl : pl + pw_, 4] = 1.0
     abundances = AbundanceMap(values=planes, labels=SCENE_LABELS)
 
-    # Radiance cube: reflectance mixture times illumination, plus noise.
+    # Radiance: reflectance mixture times illumination, plus noise.
     illum = illumination_spectrum(lam)
-    data = np.einsum("rce,be->rcb", planes, scene_lib.spectra)
-    data *= illum
-    noiseless = data.copy() if spec.keep_noise else None
-    realized_snr = None
-    noise = None
-    if spec.snr_db is not None:
-        signal_power = float(np.mean(data * data))
-        sigma = np.sqrt(signal_power / 10.0 ** (spec.snr_db / 10.0))
-        noise = noise_rng.standard_normal(size=data.shape)
-        noise *= sigma
-        realized_snr = 10.0 * np.log10(signal_power / float(np.mean(noise * noise)))
-        data += noise
-        if not spec.keep_noise:
-            noise = None
-    cube = HyperCube(data=data, wavelengths=lam, units="radiance")
+    radiance = SceneRadiance(
+        planes, scene_lib.spectra, illum, lam, spec.snr_db, streams[5], spec.keep_noise
+    )
 
     # Yields: proportional to true counts, with plot-level noise sized
     # for the requested theoretical coefficient of determination.
@@ -338,14 +468,11 @@ def generate_scene(spec: SynthSpec) -> tuple[HyperCube, SynthTruth]:
         illumination=illum,
         yield_noise_sigma=sigma_y,
         theoretical_r2=theoretical_r2,
-        realized_snr_db=realized_snr,
         window_px=spec.window_px,
         pitch_row_px=spec.pitch_row_px,
         pitch_col_px=spec.pitch_col_px,
-        noiseless=noiseless,
-        noise=noise,
     )
-    return cube, truth
+    return radiance, truth
 
 
 def generate_reference_cube(

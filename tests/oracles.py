@@ -3,7 +3,8 @@
 Everything here favours obviousness over speed: double loops, explicit
 enumeration, no shared code with the package under test. The last
 sections hold the few test-only entry points that do call into the
-package: the per-array trainer, single-pixel unmixing and the batch loss.
+package: the per-array trainer, single-pixel unmixing, the batch loss
+and the scene radiance, whole or joined from its strips.
 """
 
 import itertools
@@ -11,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 
+from hyperfield.cube import HyperCube
 from hyperfield.errors import DataError, DivergenceError
 from hyperfield.mlp import (
     SIGMA_FLOOR,
@@ -21,6 +23,7 @@ from hyperfield.mlp import (
     standardize_apply,
     standardize_fit_apply,
 )
+from hyperfield.synth import generate_scene
 from hyperfield.unmix import _check_W, _solve_block, _SupportSolver, _supports
 
 
@@ -400,3 +403,30 @@ def unmix_pixel(W, x):
 def batch_mse(model, x, y):
     diff = forward(model, x) - np.asarray(y, dtype=np.float64)
     return float(np.mean(diff * diff))
+
+
+def whole_radiance(radiance):
+    """A ``SceneRadiance`` computed as one float64 array, as the strips must match it.
+
+    Returns ``(data, noiseless, noise, realized_snr_db)``; without noise the
+    last two are None.
+    """
+    data = np.einsum("rce,be->rcb", radiance.planes, radiance.spectra)
+    data *= radiance.illumination
+    noiseless = data.copy()
+    noise = realized_snr = None
+    if radiance.snr_db is not None:
+        signal_power = float(np.mean(data * data))
+        sigma = np.sqrt(signal_power / 10.0 ** (radiance.snr_db / 10.0))
+        noise = np.random.default_rng(radiance.noise_seed).standard_normal(size=data.shape)
+        noise *= sigma
+        realized_snr = 10.0 * np.log10(signal_power / float(np.mean(noise * noise)))
+        data += noise
+    return data, noiseless, noise, realized_snr
+
+
+def scene_cube(spec, height=16):
+    """``(cube, truth, radiance)`` of ``spec``: the strips joined into one float64 cube."""
+    radiance, truth = generate_scene(spec)
+    data = np.concatenate([strip.data for _, strip in radiance.strips(height)])
+    return HyperCube(data, radiance.wavelengths, "radiance"), truth, radiance

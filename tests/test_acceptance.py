@@ -24,6 +24,7 @@ from oracles import (
     batch_mse,
     central_difference,
     identical_yield_fraction,
+    scene_cube,
     simplex_ls_enumerate,
     unmix_pixel,
 )
@@ -234,8 +235,7 @@ def test_03_pure_pixels_selected_volume_maximal():
 # 4. allocation conserves the plot yield
 
 def test_04_allocation_conserves_plot_yield():
-    cube, truth = generate_scene(SynthSpec(seed=11, snr_db=35.0))
-    del cube
+    _, truth = generate_scene(SynthSpec(seed=11, snr_db=35.0))
     worst = 0.0
     cases = 0
     for pid, box in sorted(truth.boxes.items()):
@@ -504,7 +504,7 @@ def test_09_detection_overlap():
     results = []
     ok = True
     for snr_db, gate in ((None, 0.95), (30.0, 0.90)):
-        cube, truth = generate_scene(SynthSpec(seed=7, snr_db=snr_db))
+        cube, truth, _ = scene_cube(SynthSpec(seed=7, snr_db=snr_db))
         reflectance = to_reflectance(
             cube, truth.panel_region, truth.panel_reflectance
         )
@@ -535,10 +535,7 @@ def test_10_window_size_tie_ordering():
     violations = 0
     last = {}
     for seed in range(20):
-        cube, truth = generate_scene(
-            SynthSpec(seed=900 + seed, grid_rows=3, grid_cols=3)
-        )
-        del cube
+        _, truth = generate_scene(SynthSpec(seed=900 + seed, grid_rows=3, grid_cols=3))
         fractions = {}
         for window in (10, 15, 20):
             parts = []

@@ -1,7 +1,7 @@
 """The calibrate stage streams its scene: output bytes, errors, manifest digests.
 
-Also: a calibrate or segment killed in its publish leaves a tree that
-``run-all`` mends.
+Also: a synth, calibrate or segment killed in its strips or its publish
+leaves a tree that ``synth`` and ``run-all`` mend.
 """
 
 import filecmp
@@ -348,6 +348,8 @@ if point == "strip-pass":
             if len(computed) == 3:  # the first strip is written, the second scaled
                 os._exit(9)
     hc._check_finite = checking
+elif point == "mid-strips":  # synth's scene: 240 band runs a strip, killed in the third
+    hc._pwrite = dying(hc._pwrite, 2 * 240 + 1)
 elif point == "before-manifest":
     os.replace = dying(os.replace, 1)
 else:  # the swap renames <stage>/ aside, then the staging directory into place
@@ -376,17 +378,21 @@ def _files(root) -> list[str]:
 
 
 # What each kill point leaves behind: a file that is there, and one that
-# is not. ``file`` is one of the stage's outputs; strip-pass is calibrate's.
+# is not. ``file`` is one of the stage's outputs; strip-pass is calibrate's
+# and mid-strips synth's.
 _KILL_POINTS = {
     "strip-pass": (".calibrate.partial/reflectance.raw", ".calibrate.partial/reflectance.hdr"),
+    "mid-strips": (".synth.partial/scene.raw", ".synth.partial/scene.hdr"),
     "before-swap": (".{stage}.partial/{file}", ".{stage}.old"),
     "between-renames": (".{stage}.old/{file}", "{stage}"),
     "before-manifest": ("manifests/{stage}.json.tmp", ".{stage}.old"),
 }
+_PUBLISH_POINTS = ["before-swap", "between-renames", "before-manifest"]
 
 
-def _kill_and_mend(tree, tmp_path, stage, point, file):
-    """Kill a forced ``stage`` at ``point``, then check run-all restores the clean tree.
+def _kill_and_mend(tree, tmp_path, stage, point, file, mend=("run-all",)):
+    """Kill a forced ``stage`` at ``point``, then check the ``mend`` commands
+    restore the clean tree.
 
     The tree is a hard-linked copy of a clean one: a stage never writes a
     file in place, so the copy shares no write with it.
@@ -398,19 +404,27 @@ def _kill_and_mend(tree, tmp_path, stage, point, file):
     assert result.returncode == 9, result.stderr
     there, gone = (path.format(stage=stage, file=file) for path in _KILL_POINTS[point])
     assert (out / there).is_file() and not (out / gone).exists()
-    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    for command in mend:
+        assert main([command, "--out", str(out), "--config", str(ini)]) == 0
     assert _files(out) == _files(clean)
     for rel in _files(clean):
         assert filecmp.cmp(out / rel, clean / rel, shallow=False), rel
 
 
-@pytest.mark.parametrize("point", _KILL_POINTS)
+@pytest.mark.parametrize("point", ["mid-strips", *_PUBLISH_POINTS])
+def test_synth_and_run_all_after_a_killed_synth_give_the_clean_tree(tiny_tree, tmp_path, point):
+    """A synth killed while it writes its scene's strips, or in its publish,
+    leaves a tree that synth and then run-all mend."""
+    _kill_and_mend(tiny_tree, tmp_path, "synth", point, "truth.json", ("synth", "run-all"))
+
+
+@pytest.mark.parametrize("point", ["strip-pass", *_PUBLISH_POINTS])
 def test_run_all_after_a_killed_calibrate_gives_the_clean_tree(tiny_tree, tmp_path, point):
     """A calibrate killed anywhere in its publish leaves a tree that run-all mends."""
     _kill_and_mend(tiny_tree, tmp_path, "calibrate", point, "reflectance.hdr")
 
 
-@pytest.mark.parametrize("point", [p for p in _KILL_POINTS if p != "strip-pass"])
+@pytest.mark.parametrize("point", _PUBLISH_POINTS)
 def test_run_all_after_a_killed_segment_gives_the_clean_tree(tiny_tree, tmp_path, point):
     """A segment killed anywhere in its publish leaves a tree that run-all mends."""
     _kill_and_mend(tiny_tree, tmp_path, "segment", point, "boxes.csv")

@@ -368,6 +368,23 @@ def test_prediction_numbers_are_plain_floats(tiny_run):
                 float(fields[j])
 
 
+# sha256 of the TINY_INI synth files as the whole-array generator wrote them
+_TINY_SYNTH_DIGESTS = {
+    "scene.raw": "f70980c098cb7dd49bf61fef52eeaa01cc82bc9e54b571665026a240eb2c2d72",
+    "scene.hdr": "91adbba5489b044b259d0faa83f5c269bca9620b29deddcacf0bdb8aaaaa7e76",
+    "truth.json": "f4ce22abe0ba0b4643dff57f40df53303bc9c256a5df1c5ed1fc2787d8329fcd",
+}
+
+
+def test_tiny_synth_keeps_the_whole_array_bytes(tiny_run):
+    """The scene made in strips, with its two noise passes, is the same file."""
+    _, out = tiny_run
+    for name, digest in _TINY_SYNTH_DIGESTS.items():
+        assert hashlib.sha256((out / "synth" / name).read_bytes()).hexdigest() == digest, name
+    payload = json.loads((out / "synth" / "truth.json").read_text())
+    assert payload["realized_snr_db"] == 39.99968061649939
+
+
 def test_truth_json_is_sorted_and_complete(tiny_run):
     _, out = tiny_run
     payload = json.loads((out / "synth" / "truth.json").read_text())
@@ -887,6 +904,26 @@ def test_missing_config_file_exits_2(tmp_path):
 
 def test_flag_validation():
     assert main(["synth", "--seed", "-1"]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("snr_db", "inf"),
+        ("snr_db", "nan"),
+        ("margin_boost", "nan"),
+        ("margin_boost", "inf"),
+        ("yield_per_sl_pixel", "inf"),
+        ("yield_noise_sigma", "nan"),
+    ],
+)
+def test_non_finite_synth_floats_exit_2_naming_the_key(tmp_path, capsys, key, value):
+    ini = tmp_path / "config.ini"
+    ini.write_text(f"[synth]\n{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main(["synth", "--out", str(out), "--config", str(ini)]) == 2
+    assert f"{key} = {value} is not a finite number" in capsys.readouterr().err
+    assert not (out / "synth").exists()
 
 
 @pytest.mark.parametrize("key", ["chunk", "threads"])

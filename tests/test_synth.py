@@ -1,10 +1,17 @@
-"""Generator checks: planted truth must be exactly self-consistent."""
+"""Generator checks: planted truth must be exactly self-consistent, and the
+radiance made in strips must be the bits of the whole-array computation."""
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import scene_cube, whole_radiance
+from test_calibrate import _child
 
 from hyperfield.cube import apply_band_mask, band_mask_from_windows, to_reflectance
 from hyperfield.endmember import svmax
@@ -28,6 +35,7 @@ from hyperfield.synth import (
     CROP_LABELS,
     LIBRARY_LABELS,
     SCENE_LABELS,
+    PairwiseSum,
     SynthSpec,
     endmember_library,
     generate_reference_cube,
@@ -51,7 +59,7 @@ def small_scene():
         target_subplot_r2=0.85,
         keep_noise=True,
     )
-    return spec, *generate_scene(spec)
+    return spec, *scene_cube(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +82,12 @@ def small_scene():
         dict(target_subplot_r2=0.85, yield_noise_sigma=0.1),
         dict(target_subplot_r2=1.0),
         dict(yield_noise_sigma=-0.1),
+        dict(snr_db=float("inf")),
+        dict(snr_db=float("nan")),
+        dict(margin_boost=float("nan")),
+        dict(margin_boost=float("inf")),
+        dict(yield_per_sl_pixel=float("inf")),
+        dict(yield_noise_sigma=float("nan")),
     ],
 )
 def test_spec_rejects_bad_values(kwargs):
@@ -103,8 +117,8 @@ def test_library_labels_and_positivity():
 
 def test_same_seed_is_bit_identical():
     spec = small_scene()[0]
-    cube_a, truth_a = generate_scene(spec)
-    cube_b, truth_b = generate_scene(spec)
+    cube_a, truth_a, _ = scene_cube(spec)
+    cube_b, truth_b, _ = scene_cube(spec)
     assert np.array_equal(cube_a.data, cube_b.data)
     assert truth_a.plot_yields == truth_b.plot_yields
     for pid in truth_a.boxes:
@@ -112,40 +126,129 @@ def test_same_seed_is_bit_identical():
 
 
 def test_window_yields_sum_to_plot_yield():
-    _, _, truth = small_scene()
+    _, _, truth, _ = small_scene()
     for pid, plot_yield in truth.plot_yields.items():
         total = float(truth.window_yields[pid].sum())
         assert abs(total - plot_yield) <= 1e-9 * max(plot_yield, 1.0)
 
 
 def test_cube_minus_noise_is_exact_mixture():
-    _, cube, truth = small_scene()
-    assert truth.noiseless is not None and truth.noise is not None
-    assert np.array_equal(cube.data, truth.noiseless + truth.noise)
+    _, cube, truth, radiance = small_scene()
+    assert radiance.noiseless is not None and radiance.noise is not None
+    assert np.array_equal(cube.data, radiance.noiseless + radiance.noise)
     rebuilt = np.einsum(
         "rce,be->rcb", truth.abundances.values, truth.endmembers.spectra
     )
     rebuilt *= truth.illumination
-    assert np.array_equal(rebuilt, truth.noiseless)
+    assert np.array_equal(rebuilt, radiance.noiseless)
 
 
 def test_realized_snr_close_to_requested():
-    spec, _, truth = small_scene()
-    assert abs(truth.realized_snr_db - spec.snr_db) < 0.5
+    spec, _, _, radiance = small_scene()
+    assert abs(radiance.realized_snr_db - spec.snr_db) < 0.5
 
 
 def test_noiseless_scene_has_no_noise_bookkeeping():
-    _, truth = generate_scene(SynthSpec(
+    _, truth, radiance = scene_cube(SynthSpec(
         seed=1, grid_rows=1, grid_cols=2, plot_height_px=20,
-        plot_width_px=40, window_px=10, alley_px=8,
+        plot_width_px=40, window_px=10, alley_px=8, keep_noise=True,
     ))
-    assert truth.realized_snr_db is None
+    assert radiance.realized_snr_db is None
+    assert radiance.noise is None
     assert truth.yield_noise_sigma == 0.0
     assert truth.theoretical_r2 is None
 
 
+# ---------------------------------------------------------------------------
+# strips against the whole-array computation
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**16),
+    grid=st.tuples(st.integers(1, 2), st.integers(1, 3)),
+    plot=st.tuples(st.integers(5, 12), st.integers(5, 20)),
+    snr_db=st.one_of(st.none(), st.floats(5.0, 60.0)),
+    keep_noise=st.booleans(),
+    height=st.integers(1, 100),  # from one row to more than the scene's 61-86
+)
+@example(seed=0, grid=(1, 1), plot=(5, 5), snr_db=30.0, keep_noise=True, height=1)
+@example(seed=1, grid=(2, 3), plot=(12, 20), snr_db=None, keep_noise=True, height=100)
+def test_strips_match_the_whole_array_oracle(seed, grid, plot, snr_db, keep_noise, height):
+    spec = SynthSpec(
+        seed=seed, grid_rows=grid[0], grid_cols=grid[1], plot_height_px=plot[0],
+        plot_width_px=plot[1], window_px=5, alley_px=6, snr_db=snr_db, keep_noise=keep_noise,
+    )
+    radiance, _ = generate_scene(spec)
+    strips = list(radiance.strips(height))
+    assert [top for top, _ in strips] == list(range(0, radiance.rows, height))
+    made = np.concatenate([strip.data for _, strip in strips])
+    data, noiseless, noise, realized_snr_db = whole_radiance(radiance)
+    assert made.astype(np.float32).tobytes() == data.astype(np.float32).tobytes()
+    assert np.array_equal(made, data)
+    assert radiance.realized_snr_db == realized_snr_db
+    if keep_noise:
+        assert np.array_equal(radiance.noiseless, noiseless)
+        assert (noise is None and radiance.noise is None) or np.array_equal(radiance.noise, noise)
+    else:
+        assert radiance.noiseless is None and radiance.noise is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # chunks shorter than a pairwise block of 8, and chunks that end inside
+    # or beyond a 128-value leaf
+    chunks=st.lists(
+        st.one_of(st.integers(0, 7), st.integers(8, 300), st.integers(300, 5000)), max_size=30
+    ),
+)
+def test_pairwise_sum_equals_one_reduce_of_the_chunks(seed, chunks):
+    rng = np.random.default_rng(seed)
+    n = sum(chunks)
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+    total = PairwiseSum(n)
+    for part in np.split(values, np.cumsum(chunks)[:-1]):
+        total.add(part)
+    assert total.total == np.add.reduce(values)
+
+
+def test_pairwise_sum_matches_numpy_on_a_scene_sized_mean():
+    """More than 4 Mi values, in strips: a numpy whose pairwise rule changed fails here."""
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((23, 836, 240))
+    total = PairwiseSum(values.size)
+    for top in range(0, 23, 3):
+        strip = values[top : top + 3]
+        assert total.total is None
+        total.add(strip * strip)
+    assert values.size >= 4 << 20
+    assert total.total / values.size == float(np.mean(values * values))
+
+
+# Runs a default-config synth and prints its exit code and peak RSS (KiB on
+# Linux). It is started from this small interpreter because a child's
+# ru_maxrss also counts the memory of the process that forked it.
+_SYNTH_PEAK = """\
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "hyperfield.cli", "synth", "--out", sys.argv[1]])
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_default_synth_peaks_under_200_mb(tmp_path):
+    """The scene is made and written a strip at a time; the whole float64 cube is 610 MB."""
+    result = _child(_SYNTH_PEAK, tmp_path / "out")
+    assert result.returncode == 0, result.stderr
+    code, peak_kib = map(int, result.stdout.split())
+    assert code == 0, result.stderr
+    assert (tmp_path / "out" / "synth" / "scene.raw").stat().st_size == 380 * 836 * 240 * 4
+    assert peak_kib * 1024 < 200e6
+
+
 def test_sl_mask_matches_abundance_rule():
-    _, _, truth = small_scene()
+    _, _, truth, _ = small_scene()
     values = truth.abundances.values
     spike = values[:, :, SCENE_LABELS.index("spike")]
     leaf = values[:, :, SCENE_LABELS.index("leaf")]
@@ -153,14 +256,14 @@ def test_sl_mask_matches_abundance_rule():
 
 
 def test_abundances_live_on_the_simplex():
-    _, _, truth = small_scene()
+    _, _, truth, _ = small_scene()
     values = truth.abundances.values
     assert np.all(values >= 0)
     np.testing.assert_allclose(values.sum(axis=2), 1.0, atol=1e-12)
 
 
 def test_panel_region_is_pure_panel():
-    _, _, truth = small_scene()
+    _, _, truth, _ = small_scene()
     top, left, h, w = truth.panel_region
     patch = truth.abundances.values[top : top + h, left : left + w]
     assert np.all(patch[:, :, SCENE_LABELS.index("panel")] == 1.0)
@@ -168,7 +271,7 @@ def test_panel_region_is_pure_panel():
 
 
 def test_boxes_stay_inside_scene_and_apart():
-    spec, cube, truth = small_scene()
+    spec, cube, truth, _ = small_scene()
     rows, cols = cube.data.shape[:2]
     boxes = list(truth.boxes.values())
     for box in boxes:
@@ -183,7 +286,7 @@ def test_boxes_stay_inside_scene_and_apart():
 
 
 def test_boxes_jitter_is_bounded():
-    spec, _, truth = small_scene()
+    spec, _, truth, _ = small_scene()
     for pid, box in truth.boxes.items():
         gr, gc = truth.plot_map.positions[pid]
         nominal_top = 40 + gr * spec.pitch_row_px
@@ -193,7 +296,7 @@ def test_boxes_jitter_is_bounded():
 
 
 def test_plot_ids_cover_the_grid():
-    spec, _, truth = small_scene()
+    spec, _, truth, _ = small_scene()
     assert sorted(truth.boxes) == sorted(truth.plot_map.positions)
     assert len(truth.boxes) == spec.grid_rows * spec.grid_cols
     assert "P0000" in truth.boxes
@@ -201,7 +304,7 @@ def test_plot_ids_cover_the_grid():
 
 
 def test_window_yield_grids_match_tiling():
-    spec, _, truth = small_scene()
+    spec, _, truth, _ = small_scene()
     shape = window_grid_shape(spec.plot_height_px, spec.plot_width_px, spec.window_px)
     for pid, grid in truth.window_yields.items():
         assert grid.shape == shape
@@ -209,7 +312,7 @@ def test_window_yield_grids_match_tiling():
 
 
 def test_target_ratio_solves_the_noise_level():
-    spec, _, truth = small_scene()
+    spec, _, truth, _ = small_scene()
     assert truth.theoretical_r2 == pytest.approx(spec.target_subplot_r2, abs=1e-12)
     counts = []
     for pid, grid in truth.window_yields.items():
@@ -245,7 +348,7 @@ def test_explicit_noise_sigma_reports_its_ratio():
 def test_unmix_recovers_planted_abundances():
     spec = SynthSpec(seed=5, grid_rows=2, grid_cols=2, plot_height_px=24,
                      plot_width_px=45, alley_px=10, jitter_px=2)
-    cube, truth = generate_scene(spec)
+    cube, truth, _ = scene_cube(spec)
     reflectance = to_reflectance(cube, truth.panel_region, truth.panel_reflectance)
     estimate, _ = unmix_cube(reflectance, truth.endmembers)
     err = np.max(np.abs(estimate.values - truth.abundances.values))
@@ -391,7 +494,7 @@ def generate_regression_set(spec: RegressionSpec) -> tuple[Records, RegressionTr
         jitter_px=2,
         window_px=spec.window_px,
     )
-    cube, truth = generate_scene(scene_spec)
+    cube, truth, _ = scene_cube(scene_spec)
     mask = band_mask_from_windows(cube.wavelengths)
     masked = to_reflectance(cube, truth.panel_region, truth.panel_reflectance, mask)
     parts = []
