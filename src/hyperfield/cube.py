@@ -29,7 +29,6 @@ reader checks every sample it brings in, once, for NaN and inf, and
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
 from collections.abc import Iterable, Iterator
@@ -47,7 +46,7 @@ from .errors import (
     ShapeMismatchError,
     UnsupportedFormatError,
 )
-from .table import read_table
+from .table import read_table, write_table
 
 HEADER_SUFFIX = ".hdr"
 RAW_SUFFIX = ".raw"
@@ -58,9 +57,6 @@ UNITS = ("raw", "radiance", "reflectance", "abundance")
 # Upper bound on one strip of rows from ``CubeStream.read_strips``, unless
 # its cuts need more rows or one row is larger.
 BLOCK_BYTES = 16 << 20
-# Upper bound on the samples ``CubeStream.pixels`` stages at a time: small
-# enough that copying them into a Fortran-order block stays in cache.
-STAGE_BYTES = 2 << 20
 
 _DTYPES = {
     "float32": np.dtype("<f4"),
@@ -430,7 +426,7 @@ class CubeStream:
       ``pread``; ``read_strips``, ``read_panel`` and ``read_bands`` are
       built on it.
     - ``pixels`` reads a run of pixels, every band, as ``HyperCube.pixels``
-      gives them.
+      gives them, from the rows that hold them.
 
     A ``pread`` that returns fewer bytes than asked is continued; one that
     returns none means the payload shrank while it was read.
@@ -460,12 +456,14 @@ class CubeStream:
                 raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
             view, offset = view[done:], offset + done
 
-    def read_rows(self, top: int, height: int, buffer: np.ndarray | None = None) -> HyperCube:
+    def read_rows(
+        self, top: int, height: int, buffer: np.ndarray | None = None, check: bool = True
+    ) -> HyperCube:
         """Rows ``top`` to ``top + height``, every band, in the file's memory order.
 
         With ``buffer``, a 1-d array of the payload's sample type with room
         for the rows, they are read into it and are valid until it is reused.
-        Every sample is checked for NaN and inf.
+        Every sample is checked for NaN and inf, unless ``check`` is false.
         """
         h = self.header
         if height <= 0 or top < 0 or top + height > h.rows:
@@ -477,7 +475,8 @@ class CubeStream:
             part = buffer[: height * h.cols * h.bands].reshape(shape)
         for run, offset in _runs(part, h, top):
             self._pread(run, offset)
-        _check_finite(part, self.raw_path)
+        if check:
+            _check_finite(part, self.raw_path)
         return HyperCube(
             _rows_cols_bands(part, h.interleave), h.wavelengths, h.units, h.band_labels
         )
@@ -514,30 +513,21 @@ class CubeStream:
         return self.read_rows(top, height).crop(0, left, height, width)
 
     def pixels(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``HyperCube.pixels(start, stop, out)`` of the payload.
+        """``HyperCube.pixels(start, stop, out)`` of the payload, taken from
+        the ``read_rows`` cube of the rows that hold them.
 
-        From a bsq payload the pixels are staged in runs of as many as fit
-        in ``STAGE_BYTES`` with every band: each band's part of a run is
-        read with ``pread`` into one reused buffer, which is then copied
-        into the result. Other interleaves read the pixels' rows.
+        Only the pixels asked for are checked, before they are copied into
+        ``out``, so calls that cover the cube check each sample once.
         """
         h = self.header
         _check_pixel_range(start, stop, h.rows * h.cols)
-        if h.interleave != "bsq":
-            top, bottom = start // h.cols, -(-stop // h.cols)
-            rows = self.read_rows(top, bottom - top)
-            return rows.pixels(start - top * h.cols, stop - top * h.cols, out)
-        size = h.dtype.itemsize
+        top, bottom = start // h.cols, -(-stop // h.cols)
+        rows = self.read_rows(top, bottom - top, check=False)
+        pixels = rows.pixels(start - top * h.cols, stop - top * h.cols)
+        _check_finite(pixels, self.raw_path)
         if out is None:
-            out = np.empty((h.bands, stop - start), h.dtype, order="F")
-        step = max(1, STAGE_BYTES // (h.bands * size))
-        staged = np.empty((h.bands, min(step, stop - start)), h.dtype)
-        for first in range(start, stop, step):
-            runs = staged[:, : min(step, stop - first)]
-            for band, run in enumerate(runs):
-                self._pread(run, (band * h.rows * h.cols + first) * size)
-            _check_finite(runs, self.raw_path)
-            out[:, first - start : first - start + runs.shape[1]] = runs
+            return pixels
+        np.copyto(out, pixels)
         return out
 
     def read_bands(self, keep: np.ndarray) -> HyperCube:
@@ -662,11 +652,8 @@ def write_panel_reflectance_csv(
             f"wavelengths {wavelengths.shape} and reflectance "
             f"{reflectance.shape} do not align"
         )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["wavelength", "reflectance"])
-        for wl, r in zip(wavelengths, reflectance):
-            writer.writerow([f"{wl:.1f}", repr(float(r))])
+    rows = [(f"{wl:.1f}", r) for wl, r in zip(wavelengths.tolist(), reflectance.tolist())]
+    write_table(path, ["wavelength", "reflectance"], rows)
 
 
 def read_panel_reflectance_csv(

@@ -10,14 +10,13 @@ refinement step is available to suppress single-pixel noise.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DataError, DegenerateSimplexError, RankError, ShapeMismatchError
-from .table import read_table
+from .table import read_table, write_table
 
 
 @dataclass
@@ -263,11 +262,9 @@ def refine_by_neighborhood(
 
 def write_endmembers_csv(path: str | os.PathLike, endmembers: EndmemberSet) -> None:
     """One row per member: label, then reflectance per wavelength column."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"{w:.1f}" for w in endmembers.wavelengths])
-        for j, label in enumerate(endmembers.labels):
-            writer.writerow([label] + [repr(float(v)) for v in endmembers.spectra[:, j]])
+    header = ["label"] + [f"{w:.1f}" for w in endmembers.wavelengths.tolist()]
+    spectra = endmembers.spectra.T.tolist()
+    write_table(path, header, [[label, *s] for label, s in zip(endmembers.labels, spectra)])
 
 
 def read_endmembers_csv(path: str | os.PathLike) -> EndmemberSet:

@@ -8,7 +8,6 @@ single anchored cell through the field-book map by offset arithmetic.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import AmbiguousCellError, AnchorError, DataError, ShapeMismatchError
 from .segment import PlotBox
-from .table import read_table
+from .table import read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -56,11 +55,8 @@ def read_plot_map(path: str | os.PathLike) -> PlotMap:
 
 
 def write_plot_map(path: str | os.PathLike, plot_map: PlotMap) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plot_id", "field_row", "field_col"])
-        for plot_id, (r, c) in plot_map.positions.items():
-            writer.writerow([plot_id, r, c])
+    rows = [(plot_id, r, c) for plot_id, (r, c) in plot_map.positions.items()]
+    write_table(path, ["plot_id", "field_row", "field_col"], rows)
 
 
 def cluster_corners(values, pitch_px: float) -> np.ndarray:
@@ -193,12 +189,12 @@ def assign_ids(
 
 
 def write_assignment_csv(path: str | os.PathLike, assignment: GridAssignment) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plot_id", "top", "left", "height", "width", "grid_row", "grid_col"])
-        for ap in assignment.assigned():
-            b = ap.box
-            writer.writerow([ap.plot_id, b.top, b.left, b.height, b.width, ap.grid_row, ap.grid_col])
+    header = ["plot_id", "top", "left", "height", "width", "grid_row", "grid_col"]
+    rows = []
+    for ap in assignment.assigned():
+        b = ap.box
+        rows.append((ap.plot_id, b.top, b.left, b.height, b.width, ap.grid_row, ap.grid_col))
+    write_table(path, header, rows)
 
 
 def read_assignment_csv(path: str | os.PathLike) -> list[AssignedPlot]:

@@ -17,7 +17,6 @@ so checkpoints always map standardized features straight to grams.
 from __future__ import annotations
 
 import contextvars
-import csv
 import json
 import logging
 import math
@@ -34,6 +33,7 @@ from .errors import (
     DivergenceError,
     ShapeMismatchError,
 )
+from .table import write_table
 
 log = logging.getLogger(__name__)
 
@@ -786,8 +786,5 @@ def load_model(path: str | os.PathLike) -> MlpModel:
 
 
 def write_training_log_csv(path: str | os.PathLike, logbook: list[EpochLog]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_rmse", "val_rmse"])
-        for entry in logbook:
-            writer.writerow([entry.epoch, repr(entry.train_rmse), repr(entry.val_rmse)])
+    rows = [(entry.epoch, entry.train_rmse, entry.val_rmse) for entry in logbook]
+    write_table(path, ["epoch", "train_rmse", "val_rmse"], rows)

@@ -613,6 +613,7 @@ def _stage_train(st: _Stage) -> Iterator[None]:
     records_path = st.need(F_RECORDS)
     yield
     from .mlp import save_model, stratified_split, train, write_training_log_csv
+    from .table import write_table
 
     records = st.records.read(records_path)
     x, y = records.features, records.yields
@@ -627,17 +628,22 @@ def _stage_train(st: _Stage) -> Iterator[None]:
     )
     save_model(model, st.emit(F_MODEL))
     write_training_log_csv(st.emit(F_TRAIN_LOG), logbook)
-    with open(st.emit(F_SPLIT), "w", encoding="utf-8", newline="") as fh:
-        fh.write("index,role\n")
-        rows = [(int(i), "train") for i in split.train]
-        rows += [(int(i), "validation") for i in split.validation]
-        rows += [(int(i), "test") for i in split.test]
-        for index, role in sorted(rows):
-            fh.write(f"{index},{role}\n")
+    rows = [(i, "train") for i in split.train.tolist()]
+    rows += [(i, "validation") for i in split.validation.tolist()]
+    rows += [(i, "test") for i in split.test.tolist()]
+    write_table(st.emit(F_SPLIT), ["index", "role"], sorted(rows), line_end="\n")
     log.info(
         "train: %d/%d/%d records (train/val/test), best epoch %d",
         split.train.size, split.validation.size, split.test.size, model.best_epoch,
     )
+
+
+# The metrics evaluate writes, in this order, and the report summary
+# formats: the split name, then numbers.
+_SUMMARY_METRICS = (
+    "split", "subplot_r2", "subplot_rmse_g", "subplot_nrmse", "plot_r2", "plot_rmse_g",
+    "plot_nrmse", "field_actual_g", "field_predicted_g", "field_percent_error",
+)
 
 
 def _stage_evaluate(st: _Stage) -> Iterator[None]:
@@ -648,6 +654,7 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
     import numpy as np
 
     from .mlp import evaluate, load_model, predict
+    from .table import write_table
 
     model = load_model(model_path)
     records = st.records.read(records_path)
@@ -672,23 +679,18 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
         for i in indices.tolist():
             role_of[i] = role
     predicted = np.maximum(predict(model, x), 0.0)
-    rows = zip(records.plot_ids, records.windows.tolist(), role_of, y.tolist(), predicted.tolist())
-    with open(st.emit(F_PREDICTIONS), "w", encoding="utf-8", newline="") as fh:
-        fh.write("plot_id,window_row,window_col,role,actual_g,predicted_g\n")
-        for plot_id, (row, col, _), role, actual, guess in rows:
-            fh.write(f"{plot_id},{row},{col},{role},{actual!r},{guess!r}\n")
-    with open(st.emit(F_METRICS), "w", encoding="utf-8", newline="") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"split,{split_name}\n")
-        fh.write(f"subplot_r2,{result.subplot.r2!r}\n")
-        fh.write(f"subplot_rmse_g,{result.subplot.rmse!r}\n")
-        fh.write(f"subplot_nrmse,{result.subplot.nrmse!r}\n")
-        fh.write(f"plot_r2,{result.plot.r2!r}\n")
-        fh.write(f"plot_rmse_g,{result.plot.rmse!r}\n")
-        fh.write(f"plot_nrmse,{result.plot.nrmse!r}\n")
-        fh.write(f"field_actual_g,{result.field_actual!r}\n")
-        fh.write(f"field_predicted_g,{result.field_predicted!r}\n")
-        fh.write(f"field_percent_error,{result.field_percent_error!r}\n")
+    window_rows, window_cols, _ = records.windows.T.tolist()
+    rows = zip(records.plot_ids, window_rows, window_cols, role_of, y.tolist(), predicted.tolist())
+    header = ["plot_id", "window_row", "window_col", "role", "actual_g", "predicted_g"]
+    write_table(st.emit(F_PREDICTIONS), header, rows, line_end="\n")
+    values = (
+        split_name, result.subplot.r2, result.subplot.rmse, result.subplot.nrmse,
+        result.plot.r2, result.plot.rmse, result.plot.nrmse,
+        result.field_actual, result.field_predicted, result.field_percent_error,
+    )
+    write_table(
+        st.emit(F_METRICS), ["metric", "value"], zip(_SUMMARY_METRICS, values), line_end="\n"
+    )
     log.info(
         "evaluate: %s split, sub-plot R2 %.4f, plot R2 %.4f",
         split_name, result.subplot.r2, result.plot.r2,
@@ -711,13 +713,6 @@ def _read_scatter_rows(path: str) -> list[tuple[float, float, str]]:
     return [(*numbers, role) for numbers, role in zip(table.floats.tolist(), table.text("role"))]
 
 
-# What the report summary formats: the split name, then numbers.
-_SUMMARY_METRICS = (
-    "split", "subplot_r2", "subplot_rmse_g", "subplot_nrmse", "plot_r2", "plot_rmse_g",
-    "plot_nrmse", "field_actual_g", "field_predicted_g", "field_percent_error",
-)
-
-
 def _stage_report(st: _Stage) -> Iterator[None]:
     metrics_path = st.need(F_METRICS)
     predictions_path = st.need(F_PREDICTIONS)
@@ -730,6 +725,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     from .cube import read_cube
     from .gridmap import read_assignment_csv
     from .subplot import middle_third_ratio, window_grid_shape
+    from .table import write_table
     from .unmix import AbundanceMap, write_score_ppm
 
     assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
@@ -751,26 +747,25 @@ def _stage_report(st: _Stage) -> Iterator[None]:
         dst.write(src.read())
 
     # scatter data: one row per record, for external plotting
-    with open(st.emit(F_SCATTER), "w", encoding="utf-8", newline="") as fh:
-        fh.write("actual_g,predicted_g,role\n")
-        for actual, predicted, role in scatter:
-            fh.write(f"{actual!r},{predicted!r},{role}\n")
+    write_table(st.emit(F_SCATTER), ["actual_g", "predicted_g", "role"], scatter, line_end="\n")
 
     # middle-third yield share per plot
     window_px = st.config.getint("dataset", "window_px")
     tau = st.config.getfloat("dataset", "middle_tau")
     plot_ids = np.array(records.plot_ids)
-    with open(st.emit(F_MIDDLE_THIRDS), "w", encoding="utf-8", newline="") as fh:
-        fh.write("plot_id,middle_fraction,label\n")
-        for plot in assigned:
-            rows = np.flatnonzero(plot_ids == plot.plot_id)
-            if not rows.size:
-                continue
-            shape = window_grid_shape(plot.box.height, plot.box.width, window_px)
-            fraction, label = middle_third_ratio(
-                records.windows[rows], records.yields[rows], *shape, tau=tau
-            )
-            fh.write(f"{plot.plot_id},{fraction!r},{label}\n")
+    thirds = []
+    for plot in assigned:
+        rows = np.flatnonzero(plot_ids == plot.plot_id)
+        if not rows.size:
+            continue
+        shape = window_grid_shape(plot.box.height, plot.box.width, window_px)
+        fraction, label = middle_third_ratio(
+            records.windows[rows], records.yields[rows], *shape, tau=tau
+        )
+        thirds.append((plot.plot_id, fraction, label))
+    write_table(
+        st.emit(F_MIDDLE_THIRDS), ["plot_id", "middle_fraction", "label"], thirds, line_end="\n"
+    )
 
     # per-plot foreground-score colormaps
     abund = AbundanceMap.from_cube(read_cube(abund_stem))

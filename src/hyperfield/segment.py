@@ -8,7 +8,6 @@ mapper. Masks are plain 2-D boolean arrays aligned to the cube grid.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .errors import (
     ShapeMismatchError,
     WavelengthCoverageError,
 )
-from .table import read_table
+from .table import read_table, write_table
 
 RED_WINDOW_NM = (665.0, 675.0)
 BLUE_WINDOW_NM = (445.0, 455.0)
@@ -260,11 +259,8 @@ def extract_plots(mask: np.ndarray, min_area_px: int = DEFAULT_MIN_AREA_PX) -> l
 
 
 def write_boxes_csv(path: str | os.PathLike, boxes: list[PlotBox]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["top", "left", "height", "width", "area_px"])
-        for b in boxes:
-            writer.writerow([b.top, b.left, b.height, b.width, b.area_px])
+    rows = [(b.top, b.left, b.height, b.width, b.area_px) for b in boxes]
+    write_table(path, ["top", "left", "height", "width", "area_px"], rows)
 
 
 def read_boxes_csv(path: str | os.PathLike) -> list[PlotBox]:

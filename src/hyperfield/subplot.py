@@ -12,7 +12,6 @@ and the pixel count (2*bands + 1 entries).
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, EmptyPlotError, ShapeMismatchError
-from .table import is_safe_id, read_table
+from .table import is_safe_id, read_table, write_table
 
 DEFAULT_WINDOW_PX = 15
 DEFAULT_MIDDLE_TAU = 0.05
@@ -54,11 +53,7 @@ class PlotYieldRecord:
 
 
 def write_yields_csv(path: str | os.PathLike, records: list[PlotYieldRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["plot_id", "yield_grams"])
-        for r in records:
-            writer.writerow([r.plot_id, repr(r.yield_grams)])
+    write_table(path, ["plot_id", "yield_grams"], [(r.plot_id, r.yield_grams) for r in records])
 
 
 def read_yields_csv(path: str | os.PathLike) -> dict[str, float]:
@@ -234,11 +229,7 @@ def build_records(
 
 
 def write_records_csv(path: str | os.PathLike, records: Records) -> None:
-    """One CRLF-ended row per record, as ``csv.writer`` writes them.
-
-    No field needs quoting: numbers are ``repr`` strings, and a plot id
-    that ``is_safe_id`` rejects raises ``DataError``.
-    """
+    """One row per record; a plot id that ``is_safe_id`` rejects raises ``DataError``."""
     if not len(records):
         raise DataError("no records to write")
     unsafe = [plot_id for plot_id in records.plot_ids if not is_safe_id(plot_id)]
@@ -246,16 +237,11 @@ def write_records_csv(path: str | os.PathLike, records: Records) -> None:
         raise DataError(f"plot id {unsafe[0]!r} is unsafe as a file name or CSV field")
     header = ["plot_id", "window_row", "window_col", "n_sl", "yield_g"]
     header += [f"f{i + 1}" for i in range(records.features.shape[1])]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for plot_id, window, grams, features in zip(
-            records.plot_ids,
-            records.windows.tolist(),
-            records.yields.tolist(),
-            records.features.tolist(),
-        ):
-            row = [plot_id, *map(repr, window), repr(grams), *map(repr, features)]
-            fh.write(",".join(row) + "\r\n")
+    columns = zip(
+        records.plot_ids, records.windows.tolist(), records.yields.tolist(),
+        records.features.tolist(),
+    )
+    write_table(path, header, ([pid, *window, grams, *f] for pid, window, grams, f in columns))
 
 
 def read_records_csv(path: str | os.PathLike) -> Records:

@@ -25,7 +25,7 @@ from .endmember import EndmemberSet
 from .errors import ConfigError, DataError
 from .gridmap import PlotMap
 from .segment import PlotBox
-from .subplot import tile_plot, window_grid_shape
+from .subplot import count_sl, tile_plot, window_grid_shape
 from .unmix import AbundanceMap
 
 LIBRARY_LABELS = ("spike", "leaf", "soil", "shadow", "winter_wheat", "panel")
@@ -95,7 +95,6 @@ class SynthSpec:
     yield_per_sl_pixel: float = 0.2
     target_subplot_r2: float | None = None
     yield_noise_sigma: float | None = None
-    keep_noise: bool = False
 
     def __post_init__(self):
         for name in ("margin_boost", "snr_db", "yield_per_sl_pixel", "yield_noise_sigma"):
@@ -249,9 +248,8 @@ class SceneRadiance:
     taken by ``PairwiseSum``, so every strip height gives the bits of one
     whole-array computation.
 
-    What the noise came to is known once ``strips`` has run out:
-    ``realized_snr_db`` and, with ``keep_noise``, the whole ``noiseless``
-    and ``noise`` arrays, joined from copies of the strips.
+    What the noise came to, ``realized_snr_db``, is known once ``strips``
+    has run out.
     """
 
     planes: np.ndarray  # (rows, cols, endmembers) abundances
@@ -260,10 +258,7 @@ class SceneRadiance:
     wavelengths: np.ndarray
     snr_db: float | None
     noise_seed: np.random.SeedSequence
-    keep_noise: bool
     realized_snr_db: float | None = None
-    noiseless: np.ndarray | None = None
-    noise: np.ndarray | None = None
 
     rows = property(lambda self: self.planes.shape[0])
     cols = property(lambda self: self.planes.shape[1])
@@ -293,24 +288,16 @@ class SceneRadiance:
             sigma = np.sqrt(signal_power / 10.0 ** (self.snr_db / 10.0))
             noise_rng = np.random.default_rng(self.noise_seed)
             noise_power = PairwiseSum(size)
-        noiseless, noise = [], []
         for top in tops:
             strip = self._mixture(top, height)
-            if self.keep_noise:
-                noiseless.append(strip.copy())
             if self.snr_db is not None:
                 drawn = noise_rng.standard_normal(size=strip.shape)
                 drawn *= sigma
                 noise_power.add(drawn * drawn)
                 strip += drawn
-                if self.keep_noise:
-                    noise.append(drawn)
             yield top, HyperCube(strip, self.wavelengths, "radiance")
         if self.snr_db is not None:
             self.realized_snr_db = 10.0 * np.log10(signal_power / (noise_power.total / size))
-        if self.keep_noise:
-            self.noiseless = np.concatenate(noiseless)
-            self.noise = np.concatenate(noise) if noise else None
 
 
 def _bilinear_field(rng: np.random.Generator, shape, nodes, lo, hi) -> np.ndarray:
@@ -409,22 +396,14 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
 
     # Radiance: reflectance mixture times illumination, plus noise.
     illum = illumination_spectrum(lam)
-    radiance = SceneRadiance(
-        planes, scene_lib.spectra, illum, lam, spec.snr_db, streams[5], spec.keep_noise
-    )
+    radiance = SceneRadiance(planes, scene_lib.spectra, illum, lam, spec.snr_db, streams[5])
 
     # Yields: proportional to true counts, with plot-level noise sized
     # for the requested theoretical coefficient of determination.
     counts: dict[str, np.ndarray] = {}
     for pid, box in boxes.items():
         crop = sl_mask[box.top : box.top + box.height, box.left : box.left + box.width]
-        windows = tile_plot(box.height, box.width, spec.window_px)
-        counts[pid] = np.array(
-            [
-                int(crop[w.top : w.top + w.height, w.left : w.left + w.width].sum())
-                for w in windows
-            ]
-        )
+        counts[pid] = count_sl(crop, tile_plot(box.height, box.width, spec.window_px))
     populated = np.concatenate([c[c > 0] for c in counts.values()])
     if populated.size == 0:
         raise DataError("scene has no foreground pixels; densities too low")

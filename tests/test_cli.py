@@ -1197,6 +1197,61 @@ def test_malformed_plot_map_exits_4(memo_run, tmp_path, capsys, damage, message)
     assert os.listdir(tmp_path) == ["out"]
 
 
+# an ASCII locale: no coercion to C.UTF-8 and no UTF-8 mode, so open()
+# without an encoding, and the file system, encode to ASCII
+ASCII_LOCALE = {"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}
+
+
+def _cli(args, env):
+    """``python -m hyperfield.cli`` with ``args``, with ``env`` over this environment."""
+    src = os.path.dirname(os.path.dirname(hyperfield.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "hyperfield.cli", *map(str, args)],
+        env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True,
+    )
+
+
+def test_the_ascii_locale_encodes_file_names_in_ascii():
+    code = "import sys; print(sys.getfilesystemencoding())"
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, **ASCII_LOCALE},
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "ascii"
+
+
+@pytest.mark.parametrize("env, code", [(ASCII_LOCALE, 4), ({}, 0)], ids=["ascii", "default"])
+def test_a_plot_id_the_file_system_cannot_encode_exits_4(memo_run, env, code):
+    """``Pé101`` names ``report/sl_maps/Pé101.ppm`` only where the file system
+    can encode it; elsewhere ``gridmap`` stops at the plot map, naming it."""
+    ini, out = memo_run
+    plot_map = out / "synth" / "plot_map.csv"
+    lines = plot_map.read_text(encoding="utf-8").splitlines()
+    old, position = lines[-1].split(",", 1)
+    lines[-1] = f"Pé101,{position}"
+    plot_map.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    yields = out / "synth" / "yields.csv"
+    text = yields.read_text(encoding="utf-8")
+    yields.write_text(text.replace(f"\n{old},", "\nPé101,"), encoding="utf-8")
+    result = _cli(["run-all", "--out", out, "--config", ini], env)
+    assert result.returncode == code, result.stderr.decode("utf-8", "backslashreplace")
+    if code:
+        assert b"plot_map.csv: line 17: plot id 'P\\xe9101' is unsafe" in result.stderr
+    else:
+        assert "Pé101.ppm" in os.listdir(out / "report" / "sl_maps")
+        assert "\nPé101,".encode() in (out / "gridmap" / "assignment.csv").read_bytes()
+
+
+def test_a_non_ascii_library_label_is_written_in_utf8_in_any_locale(tmp_path):
+    library = tmp_path / "library.csv"
+    library.write_text("label,400.0,500.0\nsolé,0.1,0.2\nleaf,0.3,0.4\n", encoding="utf-8")
+    ini = tmp_path / "csv.ini"
+    ini.write_text(f"[endmembers]\nsource = csv\ncsv = {library}\n")
+    out = tmp_path / "out"
+    result = _cli(["endmembers", "--out", out, "--config", ini], ASCII_LOCALE)
+    assert result.returncode == 0, result.stderr.decode("utf-8", "backslashreplace")
+    written = (out / "endmembers" / "endmembers.csv").read_bytes()
+    assert written == "label,400.0,500.0\r\nsolé,0.1,0.2\r\nleaf,0.3,0.4\r\n".encode()
+
+
 @pytest.mark.parametrize(
     "damage, message",
     [

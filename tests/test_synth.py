@@ -57,7 +57,6 @@ def small_scene():
         jitter_px=2,
         snr_db=35.0,
         target_subplot_r2=0.85,
-        keep_noise=True,
     )
     return spec, *scene_cube(spec)
 
@@ -134,13 +133,14 @@ def test_window_yields_sum_to_plot_yield():
 
 def test_cube_minus_noise_is_exact_mixture():
     _, cube, truth, radiance = small_scene()
-    assert radiance.noiseless is not None and radiance.noise is not None
-    assert np.array_equal(cube.data, radiance.noiseless + radiance.noise)
+    _, noiseless, noise, _ = whole_radiance(radiance)
+    assert noise is not None
+    assert np.array_equal(cube.data, noiseless + noise)
     rebuilt = np.einsum(
         "rce,be->rcb", truth.abundances.values, truth.endmembers.spectra
     )
     rebuilt *= truth.illumination
-    assert np.array_equal(rebuilt, radiance.noiseless)
+    assert np.array_equal(rebuilt, noiseless)
 
 
 def test_realized_snr_close_to_requested():
@@ -151,10 +151,10 @@ def test_realized_snr_close_to_requested():
 def test_noiseless_scene_has_no_noise_bookkeeping():
     _, truth, radiance = scene_cube(SynthSpec(
         seed=1, grid_rows=1, grid_cols=2, plot_height_px=20,
-        plot_width_px=40, window_px=10, alley_px=8, keep_noise=True,
+        plot_width_px=40, window_px=10, alley_px=8,
     ))
     assert radiance.realized_snr_db is None
-    assert radiance.noise is None
+    assert whole_radiance(radiance)[2] is None
     assert truth.yield_noise_sigma == 0.0
     assert truth.theoretical_r2 is None
 
@@ -168,29 +168,23 @@ def test_noiseless_scene_has_no_noise_bookkeeping():
     grid=st.tuples(st.integers(1, 2), st.integers(1, 3)),
     plot=st.tuples(st.integers(5, 12), st.integers(5, 20)),
     snr_db=st.one_of(st.none(), st.floats(5.0, 60.0)),
-    keep_noise=st.booleans(),
     height=st.integers(1, 100),  # from one row to more than the scene's 61-86
 )
-@example(seed=0, grid=(1, 1), plot=(5, 5), snr_db=30.0, keep_noise=True, height=1)
-@example(seed=1, grid=(2, 3), plot=(12, 20), snr_db=None, keep_noise=True, height=100)
-def test_strips_match_the_whole_array_oracle(seed, grid, plot, snr_db, keep_noise, height):
+@example(seed=0, grid=(1, 1), plot=(5, 5), snr_db=30.0, height=1)
+@example(seed=1, grid=(2, 3), plot=(12, 20), snr_db=None, height=100)
+def test_strips_match_the_whole_array_oracle(seed, grid, plot, snr_db, height):
     spec = SynthSpec(
         seed=seed, grid_rows=grid[0], grid_cols=grid[1], plot_height_px=plot[0],
-        plot_width_px=plot[1], window_px=5, alley_px=6, snr_db=snr_db, keep_noise=keep_noise,
+        plot_width_px=plot[1], window_px=5, alley_px=6, snr_db=snr_db,
     )
     radiance, _ = generate_scene(spec)
     strips = list(radiance.strips(height))
     assert [top for top, _ in strips] == list(range(0, radiance.rows, height))
     made = np.concatenate([strip.data for _, strip in strips])
-    data, noiseless, noise, realized_snr_db = whole_radiance(radiance)
+    data, _, _, realized_snr_db = whole_radiance(radiance)
     assert made.astype(np.float32).tobytes() == data.astype(np.float32).tobytes()
     assert np.array_equal(made, data)
     assert radiance.realized_snr_db == realized_snr_db
-    if keep_noise:
-        assert np.array_equal(radiance.noiseless, noiseless)
-        assert (noise is None and radiance.noise is None) or np.array_equal(radiance.noise, noise)
-    else:
-        assert radiance.noiseless is None and radiance.noise is None
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -1,15 +1,19 @@
-"""The shared CSV table reader, and that every reader goes through it."""
+"""The shared CSV table reader and writer, and that every table goes through them."""
 
 import ast
+import csv
+import io
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hyperfield
 from hyperfield.errors import DataError
-from hyperfield.table import read_table
+from hyperfield.table import read_table, write_table
 
 
 def test_float_block_equals_float_per_field(tmp_path):
@@ -75,24 +79,58 @@ def test_conversion_faults_name_line_and_column(tmp_path, read, message):
         read(path)
 
 
+# text that csv.writer quotes, leaves alone, or that is not ASCII
+_TEXT = st.text(
+    st.one_of(st.sampled_from(',"\r\n é€'), st.characters(exclude_characters="\x00")), max_size=6
+)
+_FIELD = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 1e-05, 1e16, 5e-324]),
+    _TEXT,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    table=st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.lists(_TEXT, min_size=n, max_size=n, unique=True),
+            st.lists(st.lists(_FIELD, min_size=n, max_size=n), min_size=1, max_size=4),
+        )
+    ),
+    line_end=st.sampled_from(["\r\n", "\n"]),
+)
+@example(table=(["a", "b", "c", "d"], [[-0.0, 1e-05, 1e16, 5e-324]]), line_end="\n")
+@example(table=(["x"], [[""], ["a,b"], ['say "hi"'], ["cr\r"], ["lf\n"], ["solé"]]), line_end="\n")
+@example(table=(["x", ""], [["", ""], [7, "\r\n"]]), line_end="\r\n")
+def test_write_table_writes_what_csv_writer_writes(tmp_path_factory, table, line_end):
+    """Each line is the default ``csv.writer``'s, up to its line end, in UTF-8,
+    and ``read_table`` reads every field back as ``csv.writer`` wrote it."""
+    header, rows = table
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    write_table(path, header, rows, line_end=line_end)
+    expected = []
+    for row in [header, *rows]:
+        buffer = io.StringIO()
+        csv.writer(buffer).writerow(row)
+        expected.append(buffer.getvalue().removesuffix("\r\n") + line_end)
+    assert path.read_bytes() == "".join(expected).encode("utf-8")
+    assert read_table(path, header).rows == [
+        [field if isinstance(field, str) else repr(field) for field in row] for row in rows
+    ]
+
+
 def test_only_the_table_module_reads_csv():
-    """Writers keep ``csv.writer``; reading CSV is ``table.read_table``'s job."""
-    readers = {"reader", "DictReader"}
+    """Reading and writing CSV is ``hyperfield.table``'s job: no other module imports ``csv``."""
     found = []
     for path in sorted(Path(hyperfield.__file__).parent.glob("*.py")):
         if path.name == "table.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if (
-                isinstance(node, ast.Attribute)
-                and node.attr in readers
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "csv"
-            ) or (
-                isinstance(node, ast.ImportFrom)
-                and node.module == "csv"
-                and readers & {alias.name for alias in node.names}
-            ):
+                isinstance(node, ast.Import) and "csv" in {alias.name for alias in node.names}
+            ) or (isinstance(node, ast.ImportFrom) and node.module == "csv"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found
 
