@@ -13,7 +13,8 @@ makes its own C- or Fortran-order copy.
 
 ``read_cube`` reads the whole payload into memory. ``CubeStream`` reads
 it a bounded part at a time, a run of pixels or a strip of rows, and
-``write_strips`` writes a payload a strip of rows at a time. A strip is
+``write_strips`` writes a payload a strip of rows at a time, through one
+reused buffer when a strip is not already in file order. A strip is
 moved in the file's runs, one per band plane (bsq) or one, with checked
 ``pread`` and ``pwrite`` calls, whatever the interleave; no file is
 mapped, and nothing here hashes.
@@ -267,14 +268,19 @@ def write_strips(
     """Write a cube pair from ``(top, strip)`` pairs, as ``CubeStream.read_strips`` gives them.
 
     A strip holds whole rows from ``top``, every band, in any memory order
-    and sample type; its samples are converted to the header's. Its runs
-    are written with ``pwrite`` in file order. Every row must be written
-    exactly once, in any order of strips, before the header follows the
-    payload.
+    and sample type. One already in file order and in the header's sample
+    type is written as it is. Any other is copied, an image row at a time,
+    into one payload buffer of the header's type, which is made once and
+    grows only for a taller strip; the copy converts each sample as
+    ``np.ascontiguousarray(..., dtype=)`` would. A strip is done with once
+    the next is asked for. Its runs are written with ``pwrite`` in file
+    order. Every row must be written exactly once, in any order of strips,
+    before the header follows the payload.
     """
     hdr_path, raw_path = _paths(path)
     h = header
     written = np.zeros(h.rows, dtype=bool)
+    buffer = np.empty(0, h.dtype)
     with open(raw_path, "wb") as fh:
         for top, strip in strips:
             bottom = top + strip.rows
@@ -286,9 +292,15 @@ def write_strips(
             if written[top:bottom].any():
                 raise ShapeMismatchError(f"rows [{top}, {bottom}) overlap rows already written")
             written[top:bottom] = True
-            payload = np.ascontiguousarray(
-                strip.data.transpose(_FILE_AXES[h.interleave]), dtype=h.dtype
-            )
+            payload = strip.data.transpose(_FILE_AXES[h.interleave])
+            if payload.dtype != h.dtype or not payload.flags.c_contiguous:
+                size = strip.rows * h.cols * h.bands
+                if buffer.size < size:
+                    buffer = np.empty(size, h.dtype)
+                payload = buffer[:size].reshape(h._replace(rows=strip.rows).file_shape())
+                rows = _rows_cols_bands(payload, h.interleave)
+                for r in range(strip.rows):
+                    np.copyto(rows[r], strip.data[r], casting="unsafe")
             for run, offset in _runs(payload, h, top):
                 _pwrite(fh.fileno(), run, offset)
     if not written.all():

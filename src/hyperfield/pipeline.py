@@ -156,8 +156,19 @@ def _files_under(st: _Stage) -> list[str]:
     ]
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """The output directory is a directory, or can be made as one: the
+    nearest of it and its ancestors that exists is a directory."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"output directory {out_dir}: {path} is not a directory")
+
+
 def _check_inputs(st: _Stage) -> None:
-    """Each declared input, in order, exists and lies outside the stage's directory.
+    """Each declared input, in order, exists as a regular file and lies
+    outside the stage's directory.
 
     A missing relative file under a stage's directory names that stage,
     since every stage writes only under its own directory.
@@ -178,6 +189,10 @@ def _check_inputs(st: _Stage) -> None:
                 )
             raise DataError(
                 f"stage {st.name!r}: required input not found: {resolved}"
+            )
+        if not os.path.isfile(resolved):
+            raise DataError(
+                f"stage {st.name!r}: input {key!r} is not a regular file: {resolved}"
             )
 
 
@@ -870,6 +885,7 @@ def run_stage(
     """
     if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
+    _check_out_dir(config.out_dir())
     log.info("stage %s: starting", name)
     stage = STAGES[name]
     st = _Stage(name, config, FileDigests() if digests is None else digests, records)

@@ -264,8 +264,10 @@ class SceneRadiance:
     cols = property(lambda self: self.planes.shape[1])
     bands = property(lambda self: self.spectra.shape[0])
 
-    def _mixture(self, top: int, height: int) -> np.ndarray:
-        strip = np.einsum("rce,be->rcb", self.planes[top : top + height], self.spectra)
+    def _mixture(self, top: int, buffer: np.ndarray) -> np.ndarray:
+        """The noiseless rows from ``top`` that fit in ``buffer``, made in it."""
+        planes = self.planes[top : top + len(buffer)]
+        strip = np.einsum("rce,be->rcb", planes, self.spectra, out=buffer[: len(planes)])
         strip *= self.illumination
         return strip
 
@@ -273,15 +275,18 @@ class SceneRadiance:
         """Every row once, top to bottom, as ``(top, strip)``: float64 radiance
         of ``height`` rows (fewer in the last strip).
 
-        With noise the noiseless strips are made twice: once for the signal
-        power, which sizes the noise, then again to add the noise.
+        Every strip is made in one C-order buffer, so a strip is valid only
+        until the next one is made; copy it to keep it. With noise the
+        noiseless strips are made twice: once for the signal power, which
+        sizes the noise, then again to add the noise.
         """
         tops = range(0, self.rows, height)
         size = self.rows * self.cols * self.bands
+        buffer = np.empty((min(height, self.rows), self.cols, self.bands))
         if self.snr_db is not None:
             signal = PairwiseSum(size)
             for top in tops:
-                strip = self._mixture(top, height)
+                strip = self._mixture(top, buffer)
                 strip *= strip
                 signal.add(strip)
             signal_power = signal.total / size
@@ -289,7 +294,7 @@ class SceneRadiance:
             noise_rng = np.random.default_rng(self.noise_seed)
             noise_power = PairwiseSum(size)
         for top in tops:
-            strip = self._mixture(top, height)
+            strip = self._mixture(top, buffer)
             if self.snr_db is not None:
                 drawn = noise_rng.standard_normal(size=strip.shape)
                 drawn *= sigma

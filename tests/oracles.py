@@ -426,7 +426,10 @@ def whole_radiance(radiance):
 
 
 def scene_cube(spec, height=16):
-    """``(cube, truth, radiance)`` of ``spec``: the strips joined into one float64 cube."""
+    """``(cube, truth, radiance)`` of ``spec``: the strips joined into one float64 cube.
+
+    Each strip is copied as it comes: the next one reuses its buffer.
+    """
     radiance, truth = generate_scene(spec)
-    data = np.concatenate([strip.data for _, strip in radiance.strips(height)])
+    data = np.concatenate([strip.data.copy() for _, strip in radiance.strips(height)])
     return HyperCube(data, radiance.wavelengths, "radiance"), truth, radiance

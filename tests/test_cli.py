@@ -385,6 +385,36 @@ def test_tiny_synth_keeps_the_whole_array_bytes(tiny_run):
     assert payload["realized_snr_db"] == 39.99968061649939
 
 
+# sha256 of the TINY_INI cube payloads that ``write_strips`` converts from
+# C-order strips, and of every manifest. The unmix and MLP outputs, and so
+# the manifests that hash them, come from BLAS products and can differ
+# under another BLAS build.
+_TINY_PAYLOAD_DIGESTS = {
+    "calibrate/reflectance.raw": "7ea2c4146ba75bb775cc90f2a31a197e462cd5d9de1c46395b902403b8f15e69",
+    "unmix/abundances.raw": "dcbc7a3ff00db9bad78f5a9229c34ad002d967c706fc491959b61c12f532fd3f",
+    "synth/reference.raw": "422ff322063f58a03d0b636f4d74ced46c6516ab407a738a30922b61b3183ce7",
+    "manifests/calibrate.json": "e092e79841fa46b1d98319e7842cdbbf74a6f407fd459e3dedf614d45da6e02f",
+    "manifests/dataset.json": "ec24dde92ed13b16185a7ba6d17e904e5c9abf062c56c3900a2b14f446eef6e0",
+    "manifests/endmembers.json": "cc35fe5c2fd2f0a6bb51b075988809bdbb951e5f52bb313502400fa182708c17",
+    "manifests/evaluate.json": "6f8420aebbfc21373720e5b20783539d78998b6f0c3f3ff6fcabd502ed71615e",
+    "manifests/gridmap.json": "549dbf472174f59c390756ba977087ae04064a371eeafd2dbc9ed65029dd4568",
+    "manifests/report.json": "f673f93de759904af888848dc8a86f108c40ef0038161a08f910ee668331135c",
+    "manifests/segment.json": "d023ab3deffb0e68550cc64bb3d147b6cb437d6206a57adff1aa041fc43d9318",
+    "manifests/synth.json": "9462eadd3f1c9b7ec021838f2b3dfe3221861f579eebe3f508fef382c0436532",
+    "manifests/train.json": "5f8374c12b68a6cc3bd1765ee727e70655acfa3c0ad4247ff45c8b5447a640b1",
+    "manifests/unmix.json": "b0e50a5b5c4a12c72dccad20d1ac080526783dd8d6e8c9a71d8f9c0bbc7cd44f",
+}
+
+
+def test_tiny_payloads_and_manifests_keep_their_bytes(tiny_run):
+    _, out = tiny_run
+    assert {f"manifests/{p.name}" for p in (out / "manifests").iterdir()} <= set(
+        _TINY_PAYLOAD_DIGESTS
+    )
+    found = {rel: _sha256_of(out / rel) for rel in _TINY_PAYLOAD_DIGESTS}
+    assert found == _TINY_PAYLOAD_DIGESTS
+
+
 def test_truth_json_is_sorted_and_complete(tiny_run):
     _, out = tiny_run
     payload = json.loads((out / "synth" / "truth.json").read_text())
@@ -882,6 +912,42 @@ def test_missing_input_names_the_stage_whose_directory_holds_it(
     err = capsys.readouterr().err
     assert yields in err
     assert ("run 'segment' first" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("pointed", [False, True])
+@pytest.mark.parametrize("manifest", [True, False])
+def test_an_input_that_is_a_directory_exits_4(memo_run, tmp_path, capsys, pointed, manifest):
+    """Named by stage, key and path, whether or not the stage's manifest could match."""
+    ini, out = memo_run
+    if pointed:
+        folder = tmp_path / "yields_dir"
+        folder.mkdir()
+        key = str(folder)
+        ini = tmp_path / "pointed.ini"
+        ini.write_text(TINY_INI + f"\n[input]\nyields = {key}\n")
+    else:
+        key = "synth/yields.csv"
+        folder = out / key
+        folder.unlink()
+        folder.mkdir()
+    if not manifest:
+        (out / "manifests" / "dataset.json").unlink()
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 4
+    err = capsys.readouterr().err
+    assert f"stage 'dataset': input {key!r} is not a regular file: {out / key}" in err
+
+
+@pytest.mark.parametrize("below", [False, True])
+@pytest.mark.parametrize("command", ["synth", "calibrate", "run-all"])
+def test_an_out_that_is_not_a_directory_exits_2(tmp_path, capsys, command, below):
+    """A file where the output directory, or one of its parents, should be."""
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    out = blocker / "x" if below else blocker
+    assert main([command, "--out", str(out)]) == 2
+    assert f"{blocker} is not a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "keep\n"
 
 
 def test_run_all_without_synth_names_synth(tmp_path, capsys):

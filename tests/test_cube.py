@@ -2,10 +2,13 @@
 
 import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperfield import cube as hc
 from hyperfield.errors import (
@@ -208,6 +211,47 @@ def test_strips_written_in_any_order_give_the_whole_cube(tmp_path, interleave):
     for suffix in (".hdr", ".raw"):
         assert (tmp_path / f"strips{suffix}").read_bytes() == \
             (tmp_path / f"whole{suffix}").read_bytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    interleave=st.sampled_from(hc.INTERLEAVES),
+    file_type=st.sampled_from(["float32", "float64"]),
+    source_type=st.sampled_from([np.float64, np.float32]),
+    # the memory order of each strip: that of an interleave's file order,
+    # so "bip" is C order and "bsq" band-major, as ``read_strips`` gives bsq
+    layout=st.sampled_from(hc.INTERLEAVES),
+    # (height, rank) per strip from the top; strips go to the writer by rank
+    parts=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 5)), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+@example(interleave="bsq", file_type="float32", source_type=np.float64, layout="bip",
+         parts=[(1, 0), (5, 1)], seed=0)
+@example(interleave="bsq", file_type="float32", source_type=np.float32, layout="bsq",
+         parts=[(3, 1), (2, 0), (6, 2)], seed=1)
+def test_strips_are_written_as_the_whole_cube_cast_in_file_order(
+    interleave, file_type, source_type, layout, parts, seed
+):
+    """Any strips, in any order, give the bytes of one transposing cast of the whole cube."""
+    cols, bands = 4, 5
+    wavelengths = 400.0 + np.arange(bands)
+    rows = sum(height for height, _ in parts)
+    whole = np.random.default_rng(seed).normal(0.0, 1e3, (rows, cols, bands)).astype(source_type)
+    tops = np.cumsum([0] + [height for height, _ in parts])
+    strips = []
+    for (height, rank), top in zip(parts, tops.tolist()):
+        stored = np.ascontiguousarray(whole[top : top + height].transpose(hc._FILE_AXES[layout]))
+        data = hc._rows_cols_bands(stored, layout)
+        strips.append((rank, top, hc.HyperCube(data, wavelengths, "radiance")))
+    header = hc.CubeHeader(rows, cols, bands, file_type, interleave, "radiance", wavelengths)
+    with tempfile.TemporaryDirectory() as folder:
+        stem = os.path.join(folder, "c")
+        hc.write_strips(stem, header, ((top, strip) for _, top, strip in
+                                       sorted(strips, key=lambda part: part[0])))
+        with open(stem + ".raw", "rb") as fh:
+            written = fh.read()
+    expected = np.ascontiguousarray(whole.transpose(hc._FILE_AXES[interleave]), header.dtype)
+    assert written == expected.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -178,13 +178,24 @@ def test_strips_match_the_whole_array_oracle(seed, grid, plot, snr_db, height):
         plot_width_px=plot[1], window_px=5, alley_px=6, snr_db=snr_db,
     )
     radiance, _ = generate_scene(spec)
-    strips = list(radiance.strips(height))
+    # copied as they come: the next strip reuses the last one's buffer
+    strips = [(top, strip.data.copy()) for top, strip in radiance.strips(height)]
     assert [top for top, _ in strips] == list(range(0, radiance.rows, height))
-    made = np.concatenate([strip.data for _, strip in strips])
+    made = np.concatenate([part for _, part in strips])
     data, _, _, realized_snr_db = whole_radiance(radiance)
     assert made.astype(np.float32).tobytes() == data.astype(np.float32).tobytes()
     assert np.array_equal(made, data)
     assert radiance.realized_snr_db == realized_snr_db
+
+
+@pytest.mark.parametrize("snr_db", [None, 30.0])
+def test_strips_are_made_in_one_buffer(snr_db):
+    """So a strip is valid only until the next one is made."""
+    spec = SynthSpec(grid_rows=1, grid_cols=2, plot_height_px=5, plot_width_px=5,
+                     window_px=5, alley_px=6, snr_db=snr_db)
+    radiance, _ = generate_scene(spec)
+    first, *rest = [strip.data for _, strip in radiance.strips(7)]
+    assert rest and all(np.shares_memory(first, data) for data in rest)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -231,14 +242,15 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_default_synth_peaks_under_200_mb(tmp_path):
-    """The scene is made and written a strip at a time; the whole float64 cube is 610 MB."""
+def test_default_synth_peaks_under_120_mb(tmp_path):
+    """The scene is made and written a strip at a time, each through one
+    reused buffer; the whole float64 cube is 610 MB."""
     result = _child(_SYNTH_PEAK, tmp_path / "out")
     assert result.returncode == 0, result.stderr
     code, peak_kib = map(int, result.stdout.split())
     assert code == 0, result.stderr
     assert (tmp_path / "out" / "synth" / "scene.raw").stat().st_size == 380 * 836 * 240 * 4
-    assert peak_kib * 1024 < 200e6
+    assert peak_kib * 1024 < 120e6
 
 
 def test_sl_mask_matches_abundance_rule():
