@@ -12,12 +12,11 @@ transpose. Code whose floating-point result depends on summation order
 makes its own C- or Fortran-order copy.
 
 ``read_cube`` reads the whole payload into memory. ``CubeStream`` reads
-it a bounded part at a time, a run of pixels or a strip of rows, and
-``write_strips`` writes a payload a strip of rows at a time, through one
-reused buffer when a strip is not already in file order. A strip is
-moved in the file's runs, one per band plane (bsq) or one, with checked
-``pread`` and ``pwrite`` calls, whatever the interleave; no file is
-mapped, and nothing here hashes.
+it a strip of rows at a time, and ``write_strips`` writes one a strip of
+rows at a time, through one reused buffer when a strip is not already
+in file order. A strip is moved in the file's runs, one per band plane
+(bsq) or one, with checked ``pread`` and ``pwrite`` calls, whatever the
+interleave; no file is mapped, and nothing here hashes.
 
 The writer writes ``<stem>.raw``, then ``<stem>.hdr``, in place. A
 pipeline stage writes them into a staging directory that replaces its
@@ -144,20 +143,14 @@ class HyperCube:
     cols = property(lambda self: self.data.shape[1])
     bands = property(lambda self: self.data.shape[2])
 
-    def pixels(
-        self, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Pixels ``start`` to ``stop`` in row-major order as a Fortran-order
-        (bands, stop - start) matrix, whatever the cube's memory order.
+    def pixels(self, out: np.ndarray | None = None) -> np.ndarray:
+        """Every pixel in row-major order as a Fortran-order (bands, rows * cols)
+        matrix, whatever the cube's memory order.
 
-        Only the rows that hold them are copied: into ``out`` when given, a
-        Fortran-order array of that shape, which is returned.
+        With ``out``, a Fortran-order array of that shape, the pixels are
+        copied into it, which is returned.
         """
-        stop = self.rows * self.cols if stop is None else stop
-        _check_pixel_range(start, stop, self.rows * self.cols)
-        top, bottom = start // self.cols, -(-stop // self.cols)
-        flat = self.data[top:bottom].reshape(-1, self.bands)
-        part = flat[start - top * self.cols : stop - top * self.cols].T
+        part = self.data.reshape(-1, self.bands).T
         if out is None:
             return np.asfortranarray(part)
         np.copyto(out, part)
@@ -420,13 +413,6 @@ def _check_finite(block: np.ndarray, source: str) -> None:
         raise ShapeMismatchError(f"{source}: cube data contains non-finite samples")
 
 
-def _check_pixel_range(start: int, stop: int, pixels: int) -> None:
-    if not 0 <= start < stop <= pixels:
-        raise ShapeMismatchError(
-            f"pixel range [{start}, {stop}) is empty or exceeds {pixels} pixels"
-        )
-
-
 class CubeStream:
     """Reads of a cube pair's payload that hold a bounded part of it at a time.
 
@@ -434,11 +420,9 @@ class CubeStream:
     and every sample read is checked for NaN and inf. Nothing is hashed:
     a pipeline stage hashes its input files on their own.
 
-    - ``read_rows`` reads whole image rows in the file's runs with
-      ``pread``; ``read_strips``, ``read_panel`` and ``read_bands`` are
-      built on it.
-    - ``pixels`` reads a run of pixels, every band, as ``HyperCube.pixels``
-      gives them, from the rows that hold them.
+    ``read_rows`` reads whole image rows in the file's runs with ``pread``
+    and checks each sample it reads; ``read_strips``, ``read_panel`` and
+    ``read_bands`` are built on it.
 
     A ``pread`` that returns fewer bytes than asked is continued; one that
     returns none means the payload shrank while it was read.
@@ -468,14 +452,12 @@ class CubeStream:
                 raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
             view, offset = view[done:], offset + done
 
-    def read_rows(
-        self, top: int, height: int, buffer: np.ndarray | None = None, check: bool = True
-    ) -> HyperCube:
+    def read_rows(self, top: int, height: int, buffer: np.ndarray | None = None) -> HyperCube:
         """Rows ``top`` to ``top + height``, every band, in the file's memory order.
 
         With ``buffer``, a 1-d array of the payload's sample type with room
         for the rows, they are read into it and are valid until it is reused.
-        Every sample is checked for NaN and inf, unless ``check`` is false.
+        Every sample is checked for NaN and inf.
         """
         h = self.header
         if height <= 0 or top < 0 or top + height > h.rows:
@@ -487,8 +469,7 @@ class CubeStream:
             part = buffer[: height * h.cols * h.bands].reshape(shape)
         for run, offset in _runs(part, h, top):
             self._pread(run, offset)
-        if check:
-            _check_finite(part, self.raw_path)
+        _check_finite(part, self.raw_path)
         return HyperCube(
             _rows_cols_bands(part, h.interleave), h.wavelengths, h.units, h.band_labels
         )
@@ -523,24 +504,6 @@ class CubeStream:
         _check_panel_region(region, self.rows, self.cols)
         top, left, height, width = region
         return self.read_rows(top, height).crop(0, left, height, width)
-
-    def pixels(self, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-        """``HyperCube.pixels(start, stop, out)`` of the payload, taken from
-        the ``read_rows`` cube of the rows that hold them.
-
-        Only the pixels asked for are checked, before they are copied into
-        ``out``, so calls that cover the cube check each sample once.
-        """
-        h = self.header
-        _check_pixel_range(start, stop, h.rows * h.cols)
-        top, bottom = start // h.cols, -(-stop // h.cols)
-        rows = self.read_rows(top, bottom - top, check=False)
-        pixels = rows.pixels(start - top * h.cols, stop - top * h.cols)
-        _check_finite(pixels, self.raw_path)
-        if out is None:
-            return pixels
-        np.copyto(out, pixels)
-        return out
 
     def read_bands(self, keep: np.ndarray) -> HyperCube:
         """The bands flagged in ``keep``, in the file's memory order.

@@ -293,13 +293,15 @@ class SceneRadiance:
             sigma = np.sqrt(signal_power / 10.0 ** (self.snr_db / 10.0))
             noise_rng = np.random.default_rng(self.noise_seed)
             noise_power = PairwiseSum(size)
+            noise = np.empty_like(buffer)
         for top in tops:
             strip = self._mixture(top, buffer)
             if self.snr_db is not None:
-                drawn = noise_rng.standard_normal(size=strip.shape)
+                drawn = noise_rng.standard_normal(out=noise[: len(strip)])
                 drawn *= sigma
-                noise_power.add(drawn * drawn)
                 strip += drawn
+                drawn *= drawn
+                noise_power.add(drawn)
             yield top, HyperCube(strip, self.wavelengths, "radiance")
         if self.snr_db is not None:
             self.realized_snr_db = 10.0 * np.log10(signal_power / (noise_power.total / size))

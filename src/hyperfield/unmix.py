@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import CubeStream, HyperCube
+from .cube import CubeStream, HyperCube, block_rows
 from .endmember import EndmemberSet
 from .errors import DataError, ShapeMismatchError
 from .netpbm import write_ppm
 
 SL_THRESHOLD = 0.5
 MAX_ENDMEMBERS = 12  # supports grow as 2^e; beyond this enumeration is misuse
-CHUNK_PIXELS = 8192  # pixels solved at once: one 12.5 MB float64 block at 190 bands
 
 _FEAS_EPS = 1e-12
 _SUM_EPS = 1e-6
@@ -169,8 +168,9 @@ def unmix_cube(
     """Unmix every pixel of a cube against the endmember set.
 
     Returns the abundance map and the Frobenius residual ||X - W H||_F.
-    Pixels are solved ``CHUNK_PIXELS`` at a time, taken with
-    ``cube.pixels``, so a ``CubeStream`` is never read whole.
+    A ``CubeStream`` is read in ``read_strips``' row strips, never whole;
+    an in-memory cube is one strip. Each strip is solved as many rows at
+    a time as fit in ``BLOCK_BYTES`` as float64.
     """
     wl_diff = (
         np.inf
@@ -188,17 +188,21 @@ def unmix_cube(
     G = W.T @ W
     solvers = [_SupportSolver(s, G) for s in _supports(e)]
 
-    n = cube.rows * cube.cols
-    out = np.empty((e, n))
-    sq_resid = np.empty(n)
+    cols = cube.cols
+    out = np.empty((e, cube.rows * cols))
+    sq_resid = np.empty(cube.rows * cols)
     # each pixel's spectrum contiguous whatever the cube's memory order:
     # the summation order, and so the residual's bits, depend on it.
     # One block is reused: fresh pages cost more than filling it.
-    block = np.empty((cube.bands, min(CHUNK_PIXELS, n)), order="F")
-    for start in range(0, n, CHUNK_PIXELS):
-        stop = min(start + CHUNK_PIXELS, n)
-        pixels = cube.pixels(start, stop, out=block[:, : stop - start])
-        out[:, start:stop], sq_resid[start:stop] = _solve_block(pixels, W, solvers, G)
+    height = min(block_rows(cols, cube.bands, 8), cube.rows)  # of float64 samples
+    block = np.empty((cube.bands, height * cols), order="F")
+    strips = cube.read_strips() if isinstance(cube, CubeStream) else [(0, cube)]
+    for top, strip in strips:
+        for at in range(0, strip.rows, height):
+            part = strip.crop(at, 0, min(height, strip.rows - at), cols)
+            start, stop = (top + at) * cols, (top + at + part.rows) * cols
+            pixels = part.pixels(out=block[:, : stop - start])
+            out[:, start:stop], sq_resid[start:stop] = _solve_block(pixels, W, solvers, G)
 
     values = out.T.reshape(cube.rows, cube.cols, e)
     return (

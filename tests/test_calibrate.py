@@ -428,3 +428,9 @@ def test_run_all_after_a_killed_calibrate_gives_the_clean_tree(tiny_tree, tmp_pa
 def test_run_all_after_a_killed_segment_gives_the_clean_tree(tiny_tree, tmp_path, point):
     """A segment killed anywhere in its publish leaves a tree that run-all mends."""
     _kill_and_mend(tiny_tree, tmp_path, "segment", point, "boxes.csv")
+
+
+@pytest.mark.parametrize("point", _PUBLISH_POINTS)
+def test_run_all_after_a_killed_unmix_gives_the_clean_tree(tiny_tree, tmp_path, point):
+    """An unmix killed anywhere in its publish leaves a tree that run-all mends."""
+    _kill_and_mend(tiny_tree, tmp_path, "unmix", point, "abundances.raw")

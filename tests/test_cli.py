@@ -1514,6 +1514,45 @@ def test_forced_run_all_checks_each_sample_once(memo_run, monkeypatch):
     }
 
 
+def test_forced_run_all_reads_each_payload_byte_once(memo_run, monkeypatch):
+    """Bytes read through ``CubeStream._pread``, per stage and cube, equal
+    the cube's payload; calibrate also reads the scene's panel rows before
+    its pass."""
+    ini, out = memo_run
+    read: dict[tuple[str, str], int] = {}
+    stages = []
+    run_stage, pread = pipeline.run_stage, cube_module.CubeStream._pread
+
+    def tracking(name, *args, **kwargs):
+        stages.append(name)
+        return run_stage(name, *args, **kwargs)
+
+    def counting(stream, buffer, offset):
+        key = stages[-1], os.path.relpath(stream.raw_path, out).replace(os.sep, "/")
+        read[key] = read.get(key, 0) + buffer.nbytes
+        pread(stream, buffer, offset)
+
+    monkeypatch.setattr(pipeline, "run_stage", tracking)
+    monkeypatch.setattr(cube_module.CubeStream, "_pread", counting)
+    assert main(["run-all", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
+
+    def size(rel):
+        return os.path.getsize(out / rel)
+
+    _, _, height, _ = load_config(str(ini)).panel_region()
+    scene = cube_module._read_header(out / "synth" / "scene")[0]
+    panel_rows = height * scene.cols * scene.bands * scene.dtype.itemsize
+    reflectance = "calibrate/reflectance.raw"
+    assert read == {
+        ("calibrate", "synth/scene.raw"): size("synth/scene.raw") + panel_rows,
+        ("segment", reflectance): size(reflectance),
+        ("endmembers", "synth/reference.raw"): size("synth/reference.raw"),
+        ("unmix", reflectance): size(reflectance),
+        ("dataset", reflectance): size(reflectance),
+        ("report", "unmix/abundances.raw"): size("unmix/abundances.raw"),
+    }
+
+
 @pytest.mark.parametrize(
     "header",
     [

@@ -1,9 +1,11 @@
 """Cube container: file round trips, calibration, band masking."""
 
+import ast
 import os
 import re
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,9 +136,13 @@ def test_pixels_are_fortran_ordered_in_every_interleave(tmp_path):
     cube = random_cube(rng, rows=4, cols=5, bands=6)
     for il in hc.INTERLEAVES:
         hc.write_cube(cube, tmp_path / il, interleave=il)
-        pixels = hc.read_cube(tmp_path / il).pixels()
+        read = hc.read_cube(tmp_path / il)
+        pixels = read.pixels()
         assert pixels.flags.f_contiguous
         assert np.array_equal(pixels, cube.pixels())
+        out = np.empty((6, 20), order="F")
+        assert read.pixels(out) is out
+        assert np.array_equal(out, pixels)
 
 
 def _stride_order(array: np.ndarray) -> list[int]:
@@ -149,7 +155,8 @@ def _stride_order(array: np.ndarray) -> list[int]:
 def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, dtype, strip_rows):
     """Every ``CubeStream`` read equals the same part of ``read_cube``'s cube.
 
-    ``read_bands`` reads strips of ``strip_rows`` rows, at least one.
+    ``read_strips`` and ``read_bands`` read strips of ``strip_rows`` rows,
+    at least one.
     """
     rows, cols, bands = 7, 5, 6
     cube = random_cube(np.random.default_rng(8), rows=rows, cols=cols, bands=bands, dtype=dtype)
@@ -159,18 +166,12 @@ def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, d
     monkeypatch.setattr(hc, "BLOCK_BYTES", int(strip_rows * row_bytes))
     with hc.CubeStream(tmp_path / "c") as stream:
         assert (stream.rows, stream.cols, stream.bands) == (rows, cols, bands)
-        for start, stop in [(0, 35), (0, 1), (3, 17), (34, 35), (5, 10)]:
-            got = stream.pixels(start, stop)
-            want = whole.pixels(start, stop)
-            assert got.flags.f_contiguous and got.dtype == want.dtype
-            assert np.array_equal(got, want)
-            for source in (stream, whole):
-                out = np.empty((bands, stop - start), order="F")
-                assert source.pixels(start, stop, out) is out
-                assert np.array_equal(out, want)
-        for start, stop in [(3, 3), (-1, 2), (30, 36)]:
-            with pytest.raises(ShapeMismatchError, match="pixel range"):
-                stream.pixels(start, stop)
+        tops = []
+        for top, strip in stream.read_strips():
+            assert np.array_equal(strip.data, whole.data[top : top + strip.rows])
+            assert _stride_order(strip.data) == _stride_order(whole.data)
+            tops.append(top)
+        assert tops == list(range(0, rows, max(1, int(strip_rows))))
         part = stream.read_rows(2, 3)
         assert np.array_equal(part.data, whole.data[2:5])
         assert _stride_order(part.data) == _stride_order(whole.data)
@@ -298,7 +299,7 @@ def test_short_reads_and_writes_are_continued(tmp_path, monkeypatch, interleave)
     assert (tmp_path / "c.raw").read_bytes() == (tmp_path / "whole.raw").read_bytes()
     assert np.array_equal(hc.read_cube(tmp_path / "c").data, cube.data)
     with hc.CubeStream(tmp_path / "c") as stream:
-        assert np.array_equal(stream.pixels(3, 23), cube.pixels(3, 23))
+        assert np.array_equal(stream.read_rows(1, 4).data, cube.data[1:5])
         os.truncate(tmp_path / "c.raw", 100)  # after the size check
         with pytest.raises(CubeSizeError, match="payload shrank while it was read"):
             stream.read_rows(0, 6)
@@ -715,3 +716,36 @@ def test_panel_csv_rejects_non_finite_values(tmp_path, value):
     path.write_text(f"wavelength,reflectance\n400.0,0.4\n402.2,{value}\n")
     with pytest.raises(DataError, match="p.csv: line 3: non-finite value"):
         hc.read_panel_reflectance_csv(path)
+
+
+# The calls that move payload bytes, by the name of the module they come from.
+_PAYLOAD_CALLS = {
+    "os": {"preadv", "pread", "pwrite"},
+    "np": {"fromfile", "memmap"},
+    "numpy": {"fromfile", "memmap"},
+}
+
+
+def _payload_calls(path: Path) -> list[str]:
+    """Where the module at ``path`` names one of ``_PAYLOAD_CALLS``, as ``file:line``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            module, names = node.value.id, {node.attr}
+        elif isinstance(node, ast.ImportFrom):
+            module, names = node.module, {alias.name for alias in node.names}
+        else:
+            continue
+        if names & _PAYLOAD_CALLS.get(module, set()):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_cube_module_moves_payload_bytes():
+    """Cube payloads are read by ``CubeStream.read_rows`` and written by
+    ``write_strips``: no other module of the package calls ``os.preadv``,
+    ``os.pread``, ``os.pwrite``, ``np.fromfile`` or ``np.memmap``."""
+    modules = sorted(Path(hc.__file__).parent.glob("*.py"))
+    assert _payload_calls(Path(hc.__file__))  # the scan sees the calls that are there
+    assert [where for path in modules if path.name != "cube.py"
+            for where in _payload_calls(path)] == []

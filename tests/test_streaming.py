@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hyperfield import cube as hc
-from hyperfield import pipeline, unmix
+from hyperfield import pipeline
 from hyperfield.cli import main
 from hyperfield.config import load_config
 from hyperfield.endmember import read_endmembers_csv
@@ -41,10 +41,12 @@ def _run(stage, ini, out) -> int:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def small_unmix_chunks():
-    """1000 pixels divide neither the tiny scene's 428 columns nor its pixels."""
+def small_unmix_slices():
+    """Seven float32 rows of the tiny reflectance (428 columns, 190 bands):
+    unmix reads 7-row strips and solves 3 rows at a time, which divides
+    neither 7 nor the scene's 212 rows."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(unmix, "CHUNK_PIXELS", 1000)
+        mp.setattr(hc, "BLOCK_BYTES", 7 * 428 * 190 * 4)
         yield
 
 
@@ -57,6 +59,8 @@ def tiny(tmp_path_factory):
     out = root / "out"
     assert main(["synth", "--out", str(out), "--config", str(ini)]) == 0
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    header, _ = hc._read_header(out / pipeline.F_REFLECTANCE)
+    assert header[:4] == (212, 428, 190, "float32")  # what small_unmix_slices assumes
     return ini, out
 
 

@@ -230,12 +230,13 @@ def test_pairwise_sum_matches_numpy_on_a_scene_sized_mean():
     assert total.total / values.size == float(np.mean(values * values))
 
 
-# Runs a default-config synth and prints its exit code and peak RSS (KiB on
-# Linux). It is started from this small interpreter because a child's
-# ru_maxrss also counts the memory of the process that forked it.
+# Runs a synth (argv: --out DIR, then any more arguments) and prints its
+# exit code and peak RSS (KiB on Linux). It is started from this small
+# interpreter because a child's ru_maxrss also counts the memory of the
+# process that forked it.
 _SYNTH_PEAK = """\
 import os, subprocess, sys
-child = subprocess.Popen([sys.executable, "-m", "hyperfield.cli", "synth", "--out", sys.argv[1]])
+child = subprocess.Popen([sys.executable, "-m", "hyperfield.cli", "synth", "--out", *sys.argv[1:]])
 _, status, usage = os.wait4(child.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
@@ -244,13 +245,19 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_default_synth_peaks_under_120_mb(tmp_path):
     """The scene is made and written a strip at a time, each through one
-    reused buffer; the whole float64 cube is 610 MB."""
-    result = _child(_SYNTH_PEAK, tmp_path / "out")
-    assert result.returncode == 0, result.stderr
-    code, peak_kib = map(int, result.stdout.split())
-    assert code == 0, result.stderr
-    assert (tmp_path / "out" / "synth" / "scene.raw").stat().st_size == 380 * 836 * 240 * 4
-    assert peak_kib * 1024 < 120e6
+    reused buffer; the whole float64 cube is 610 MB. With ``snr_db`` the
+    noise is drawn into a second reused buffer, and the peak stays under
+    100 MiB (about 96 MB, against 110 MB with a fresh noise array a strip)."""
+    noisy = tmp_path / "noisy.ini"
+    noisy.write_text("[synth]\nsnr_db = 40\n")
+    cases = [("default", [], 120e6), ("noisy", ["--config", noisy], 100 * 2**20)]
+    for name, args, bound in cases:
+        result = _child(_SYNTH_PEAK, tmp_path / name, *args)
+        assert result.returncode == 0, result.stderr
+        code, peak_kib = map(int, result.stdout.split())
+        assert code == 0, result.stderr
+        assert (tmp_path / name / "synth" / "scene.raw").stat().st_size == 380 * 836 * 240 * 4
+        assert peak_kib * 1024 < bound, (name, peak_kib)
 
 
 def test_sl_mask_matches_abundance_rule():

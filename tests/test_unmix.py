@@ -4,6 +4,7 @@ the spike+leaf rule, and colormap round trips."""
 import numpy as np
 import pytest
 
+from hyperfield import cube as hc
 from hyperfield import unmix
 from hyperfield.cube import HyperCube
 from hyperfield.endmember import EndmemberSet
@@ -179,8 +180,12 @@ def test_noisy_cube_keeps_mean_error_small():
     assert np.mean(np.abs(abund.values - H_true)) < 0.02
 
 
+def _float64_rows(cube, rows):
+    """``BLOCK_BYTES`` that hold ``rows`` of ``cube``'s rows as float64."""
+    return int(rows * cube.cols * cube.bands * 8)
+
+
 def test_unmix_cube_matches_pixel_solver(monkeypatch):
-    monkeypatch.setattr(unmix, "CHUNK_PIXELS", 7)
     rng = np.random.default_rng(9)
     cube, ems, _ = planted_cube(rng, rows=6, cols=5, d=40)
     noisy = HyperCube(
@@ -188,6 +193,7 @@ def test_unmix_cube_matches_pixel_solver(monkeypatch):
         cube.wavelengths,
         "reflectance",
     )
+    monkeypatch.setattr(hc, "BLOCK_BYTES", _float64_rows(noisy, 4))  # 4 of the 6 rows at a time
     abund, _ = unmix.unmix_cube(noisy, ems)
     for r in range(6):
         for c in range(5):
@@ -195,27 +201,37 @@ def test_unmix_cube_matches_pixel_solver(monkeypatch):
             assert np.max(np.abs(abund.values[r, c] - h)) < 1e-12
 
 
-def test_chunk_size_does_not_change_bits(monkeypatch):
+def test_slice_height_does_not_change_bits(tmp_path, monkeypatch):
+    """Any strip and slice height, in memory or streamed in any interleave,
+    gives the same bits.
+
+    The cube is float32, so a streamed strip holds twice the rows of a
+    float64 slice, or one more: 3-row slices of 7-row strips, say.
+    """
     rng = np.random.default_rng(15)
     cube, ems, _ = planted_cube(rng, rows=263, cols=257, e=3, d=24)  # 67,591 pixels
     noisy = HyperCube(
-        np.clip(cube.data + rng.normal(0, 0.02, cube.data.shape), 0, None),
+        np.clip(cube.data + rng.normal(0, 0.02, cube.data.shape), 0, None).astype(np.float32),
         cube.wavelengths,
         "reflectance",
     )
+    for il in hc.INTERLEAVES:
+        hc.write_cube(noisy, tmp_path / il, il)
     results = []
-    for chunk in (65536, 8192, 1000, 7):
-        assert (noisy.rows * noisy.cols) % chunk
-        monkeypatch.setattr(unmix, "CHUNK_PIXELS", chunk)
-        abund, resid = unmix.unmix_cube(noisy, ems)
-        results.append((abund.values.tobytes(), repr(resid)))
-    assert all(result == results[0] for result in results[1:])
+    for half_rows in (2 * 263, 200, 91, 7, 5, 2, 1):  # 263 is prime
+        monkeypatch.setattr(hc, "BLOCK_BYTES", _float64_rows(noisy, half_rows / 2))
+        results.append(unmix.unmix_cube(noisy, ems))
+        for il in hc.INTERLEAVES:
+            with hc.CubeStream(tmp_path / il) as stream:
+                results.append(unmix.unmix_cube(stream, ems))
+    first = (results[0][0].values.tobytes(), repr(results[0][1]))
+    assert all((abund.values.tobytes(), repr(resid)) == first for abund, resid in results)
 
 
 def test_band_major_cube_gives_the_same_bits(monkeypatch):
-    monkeypatch.setattr(unmix, "CHUNK_PIXELS", 100)
     rng = np.random.default_rng(14)
     cube, ems, _ = planted_cube(rng, rows=23, cols=17)
+    monkeypatch.setattr(hc, "BLOCK_BYTES", _float64_rows(cube, 3))  # 3 of the 23 rows at a time
     noisy = np.clip(cube.data + rng.normal(0, 0.02, cube.data.shape), 0, None)
     c_order = HyperCube(np.ascontiguousarray(noisy), cube.wavelengths, "reflectance")
     band_major = HyperCube(
