@@ -112,6 +112,19 @@ DEFAULTS: dict[str, dict[str, str]] = {
 }
 
 
+# Each numeric key here must be greater than its bound. The stage that
+# reads one would reject a smaller value too, but only as a data error
+# raised after it has read its inputs.
+_ABOVE: dict[tuple[str, str], int] = {
+    ("segment", "se_rows"): 0,
+    ("segment", "se_cols"): 0,
+    ("gridmap", "pitch_row_px"): 0,
+    ("gridmap", "pitch_col_px"): 0,
+    ("endmembers", "count"): 1,
+    ("dataset", "window_px"): 1,
+}
+
+
 class PipelineConfig:
     """Merged section/key/value table with typed, validating accessors."""
 
@@ -127,27 +140,26 @@ class PipelineConfig:
             raise ConfigError(f"missing config value [{section}] {key}")
 
     def getint(self, section: str, key: str) -> int:
-        raw = self.get(section, key)
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer")
+        return self._number(section, key, int, "an integer")
 
     def getfloat(self, section: str, key: str) -> float:
-        raw = self.get(section, key)
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number")
+        return self._number(section, key, float, "a number")
 
     def getfloat_or_none(self, section: str, key: str) -> float | None:
-        raw = self.get(section, key).strip()
-        if raw == "":
+        if self.get(section, key).strip() == "":
             return None
+        return self.getfloat(section, key)
+
+    def _number(self, section: str, key: str, kind: type, noun: str):
+        raw = self.get(section, key)
         try:
-            return float(raw)
+            value = kind(raw)
         except ValueError:
-            raise ConfigError(f"[{section}] {key} = {raw!r} is not a number")
+            raise ConfigError(f"[{section}] {key} = {raw!r} is not {noun}")
+        bound = _ABOVE.get((section, key))
+        if bound is not None and not value > bound:
+            raise ConfigError(f"[{section}] {key} = {raw!r} must be greater than {bound}")
+        return value
 
     def set(self, section: str, key: str, value: str) -> None:
         if section not in self.values or key not in self.values[section]:

@@ -54,7 +54,7 @@ RAW_SUFFIX = ".raw"
 INTERLEAVES = ("bip", "bil", "bsq")
 UNITS = ("raw", "radiance", "reflectance", "abundance")
 
-# Upper bound on one strip of rows from ``CubeStream.read_strips``, unless
+# Upper bound on one strip of rows as float64 (see ``block_rows``), unless
 # its cuts need more rows or one row is larger.
 BLOCK_BYTES = 16 << 20
 
@@ -241,10 +241,11 @@ def _runs(payload: np.ndarray, header: CubeHeader, top: int) -> Iterator[tuple[n
         yield run, (i * header.rows + top) * row_bytes
 
 
-def block_rows(cols: int, bands: int, itemsize: int) -> int:
-    """How many rows of ``cols`` x ``bands`` samples of ``itemsize`` bytes fit
-    in ``BLOCK_BYTES``; at least one."""
-    return max(1, BLOCK_BYTES // (cols * bands * itemsize))
+def block_rows(cols: int, bands: int) -> int:
+    """How many rows of ``cols`` x ``bands`` float64 samples fit in
+    ``BLOCK_BYTES``; at least one. Every strip of rows is this tall, so a
+    strip of any sample type can be computed on as float64 in one piece."""
+    return max(1, BLOCK_BYTES // (cols * bands * 8))
 
 
 def _pwrite(fd: int, run: np.ndarray, offset: int) -> None:
@@ -481,12 +482,12 @@ class CubeStream:
         ``read_rows`` cube, valid until the next strip is read.
 
         A strip ends only before a row index in ``cuts`` (by default, any
-        row) or at the last row. It holds as many rows as fit in
-        ``BLOCK_BYTES``, or if no cut allows that, the fewest that reach one.
+        row) or at the last row. It holds up to ``block_rows`` rows, or if
+        no cut allows that, the fewest that reach one.
         """
         h = self.header
         cuts = range(h.rows) if cuts is None else cuts
-        step = block_rows(h.cols, h.bands, h.dtype.itemsize)
+        step = block_rows(h.cols, h.bands)
         tops = [0]
         bottom = 0
         for end in sorted({int(row) for row in cuts if 0 < row < h.rows} | {h.rows}):

@@ -89,56 +89,48 @@ class Split:
     test: np.ndarray
 
 
-def _rank_chunks(ordered: np.ndarray, strata: int, min_size: int = 2) -> list[np.ndarray]:
+def _rank_chunks(ordered: np.ndarray, strata: int) -> list[np.ndarray]:
     """Cut an ordered index array into quantile chunks.
 
-    Chunks smaller than ``min_size`` are merged into their neighbour
-    (never an error, per the split contract).
+    A one-element chunk is merged into the next chunk, or at the tail
+    into the one before (never an error, per the split contract).
     """
     n = ordered.size
     bounds = [n * s // strata for s in range(strata + 1)]
-    chunks = [
-        ordered[bounds[s] : bounds[s + 1]]
-        for s in range(strata)
-        if bounds[s + 1] > bounds[s]
-    ]
     merged: list[np.ndarray] = []
-    for chunk in chunks:
-        if merged and merged[-1].size < min_size:
-            log.warning(
-                "stratum with %d record(s) merged with its neighbour", merged[-1].size
-            )
-            merged[-1] = np.concatenate([merged[-1], chunk])
-        else:
-            merged.append(chunk)
-    if len(merged) > 1 and merged[-1].size < min_size:
-        log.warning(
-            "stratum with %d record(s) merged with its neighbour", merged[-1].size
-        )
-        tail = merged.pop()
-        merged[-1] = np.concatenate([merged[-1], tail])
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            if merged and merged[-1].size < 2:
+                log.warning("stratum with 1 record(s) merged with its neighbour")
+                merged[-1] = np.concatenate([merged[-1], ordered[lo:hi]])
+            else:
+                merged.append(ordered[lo:hi])
+    if len(merged) > 1 and merged[-1].size < 2:
+        log.warning("stratum with 1 record(s) merged with its neighbour")
+        merged[-2:] = [np.concatenate(merged[-2:])]
     return merged
 
 
-def _largest_remainder(weights: np.ndarray, total: int, caps: np.ndarray) -> np.ndarray:
-    """Integer quotas summing to ``total``, proportional to ``weights``.
+def _stratified_draw(
+    values: np.ndarray, count: int, strata: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Positions of ``count`` of ``values``, each rank stratum giving its share.
 
-    Floors first, then hands out remainders by descending fractional
-    part (ties to the lower index); ``caps`` bounds each quota.
+    The values are ranked, ties by position, and the ranking is cut by
+    ``_rank_chunks``. Each chunk's share is the floor of its proportional
+    part of ``count``, plus one for the chunks with the largest
+    remainders (ties to the earlier chunk). A chunk gives the front of
+    ``rng.permutation`` of its size; every chunk draws one permutation.
     """
-    caps = np.asarray(caps, dtype=int)
-    if total > caps.sum():
-        raise ConfigError(f"quota {total} exceeds the {caps.sum()} available")
-    exact = weights / weights.sum() * total
-    quotas = np.minimum(np.floor(exact).astype(int), caps)
-    order = np.lexsort((np.arange(weights.size), -(exact - np.floor(exact))))
-    i = 0
-    while quotas.sum() < total:
-        s = order[i % weights.size]
-        if quotas[s] < caps[s]:
-            quotas[s] += 1
-        i += 1
-    return quotas
+    chunks = _rank_chunks(np.argsort(values, kind="stable"), strata)
+    sizes = np.array([chunk.size for chunk in chunks], dtype=np.float64)
+    exact = sizes / sizes.sum() * count
+    quotas = np.floor(exact).astype(int)
+    by_remainder = np.lexsort((np.arange(sizes.size), quotas - exact))
+    quotas[by_remainder[: count - quotas.sum()]] += 1
+    return np.concatenate(
+        [chunk[rng.permutation(chunk.size)[:quota]] for chunk, quota in zip(chunks, quotas)]
+    )
 
 
 def _hold_out_plots(
@@ -160,16 +152,8 @@ def _hold_out_plots(
         raise ConfigError(
             f"cannot hold out {spec.test_plots} of {len(plots)} plots"
         )
-    order = np.lexsort((np.arange(len(plots)), np.array([totals[p] for p in plots])))
-    chunks = _rank_chunks(np.asarray(order), min(spec.strata, len(plots)))
-    sizes = np.array([c.size for c in chunks], dtype=np.float64)
-    quotas = _largest_remainder(sizes, spec.test_plots, sizes.astype(int))
-    held: set[str] = set()
-    for chunk, quota in zip(chunks, quotas):
-        perm = rng.permutation(chunk.size)
-        for j in perm[:quota]:
-            held.add(plots[chunk[j]])
-    return held
+    values = np.array([totals[p] for p in plots])
+    return {plots[i] for i in _stratified_draw(values, spec.test_plots, spec.strata, rng)}
 
 
 def stratified_split(
@@ -177,12 +161,14 @@ def stratified_split(
 ) -> Split:
     """Split record indices into train / validation / test.
 
-    Plot-level holdout happens first; the survivors are ordered by
-    (yield, position), cut into rank chunks, and each chunk is
-    shuffled and divided so the validation share matches the requested
-    fraction to within one record per stratum. Anything not claimed by
-    validation or test lands in train, which keeps the three sets
-    exhaustive even for fractions that do not sum exactly to one.
+    Whole plots are held out for test first: explicitly by id, or by a
+    ``_stratified_draw`` of ``test_plots`` plots ranked by their total
+    yield. Validation is then a ``_stratified_draw`` of the surviving
+    records ranked by yield, its count the validation share of them
+    rounded half up, so each yield stratum gives its share to within one
+    record. Every other survivor lands in train, which keeps the three
+    sets exhaustive even for fractions that do not sum exactly to one.
+    The two draws take independent generators spawned from ``spec.seed``.
     """
     yields = np.asarray(yields, dtype=np.float64)
     if yields.ndim != 1 or yields.size == 0:
@@ -202,23 +188,11 @@ def stratified_split(
     if remaining.size == 0:
         raise DataError("all records fell into the test holdout")
 
-    order = remaining[np.argsort(yields[remaining], kind="stable")]
-    chunks = _rank_chunks(order, spec.strata)
     share = spec.validation_fraction / (spec.train_fraction + spec.validation_fraction)
-    total_val = int(np.floor(remaining.size * share + 0.5))
-    sizes = np.array([c.size for c in chunks], dtype=np.float64)
-    quotas = _largest_remainder(sizes, total_val, sizes.astype(int))
-
-    train_parts, val_parts = [], []
-    for chunk, quota in zip(chunks, quotas):
-        perm = record_rng.permutation(chunk.size)
-        val_parts.append(chunk[perm[:quota]])
-        train_parts.append(chunk[perm[quota:]])
-    return Split(
-        train=np.sort(np.concatenate(train_parts)),
-        validation=np.sort(np.concatenate(val_parts)),
-        test=test_idx,
-    )
+    count = int(np.floor(remaining.size * share + 0.5))
+    validation = np.zeros(remaining.size, dtype=bool)
+    validation[_stratified_draw(yields[remaining], count, spec.strata, record_rng)] = True
+    return Split(train=remaining[~validation], validation=remaining[validation], test=test_idx)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Minimal binary netpbm writers (P4/P5/P6, maxval 255) and P4/P6 readers.
+"""Minimal binary netpbm writers (P4/P5/P6, maxval 255) and a P4 reader.
 
 Masks and score planes are exported in these formats because any image
 viewer opens them and round-tripping them in tests needs no external

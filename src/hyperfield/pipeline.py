@@ -32,6 +32,7 @@ from .errors import ConfigError, DataError, DependencyError
 if TYPE_CHECKING:
     import numpy as np
 
+    from .gridmap import AssignedPlot
     from .subplot import Records
 
 log = logging.getLogger("hyperfield.pipeline")
@@ -337,7 +338,7 @@ def _stage_synth(st: _Stage) -> Iterator[None]:
     lam = radiance.wavelengths
     header = CubeHeader(radiance.rows, radiance.cols, radiance.bands, "float32", "bsq",
                         "radiance", lam)
-    height = block_rows(radiance.cols, radiance.bands, 8)  # of float64 samples
+    height = block_rows(radiance.cols, radiance.bands)
     write_strips(st.emit(F_SCENE), header, radiance.strips(height))
     write_panel_reflectance_csv(st.emit(F_PANEL), lam, truth.panel_reflectance)
     write_plot_map(st.emit(F_PLOT_MAP), truth.plot_map)
@@ -521,8 +522,6 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     ems_path = st.need(F_ENDMEMBERS)
     yield
-    import numpy as np
-
     from .cube import CubeStream, write_cube
     from .endmember import read_endmembers_csv
     from .netpbm import write_pbm
@@ -530,10 +529,7 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
 
     endmembers = read_endmembers_csv(ems_path)
     with CubeStream(stem) as cube:
-        if endmembers.wavelengths.size != cube.bands or not np.allclose(
-            endmembers.wavelengths, cube.wavelengths, atol=0.05, rtol=0.0
-        ):
-            endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
+        endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
         abundances, residual = unmix_cube(cube, endmembers)
     foreground = sl_mask(
         abundances,
@@ -548,6 +544,22 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
              residual, int(foreground.mask.sum()))
 
 
+def _assigned_plots(path: str, rows: int, cols: int) -> list[AssignedPlot]:
+    """The labelled plots of the assignment file at ``path``, by plot id,
+    each box checked to lie inside a ``rows`` x ``cols`` cube."""
+    from .gridmap import read_assignment_csv
+
+    assigned = sorted(read_assignment_csv(path), key=lambda p: p.plot_id)
+    for plot in assigned:
+        box = plot.box
+        if min(box.top, box.left, rows - box.top - box.height, cols - box.left - box.width) < 0:
+            raise DataError(
+                f"{path}: plot {plot.plot_id!r} box ({box.top},{box.left},"
+                f"{box.height},{box.width}) exceeds cube {rows}x{cols}"
+            )
+    return assigned
+
+
 def _stage_dataset(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     mask_path = st.need(F_SL_MASK)
@@ -557,36 +569,25 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     import numpy as np
 
     from .cube import CubeStream
-    from .gridmap import read_assignment_csv
     from .netpbm import read_pbm
     from .subplot import Records, build_records, read_yields_csv, write_records_csv
 
     mask = read_pbm(mask_path)
-    assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
     yields = read_yields_csv(yields_path)
     window_px = st.config.getint("dataset", "window_px")
-    for plot in assigned:
-        if plot.plot_id not in yields:
-            raise DataError(f"no measured yield for plot {plot.plot_id!r}")
     parts = {}
     with CubeStream(stem) as cube:
         rows, cols = cube.rows, cube.cols
+        assigned = _assigned_plots(assignment_path, rows, cols)
+        for plot in assigned:
+            if plot.plot_id not in yields:
+                raise DataError(f"no measured yield for plot {plot.plot_id!r}")
         if mask.shape != (rows, cols):
             raise DataError(f"foreground mask {mask.shape} does not match cube {(rows, cols)}")
         # a row strip may end only where no plot box crosses into the next row
         crossed = np.zeros(rows, dtype=bool)
         for plot in assigned:
-            box = plot.box
-            if (
-                min(box.top, box.left) < 0
-                or box.top + box.height > rows
-                or box.left + box.width > cols
-            ):
-                raise DataError(
-                    f"{assignment_path}: plot {plot.plot_id!r} box ({box.top},{box.left},"
-                    f"{box.height},{box.width}) exceeds cube {rows}x{cols}"
-                )
-            crossed[box.top + 1 : box.top + box.height] = True
+            crossed[plot.box.top + 1 : plot.box.top + plot.box.height] = True
         for top, strip in cube.read_strips(np.flatnonzero(~crossed)):
             for plot in assigned:
                 box = plot.box
@@ -738,12 +739,13 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     import numpy as np
 
     from .cube import read_cube
-    from .gridmap import read_assignment_csv
     from .subplot import middle_third_ratio, window_grid_shape
     from .table import write_table
     from .unmix import AbundanceMap, write_score_ppm
 
-    assigned = sorted(read_assignment_csv(assignment_path), key=lambda p: p.plot_id)
+    abund = AbundanceMap.from_cube(read_cube(abund_stem))
+    rows, cols, _ = abund.values.shape
+    assigned = _assigned_plots(assignment_path, rows, cols)
     records = st.records.read(records_path)
     metrics = read_metrics_csv(metrics_path)
     missing = [name for name in _SUMMARY_METRICS if name not in metrics]
@@ -783,7 +785,6 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     )
 
     # per-plot foreground-score colormaps
-    abund = AbundanceMap.from_cube(read_cube(abund_stem))
     score = abund.plane(st.config.get("unmix", "spike_label"))
     score = score + abund.plane(st.config.get("unmix", "leaf_label"))
     for plot in assigned:

@@ -103,6 +103,8 @@ class SynthSpec:
                 raise ConfigError(f"{name} = {value} is not a finite number")
         if min(self.grid_rows, self.grid_cols) < 1:
             raise ConfigError("grid must have at least one row and column")
+        if self.window_px < 2:
+            raise ConfigError(f"[synth] window_px = {self.window_px} must be at least 2")
         if min(self.plot_height_px, self.plot_width_px) < self.window_px:
             raise ConfigError("plots must be at least one window across")
         if self.alley_px < 2:

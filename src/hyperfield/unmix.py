@@ -168,9 +168,9 @@ def unmix_cube(
     """Unmix every pixel of a cube against the endmember set.
 
     Returns the abundance map and the Frobenius residual ||X - W H||_F.
-    A ``CubeStream`` is read in ``read_strips``' row strips, never whole;
-    an in-memory cube is one strip. Each strip is solved as many rows at
-    a time as fit in ``BLOCK_BYTES`` as float64.
+    A ``CubeStream`` is read in ``read_strips``' row strips, never whole,
+    and an in-memory cube is cut into strips of the same ``block_rows``
+    height. Each strip is solved in one block.
     """
     wl_diff = (
         np.inf
@@ -191,18 +191,20 @@ def unmix_cube(
     cols = cube.cols
     out = np.empty((e, cube.rows * cols))
     sq_resid = np.empty(cube.rows * cols)
+    height = min(block_rows(cols, cube.bands), cube.rows)
+    if isinstance(cube, CubeStream):
+        strips = cube.read_strips()
+    else:
+        tops = range(0, cube.rows, height)
+        strips = ((top, cube.crop(top, 0, min(height, cube.rows - top), cols)) for top in tops)
     # each pixel's spectrum contiguous whatever the cube's memory order:
     # the summation order, and so the residual's bits, depend on it.
     # One block is reused: fresh pages cost more than filling it.
-    height = min(block_rows(cols, cube.bands, 8), cube.rows)  # of float64 samples
     block = np.empty((cube.bands, height * cols), order="F")
-    strips = cube.read_strips() if isinstance(cube, CubeStream) else [(0, cube)]
     for top, strip in strips:
-        for at in range(0, strip.rows, height):
-            part = strip.crop(at, 0, min(height, strip.rows - at), cols)
-            start, stop = (top + at) * cols, (top + at + part.rows) * cols
-            pixels = part.pixels(out=block[:, : stop - start])
-            out[:, start:stop], sq_resid[start:stop] = _solve_block(pixels, W, solvers, G)
+        start, stop = top * cols, (top + strip.rows) * cols
+        pixels = strip.pixels(out=block[:, : stop - start])
+        out[:, start:stop], sq_resid[start:stop] = _solve_block(pixels, W, solvers, G)
 
     values = out.T.reshape(cube.rows, cube.cols, e)
     return (

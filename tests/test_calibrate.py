@@ -1,7 +1,7 @@
 """The calibrate stage streams its scene: output bytes, errors, manifest digests.
 
-Also: a synth, calibrate or segment killed in its strips or its publish
-leaves a tree that ``synth`` and ``run-all`` mend.
+Also: a stage killed in its strips or its publish leaves a tree that
+``synth`` and ``run-all`` mend.
 """
 
 import filecmp
@@ -49,8 +49,9 @@ def _sha256_of(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _strip_bytes(rows, dtype) -> int:
-    return rows * COLS * BANDS * np.dtype(dtype).itemsize
+def _strip_bytes(rows) -> int:
+    """``BLOCK_BYTES`` that hold ``rows`` rows of the scene as float64."""
+    return rows * COLS * BANDS * 8
 
 
 def _scene(tmp_path, monkeypatch, dtype, interleave, rows=3):
@@ -59,7 +60,7 @@ def _scene(tmp_path, monkeypatch, dtype, interleave, rows=3):
     Calibrate then streams the scene in strips of ``rows`` rows, whose
     edges at rows 3, 6, ... cut through the panel's rows by default.
     """
-    monkeypatch.setattr(hc, "BLOCK_BYTES", _strip_bytes(rows, dtype))
+    monkeypatch.setattr(hc, "BLOCK_BYTES", _strip_bytes(rows))
     rng = np.random.default_rng(21)
     if dtype == np.uint16:
         data = rng.integers(1, 4096, size=(ROWS, COLS, BANDS), dtype=np.uint16)
@@ -100,7 +101,7 @@ def test_block_size_does_not_change_the_output(tmp_path, monkeypatch, rows):
     ini, out = _scene(tmp_path, monkeypatch, np.float32, "bsq", rows=ROWS)
     assert _calibrate(ini, out) == 0
     whole = (out / "calibrate" / "reflectance.raw").read_bytes()
-    monkeypatch.setattr(hc, "BLOCK_BYTES", _strip_bytes(rows, np.float32))
+    monkeypatch.setattr(hc, "BLOCK_BYTES", _strip_bytes(rows))
     assert _calibrate(ini, out, "--stage-force") == 0
     assert (out / "calibrate" / "reflectance.raw").read_bytes() == whole
 
@@ -314,7 +315,7 @@ def test_a_scene_truncated_during_calibrate_exits_4_and_keeps_the_old_output(
     before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
     manifest = (out / "manifests" / "calibrate.json").read_bytes()
     raw = tmp_path / "scene.raw"
-    result = _child(_TRUNCATING_CALIBRATE, ini, out, raw, _strip_bytes(3, np.float32))
+    result = _child(_TRUNCATING_CALIBRATE, ini, out, raw, _strip_bytes(3))
     assert result.returncode == 4, result.stderr
     assert f"{raw}: payload shrank while it was read" in result.stderr
     assert raw.stat().st_size == ROWS * COLS * BANDS * 4 // 2
@@ -434,3 +435,12 @@ def test_run_all_after_a_killed_segment_gives_the_clean_tree(tiny_tree, tmp_path
 def test_run_all_after_a_killed_unmix_gives_the_clean_tree(tiny_tree, tmp_path, point):
     """An unmix killed anywhere in its publish leaves a tree that run-all mends."""
     _kill_and_mend(tiny_tree, tmp_path, "unmix", point, "abundances.raw")
+
+
+@pytest.mark.parametrize("stage", ["gridmap", "endmembers", "dataset", "train", "evaluate", "report"])
+def test_run_all_after_a_stage_killed_before_its_manifest_gives_the_clean_tree(
+    tiny_tree, tmp_path, stage
+):
+    """A stage killed after its swap, with only its manifest's temp file
+    written, leaves a tree that run-all mends."""
+    _kill_and_mend(tiny_tree, tmp_path, stage, "before-manifest", None)

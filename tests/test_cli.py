@@ -18,7 +18,7 @@ import pytest
 
 import hyperfield
 from hyperfield import cube as cube_module
-from hyperfield import mlp, pipeline, subplot
+from hyperfield import mlp, pipeline, subplot, unmix
 from hyperfield.cli import main
 from hyperfield.config import DEFAULTS, load_config
 from hyperfield.cube import read_cube, write_cube
@@ -992,6 +992,33 @@ def test_non_finite_synth_floats_exit_2_naming_the_key(tmp_path, capsys, key, va
     assert not (out / "synth").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("synth", "window_px", "1"),
+        ("dataset", "window_px", "1"),
+        ("segment", "se_rows", "0"),
+        ("segment", "se_cols", "-1"),
+        ("gridmap", "pitch_row_px", "0"),
+        ("gridmap", "pitch_col_px", "-2.5"),
+        ("endmembers", "count", "1"),
+    ],
+)
+def test_out_of_range_sizes_exit_2_naming_the_key(memo_run, tmp_path, capsys, section, key, value):
+    """synth reads no data file, and run-all reruns only the stage the key is for."""
+    memo_ini, out = memo_run
+    text = memo_ini.read_text()
+    if f"[{section}]\n" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    else:
+        text += f"\n[{section}]\n{key} = {value}\n"
+    ini = tmp_path / "config.ini"
+    ini.write_text(text)
+    command = "synth" if section == "synth" else "run-all"
+    assert main([command, "--out", str(out), "--config", str(ini)]) == 2
+    assert f"[{section}] {key} = " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["chunk", "threads"])
 def test_removed_unmix_speed_keys_exit_2(tmp_path, capsys, key):
     old = tmp_path / "old.ini"
@@ -1055,22 +1082,31 @@ def test_split_index_out_of_range_or_repeated_exits_4(memo_run, capsys, row, mes
     assert f"split.csv: line 194: {message}" in capsys.readouterr().err
 
 
+_PAST_EDGE = "plot 'P0000' box (42,18,30,9000) exceeds cube 212x428"
+_NEGATIVE = "plot 'P0000' box (-42,18,30,90) exceeds cube 212x428"
+
+
 @pytest.mark.parametrize(
-    "damage, message",
+    "damage, command, message",
     [
-        ("rename", "missing column(s) grid_col"),
-        ("short", "line 2: expected 7 fields"),
-        ("value", "line 3: top, left, height, width, grid_row, grid_col must be integers"),
-        ("duplicate", "line 18: duplicate plot id 'P0000'"),
-        ("header-only", "assignment.csv: no data rows"),
-        ("unsafe-id", "line 2: plot id '../P0000' is unsafe as a file name or CSV field"),
-        ("past-edge", "plot 'P0000' box (42,18,30,9000) exceeds cube 212x428"),
-        ("negative", "plot 'P0000' box (-42,18,30,90) exceeds cube 212x428"),
+        ("rename", "dataset", "missing column(s) grid_col"),
+        ("short", "dataset", "line 2: expected 7 fields"),
+        ("value", "dataset",
+         "line 3: top, left, height, width, grid_row, grid_col must be integers"),
+        ("duplicate", "dataset", "line 18: duplicate plot id 'P0000'"),
+        ("header-only", "dataset", "assignment.csv: no data rows"),
+        ("unsafe-id", "dataset",
+         "line 2: plot id '../P0000' is unsafe as a file name or CSV field"),
+        ("past-edge", "dataset", _PAST_EDGE),
+        ("negative", "dataset", _NEGATIVE),
+        ("past-edge", "report", _PAST_EDGE),
+        ("negative", "report", _NEGATIVE),
     ],
     ids=["rename", "short", "value", "duplicate", "header-only", "unsafe-id", "past-edge",
-         "negative"],
+         "negative", "past-edge-report", "negative-report"],
 )
-def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
+def test_malformed_assignment_exits_4(memo_run, capsys, damage, command, message):
+    """Also from report, which crops each plot's box out of the abundances."""
     ini, out = memo_run
     assignment = out / "gridmap" / "assignment.csv"
     lines = assignment.read_text().splitlines()
@@ -1092,7 +1128,7 @@ def test_malformed_assignment_exits_4(memo_run, capsys, damage, message):
     else:
         lines = lines[:1]
     assignment.write_text("\n".join(lines) + "\n")
-    assert main(["dataset", "--out", str(out), "--config", str(ini)]) == 4
+    assert main([command, "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err
     assert "assignment.csv" in err and message in err
 
@@ -1551,6 +1587,27 @@ def test_forced_run_all_reads_each_payload_byte_once(memo_run, monkeypatch):
         ("dataset", reflectance): size(reflectance),
         ("report", "unmix/abundances.raw"): size("unmix/abundances.raw"),
     }
+
+
+def test_forced_unmix_solves_each_strip_it_reads_in_one_block(memo_run, monkeypatch):
+    ini, out = memo_run
+    strips, solved = [], []
+    read_strips, solve = cube_module.CubeStream.read_strips, unmix._solve_block
+
+    def recording(stream, *args):
+        for top, strip in read_strips(stream, *args):
+            strips.append(strip.rows * strip.cols)
+            yield top, strip
+
+    def counting(X, *args):
+        solved.append(X.shape[1])
+        return solve(X, *args)
+
+    monkeypatch.setattr(cube_module.CubeStream, "read_strips", recording)
+    monkeypatch.setattr(unmix, "_solve_block", counting)
+    assert main(["unmix", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
+    assert len(strips) == 9  # 25 float64 rows of 428 x 190 samples fit in 16 MiB, of 212
+    assert solved == strips
 
 
 @pytest.mark.parametrize(

@@ -155,15 +155,14 @@ def _stride_order(array: np.ndarray) -> list[int]:
 def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, dtype, strip_rows):
     """Every ``CubeStream`` read equals the same part of ``read_cube``'s cube.
 
-    ``read_strips`` and ``read_bands`` read strips of ``strip_rows`` rows,
-    at least one.
+    ``read_strips`` and ``read_bands`` read strips of ``strip_rows`` rows
+    of float64 samples, at least one, whatever the file's sample type.
     """
     rows, cols, bands = 7, 5, 6
     cube = random_cube(np.random.default_rng(8), rows=rows, cols=cols, bands=bands, dtype=dtype)
     hc.write_cube(cube, tmp_path / "c", interleave)
     whole = hc.read_cube(tmp_path / "c")
-    row_bytes = cols * bands * np.dtype(dtype).itemsize
-    monkeypatch.setattr(hc, "BLOCK_BYTES", int(strip_rows * row_bytes))
+    monkeypatch.setattr(hc, "BLOCK_BYTES", int(strip_rows * cols * bands * 8))
     with hc.CubeStream(tmp_path / "c") as stream:
         assert (stream.rows, stream.cols, stream.bands) == (rows, cols, bands)
         tops = []
@@ -189,7 +188,7 @@ def test_strips_cover_every_row_once_and_end_only_at_cuts(tmp_path, monkeypatch)
     rows, cols, bands = 7, 5, 6
     cube = random_cube(np.random.default_rng(9), rows=rows, cols=cols, bands=bands)
     hc.write_cube(cube, tmp_path / "c")
-    monkeypatch.setattr(hc, "BLOCK_BYTES", 2 * cols * bands * 4)  # two rows
+    monkeypatch.setattr(hc, "BLOCK_BYTES", 2 * cols * bands * 8)  # two float64 rows
     strips = []
     with hc.CubeStream(tmp_path / "c") as stream:
         for top, strip in stream.read_strips([0, 3, 4, 6, 7, 9]):

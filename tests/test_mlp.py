@@ -1,5 +1,6 @@
 """Splitting, standardization, network math, Adam, training, metrics."""
 
+import hashlib
 import re
 import sys
 import warnings
@@ -157,6 +158,57 @@ class TestSplit:
             )
         assert split.train.size + split.validation.size == 5
         assert any("merged" in r.message for r in caplog.records)
+
+    # (name, records, plots, SplitSpec keywords): each draws its yields from
+    # default_rng(29), and record i belongs to plot i % plots
+    _PINNED = [
+        ("tied", 21, 6, dict(strata=4, seed=5, test_plots=2)),
+        ("more-strata-than-plots", 12, 3, dict(strata=10, seed=1, test_plots=1)),
+        ("merged-at-head", 5, 5,
+         dict(train_fraction=0.6, validation_fraction=0.4, strata=3, seed=2)),
+        ("merged-at-tail", 7, 7,
+         dict(train_fraction=0.7, validation_fraction=0.3, strata=10, seed=3)),
+        ("remainder-ties", 12, 12,
+         dict(train_fraction=0.5, validation_fraction=0.1, strata=4, seed=4)),
+        ("test-plot-ids", 90, 9, dict(strata=5, seed=6, test_plot_ids=("p2", "p7"))),
+        ("all-but-one-plot", 40, 8, dict(strata=3, seed=7, test_plots=7)),
+        ("defaults", 400, 40, dict(test_plots=10)),
+    ]
+    # (train, validation, test sizes, merge warnings, sha256 of the three
+    # index arrays as little-endian int64, each followed by b"|")
+    _PINS = {
+        "tied": (12, 2, 7, 2, "8e351727a3466603726135cd13543b6b6d474454fcb580e6e8c49bcb4a3c9340"),
+        "more-strata-than-plots":
+            (7, 1, 4, 6, "8c87af32edf1357f8be01abcb46cabdee6ee972638a0a5b4371b0059c57cc27c"),
+        "merged-at-head":
+            (3, 2, 0, 1, "b8f3b3dd1d2ddce6ea1f5344c957f3c6e1924c42d505bf0a0971a6e406f26c09"),
+        "merged-at-tail":
+            (5, 2, 0, 4, "8af180626d6907721d68a48ab2ec0c7b7c9d8281e375bef741a4ee941856560a"),
+        "remainder-ties":
+            (10, 2, 0, 0, "046b172d3cabd31bacb1cc447e94f2d74a22a8d78a8073ef7b6174c6997075bd"),
+        "test-plot-ids":
+            (59, 11, 20, 0, "7bb0fa024c6f28d6dd3e095a533a9ac2f850926d09a088ef64c0f2e23fbe3ce8"),
+        "all-but-one-plot":
+            (4, 1, 35, 1, "683a06965140fd282db16afb4e54d877071891e3a76c50bfcf67ea7ac73c92e1"),
+        "defaults":
+            (255, 45, 100, 0, "c4b5d6885f307038195169ef15143c3973a2b1e25b3f45371a263fa6b7a6c020"),
+    }
+
+    @pytest.mark.parametrize("name, records, plots, spec", _PINNED, ids=[c[0] for c in _PINNED])
+    def test_split_keeps_its_indices(self, caplog, name, records, plots, spec):
+        """The exact split of each case: ties, merges and remainders included."""
+        y = np.random.default_rng(29).uniform(1.0, 30.0, records)
+        if name == "tied":
+            y = np.repeat([3.0, 1.0, 2.0], 7)
+        ids = [f"p{i % plots}" for i in range(records)]
+        with caplog.at_level("WARNING", logger="hyperfield.mlp"):
+            split = stratified_split(y, ids, SplitSpec(**spec))
+        digest = hashlib.sha256()
+        for part in (split.train, split.validation, split.test):
+            digest.update(np.asarray(part, "<i8").tobytes() + b"|")
+        merges = sum("merged" in r.message for r in caplog.records)
+        sizes = (split.train.size, split.validation.size, split.test.size)
+        assert (*sizes, merges, digest.hexdigest()) == self._PINS[name]
 
     def test_argument_validation(self):
         y = np.ones(4)

@@ -41,12 +41,13 @@ def _run(stage, ini, out) -> int:
 
 
 @pytest.fixture(scope="module", autouse=True)
-def small_unmix_slices():
-    """Seven float32 rows of the tiny reflectance (428 columns, 190 bands):
-    unmix reads 7-row strips and solves 3 rows at a time, which divides
-    neither 7 nor the scene's 212 rows."""
+def seven_row_strips():
+    """Seven float64 rows of the tiny reflectance (428 columns, 190 bands):
+    segment and unmix read 7-row strips, which do not divide the scene's
+    212 rows, and unmix solves each strip in one block; dataset's strips
+    are taller where a row of plots needs it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hc, "BLOCK_BYTES", 7 * 428 * 190 * 4)
+        mp.setattr(hc, "BLOCK_BYTES", 7 * 428 * 190 * 8)
         yield
 
 
@@ -60,7 +61,7 @@ def tiny(tmp_path_factory):
     assert main(["synth", "--out", str(out), "--config", str(ini)]) == 0
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
     header, _ = hc._read_header(out / pipeline.F_REFLECTANCE)
-    assert header[:4] == (212, 428, 190, "float32")  # what small_unmix_slices assumes
+    assert header[:4] == (212, 428, 190, "float32")  # what seven_row_strips assumes
     return ini, out
 
 
@@ -85,7 +86,7 @@ def streamed(request, tiny, tmp_path_factory):
     cube = hc.read_cube(base / pipeline.F_REFLECTANCE)
     hc.write_cube(cube, stem, request.param)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hc, "BLOCK_BYTES", cube.cols * cube.bands * cube.data.itemsize)
+        mp.setattr(hc, "BLOCK_BYTES", cube.cols * cube.bands * 8)  # one float64 row
         mp.setattr(np, "memmap", _refuse_to_map)
         for stage in STAGES:
             assert _run(stage, ini, out) == 0, stage
