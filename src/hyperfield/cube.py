@@ -143,18 +143,10 @@ class HyperCube:
     cols = property(lambda self: self.data.shape[1])
     bands = property(lambda self: self.data.shape[2])
 
-    def pixels(self, out: np.ndarray | None = None) -> np.ndarray:
+    def pixels(self) -> np.ndarray:
         """Every pixel in row-major order as a Fortran-order (bands, rows * cols)
-        matrix, whatever the cube's memory order.
-
-        With ``out``, a Fortran-order array of that shape, the pixels are
-        copied into it, which is returned.
-        """
-        part = self.data.reshape(-1, self.bands).T
-        if out is None:
-            return np.asfortranarray(part)
-        np.copyto(out, part)
-        return out
+        matrix, whatever the cube's memory order."""
+        return np.asfortranarray(self.data.reshape(-1, self.bands).T)
 
     def crop(self, top: int, left: int, height: int, width: int) -> "HyperCube":
         if height <= 0 or width <= 0:
@@ -422,8 +414,8 @@ class CubeStream:
     a pipeline stage hashes its input files on their own.
 
     ``read_rows`` reads whole image rows in the file's runs with ``pread``
-    and checks each sample it reads; ``read_strips``, ``read_panel`` and
-    ``read_bands`` are built on it.
+    and checks each sample it reads; ``read_strips`` and
+    ``panel_calibration`` are built on it.
 
     A ``pread`` that returns fewer bytes than asked is continued; one that
     returns none means the payload shrank while it was read.
@@ -500,27 +492,6 @@ class CubeStream:
         for top, bottom in bounds:
             yield top, self.read_rows(top, bottom - top, buffer)
 
-    def read_panel(self, region: tuple[int, int, int, int]) -> HyperCube:
-        """The (height, width, bands) pixels of the panel region, from its checked rows."""
-        _check_panel_region(region, self.rows, self.cols)
-        top, left, height, width = region
-        return self.read_rows(top, height).crop(0, left, height, width)
-
-    def read_bands(self, keep: np.ndarray) -> HyperCube:
-        """The bands flagged in ``keep``, in the file's memory order.
-
-        They come from one pass of ``read_strips``, so every band is read
-        and checked.
-        """
-        h = self.header
-        keep = np.asarray(keep, dtype=bool)
-        kept = _rows_cols_bands(
-            np.empty(h._replace(bands=int(keep.sum())).file_shape(), h.dtype), h.interleave
-        )
-        for top, strip in self.read_strips():
-            kept[top : top + strip.rows] = strip.data[:, :, keep]
-        return HyperCube(kept, h.wavelengths[keep], h.units, _kept_labels(h.band_labels, keep))
-
 
 def _check_panel_region(region: tuple[int, int, int, int], rows: int, cols: int) -> None:
     top, left, height, width = region
@@ -584,6 +555,26 @@ def panel_gain(
             f"({cube.wavelengths[bad]:.1f} nm)"
         )
     return panel_reflectance / mean_panel
+
+
+def panel_calibration(
+    scene: CubeStream, region: tuple[int, int, int, int], panel_reflectance: np.ndarray,
+    mask: BandMask,
+) -> tuple[np.ndarray, CubeHeader]:
+    """The ``panel_gain`` of ``scene``'s panel ``region`` and the header of the
+    reflectance ``apply_gain`` makes with it and ``mask``.
+
+    The panel's rows are read and checked, and calibrating its pixels runs
+    every panel and mask check of a whole-scene ``to_reflectance``. Only
+    the gain and the header are kept: the rows are freed on return.
+    """
+    _check_panel_region(region, scene.rows, scene.cols)
+    top, left, height, width = region
+    panel = scene.read_rows(top, height).crop(0, left, height, width)
+    whole = (0, 0, height, width)
+    gain = panel_gain(panel, whole, panel_reflectance)
+    header = CubeHeader.of(to_reflectance(panel, whole, panel_reflectance, mask))
+    return gain, header._replace(rows=scene.rows, cols=scene.cols)
 
 
 def apply_gain(cube: HyperCube, gain: np.ndarray, mask: BandMask | None = None) -> HyperCube:
@@ -685,9 +676,7 @@ def apply_band_mask(cube: HyperCube, mask: BandMask) -> HyperCube:
         raise EmptyBandMaskError(
             f"band mask keeps {mask.kept} band(s); at least 2 are required"
         )
-    return HyperCube(cube.data[:, :, mask.keep], cube.wavelengths[mask.keep], cube.units,
-                     _kept_labels(cube.band_labels, mask.keep))
-
-
-def _kept_labels(labels: tuple[str, ...] | None, keep: np.ndarray) -> tuple[str, ...] | None:
-    return None if labels is None else tuple(itertools.compress(labels, keep))
+    labels = cube.band_labels
+    if labels is not None:
+        labels = tuple(itertools.compress(labels, mask.keep))
+    return HyperCube(cube.data[:, :, mask.keep], cube.wavelengths[mask.keep], cube.units, labels)

@@ -89,8 +89,8 @@ class Split:
     test: np.ndarray
 
 
-def _rank_chunks(ordered: np.ndarray, strata: int) -> list[np.ndarray]:
-    """Cut an ordered index array into quantile chunks.
+def _rank_chunks(ordered: np.ndarray, strata: int, unit: str) -> list[np.ndarray]:
+    """Cut an ordered index array of ``unit`` items into quantile chunks.
 
     A one-element chunk is merged into the next chunk, or at the tail
     into the one before (never an error, per the split contract).
@@ -101,28 +101,29 @@ def _rank_chunks(ordered: np.ndarray, strata: int) -> list[np.ndarray]:
     for lo, hi in zip(bounds, bounds[1:]):
         if hi > lo:
             if merged and merged[-1].size < 2:
-                log.warning("stratum with 1 record(s) merged with its neighbour")
+                log.warning("stratum with 1 %s merged with its neighbour", unit)
                 merged[-1] = np.concatenate([merged[-1], ordered[lo:hi]])
             else:
                 merged.append(ordered[lo:hi])
     if len(merged) > 1 and merged[-1].size < 2:
-        log.warning("stratum with 1 record(s) merged with its neighbour")
+        log.warning("stratum with 1 %s merged with its neighbour", unit)
         merged[-2:] = [np.concatenate(merged[-2:])]
     return merged
 
 
 def _stratified_draw(
-    values: np.ndarray, count: int, strata: int, rng: np.random.Generator
+    values: np.ndarray, count: int, strata: int, rng: np.random.Generator, unit: str
 ) -> np.ndarray:
     """Positions of ``count`` of ``values``, each rank stratum giving its share.
 
-    The values are ranked, ties by position, and the ranking is cut by
-    ``_rank_chunks``. Each chunk's share is the floor of its proportional
-    part of ``count``, plus one for the chunks with the largest
-    remainders (ties to the earlier chunk). A chunk gives the front of
-    ``rng.permutation`` of its size; every chunk draws one permutation.
+    The values, one per ``unit``, are ranked, ties by position, and the
+    ranking is cut by ``_rank_chunks``. Each chunk's share is the floor
+    of its proportional part of ``count``, plus one for the chunks with
+    the largest remainders (ties to the earlier chunk). A chunk gives
+    the front of ``rng.permutation`` of its size; every chunk draws one
+    permutation.
     """
-    chunks = _rank_chunks(np.argsort(values, kind="stable"), strata)
+    chunks = _rank_chunks(np.argsort(values, kind="stable"), strata, unit)
     sizes = np.array([chunk.size for chunk in chunks], dtype=np.float64)
     exact = sizes / sizes.sum() * count
     quotas = np.floor(exact).astype(int)
@@ -153,7 +154,8 @@ def _hold_out_plots(
             f"cannot hold out {spec.test_plots} of {len(plots)} plots"
         )
     values = np.array([totals[p] for p in plots])
-    return {plots[i] for i in _stratified_draw(values, spec.test_plots, spec.strata, rng)}
+    drawn = _stratified_draw(values, spec.test_plots, spec.strata, rng, "plot")
+    return {plots[i] for i in drawn}
 
 
 def stratified_split(
@@ -191,7 +193,8 @@ def stratified_split(
     share = spec.validation_fraction / (spec.train_fraction + spec.validation_fraction)
     count = int(np.floor(remaining.size * share + 0.5))
     validation = np.zeros(remaining.size, dtype=bool)
-    validation[_stratified_draw(yields[remaining], count, spec.strata, record_rng)] = True
+    drawn = _stratified_draw(yields[remaining], count, spec.strata, record_rng, "record")
+    validation[drawn] = True
     return Split(train=remaining[~validation], validation=remaining[validation], test=test_idx)
 
 

@@ -377,13 +377,11 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     panel_path = st.need(st.config.get("input", "panel_reflectance"))
     yield
     from .cube import (
-        CubeHeader,
         CubeStream,
         apply_gain,
         band_mask_from_windows,
-        panel_gain,
+        panel_calibration,
         read_panel_reflectance_csv,
-        to_reflectance,
         write_strips,
     )
 
@@ -399,14 +397,7 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
             keep_range=st.config.window_nm("calibrate", "keep_nm"),
             drop_windows=st.config.drop_windows_nm(),
         )
-        # the gain comes from the panel's pixels; calibrating them runs every
-        # panel and mask check of a whole-scene call, and the result carries
-        # the output's bands, units and dtype
-        panel_cube = scene.read_panel(st.config.panel_region())
-        whole_panel = (0, 0, panel_cube.rows, panel_cube.cols)
-        gain = panel_gain(panel_cube, whole_panel, panel)
-        calibrated_panel = to_reflectance(panel_cube, whole_panel, panel, mask)
-        header = CubeHeader.of(calibrated_panel)._replace(rows=head.rows, cols=head.cols)
+        gain, header = panel_calibration(scene, st.config.panel_region(), panel, mask)
         write_strips(
             st.emit(F_REFLECTANCE),
             header,
@@ -417,8 +408,6 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
 def _stage_segment(st: _Stage) -> Iterator[None]:
     stem = st.need_cube(F_REFLECTANCE)
     yield
-    import numpy as np
-
     from .cube import CubeStream
     from .netpbm import write_pbm, write_pgm
     from .segment import (
@@ -428,19 +417,13 @@ def _stage_segment(st: _Stage) -> Iterator[None]:
         ndpsi,
         otsu_threshold,
         threshold_mask,
-        window_indices,
         write_boxes_csv,
     )
 
     red = st.config.window_nm("segment", "red_window_nm")
     blue = st.config.window_nm("segment", "blue_window_nm")
     with CubeStream(stem) as cube:
-        # ndpsi reads only its two windows: keep just those planes
-        keep = np.zeros(cube.bands, dtype=bool)
-        for window in (red, blue):
-            keep[window_indices(cube.wavelengths, window)] = True
-        windows = cube.read_bands(keep)
-    plane = ndpsi(windows, red_window=red, blue_window=blue)
+        plane = ndpsi(cube, red_window=red, blue_window=blue)
     threshold = st.config.segment_threshold()
     if threshold is None:
         threshold = otsu_threshold(plane)

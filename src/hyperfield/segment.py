@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import HyperCube
+from .cube import CubeStream, HyperCube
 from .errors import (
     DegenerateHistogramError,
     ShapeMismatchError,
@@ -55,8 +55,16 @@ def window_indices(wavelengths: np.ndarray, window: tuple[float, float]) -> np.n
     return idx
 
 
+def _band_mean(data: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Per pixel, the float64 mean of the bands ``idx``, summed in band order."""
+    total = data[:, :, idx[0]].astype(np.float64)
+    for i in idx[1:]:
+        total += data[:, :, i]
+    return total / idx.size
+
+
 def ndpsi(
-    cube: HyperCube,
+    cube: HyperCube | CubeStream,
     red_window: tuple[float, float] = RED_WINDOW_NM,
     blue_window: tuple[float, float] = BLUE_WINDOW_NM,
 ) -> np.ndarray:
@@ -65,16 +73,21 @@ def ndpsi(
     Mean reflectance over the red window minus mean over the blue
     window, over their sum. Pixels with a zero denominator map to 0.
     Bounded by [-1, 1] for non-negative reflectance.
+
+    Both windows are checked before any sample is read. A ``CubeStream``
+    is read in ``read_strips``' row strips, never whole. Each mean sums
+    its bands as float64 in band order, so neither the strips nor the
+    memory order or sample type change the bits.
     """
     red_idx = window_indices(cube.wavelengths, red_window)
     blue_idx = window_indices(cube.wavelengths, blue_window)
-    data = cube.data.astype(np.float64, copy=False)
-    red = data[:, :, red_idx].mean(axis=2)
-    blue = data[:, :, blue_idx].mean(axis=2)
-    num = red - blue
-    den = red + blue
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=den != 0)
+    strips = cube.read_strips() if isinstance(cube, CubeStream) else [(0, cube)]
+    out = np.zeros((cube.rows, cube.cols))
+    for top, strip in strips:
+        red = _band_mean(strip.data, red_idx)
+        blue = _band_mean(strip.data, blue_idx)
+        den = red + blue
+        np.divide(red - blue, den, out=out[top : top + strip.rows], where=den != 0)
     return out
 
 

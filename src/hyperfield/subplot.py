@@ -237,11 +237,11 @@ def write_records_csv(path: str | os.PathLike, records: Records) -> None:
         raise DataError(f"plot id {unsafe[0]!r} is unsafe as a file name or CSV field")
     header = ["plot_id", "window_row", "window_col", "n_sl", "yield_g"]
     header += [f"f{i + 1}" for i in range(records.features.shape[1])]
+    # each row's features become Python floats only as the row is written
     columns = zip(
-        records.plot_ids, records.windows.tolist(), records.yields.tolist(),
-        records.features.tolist(),
+        records.plot_ids, records.windows.tolist(), records.yields.tolist(), records.features
     )
-    write_table(path, header, ([pid, *window, grams, *f] for pid, window, grams, f in columns))
+    write_table(path, header, ([pid, *w, grams, *f.tolist()] for pid, w, grams, f in columns))
 
 
 def read_records_csv(path: str | os.PathLike) -> Records:

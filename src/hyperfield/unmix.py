@@ -170,7 +170,12 @@ def unmix_cube(
     Returns the abundance map and the Frobenius residual ||X - W H||_F.
     A ``CubeStream`` is read in ``read_strips``' row strips, never whole,
     and an in-memory cube is cut into strips of the same ``block_rows``
-    height. Each strip is solved in one block.
+    height. Each strip's pixels are solved in row-major order, in blocks
+    of near-equal size whose float64 bytes are at most the strip's own:
+    two blocks for a float32 strip. A block holds two pixels or more
+    unless its strip holds one (numpy solves one pixel by matrix-vector
+    products, with other bits), so the block size does not change the
+    bits.
     """
     wl_diff = (
         np.inf
@@ -188,23 +193,30 @@ def unmix_cube(
     G = W.T @ W
     solvers = [_SupportSolver(s, G) for s in _supports(e)]
 
-    cols = cube.cols
+    cols, bands = cube.cols, cube.bands
     out = np.empty((e, cube.rows * cols))
     sq_resid = np.empty(cube.rows * cols)
-    height = min(block_rows(cols, cube.bands), cube.rows)
+    height = min(block_rows(cols, bands), cube.rows)
     if isinstance(cube, CubeStream):
-        strips = cube.read_strips()
+        strips, itemsize = cube.read_strips(), cube.header.dtype.itemsize
     else:
         tops = range(0, cube.rows, height)
         strips = ((top, cube.crop(top, 0, min(height, cube.rows - top), cols)) for top in tops)
+        itemsize = cube.data.itemsize
     # each pixel's spectrum contiguous whatever the cube's memory order:
     # the summation order, and so the residual's bits, depend on it.
     # One block is reused: fresh pages cost more than filling it.
-    block = np.empty((cube.bands, height * cols), order="F")
+    block = np.empty((bands, max(3, height * cols * itemsize // 8)), order="F")
     for top, strip in strips:
-        start, stop = top * cols, (top + strip.rows) * cols
-        pixels = strip.pixels(out=block[:, : stop - start])
-        out[:, start:stop], sq_resid[start:stop] = _solve_block(pixels, W, solvers, G)
+        pixels = strip.data.reshape(-1, bands)
+        # near-equal blocks of at most ``step`` >= 3 pixels: none holds just one
+        step = max(3, strip.data.nbytes // (8 * bands))
+        at = top * cols
+        for part in np.array_split(pixels, -(-len(pixels) // step)):
+            n = len(part)
+            np.copyto(block[:, :n], part.T)
+            out[:, at : at + n], sq_resid[at : at + n] = _solve_block(block[:, :n], W, solvers, G)
+            at += n
 
     values = out.T.reshape(cube.rows, cube.cols, e)
     return (

@@ -266,6 +266,24 @@ def identical_yield_fraction(records):
     return sum(count for count in counts.values() if count > 1) / len(records)
 
 
+def whole_ndpsi(cube, red_window, blue_window):
+    """The senescence index plane of a whole in-memory cube in one pass, as
+    ``segment.ndpsi`` computed it before it read strips: the cube's float64
+    copy, in its memory order, with each window's bands averaged at once."""
+    def bands(window):
+        lo, hi = window
+        return np.flatnonzero((cube.wavelengths >= lo) & (cube.wavelengths <= hi))
+
+    data = cube.data.astype(np.float64, copy=False)
+    red = data[:, :, bands(red_window)].mean(axis=2)
+    blue = data[:, :, bands(blue_window)].mean(axis=2)
+    num = red - blue
+    den = red + blue
+    out = np.zeros_like(num)
+    np.divide(num, den, out=out, where=den != 0)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the per-array trainer: ``mlp.train`` must match it bit for bit
 

@@ -1589,25 +1589,35 @@ def test_forced_run_all_reads_each_payload_byte_once(memo_run, monkeypatch):
     }
 
 
-def test_forced_unmix_solves_each_strip_it_reads_in_one_block(memo_run, monkeypatch):
+def test_forced_unmix_solves_each_strip_in_blocks_of_at_most_its_bytes(memo_run, monkeypatch):
+    """Each strip's pixels are solved exactly once, in order, in blocks whose
+    float64 bytes are at most the strip's own: two for a float32 strip."""
     ini, out = memo_run
-    strips, solved = [], []
+    strips, blocks, current = [], [], {}
     read_strips, solve = cube_module.CubeStream.read_strips, unmix._solve_block
 
     def recording(stream, *args):
         for top, strip in read_strips(stream, *args):
-            strips.append(strip.rows * strip.cols)
+            pixels = strip.data.reshape(-1, strip.bands)
+            strips.append((len(pixels), strip.data.nbytes))
+            blocks.append([])
+            current.update(pixels=pixels, done=0)
             yield top, strip
 
     def counting(X, *args):
-        solved.append(X.shape[1])
+        done = current["done"]
+        assert np.array_equal(X, current["pixels"][done : done + X.shape[1]].T)
+        assert X.nbytes <= strips[-1][1]
+        current["done"] += X.shape[1]
+        blocks[-1].append(X.shape[1])
         return solve(X, *args)
 
     monkeypatch.setattr(cube_module.CubeStream, "read_strips", recording)
     monkeypatch.setattr(unmix, "_solve_block", counting)
     assert main(["unmix", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
     assert len(strips) == 9  # 25 float64 rows of 428 x 190 samples fit in 16 MiB, of 212
-    assert solved == strips
+    assert [sum(sizes) for sizes in blocks] == [pixels for pixels, _ in strips]
+    assert sum(map(len, blocks)) == 18
 
 
 @pytest.mark.parametrize(

@@ -140,9 +140,6 @@ def test_pixels_are_fortran_ordered_in_every_interleave(tmp_path):
         pixels = read.pixels()
         assert pixels.flags.f_contiguous
         assert np.array_equal(pixels, cube.pixels())
-        out = np.empty((6, 20), order="F")
-        assert read.pixels(out) is out
-        assert np.array_equal(out, pixels)
 
 
 def _stride_order(array: np.ndarray) -> list[int]:
@@ -155,8 +152,8 @@ def _stride_order(array: np.ndarray) -> list[int]:
 def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, dtype, strip_rows):
     """Every ``CubeStream`` read equals the same part of ``read_cube``'s cube.
 
-    ``read_strips`` and ``read_bands`` read strips of ``strip_rows`` rows
-    of float64 samples, at least one, whatever the file's sample type.
+    ``read_strips`` reads strips of ``strip_rows`` rows of float64
+    samples, at least one, whatever the file's sample type.
     """
     rows, cols, bands = 7, 5, 6
     cube = random_cube(np.random.default_rng(8), rows=rows, cols=cols, bands=bands, dtype=dtype)
@@ -174,11 +171,6 @@ def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, d
         part = stream.read_rows(2, 3)
         assert np.array_equal(part.data, whole.data[2:5])
         assert _stride_order(part.data) == _stride_order(whole.data)
-        keep = np.array([True, False, False, True, True, False])
-        kept = stream.read_bands(keep)
-        assert np.array_equal(kept.data, whole.data[:, :, keep])
-        assert np.array_equal(kept.wavelengths, whole.wavelengths[keep])
-        assert _stride_order(kept.data) == _stride_order(whole.data)
         for bad in [(-1, 2), (5, 3), (0, 0)]:
             with pytest.raises(ShapeMismatchError, match="rows"):
                 stream.read_rows(*bad)

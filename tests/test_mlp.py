@@ -159,6 +159,25 @@ class TestSplit:
         assert split.train.size + split.validation.size == 5
         assert any("merged" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize(
+        "records, plots, spec, unit",
+        [
+            (300, 3, dict(strata=10, test_plots=1), "plot"),
+            (5, 5, dict(train_fraction=0.8, validation_fraction=0.2, strata=10), "record"),
+        ],
+        ids=["plot-strata", "record-strata"],
+    )
+    def test_merge_warnings_name_what_the_strata_hold(self, caplog, records, plots, spec, unit):
+        """The hold-out draw ranks plots and the validation draw records; a
+        merge warning names the one whose strata merged."""
+        y = np.random.default_rng(8).uniform(1.0, 9.0, records)
+        ids = [f"p{i % plots}" for i in range(records)]
+        with caplog.at_level("WARNING", logger="hyperfield.mlp"):
+            stratified_split(y, ids, SplitSpec(**spec))
+        merges = [r.message for r in caplog.records if "merged" in r.message]
+        assert merges
+        assert all(f"stratum with 1 {unit} merged" in message for message in merges)
+
     # (name, records, plots, SplitSpec keywords): each draws its yields from
     # default_rng(29), and record i belongs to plot i % plots
     _PINNED = [

@@ -1,10 +1,15 @@
 """Segmentation: index plane, Otsu, morphology, component boxes."""
 
 import functools
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from hyperfield import cube as hc
 from hyperfield import segment
 from hyperfield.cube import HyperCube
 from hyperfield.errors import (
@@ -64,6 +69,69 @@ def test_ndpsi_sums_window_bands_in_band_order(layout):
     red = functools.reduce(np.add, [data[:, :, i] for i in range(12, 24)]) / 12
     plane = segment.ndpsi(HyperCube(data, wl, "reflectance"))
     assert np.array_equal(plane, (red - blue) / (red + blue))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    interleave=st.sampled_from(hc.INTERLEAVES),
+    dtype=st.sampled_from(["float32", "float64", "uint16"]),
+    # two or more pixels (see test_ndpsi_of_one_pixel_sums_in_band_order)
+    rows=st.integers(2, 12),
+    cols=st.integers(1, 5),
+    # strip height as a fraction of the rows, at least one row
+    height=st.floats(0.0, 1.0),
+    # window widths in bands: numpy's pairwise sum regroups 8 or more
+    red_bands=st.integers(1, 12),
+    blue_bands=st.integers(1, 12),
+    # the share of pixels that are zero in every band: a zero denominator
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+@example(interleave="bip", dtype="float32", rows=9, cols=3, height=0.5,
+         red_bands=9, blue_bands=8, zeros=0.3, seed=0)
+@example(interleave="bsq", dtype="uint16", rows=4, cols=2, height=0.0,
+         red_bands=1, blue_bands=10, zeros=1.0, seed=1)
+def test_ndpsi_of_strips_has_the_whole_planes_bits(
+    interleave, dtype, rows, cols, height, red_bands, blue_bands, zeros, seed
+):
+    """``ndpsi`` of a ``CubeStream``, strip by strip, and of the cube in memory
+    give the bits of the whole float64 cube averaged at once, in every
+    interleave, sample type and strip height, one-pixel strips included."""
+    rng = np.random.default_rng(seed)
+    bands = blue_bands + red_bands + 2
+    wavelengths = 400.0 + np.arange(bands)
+    blue = (401.0, 400.0 + blue_bands)
+    red = (blue[1] + 1.0, blue[1] + red_bands)
+    if dtype == "uint16":
+        data = rng.integers(0, 4096, (rows, cols, bands)).astype(dtype)
+    else:
+        data = rng.uniform(0.0, 2.0, (rows, cols, bands)).astype(dtype)
+    data[rng.random((rows, cols)) < zeros] = 0
+    strip_rows = max(1, int(height * rows))
+    with tempfile.TemporaryDirectory() as folder, pytest.MonkeyPatch.context() as mp:
+        stem = os.path.join(folder, "c")
+        hc.write_cube(HyperCube(data, wavelengths, "reflectance"), stem, interleave)
+        whole = hc.read_cube(stem)
+        expected = oracles.whole_ndpsi(whole, red, blue).view(np.int64)
+        assert np.array_equal(segment.ndpsi(whole, red, blue).view(np.int64), expected)
+        mp.setattr(hc, "BLOCK_BYTES", strip_rows * cols * bands * 8)
+        with hc.CubeStream(stem) as stream:
+            plane = segment.ndpsi(stream, red, blue)
+    assert np.array_equal(plane.view(np.int64), expected)
+
+
+def test_ndpsi_of_one_pixel_sums_in_band_order():
+    """The whole-cube mean summed a one-pixel cube's 8 or more window bands
+    pairwise; ndpsi sums them in band order, as for any other cube."""
+    wl = np.concatenate([np.linspace(445, 455, 9), np.linspace(665, 675, 9)])
+    data = np.random.default_rng(0).uniform(0.0, 3.0, size=(1, 1, 18))
+    blue = functools.reduce(np.add, [data[:, :, i] for i in range(9)]) / 9
+    red = functools.reduce(np.add, [data[:, :, i] for i in range(9, 18)]) / 9
+    cube = HyperCube(data, wl, "reflectance")
+    plane = segment.ndpsi(cube)
+    assert np.array_equal(plane, (red - blue) / (red + blue))
+    windows = (segment.RED_WINDOW_NM, segment.BLUE_WINDOW_NM)
+    assert not np.array_equal(oracles.whole_ndpsi(cube, *windows), plane)
 
 
 def test_ndpsi_missing_window_raises():

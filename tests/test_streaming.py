@@ -9,6 +9,7 @@ import hashlib
 import json
 import os
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hyperfield.segment import ndpsi, otsu_threshold, window_indices
 from hyperfield.subplot import Records, build_records, read_yields_csv, write_records_csv
 from hyperfield.unmix import unmix_cube
 
+from test_calibrate import command_peak
 from test_cli import TINY_INI
 
 STAGES = ("segment", "unmix", "dataset")
@@ -44,7 +46,7 @@ def _run(stage, ini, out) -> int:
 def seven_row_strips():
     """Seven float64 rows of the tiny reflectance (428 columns, 190 bands):
     segment and unmix read 7-row strips, which do not divide the scene's
-    212 rows, and unmix solves each strip in one block; dataset's strips
+    212 rows, and unmix solves each strip in two blocks; dataset's strips
     are taller where a row of plots needs it."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hc, "BLOCK_BYTES", 7 * 428 * 190 * 8)
@@ -238,3 +240,17 @@ def test_a_run_hashes_the_reflectance_payload_at_most_once(tiny, monkeypatch):
     assert hashed.count(raw) == 1  # beside the body, since no skip check hashed it
     manifest = json.loads((out / "manifests" / "segment.json").read_text())
     assert manifest["inputs"][f"{pipeline.F_REFLECTANCE}.raw"] == _sha256_of(raw)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_forced_stages_of_the_default_tree_peak_low(tmp_path):
+    """Each streaming stage holds its strip buffers and its own outputs,
+    never a whole-scene temporary beside them. A forced run-all peaked at
+    97 MB when segment kept its ten window planes whole and converted
+    them to float64 at once, and unmix copied each strip as float64 in
+    one block."""
+    out = tmp_path / "out"
+    command_peak("synth", "--out", out, "--seed", "3")
+    for command, bound in [("run-all", 85e6), ("segment", 65e6), ("unmix", 82e6)]:
+        peak = command_peak(command, "--out", out, "--seed", "3", "--stage-force")
+        assert peak < bound, (command, peak)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import scene_cube, whole_radiance
-from test_calibrate import _child
+from test_calibrate import command_peak
 
 from hyperfield.cube import apply_band_mask, band_mask_from_windows, to_reflectance
 from hyperfield.endmember import svmax
@@ -230,18 +230,6 @@ def test_pairwise_sum_matches_numpy_on_a_scene_sized_mean():
     assert total.total / values.size == float(np.mean(values * values))
 
 
-# Runs a synth (argv: --out DIR, then any more arguments) and prints its
-# exit code and peak RSS (KiB on Linux). It is started from this small
-# interpreter because a child's ru_maxrss also counts the memory of the
-# process that forked it.
-_SYNTH_PEAK = """\
-import os, subprocess, sys
-child = subprocess.Popen([sys.executable, "-m", "hyperfield.cli", "synth", "--out", *sys.argv[1:]])
-_, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_default_synth_peaks_under_120_mb(tmp_path):
     """The scene is made and written a strip at a time, each through one
@@ -252,12 +240,9 @@ def test_default_synth_peaks_under_120_mb(tmp_path):
     noisy.write_text("[synth]\nsnr_db = 40\n")
     cases = [("default", [], 120e6), ("noisy", ["--config", noisy], 100 * 2**20)]
     for name, args, bound in cases:
-        result = _child(_SYNTH_PEAK, tmp_path / name, *args)
-        assert result.returncode == 0, result.stderr
-        code, peak_kib = map(int, result.stdout.split())
-        assert code == 0, result.stderr
+        peak = command_peak("synth", "--out", tmp_path / name, *args)
         assert (tmp_path / name / "synth" / "scene.raw").stat().st_size == 380 * 836 * 240 * 4
-        assert peak_kib * 1024 < bound, (name, peak_kib)
+        assert peak < bound, (name, peak)
 
 
 def test_sl_mask_matches_abundance_rule():
