@@ -767,13 +767,13 @@ def _stage_report(st: _Stage) -> Iterator[None]:
         st.emit(F_MIDDLE_THIRDS), ["plot_id", "middle_fraction", "label"], thirds, line_end="\n"
     )
 
-    # per-plot foreground-score colormaps
-    score = abund.plane(st.config.get("unmix", "spike_label"))
-    score = score + abund.plane(st.config.get("unmix", "leaf_label"))
+    # per-plot foreground-score colormaps, each score summed over its plot's crop only
+    spike = abund.plane(st.config.get("unmix", "spike_label"))
+    leaf = abund.plane(st.config.get("unmix", "leaf_label"))
     for plot in assigned:
         box = plot.box
-        crop = score[box.top : box.top + box.height, box.left : box.left + box.width]
-        write_score_ppm(st.emit(f"{D_SL_MAPS}/{plot.plot_id}.ppm"), crop)
+        crop = np.s_[box.top : box.top + box.height, box.left : box.left + box.width]
+        write_score_ppm(st.emit(f"{D_SL_MAPS}/{plot.plot_id}.ppm"), spike[crop] + leaf[crop])
 
     # human-readable summary
     lines = [
@@ -852,6 +852,26 @@ STAGES: dict[str, _StageDef] = {
 STAGE_ORDER = tuple(STAGES)[1:]  # what run-all runs: every stage but synth
 
 
+def _trim_heap() -> None:
+    """Hand the heap pages freed so far back to the system: glibc's
+    ``malloc_trim``, and nothing where the C library has none.
+
+    glibc returns freed heap memory only from the top of the heap, so one
+    small block that a stage keeps above its freed strip buffers pins
+    them, and the next stages allocate beside them: in about two cold
+    ``run-all`` runs of three the 27 MB that ``unmix`` freed stayed
+    resident, and ``train`` took the peak to 80 MiB instead of
+    ``unmix``'s 69 MiB.
+    """
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim(0)
+
+
 def run_stage(
     name: str,
     config: PipelineConfig,
@@ -862,8 +882,9 @@ def run_stage(
     """Run one stage (or skip it when its manifest is still valid).
 
     What the body writes replaces the stage's directory only when the
-    body succeeds, and the manifest is written after that. Inputs with
-    no digest yet are hashed on another thread while the body runs.
+    body succeeds, and the manifest is written after that; then the heap
+    pages the body freed go back to the system. Inputs with no digest
+    yet are hashed on another thread while the body runs.
     ``digests`` and ``records`` carry file hashes and the parsed records
     between the stages of one run.
     """
@@ -898,6 +919,7 @@ def run_stage(
         inputs.result()
     shutil.rmtree(old, ignore_errors=True)
     _write_manifest(st, config_hash)
+    _trim_heap()
 
 
 def run_all(config: PipelineConfig, force: bool = False) -> None:

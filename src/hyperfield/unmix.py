@@ -20,6 +20,7 @@ from .cube import CubeStream, HyperCube, block_rows
 from .endmember import EndmemberSet
 from .errors import DataError, ShapeMismatchError
 from .netpbm import write_ppm
+from .pairwise import PairwiseSum
 
 SL_THRESHOLD = 0.5
 MAX_ENDMEMBERS = 12  # supports grow as 2^e; beyond this enumeration is misuse
@@ -27,6 +28,7 @@ MAX_ENDMEMBERS = 12  # supports grow as 2^e; beyond this enumeration is misuse
 _FEAS_EPS = 1e-12
 _SUM_EPS = 1e-6
 _TIE_EPS = 1e-12
+_CHECK_PIXELS = 1 << 16  # pixels of an abundance map whose sums are checked at once
 
 
 @dataclass
@@ -45,11 +47,18 @@ class AbundanceMap:
                 f"{len(self.labels)} labels"
             )
         if self.values.size:
+            # min and max allocate nothing; the sums take a band of rows at a time
             if self.values.min() < -_FEAS_EPS or self.values.max() > 1.0 + 1e-9:
                 raise DataError("abundances leave [0, 1]")
-            sums = self.values.sum(axis=2)
-            if np.max(np.abs(sums - 1.0)) > 1e-8:
-                raise DataError("abundance sums deviate from one beyond 1e-8")
+            rows, cols, _ = self.values.shape
+            height = max(1, _CHECK_PIXELS // cols)
+            deviation = np.empty((min(height, rows), cols))
+            for top in range(0, rows, height):
+                band = deviation[: min(height, rows - top)]
+                np.sum(self.values[top : top + height], axis=2, out=band)
+                band -= 1.0
+                if np.max(np.abs(band, out=band)) > 1e-8:
+                    raise DataError("abundance sums deviate from one beyond 1e-8")
 
     @property
     def count(self) -> int:
@@ -172,10 +181,12 @@ def unmix_cube(
     and an in-memory cube is cut into strips of the same ``block_rows``
     height. Each strip's pixels are solved in row-major order, in blocks
     of near-equal size whose float64 bytes are at most the strip's own:
-    two blocks for a float32 strip. A block holds two pixels or more
-    unless its strip holds one (numpy solves one pixel by matrix-vector
-    products, with other bits), so the block size does not change the
-    bits.
+    two blocks for a float32 strip of an even pixel count. numpy solves a
+    one-pixel block by matrix-vector products, with other bits, so a
+    block holds two pixels or more, and a one-pixel strip is solved as
+    two copies of its pixel; the block size then does not change the
+    bits. The squared residuals are summed as each block is solved, so
+    the map is the only per-pixel array held.
     """
     wl_diff = (
         np.inf
@@ -195,7 +206,7 @@ def unmix_cube(
 
     cols, bands = cube.cols, cube.bands
     out = np.empty((e, cube.rows * cols))
-    sq_resid = np.empty(cube.rows * cols)
+    sq_resid = PairwiseSum(cube.rows * cols)  # the bits of one sum over the whole plane
     height = min(block_rows(cols, bands), cube.rows)
     if isinstance(cube, CubeStream):
         strips, itemsize = cube.read_strips(), cube.header.dtype.itemsize
@@ -215,13 +226,17 @@ def unmix_cube(
         for part in np.array_split(pixels, -(-len(pixels) // step)):
             n = len(part)
             np.copyto(block[:, :n], part.T)
-            out[:, at : at + n], sq_resid[at : at + n] = _solve_block(block[:, :n], W, solvers, G)
+            if n == 1:  # a one-pixel strip: solved beside a copy of itself
+                block[:, 1] = block[:, 0]
+            h, resid = _solve_block(block[:, : max(n, 2)], W, solvers, G)
+            out[:, at : at + n] = h[:, :n]
+            sq_resid.add(resid[:n])
             at += n
 
     values = out.T.reshape(cube.rows, cube.cols, e)
     return (
         AbundanceMap(values=values, labels=endmembers.labels),
-        float(np.sqrt(sq_resid.sum())),
+        float(np.sqrt(sq_resid.total)),
     )
 
 

@@ -9,18 +9,16 @@ import hashlib
 import json
 import os
 import shutil
-import subprocess
-import sys
 import threading
 
 import numpy as np
 import pytest
 
-import hyperfield
 from hyperfield import cube as hc
 from hyperfield import pipeline
 from hyperfield.cli import main
 
+from processes import run_child
 from test_cli import TINY_INI
 from test_cube import _trickle
 
@@ -275,36 +273,6 @@ def test_short_reads_and_writes_give_the_same_calibration(
     assert f"{scene}: payload shrank while it was read" in capsys.readouterr().err
 
 
-def _child(script, *args) -> subprocess.CompletedProcess:
-    """Run ``script`` with ``args`` in a fresh interpreter that imports this hyperfield."""
-    src = os.path.dirname(os.path.dirname(hyperfield.__file__))
-    return subprocess.run(
-        [sys.executable, "-c", script, *map(str, args)],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
-    )
-
-
-# Runs the hyperfield command in argv and prints its exit code and peak
-# RSS (KiB on Linux). It is started from this small interpreter because a
-# child's ru_maxrss also counts the memory of the process that forked it.
-_PEAK = """\
-import os, subprocess, sys
-child = subprocess.Popen([sys.executable, "-m", "hyperfield.cli", *sys.argv[1:]])
-_, status, usage = os.wait4(child.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
-
-
-def command_peak(*argv) -> int:
-    """Peak RSS in bytes of the command ``hyperfield argv``, which must exit
-    0, run in a fresh interpreter; the figure holds on Linux only."""
-    result = _child(_PEAK, *argv)
-    assert result.returncode == 0, result.stderr
-    code, peak_kib = map(int, result.stdout.split())
-    assert code == 0, result.stderr
-    return peak_kib * 1024
-
-
 # Forced calibrate that truncates its scene to half once it has scaled its first strip.
 _TRUNCATING_CALIBRATE = """\
 import os, sys
@@ -336,7 +304,7 @@ def test_a_scene_truncated_during_calibrate_exits_4_and_keeps_the_old_output(
     before = {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()}
     manifest = (out / "manifests" / "calibrate.json").read_bytes()
     raw = tmp_path / "scene.raw"
-    result = _child(_TRUNCATING_CALIBRATE, ini, out, raw, _strip_bytes(3))
+    result = run_child(_TRUNCATING_CALIBRATE, ini, out, raw, _strip_bytes(3))
     assert result.returncode == 4, result.stderr
     assert f"{raw}: payload shrank while it was read" in result.stderr
     assert raw.stat().st_size == ROWS * COLS * BANDS * 4 // 2
@@ -422,7 +390,7 @@ def _kill_and_mend(tree, tmp_path, stage, point, file, mend=("run-all",)):
     ini, clean = tree
     out = tmp_path / "out"
     shutil.copytree(clean, out, copy_function=os.link)
-    result = _child(_KILLED_STAGE, point, stage, ini, out)
+    result = run_child(_KILLED_STAGE, point, stage, ini, out)
     assert result.returncode == 9, result.stderr
     there, gone = (path.format(stage=stage, file=file) for path in _KILL_POINTS[point])
     assert (out / there).is_file() and not (out / gone).exists()

@@ -25,7 +25,7 @@ from hyperfield.segment import ndpsi, otsu_threshold, window_indices
 from hyperfield.subplot import Records, build_records, read_yields_csv, write_records_csv
 from hyperfield.unmix import unmix_cube
 
-from test_calibrate import command_peak
+from processes import command_peak
 from test_cli import TINY_INI
 
 STAGES = ("segment", "unmix", "dataset")
@@ -245,12 +245,22 @@ def test_a_run_hashes_the_reflectance_payload_at_most_once(tiny, monkeypatch):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_forced_stages_of_the_default_tree_peak_low(tmp_path):
     """Each streaming stage holds its strip buffers and its own outputs,
-    never a whole-scene temporary beside them. A forced run-all peaked at
+    never a whole-scene temporary beside them, and unmix and report hold
+    no per-pixel array but the abundance map. A forced run-all peaked at
     97 MB when segment kept its ten window planes whole and converted
     them to float64 at once, and unmix copied each strip as float64 in
-    one block."""
+    one block; at 79 MB when unmix kept a residual plane and the map's
+    check summed it whole, and report repeated that check beside a whole
+    score plane (unmix 77.6 MB, report 55.6 MB, retrain 70.8 MB). The
+    run-all starts from synth's outputs alone: without the heap trim
+    between stages it peaked at 84 MB in about two runs of three."""
     out = tmp_path / "out"
     command_peak("synth", "--out", out, "--seed", "3")
-    for command, bound in [("run-all", 85e6), ("segment", 65e6), ("unmix", 82e6)]:
+    for command, bound in [("run-all", 76e6), ("segment", 65e6), ("unmix", 75e6), ("report", 55e6)]:
         peak = command_peak(command, "--out", out, "--seed", "3", "--stage-force")
         assert peak < bound, (command, peak)
+    # a retrain: the tree's seeds but [train] seed, so train, evaluate and report rerun
+    ini = tmp_path / "retrain.ini"
+    ini.write_text("[synth]\nseed = 3\n[split]\nseed = 3\n[train]\nseed = 4\n")
+    peak = command_peak("run-all", "--out", out, "--config", ini)
+    assert peak < 68e6, ("retrain", peak)

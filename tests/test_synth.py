@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import scene_cube, whole_radiance
-from test_calibrate import command_peak
+from processes import command_peak
 
 from hyperfield.cube import apply_band_mask, band_mask_from_windows, to_reflectance
 from hyperfield.endmember import svmax
@@ -24,6 +24,7 @@ from hyperfield.mlp import (
     stratified_split,
     train,
 )
+from hyperfield.pairwise import PairwiseSum
 from hyperfield.subplot import (
     Records,
     build_records,
@@ -35,7 +36,6 @@ from hyperfield.synth import (
     CROP_LABELS,
     LIBRARY_LABELS,
     SCENE_LABELS,
-    PairwiseSum,
     SynthSpec,
     endmember_library,
     generate_reference_cube,

@@ -1,6 +1,8 @@
 """Unmixing: exactness against brute-force oracles, feasibility,
 the spike+leaf rule, and colormap round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -203,25 +205,97 @@ def test_unmix_cube_matches_pixel_solver(monkeypatch):
 
 def test_slice_height_does_not_change_bits(tmp_path, monkeypatch):
     """Any strip height, in memory or streamed in any interleave, gives the
-    same bits. The cube is float32; a strip is as tall in any case."""
+    same bits. The cubes are float32; a strip is as tall in any case. In
+    the one-column cube, strips of 262 and 2 rows leave a one-pixel strip,
+    which numpy would solve by matrix-vector products, with other bits."""
     rng = np.random.default_rng(15)
-    cube, ems, _ = planted_cube(rng, rows=263, cols=257, e=3, d=24)  # 67,591 pixels
+    # 263 is prime; the wide cube has 67,591 pixels
+    for cols, heights in [(257, (263, 100, 45, 3, 2, 1)), (1, (263, 262, 2, 1))]:
+        cube, ems, _ = planted_cube(rng, rows=263, cols=cols, e=3, d=24)
+        noisy = HyperCube(
+            np.clip(cube.data + rng.normal(0, 0.02, cube.data.shape), 0, None).astype(np.float32),
+            cube.wavelengths,
+            "reflectance",
+        )
+        for il in hc.INTERLEAVES:
+            hc.write_cube(noisy, tmp_path / f"{cols}-{il}", il)
+        results = []
+        for rows in heights:
+            monkeypatch.setattr(hc, "BLOCK_BYTES", _float64_rows(noisy, rows))
+            results.append(unmix.unmix_cube(noisy, ems))
+            for il in hc.INTERLEAVES:
+                with hc.CubeStream(tmp_path / f"{cols}-{il}") as stream:
+                    results.append(unmix.unmix_cube(stream, ems))
+        first = (results[0][0].values.tobytes(), repr(results[0][1]))
+        assert all((abund.values.tobytes(), repr(resid)) == first for abund, resid in results)
+
+
+def _pairwise_leaves(lo, hi):
+    """The runs numpy's pairwise float64 sum of values ``lo`` to ``hi`` adds in loops."""
+    if hi - lo <= 128:
+        return [(lo, hi)]
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    return _pairwise_leaves(lo, mid) + _pairwise_leaves(mid, hi)
+
+
+def test_residual_summed_in_blocks_has_the_bits_of_one_sum(monkeypatch):
+    """unmix feeds each block's squared residuals to ``PairwiseSum``; the
+    total is ``np.add.reduce`` of the whole plane, also where a pairwise
+    leaf crosses a block's end."""
+    sums, blocks = [], []
+
+    class Recording(unmix.PairwiseSum):
+        def __init__(self, n):
+            super().__init__(n)
+            sums.append(self)
+
+        def add(self, values):
+            blocks.append(np.array(values))
+            super().add(values)
+
+    monkeypatch.setattr(unmix, "PairwiseSum", Recording)
+    rng = np.random.default_rng(16)
+    cube, ems, _ = planted_cube(rng, rows=37, cols=29, d=24)
     noisy = HyperCube(
         np.clip(cube.data + rng.normal(0, 0.02, cube.data.shape), 0, None).astype(np.float32),
         cube.wavelengths,
         "reflectance",
     )
-    for il in hc.INTERLEAVES:
-        hc.write_cube(noisy, tmp_path / il, il)
-    results = []
-    for rows in (263, 100, 45, 3, 2, 1):  # 263 is prime
-        monkeypatch.setattr(hc, "BLOCK_BYTES", _float64_rows(noisy, rows))
-        results.append(unmix.unmix_cube(noisy, ems))
-        for il in hc.INTERLEAVES:
-            with hc.CubeStream(tmp_path / il) as stream:
-                results.append(unmix.unmix_cube(stream, ems))
-    first = (results[0][0].values.tobytes(), repr(results[0][1]))
-    assert all((abund.values.tobytes(), repr(resid)) == first for abund, resid in results)
+    # strips of 5 rows, 145 pixels, each solved in blocks of at most 72
+    monkeypatch.setattr(hc, "BLOCK_BYTES", _float64_rows(noisy, 5))
+    _, resid = unmix.unmix_cube(noisy, ems)
+    plane = np.concatenate(blocks)
+    assert [len(b) for b in blocks[:3]] == [49, 48, 48] and plane.size == 37 * 29
+    ends = np.cumsum([len(b) for b in blocks])
+    assert any(lo < end < hi for lo, hi in _pairwise_leaves(0, plane.size) for end in ends)
+    assert sums[0].total == np.add.reduce(plane)
+    assert resid == float(np.sqrt(np.add.reduce(plane)))
+
+
+def test_unmix_holds_no_per_pixel_array_but_the_map(tmp_path, monkeypatch):
+    """Doubling a streamed cube's rows grows ``unmix_cube``'s traced peak by
+    the added map (32 B/px for four members) and little more: the squared
+    residuals are summed as each block is solved, and the map's sums are
+    checked a band of rows at a time. A residual plane alone adds 8 B/px."""
+    rng = np.random.default_rng(17)
+    cube, ems, _ = planted_cube(rng, rows=512, cols=64, d=24)
+    tall = HyperCube(cube.data.astype(np.float32), cube.wavelengths, "reflectance")
+    hc.write_cube(tall, tmp_path / "tall")
+    hc.write_cube(tall.crop(0, 0, 256, 64), tmp_path / "short")
+    monkeypatch.setattr(hc, "BLOCK_BYTES", _float64_rows(tall, 16))
+    monkeypatch.setattr(unmix, "_CHECK_PIXELS", 16 * 64)
+    peaks = []
+    for name in ("short", "tall"):
+        with hc.CubeStream(tmp_path / name) as stream:
+            tracemalloc.start()
+            try:
+                unmix.unmix_cube(stream, ems)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    added = 256 * 64
+    assert peaks[1] - peaks[0] <= 32 * added + (32 << 10), peaks
 
 
 def test_band_major_cube_gives_the_same_bits(monkeypatch):
@@ -260,6 +334,36 @@ def test_abundance_map_validation_and_planes():
     bad[0, 0, 0] = 0.5  # sum now 0.5
     with pytest.raises(DataError):
         unmix.AbundanceMap(bad, ("a", "b", "c"))
+
+
+@pytest.mark.parametrize("row", [0, 4, 9], ids=["first-band", "middle-band", "last-band"])
+@pytest.mark.parametrize(
+    "pixel, message",
+    [
+        ([0.5 + 2e-12, 0.5, -2e-12, 0.0], "abundances leave"),
+        ([1.0 + 2e-9, 0.0, 0.0, 0.0], "abundances leave"),
+        ([0.25, 0.25, 0.25, 0.25 + 2e-8], "abundance sums deviate"),
+    ],
+    ids=["below-zero", "above-one", "sum-off"],
+)
+def test_abundance_map_checks_every_band_of_rows(monkeypatch, row, pixel, message):
+    """The sums are checked 3 rows at a time here: bands of rows 0-2, 3-5,
+    6-8 and 9. Each fault raises its own error in any band."""
+    monkeypatch.setattr(unmix, "_CHECK_PIXELS", 12)
+    values = np.full((10, 4, 4), 0.25)
+    unmix.AbundanceMap(values, ("a", "b", "c", "d"))
+    values[row, 2] = pixel
+    with pytest.raises(DataError, match=message):
+        unmix.AbundanceMap(values, ("a", "b", "c", "d"))
+
+
+def test_a_value_out_of_range_is_named_before_a_sum_in_an_earlier_band(monkeypatch):
+    monkeypatch.setattr(unmix, "_CHECK_PIXELS", 12)
+    values = np.full((10, 4, 4), 0.25)
+    values[0, 0, 0] += 2e-8
+    values[9, 3] = [1.0 + 2e-9, 0.0, 0.0, 0.0]
+    with pytest.raises(DataError, match="abundances leave"):
+        unmix.AbundanceMap(values, ("a", "b", "c", "d"))
 
 
 def test_abundance_cube_round_trip(tmp_path):
