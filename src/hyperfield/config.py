@@ -114,8 +114,12 @@ DEFAULTS: dict[str, dict[str, str]] = {
 
 # Each numeric key here must be greater than its bound. The stage that
 # reads one would reject a smaller value too, but only as a data error
-# raised after it has read its inputs.
+# raised after it has read its inputs, or for a seed as a crash.
 _ABOVE: dict[tuple[str, str], int] = {
+    ("synth", "seed"): -1,
+    ("synth", "reference_seed"): -1,
+    ("split", "seed"): -1,
+    ("train", "seed"): -1,
     ("segment", "se_rows"): 0,
     ("segment", "se_cols"): 0,
     ("gridmap", "pitch_row_px"): 0,

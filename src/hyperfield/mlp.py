@@ -5,8 +5,13 @@ plot-level test holdout, z-score standardization fit on the training
 set, a fully connected ReLU network with a linear output unit, batch
 mean squared error with hand-derived backpropagation, Adam updates,
 best-validation checkpointing, and evaluation at sub-plot, plot, and
-field level. Everything is float64 and seeded, so a (dataset, config,
-seed) triple pins the trained model bit for bit.
+field level. Everything is seeded, so a (dataset, config, seed) triple
+pins the trained model bit for bit.
+
+The network trains in float32 on the calling thread: parameters,
+gradients, Adam's moments and the standardized features. The rest is
+float64: standardization, the gram-scale errors, the returned model and
+its checkpoint, which the float32 values widen into exactly.
 
 Targets are z-scored while optimizing (fixed-size Adam steps cannot
 climb to gram-scale outputs in a few hundred updates) and the scale is
@@ -16,13 +21,10 @@ so checkpoints always map standardized features straight to grams.
 
 from __future__ import annotations
 
-import contextvars
 import json
 import logging
 import math
 import os
-from collections.abc import Callable
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,8 +307,13 @@ def _param_views(
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Network output for standardized features; returns a flat vector."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """Network output for standardized features; returns a flat vector.
+
+    Float features keep their precision; any other input is taken as float64.
+    """
+    x = np.atleast_2d(np.asarray(x))
+    if x.dtype.kind != "f":
+        x = x.astype(np.float64)
     if x.shape[1] != model.layer_sizes[0]:
         raise ShapeMismatchError(
             f"input has {x.shape[1]} features, model expects {model.layer_sizes[0]}"
@@ -327,16 +334,17 @@ class Workspace:
     ``grads`` is one flat vector laid out as ``_param_views`` lays out
     parameters, and ``grads_w`` / ``grads_b`` are its per-layer views.
     ``acts`` and ``deltas`` hold each layer's outputs and error terms
-    for up to ``rows`` batch rows.
+    for up to ``rows`` batch rows. All of them are ``dtype``, the
+    parameters' precision.
     """
 
-    def __init__(self, layer_sizes: tuple[int, ...], rows: int):
+    def __init__(self, layer_sizes: tuple[int, ...], rows: int, dtype: np.dtype):
         pairs = zip(layer_sizes[:-1], layer_sizes[1:])
         self.rows = rows
-        self.grads = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs))
+        self.grads = np.empty(sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs), dtype)
         self.grads_w, self.grads_b = _param_views(self.grads, layer_sizes)
-        self.acts = [np.empty((rows, size)) for size in layer_sizes[1:]]
-        self.deltas = [np.empty((rows, size)) for size in layer_sizes[1:]]
+        self.acts = [np.empty((rows, size), dtype) for size in layer_sizes[1:]]
+        self.deltas = [np.empty((rows, size), dtype) for size in layer_sizes[1:]]
 
 
 def backward(
@@ -344,17 +352,19 @@ def backward(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Gradients of the batch-mean squared error, per layer.
 
-    They are written into ``work`` (a fresh one when none is given) and
-    returned as its ``grads_w`` and ``grads_b`` views. The ReLU
-    subgradient at exactly zero is taken as zero.
+    They are written into ``work`` (a fresh one in the precision of the
+    model's weights when none is given) and returned as its ``grads_w``
+    and ``grads_b`` views; ``x`` and ``y`` are taken in that precision.
+    The ReLU subgradient at exactly zero is taken as zero.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    dtype = model.weights[0].dtype if work is None else work.grads.dtype
+    x = np.atleast_2d(np.asarray(x, dtype=dtype))
+    y = np.asarray(y, dtype=dtype).reshape(-1)
     n = x.shape[0]
     if y.size != n:
         raise ShapeMismatchError(f"{n} inputs but {y.size} targets")
     if work is None:
-        work = Workspace(model.layer_sizes, n)
+        work = Workspace(model.layer_sizes, n, dtype)
     elif n > work.rows:
         raise ShapeMismatchError(f"{n} rows but a workspace for {work.rows}")
     last = model.n_layers - 1
@@ -378,11 +388,6 @@ def backward(
     return work.grads_w, work.grads_b
 
 
-def _submit(worker: ThreadPoolExecutor, fn: Callable, *args) -> Future:
-    """``fn(*args)`` on ``worker``, under the caller's numpy error state."""
-    return worker.submit(contextvars.copy_context().run, fn, *args)
-
-
 # ---------------------------------------------------------------------------
 # Adam
 
@@ -401,56 +406,23 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be at least 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ConfigError("Adam betas must lie in [0, 1)")
+        # the trainer's float32 arithmetic must see each as a positive finite number
+        for name, value in (("learning_rate", self.learning_rate), ("eps", self.eps)):
+            with np.errstate(over="ignore"):
+                if not 0 < np.float32(value) < np.inf:
+                    raise ConfigError(f"{name} = {value} must be positive and finite in float32")
 
 
 class AdamState:
-    """Adam's moments and step count for one flat parameter vector.
+    """Adam's moments and step count for one flat parameter vector."""
 
-    With a ``worker`` (an executor with one thread), each step's passes
-    over the first half of the vector run there while the calling thread
-    runs the second half.
-    """
-
-    def __init__(self, params: np.ndarray, worker: ThreadPoolExecutor | None = None):
+    def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0
-        self.scratch = np.empty((2, params.size))
-        self.worker = worker
-
-
-def _adam_passes(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    config: TrainConfig,
-    part: slice,
-) -> None:
-    """``adam_step``'s update of ``params[part]``, as in-place elementwise passes.
-
-    The passes round as ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``
-    does, one operation at a time in the same order (c1 and c2 are the
-    bias corrections), so any cut of the vector gives the same bits.
-    """
-    b1, b2 = config.beta1, config.beta2
-    p, g, m, v = params[part], grads[part], state.m[part], state.v[part]
-    s, r = state.scratch[0, part], state.scratch[1, part]
-    m *= b1
-    m += np.multiply(g, 1.0 - b1, out=s)
-    v *= b2
-    np.multiply(g, 1.0 - b2, out=s)
-    v += np.multiply(s, g, out=s)
-    np.divide(m, 1.0 - b1**state.t, out=s)
-    s *= config.learning_rate
-    np.divide(v, 1.0 - b2**state.t, out=r)
-    np.sqrt(r, out=r)
-    r += config.eps
-    s /= r
-    p -= s
+        self.scratch = np.empty((2, params.size), params.dtype)
 
 
 def adam_step(
@@ -459,20 +431,29 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update of a flat parameter vector, in place."""
+    """One bias-corrected Adam update of a flat parameter vector, in place.
+
+    The in-place passes round as ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``
+    does, one operation at a time in the same order (c1 and c2 are the
+    bias corrections).
+    """
     if params.ndim != 1 or params.shape != state.m.shape or grads.shape != params.shape:
         raise ShapeMismatchError("parameter, gradient, and state vectors disagree")
     state.t += 1
-    cut = params.size // 2
-    if state.worker is None or cut == 0:
-        _adam_passes(params, grads, state, config, slice(None))
-        return
-    head = _submit(state.worker, _adam_passes, params, grads, state, config, slice(0, cut))
-    _adam_passes(params, grads, state, config, slice(cut, None))
-    if head.cancel():  # the worker is still scoring an epoch: take its half back
-        _adam_passes(params, grads, state, config, slice(0, cut))
-    else:
-        head.result()
+    b1, b2 = config.beta1, config.beta2
+    m, v, (s, r) = state.m, state.v, state.scratch
+    m *= b1
+    m += np.multiply(grads, 1.0 - b1, out=s)
+    v *= b2
+    np.multiply(grads, 1.0 - b2, out=s)
+    v += np.multiply(s, grads, out=s)
+    np.divide(m, 1.0 - b1**state.t, out=s)
+    s *= config.learning_rate
+    np.divide(v, 1.0 - b2**state.t, out=r)
+    np.sqrt(r, out=r)
+    r += config.eps
+    s /= r
+    params -= s
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +481,11 @@ def train(
     checkpoint can never be worse than initialization. Ties in
     validation RMSE keep the earliest epoch.
 
-    The parameters, their gradients and Adam's moments are flat
-    vectors. One worker thread takes half of every Adam step and scores
-    each epoch on a copy of its parameters while the next epoch trains;
-    the arithmetic is the same as one thread doing it all in order.
+    The parameters, their gradients and Adam's moments are flat float32
+    vectors, and the standardized features are cast to float32 once.
+    Each epoch is scored in grams in float64 from the float32 outputs,
+    and the best epoch's parameters are widened to float64 before the
+    target scale is folded in.
     """
     config = config or TrainConfig()
     train_x = np.asarray(train_x, dtype=np.float64)
@@ -526,63 +508,49 @@ def train(
         raise DataError("non-finite values in the validation set")
 
     stats, zx = standardize_fit_apply(train_x)
-    zv = standardize_apply(stats, val_x)
+    zx = zx.astype(np.float32)
+    zv = standardize_apply(stats, val_x).astype(np.float32)
     target_mean = float(train_y.mean())
     target_std = float(train_y.std())
     scale = target_std if target_std > SIGMA_FLOOR else 0.0
     zy = (train_y - target_mean) / scale if scale else np.zeros_like(train_y)
+    zy = zy.astype(np.float32)
 
     layer_sizes = (train_x.shape[1], *hidden_sizes, 1)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     model = init_model(layer_sizes, seed=config.seed, rng=rng)
     model.norm_stats = stats
     params = np.concatenate(
-        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair]
+        [a.ravel() for pair in zip(model.weights, model.biases) for a in pair],
+        dtype=np.float32,
     )
     model.weights, model.biases = _param_views(params, layer_sizes)
     n = train_y.size
-    work = Workspace(layer_sizes, min(config.batch_size, n))
+    work = Workspace(layer_sizes, min(config.batch_size, n), params.dtype)
+    state = AdamState(params)
 
-    def grams_rmse(net, z_features, y_grams):
-        pred = forward(net, z_features) * scale + target_mean
+    def grams_rmse(z_features, y_grams):
+        pred = forward(model, z_features).astype(np.float64) * scale + target_mean
         diff = pred - y_grams
         return float(np.sqrt(np.mean(diff * diff)))
 
-    def score(snapshot):
-        net = MlpModel(layer_sizes, *_param_views(snapshot, layer_sizes))
-        return grams_rmse(net, zx, train_y), grams_rmse(net, zv, val_y)
-
     logbook = []
     best_val, best_epoch, best_params = np.inf, 0, params
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="hyperfield-train") as worker:
-        state = AdamState(params, worker)
+    for epoch in range(config.epochs + 1):
+        if epoch:
+            perm = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                batch = perm[start : start + config.batch_size]
+                backward(model, zx[batch], zy[batch], work)
+                adam_step(params, work.grads, state, config)
+        train_rmse, val_rmse = grams_rmse(zx, train_y), grams_rmse(zv, val_y)
+        if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
+            raise DivergenceError(f"non-finite loss at epoch {epoch}")
+        logbook.append(EpochLog(epoch, train_rmse, val_rmse))
+        if val_rmse < best_val:
+            best_val, best_epoch, best_params = val_rmse, epoch, params.copy()
 
-        def epochs():
-            """(epoch, parameters, future RMSEs), each yielded once the next epoch is queued."""
-            previous = None
-            for epoch in range(config.epochs + 1):
-                if epoch:
-                    perm = rng.permutation(n)
-                    for start in range(0, n, config.batch_size):
-                        batch = perm[start : start + config.batch_size]
-                        backward(model, zx[batch], zy[batch], work)
-                        adam_step(params, work.grads, state, config)
-                snapshot = params.copy()
-                current = epoch, snapshot, _submit(worker, score, snapshot)
-                if previous is not None:
-                    yield previous
-                previous = current
-            yield previous
-
-        for epoch, snapshot, rmse in epochs():
-            train_rmse, val_rmse = rmse.result()
-            if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
-                raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            logbook.append(EpochLog(epoch, train_rmse, val_rmse))
-            if val_rmse < best_val:
-                best_val, best_epoch, best_params = val_rmse, epoch, snapshot
-
-    model.weights, model.biases = _param_views(best_params, layer_sizes)
+    model.weights, model.biases = _param_views(best_params.astype(np.float64), layer_sizes)
     # Fold the target scale into the linear output layer: the returned
     # model maps standardized features straight to grams.
     model.weights[-1] = model.weights[-1] * scale

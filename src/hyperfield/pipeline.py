@@ -726,6 +726,9 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     from .table import write_table
     from .unmix import AbundanceMap, write_score_ppm
 
+    tau = st.config.getfloat("dataset", "middle_tau")
+    if not 0 <= tau < np.inf:
+        raise ConfigError(f"[dataset] middle_tau = {tau} must be finite and at least 0")
     abund = AbundanceMap.from_cube(read_cube(abund_stem))
     rows, cols, _ = abund.values.shape
     assigned = _assigned_plots(assignment_path, rows, cols)
@@ -751,7 +754,6 @@ def _stage_report(st: _Stage) -> Iterator[None]:
 
     # middle-third yield share per plot
     window_px = st.config.getint("dataset", "window_px")
-    tau = st.config.getfloat("dataset", "middle_tau")
     plot_ids = np.array(records.plot_ids)
     thirds = []
     for plot in assigned:

@@ -340,7 +340,12 @@ def adam_step_lists(params, grads, state, config):
 
 
 def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None):
-    """``mlp.train``'s arithmetic, one array at a time and one epoch after another."""
+    """``mlp.train``'s arithmetic, one float32 array at a time and one epoch after another.
+
+    Standardization, the gram-scale errors and the returned model are
+    float64; the network trains on float32 copies of the standardized
+    features and targets.
+    """
     config = config or TrainConfig()
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64).reshape(-1)
@@ -352,11 +357,14 @@ def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None):
     target_std = float(train_y.std())
     scale = target_std if target_std > SIGMA_FLOOR else 0.0
     zy = (train_y - target_mean) / scale if scale else np.zeros_like(train_y)
+    zx, zv, zy = (a.astype(np.float32) for a in (zx, zv, zy))
 
     layer_sizes = (train_x.shape[1], *hidden_sizes, 1)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     model = init_model(layer_sizes, seed=config.seed, rng=rng)
     model.norm_stats = stats
+    model.weights = [w.astype(np.float32) for w in model.weights]
+    model.biases = [b.astype(np.float32) for b in model.biases]
 
     params = [p for pair in zip(model.weights, model.biases) for p in pair]
     state = AdamState(params)
@@ -366,7 +374,7 @@ def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None):
 
     def grams_rmse(z_features, y_grams):
         out = _forward_cache(model.weights, model.biases, z_features)[0][-1][:, 0]
-        diff = out * scale + target_mean - y_grams
+        diff = out.astype(np.float64) * scale + target_mean - y_grams
         return float(np.sqrt(np.mean(diff * diff)))
 
     logbook = []
@@ -393,7 +401,8 @@ def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None):
         if val_rmse < best_val:
             best_val, best_epoch, best_params = val_rmse, epoch, snapshot()
 
-    model.weights, model.biases = best_params
+    model.weights = [w.astype(np.float64) for w in best_params[0]]
+    model.biases = [b.astype(np.float64) for b in best_params[1]]
     model.weights[-1] = model.weights[-1] * scale
     model.biases[-1] = model.biases[-1] * scale + target_mean
     model.best_epoch = best_epoch

@@ -396,12 +396,12 @@ _TINY_PAYLOAD_DIGESTS = {
     "manifests/calibrate.json": "e092e79841fa46b1d98319e7842cdbbf74a6f407fd459e3dedf614d45da6e02f",
     "manifests/dataset.json": "ec24dde92ed13b16185a7ba6d17e904e5c9abf062c56c3900a2b14f446eef6e0",
     "manifests/endmembers.json": "cc35fe5c2fd2f0a6bb51b075988809bdbb951e5f52bb313502400fa182708c17",
-    "manifests/evaluate.json": "6f8420aebbfc21373720e5b20783539d78998b6f0c3f3ff6fcabd502ed71615e",
+    "manifests/evaluate.json": "a6968a492cfb9430347aa45d9004c1cba2657f4b4806551af08a52fbff9f02f7",
     "manifests/gridmap.json": "549dbf472174f59c390756ba977087ae04064a371eeafd2dbc9ed65029dd4568",
-    "manifests/report.json": "f673f93de759904af888848dc8a86f108c40ef0038161a08f910ee668331135c",
+    "manifests/report.json": "b995e74c0691e2f9fc440b05d032b45219a1ed36f09806d8a5934cb4168ebdee",
     "manifests/segment.json": "d023ab3deffb0e68550cc64bb3d147b6cb437d6206a57adff1aa041fc43d9318",
     "manifests/synth.json": "9462eadd3f1c9b7ec021838f2b3dfe3221861f579eebe3f508fef382c0436532",
-    "manifests/train.json": "5f8374c12b68a6cc3bd1765ee727e70655acfa3c0ad4247ff45c8b5447a640b1",
+    "manifests/train.json": "13a5dce6baa392c6edee5414142f325f26abfcac28c551924cd6def85fc04452",
     "manifests/unmix.json": "b0e50a5b5c4a12c72dccad20d1ac080526783dd8d6e8c9a71d8f9c0bbc7cd44f",
 }
 
@@ -875,17 +875,17 @@ def test_traced_cold_run_calls_every_layer_the_benchmark_expects(tmp_path):
     run = spans["run-all"]
     assert layers.coverage_problems("cold", run, spans["synth"]) == []
 
-    # one Adam call per optimizer step, the epochs scored on the trainer's
-    # worker thread still traced, and one records parse for the whole run
+    # one Adam call per optimizer step, the epochs scored inside the
+    # trainer's own span, and one records parse for the whole run
     config = load_config(str(ini))
     epochs, batch = config.getint("train", "epochs"), config.getint("train", "batch_size")
     with open(tmp_path / "out" / "train" / "split.csv", newline="") as fh:
         n_train = sum(row["role"] == "train" for row in csv.DictReader(fh))
     assert run.calls("mlp.adam_step") == epochs * -(-n_train // batch)
     forward = [row for row in run.rows if row[2] == "mlp.forward"]
-    worker = [row for row in forward if row[1] is None]  # no span open on its thread
-    assert len(worker) == 2 * (epochs + 1)
-    assert len(forward) == len(worker) + run.calls("mlp.predict")
+    scoring = [row for row in forward if row[1] is not None and run.by_id[row[1]][2] == "mlp.train"]
+    assert len(scoring) == 2 * (epochs + 1)
+    assert len(forward) == len(scoring) + run.calls("mlp.predict")
     assert run.calls("subplot.read_records_csv") == 1
 
 
@@ -1002,10 +1002,27 @@ def test_non_finite_synth_floats_exit_2_naming_the_key(tmp_path, capsys, key, va
         ("gridmap", "pitch_row_px", "0"),
         ("gridmap", "pitch_col_px", "-2.5"),
         ("endmembers", "count", "1"),
+        ("synth", "seed", "-1"),
+        ("synth", "reference_seed", "-1"),
+        ("split", "seed", "-1"),
+        ("train", "seed", "-1"),
+        ("dataset", "middle_tau", "nan"),
+        ("dataset", "middle_tau", "-1"),
+        ("dataset", "middle_tau", "1e400"),
     ],
 )
 def test_out_of_range_sizes_exit_2_naming_the_key(memo_run, tmp_path, capsys, section, key, value):
-    """synth reads no data file, and run-all reruns only the stage the key is for."""
+    """synth reads no data file, and run-all reruns only the stage the key is for.
+
+    Sizes, seeds and ``middle_tau`` are checked alike: a negative seed
+    would otherwise reach numpy's ``SeedSequence`` and crash.
+    """
+    assert _run_with_key(memo_run, tmp_path, section, key, value) == 2
+    assert f"[{section}] {key} = " in capsys.readouterr().err
+
+
+def _run_with_key(memo_run, tmp_path, section, key, value) -> int:
+    """``synth`` or ``run-all`` on the ``memo_run`` tree with ``[section] key = value``."""
     memo_ini, out = memo_run
     text = memo_ini.read_text()
     if f"[{section}]\n" in text:
@@ -1015,8 +1032,22 @@ def test_out_of_range_sizes_exit_2_naming_the_key(memo_run, tmp_path, capsys, se
     ini = tmp_path / "config.ini"
     ini.write_text(text)
     command = "synth" if section == "synth" else "run-all"
-    assert main([command, "--out", str(out), "--config", str(ini)]) == 2
-    assert f"[{section}] {key} = " in capsys.readouterr().err
+    return main([command, "--out", str(out), "--config", str(ini)])
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("learning_rate", "nan"),
+        ("learning_rate", "1e400"),
+        ("eps", "-1"),
+        ("eps", "1e400"),
+        ("eps", "1e-50"),  # zero in the trainer's float32
+    ],
+)
+def test_bad_learning_rate_or_eps_exits_2_naming_it(memo_run, tmp_path, capsys, key, value):
+    assert _run_with_key(memo_run, tmp_path, "train", key, value) == 2
+    assert f"{key} = " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["chunk", "threads"])

@@ -2,9 +2,6 @@
 
 import hashlib
 import re
-import sys
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,7 +20,6 @@ from hyperfield.mlp import (
     NormStats,
     SplitSpec,
     TrainConfig,
-    _submit,
     adam_step,
     backward,
     evaluate,
@@ -410,32 +406,6 @@ class TestAdam:
             adam_step(params, np.zeros(2), state, TrainConfig())
         assert params == pytest.approx([3.0, -1.0])
 
-    def test_step_split_with_a_worker_matches_one_pass(self):
-        rng = np.random.default_rng(67)
-        start = rng.normal(size=100_001)  # odd: the halves differ in length
-        grads = rng.normal(size=(20, start.size))
-        config = TrainConfig(learning_rate=1e-2)
-        found = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
-        try:
-            with ThreadPoolExecutor(max_workers=1) as worker:
-                for helper in (None, worker):
-                    params = start.copy()
-                    state = AdamState(params, helper)
-                    for g in grads:
-                        adam_step(params, g, state, config)
-                    found.append(params.tobytes())
-        finally:
-            sys.setswitchinterval(interval)
-        assert found[0] == found[1]
-
-    def test_worker_jobs_run_under_the_callers_error_state(self):
-        with ThreadPoolExecutor(max_workers=1) as worker, np.errstate(divide="raise"):
-            job = _submit(worker, np.divide, np.ones(1), np.zeros(1))
-            with pytest.raises(FloatingPointError):
-                job.result()
-
     def test_scalar_quadratic_convergence(self):
         config = TrainConfig(learning_rate=0.1)
         params = np.array([0.0])
@@ -458,11 +428,13 @@ class TestTrain:
         rng = np.random.default_rng(31)
         x, y = _linear_problem(rng, 200, 6)
         config = TrainConfig(epochs=5, batch_size=32, seed=9)
-        m1, log1 = train(x[:160], y[:160], x[160:], y[160:], (8,), config)
-        m2, log2 = train(x[:160], y[:160], x[160:], y[160:], (8,), config)
-        for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
-            assert np.array_equal(a, b)
-        assert log1 == log2
+        for hidden in ((8,), DEFAULT_HIDDEN):
+            m1, log1 = train(x[:160], y[:160], x[160:], y[160:], hidden, config)
+            m2, log2 = train(x[:160], y[:160], x[160:], y[160:], hidden, config)
+            for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
+                assert a.dtype == b.dtype == np.float64
+                assert a.tobytes() == b.tobytes()
+            assert log1 == log2
 
     def test_checkpoint_is_best_logged_epoch(self):
         rng = np.random.default_rng(37)
@@ -493,6 +465,19 @@ class TestTrain:
             with pytest.raises(DivergenceError, match=r"epoch \d+"):
                 train(x[:100], y[:100], x[100:], y[100:], (8,) * 7, config)
 
+    @pytest.mark.parametrize("hidden", [(8,) * 7, (32, 16)])
+    @pytest.mark.parametrize("learning_rate", [1e8, 1e28, 3e38])
+    def test_float32_overflow_is_a_divergence(self, hidden, learning_rate):
+        # float32 overflows long before float64 would: to inf outputs, or
+        # to inf gradients whose Adam update is NaN. Either way the loss
+        # is non-finite and the error names the epoch; nothing crashes.
+        rng = np.random.default_rng(43)
+        x, y = _linear_problem(rng, 120, 4)
+        config = TrainConfig(epochs=5, learning_rate=learning_rate, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+$"):
+                train(x[:100], y[:100], x[100:], y[100:], hidden, config)
+
     def test_rejects_non_finite_training_data(self):
         x = np.ones((10, 3))
         x[4, 1] = np.nan
@@ -510,7 +495,7 @@ class TestTrain:
 
 
 class TestTrainMatchesPerArrayReference:
-    """The flat-vector trainer with its worker thread repeats the per-array loop bit for bit."""
+    """The flat float32 trainer repeats the per-array float32 loop bit for bit."""
 
     @pytest.mark.parametrize(
         "n_train, hidden, epochs, batch_size",
@@ -541,10 +526,7 @@ class TestTrainMatchesPerArrayReference:
         x, y = _linear_problem(rng, 120, 4)
         config = TrainConfig(epochs=5, learning_rate=1e28, seed=0)
         args = (x[:100], y[:100], x[100:], y[100:], (8,) * 7, config)
-        # the worker thread scores under the caller's error state: a
-        # warning it raised would surface here instead of the divergence
-        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
-            warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as ref:
                 train_lists(*args)
             with pytest.raises(DivergenceError) as found:
@@ -613,6 +595,20 @@ class TestCheckpoint:
             assert np.array_equal(a, b)
         assert np.array_equal(back.norm_stats.mean, model.norm_stats.mean)
         assert np.array_equal(back.norm_stats.variance, model.norm_stats.variance)
+
+    def test_round_trip_gives_back_the_widened_float32_values(self, tmp_path):
+        rng = np.random.default_rng(71)
+        x, y = _linear_problem(rng, 120, 6)
+        model, _ = train(x[:100], y[:100], x[100:], y[100:], (16, 8), TrainConfig(epochs=4))
+        path = tmp_path / "model.hfm"
+        save_model(model, path)
+        back = load_model(path)
+        for a, b in zip(model.weights + model.biases, back.weights + back.biases):
+            assert b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+        # the layers the target scale is not folded into are float32 values
+        for a in back.weights[:-1] + back.biases[:-1]:
+            assert a.astype(np.float32).astype(np.float64).tobytes() == a.tobytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         model = init_model((3, 4, 1), seed=11)
