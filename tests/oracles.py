@@ -339,12 +339,12 @@ def adam_step_lists(params, grads, state, config):
         p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
 
 
-def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None):
-    """``mlp.train``'s arithmetic, one float32 array at a time and one epoch after another.
+def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None, dtype=np.float32):
+    """``mlp.train``'s arithmetic, one array at a time and one epoch after another.
 
     Standardization, the gram-scale errors and the returned model are
-    float64; the network trains on float32 copies of the standardized
-    features and targets.
+    float64; the network trains on ``dtype`` copies of the standardized
+    features and targets (float32, as ``mlp.train`` does, by default).
     """
     config = config or TrainConfig()
     train_x = np.asarray(train_x, dtype=np.float64)
@@ -357,14 +357,14 @@ def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None):
     target_std = float(train_y.std())
     scale = target_std if target_std > SIGMA_FLOOR else 0.0
     zy = (train_y - target_mean) / scale if scale else np.zeros_like(train_y)
-    zx, zv, zy = (a.astype(np.float32) for a in (zx, zv, zy))
+    zx, zv, zy = (a.astype(dtype) for a in (zx, zv, zy))
 
     layer_sizes = (train_x.shape[1], *hidden_sizes, 1)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     model = init_model(layer_sizes, seed=config.seed, rng=rng)
     model.norm_stats = stats
-    model.weights = [w.astype(np.float32) for w in model.weights]
-    model.biases = [b.astype(np.float32) for b in model.biases]
+    model.weights = [w.astype(dtype) for w in model.weights]
+    model.biases = [b.astype(dtype) for b in model.biases]
 
     params = [p for pair in zip(model.weights, model.biases) for p in pair]
     state = AdamState(params)

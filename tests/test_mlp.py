@@ -521,6 +521,20 @@ class TestTrainMatchesPerArrayReference:
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("hidden", [DEFAULT_HIDDEN, (16, 8)])
+    def test_epoch_errors_stay_close_to_the_float64_loop(self, hidden):
+        # float32 training moves each epoch's errors by a few float32 ulps
+        rng = np.random.default_rng(61)
+        x, y = _linear_problem(rng, 190, 9)
+        config = TrainConfig(epochs=3, batch_size=64, seed=5)
+        args = (x[:150], y[:150], x[150:], y[150:], hidden, config)
+        _, logbook = train(*args)
+        _, ref_logbook = train_lists(*args, dtype=np.float64)
+        tolerance = 64 * np.finfo(np.float32).eps
+        for got, ref in zip(logbook, ref_logbook, strict=True):
+            assert got.train_rmse == pytest.approx(ref.train_rmse, rel=tolerance)
+            assert got.val_rmse == pytest.approx(ref.val_rmse, rel=tolerance)
+
     def test_divergence_names_the_reference_epoch(self):
         rng = np.random.default_rng(43)
         x, y = _linear_problem(rng, 120, 4)
