@@ -6,8 +6,8 @@ Exit codes are stable: 0 success, 2 config error, 3 dependency error
 the log level (DEBUG, INFO, WARNING, ERROR); the default is WARNING.
 
 BLAS runs on one thread in this process, whatever the environment
-says. The other cores go to the hashing pool, which a second BLAS
-thread spinning between the MLP's small products would compete with.
+says. The other cores go to the hasher's worker threads, which a second
+BLAS thread spinning between the MLP's small products would compete with.
 BLAS reads its thread count when numpy loads, so it is set before
 anything imports numpy.
 

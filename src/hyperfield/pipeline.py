@@ -4,7 +4,9 @@ Each stage reads its inputs from files, writes its outputs under the
 output directory, and records a manifest (content hashes of inputs,
 the relevant config slice, output hashes, and the code version). A
 stage whose manifest still matches is skipped, which makes reruns
-cheap and interrupted pipelines resumable. Nothing in a manifest
+cheap and interrupted pipelines resumable; ``run_all`` lets the first
+stale stage run while the skipped stages' digests are still being
+checked, and commits it only once they match. Nothing in a manifest
 depends on absolute paths or timestamps, so two runs from the same
 inputs produce byte-identical trees.
 
@@ -15,14 +17,17 @@ loads neither.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import json
 import logging
 import os
 import shutil
-from collections.abc import Callable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from concurrent.futures import Future
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
@@ -84,39 +89,135 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _identity(st: os.stat_result) -> tuple[int, int, int, int, int]:
+_Key = tuple[int, int, int, int, int]  # a file's stat identity
+
+
+def _identity(st: os.stat_result) -> _Key:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
 
 
-class FileDigests:
-    """sha256 of files, each computed at most once per run.
+def _usable_cpus() -> set[int]:
+    """The CPUs this thread may run on: its affinity where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return os.sched_getaffinity(0)
+    return set(range(os.cpu_count() or 1))
 
-    This is the one place a file's digest comes from: ``of`` hashes it
-    from disk. Entries are keyed by the file's stat identity (device,
-    inode, size, mtime, ctime) taken before the hash, so a relative and an
-    absolute path to the same file share one entry, and any write to a
-    file, even during its hash, gives it a new key. A rewrite inside the
-    filesystem's timestamp granularity can keep the old key, so the files
-    a stage has just written are rehashed (``rehash``) rather than looked
-    up. Renaming a stage's directory into place keeps its files' keys.
-    Nothing is persisted.
+
+class FileDigests:
+    """sha256 of files, each computed at most once per run, on one hasher.
+
+    This is the one place a file's digest comes from: ``submit`` queues
+    the files to hash and ``of`` waits for them. Entries are keyed by the
+    file's stat identity (device, inode, size, mtime, ctime) taken before
+    the hash, so a relative and an absolute path to the same file share
+    one entry, a digest still being computed is handed to a second caller,
+    and any write to a file, even during its hash, gives it a new key. A
+    rewrite inside the filesystem's timestamp granularity can keep the old
+    key, so the files a stage has just written are rehashed (``rehash``)
+    rather than looked up. Renaming a stage's directory into place keeps
+    its files' keys. Nothing is persisted.
+
+    Used as a context manager, the hasher starts worker threads, at most
+    one per usable CPU but the caller's: the caller is pinned to one CPU
+    and the workers to the others, since two unpinned threads often share
+    one CPU. The caller's affinity is restored on exit, and nothing is
+    pinned or started with one usable CPU. Outside the context, and
+    whenever it waits, the calling thread hashes the queued files it
+    waits for itself.
     """
 
     def __init__(self) -> None:
-        self._known: dict[tuple[int, int, int, int, int], str] = {}
+        self._known: dict[_Key, Future[str]] = {}
+        self._queue: deque[tuple[_Key, str, Future[str]]] = deque()
+        self._lock = threading.Lock()
+        self._queued = threading.Condition(self._lock)
+        self._workers: list[threading.Thread] = []
+        self._worker_cpus: set[int] = set()  # empty: start no worker
+        self._caller_cpus: set[int] | None = None  # to restore on exit
+        self._closed = False
+
+    def __enter__(self) -> FileDigests:
+        cpus = _usable_cpus()
+        if len(cpus) > 1 and hasattr(os, "sched_setaffinity"):
+            own = min(cpus)
+            os.sched_setaffinity(0, {own})
+            self._caller_cpus, self._worker_cpus = cpus, cpus - {own}
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        with self._queued:
+            self._closed = True
+            for key, _, future in self._queue:  # nobody waits for these any more
+                future.cancel()
+                if self._known.get(key) is future:
+                    del self._known[key]
+            self._queue.clear()
+            self._queued.notify_all()
+        for worker in self._workers:
+            worker.join()
+        if self._caller_cpus is not None:
+            os.sched_setaffinity(0, self._caller_cpus)
+
+    def submit(
+        self, paths: list[str], rehash: frozenset[str] = frozenset()
+    ) -> dict[str, Future[str]]:
+        """{path: digest to come}; unknown files (and ``rehash`` ones) are queued."""
+        keys = {path: _identity(os.stat(path)) for path in paths}
+        with self._queued:
+            for key in {keys[path] for path in rehash & keys.keys()}:
+                self._known.pop(key, None)
+            for path, key in keys.items():
+                if key not in self._known:
+                    future = self._known[key] = Future()
+                    self._queue.append((key, path, future))
+            wanted = min(len(self._worker_cpus), len(self._queue))
+            while not self._closed and len(self._workers) < wanted:
+                worker = threading.Thread(target=self._work, name="hyperfield-hash")
+                worker.start()
+                self._workers.append(worker)
+            self._queued.notify(len(self._queue))
+            return {path: self._known[key] for path, key in keys.items()}
 
     def of(self, paths: list[str], rehash: frozenset[str] = frozenset()) -> dict[str, str]:
-        """{path: sha256}; unknown files (and ``rehash`` ones) are hashed concurrently."""
-        keys = {path: _identity(os.stat(path)) for path in paths}
-        todo: dict[tuple[int, int, int, int, int], str] = {}
-        for path, key in keys.items():
-            if path in rehash or key not in self._known:
-                todo.setdefault(key, path)
-        if todo:
-            workers = min(len(todo), os.cpu_count() or 1)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                self._known.update(zip(todo, pool.map(_sha256, todo.values())))
-        return {path: self._known[key] for path, key in keys.items()}
+        """{path: sha256}, waiting for every digest; see ``submit``."""
+        found = self.submit(paths, rehash)
+        self.wait(found.values())
+        return {path: future.result() for path, future in found.items()}
+
+    def wait(self, futures: Iterable[Future[str]]) -> None:
+        """Until every one of ``futures`` is done, hashing the queued ones here."""
+        waiting = set(futures)
+        while True:
+            with self._lock:
+                job = next((job for job in self._queue if job[2] in waiting), None)
+                if job is not None:
+                    self._queue.remove(job)
+            if job is None:
+                break
+            self._hash(*job)
+        concurrent.futures.wait(waiting)
+
+    def _hash(self, key: _Key, path: str, future: Future[str]) -> None:
+        if not future.set_running_or_notify_cancel():
+            return
+        try:
+            future.set_result(_sha256(path))
+        except Exception as exc:  # handed to every waiter, and not kept
+            with self._lock:
+                if self._known.get(key) is future:
+                    del self._known[key]
+            future.set_exception(exc)
+
+    def _work(self) -> None:
+        os.sched_setaffinity(0, self._worker_cpus)
+        while True:
+            with self._queued:
+                while not self._queue and not self._closed:
+                    self._queued.wait()
+                if not self._queue:
+                    return
+                job = self._queue.popleft()
+            self._hash(*job)
 
 
 class ParsedRecords:
@@ -129,7 +230,7 @@ class ParsedRecords:
     """
 
     def __init__(self) -> None:
-        self._key: tuple[int, int, int, int, int] | None = None
+        self._key: _Key | None = None
         self._records: Records | None = None
 
     def read(self, path: str) -> Records:
@@ -197,39 +298,98 @@ def _check_inputs(st: _Stage) -> None:
             )
 
 
-def _should_skip(st: _Stage, config_hash: str) -> bool:
-    """Whether the manifest still matches; its outputs must be the files under ``<stage>/``."""
+def _check_structure(
+    st: _Stage, config_hash: str, sections: tuple[str, ...]
+) -> tuple[str | None, list[tuple[str, str, str]]]:
+    """Why the manifest no longer fits the stage, found without hashing.
+
+    Returns the reason, or None and the (name, path, recorded digest) of
+    each file the content check compares. The outputs must be the files
+    under ``<stage>/``.
+    """
     path = _manifest_path(st.out_dir, st.name)
     if not os.path.exists(path):
-        return False
+        return "no manifest", []
     try:
         with open(path, encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError, RecursionError):  # also not UTF-8, not JSON or too deep
-        return False
-    if not isinstance(manifest, dict):
-        return False
+        manifest = None
+    if not isinstance(manifest, dict) or not all(
+        isinstance(manifest.get(part), dict) for part in ("inputs", "outputs")
+    ):
+        return "the manifest is unreadable", []
     if manifest.get("version") != __version__:
-        return False
+        return f"the manifest is from version {manifest.get('version')!r}", []
     if manifest.get("config_hash") != config_hash:
-        return False
-    recorded_inputs = manifest.get("inputs")
-    recorded_outputs = manifest.get("outputs")
-    if not isinstance(recorded_inputs, dict) or not isinstance(recorded_outputs, dict):
-        return False
-    if set(recorded_inputs) != set(st.inputs) or not os.path.isdir(st.dir):
-        return False
-    if set(recorded_outputs) != set(_files_under(st)):
-        return False
-    expected = [(path, recorded_inputs[key]) for key, path in st.inputs.items()]
-    expected += [
-        (os.path.join(st.out_dir, rel), digest) for rel, digest in recorded_outputs.items()
+        # one hash covers all of the stage's sections, so name them all
+        return f"the config of {' '.join(f'[{s}]' for s in sections)} changed", []
+    recorded_inputs, recorded_outputs = manifest["inputs"], manifest["outputs"]
+    if set(recorded_inputs) != set(st.inputs):
+        return "the input keys changed", []
+    outputs = set(_files_under(st))
+    if not os.path.isdir(st.dir) or outputs != set(recorded_outputs):
+        changed = ", ".join(sorted(outputs ^ set(recorded_outputs))) or st.name + "/"
+        return f"the output set changed: {changed}", []
+    files = [(key, resolved, recorded_inputs[key]) for key, resolved in st.inputs.items()]
+    files += [
+        (rel, os.path.join(st.out_dir, rel), digest) for rel, digest in recorded_outputs.items()
     ]
+    return None, files
+
+
+def _check_content(
+    st: _Stage, files: list[tuple[str, str, str]]
+) -> Callable[[], str | None]:
+    """Queue the digests of ``files`` on the hasher. The call returned
+    waits for them and gives the first file whose digest differs from the
+    recorded one, or None when every one matches."""
+    names = {resolved: name for name, resolved, _ in files}
     try:
-        found = st.digests.of([target for target, _ in expected])
-    except FileNotFoundError:
-        return False
-    return all(found[target] == digest for target, digest in expected)
+        found = st.digests.submit(list(names))
+    except FileNotFoundError as exc:  # removed since the structure was checked
+        gone = f"{names.get(exc.filename, exc.filename)} changed"
+        return lambda: gone
+
+    def reason() -> str | None:
+        st.digests.wait(found.values())
+        for name, resolved, digest in files:
+            try:
+                if found[resolved].result() != digest:
+                    return f"{name} changed"
+            except FileNotFoundError:
+                return f"{name} changed"
+        return None
+
+    return reason
+
+
+class _Stale(Exception):
+    """A stage taken as skipped failed its content check; the run resumes there."""
+
+
+class _DeferredChecks:
+    """Content checks of the stages a run has taken as skipped on their
+    manifests' structure alone, while no stage of the run has executed."""
+
+    def __init__(self, closed: bool = False) -> None:
+        self.closed = closed  # no check may be deferred any more
+        self._checks: list[tuple[str, Callable[[], str | None]]] = []
+
+    def defer(self, stage: str, check: Callable[[], str | None]) -> None:
+        self._checks.append((stage, check))
+
+    def settle(self) -> None:
+        """Wait for every deferred check, in stage order, and defer no more.
+
+        Raises ``_Stale`` naming the first stage whose files changed; the
+        stages before it are skipped.
+        """
+        checks, self._checks, self.closed = self._checks, [], True
+        for stage, check in checks:
+            if check() is not None:
+                raise _Stale(stage)
+            log.info("%s: manifest up to date, skipping", stage)
 
 
 def _write_manifest(st: _Stage, config_hash: str) -> None:
@@ -880,52 +1040,98 @@ def run_stage(
     force: bool = False,
     digests: FileDigests | None = None,
     records: ParsedRecords | None = None,
+    deferred: _DeferredChecks | None = None,
 ) -> None:
-    """Run one stage (or skip it when its manifest is still valid).
+    """Run one stage, or skip it when its manifest still matches.
 
-    What the body writes replaces the stage's directory only when the
-    body succeeds, and the manifest is written after that; then the heap
-    pages the body freed go back to the system. Inputs with no digest
-    yet are hashed on another thread while the body runs.
+    The skip check has two parts: the manifest's structure (readable,
+    same version, config hash, input keys and output files), which hashes
+    nothing, then its content (every digest equal). The reason a stage
+    reruns is logged at INFO. Inputs with no digest yet are hashed on the
+    hasher while the body runs. What the body writes replaces the stage's
+    directory only when the body succeeds, and the manifest is written
+    after that; then the heap pages the body freed go back to the system.
     ``digests`` and ``records`` carry file hashes and the parsed records
-    between the stages of one run.
+    between the stages of one run. Until ``deferred`` is closed, a stage
+    whose structure matches queues its content check there and returns;
+    a stage that runs waits for every deferred check before it swaps its
+    outputs in, and raises ``_Stale`` instead if one failed.
     """
     if name not in STAGES:
         raise ConfigError(f"unknown stage {name!r}")
     _check_out_dir(config.out_dir())
+    if deferred is None:
+        deferred = _DeferredChecks(closed=True)
+    with FileDigests() if digests is None else contextlib.nullcontext(digests) as hasher:
+        _run_stage(_Stage(name, config, hasher, records), force, deferred)
+
+
+def _run_stage(st: _Stage, force: bool, deferred: _DeferredChecks) -> None:
+    name = st.name
     log.info("stage %s: starting", name)
     stage = STAGES[name]
-    st = _Stage(name, config, FileDigests() if digests is None else digests, records)
     work = stage.body(st)
     next(work)
     _check_inputs(st)
-    config_hash = config.config_hash(stage.sections)
+    config_hash = st.config.config_hash(stage.sections)
     old = os.path.join(st.out_dir, f".{name}.old")  # where the swap moves the old directory
     for leftover in (st.staging, old):  # of a failed or killed run
         shutil.rmtree(leftover, ignore_errors=True)
     with contextlib.suppress(FileNotFoundError):
         os.remove(_manifest_path(st.out_dir, name) + ".tmp")
-    if not force and _should_skip(st, config_hash):
-        log.info("%s: manifest up to date, skipping", name)
-        return
+    if force:
+        reason = "--stage-force"
+    else:
+        reason, files = _check_structure(st, config_hash, stage.sections)
+        if reason is None:
+            check = _check_content(st, files)
+            if not deferred.closed:
+                deferred.defer(name, check)
+                return
+            reason = check()
+            if reason is None:
+                log.info("%s: manifest up to date, skipping", name)
+                return
+    log.info("%s: rerunning: %s", name, reason)
     os.makedirs(st.staging)
-    with ThreadPoolExecutor(max_workers=1) as hashing:
-        inputs = hashing.submit(st.digests.of, list(st.inputs.values()))
+    st.digests.submit(list(st.inputs.values()))
+    try:
         try:
             next(work, None)
-            with contextlib.suppress(FileNotFoundError):
-                os.rename(st.dir, old)
-            os.rename(st.staging, st.dir)
-        finally:
-            shutil.rmtree(st.staging, ignore_errors=True)
-        inputs.result()
+        except Exception:
+            deferred.settle()  # a stale earlier stage outranks the body's error
+            raise
+        deferred.settle()
+        with contextlib.suppress(FileNotFoundError):
+            os.rename(st.dir, old)
+        os.rename(st.staging, st.dir)
+    finally:
+        shutil.rmtree(st.staging, ignore_errors=True)
     shutil.rmtree(old, ignore_errors=True)
     _write_manifest(st, config_hash)
     _trim_heap()
 
 
 def run_all(config: PipelineConfig, force: bool = False) -> None:
-    """All pipeline stages in order. The synth stage is not included."""
-    digests, records = FileDigests(), ParsedRecords()
-    for name in STAGE_ORDER:
-        run_stage(name, config, force, digests, records)
+    """All pipeline stages in order, on one hasher. The synth stage is not included.
+
+    Until a stage runs, each stage whose manifest structure matches is
+    taken as skipped and its content check is deferred to the hasher, so
+    the first stale stage starts its body at once. That stage waits for
+    the deferred checks before it swaps its outputs in, and so does
+    ``run_all`` before it returns. If one failed, that stage's outputs are
+    discarded and the run resumes at the failed stage, with checks that
+    wait.
+    """
+    deferred = _DeferredChecks()
+    with FileDigests() as digests:
+        records = ParsedRecords()
+        start = 0
+        while True:
+            try:
+                for name in STAGE_ORDER[start:]:
+                    run_stage(name, config, force, digests, records, deferred)
+                deferred.settle()
+                return
+            except _Stale as stale:
+                start = STAGE_ORDER.index(*stale.args)

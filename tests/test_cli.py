@@ -7,11 +7,13 @@ import hashlib
 import importlib.util
 import io
 import json
+import logging
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -749,6 +751,203 @@ def test_file_digests_share_entries_and_rehash_on_request(tmp_path, monkeypatch)
     assert found["f.bin"] == hashlib.sha256(b"b" * 64).hexdigest()
 
 
+def test_file_digests_hash_each_file_once_for_concurrent_callers(tmp_path, monkeypatch):
+    """More callers than CPUs ask for the same files at once, under a short
+    switch interval: each file is hashed once and every caller gets its digest."""
+    paths = []
+    for i in range(24):
+        path = tmp_path / f"{i}.bin"
+        path.write_bytes(bytes([i]) * (64 << 10))
+        paths.append(str(path))
+    hashed = []
+
+    def counting(path):
+        hashed.append(path)
+        return _sha256_of(path)
+
+    monkeypatch.setattr(pipeline, "_sha256", counting)
+    expected = {path: _sha256_of(path) for path in paths}
+    results, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with FileDigests() as digests:
+            callers = [
+                threading.Thread(target=lambda: results.append(digests.of(paths)))
+                for _ in range(2 * len(pipeline._usable_cpus()) + 4)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            assert not any(caller.is_alive() for caller in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(hashed) == sorted(paths)
+    assert results == [expected] * len(callers)
+
+
+def _pipeline_log(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "hyperfield.pipeline"]
+
+
+def _edit_manifest(key, value):
+    def edit(out):
+        path = out / "manifests" / "gridmap.json"
+        manifest = json.loads(path.read_text())
+        manifest[key] = value
+        path.write_text(json.dumps(manifest))
+    return edit
+
+
+def _append_to(rel):
+    def edit(out):
+        with open(out / rel, "a") as fh:
+            fh.write("\n")
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, flags, reason",
+    [
+        (lambda out: (out / "manifests" / "gridmap.json").unlink(), [], "no manifest"),
+        (lambda out: (out / "manifests" / "gridmap.json").write_text("[]\n"), [],
+         "the manifest is unreadable"),
+        (_edit_manifest("version", "0.0.0-other"), [],
+         "the manifest is from version '0.0.0-other'"),
+        (_edit_manifest("config_hash", "x"), [], "the config of [input] [gridmap] changed"),
+        (_edit_manifest("inputs", {"segment/boxes.csv": "x"}), [], "the input keys changed"),
+        (lambda out: (out / "gridmap" / "extra.txt").write_text("x\n"), [],
+         "the output set changed: gridmap/extra.txt"),
+        (_append_to("gridmap/assignment.csv"), [], "gridmap/assignment.csv changed"),
+        (lambda out: None, ["--stage-force"], "--stage-force"),
+    ],
+    ids=["no-manifest", "unreadable", "version", "config", "input-keys", "output-set",
+         "file", "force"],
+)
+def test_a_rerun_logs_its_reason(memo_run, caplog, edit, flags, reason):
+    ini, out = memo_run
+    before = _tree_bytes(out)
+    edit(out)
+    caplog.set_level(logging.INFO, logger="hyperfield.pipeline")
+    assert main(["gridmap", "--out", str(out), "--config", str(ini), *flags]) == 0
+    log = _pipeline_log(caplog)
+    assert f"gridmap: rerunning: {reason}" in log
+    assert "gridmap: manifest up to date, skipping" not in log
+    assert _tree_bytes(out) == before
+
+
+def _with_train_seed(ini, tmp_path, extra=""):
+    """A copy of ``ini`` with ``[train] seed`` edited, plus ``extra`` [train] lines."""
+    edited = tmp_path / "seed.ini"
+    edited.write_text(ini.read_text().replace("[train]\n", f"[train]\nseed = 7\n{extra}"))
+    return edited
+
+
+def _flip_low_bit(path):
+    """Flip the lowest bit of the word at the middle of ``path``: a float32
+    sample moves by one ulp and stays finite."""
+    offset = path.stat().st_size // 2 // 4 * 4
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        byte = fh.read(1)[0]
+        fh.seek(offset)
+        fh.write(bytes([byte ^ 1]))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+@pytest.mark.parametrize(
+    "rel, damage, stale",
+    [
+        ("synth/scene.raw", _flip_low_bit, "calibrate"),
+        ("calibrate/reflectance.raw", _flip_low_bit, "calibrate"),
+        ("segment/boxes.csv", _flip_low_bit, "segment"),
+        ("dataset/records.csv", _flip_low_bit, "dataset"),
+        ("dataset/records.csv", _truncate, "dataset"),
+    ],
+    ids=["scene", "reflectance", "boxes", "records", "records-truncated"],
+)
+def test_a_stage_that_fails_its_deferred_check_reruns_after_the_speculated_train(
+    memo_run, tmp_path, caplog, monkeypatch, rel, damage, stale
+):
+    """With ``[train] seed`` edited, train runs at once while the skip checks
+    of calibrate ... dataset run on the hasher. A file damaged under one of
+    those stages fails its check: train's outputs are discarded, even when
+    its body failed on the damage, and the run resumes at that stage."""
+    ini, out = memo_run
+    seed_ini = _with_train_seed(ini, tmp_path)
+    damage(out / rel)
+    forced = tmp_path / "forced"
+    shutil.copytree(out, forced)
+    assert main(["run-all", "--out", str(forced), "--config", str(seed_ini), "--stage-force"]) == 0
+    committed, write_manifest = [], pipeline._write_manifest
+    monkeypatch.setattr(
+        pipeline, "_write_manifest", lambda st, *a: (committed.append(st.name), write_manifest(st, *a))
+    )
+    caplog.set_level(logging.INFO, logger="hyperfield.pipeline")
+    assert main(["run-all", "--out", str(out), "--config", str(seed_ini)]) == 0
+    log = _pipeline_log(caplog)
+    speculated = log.index("train: rerunning: the config of [split] [model] [train] changed")
+    assert log.index(f"{stale}: rerunning: {rel} changed") > speculated
+    assert f"{stale}: manifest up to date, skipping" not in log
+    assert committed.count("train") == 1  # only after the resumed run got to it
+    assert _tree_bytes(out) == _tree_bytes(forced)
+    _assert_manifests_match_disk(out)
+
+
+def test_a_speculated_train_that_diverges_still_exits_5(memo_run, tmp_path):
+    ini, out = memo_run
+    manifest = (out / "manifests" / "train.json").read_bytes()
+    seed_ini = _with_train_seed(ini, tmp_path, "learning_rate = 1e8\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run-all", "--out", str(out), "--config", str(seed_ini)]) == 5
+    assert (out / "manifests" / "train.json").read_bytes() == manifest
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs thread affinity")
+def test_one_usable_cpu_starts_no_hash_thread(memo_run, monkeypatch):
+    ini, out = memo_run
+    before = _tree_bytes(out)
+    one = {min(os.sched_getaffinity(0))}
+    started, pinned = [], []
+    start = threading.Thread.start
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(one))
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(cpus))
+    monkeypatch.setattr(
+        threading.Thread, "start", lambda thread: (started.append(thread.name), start(thread))
+    )
+    assert main(["run-all", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
+    assert started == []
+    assert pinned == []
+    assert _tree_bytes(out) == before
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two usable CPUs and thread affinity",
+)
+def test_hash_threads_run_beside_the_caller_and_its_affinity_comes_back(memo_run, monkeypatch):
+    ini, out = memo_run
+    allowed = os.sched_getaffinity(0)
+    placed = []
+    setaffinity = os.sched_setaffinity
+
+    def recording(pid, cpus):
+        placed.append((threading.current_thread() is threading.main_thread(), set(cpus)))
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0  # every stage skips
+    assert os.sched_getaffinity(0) == allowed
+    caller = [cpus for on_main, cpus in placed if on_main]
+    workers = [cpus for on_main, cpus in placed if not on_main]
+    assert len(caller) == 2 and len(caller[0]) == 1 and caller[1] == allowed
+    assert workers and all(cpus == allowed - caller[0] for cpus in workers)
+    assert not any(t.name == "hyperfield-hash" for t in threading.enumerate())
+
+
 def test_cli_import_loads_no_scipy():
     """Importing the CLI loads neither scipy nor numpy; stage bodies load them."""
     src = os.path.dirname(os.path.dirname(hyperfield.__file__))
@@ -887,6 +1086,37 @@ def test_traced_cold_run_calls_every_layer_the_benchmark_expects(tmp_path):
     assert len(scoring) == 2 * (epochs + 1)
     assert len(forward) == len(scoring) + run.calls("mlp.predict")
     assert run.calls("subplot.read_records_csv") == 1
+
+
+def test_traced_retrain_reruns_three_stages_the_benchmark_expects(tmp_path):
+    """hyperbench's coverage guard for its ``retrain`` workload, on the tiny scene.
+
+    The tracer counts a stage as run when its manifest changes during its
+    own ``run_stage`` call, so the train stage that runs beside the
+    deferred skip checks must write its manifest inside that call.
+    """
+    spec = importlib.util.spec_from_file_location("hyperbench_layers", os.path.join(HYPERBENCH, "layers.py"))
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    ini = tmp_path / "config.ini"
+    ini.write_text(TINY_INI)
+    out = tmp_path / "out"
+
+    def traced(command, config):
+        path = tmp_path / f"{command}.json"
+        result = subprocess.run(
+            [sys.executable, os.path.join(HYPERBENCH, "tracing.py"), str(path), command,
+             "--out", str(out), "--config", str(config)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        return layers.Spans.load(path)
+
+    synth = traced("synth", ini)
+    assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
+    run = traced("run-all", _with_train_seed(ini, tmp_path))
+    assert layers.coverage_problems("retrain", run, synth) == []
+    assert layers.stages_run(run) == 3
 
 
 # ---------------------------------------------------------------------------
