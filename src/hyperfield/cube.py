@@ -12,24 +12,27 @@ transpose. Code whose floating-point result depends on summation order
 makes its own C- or Fortran-order copy.
 
 ``read_cube`` reads the whole payload into memory. ``CubeStream`` reads
-it a strip of rows at a time, and ``write_strips`` writes one a strip of
-rows at a time, through one reused buffer when a strip is not already
-in file order. A strip is moved in the file's runs, one per band plane
-(bsq) or one, with checked ``pread`` and ``pwrite`` calls, whatever the
-interleave; no file is mapped, and nothing here hashes.
+it a strip of rows at a time, of every band or of a range of them, and
+``write_strips`` writes one a strip of rows at a time, through one
+reused buffer when a strip is not already in file order. A strip is
+moved in the file's runs, one per band plane (bsq) or one, with checked
+``pread`` and ``pwrite`` calls, whatever the interleave; a band range
+is read one run per band plane (bsq), row (bil) or pixel (bip). No file
+is mapped, and nothing here hashes.
 
 The writer writes ``<stem>.raw``, then ``<stem>.hdr``, in place. A
 pipeline stage writes them into a staging directory that replaces its
 output directory only when the stage succeeds.
 
 Each check has one owner: the header parser checks the metadata, each
-reader checks every sample it brings in, once, for NaN and inf, and
+reader checks every sample it returns, once, for NaN and inf, and
 ``apply_gain`` the reflectance it computes. ``HyperCube`` never scans.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
@@ -223,14 +226,25 @@ def _rows_cols_bands(payload: np.ndarray, interleave: str) -> np.ndarray:
     return payload.transpose(np.argsort(_FILE_AXES[interleave]))
 
 
-def _runs(payload: np.ndarray, header: CubeHeader, top: int) -> Iterator[tuple[np.ndarray, int]]:
+def _runs(
+    payload: np.ndarray, header: CubeHeader, top: int, first_band: int = 0
+) -> Iterator[tuple[np.ndarray, int]]:
     """Each run of a C-contiguous file-order ``payload`` of whole rows from
-    ``top``, with its offset in the file: one run per band plane (bsq) or one.
+    ``top`` and consecutive bands from ``first_band``, with its offset in the
+    file: one run per band plane (bsq), per row (bil, some bands), per pixel
+    (bip, some bands), or one.
     """
-    bsq = header.interleave == "bsq"
-    row_bytes = header.cols * (1 if bsq else header.bands) * header.dtype.itemsize
-    for i, run in enumerate(payload.reshape(header.bands if bsq else 1, -1)):
-        yield run, (i * header.rows + top) * row_bytes
+    full = header.file_shape()
+    start = [(top, 0, first_band)[axis] for axis in _FILE_AXES[header.interleave]]
+    split = 2  # the axes after ``split`` are whole, so a run spans them and ``split``
+    while split and payload.shape[split] == full[split]:
+        split -= 1
+    first = (start[0] * full[1] + start[1]) * full[2] + start[2]
+    inner = payload.shape[1] if split == 2 else 1  # runs along axis 1 per index on axis 0
+    runs = payload.reshape(math.prod(payload.shape[:split]), -1)
+    for n, run in enumerate(runs):
+        i, j = divmod(n, inner)
+        yield run, (first + (i * full[1] + j) * full[2]) * header.dtype.itemsize
 
 
 def block_rows(cols: int, bands: int) -> int:
@@ -401,8 +415,14 @@ def read_cube(path: str | os.PathLike) -> HyperCube:
 
 
 def _check_finite(block: np.ndarray, source: str) -> None:
-    """Reject NaN and inf in a float ``block`` of the cube ``source`` names."""
-    if block.dtype.kind == "f" and not np.isfinite(block).all():
+    """Reject NaN and inf in a float ``block`` of the cube ``source`` names.
+
+    A NaN carries through ``min`` and ``max`` and an infinity is an extreme,
+    so the two reductions find either without a per-sample mask.
+    """
+    if block.dtype.kind == "f" and block.size and not (
+        np.isfinite(block.min()) and np.isfinite(block.max())
+    ):
         raise ShapeMismatchError(f"{source}: cube data contains non-finite samples")
 
 
@@ -413,9 +433,10 @@ class CubeStream:
     and every sample read is checked for NaN and inf. Nothing is hashed:
     a pipeline stage hashes its input files on their own.
 
-    ``read_rows`` reads whole image rows in the file's runs with ``pread``
-    and checks each sample it reads; ``read_strips`` and
-    ``panel_calibration`` are built on it.
+    ``read_rows`` reads whole image rows, of every band or of a range of
+    them, in the file's runs with ``pread`` and checks each sample it
+    returns; ``read_strips`` and ``panel_calibration`` are built on it.
+    A band range lets a caller hold fewer samples of a tall strip at once.
 
     A ``pread`` that returns fewer bytes than asked is continued; one that
     returns none means the payload shrank while it was read.
@@ -445,33 +466,38 @@ class CubeStream:
                 raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
             view, offset = view[done:], offset + done
 
-    def read_rows(self, top: int, height: int, buffer: np.ndarray | None = None) -> HyperCube:
-        """Rows ``top`` to ``top + height``, every band, in the file's memory order.
+    def read_rows(
+        self, top: int, height: int, buffer: np.ndarray | None = None, bands: range | None = None
+    ) -> HyperCube:
+        """Rows ``top`` to ``top + height`` in the file's memory order, of every
+        band or of the consecutive ``bands``.
 
         With ``buffer``, a 1-d array of the payload's sample type with room
         for the rows, they are read into it and are valid until it is reused.
-        Every sample is checked for NaN and inf.
+        Every sample read is checked for NaN and inf.
         """
         h = self.header
+        bands = range(h.bands) if bands is None else bands
         if height <= 0 or top < 0 or top + height > h.rows:
             raise ShapeMismatchError(f"rows [{top}, {top + height}) exceed the cube's {h.rows}")
-        shape = h._replace(rows=height).file_shape()
+        if bands.step != 1 or not 0 <= bands.start < bands.stop <= h.bands:
+            raise ShapeMismatchError(f"{bands} is not a band range of the cube's {h.bands}")
+        shape = h._replace(rows=height, bands=len(bands)).file_shape()
         if buffer is None:
             part = np.empty(shape, h.dtype)
         else:
-            part = buffer[: height * h.cols * h.bands].reshape(shape)
-        for run, offset in _runs(part, h, top):
+            part = buffer[: height * h.cols * len(bands)].reshape(shape)
+        for run, offset in _runs(part, h, top, bands.start):
             self._pread(run, offset)
         _check_finite(part, self.raw_path)
+        labels = None if h.band_labels is None else h.band_labels[bands.start : bands.stop]
         return HyperCube(
-            _rows_cols_bands(part, h.interleave), h.wavelengths, h.units, h.band_labels
+            _rows_cols_bands(part, h.interleave), h.wavelengths[bands.start : bands.stop],
+            h.units, labels,
         )
 
-    def read_strips(
-        self, cuts: Iterable[int] | None = None
-    ) -> Iterator[tuple[int, HyperCube]]:
-        """Every row once, top to bottom, as ``(top, strip)`` with ``strip`` a
-        ``read_rows`` cube, valid until the next strip is read.
+    def strip_bounds(self, cuts: Iterable[int] | None = None) -> list[tuple[int, int]]:
+        """``(top, bottom)`` of each strip ``read_strips`` reads, top to bottom.
 
         A strip ends only before a row index in ``cuts`` (by default, any
         row) or at the last row. It holds up to ``block_rows`` rows, or if
@@ -486,11 +512,25 @@ class CubeStream:
             if end - tops[-1] > step and bottom > tops[-1]:
                 tops.append(bottom)
             bottom = end
-        bounds = list(zip(tops, tops[1:] + [h.rows]))
-        # one buffer for every strip: fresh pages for each would cost more than the copy
-        buffer = np.empty(max(b - t for t, b in bounds) * h.cols * h.bands, h.dtype)
+        return list(zip(tops, tops[1:] + [h.rows]))
+
+    def read_strips(
+        self, cuts: Iterable[int] | None = None, bands: range | None = None,
+        buffer: np.ndarray | None = None,
+    ) -> Iterator[tuple[int, HyperCube]]:
+        """Every row once, top to bottom, in the strips of ``strip_bounds(cuts)``,
+        as ``(top, strip)`` with ``strip`` a ``read_rows`` cube of every band
+        or of ``bands``, valid until the next strip is read.
+
+        Every strip is read into one buffer: ``buffer``, with room for the
+        tallest, or one made here."""
+        bounds = self.strip_bounds(cuts)
+        if buffer is None:
+            # fresh pages for each strip would cost more than the copy
+            width = self.bands if bands is None else len(bands)
+            buffer = np.empty(max(b - t for t, b in bounds) * self.cols * width, self.header.dtype)
         for top, bottom in bounds:
-            yield top, self.read_rows(top, bottom - top, buffer)
+            yield top, self.read_rows(top, bottom - top, buffer, bands)
 
 
 def _check_panel_region(region: tuple[int, int, int, int], rows: int, cols: int) -> None:

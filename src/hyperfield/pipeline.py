@@ -711,14 +711,13 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     yield
     import numpy as np
 
-    from .cube import CubeStream
+    from .cube import CubeStream, block_rows
     from .netpbm import read_pbm
     from .subplot import Records, build_records, read_yields_csv, write_records_csv
 
     mask = read_pbm(mask_path)
     yields = read_yields_csv(yields_path)
     window_px = st.config.getint("dataset", "window_px")
-    parts = {}
     with CubeStream(stem) as cube:
         rows, cols = cube.rows, cube.cols
         assigned = _assigned_plots(assignment_path, rows, cols)
@@ -731,17 +730,29 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
         crossed = np.zeros(rows, dtype=bool)
         for plot in assigned:
             crossed[plot.box.top + 1 : plot.box.top + plot.box.height] = True
-        for top, strip in cube.read_strips(np.flatnonzero(~crossed)):
-            for plot in assigned:
-                box = plot.box
-                if top <= box.top < top + strip.rows:
-                    at = box.top - top
-                    data = strip.data[at : at + box.height, box.left : box.left + box.width]
-                    crop = mask[box.top : box.top + box.height, box.left : box.left + box.width]
-                    parts[plot.plot_id] = build_records(
-                        plot.plot_id, data, crop, yields[plot.plot_id], window_px
-                    )
-    records = Records.concat([parts[plot.plot_id] for plot in assigned])
+        cuts = np.flatnonzero(~crossed)
+        # strips taller than block_rows are read in as many band groups as it
+        # takes to hold about as many samples as block_rows rows of every band.
+        # A group holds two bands or more: numpy sums a lone band's pixels
+        # pairwise, and its features would get other bits.
+        tallest = max(bottom - top for top, bottom in cube.strip_bounds(cuts))
+        count = max(1, min(cube.bands // 2, -(-tallest // block_rows(cols, cube.bands))))
+        groups = np.array_split(np.arange(cube.bands), count)
+        # one buffer for every pass: a fresh one per pass can stay resident beside the last
+        buffer = np.empty(tallest * cols * len(groups[0]), cube.header.dtype)
+        parts: dict[str, list[Records]] = {plot.plot_id: [] for plot in assigned}
+        for group in groups:
+            for top, strip in cube.read_strips(cuts, range(group[0], group[-1] + 1), buffer):
+                for plot in assigned:
+                    box = plot.box
+                    if top <= box.top < top + strip.rows:
+                        at = box.top - top
+                        data = strip.data[at : at + box.height, box.left : box.left + box.width]
+                        crop = mask[box.top : box.top + box.height, box.left : box.left + box.width]
+                        parts[plot.plot_id].append(build_records(
+                            plot.plot_id, data, crop, yields[plot.plot_id], window_px
+                        ))
+    records = Records.concat([Records.join_bands(parts[plot.plot_id]) for plot in assigned])
     write_records_csv(st.emit(F_RECORDS), records)
     log.info("dataset: %d sub-plot records from %d plots", len(records), len(assigned))
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,6 +194,14 @@ class Records:
             np.concatenate([part.yields for part in parts]),
             np.concatenate([part.features for part in parts]),
         )
+
+    @classmethod
+    def join_bands(cls, parts: list[Records]) -> Records:
+        """One plot's records from its ``build_records`` over consecutive band
+        groups, in order: features ``[means, stds, n]`` over every band. A
+        band's statistics do not depend on the other bands."""
+        means, stds = zip(*(np.hsplit(part.features[:, :-1], 2) for part in parts))
+        return replace(parts[0], features=np.hstack([*means, *stds, parts[0].features[:, -1:]]))
 
 
 def build_records(

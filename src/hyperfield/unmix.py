@@ -117,11 +117,16 @@ class _SupportSolver:
         return self.M @ T[self.support, :] + self.q[:, None]
 
 
-def _solve_block(X, W, solvers, G):
-    """Exact per-pixel solves for a (bands, n) block; returns (h, objective)."""
-    e = W.shape[1]
-    n = X.shape[1]
-    T = W.T @ X
+def _correlate(X, W):
+    """Per pixel of a float64 (bands, n >= 2) block: its correlations
+    ``T = W^T x`` with the endmembers and its squared norm ``x . x``."""
+    return W.T @ X, np.einsum("ij,ij->j", X, X)
+
+
+def _solve_block(T, sq, solvers):
+    """Exact per-pixel solves from the correlations ``T`` (e, n) and squared
+    norms ``sq`` (n,) of a block of pixels; returns (h, objective)."""
+    e, n = T.shape
     best_obj = np.full(n, np.inf)
     best_norm = np.full(n, np.inf)
     best_h = np.zeros((e, n))
@@ -149,7 +154,6 @@ def _solve_block(X, W, solvers, G):
             best_norm[cols] = norm[cols]
             best_h[:, cols] = 0.0
             best_h[np.ix_(solver.support, cols)] = np.clip(H[:, cols], 0.0, None)
-    sq = np.einsum("ij,ij->j", X, X)
     return best_h, np.maximum(sq + best_obj, 0.0)
 
 
@@ -180,13 +184,15 @@ def unmix_cube(
     A ``CubeStream`` is read in ``read_strips``' row strips, never whole,
     and an in-memory cube is cut into strips of the same ``block_rows``
     height. Each strip's pixels are solved in row-major order, in blocks
-    of near-equal size whose float64 bytes are at most the strip's own:
-    two blocks for a float32 strip of an even pixel count. numpy solves a
-    one-pixel block by matrix-vector products, with other bits, so a
-    block holds two pixels or more, and a one-pixel strip is solved as
-    two copies of its pixel; the block size then does not change the
-    bits. The squared residuals are summed as each block is solved, so
-    the map is the only per-pixel array held.
+    of near-equal size that would take at most the strip's own bytes as
+    float64: two blocks for a float32 strip of an even pixel count. A
+    block's correlations and squared norms are filled from float64
+    copies of about one image row, so no copy is larger than that. numpy
+    correlates a single pixel by matrix-vector products, with other
+    bits, so a copy holds two pixels or more, and a one-pixel strip is
+    solved as two copies of its pixel; the block and copy sizes then do
+    not change the bits. The squared residuals are summed as each block
+    is solved, so the map is the only per-pixel array held.
     """
     wl_diff = (
         np.inf
@@ -207,17 +213,16 @@ def unmix_cube(
     cols, bands = cube.cols, cube.bands
     out = np.empty((e, cube.rows * cols))
     sq_resid = PairwiseSum(cube.rows * cols)  # the bits of one sum over the whole plane
-    height = min(block_rows(cols, bands), cube.rows)
     if isinstance(cube, CubeStream):
-        strips, itemsize = cube.read_strips(), cube.header.dtype.itemsize
+        strips = cube.read_strips()
     else:
+        height = min(block_rows(cols, bands), cube.rows)
         tops = range(0, cube.rows, height)
         strips = ((top, cube.crop(top, 0, min(height, cube.rows - top), cols)) for top in tops)
-        itemsize = cube.data.itemsize
     # each pixel's spectrum contiguous whatever the cube's memory order:
-    # the summation order, and so the residual's bits, depend on it.
-    # One block is reused: fresh pages cost more than filling it.
-    block = np.empty((bands, max(3, height * cols * itemsize // 8)), order="F")
+    # the summation order, and so the correlations' bits, depend on it.
+    # One copy of up to a row, and at least 3 pixels, is reused.
+    copy = np.empty((bands, max(3, cols)), order="F")
     for top, strip in strips:
         pixels = strip.data.reshape(-1, bands)
         # near-equal blocks of at most ``step`` >= 3 pixels: none holds just one
@@ -225,10 +230,17 @@ def unmix_cube(
         at = top * cols
         for part in np.array_split(pixels, -(-len(pixels) // step)):
             n = len(part)
-            np.copyto(block[:, :n], part.T)
-            if n == 1:  # a one-pixel strip: solved beside a copy of itself
-                block[:, 1] = block[:, 0]
-            h, resid = _solve_block(block[:, : max(n, 2)], W, solvers, G)
+            T, sq = np.empty((e, max(n, 2))), np.empty(max(n, 2))
+            done = 0
+            for piece in np.array_split(part, -(-n // copy.shape[1])):
+                m = len(piece)
+                np.copyto(copy[:, :m], piece.T)
+                if m == 1:  # a one-pixel strip: correlated beside a copy of itself
+                    copy[:, 1] = copy[:, 0]
+                    m = 2
+                T[:, done : done + m], sq[done : done + m] = _correlate(copy[:, :m], W)
+                done += m
+            h, resid = _solve_block(T, sq, solvers)
             out[:, at : at + n] = h[:, :n]
             sq_resid.add(resid[:n])
             at += n

@@ -24,7 +24,7 @@ from hyperfield.mlp import (
     standardize_fit_apply,
 )
 from hyperfield.synth import generate_scene
-from hyperfield.unmix import _check_W, _solve_block, _SupportSolver, _supports
+from hyperfield.unmix import _check_W, _correlate, _solve_block, _SupportSolver, _supports
 
 
 def erode_naive(mask, se_h, se_w, c0, c1):
@@ -416,14 +416,15 @@ def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None, dtype
 def unmix_pixel(W, x):
     """Exact simplex-constrained least squares for a single spectrum.
 
-    Returns (abundances, squared residual), from the solver ``unmix_cube`` runs.
+    Returns (abundances, squared residual), from the solver ``unmix_cube``
+    runs, which correlates a one-pixel strip beside a copy of its pixel.
     """
     W = np.asarray(W, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64).reshape(-1, 1)
     _check_W(W, x.shape[0])
     G = W.T @ W
     solvers = [_SupportSolver(s, G) for s in _supports(W.shape[1])]
-    h, obj = _solve_block(x, W, solvers, G)
+    h, obj = _solve_block(*_correlate(np.asfortranarray(np.repeat(x, 2, axis=1)), W), solvers)
     return h[:, 0], float(obj[0])
 
 

@@ -217,8 +217,12 @@ def test_input_digest_is_not_recorded_when_the_file_changed_during_the_read(
     """The scene is rewritten, at the same size, while a forced calibrate runs.
 
     The manifest holds the digest of the bytes on disk when it is written,
-    not the one hashed beside the body before the rewrite.
+    not the one hashed beside the body before the rewrite. The hasher is
+    shown two CPUs and pins nothing, so it starts the worker that hashes
+    beside the body even where this process may use only one CPU.
     """
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: {0, 1})
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None)
     ini, out = _scene(tmp_path, monkeypatch, np.float32, "bsq")
     scene = tmp_path / "scene.raw"
     old = _sha256_of(scene)

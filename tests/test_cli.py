@@ -1852,33 +1852,48 @@ def test_forced_run_all_reads_each_payload_byte_once(memo_run, monkeypatch):
 
 def test_forced_unmix_solves_each_strip_in_blocks_of_at_most_its_bytes(memo_run, monkeypatch):
     """Each strip's pixels are solved exactly once, in order, in blocks whose
-    float64 bytes are at most the strip's own: two for a float32 strip."""
+    float64 bytes would be at most the strip's own: two for a float32 strip.
+    A block's correlations come from float64 copies of its pixels, in order,
+    none larger than one image row."""
     ini, out = memo_run
-    strips, blocks, current = [], [], {}
-    read_strips, solve = cube_module.CubeStream.read_strips, unmix._solve_block
+    header, _ = cube_module._read_header(out / "calibrate" / "reflectance")
+    row_bytes = header.cols * header.bands * 8
+    strips, blocks, copies, current = [], [], [], {}
+    read_strips = cube_module.CubeStream.read_strips
+    correlate, solve = unmix._correlate, unmix._solve_block
 
     def recording(stream, *args):
         for top, strip in read_strips(stream, *args):
             pixels = strip.data.reshape(-1, strip.bands)
             strips.append((len(pixels), strip.data.nbytes))
             blocks.append([])
-            current.update(pixels=pixels, done=0)
+            current.update(pixels=pixels, copied=0, solved=0)
             yield top, strip
 
-    def counting(X, *args):
-        done = current["done"]
-        assert np.array_equal(X, current["pixels"][done : done + X.shape[1]].T)
-        assert X.nbytes <= strips[-1][1]
-        current["done"] += X.shape[1]
-        blocks[-1].append(X.shape[1])
-        return solve(X, *args)
+    def copying(X, W):
+        copied = current["copied"]
+        assert X.dtype == np.float64 and X.flags.f_contiguous and X.nbytes <= row_bytes
+        assert np.array_equal(X, current["pixels"][copied : copied + X.shape[1]].T)
+        current["copied"] += X.shape[1]
+        copies.append(X.shape[1])
+        return correlate(X, W)
+
+    def counting(T, sq, solvers):
+        n = T.shape[1]
+        assert sq.shape == (n,) and n * header.bands * 8 <= strips[-1][1]
+        current["solved"] += n
+        assert current["solved"] == current["copied"]  # the block's pixels, all copied
+        blocks[-1].append(n)
+        return solve(T, sq, solvers)
 
     monkeypatch.setattr(cube_module.CubeStream, "read_strips", recording)
+    monkeypatch.setattr(unmix, "_correlate", copying)
     monkeypatch.setattr(unmix, "_solve_block", counting)
     assert main(["unmix", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
     assert len(strips) == 9  # 25 float64 rows of 428 x 190 samples fit in 16 MiB, of 212
     assert [sum(sizes) for sizes in blocks] == [pixels for pixels, _ in strips]
     assert sum(map(len, blocks)) == 18
+    assert sum(copies) == header.rows * header.cols and len(copies) >= header.rows
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import ast
 import os
 import re
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -131,6 +132,25 @@ def test_read_rejects_non_finite_samples_in_every_interleave(tmp_path, interleav
         hc.read_cube(tmp_path / "c")
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_finite_check_finds_each_non_finite_sample_without_a_mask(dtype, where, bad):
+    """The check allocates far less than a boolean mask of the block would."""
+    block = np.random.default_rng(6).uniform(-1e3, 1e3, (8, 40, 30)).astype(dtype)
+    hc._check_finite(block, "ok")
+    flat = block.reshape(-1)
+    flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = bad
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeMismatchError, match="block: cube data contains non-finite"):
+            hc._check_finite(block, "block")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block.nbytes / 8
+
+
 def test_pixels_are_fortran_ordered_in_every_interleave(tmp_path):
     rng = np.random.default_rng(5)
     cube = random_cube(rng, rows=4, cols=5, bands=6)
@@ -174,6 +194,59 @@ def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, d
         for bad in [(-1, 2), (5, 3), (0, 0)]:
             with pytest.raises(ShapeMismatchError, match="rows"):
                 stream.read_rows(*bad)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    interleave=st.sampled_from(hc.INTERLEAVES),
+    dtype=st.sampled_from([np.float32, np.float64, np.uint16]),
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 5), st.integers(1, 8)),
+    rows=st.tuples(st.integers(0, 6), st.integers(1, 7)),
+    band_range=st.tuples(st.integers(0, 7), st.integers(1, 8)),
+    cuts=st.none() | st.lists(st.integers(0, 7), max_size=4),
+    strip_rows=st.integers(1, 3),
+    given_buffer=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(interleave="bip", dtype=np.float32, shape=(5, 3, 6), rows=(1, 3), band_range=(2, 3),
+         cuts=None, strip_rows=2, given_buffer=True, seed=0)
+def test_a_band_range_reads_as_that_slice_of_the_whole_cube(
+    interleave, dtype, shape, rows, band_range, cuts, strip_rows, given_buffer, seed
+):
+    """``read_rows`` and ``read_strips`` with ``bands`` equal the same slice of
+    a full read, with its band metadata, in every interleave; the strips are
+    those of a full read, also when read into a given buffer."""
+    rows_, cols, bands = shape
+    top, height = rows[0] % rows_, max(1, rows[1] % (rows_ + 1))
+    height = min(height, rows_ - top)
+    start = band_range[0] % bands
+    stop = start + max(1, band_range[1] % (bands - start + 1))
+    picked = range(start, stop)
+    cube = random_cube(np.random.default_rng(seed), rows=rows_, cols=cols, bands=bands, dtype=dtype)
+    cube = hc.HyperCube(cube.data, cube.wavelengths, cube.units,
+                        tuple(f"b{i}" for i in range(bands)))
+    with tempfile.TemporaryDirectory() as folder:
+        stem = os.path.join(folder, "c")
+        hc.write_cube(cube, stem, interleave)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hc, "BLOCK_BYTES", strip_rows * cols * bands * 8)
+            with hc.CubeStream(stem) as stream:
+                whole = stream.read_rows(0, rows_)
+                part = stream.read_rows(top, height, bands=picked)
+                assert np.array_equal(part.data, whole.data[top : top + height, :, start:stop])
+                assert np.array_equal(part.wavelengths, whole.wavelengths[start:stop])
+                assert part.band_labels == whole.band_labels[start:stop]
+                full = [(t, s.rows) for t, s in stream.read_strips(cuts)]
+                strips = []
+                buffer = np.empty(rows_ * cols * len(picked), dtype) if given_buffer else None
+                for t, strip in stream.read_strips(cuts, picked, buffer):
+                    assert np.array_equal(strip.data, whole.data[t : t + strip.rows, :, start:stop])
+                    strips.append((t, strip.rows))
+                    assert not given_buffer or np.shares_memory(strip.data, buffer)
+                assert strips == full
+                for bad in [range(bands, bands + 1), range(start, start), range(0, bands, 2)]:
+                    with pytest.raises(ShapeMismatchError, match="band range"):
+                        stream.read_rows(top, height, bands=bad)
 
 
 def test_strips_cover_every_row_once_and_end_only_at_cuts(tmp_path, monkeypatch):

@@ -251,12 +251,17 @@ def test_forced_stages_of_the_default_tree_peak_low(tmp_path):
     them to float64 at once, and unmix copied each strip as float64 in
     one block; at 79 MB when unmix kept a residual plane and the map's
     check summed it whole, and report repeated that check beside a whole
-    score plane (unmix 77.6 MB, report 55.6 MB, retrain 70.8 MB). The
-    run-all starts from synth's outputs alone: without the heap trim
-    between stages it peaked at 84 MB in about two runs of three."""
+    score plane (unmix 77.6 MB, report 55.6 MB, retrain 70.8 MB); at
+    71 MB when the finite check built a mask of each block, unmix copied
+    each solve block whole as float64 and dataset read all bands of its
+    34-row strips (unmix 68.2 MB, dataset 70.1 MB). The run-all starts
+    from synth's outputs alone: without the heap trim between stages it
+    peaked at 84 MB in about two runs of three."""
     out = tmp_path / "out"
     command_peak("synth", "--out", out, "--seed", "3")
-    for command, bound in [("run-all", 76e6), ("segment", 65e6), ("unmix", 75e6), ("report", 55e6)]:
+    bounds = [("run-all", 66e6), ("segment", 65e6), ("unmix", 63e6), ("dataset", 56e6),
+              ("report", 55e6)]
+    for command, bound in bounds:
         peak = command_peak(command, "--out", out, "--seed", "3", "--stage-force")
         assert peak < bound, (command, peak)
     # a retrain: the tree's seeds but [train] seed, so train, evaluate and report rerun

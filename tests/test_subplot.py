@@ -236,6 +236,23 @@ class TestRecords:
         with pytest.raises(ShapeMismatchError):
             Records.concat(parts)
 
+    @pytest.mark.parametrize("cuts", [[2], [3, 5], [2, 4]])
+    def test_records_joined_over_band_groups_have_the_bits_of_all_bands(self, cuts):
+        """A band-major float32 crop, as ``dataset`` reads it, split into
+        groups of two bands or more, as ``dataset`` splits it."""
+        rng = np.random.default_rng(34)
+        data, mask = _random_plot(rng)
+        data = np.ascontiguousarray(data.astype(np.float32).transpose(2, 0, 1)).transpose(1, 2, 0)
+        whole = build_records("p", data, mask, 12.5)
+        groups = np.split(np.arange(data.shape[2]), cuts)
+        joined = Records.join_bands(
+            [build_records("p", data[:, :, g[0] : g[-1] + 1], mask, 12.5) for g in groups]
+        )
+        assert joined.plot_ids == whole.plot_ids
+        assert np.array_equal(joined.windows, whole.windows)
+        assert joined.yields.tobytes() == whole.yields.tobytes()
+        assert joined.features.tobytes() == whole.features.tobytes()
+
 
 class TestRecordsCsv:
     def test_round_trip_is_exact(self, tmp_path):
