@@ -1,5 +1,6 @@
 """Operator surface: one sub-command per stage plus ``run-all``.
 
+Every command runs its stage, or every stage but synth, in one ``run_all``.
 Exit codes are stable: 0 success, 2 config error, 3 dependency error
 (a required stage has not run), 4 data error, 5 numeric divergence,
 1 unexpected crash. The ``HYPERFIELD_LOG`` environment variable sets
@@ -29,7 +30,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from .config import load_config
 from .errors import ConfigError, HyperfieldError, exit_code_for
-from .pipeline import STAGES, run_all, run_stage
+from .pipeline import STAGE_ORDER, STAGES, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,10 +76,8 @@ def main(argv: list[str] | None = None) -> int:
             for section in ("synth", "split", "train"):
                 config.set(section, "seed", str(args.seed))
 
-        if args.command == "run-all":
-            run_all(config, force=args.stage_force)
-        else:
-            run_stage(args.command, config, force=args.stage_force)
+        stages = STAGE_ORDER if args.command == "run-all" else (args.command,)
+        run_all(config, args.stage_force, stages)
     except HyperfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -80,8 +80,8 @@ class EndmemberSet:
     """Labelled endmember spectra on a shared wavelength axis.
 
     ``spectra`` is (bands, members); ``source_pixels`` records where
-    each member came from: (row, col) tuples for cube-derived sets,
-    flat pixel indices for bare matrices, None for library files.
+    each member came from: its flat pixel index for ``svmax`` picks,
+    None for library files.
     """
 
     labels: tuple[str, ...]
@@ -158,7 +158,6 @@ def svmax(
     pixels: np.ndarray,
     count: int,
     wavelengths: np.ndarray | None = None,
-    coords: np.ndarray | None = None,
 ) -> EndmemberSet:
     """Successive volume maximization over a (bands, pixels) matrix.
 
@@ -219,18 +218,13 @@ def svmax(
             )
         selected.append(j)
 
-    if coords is not None:
-        coords = np.asarray(coords)
-        source = tuple((int(coords[j, 0]), int(coords[j, 1])) for j in selected)
-    else:
-        source = tuple(int(j) for j in selected)
     if wavelengths is None:
         wavelengths = np.arange(d, dtype=np.float64)
     return EndmemberSet(
         labels=tuple(f"synthetic-{i}" for i in range(count)),
         wavelengths=wavelengths,
         spectra=X[:, selected].copy(),
-        source_pixels=source,
+        source_pixels=tuple(selected),
     )
 
 

@@ -4,7 +4,8 @@ Each stage reads its inputs from files, writes its outputs under the
 output directory, and records a manifest (content hashes of inputs,
 the relevant config slice, output hashes, and the code version). A
 stage whose manifest still matches is skipped, which makes reruns
-cheap and interrupted pipelines resumable; ``run_all`` lets the first
+cheap and interrupted pipelines resumable. Every command, one stage or
+all of them, runs its stages through ``run_all``, which lets the first
 stale stage run while the skipped stages' digests are still being
 checked, and commits it only once they match. Nothing in a manifest
 depends on absolute paths or timestamps, so two runs from the same
@@ -220,31 +221,6 @@ class FileDigests:
             self._hash(*job)
 
 
-class ParsedRecords:
-    """``dataset/records.csv`` parsed once per run, for every stage that reads it.
-
-    The parse is keyed like a ``FileDigests`` entry, by the file's stat
-    identity, so a rewritten file is parsed again; only the latest parse
-    is kept. Its arrays are read-only because the stages share them. A
-    run writes the records (``dataset``) before any stage reads them.
-    """
-
-    def __init__(self) -> None:
-        self._key: _Key | None = None
-        self._records: Records | None = None
-
-    def read(self, path: str) -> Records:
-        from .subplot import read_records_csv
-
-        key = _identity(os.stat(path))
-        if self._records is None or key != self._key:
-            records = read_records_csv(path)
-            for column in (records.windows, records.yields, records.features):
-                column.flags.writeable = False
-            self._key, self._records = key, records
-        return self._records
-
-
 def _manifest_path(out_dir: str, stage: str) -> str:
     return os.path.join(out_dir, "manifests", f"{stage}.json")
 
@@ -368,16 +344,35 @@ class _Stale(Exception):
     """A stage taken as skipped failed its content check; the run resumes there."""
 
 
-class _DeferredChecks:
-    """Content checks of the stages a run has taken as skipped on their
-    manifests' structure alone, while no stage of the run has executed."""
+class _Run:
+    """What the stages of one command share: the hasher, the records
+    parse, and the content checks deferred while none of them has run."""
 
-    def __init__(self, closed: bool = False) -> None:
-        self.closed = closed  # no check may be deferred any more
-        self._checks: list[tuple[str, Callable[[], str | None]]] = []
+    def __init__(self, digests: FileDigests) -> None:
+        self.digests = digests
+        # (stage, check) of each stage taken as skipped on its manifest's
+        # structure alone; None once settled, when no check may be deferred
+        self.deferred: list[tuple[str, Callable[[], str | None]]] | None = []
+        self._records_key: _Key | None = None
+        self._records: Records | None = None
 
-    def defer(self, stage: str, check: Callable[[], str | None]) -> None:
-        self._checks.append((stage, check))
+    def records(self, path: str) -> Records:
+        """``dataset/records.csv`` parsed once per run, for every stage that reads it.
+
+        The parse is keyed like a ``FileDigests`` entry, by the file's stat
+        identity, so a rewritten file is parsed again; only the latest parse
+        is kept. Its arrays are read-only because the stages share them. A
+        run writes the records (``dataset``) before any stage reads them.
+        """
+        from .subplot import read_records_csv
+
+        key = _identity(os.stat(path))
+        if self._records is None or key != self._records_key:
+            records = read_records_csv(path)
+            for column in (records.windows, records.yields, records.features):
+                column.flags.writeable = False
+            self._records_key, self._records = key, records
+        return self._records
 
     def settle(self) -> None:
         """Wait for every deferred check, in stage order, and defer no more.
@@ -385,7 +380,7 @@ class _DeferredChecks:
         Raises ``_Stale`` naming the first stage whose files changed; the
         stages before it are skipped.
         """
-        checks, self._checks, self.closed = self._checks, [], True
+        checks, self.deferred = self.deferred or [], None
         for stage, check in checks:
             if check() is not None:
                 raise _Stale(stage)
@@ -422,17 +417,11 @@ class _Stage:
     in as the stage's directory ``dir`` when the body succeeds.
     """
 
-    def __init__(
-        self,
-        name: str,
-        config: PipelineConfig,
-        digests: FileDigests,
-        records: ParsedRecords | None = None,
-    ):
+    def __init__(self, name: str, config: PipelineConfig, run: _Run):
         self.name = name
         self.config = config
-        self.digests = digests
-        self.records = ParsedRecords() if records is None else records
+        self.digests = run.digests
+        self.records = run.records
         self.out_dir = config.out_dir()
         self.dir = os.path.join(self.out_dir, name)
         self.staging = os.path.join(self.out_dir, f".{name}.partial")
@@ -585,7 +574,7 @@ def _stage_segment(st: _Stage) -> Iterator[None]:
     with CubeStream(stem) as cube:
         plane = ndpsi(cube, red_window=red, blue_window=blue)
     threshold = st.config.segment_threshold()
-    if threshold is None:
+    if threshold is None:  # computed here, not in threshold_mask: threshold.txt records it
         threshold = otsu_threshold(plane)
     mask = threshold_mask(plane, threshold)
     se = (st.config.getint("segment", "se_rows"), st.config.getint("segment", "se_cols"))
@@ -681,10 +670,10 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
         threshold=st.config.getfloat("unmix", "sl_threshold"),
     )
     write_cube(abundances.to_cube(), st.emit(F_ABUNDANCES))
-    write_pbm(st.emit(F_SL_MASK), foreground.mask)
+    write_pbm(st.emit(F_SL_MASK), foreground)
     _float_line(st.emit(F_RESIDUAL), residual)
     log.info("unmix: residual %.6g, %d foreground pixels",
-             residual, int(foreground.mask.sum()))
+             residual, int(foreground.sum()))
 
 
 def _assigned_plots(path: str, rows: int, cols: int) -> list[AssignedPlot]:
@@ -785,7 +774,7 @@ def _stage_train(st: _Stage) -> Iterator[None]:
     from .mlp import save_model, stratified_split, train, write_training_log_csv
     from .table import write_table
 
-    records = st.records.read(records_path)
+    records = st.records(records_path)
     x, y = records.features, records.yields
     split = stratified_split(y, records.plot_ids, st.config.split_spec())
     model, logbook = train(
@@ -827,7 +816,7 @@ def _stage_evaluate(st: _Stage) -> Iterator[None]:
     from .table import write_table
 
     model = load_model(model_path)
-    records = st.records.read(records_path)
+    records = st.records(records_path)
     x, y = records.features, records.yields
     roles = _read_split_csv(split_path, len(records))
     if roles["test"].size:
@@ -903,7 +892,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     abund = AbundanceMap.from_cube(read_cube(abund_stem))
     rows, cols, _ = abund.values.shape
     assigned = _assigned_plots(assignment_path, rows, cols)
-    records = st.records.read(records_path)
+    records = st.records(records_path)
     metrics = read_metrics_csv(metrics_path)
     missing = [name for name in _SUMMARY_METRICS if name not in metrics]
     if missing:
@@ -1045,15 +1034,8 @@ def _trim_heap() -> None:
     trim(0)
 
 
-def run_stage(
-    name: str,
-    config: PipelineConfig,
-    force: bool = False,
-    digests: FileDigests | None = None,
-    records: ParsedRecords | None = None,
-    deferred: _DeferredChecks | None = None,
-) -> None:
-    """Run one stage, or skip it when its manifest still matches.
+def run_stage(name: str, config: PipelineConfig, force: bool, run: _Run) -> None:
+    """Run one stage of ``run``, or skip it when its manifest still matches.
 
     The skip check has two parts: the manifest's structure (readable,
     same version, config hash, input keys and output files), which hashes
@@ -1062,29 +1044,18 @@ def run_stage(
     hasher while the body runs. What the body writes replaces the stage's
     directory only when the body succeeds, and the manifest is written
     after that; then the heap pages the body freed go back to the system.
-    ``digests`` and ``records`` carry file hashes and the parsed records
-    between the stages of one run. Until ``deferred`` is closed, a stage
-    whose structure matches queues its content check there and returns;
-    a stage that runs waits for every deferred check before it swaps its
-    outputs in, and raises ``_Stale`` instead if one failed.
+    Until ``run`` is settled, a stage whose structure matches queues its
+    content check there and returns; a stage that runs settles ``run``
+    before it swaps its outputs in, and raises ``_Stale`` instead if a
+    deferred check failed.
     """
-    if name not in STAGES:
-        raise ConfigError(f"unknown stage {name!r}")
-    _check_out_dir(config.out_dir())
-    if deferred is None:
-        deferred = _DeferredChecks(closed=True)
-    with FileDigests() if digests is None else contextlib.nullcontext(digests) as hasher:
-        _run_stage(_Stage(name, config, hasher, records), force, deferred)
-
-
-def _run_stage(st: _Stage, force: bool, deferred: _DeferredChecks) -> None:
-    name = st.name
+    st = _Stage(name, config, run)
     log.info("stage %s: starting", name)
     stage = STAGES[name]
     work = stage.body(st)
     next(work)
     _check_inputs(st)
-    config_hash = st.config.config_hash(stage.sections)
+    config_hash = config.config_hash(stage.sections)
     old = os.path.join(st.out_dir, f".{name}.old")  # where the swap moves the old directory
     for leftover in (st.staging, old):  # of a failed or killed run
         shutil.rmtree(leftover, ignore_errors=True)
@@ -1096,8 +1067,8 @@ def _run_stage(st: _Stage, force: bool, deferred: _DeferredChecks) -> None:
         reason, files = _check_structure(st, config_hash, stage.sections)
         if reason is None:
             check = _check_content(st, files)
-            if not deferred.closed:
-                deferred.defer(name, check)
+            if run.deferred is not None:
+                run.deferred.append((name, check))
                 return
             reason = check()
             if reason is None:
@@ -1110,9 +1081,9 @@ def _run_stage(st: _Stage, force: bool, deferred: _DeferredChecks) -> None:
         try:
             next(work, None)
         except Exception:
-            deferred.settle()  # a stale earlier stage outranks the body's error
+            run.settle()  # a stale earlier stage outranks the body's error
             raise
-        deferred.settle()
+        run.settle()
         with contextlib.suppress(FileNotFoundError):
             os.rename(st.dir, old)
         os.rename(st.staging, st.dir)
@@ -1123,8 +1094,11 @@ def _run_stage(st: _Stage, force: bool, deferred: _DeferredChecks) -> None:
     _trim_heap()
 
 
-def run_all(config: PipelineConfig, force: bool = False) -> None:
-    """All pipeline stages in order, on one hasher. The synth stage is not included.
+def run_all(
+    config: PipelineConfig, force: bool = False, stages: tuple[str, ...] = STAGE_ORDER
+) -> None:
+    """Run ``stages`` in order on one ``_Run``: every stage but synth by
+    default, or the one stage that ``hyperfield <stage>`` names.
 
     Until a stage runs, each stage whose manifest structure matches is
     taken as skipped and its content check is deferred to the hasher, so
@@ -1134,15 +1108,18 @@ def run_all(config: PipelineConfig, force: bool = False) -> None:
     discarded and the run resumes at the failed stage, with checks that
     wait.
     """
-    deferred = _DeferredChecks()
+    for name in stages:
+        if name not in STAGES:
+            raise ConfigError(f"unknown stage {name!r}")
+    _check_out_dir(config.out_dir())
     with FileDigests() as digests:
-        records = ParsedRecords()
+        run = _Run(digests)
         start = 0
         while True:
             try:
-                for name in STAGE_ORDER[start:]:
-                    run_stage(name, config, force, digests, records, deferred)
-                deferred.settle()
+                for name in stages[start:]:
+                    run_stage(name, config, force, run)
+                run.settle()
                 return
             except _Stale as stale:
-                start = STAGE_ORDER.index(*stale.args)
+                start = stages.index(*stale.args)

@@ -124,10 +124,8 @@ def otsu_threshold(plane: np.ndarray) -> float:
     return lo + (t + 1) * width
 
 
-def threshold_mask(plane: np.ndarray, threshold: float | None = None) -> np.ndarray:
-    """Foreground = strictly above the threshold (Otsu when omitted)."""
-    if threshold is None:
-        threshold = otsu_threshold(plane)
+def threshold_mask(plane: np.ndarray, threshold: float) -> np.ndarray:
+    """Foreground = strictly above the threshold."""
     return np.asarray(plane) > threshold
 
 

@@ -32,6 +32,7 @@ from .unmix import AbundanceMap
 LIBRARY_LABELS = ("spike", "leaf", "soil", "shadow", "winter_wheat", "panel")
 SCENE_LABELS = ("spike", "leaf", "soil", "shadow", "panel")
 CROP_LABELS = ("spike", "leaf", "soil", "shadow")
+REFERENCE_PATCH_PX = 12  # side of each pure patch in the reference cube
 
 _MARGIN_PX = 16
 _PANEL_TOP_MARGIN_PX = 40
@@ -402,7 +403,7 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
 
 
 def generate_reference_cube(
-    seed: int = 0, patch_px: int = 12
+    seed: int = 0,
 ) -> tuple[HyperCube, EndmemberSet, dict[str, tuple[int, int, int, int]]]:
     """Close-range reflectance cube with one pure patch per crop class.
 
@@ -410,23 +411,21 @@ def generate_reference_cube(
     simplex mixtures, so volume-maximizing extraction must land on the
     patches. Returned regions are (top, left, height, width).
     """
-    if patch_px < 2:
-        raise ConfigError("patches need at least 2 px")
     lam = default_wavelengths()
     crop = endmember_library().select(CROP_LABELS)
-    gap = max(4, patch_px // 2)
-    rows = patch_px + 2 * gap
-    cols = len(CROP_LABELS) * (patch_px + gap) + gap
+    gap = max(4, REFERENCE_PATCH_PX // 2)
+    rows = REFERENCE_PATCH_PX + 2 * gap
+    cols = len(CROP_LABELS) * (REFERENCE_PATCH_PX + gap) + gap
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     h = rng.dirichlet(np.ones(len(CROP_LABELS)), size=rows * cols).reshape(
         rows, cols, -1
     )
     regions: dict[str, tuple[int, int, int, int]] = {}
     for i, label in enumerate(CROP_LABELS):
-        top, left = gap, gap + i * (patch_px + gap)
-        h[top : top + patch_px, left : left + patch_px, :] = 0.0
-        h[top : top + patch_px, left : left + patch_px, i] = 1.0
-        regions[label] = (top, left, patch_px, patch_px)
+        top, left = gap, gap + i * (REFERENCE_PATCH_PX + gap)
+        h[top : top + REFERENCE_PATCH_PX, left : left + REFERENCE_PATCH_PX, :] = 0.0
+        h[top : top + REFERENCE_PATCH_PX, left : left + REFERENCE_PATCH_PX, i] = 1.0
+        regions[label] = (top, left, REFERENCE_PATCH_PX, REFERENCE_PATCH_PX)
     data = np.einsum("rce,be->rcb", h, crop.spectra)
     cube = HyperCube(data=data, wavelengths=lam, units="reflectance")
     return cube, crop, regions

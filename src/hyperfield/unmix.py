@@ -256,34 +256,19 @@ def unmix_cube(
 # spike+leaf mask
 
 
-@dataclass
-class SlMask:
-    """Spike-plus-leaf score plane and its thresholded mask."""
-
-    score: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        self.score = np.asarray(self.score, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.score.shape != self.mask.shape:
-            raise ShapeMismatchError("score and mask shapes differ")
-
-
 def sl_mask(
     abund: AbundanceMap,
     spike_label: str = "spike",
     leaf_label: str = "leaf",
     threshold: float = SL_THRESHOLD,
-) -> SlMask:
+) -> np.ndarray:
     """Foreground where spike + leaf abundance strictly exceeds the threshold.
 
     With exact sum-to-one abundances and four members this is the same
     rule as 'more spike+leaf than soil+shadow'; a pixel at exactly the
     threshold is background.
     """
-    score = abund.plane(spike_label) + abund.plane(leaf_label)
-    return SlMask(score=score, mask=score > threshold)
+    return abund.plane(spike_label) + abund.plane(leaf_label) > threshold
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 
 import hyperfield
 from hyperfield import cube as cube_module
-from hyperfield import mlp, pipeline, subplot, unmix
+from hyperfield import cli, mlp, pipeline, subplot, unmix
 from hyperfield.cli import main
 from hyperfield.config import DEFAULTS, load_config
 from hyperfield.cube import read_cube, write_cube
@@ -30,7 +30,6 @@ from hyperfield.pipeline import (
     STAGES,
     FileDigests,
     read_metrics_csv,
-    run_stage,
 )
 from hyperfield.subplot import read_records_csv
 
@@ -247,7 +246,7 @@ def test_input_paths_resolve_against_out_dir(tmp_path):
     config.values["output"]["dir"] = str(out)
     (out / "synth").mkdir(parents=True)
     (out / "synth" / "scene.hdr").touch()
-    stage = pipeline._Stage("calibrate", config, FileDigests())
+    stage = pipeline._Stage("calibrate", config, pipeline._Run(FileDigests()))
     hdr = config.get("input", "cube") + ".hdr"
     assert stage.need(hdr) == os.path.join(str(out), "synth/scene.hdr")
     field = tmp_path / "field.hdr"
@@ -516,7 +515,7 @@ def test_declaring_a_stage_touches_no_disk(tmp_path, monkeypatch):
                              (os.path, "exists")]:
             patched.setattr(module, name, refuse)
         for name, stage in STAGES.items():
-            next(stage.body(pipeline._Stage(name, config, FileDigests())))
+            next(stage.body(pipeline._Stage(name, config, pipeline._Run(FileDigests()))))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -717,21 +716,25 @@ def test_rewritten_records_are_parsed_again(memo_run, monkeypatch):
     config = load_config(str(ini))
     config.set("output", "dir", str(out))
     parsed = _count_records_parses(monkeypatch)
-    memo = pipeline.ParsedRecords()
-    run_stage("train", config, force=True, records=memo)
-    path = out / "dataset" / "records.csv"
-    fresh = out / "dataset" / "records.csv.new"
-    shutil.copyfile(path, fresh)
-    os.replace(fresh, path)  # same bytes, new inode: a new stat identity
-    run_stage("evaluate", config, force=True, records=memo)
-    run_stage("report", config, force=True, records=memo)
+    run_stage = pipeline.run_stage
+
+    def rewriting(name, *args):
+        run_stage(name, *args)
+        if name == "train":
+            path = out / "dataset" / "records.csv"
+            fresh = out / "dataset" / "records.csv.new"
+            shutil.copyfile(path, fresh)
+            os.replace(fresh, path)  # same bytes, new inode: a new stat identity
+
+    monkeypatch.setattr(pipeline, "run_stage", rewriting)
+    pipeline.run_all(config, True, ("train", "evaluate", "report"))
     assert len(parsed) == 2
 
 
 @pytest.mark.parametrize("column", ["features", "yields", "windows"])
 def test_shared_records_are_read_only(memo_run, column):
     _, out = memo_run
-    records = pipeline.ParsedRecords().read(str(out / "dataset" / "records.csv"))
+    records = pipeline._Run(FileDigests()).records(str(out / "dataset" / "records.csv"))
     with pytest.raises(ValueError, match="read-only"):
         getattr(records, column)[0] += 1
 
@@ -907,7 +910,9 @@ def test_a_speculated_train_that_diverges_still_exits_5(memo_run, tmp_path):
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs thread affinity")
-def test_one_usable_cpu_starts_no_hash_thread(memo_run, monkeypatch):
+def test_one_usable_cpu_starts_no_hash_thread(memo_run, tmp_path, caplog, monkeypatch):
+    """A forced run-all, then a lone gridmap that skips and one whose input
+    changed, whose deferred check the caller hashes when it settles."""
     ini, out = memo_run
     before = _tree_bytes(out)
     one = {min(os.sched_getaffinity(0))}
@@ -919,9 +924,38 @@ def test_one_usable_cpu_starts_no_hash_thread(memo_run, monkeypatch):
         threading.Thread, "start", lambda thread: (started.append(thread.name), start(thread))
     )
     assert main(["run-all", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
+    assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 0
+    assert _tree_bytes(out) == before
+    plot_map = out / "synth" / "plot_map.csv"
+    header, *rows = plot_map.read_bytes().splitlines(keepends=True)
+    plot_map.write_bytes(header + b"".join(reversed(rows)))  # the same plots, other bytes
+    forced = tmp_path / "forced"
+    shutil.copytree(out, forced)
+    assert main(["gridmap", "--out", str(forced), "--config", str(ini), "--stage-force"]) == 0
+    caplog.set_level(logging.INFO, logger="hyperfield.pipeline")
+    assert main(["gridmap", "--out", str(out), "--config", str(ini)]) == 0
+    assert _pipeline_log(caplog).count("gridmap: rerunning: synth/plot_map.csv changed") == 1
     assert started == []
     assert pinned == []
-    assert _tree_bytes(out) == before
+    assert _tree_bytes(out) == _tree_bytes(forced)
+
+
+@pytest.mark.parametrize("command", ["synth", "gridmap"])
+def test_a_lone_stage_runs_through_run_all(memo_run, monkeypatch, command):
+    ini, out = memo_run
+    entered = []
+    run_all, run_stage = pipeline.run_all, pipeline.run_stage
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            entered.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "run_all", counting("run_all", run_all))
+    monkeypatch.setattr(pipeline, "run_stage", counting("run_stage", run_stage))
+    assert main([command, "--out", str(out), "--config", str(ini)]) == 0
+    assert entered == ["run_all", "run_stage"]
 
 
 @pytest.mark.skipif(
@@ -1991,7 +2025,7 @@ def test_seed_flag_changes_the_scene(tmp_path):
 def test_unknown_stage_is_a_config_error():
     config = load_config(None)
     with pytest.raises(ConfigError, match="unknown stage"):
-        run_stage("polish", config)
+        pipeline.run_all(config, stages=("polish",))
 
 
 def test_read_metrics_csv_rejects_bad_header(tmp_path):

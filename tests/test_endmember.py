@@ -186,16 +186,6 @@ def test_svmax_argument_checks():
         em.svmax(rng.normal(size=(2, 10)), 4)
 
 
-def test_svmax_records_cube_coordinates():
-    rng = np.random.default_rng(9)
-    vertices = rng.uniform(size=(12, 3))
-    X = simplex_cloud(rng, vertices, 100)
-    coords = np.stack([np.arange(100) // 10, np.arange(100) % 10], axis=1)
-    got = em.svmax(X, 3, coords=coords)
-    for (r, c), j in zip(got.source_pixels, em.svmax(X, 3).source_pixels):
-        assert (r, c) == (j // 10, j % 10)
-
-
 # ---------------------------------------------------------------------------
 # refinement
 

@@ -332,7 +332,8 @@ def test_segmentation_is_deterministic():
     def run():
         plane = segment.ndpsi(cube)
         mask = segment.binary_open(
-            segment.fill_holes(segment.threshold_mask(plane)), se=(3, 2)
+            segment.fill_holes(segment.threshold_mask(plane, segment.otsu_threshold(plane))),
+            se=(3, 2),
         )
         return mask, segment.extract_plots(mask, min_area_px=5)
 

@@ -438,11 +438,6 @@ def test_volume_extraction_finds_the_patches():
     assert planted == recovered
 
 
-def test_reference_cube_rejects_tiny_patches():
-    with pytest.raises(ConfigError):
-        generate_reference_cube(patch_px=1)
-
-
 # ---------------------------------------------------------------------------
 # planted-target regression sets
 

@@ -396,18 +396,14 @@ def test_sl_mask_threshold_is_strict():
     values[0, 1] = [0.3, 0.21, 0.29, 0.2]  # score 0.51: foreground
     values[0, 2] = [0.1, 0.2, 0.3, 0.4]  # score 0.3: background
     am = unmix.AbundanceMap(values, ("spike", "leaf", "soil", "shadow"))
-    sl = unmix.sl_mask(am)
-    assert list(sl.mask[0]) == [False, True, False]
-    assert sl.score[0, 0] == pytest.approx(0.5)
+    assert list(unmix.sl_mask(am)[0]) == [False, True, False]
 
 
 def test_sl_mask_uses_labels_not_positions():
     values = np.zeros((1, 1, 4))
     values[0, 0] = [0.4, 0.3, 0.2, 0.1]
     am = unmix.AbundanceMap(values, ("soil", "shadow", "spike", "leaf"))
-    sl = unmix.sl_mask(am)
-    assert sl.score[0, 0] == pytest.approx(0.3)
-    assert not sl.mask[0, 0]
+    assert not unmix.sl_mask(am)[0, 0]  # spike + leaf is 0.3; the first two sum to 0.7
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +426,7 @@ def test_score_ppm_round_trip(tmp_path):
 
 
 def test_score_ppm_accepts_sl_mask(tmp_path):
-    score = np.array([[0.0, 0.5, 1.0]])
-    sl = unmix.SlMask(score=score, mask=score > 0.5)
-    unmix.write_score_ppm(tmp_path / "sl.ppm", sl.score)
+    unmix.write_score_ppm(tmp_path / "sl.ppm", np.array([[0.0, 0.5, 1.0]]))
     rgb = read_ppm(tmp_path / "sl.ppm")
     assert tuple(rgb[0, 0]) == (0, 0, 255)
     assert tuple(rgb[0, 2]) == (255, 0, 0)
