@@ -32,10 +32,6 @@ class PcaBasis:
     components: np.ndarray
     explained_variance: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.components.shape[1]
-
 
 def pca_fit(pixels: np.ndarray, k: int) -> PcaBasis:
     """Fit an affine PCA basis to a (bands, pixels) matrix.

@@ -87,36 +87,11 @@ def build_grid(
 
 
 @dataclass(frozen=True)
-class Anchor:
-    """Ties one grid cell, (grid_row, grid_col), to one plot id."""
-
-    plot_id: str
-    cell: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class AssignedPlot:
     plot_id: str
     box: PlotBox
     grid_row: int
     grid_col: int
-
-
-@dataclass
-class GridAssignment:
-    row_lines: np.ndarray
-    col_lines: np.ndarray
-    # every grid cell; value is (box or None, plot_id or None)
-    cells: dict[tuple[int, int], tuple[PlotBox | None, str | None]]
-
-    def assigned(self) -> list[AssignedPlot]:
-        """Cells holding both a box and a plot id, in grid order."""
-        out = []
-        for (r, c) in sorted(self.cells):
-            box, plot_id = self.cells[(r, c)]
-            if box is not None and plot_id is not None:
-                out.append(AssignedPlot(plot_id, box, r, c))
-        return out
 
 
 def _nearest(lines: np.ndarray, value: float) -> int:
@@ -129,69 +104,59 @@ def assign_ids(
     row_lines: np.ndarray,
     col_lines: np.ndarray,
     plot_map: PlotMap,
-    anchor: Anchor,
-) -> GridAssignment:
+    anchor_plot: str,
+    anchor_cell: tuple[int, int],
+) -> list[AssignedPlot]:
     """Snap boxes to cells and propagate plot ids from the anchor.
 
+    The anchor ties grid cell ``anchor_cell``, (grid_row, grid_col), to
+    plot id ``anchor_plot``. Returns the labelled plots in grid order.
     Two boxes landing in one cell is an error (the caller must merge or
-    filter them). Cells whose propagated field position falls outside
-    the plot map stay unlabelled, with a warning.
+    filter them). A box whose propagated field position falls outside
+    the plot map is left out, with a warning.
     """
     row_lines = np.asarray(row_lines, dtype=np.float64)
     col_lines = np.asarray(col_lines, dtype=np.float64)
     if row_lines.size == 0 or col_lines.size == 0:
         raise ShapeMismatchError("grid needs at least one line per axis")
 
-    cell_of_box: list[tuple[int, int]] = []
-    occupied: dict[tuple[int, int], int] = {}
-    for i, box in enumerate(boxes):
+    box_at: dict[tuple[int, int], PlotBox] = {}
+    for box in boxes:
         cell = (_nearest(row_lines, box.top), _nearest(col_lines, box.left))
-        if cell in occupied:
-            first = boxes[occupied[cell]]
-            a, b = sorted([first, box], key=lambda bb: (bb.top, bb.left))
+        if cell in box_at:
+            a, b = sorted([box_at[cell], box], key=lambda bb: (bb.top, bb.left))
             raise AmbiguousCellError(
                 f"boxes at ({a.top},{a.left}) and ({b.top},{b.left}) both "
                 f"resolve to grid cell {cell}"
             )
-        occupied[cell] = i
-        cell_of_box.append(cell)
+        box_at[cell] = box
 
-    if anchor.plot_id not in plot_map.positions:
-        raise AnchorError(f"anchor plot id {anchor.plot_id!r} is not in the plot map")
-    anchor_cell = (int(anchor.cell[0]), int(anchor.cell[1]))
-    if not (0 <= anchor_cell[0] < row_lines.size and 0 <= anchor_cell[1] < col_lines.size):
+    if anchor_plot not in plot_map.positions:
+        raise AnchorError(f"anchor plot id {anchor_plot!r} is not in the plot map")
+    anchor_row, anchor_col = anchor_cell
+    if not (0 <= anchor_row < row_lines.size and 0 <= anchor_col < col_lines.size):
         raise AnchorError(f"anchor cell {anchor_cell} outside the detected grid")
-    anchor_field = plot_map.positions[anchor.plot_id]
+    field_row, field_col = plot_map.positions[anchor_plot]
 
-    cells: dict[tuple[int, int], tuple[PlotBox | None, str | None]] = {}
-    for r in range(row_lines.size):
-        for c in range(col_lines.size):
-            field_pos = (
-                anchor_field[0] + (r - anchor_cell[0]),
-                anchor_field[1] + (c - anchor_cell[1]),
-            )
-            plot_id = plot_map.by_cell.get(field_pos)
-            cells[(r, c)] = (None, plot_id)
-
-    for i, box in enumerate(boxes):
-        cell = cell_of_box[i]
-        plot_id = cells[cell][1]
+    assigned = []
+    for (r, c), box in box_at.items():
+        plot_id = plot_map.by_cell.get((field_row + r - anchor_row, field_col + c - anchor_col))
         if plot_id is None:
             log.warning(
                 "box at (%d,%d) in cell %s maps outside the plot map; left unlabelled",
                 box.top,
                 box.left,
-                cell,
+                (r, c),
             )
-        cells[cell] = (box, plot_id)
+        else:
+            assigned.append(AssignedPlot(plot_id, box, r, c))
+    return sorted(assigned, key=lambda ap: (ap.grid_row, ap.grid_col))
 
-    return GridAssignment(row_lines=row_lines, col_lines=col_lines, cells=cells)
 
-
-def write_assignment_csv(path: str | os.PathLike, assignment: GridAssignment) -> None:
+def write_assignment_csv(path: str | os.PathLike, assigned: list[AssignedPlot]) -> None:
     header = ["plot_id", "top", "left", "height", "width", "grid_row", "grid_col"]
     rows = []
-    for ap in assignment.assigned():
+    for ap in assigned:
         b = ap.box
         rows.append((ap.plot_id, b.top, b.left, b.height, b.width, ap.grid_row, ap.grid_col))
     write_table(path, header, rows)

@@ -530,9 +530,7 @@ def train(
     state = AdamState(params)
 
     def grams_rmse(z_features, y_grams):
-        pred = forward(model, z_features).astype(np.float64) * scale + target_mean
-        diff = pred - y_grams
-        return float(np.sqrt(np.mean(diff * diff)))
+        return rmse(y_grams, forward(model, z_features).astype(np.float64) * scale + target_mean)
 
     logbook = []
     best_val, best_epoch, best_params = np.inf, 0, params

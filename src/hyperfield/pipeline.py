@@ -534,12 +534,16 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
         write_strips,
     )
 
-    _, panel = read_panel_reflectance_csv(panel_path)
+    wavelengths, panel = read_panel_reflectance_csv(panel_path)
     with CubeStream(cube_stem) as scene:
         head = scene.header
-        if panel.size != head.bands:
+        # the tolerance unmix_cube and subset_for_wavelengths match grids with
+        if wavelengths.shape != head.wavelengths.shape or (
+            abs(wavelengths - head.wavelengths) > 0.05
+        ).any():
             raise DataError(
-                f"panel reflectance has {panel.size} bands, cube has {head.bands}"
+                f"{panel_path}: the panel's {wavelengths.size} wavelengths do not "
+                f"match the scene's {head.bands} within 0.05 nm"
             )
         mask = band_mask_from_windows(
             head.wavelengths,
@@ -591,7 +595,7 @@ def _stage_gridmap(st: _Stage) -> Iterator[None]:
     boxes_path = st.need(F_BOXES)
     map_path = st.need(st.config.get("input", "plot_map"))
     yield
-    from .gridmap import Anchor, assign_ids, build_grid, read_plot_map, write_assignment_csv
+    from .gridmap import assign_ids, build_grid, read_plot_map, write_assignment_csv
     from .segment import read_boxes_csv
 
     boxes = read_boxes_csv(boxes_path)
@@ -601,13 +605,10 @@ def _stage_gridmap(st: _Stage) -> Iterator[None]:
         st.config.getfloat("gridmap", "pitch_row_px"),
         st.config.getfloat("gridmap", "pitch_col_px"),
     )
-    anchor = Anchor(
-        plot_id=st.config.get("gridmap", "anchor_plot"),
-        cell=st.config.anchor_cell(),
-    )
-    assignment = assign_ids(boxes, row_lines, col_lines, plot_map, anchor)
-    write_assignment_csv(st.emit(F_ASSIGNMENT), assignment)
-    log.info("gridmap: %d boxes labelled", len(assignment.assigned()))
+    anchor = (st.config.get("gridmap", "anchor_plot"), st.config.anchor_cell())
+    assigned = assign_ids(boxes, row_lines, col_lines, plot_map, *anchor)
+    write_assignment_csv(st.emit(F_ASSIGNMENT), assigned)
+    log.info("gridmap: %d boxes labelled", len(assigned))
 
 
 def _stage_endmembers(st: _Stage) -> Iterator[None]:

@@ -355,9 +355,9 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
     populated = np.concatenate([c[c > 0] for c in counts.values()])
     if populated.size == 0:
         raise DataError("scene has no foreground pixels; densities too low")
+    var_n = float(populated.var())
+    mean_sq = float(np.mean(populated.astype(np.float64) ** 2))
     if spec.target_subplot_r2 is not None:
-        var_n = float(populated.var())
-        mean_sq = float(np.mean(populated.astype(np.float64) ** 2))
         if var_n == 0.0:
             raise DataError("window counts are constant; target ratio unreachable")
         r = spec.target_subplot_r2
@@ -365,8 +365,6 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
     else:
         sigma_y = float(spec.yield_noise_sigma or 0.0)
     if sigma_y > 0:
-        var_n = float(populated.var())
-        mean_sq = float(np.mean(populated.astype(np.float64) ** 2))
         theoretical_r2 = var_n / (var_n + mean_sq * sigma_y**2)
     else:
         theoretical_r2 = None if spec.target_subplot_r2 is None else 1.0

@@ -37,7 +37,7 @@ from hyperfield.cube import (
     to_reflectance,
 )
 from hyperfield.endmember import EndmemberSet, svmax
-from hyperfield.gridmap import Anchor, PlotMap, assign_ids, build_grid
+from hyperfield.gridmap import PlotMap, assign_ids, build_grid
 from hyperfield.mlp import (
     MlpModel,
     SplitSpec,
@@ -469,11 +469,8 @@ def test_08_grid_labeling_under_jitter_and_gaps():
             int(np.argmin(np.abs(row_lines - boxes[0].top))),
             int(np.argmin(np.abs(col_lines - boxes[0].left))),
         )
-        anchor = Anchor(plot_id=truth_ids[0], cell=cell)
-        assignment = assign_ids(boxes, row_lines, col_lines, plot_map, anchor)
-        labeled = {
-            (a.box.top, a.box.left): a.plot_id for a in assignment.assigned()
-        }
+        assigned = assign_ids(boxes, row_lines, col_lines, plot_map, truth_ids[0], cell)
+        labeled = {(a.box.top, a.box.left): a.plot_id for a in assigned}
         for box, want in zip(boxes, truth_ids):
             boxes_seen += 1
             if labeled.get((box.top, box.left)) != want:

@@ -1656,8 +1656,10 @@ def test_a_non_ascii_library_label_is_written_in_utf8_in_any_locale(tmp_path):
         ("short", "line 2: expected 2 fields, got 1"),
         ("nan-kept", "line 61: non-finite value"),
         ("nan-dropped", "line 6: non-finite value"),
+        ("shifted", "panel's 240 wavelengths do not match the scene's 240 within 0.05 nm"),
+        ("one-off", "panel's 240 wavelengths do not match the scene's 240 within 0.05 nm"),
     ],
-    ids=["value", "short", "nan-kept", "nan-dropped"],
+    ids=["value", "short", "nan-kept", "nan-dropped", "shifted", "one-off"],
 )
 def test_malformed_panel_csv_exits_4(memo_run, capsys, damage, message):
     ini, out = memo_run
@@ -1667,6 +1669,13 @@ def test_malformed_panel_csv_exits_4(memo_run, capsys, damage, message):
         lines[2] = lines[2].split(",")[0] + ",bright"
     elif damage == "short":
         lines[1] = lines[1].split(",")[0]
+    elif damage in ("shifted", "one-off"):
+        # every wavelength 50 nm too long, or one band 0.06 nm too short
+        rows = range(1, len(lines)) if damage == "shifted" else [60]
+        shift = 50.0 if damage == "shifted" else -0.06
+        for row in rows:
+            wavelength, value = lines[row].split(",")
+            lines[row] = f"{float(wavelength) + shift!r},{value}"
     else:
         # line 61 is 529.5 nm, inside the kept range; line 6 is 411.0 nm, outside
         row = 60 if damage == "nan-kept" else 5

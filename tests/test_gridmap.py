@@ -66,9 +66,7 @@ def test_assign_ids_full_grid():
     boxes, truth = grid_boxes(3, 4)
     plot_map = make_plot_map(3, 4)
     rl, cl = gridmap.build_grid(boxes, 40, 70)
-    anchor = gridmap.Anchor(plot_id="P-00-00", cell=(0, 0))
-    assignment = gridmap.assign_ids(boxes, rl, cl, plot_map, anchor)
-    assigned = assignment.assigned()
+    assigned = gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
     assert len(assigned) == 12
     for ap in assigned:
         r, c = truth[(ap.box.top, ap.box.left)]
@@ -78,14 +76,12 @@ def test_assign_ids_full_grid():
 def test_assignment_is_translation_invariant():
     boxes, truth = grid_boxes(3, 3)
     plot_map = make_plot_map(3, 3)
-    anchor = gridmap.Anchor(plot_id="P-00-00", cell=(0, 0))
 
     def labels(boxlist):
         rl, cl = gridmap.build_grid(boxlist, 40, 70)
-        asg = gridmap.assign_ids(boxlist, rl, cl, plot_map, anchor)
         return {
             (ap.box.top - boxlist[0].top, ap.box.left - boxlist[0].left): ap.plot_id
-            for ap in asg.assigned()
+            for ap in gridmap.assign_ids(boxlist, rl, cl, plot_map, "P-00-00", (0, 0))
         }
 
     shifted = [
@@ -98,13 +94,12 @@ def test_assignment_is_permutation_invariant():
     rng = np.random.default_rng(1)
     boxes, _ = grid_boxes(3, 4, jitter=1.5, rng=rng)
     plot_map = make_plot_map(3, 4)
-    anchor = gridmap.Anchor(plot_id="P-00-00", cell=(0, 0))
     rl, cl = gridmap.build_grid(boxes, 40, 70)
-    a = gridmap.assign_ids(boxes, rl, cl, plot_map, anchor)
+    a = gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
     perm = list(boxes)
     rng.shuffle(perm)
-    b = gridmap.assign_ids(perm, rl, cl, plot_map, anchor)
-    assert a.assigned() == b.assigned()
+    b = gridmap.assign_ids(perm, rl, cl, plot_map, "P-00-00", (0, 0))
+    assert a == b
 
 
 def test_missing_plots_leave_empty_cells():
@@ -112,13 +107,9 @@ def test_missing_plots_leave_empty_cells():
     boxes, truth = grid_boxes(3, 3, skip=skip)
     plot_map = make_plot_map(3, 3)
     rl, cl = gridmap.build_grid(boxes, 40, 70)
-    anchor = gridmap.Anchor(plot_id="P-00-00", cell=(0, 0))
-    asg = gridmap.assign_ids(boxes, rl, cl, plot_map, anchor)
-    assert len(asg.assigned()) == 7
-    for cell in skip:
-        box, plot_id = asg.cells[cell]
-        assert box is None
-        assert plot_id is not None  # id known from the map, no box detected
+    assigned = gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
+    assert len(assigned) == 7
+    assert not skip & {(ap.grid_row, ap.grid_col) for ap in assigned}
 
 
 def test_two_boxes_in_one_cell_is_ambiguous():
@@ -126,22 +117,19 @@ def test_two_boxes_in_one_cell_is_ambiguous():
     boxes.append(PlotBox(top=12, left=17, height=30, width=60, area_px=1800))
     plot_map = make_plot_map(2, 2)
     rl, cl = gridmap.build_grid(boxes[:4], 40, 70)
-    anchor = gridmap.Anchor(plot_id="P-00-00", cell=(0, 0))
     with pytest.raises(AmbiguousCellError, match=r"\(10,15\) and \(12,17\)"):
-        gridmap.assign_ids(boxes, rl, cl, plot_map, anchor)
+        gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
 
 
 def test_cells_outside_map_warn_and_stay_unlabelled(caplog):
     boxes, _ = grid_boxes(2, 3)
     plot_map = make_plot_map(2, 2)  # narrower than the detected grid
     rl, cl = gridmap.build_grid(boxes, 40, 70)
-    anchor = gridmap.Anchor(plot_id="P-00-00", cell=(0, 0))
     with caplog.at_level(logging.WARNING, logger="hyperfield.gridmap"):
-        asg = gridmap.assign_ids(boxes, rl, cl, plot_map, anchor)
-    assert len(asg.assigned()) == 4
+        assigned = gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
+    assert len(assigned) == 4
     assert any("outside the plot map" in r.message for r in caplog.records)
-    assert asg.cells[(0, 2)][0] is not None
-    assert asg.cells[(0, 2)][1] is None
+    assert (0, 2) not in {(ap.grid_row, ap.grid_col) for ap in assigned}
 
 
 def test_nearest_line_tie_goes_to_lower_index():
@@ -154,11 +142,9 @@ def test_anchor_validation():
     plot_map = make_plot_map(2, 2)
     rl, cl = gridmap.build_grid(boxes, 40, 70)
     with pytest.raises(AnchorError, match="not in the plot map"):
-        gridmap.assign_ids(boxes, rl, cl, plot_map, gridmap.Anchor("NOPE", cell=(0, 0)))
+        gridmap.assign_ids(boxes, rl, cl, plot_map, "NOPE", (0, 0))
     with pytest.raises(AnchorError, match="outside the detected grid"):
-        gridmap.assign_ids(
-            boxes, rl, cl, plot_map, gridmap.Anchor("P-00-00", cell=(5, 0))
-        )
+        gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (5, 0))
 
 
 def test_assigned_ids_are_unique():
@@ -166,8 +152,8 @@ def test_assigned_ids_are_unique():
     boxes, _ = grid_boxes(4, 4, jitter=2.0, rng=rng)
     plot_map = make_plot_map(4, 4)
     rl, cl = gridmap.build_grid(boxes, 40, 70)
-    asg = gridmap.assign_ids(boxes, rl, cl, plot_map, gridmap.Anchor("P-00-00", cell=(0, 0)))
-    ids = [ap.plot_id for ap in asg.assigned()]
+    assigned = gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
+    ids = [ap.plot_id for ap in assigned]
     assert len(ids) == len(set(ids))
 
 
@@ -185,8 +171,7 @@ def test_jittered_grids_label_perfectly(seed):
     )
     plot_map = make_plot_map(4, 5)
     rl, cl = gridmap.build_grid(boxes, pitch_r, pitch_c)
-    asg = gridmap.assign_ids(boxes, rl, cl, plot_map, gridmap.Anchor("P-00-00", cell=(0, 0)))
-    assigned = asg.assigned()
+    assigned = gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
     assert len(assigned) == len(boxes)
     for ap in assigned:
         r, c = truth[(ap.box.top, ap.box.left)]
@@ -214,11 +199,10 @@ def test_assignment_csv_round_trip(tmp_path):
     boxes, _ = grid_boxes(2, 2)
     plot_map = make_plot_map(2, 2)
     rl, cl = gridmap.build_grid(boxes, 40, 70)
-    asg = gridmap.assign_ids(boxes, rl, cl, plot_map, gridmap.Anchor("P-00-00", cell=(0, 0)))
+    want = gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
     path = tmp_path / "assignment.csv"
-    gridmap.write_assignment_csv(path, asg)
+    gridmap.write_assignment_csv(path, want)
     back = gridmap.read_assignment_csv(path)
-    want = asg.assigned()
     assert [(ap.plot_id, ap.grid_row, ap.grid_col) for ap in back] == [
         (ap.plot_id, ap.grid_row, ap.grid_col) for ap in want
     ]
