@@ -73,6 +73,9 @@ _DTYPES = {
 BAND_COUNT = 240
 WAVELENGTH_START_NM = 400.0
 WAVELENGTH_STEP_NM = 2.195
+# Two wavelength grids match when each band lies this close to its
+# counterpart: cube headers, panel and endmember files write 0.1 nm.
+WAVELENGTH_TOL_NM = 0.05
 
 # Default spectral mask: keep the well-behaved 430-870 nm range and
 # drop two atmospheric absorption windows (oxygen near 760 nm, water

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cube import WAVELENGTH_TOL_NM
 from .errors import DataError, DegenerateSimplexError, RankError, ShapeMismatchError
 from .table import read_table, write_table
 
@@ -75,15 +76,12 @@ def pca_project(basis: PcaBasis, pixels: np.ndarray) -> np.ndarray:
 class EndmemberSet:
     """Labelled endmember spectra on a shared wavelength axis.
 
-    ``spectra`` is (bands, members); ``source_pixels`` records where
-    each member came from: its flat pixel index for ``svmax`` picks,
-    None for library files.
+    ``spectra`` is (bands, members).
     """
 
     labels: tuple[str, ...]
     wavelengths: np.ndarray
     spectra: np.ndarray
-    source_pixels: tuple | None = None
 
     def __post_init__(self):
         self.labels = tuple(self.labels)
@@ -106,10 +104,6 @@ class EndmemberSet:
                 f"{self.wavelengths.size} bands cannot span a "
                 f"{len(self.labels)}-member simplex"
             )
-        if self.source_pixels is not None:
-            self.source_pixels = tuple(self.source_pixels)
-            if len(self.source_pixels) != len(self.labels):
-                raise ShapeMismatchError("one source pixel per endmember required")
 
     @property
     def count(self) -> int:
@@ -124,25 +118,18 @@ class EndmemberSet:
     def select(self, labels) -> "EndmemberSet":
         """Subset (and reorder) members by label."""
         idx = [self.index_of(l) for l in labels]
-        return EndmemberSet(
-            labels=tuple(labels),
-            wavelengths=self.wavelengths,
-            spectra=self.spectra[:, idx],
-            source_pixels=tuple(self.source_pixels[i] for i in idx)
-            if self.source_pixels
-            else None,
-        )
+        return replace(self, labels=tuple(labels), spectra=self.spectra[:, idx])
 
-    def subset_for_wavelengths(self, target, tol: float = 0.05) -> "EndmemberSet":
+    def subset_for_wavelengths(self, target) -> "EndmemberSet":
         """Rows matched to another wavelength grid (e.g. a masked cube)."""
         target = np.asarray(target, dtype=np.float64)
         rows = []
         for w in target:
-            hits = np.flatnonzero(np.abs(self.wavelengths - w) <= tol)
+            hits = np.flatnonzero(np.abs(self.wavelengths - w) <= WAVELENGTH_TOL_NM)
             if hits.size != 1:
                 raise DataError(
                     f"wavelength {w:.2f} nm matches {hits.size} endmember bands "
-                    f"(tolerance {tol} nm)"
+                    f"(tolerance {WAVELENGTH_TOL_NM} nm)"
                 )
             rows.append(int(hits[0]))
         return replace(
@@ -220,7 +207,6 @@ def svmax(
         labels=tuple(f"synthetic-{i}" for i in range(count)),
         wavelengths=wavelengths,
         spectra=X[:, selected].copy(),
-        source_pixels=tuple(selected),
     )
 
 

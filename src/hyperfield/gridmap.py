@@ -40,9 +40,6 @@ class PlotMap:
             self.positions[plot_id] = pos
             self.by_cell[pos] = plot_id
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
 
 def read_plot_map(path: str | os.PathLike) -> PlotMap:
     table = read_table(path, ("plot_id", "field_row", "field_col"), key="plot_id")

@@ -479,7 +479,7 @@ def _stage_synth(st: _Stage) -> Iterator[None]:
     from .gridmap import write_plot_map
     from .netpbm import write_pbm
     from .segment import write_boxes_csv
-    from .subplot import PlotYieldRecord, write_yields_csv
+    from .subplot import write_yields_csv
     from .synth import generate_reference_cube, generate_scene
 
     radiance, truth = generate_scene(spec)
@@ -491,10 +491,7 @@ def _stage_synth(st: _Stage) -> Iterator[None]:
     write_strips(st.emit(F_SCENE), header, radiance.strips(height))
     write_panel_reflectance_csv(st.emit(F_PANEL), lam, truth.panel_reflectance)
     write_plot_map(st.emit(F_PLOT_MAP), truth.plot_map)
-    write_yields_csv(
-        st.emit(F_YIELDS),
-        [PlotYieldRecord(pid, truth.plot_yields[pid]) for pid in sorted(truth.plot_yields)],
-    )
+    write_yields_csv(st.emit(F_YIELDS), dict(sorted(truth.plot_yields.items())))
     write_pbm(st.emit(F_TRUTH_MASK), truth.sl_mask)
     write_boxes_csv(st.emit(F_TRUTH_BOXES), [truth.boxes[pid] for pid in sorted(truth.boxes)])
     payload = {
@@ -526,6 +523,7 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     panel_path = st.need(st.config.get("input", "panel_reflectance"))
     yield
     from .cube import (
+        WAVELENGTH_TOL_NM,
         CubeStream,
         apply_gain,
         band_mask_from_windows,
@@ -537,13 +535,12 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
     wavelengths, panel = read_panel_reflectance_csv(panel_path)
     with CubeStream(cube_stem) as scene:
         head = scene.header
-        # the tolerance unmix_cube and subset_for_wavelengths match grids with
         if wavelengths.shape != head.wavelengths.shape or (
-            abs(wavelengths - head.wavelengths) > 0.05
+            abs(wavelengths - head.wavelengths) > WAVELENGTH_TOL_NM
         ).any():
             raise DataError(
                 f"{panel_path}: the panel's {wavelengths.size} wavelengths do not "
-                f"match the scene's {head.bands} within 0.05 nm"
+                f"match the scene's {head.bands} within {WAVELENGTH_TOL_NM} nm"
             )
         mask = band_mask_from_windows(
             head.wavelengths,
@@ -652,6 +649,9 @@ def _stage_endmembers(st: _Stage) -> Iterator[None]:
 
 
 def _stage_unmix(st: _Stage) -> Iterator[None]:
+    threshold = st.config.getfloat("unmix", "sl_threshold")
+    if not 0 <= threshold < 1:  # also NaN
+        raise ConfigError(f"[unmix] sl_threshold = {threshold} must lie in [0, 1)")
     stem = st.need_cube(F_REFLECTANCE)
     ems_path = st.need(F_ENDMEMBERS)
     yield
@@ -668,7 +668,7 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
         abundances,
         spike_label=st.config.get("unmix", "spike_label"),
         leaf_label=st.config.get("unmix", "leaf_label"),
-        threshold=st.config.getfloat("unmix", "sl_threshold"),
+        threshold=threshold,
     )
     write_cube(abundances.to_cube(), st.emit(F_ABUNDANCES))
     write_pbm(st.emit(F_SL_MASK), foreground)

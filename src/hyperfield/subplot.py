@@ -1,18 +1,21 @@
 """Sub-plot tiling, proportional yield allocation, and window features.
 
-A plot crop is tiled by square windows from its top-left corner; the
-right and bottom edges behave as if the plot were padded with
-background, so every foreground pixel belongs to exactly one window.
-The plot's measured yield is split across windows in proportion to
-their spike+leaf pixel counts, which conserves the total by
-construction. Each window with at least one foreground pixel yields a
-feature vector: per-band mean, per-band population standard deviation,
-and the pixel count (2*bands + 1 entries).
+Square windows of w pixels tile a plot crop from its top-left corner
+as a grid of ceil(rows/w) x ceil(cols/w). The window at grid position
+(r, c) is the slice [r*w:(r+1)*w, c*w:(c+1)*w], which numpy clips at
+the plot's right and bottom edges, so it counts as if the plot were
+padded with background and every foreground pixel belongs to exactly
+one window. ``window_counts`` gives every window's foreground count as
+that grid in one reshape and sum. The plot's measured yield is split
+across windows in proportion to their spike+leaf pixel counts, which
+conserves the total by construction. Each window with at least one
+foreground pixel yields a feature vector: per-band mean, per-band
+population standard deviation, and the pixel count (2*bands + 1
+entries).
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -25,88 +28,41 @@ DEFAULT_WINDOW_PX = 15
 DEFAULT_MIDDLE_TAU = 0.05
 
 
-@dataclass(frozen=True)
-class Window:
-    """One tile: grid position plus its clipped pixel extent."""
-
-    row: int
-    col: int
-    top: int
-    left: int
-    height: int
-    width: int
-
-
-@dataclass(frozen=True)
-class PlotYieldRecord:
-    """Measured yield of one plot, in grams."""
-
-    plot_id: str
-    yield_grams: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.yield_grams) and self.yield_grams >= 0):
-            raise DataError(
-                f"plot {self.plot_id}: yield {self.yield_grams!r} is not a "
-                "finite non-negative number"
-            )
-
-
-def write_yields_csv(path: str | os.PathLike, records: list[PlotYieldRecord]) -> None:
-    write_table(path, ["plot_id", "yield_grams"], [(r.plot_id, r.yield_grams) for r in records])
+def write_yields_csv(path: str | os.PathLike, yields: dict[str, float]) -> None:
+    """One row per plot, in the order of ``yields``."""
+    write_table(path, ["plot_id", "yield_grams"], yields.items())
 
 
 def read_yields_csv(path: str | os.PathLike) -> dict[str, float]:
+    """{plot_id: grams}; a negative yield raises ``DataError`` naming its line."""
     table = read_table(path, ("plot_id",), floats=("yield_grams",), key="plot_id")
     yields = dict(zip(table.text("plot_id"), table.floats[:, 0].tolist()))
     for i, (plot_id, grams) in enumerate(yields.items()):
-        try:
-            PlotYieldRecord(plot_id, grams)
-        except DataError as exc:
-            raise DataError(f"{table.where(i)}: {exc}") from None
+        if grams < 0:
+            raise DataError(f"{table.where(i)}: plot {plot_id}: yield {grams!r} is negative")
     return yields
 
 
-def tile_plot(rows: int, cols: int, window_px: int = DEFAULT_WINDOW_PX) -> list[Window]:
-    """Row-major window grid covering a rows x cols plot.
-
-    ceil(rows/w) * ceil(cols/w) windows; edge windows are clipped to
-    the plot, which is equivalent to padding with background.
-    """
-    if window_px < 2:
-        raise ShapeMismatchError(f"window size must be at least 2, got {window_px}")
-    if rows <= 0 or cols <= 0:
-        raise ShapeMismatchError(f"plot extent {rows}x{cols} is empty")
-    windows = []
-    for r in range((rows + window_px - 1) // window_px):
-        for c in range((cols + window_px - 1) // window_px):
-            top, left = r * window_px, c * window_px
-            windows.append(
-                Window(
-                    row=r,
-                    col=c,
-                    top=top,
-                    left=left,
-                    height=min(window_px, rows - top),
-                    width=min(window_px, cols - left),
-                )
-            )
-    return windows
-
-
 def window_grid_shape(rows: int, cols: int, window_px: int) -> tuple[int, int]:
+    """Windows down and across a rows x cols plot: each extent over the window, rounded up."""
     return (rows + window_px - 1) // window_px, (cols + window_px - 1) // window_px
 
 
-def count_sl(mask: np.ndarray, windows: list[Window]) -> np.ndarray:
-    """Foreground pixel count per window."""
-    mask = np.asarray(mask, dtype=bool)
-    return np.array(
-        [
-            int(mask[w.top : w.top + w.height, w.left : w.left + w.width].sum())
-            for w in windows
-        ]
-    )
+def window_counts(mask: np.ndarray, window_px: int = DEFAULT_WINDOW_PX) -> np.ndarray:
+    """Foreground pixel count of every window, as the plot's window grid.
+
+    The mask is padded with background up to whole windows, so the edge
+    windows count only the plot pixels they hold.
+    """
+    if window_px < 2:
+        raise ShapeMismatchError(f"window size must be at least 2, got {window_px}")
+    rows, cols = np.shape(mask)
+    if rows <= 0 or cols <= 0:
+        raise ShapeMismatchError(f"plot extent {rows}x{cols} is empty")
+    grid_rows, grid_cols = window_grid_shape(rows, cols, window_px)
+    padded = np.zeros((grid_rows * window_px, grid_cols * window_px), dtype=bool)
+    padded[:rows, :cols] = mask
+    return padded.reshape(grid_rows, window_px, grid_cols, window_px).sum(axis=(1, 3))
 
 
 def allocate_yield(counts: np.ndarray, plot_yield: float) -> np.ndarray:
@@ -123,28 +79,22 @@ def allocate_yield(counts: np.ndarray, plot_yield: float) -> np.ndarray:
     return counts / counts.sum() * float(plot_yield)
 
 
-def extract_features(data: np.ndarray, mask: np.ndarray, window: Window) -> np.ndarray:
-    """Feature vector of one window: band means, band stds, pixel count.
+def extract_features(
+    data: np.ndarray, mask: np.ndarray, row: int, col: int, window_px: int = DEFAULT_WINDOW_PX
+) -> np.ndarray:
+    """Feature vector of the window at grid position (row, col): band
+    means, band stds, pixel count.
 
     Statistics run over foreground pixels only, accumulated in a single
     pass (sums and squared sums). Population variance, floored at zero
     against rounding.
     """
-    sub = data[
-        window.top : window.top + window.height,
-        window.left : window.left + window.width,
-    ]
-    picked = np.asarray(
-        mask[
-            window.top : window.top + window.height,
-            window.left : window.left + window.width,
-        ],
-        dtype=bool,
-    )
+    at = np.s_[row * window_px : (row + 1) * window_px, col * window_px : (col + 1) * window_px]
+    picked = np.asarray(mask[at], dtype=bool)
     n = int(picked.sum())
     if n == 0:
-        raise DataError(f"window ({window.row},{window.col}) has no foreground pixels")
-    pixels = sub[picked].astype(np.float64)  # (n, bands)
+        raise DataError(f"window ({row},{col}) has no foreground pixels")
+    pixels = data[at][picked].astype(np.float64)  # (n, bands)
     total = pixels.sum(axis=0)
     total_sq = (pixels * pixels).sum(axis=0)
     mean = total / n
@@ -223,16 +173,18 @@ def build_records(
         raise ShapeMismatchError(
             f"data {data.shape} and mask {mask.shape} do not align"
         )
-    windows = tile_plot(mask.shape[0], mask.shape[1], window_px)
-    counts = count_sl(mask, windows)
-    allocated = allocate_yield(counts, plot_yield)
+    counts = window_counts(mask, window_px)
+    allocated = allocate_yield(counts, plot_yield).ravel()
     keep = np.flatnonzero(counts)
-    kept = [windows[i] for i in keep]
+    rows, cols = np.divmod(keep, counts.shape[1])
     return Records(
         plot_ids=[plot_id] * keep.size,
-        windows=np.array([(w.row, w.col, n) for w, n in zip(kept, counts[keep])]),
+        windows=np.column_stack([rows, cols, counts.ravel()[keep]]),
         yields=allocated[keep],
-        features=np.array([extract_features(data, mask, w) for w in kept]),
+        features=np.array([
+            extract_features(data, mask, r, c, window_px)
+            for r, c in zip(rows.tolist(), cols.tolist())
+        ]),
     )
 
 

@@ -26,7 +26,7 @@ from .errors import ConfigError, DataError
 from .gridmap import PlotMap
 from .pairwise import PairwiseSum
 from .segment import PlotBox
-from .subplot import count_sl, tile_plot, window_grid_shape
+from .subplot import window_counts
 from .unmix import AbundanceMap
 
 LIBRARY_LABELS = ("spike", "leaf", "soil", "shadow", "winter_wheat", "panel")
@@ -174,8 +174,6 @@ class SynthTruth:
     yield_noise_sigma: float
     theoretical_r2: float | None
     window_px: int
-    pitch_row_px: int
-    pitch_col_px: int
 
 
 @dataclass
@@ -348,10 +346,13 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
 
     # Yields: proportional to true counts, with plot-level noise sized
     # for the requested theoretical coefficient of determination.
-    counts: dict[str, np.ndarray] = {}
-    for pid, box in boxes.items():
-        crop = sl_mask[box.top : box.top + box.height, box.left : box.left + box.width]
-        counts[pid] = count_sl(crop, tile_plot(box.height, box.width, spec.window_px))
+    counts = {
+        pid: window_counts(
+            sl_mask[box.top : box.top + box.height, box.left : box.left + box.width],
+            spec.window_px,
+        )
+        for pid, box in boxes.items()
+    }
     populated = np.concatenate([c[c > 0] for c in counts.values()])
     if populated.size == 0:
         raise DataError("scene has no foreground pixels; densities too low")
@@ -371,13 +372,11 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
 
     plot_yields: dict[str, float] = {}
     window_yields: dict[str, np.ndarray] = {}
-    for pid, box in boxes.items():
+    for pid, grid in counts.items():
         factor = 1.0 + sigma_y * float(plot_rng.standard_normal())
         factor = max(factor, 0.1)  # yields stay positive
-        per_window = spec.yield_per_sl_pixel * factor * counts[pid].astype(np.float64)
-        shape = window_grid_shape(box.height, box.width, spec.window_px)
-        window_yields[pid] = per_window.reshape(shape)
-        plot_yields[pid] = float(per_window.sum())
+        window_yields[pid] = spec.yield_per_sl_pixel * factor * grid.astype(np.float64)
+        plot_yields[pid] = float(window_yields[pid].sum())
 
     truth = SynthTruth(
         endmembers=scene_lib,
@@ -394,8 +393,6 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
         yield_noise_sigma=sigma_y,
         theoretical_r2=theoretical_r2,
         window_px=spec.window_px,
-        pitch_row_px=spec.pitch_row_px,
-        pitch_col_px=spec.pitch_col_px,
     )
     return radiance, truth
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import CubeStream, HyperCube, block_rows
+from .cube import WAVELENGTH_TOL_NM, CubeStream, HyperCube, block_rows
 from .endmember import EndmemberSet
 from .errors import DataError, ShapeMismatchError
 from .netpbm import write_ppm
@@ -199,7 +199,7 @@ def unmix_cube(
         if endmembers.wavelengths.size != cube.bands
         else float(np.max(np.abs(endmembers.wavelengths - cube.wavelengths)))
     )
-    if wl_diff > 0.05:
+    if wl_diff > WAVELENGTH_TOL_NM:
         raise ShapeMismatchError(
             "endmember wavelength grid does not match the cube "
             f"({endmembers.wavelengths.size} vs {cube.bands} bands)"

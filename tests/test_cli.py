@@ -1285,6 +1285,16 @@ def test_out_of_range_sizes_exit_2_naming_the_key(memo_run, tmp_path, capsys, se
     assert f"[{section}] {key} = " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "1e400", "1"])
+def test_sl_threshold_outside_0_1_exits_2_before_unmix_runs(memo_run, tmp_path, capsys, value):
+    """Unchecked, ``-1`` marked every pixel foreground and exited 0, and the
+    others left no foreground, so ``dataset`` exited 4."""
+    before = _manifest_mtimes(memo_run[1])
+    assert _run_with_key(memo_run, tmp_path, "unmix", "sl_threshold", value) == 2
+    assert "[unmix] sl_threshold = " in capsys.readouterr().err
+    assert _manifest_mtimes(memo_run[1]) == before
+
+
 def _run_with_key(memo_run, tmp_path, section, key, value) -> int:
     """``synth`` or ``run-all`` on the ``memo_run`` tree with ``[section] key = value``."""
     memo_ini, out = memo_run

@@ -8,16 +8,14 @@ import pytest
 
 from hyperfield.errors import DataError, EmptyPlotError, ShapeMismatchError
 from hyperfield.subplot import (
-    PlotYieldRecord,
     Records,
-    Window,
     allocate_yield,
     build_records,
-    count_sl,
     extract_features,
     middle_third_ratio,
     read_records_csv,
-    tile_plot,
+    read_yields_csv,
+    window_counts,
     window_grid_shape,
     write_records_csv,
 )
@@ -33,28 +31,38 @@ def _random_plot(rng, rows=33, cols=71, bands=7, density=0.4):
 
 class TestTiling:
     def test_window_grid_counts(self):
-        assert len(tile_plot(30, 75, 15)) == 2 * 5
-        assert len(tile_plot(30, 72, 15)) == 2 * 5
-        assert len(tile_plot(31, 76, 15)) == 3 * 6
+        assert window_counts(np.ones((30, 75)), 15).shape == (2, 5)
+        assert window_counts(np.ones((30, 72)), 15).shape == (2, 5)
+        assert window_counts(np.ones((31, 76)), 15).shape == (3, 6)
         assert window_grid_shape(31, 76, 15) == (3, 6)
 
     def test_row_major_order(self):
-        windows = tile_plot(20, 30, 10)
-        assert [(w.row, w.col) for w in windows] == [
-            (r, c) for r in range(2) for c in range(3)
-        ]
+        # window (r, c) counts the pixels of rows r*w.. and columns c*w..
+        mask = np.zeros((20, 30), dtype=bool)
+        for r in range(2):
+            for c in range(3):
+                mask[r * 10, c * 10 : c * 10 + 3 * r + c + 1] = True
+        counts = window_counts(mask, 10)
+        assert counts.tolist() == [[1, 2, 3], [4, 5, 6]]
+        assert np.flatnonzero(counts).tolist() == list(range(6))
 
     def test_edge_windows_are_clipped(self):
-        windows = tile_plot(25, 32, 15)
-        last = windows[-1]
-        assert last == Window(row=1, col=2, top=15, left=30, height=10, width=2)
+        counts = window_counts(np.ones((25, 32), dtype=bool), 15)
+        assert counts.tolist() == [[225, 225, 30], [150, 150, 20]]  # a 10x2 corner
 
     def test_every_pixel_in_exactly_one_window(self):
         rows, cols = 47, 61
-        cover = np.zeros((rows, cols), dtype=int)
-        for w in tile_plot(rows, cols, 10):
-            cover[w.top : w.top + w.height, w.left : w.left + w.width] += 1
-        assert np.all(cover == 1)
+        for r, c in np.ndindex(rows, cols):
+            mask = np.zeros((rows, cols), dtype=bool)
+            mask[r, c] = True
+            expected = np.zeros(window_grid_shape(rows, cols, 10), dtype=int)
+            expected[r // 10, c // 10] = 1
+            assert np.array_equal(window_counts(mask, 10), expected)
+        # so the counts of any mask add up to its foreground
+        rng = np.random.default_rng(5)
+        for rows, cols, w in [(47, 61, 10), (30, 90, 15), (7, 3, 2), (16, 16, 16)]:
+            mask = rng.uniform(size=(rows, cols)) < 0.4
+            assert window_counts(mask, w).sum() == mask.sum()
 
     def test_counts_match_padded_tiling(self):
         # Clipping the edge windows must agree with padding the mask
@@ -62,21 +70,22 @@ class TestTiling:
         rng = np.random.default_rng(11)
         mask = rng.uniform(size=(28, 44)) < 0.5
         w = 15
-        counts = count_sl(mask, tile_plot(*mask.shape, w))
+        counts = window_counts(mask, w)
         padded = np.zeros((30, 45), dtype=bool)
         padded[:28, :44] = mask
         expected = [
-            int(padded[r : r + w, c : c + w].sum())
+            [int(padded[r : r + w, c : c + w].sum()) for c in range(0, 45, w)]
             for r in range(0, 30, w)
-            for c in range(0, 45, w)
         ]
         assert counts.tolist() == expected
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ShapeMismatchError):
-            tile_plot(30, 30, 0)
+            window_counts(np.ones((30, 30)), 0)
         with pytest.raises(ShapeMismatchError):
-            tile_plot(0, 30, 10)
+            window_counts(np.ones((30, 30)), 1)
+        with pytest.raises(ShapeMismatchError):
+            window_counts(np.ones((0, 30)), 10)
 
 
 class TestAllocation:
@@ -113,18 +122,14 @@ class TestFeatures:
     def test_matches_two_pass_oracle(self):
         rng = np.random.default_rng(7)
         data, mask = _random_plot(rng)
-        for window in tile_plot(*mask.shape, 15):
-            sub_mask = mask[
-                window.top : window.top + window.height,
-                window.left : window.left + window.width,
-            ]
+        for r, c in np.ndindex(window_grid_shape(*mask.shape, 15)):
+            top, left = 15 * r, 15 * c
+            height, width = min(15, mask.shape[0] - top), min(15, mask.shape[1] - left)
+            sub_mask = mask[top : top + height, left : left + width]
             if not sub_mask.any():
                 continue
-            got = extract_features(data, mask, window)
-            pixels = data[
-                window.top : window.top + window.height,
-                window.left : window.left + window.width,
-            ][sub_mask]
+            got = extract_features(data, mask, r, c, 15)
+            pixels = data[top : top + height, left : left + width][sub_mask]
             expected = np.concatenate(
                 [pixels.mean(axis=0), pixels.std(axis=0), [pixels.shape[0]]]
             )
@@ -133,21 +138,19 @@ class TestFeatures:
     def test_background_pixels_do_not_leak(self):
         rng = np.random.default_rng(9)
         data, mask = _random_plot(rng, rows=15, cols=15)
-        window = tile_plot(15, 15, 15)[0]
         if not mask.any():
             mask[3, 4] = True
-        base = extract_features(data, mask, window)
+        base = extract_features(data, mask, 0, 0, 15)
         poisoned = data.copy()
         poisoned[~mask] = 1e9
-        assert extract_features(poisoned, mask, window) == pytest.approx(base)
+        assert extract_features(poisoned, mask, 0, 0, 15) == pytest.approx(base)
 
     def test_length_and_count_entry(self):
-        window = tile_plot(10, 10, 10)[0]
-        assert extract_features(np.ones((10, 10, 190)), np.ones((10, 10)), window).size == 381
+        assert extract_features(np.ones((10, 10, 190)), np.ones((10, 10)), 0, 0, 10).size == 381
         data = np.ones((10, 10, 4))
         mask = np.zeros((10, 10), dtype=bool)
         mask[:3, :2] = True
-        feats = extract_features(data, mask, window)
+        feats = extract_features(data, mask, 0, 0, 10)
         assert feats.size == 2 * 4 + 1
         assert feats[-1] == 6.0
         assert feats[:4] == pytest.approx(np.ones(4))
@@ -157,7 +160,7 @@ class TestFeatures:
         data = np.ones((10, 10, 3))
         mask = np.zeros((10, 10), dtype=bool)
         with pytest.raises(DataError):
-            extract_features(data, mask, tile_plot(10, 10, 10)[0])
+            extract_features(data, mask, 0, 0, 10)
 
 
 class TestBuildRecords:
@@ -413,7 +416,11 @@ class TestIdenticalYieldFraction:
 
 
 class TestPlotYieldRecord:
-    @pytest.mark.parametrize("value", [-5.0, float("nan"), float("inf")])
-    def test_rejects_negative_and_non_finite(self, value):
-        with pytest.raises(DataError, match="P0001"):
-            PlotYieldRecord("P0001", value)
+    """A row of the yields CSV: one plot's measured yield."""
+
+    @pytest.mark.parametrize("value", ["-5.0", "nan", "inf"])
+    def test_rejects_negative_and_non_finite(self, tmp_path, value):
+        path = tmp_path / "yields.csv"
+        path.write_text(f"plot_id,yield_grams\nP0000,1.5\nP0001,{value}\n")
+        with pytest.raises(DataError, match=r"yields\.csv: line 3"):
+            read_yields_csv(path)

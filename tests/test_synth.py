@@ -29,7 +29,6 @@ from hyperfield.subplot import (
     Records,
     build_records,
     middle_third_ratio,
-    tile_plot,
     window_grid_shape,
 )
 from hyperfield.synth import (
@@ -309,6 +308,17 @@ def test_window_yield_grids_match_tiling():
         assert np.all(grid >= 0)
 
 
+def _window_counts(crop, w):
+    """(row, col, foreground count) of each window, row-major, each sliced
+    out of ``crop`` and clipped at its edges."""
+    rows, cols = crop.shape
+    return [
+        (r // w, c // w, int(crop[r : r + w, c : c + w].sum()))
+        for r in range(0, rows, w)
+        for c in range(0, cols, w)
+    ]
+
+
 def test_target_ratio_solves_the_noise_level():
     spec, _, truth, _ = small_scene()
     assert truth.theoretical_r2 == pytest.approx(spec.target_subplot_r2, abs=1e-12)
@@ -319,12 +329,7 @@ def test_target_ratio_solves_the_noise_level():
         box = truth.boxes[pid]
         crop = truth.sl_mask[box.top : box.top + box.height,
                              box.left : box.left + box.width]
-        from hyperfield.subplot import tile_plot
-
-        for w in tile_plot(box.height, box.width, spec.window_px):
-            n = int(crop[w.top : w.top + w.height, w.left : w.left + w.width].sum())
-            if n > 0:
-                counts.append(n)
+        counts += [n for _, _, n in _window_counts(crop, spec.window_px) if n > 0]
     counts = np.asarray(counts, dtype=np.float64)
     var_n, mean_sq = counts.var(), np.mean(counts**2)
     expected = var_n / (var_n + mean_sq * truth.yield_noise_sigma**2)
@@ -360,13 +365,7 @@ def _records_from_truth(truth, window_px):
         crop = truth.sl_mask[box.top : box.top + box.height,
                              box.left : box.left + box.width]
         grid = truth.window_yields[pid]
-        rows = []
-        for w in tile_plot(box.height, box.width, window_px):
-            n = int(crop[w.top : w.top + w.height, w.left : w.left + w.width].sum())
-            if n == 0:
-                continue
-            rows.append((w.row, w.col, n))
-        windows = np.array(rows)
+        windows = np.array([row for row in _window_counts(crop, window_px) if row[2] > 0])
         records[pid] = (windows, grid[windows[:, 0], windows[:, 1]].astype(np.float64))
     return records
 
