@@ -3,8 +3,9 @@
 Every command runs its stage, or every stage but synth, in one ``run_all``.
 Exit codes are stable: 0 success, 2 config error, 3 dependency error
 (a required stage has not run), 4 data error, 5 numeric divergence,
-1 unexpected crash. The ``HYPERFIELD_LOG`` environment variable sets
-the log level (DEBUG, INFO, WARNING, ERROR); the default is WARNING.
+1 unexpected crash; an error's code is the ``exit_code`` of its family
+class. The ``HYPERFIELD_LOG`` environment variable sets the log level
+(DEBUG, INFO, WARNING, ERROR); the default is WARNING.
 
 BLAS runs on one thread in this process, whatever the environment
 says. The other cores go to the hasher's worker threads, which a second
@@ -29,7 +30,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_name] = "1"
 
 from .config import load_config
-from .errors import ConfigError, HyperfieldError, exit_code_for
+from .errors import ConfigError, HyperfieldError
 from .pipeline import STAGE_ORDER, STAGES, run_all
 
 
@@ -80,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
         run_all(config, args.stage_force, stages)
     except HyperfieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+        return exc.exit_code
     return 0
 
 

@@ -311,8 +311,8 @@ def load_config(path: str | os.PathLike | None = None) -> PipelineConfig:
                 parser.read_file(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except configparser.Error as exc:
-            raise ConfigError(f"cannot parse config {path}: {exc}")
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}")
         for section in parser.sections():
             if section not in values:
                 raise ConfigError(f"unknown config section [{section}]")

@@ -77,6 +77,13 @@ WAVELENGTH_STEP_NM = 2.195
 # counterpart: cube headers, panel and endmember files write 0.1 nm.
 WAVELENGTH_TOL_NM = 0.05
 
+
+def wavelengths_match(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether grids ``a`` and ``b`` have as many bands, each within
+    ``WAVELENGTH_TOL_NM`` of its counterpart. A NaN matches nothing."""
+    return a.shape == b.shape and bool((abs(a - b) <= WAVELENGTH_TOL_NM).all())
+
+
 # Default spectral mask: keep the well-behaved 430-870 nm range and
 # drop two atmospheric absorption windows (oxygen near 760 nm, water
 # vapour near 820 nm). Window widths are total widths in nm.
@@ -87,6 +94,18 @@ ABSORPTION_WINDOWS_NM = ((760.0, 10.0), (820.0, 14.0))
 def default_wavelengths() -> np.ndarray:
     """Wavelength grid of the canonical synthetic instrument, in nm."""
     return WAVELENGTH_START_NM + WAVELENGTH_STEP_NM * np.arange(BAND_COUNT)
+
+
+def check_box(what: str, box: tuple[int, int, int, int], rows: int, cols: int) -> None:
+    """Raise unless ``box`` (top, left, height, width) is non-empty and lies
+    inside a ``rows`` x ``cols`` cube; ``what`` names the box in the message."""
+    top, left, height, width = box
+    if height <= 0 or width <= 0:
+        raise ShapeMismatchError(f"{what} ({top},{left},{height},{width}) is empty")
+    if min(top, left, rows - top - height, cols - left - width) < 0:
+        raise ShapeMismatchError(
+            f"{what} ({top},{left},{height},{width}) exceeds cube {rows}x{cols}"
+        )
 
 
 def _check_metadata(bands: int, wavelengths: np.ndarray, units: str,
@@ -155,13 +174,7 @@ class HyperCube:
         return np.asfortranarray(self.data.reshape(-1, self.bands).T)
 
     def crop(self, top: int, left: int, height: int, width: int) -> "HyperCube":
-        if height <= 0 or width <= 0:
-            raise ShapeMismatchError("crop window must be non-empty")
-        if top < 0 or left < 0 or top + height > self.rows or left + width > self.cols:
-            raise ShapeMismatchError(
-                f"crop ({top},{left},{height},{width}) exceeds cube "
-                f"{self.rows}x{self.cols}"
-            )
+        check_box("crop", (top, left, height, width), self.rows, self.cols)
         return replace(self, data=self.data[top : top + height, left : left + width])
 
 
@@ -536,21 +549,11 @@ class CubeStream:
             yield top, self.read_rows(top, bottom - top, buffer, bands)
 
 
-def _check_panel_region(region: tuple[int, int, int, int], rows: int, cols: int) -> None:
-    top, left, height, width = region
-    if height <= 0 or width <= 0:
-        raise ShapeMismatchError("panel region must be non-empty")
-    if top < 0 or left < 0 or top + height > rows or left + width > cols:
-        raise ShapeMismatchError(
-            f"panel region ({top},{left},{height},{width}) exceeds cube {rows}x{cols}"
-        )
-
-
 def to_reflectance(
     cube: HyperCube,
     panel_region: tuple[int, int, int, int],
     panel_reflectance: np.ndarray,
-    mask: BandMask | None = None,
+    mask: np.ndarray | None = None,
 ) -> HyperCube:
     """Single-panel empirical line correction: ``panel_gain``, then ``apply_gain``.
 
@@ -573,7 +576,7 @@ def panel_gain(
     The panel must be positive in every band, both its known reflectance
     and its mean.
     """
-    _check_panel_region(panel_region, cube.rows, cube.cols)
+    check_box("panel region", panel_region, cube.rows, cube.cols)
     top, left, height, width = panel_region
     panel_reflectance = np.asarray(panel_reflectance, dtype=np.float64)
     if panel_reflectance.shape != (cube.bands,):
@@ -602,7 +605,7 @@ def panel_gain(
 
 def panel_calibration(
     scene: CubeStream, region: tuple[int, int, int, int], panel_reflectance: np.ndarray,
-    mask: BandMask,
+    mask: np.ndarray,
 ) -> tuple[np.ndarray, CubeHeader]:
     """The ``panel_gain`` of ``scene``'s panel ``region`` and the header of the
     reflectance ``apply_gain`` makes with it and ``mask``.
@@ -611,7 +614,7 @@ def panel_calibration(
     every panel and mask check of a whole-scene ``to_reflectance``. Only
     the gain and the header are kept: the rows are freed on return.
     """
-    _check_panel_region(region, scene.rows, scene.cols)
+    check_box("panel region", region, scene.rows, scene.cols)
     top, left, height, width = region
     panel = scene.read_rows(top, height).crop(0, left, height, width)
     whole = (0, 0, height, width)
@@ -620,7 +623,7 @@ def panel_calibration(
     return gain, header._replace(rows=scene.rows, cols=scene.cols)
 
 
-def apply_gain(cube: HyperCube, gain: np.ndarray, mask: BandMask | None = None) -> HyperCube:
+def apply_gain(cube: HyperCube, gain: np.ndarray, mask: np.ndarray | None = None) -> HyperCube:
     """Reflectance: every pixel times the per-band ``gain``, clamped below at zero.
 
     Values above one are preserved (specular pixels stay visible). With a
@@ -638,7 +641,7 @@ def apply_gain(cube: HyperCube, gain: np.ndarray, mask: BandMask | None = None) 
     out = None
     if mask is not None:
         cube = apply_band_mask(cube, mask)
-        gain = gain[mask.keep]
+        gain = gain[mask]
         if cube.data.dtype == dtype:  # the selection is a fresh copy: scale it in place
             out = cube.data
     if out is None:
@@ -675,28 +678,13 @@ def read_panel_reflectance_csv(
     return wavelengths, reflectance
 
 
-@dataclass
-class BandMask:
-    """Boolean keep-flags per band."""
-
-    keep: np.ndarray
-
-    def __post_init__(self):
-        self.keep = np.asarray(self.keep, dtype=bool)
-        if self.keep.ndim != 1:
-            raise ShapeMismatchError("band mask must be 1-d")
-
-    @property
-    def kept(self) -> int:
-        return int(self.keep.sum())
-
-
 def band_mask_from_windows(
     wavelengths: np.ndarray,
     keep_range: tuple[float, float] = KEEP_RANGE_NM,
     drop_windows: tuple[tuple[float, float], ...] = ABSORPTION_WINDOWS_NM,
-) -> BandMask:
-    """Build the spectral mask: keep a closed range, cut absorption windows.
+) -> np.ndarray:
+    """The spectral mask, a boolean per band: keep a closed range, cut
+    absorption windows.
 
     ``drop_windows`` entries are (centre, total width) in nm; bands whose
     centre falls inside a window (edges inclusive) are dropped.
@@ -706,20 +694,20 @@ def band_mask_from_windows(
     keep = (wavelengths >= lo) & (wavelengths <= hi)
     for centre, width in drop_windows:
         keep &= np.abs(wavelengths - centre) > width / 2.0
-    return BandMask(keep=keep)
+    return keep
 
 
-def apply_band_mask(cube: HyperCube, mask: BandMask) -> HyperCube:
-    """Copy the kept bands into a new cube. At least two bands must survive."""
-    if mask.keep.size != cube.bands:
+def apply_band_mask(cube: HyperCube, mask: np.ndarray) -> HyperCube:
+    """Copy the bands the boolean ``mask`` keeps into a new cube. At least
+    two bands must survive."""
+    if mask.shape != (cube.bands,):
         raise ShapeMismatchError(
-            f"mask length {mask.keep.size} does not match band count {cube.bands}"
+            f"mask shape {mask.shape} does not match band count {cube.bands}"
         )
-    if mask.kept < 2:
-        raise EmptyBandMaskError(
-            f"band mask keeps {mask.kept} band(s); at least 2 are required"
-        )
+    kept = int(mask.sum())
+    if kept < 2:
+        raise EmptyBandMaskError(f"band mask keeps {kept} band(s); at least 2 are required")
     labels = cube.band_labels
     if labels is not None:
-        labels = tuple(itertools.compress(labels, mask.keep))
-    return HyperCube(cube.data[:, :, mask.keep], cube.wavelengths[mask.keep], cube.units, labels)
+        labels = tuple(itertools.compress(labels, mask))
+    return HyperCube(cube.data[:, :, mask], cube.wavelengths[mask], cube.units, labels)

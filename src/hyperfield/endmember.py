@@ -31,7 +31,6 @@ class PcaBasis:
 
     mean: np.ndarray
     components: np.ndarray
-    explained_variance: np.ndarray
 
 
 def pca_fit(pixels: np.ndarray, k: int) -> PcaBasis:
@@ -63,7 +62,7 @@ def pca_fit(pixels: np.ndarray, k: int) -> PcaBasis:
         pivot = int(np.argmax(np.abs(comps[:, j])))
         if comps[pivot, j] < 0:
             comps[:, j] = -comps[:, j]
-    return PcaBasis(mean=mean, components=comps, explained_variance=eigvals[:k])
+    return PcaBasis(mean=mean, components=comps)
 
 
 def pca_project(basis: PcaBasis, pixels: np.ndarray) -> np.ndarray:

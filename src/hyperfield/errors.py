@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the pipeline.
 
-Four families matter to the CLI, which maps them onto distinct exit
-codes: configuration problems, missing upstream artifacts, bad or
-degenerate data, and numeric divergence during training.
+Four families matter to the CLI: configuration problems, missing
+upstream artifacts, bad or degenerate data, and numeric divergence
+during training. Each family class carries its CLI exit code as
+``exit_code``, which its subclasses inherit.
 """
 
 from __future__ import annotations
@@ -11,21 +12,31 @@ from __future__ import annotations
 class HyperfieldError(Exception):
     """Base class for all package errors."""
 
+    exit_code = 1
+
 
 class ConfigError(HyperfieldError):
     """Invalid or missing configuration value."""
+
+    exit_code = 2
 
 
 class DependencyError(HyperfieldError):
     """A required upstream stage artifact is missing."""
 
+    exit_code = 3
+
 
 class DataError(HyperfieldError):
     """Input data is malformed, inconsistent, or degenerate."""
 
+    exit_code = 4
+
 
 class DivergenceError(HyperfieldError):
     """A numeric routine produced non-finite values."""
+
+    exit_code = 5
 
 
 class CubeParseError(DataError):
@@ -84,23 +95,3 @@ class DegenerateSimplexError(DataError):
 
 class EmptyPlotError(DataError):
     """Plot contains no foreground pixels; yield cannot be allocated."""
-
-
-# CLI exit codes. 0 is success and 1 is an unexpected crash.
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DEPENDENCY = 3
-EXIT_DATA = 4
-EXIT_DIVERGENCE = 5
-
-
-def exit_code_for(exc: BaseException) -> int:
-    if isinstance(exc, ConfigError):
-        return EXIT_CONFIG
-    if isinstance(exc, DependencyError):
-        return EXIT_DEPENDENCY
-    if isinstance(exc, DivergenceError):
-        return EXIT_DIVERGENCE
-    if isinstance(exc, DataError):
-        return EXIT_DATA
-    return 1

@@ -534,19 +534,21 @@ def train(
 
     logbook = []
     best_val, best_epoch, best_params = np.inf, 0, params
-    for epoch in range(config.epochs + 1):
-        if epoch:
-            perm = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                batch = perm[start : start + config.batch_size]
-                backward(model, zx[batch], zy[batch], work)
-                adam_step(params, work.grads, state, config)
-        train_rmse, val_rmse = grams_rmse(zx, train_y), grams_rmse(zv, val_y)
-        if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
-            raise DivergenceError(f"non-finite loss at epoch {epoch}")
-        logbook.append(EpochLog(epoch, train_rmse, val_rmse))
-        if val_rmse < best_val:
-            best_val, best_epoch, best_params = val_rmse, epoch, params.copy()
+    # a diverging step overflows quietly: each epoch's loss check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs + 1):
+            if epoch:
+                perm = rng.permutation(n)
+                for start in range(0, n, config.batch_size):
+                    batch = perm[start : start + config.batch_size]
+                    backward(model, zx[batch], zy[batch], work)
+                    adam_step(params, work.grads, state, config)
+            train_rmse, val_rmse = grams_rmse(zx, train_y), grams_rmse(zv, val_y)
+            if not (np.isfinite(train_rmse) and np.isfinite(val_rmse)):
+                raise DivergenceError(f"non-finite loss at epoch {epoch}")
+            logbook.append(EpochLog(epoch, train_rmse, val_rmse))
+            if val_rmse < best_val:
+                best_val, best_epoch, best_params = val_rmse, epoch, params.copy()
 
     model.weights, model.biases = _param_views(best_params.astype(np.float64), layer_sizes)
     # Fold the target scale into the linear output layer: the returned

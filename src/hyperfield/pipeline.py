@@ -529,15 +529,14 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
         band_mask_from_windows,
         panel_calibration,
         read_panel_reflectance_csv,
+        wavelengths_match,
         write_strips,
     )
 
     wavelengths, panel = read_panel_reflectance_csv(panel_path)
     with CubeStream(cube_stem) as scene:
         head = scene.header
-        if wavelengths.shape != head.wavelengths.shape or (
-            abs(wavelengths - head.wavelengths) > WAVELENGTH_TOL_NM
-        ).any():
+        if not wavelengths_match(wavelengths, head.wavelengths):
             raise DataError(
                 f"{panel_path}: the panel's {wavelengths.size} wavelengths do not "
                 f"match the scene's {head.bands} within {WAVELENGTH_TOL_NM} nm"
@@ -680,16 +679,14 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
 def _assigned_plots(path: str, rows: int, cols: int) -> list[AssignedPlot]:
     """The labelled plots of the assignment file at ``path``, by plot id,
     each box checked to lie inside a ``rows`` x ``cols`` cube."""
+    from .cube import check_box
     from .gridmap import read_assignment_csv
 
     assigned = sorted(read_assignment_csv(path), key=lambda p: p.plot_id)
     for plot in assigned:
         box = plot.box
-        if min(box.top, box.left, rows - box.top - box.height, cols - box.left - box.width) < 0:
-            raise DataError(
-                f"{path}: plot {plot.plot_id!r} box ({box.top},{box.left},"
-                f"{box.height},{box.width}) exceeds cube {rows}x{cols}"
-            )
+        check_box(f"{path}: plot {plot.plot_id!r} box",
+                  (box.top, box.left, box.height, box.width), rows, cols)
     return assigned
 
 

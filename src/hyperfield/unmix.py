@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import WAVELENGTH_TOL_NM, CubeStream, HyperCube, block_rows
+from .cube import CubeStream, HyperCube, block_rows, wavelengths_match
 from .endmember import EndmemberSet
 from .errors import DataError, ShapeMismatchError
 from .netpbm import write_ppm
@@ -194,12 +194,7 @@ def unmix_cube(
     not change the bits. The squared residuals are summed as each block
     is solved, so the map is the only per-pixel array held.
     """
-    wl_diff = (
-        np.inf
-        if endmembers.wavelengths.size != cube.bands
-        else float(np.max(np.abs(endmembers.wavelengths - cube.wavelengths)))
-    )
-    if wl_diff > WAVELENGTH_TOL_NM:
+    if not wavelengths_match(endmembers.wavelengths, cube.wavelengths):
         raise ShapeMismatchError(
             "endmember wavelength grid does not match the cube "
             f"({endmembers.wavelengths.size} vs {cube.bands} bands)"

@@ -77,7 +77,7 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
 def _masked_crop_endmembers() -> tuple[np.ndarray, np.ndarray]:
     """Crop spectra restricted to the default analysis bands."""
     grid = default_wavelengths()
-    keep = band_mask_from_windows(grid).keep
+    keep = band_mask_from_windows(grid)
     library = endmember_library().select(CROP_LABELS)
     return library.spectra[keep], grid[keep]
 
@@ -505,7 +505,7 @@ def test_09_detection_overlap():
         reflectance = to_reflectance(
             cube, truth.panel_region, truth.panel_reflectance
         )
-        keep = band_mask_from_windows(reflectance.wavelengths).keep
+        keep = band_mask_from_windows(reflectance.wavelengths)
         masked = HyperCube(
             data=reflectance.data[:, :, keep],
             wavelengths=reflectance.wavelengths[keep],

@@ -85,7 +85,7 @@ def test_streamed_output_is_the_whole_cube_calibration(
     assert _calibrate(ini, out) == 0
     scene = hc.read_cube(tmp_path / "scene")
     mask = hc.band_mask_from_windows(scene.wavelengths, KEEP_NM, DROP_NM)
-    assert np.flatnonzero(mask.keep).tolist() == [2, 3, 4, 5, 6, 7, 8, 11]
+    assert np.flatnonzero(mask).tolist() == [2, 3, 4, 5, 6, 7, 8, 11]
     _, panel = hc.read_panel_reflectance_csv(tmp_path / "panel.csv")
     hc.write_cube(hc.to_reflectance(scene, REGION, panel, mask), tmp_path / "whole")
     for suffix in (".raw", ".hdr"):

@@ -20,7 +20,7 @@ import pytest
 
 import hyperfield
 from hyperfield import cube as cube_module
-from hyperfield import cli, mlp, pipeline, subplot, unmix
+from hyperfield import cli, errors, mlp, pipeline, subplot, unmix
 from hyperfield.cli import main
 from hyperfield.config import DEFAULTS, load_config
 from hyperfield.cube import read_cube, write_cube
@@ -904,8 +904,7 @@ def test_a_speculated_train_that_diverges_still_exits_5(memo_run, tmp_path):
     ini, out = memo_run
     manifest = (out / "manifests" / "train.json").read_bytes()
     seed_ini = _with_train_seed(ini, tmp_path, "learning_rate = 1e8\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run-all", "--out", str(out), "--config", str(seed_ini)]) == 5
+    assert main(["run-all", "--out", str(out), "--config", str(seed_ini)]) == 5
     assert (out / "manifests" / "train.json").read_bytes() == manifest
 
 
@@ -1230,6 +1229,47 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["segment", "--config", str(tmp_path / "no.ini"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_file_exits_2_naming_it(tmp_path, capsys, kind):
+    config = tmp_path / "config.ini"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b"\xff\xfe[train]\nseed = 1\n")
+    out = tmp_path / "out"
+    assert main(["run-all", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: cannot read config {config}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _error_classes():
+    return [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.HyperfieldError)
+        and value is not errors.HyperfieldError
+    ]
+
+
+_FAMILY_CODES = {
+    errors.ConfigError: 2,
+    errors.DependencyError: 3,
+    errors.DataError: 4,
+    errors.DivergenceError: 5,
+}
+
+
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda error: error.__name__)
+def test_each_error_class_exits_with_its_family_code(monkeypatch, tmp_path, capsys, error):
+    [code] = [code for family, code in _FAMILY_CODES.items() if issubclass(error, family)]
+
+    def failing(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "run_all", failing)
+    assert main(["run-all", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == "error: injected\n"
 
 
 def test_flag_validation():
@@ -2021,10 +2061,11 @@ def test_divergence_exits_5(tiny_run, tmp_path):
         "[train]\nepochs = 30\nlearning_rate = 1e28",
     )
     div.write_text(text + "\n[model]\nhidden = 8,8,8,8,8,8,8\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--out", str(out), "--config", str(div),
-                     "--stage-force"])
-    assert code == 5
+    result = _cli(["train", "--out", out, "--config", div, "--stage-force"], {})
+    assert result.returncode == 5
+    err = result.stderr.decode()
+    assert "error: non-finite loss at epoch" in err
+    assert "RuntimeWarning" not in err
     # restore
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
 

@@ -580,9 +580,9 @@ def test_degenerate_panel_raises():
 
 def test_panel_region_must_fit():
     cube = hc.HyperCube(np.ones((4, 4, 2)), np.arange(2.0), "radiance")
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError, match=r"^panel region \(3,3,2,2\) exceeds cube 4x4$"):
         hc.to_reflectance(cube, (3, 3, 2, 2), np.full(2, 0.4))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError, match=r"^panel region \(0,0,0,2\) is empty$"):
         hc.to_reflectance(cube, (0, 0, 0, 2), np.full(2, 0.4))
 
 
@@ -601,14 +601,14 @@ def test_uint16_input_converts():
 
 def test_default_mask_keeps_190_of_240():
     mask = hc.band_mask_from_windows(hc.default_wavelengths())
-    assert mask.keep.size == 240
-    assert mask.kept == 190
+    assert mask.shape == (240,)
+    assert mask.sum() == 190
 
 
 def test_mask_drops_range_edges_and_windows():
     wl = np.array([420.0, 430.0, 600.0, 760.0, 764.9, 765.1, 820.0, 870.0, 880.0])
     mask = hc.band_mask_from_windows(wl)
-    assert list(mask.keep) == [False, True, True, False, False, True, False, True, False]
+    assert list(mask) == [False, True, True, False, False, True, False, True, False]
 
 
 def test_mask_and_convert_commute():
@@ -621,9 +621,9 @@ def test_mask_and_convert_commute():
     mask = hc.band_mask_from_windows(wl, keep_range=(430.0, 810.0))
     cube = hc.HyperCube(data, wl, "radiance")
 
-    a = hc.apply_band_mask(hc.to_reflectance(cube, region, panel_refl), hc.BandMask(mask.keep))
+    a = hc.apply_band_mask(hc.to_reflectance(cube, region, panel_refl), mask)
     sub = hc.apply_band_mask(cube, mask)
-    b = hc.to_reflectance(sub, region, panel_refl[mask.keep])
+    b = hc.to_reflectance(sub, region, panel_refl[mask])
     rel = np.max(np.abs(a.data - b.data) / (np.abs(b.data) + 1e-30))
     assert rel < 1e-12
     assert np.array_equal(a.wavelengths, b.wavelengths)
@@ -710,7 +710,7 @@ def test_masked_reflectance_still_checks_the_panel_in_dropped_bands():
     data = np.ones((4, 4, 6))
     data[:2, :2, 0] = 0.0  # dead band over the panel, outside the kept range
     mask = hc.band_mask_from_windows(wl, keep_range=(430.0, 510.0))
-    assert not mask.keep[0]
+    assert not mask[0]
     cube = hc.HyperCube(data, wl, "radiance")
     with pytest.raises(DegeneratePanelError, match=r"band 0 \(400\.0 nm\)"):
         hc.to_reflectance(cube, (0, 0, 2, 2), np.full(6, 0.4), mask)
@@ -719,13 +719,15 @@ def test_masked_reflectance_still_checks_the_panel_in_dropped_bands():
 def test_empty_mask_raises():
     cube = hc.HyperCube(np.ones((2, 2, 5)), 400.0 + np.arange(5.0), "radiance")
     with pytest.raises(EmptyBandMaskError):
-        hc.apply_band_mask(cube, hc.BandMask(np.zeros(5, dtype=bool)))
+        hc.apply_band_mask(cube, np.zeros(5, dtype=bool))
     keep_one = np.zeros(5, dtype=bool)
     keep_one[2] = True
     with pytest.raises(EmptyBandMaskError):
-        hc.apply_band_mask(cube, hc.BandMask(keep_one))
+        hc.apply_band_mask(cube, keep_one)
     with pytest.raises(ShapeMismatchError):
-        hc.apply_band_mask(cube, hc.BandMask(np.ones(4, dtype=bool)))
+        hc.apply_band_mask(cube, np.ones(4, dtype=bool))
+    with pytest.raises(ShapeMismatchError):
+        hc.apply_band_mask(cube, np.ones((1, 5), dtype=bool))
 
 
 def test_crop_bounds():
@@ -733,8 +735,23 @@ def test_crop_bounds():
     sub = cube.crop(1, 1, 2, 2)
     assert sub.data.shape == (2, 2, 2)
     assert np.array_equal(sub.data, cube.data[1:3, 1:3])
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ShapeMismatchError, match=r"^crop \(3,0,2,2\) exceeds cube 4x3$"):
         cube.crop(3, 0, 2, 2)
+    with pytest.raises(ShapeMismatchError, match=r"^crop \(-1,0,2,2\) exceeds cube 4x3$"):
+        cube.crop(-1, 0, 2, 2)
+    with pytest.raises(ShapeMismatchError, match=r"^crop \(0,0,2,0\) is empty$"):
+        cube.crop(0, 0, 2, 0)
+
+
+def test_wavelength_grids_match_band_by_band_within_the_tolerance():
+    grid = hc.default_wavelengths()
+    assert hc.wavelengths_match(grid, grid + 0.9 * hc.WAVELENGTH_TOL_NM)
+    assert not hc.wavelengths_match(grid, grid + 1.1 * hc.WAVELENGTH_TOL_NM)
+    assert not hc.wavelengths_match(grid, grid[:-1])
+    with_nan = grid.copy()
+    with_nan[7] = np.nan
+    assert not hc.wavelengths_match(grid, with_nan)
+    assert not hc.wavelengths_match(with_nan, with_nan)
 
 
 def test_panel_csv_round_trip(tmp_path):

@@ -461,9 +461,8 @@ class TestTrain:
         rng = np.random.default_rng(43)
         x, y = _linear_problem(rng, 120, 4)
         config = TrainConfig(epochs=5, learning_rate=1e28, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match=r"epoch \d+"):
-                train(x[:100], y[:100], x[100:], y[100:], (8,) * 7, config)
+        with pytest.raises(DivergenceError, match=r"epoch \d+"):
+            train(x[:100], y[:100], x[100:], y[100:], (8,) * 7, config)
 
     @pytest.mark.parametrize("hidden", [(8,) * 7, (32, 16)])
     @pytest.mark.parametrize("learning_rate", [1e8, 1e28, 3e38])
@@ -474,9 +473,8 @@ class TestTrain:
         rng = np.random.default_rng(43)
         x, y = _linear_problem(rng, 120, 4)
         config = TrainConfig(epochs=5, learning_rate=learning_rate, seed=0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+$"):
-                train(x[:100], y[:100], x[100:], y[100:], hidden, config)
+        with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+$"):
+            train(x[:100], y[:100], x[100:], y[100:], hidden, config)
 
     def test_rejects_non_finite_training_data(self):
         x = np.ones((10, 3))
