@@ -235,13 +235,23 @@ def _files_under(st: _Stage) -> list[str]:
 
 
 def _check_out_dir(out_dir: str) -> None:
-    """The output directory is a directory, or can be made as one: the
-    nearest of it and its ancestors that exists is a directory."""
-    path = os.path.abspath(out_dir)
+    """The output directory and its ``manifests`` directory are directories,
+    or can be made as ones: the nearest of ``manifests`` and its ancestors
+    that exists is a directory."""
+    path = os.path.abspath(os.path.dirname(_manifest_path(out_dir, "")))
     while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ConfigError(f"output directory {out_dir}: {path} is not a directory")
+
+
+def _remove(path: str) -> None:
+    """Remove ``path`` whatever kind of entry it is, if it exists."""
+    if os.path.isdir(path) and not os.path.islink(path):
+        shutil.rmtree(path)
+    else:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
 
 
 def _check_inputs(st: _Stage) -> None:
@@ -647,10 +657,21 @@ def _stage_endmembers(st: _Stage) -> Iterator[None]:
     write_endmembers_csv(st.emit(F_ENDMEMBERS), ems)
 
 
+def _sl_labels(config: PipelineConfig) -> tuple[str, str]:
+    """``[unmix]``'s spike and leaf labels, which must name two members."""
+    spike, leaf = config.get("unmix", "spike_label"), config.get("unmix", "leaf_label")
+    if spike == leaf:
+        raise ConfigError(
+            f"[unmix] spike_label and leaf_label are both {spike!r}: they must name two members"
+        )
+    return spike, leaf
+
+
 def _stage_unmix(st: _Stage) -> Iterator[None]:
     threshold = st.config.getfloat("unmix", "sl_threshold")
     if not 0 <= threshold < 1:  # also NaN
         raise ConfigError(f"[unmix] sl_threshold = {threshold} must lie in [0, 1)")
+    spike_label, leaf_label = _sl_labels(st.config)
     stem = st.need_cube(F_REFLECTANCE)
     ems_path = st.need(F_ENDMEMBERS)
     yield
@@ -664,10 +685,7 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
         endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
         abundances, residual = unmix_cube(cube, endmembers)
     foreground = sl_mask(
-        abundances,
-        spike_label=st.config.get("unmix", "spike_label"),
-        leaf_label=st.config.get("unmix", "leaf_label"),
-        threshold=threshold,
+        abundances, spike_label=spike_label, leaf_label=leaf_label, threshold=threshold
     )
     write_cube(abundances.to_cube(), st.emit(F_ABUNDANCES))
     write_pbm(st.emit(F_SL_MASK), foreground)
@@ -876,6 +894,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     records_path = st.need(F_RECORDS)
     assignment_path = st.need(F_ASSIGNMENT)
     abund_stem = st.need_cube(F_ABUNDANCES)
+    spike_label, leaf_label = _sl_labels(st.config)
     yield
     import numpy as np
 
@@ -928,8 +947,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     )
 
     # per-plot foreground-score colormaps, each score summed over its plot's crop only
-    spike = abund.plane(st.config.get("unmix", "spike_label"))
-    leaf = abund.plane(st.config.get("unmix", "leaf_label"))
+    spike, leaf = abund.plane(spike_label), abund.plane(leaf_label)
     for plot in assigned:
         box = plot.box
         crop = np.s_[box.top : box.top + box.height, box.left : box.left + box.width]
@@ -1055,10 +1073,8 @@ def run_stage(name: str, config: PipelineConfig, force: bool, run: _Run) -> None
     _check_inputs(st)
     config_hash = config.config_hash(stage.sections)
     old = os.path.join(st.out_dir, f".{name}.old")  # where the swap moves the old directory
-    for leftover in (st.staging, old):  # of a failed or killed run
-        shutil.rmtree(leftover, ignore_errors=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(_manifest_path(st.out_dir, name) + ".tmp")
+    for leftover in (st.staging, old, _manifest_path(st.out_dir, name) + ".tmp"):
+        _remove(leftover)  # of a failed or killed run
     if force:
         reason = "--stage-force"
     else:
@@ -1087,7 +1103,7 @@ def run_stage(name: str, config: PipelineConfig, force: bool, run: _Run) -> None
         os.rename(st.staging, st.dir)
     finally:
         shutil.rmtree(st.staging, ignore_errors=True)
-    shutil.rmtree(old, ignore_errors=True)
+    _remove(old)
     _write_manifest(st, config_hash)
     _trim_heap()
 

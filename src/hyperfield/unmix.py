@@ -7,6 +7,13 @@ tiny KKT solve that is affine in x, so all pixels of a frame can share
 products. The feasible candidate with the smallest objective is the
 exact global optimum; on ties (degenerate endmember matrices) the
 smallest-norm candidate wins, deterministically.
+
+Most pixels need only the full support. Where its solution lies inside
+the simplex by a margin that the objective's curvature on the plane
+sum(h) = 1 turns into a gap no other support can close, it is already
+the optimum (Heinz and Chang, IEEE TGRS 39(3), 2001), and the one the
+enumeration would pick, with the same bits. The supports are
+enumerated only for the pixels this certificate leaves open.
 """
 
 from __future__ import annotations
@@ -28,6 +35,9 @@ MAX_ENDMEMBERS = 12  # supports grow as 2^e; beyond this enumeration is misuse
 _FEAS_EPS = 1e-12
 _SUM_EPS = 1e-6
 _TIE_EPS = 1e-12
+# a certified pixel's objective gap must exceed the tie band this many times
+# over: headroom for the rounding in the candidates and their objectives
+_CERT_HEADROOM = 1e4
 _CHECK_PIXELS = 1 << 16  # pixels of an abundance map whose sums are checked at once
 
 
@@ -123,9 +133,25 @@ def _correlate(X, W):
     return W.T @ X, np.einsum("ij,ij->j", X, X)
 
 
-def _solve_block(T, sq, solvers):
-    """Exact per-pixel solves from the correlations ``T`` (e, n) and squared
-    norms ``sq`` (n,) of a block of pixels; returns (h, objective)."""
+def _objective(H, T, solver):
+    """Each candidate's objective without the ``||x||^2`` constant that all
+    supports share."""
+    return np.einsum("ij,ij->j", H, solver.gram @ H) - 2.0 * np.einsum(
+        "ij,ij->j", H, T[solver.support, :]
+    )
+
+
+def _sum_zero_curvature(G):
+    """The smallest eigenvalue of ``G`` on the directions that sum to zero:
+    of ``P^T G P`` for an orthonormal basis ``P`` of them. Zero for one
+    member, which has no other support to beat."""
+    basis = np.linalg.svd(np.ones((1, len(G))))[2][1:].T
+    return min(np.linalg.eigvalsh(basis.T @ G @ basis), default=0.0)
+
+
+def _enumerate(T, sq, solvers):
+    """Exact per-pixel solves of a block by trying every support; the
+    arguments and returns are ``_solve_block``'s."""
     e, n = T.shape
     best_obj = np.full(n, np.inf)
     best_norm = np.full(n, np.inf)
@@ -137,10 +163,7 @@ def _solve_block(T, sq, solvers):
         )
         if not feasible.any():
             continue
-        # objective without the ||x||^2 constant, shared by all supports
-        obj = np.einsum("ij,ij->j", H, solver.gram @ H) - 2.0 * np.einsum(
-            "ij,ij->j", H, T[solver.support, :]
-        )
+        obj = _objective(H, T, solver)
         norm = np.einsum("ij,ij->j", H, H)
         # pixels not yet assigned carry an infinite best: any feasible
         # candidate wins, and the tie band must stay finite
@@ -155,6 +178,40 @@ def _solve_block(T, sq, solvers):
             best_h[:, cols] = 0.0
             best_h[np.ix_(solver.support, cols)] = np.clip(H[:, cols], 0.0, None)
     return best_h, np.maximum(sq + best_obj, 0.0)
+
+
+def _solve_block(T, sq, solvers):
+    """Exact per-pixel solves from the correlations ``T`` (e, n) and squared
+    norms ``sq`` (n,) of a block of pixels; returns (h, objective).
+
+    ``solvers`` come in ``_supports`` order, so the last one solves the full
+    support. Its candidate ``H`` is certified where ``_enumerate`` would
+    pick it beyond the tie band: on the plane sum(h) = 1 the objective
+    exceeds its minimum by at least ``kappa * ||h - H||^2``, with ``kappa``
+    from ``_sum_zero_curvature``, and every other support's candidate is
+    0 where ``H`` is at least ``H.min()``.
+    Only the pixels left open are enumerated, gathered from the block; a
+    lone one is gathered twice, since numpy solves one column with other
+    bits.
+    """
+    full = solvers[-1]
+    H = full.solve(T)
+    obj = _objective(H, T, full)
+    low = H.min(axis=0)
+    gap = _sum_zero_curvature(full.gram) * low * low
+    certified = (
+        (low > 0.0)
+        & (np.abs(H.sum(axis=0) - 1.0) <= _SUM_EPS)
+        & (gap > _CERT_HEADROOM * _TIE_EPS * (1.0 + np.abs(obj)))
+    )
+    resid = np.maximum(sq + obj, 0.0)
+    left = np.flatnonzero(~certified)
+    if left.size:
+        take = np.repeat(left, 2) if left.size == 1 else left
+        h, r = _enumerate(T[:, take], sq[take], solvers)
+        H[:, left] = h[:, : left.size]
+        resid[left] = r[: left.size]
+    return H, resid  # certified columns are positive, so H is its own clip there
 
 
 def _check_W(W, bands):

@@ -429,11 +429,11 @@ def test_truth_json_is_sorted_and_complete(tiny_run):
 # resume, force, determinism
 
 def _leftovers(out) -> list:
-    """Temporary files and the staging or replaced directories of a stage."""
+    """Temporary files and the staging or replaced directories of a stage,
+    whatever kind of entry each is."""
     return [
         p for p in out.rglob("*")
-        if p.name.endswith(".tmp")
-        or p.is_dir() and p.name.startswith(".") and p.suffix in (".partial", ".old")
+        if p.name.endswith(".tmp") or p.name.startswith(".") and p.suffix in (".partial", ".old")
     ]
 
 
@@ -501,6 +501,39 @@ def test_a_leftover_manifest_temp_file_is_removed(memo_run):
     assert main(["run-all", "--out", str(out), "--config", str(ini)]) == 0
     assert _leftovers(out) == []
     assert _tree_bytes(out) == before
+
+
+@pytest.mark.parametrize(
+    "entry, kind",
+    [
+        (".gridmap.partial", "file"),
+        (".gridmap.old", "file"),
+        (".gridmap.old", "symlink"),
+        ("gridmap", "file"),
+        ("manifests/gridmap.json.tmp", "directory"),
+    ],
+)
+def test_a_leftover_of_any_kind_is_removed(memo_run, entry, kind):
+    """Each leftover is removed whatever kind of entry it is, and a symlink
+    without what it points to. A file left as the staging or the replaced
+    directory used to make the forced stage exit 1, and a file in place of
+    the stage's directory was moved aside and left there, so the next
+    forced run exited 1."""
+    ini, out = memo_run
+    before = _tree_bytes(out)
+    path = out / entry
+    if path.is_dir():
+        shutil.rmtree(path)
+    if kind == "file":
+        path.write_text("x\n")
+    elif kind == "symlink":
+        path.symlink_to(out / "synth")
+    else:
+        (path / "sub").mkdir(parents=True)
+    for _ in range(2):
+        assert main(["gridmap", "--out", str(out), "--config", str(ini), "--stage-force"]) == 0
+        assert _leftovers(out) == []
+        assert _tree_bytes(out) == before
 
 
 def test_declaring_a_stage_touches_no_disk(tmp_path, monkeypatch):
@@ -1200,6 +1233,20 @@ def test_an_input_that_is_a_directory_exits_4(memo_run, tmp_path, capsys, pointe
     assert f"stage 'dataset': input {key!r} is not a regular file: {out / key}" in err
 
 
+@pytest.mark.parametrize("command", ["gridmap", "run-all"])
+def test_a_manifests_entry_that_is_not_a_directory_exits_2(memo_run, capsys, command):
+    """Found before any stage runs: a forced stage used to swap its outputs
+    in and then exit 1 writing its manifest."""
+    ini, out = memo_run
+    shutil.rmtree(out / "manifests")
+    (out / "manifests").write_text("keep\n")
+    before = _tree_bytes(out)
+    assert main([command, "--out", str(out), "--config", str(ini), "--stage-force"]) == 2
+    assert f"{out / 'manifests'} is not a directory" in capsys.readouterr().err
+    assert _tree_bytes(out) == before
+    assert _leftovers(out) == []
+
+
 @pytest.mark.parametrize("below", [False, True])
 @pytest.mark.parametrize("command", ["synth", "calibrate", "run-all"])
 def test_an_out_that_is_not_a_directory_exits_2(tmp_path, capsys, command, below):
@@ -1333,6 +1380,22 @@ def test_sl_threshold_outside_0_1_exits_2_before_unmix_runs(memo_run, tmp_path, 
     assert _run_with_key(memo_run, tmp_path, "unmix", "sl_threshold", value) == 2
     assert "[unmix] sl_threshold = " in capsys.readouterr().err
     assert _manifest_mtimes(memo_run[1]) == before
+
+
+@pytest.mark.parametrize("command", ["unmix", "report"])
+def test_spike_label_equal_to_leaf_label_exits_2_naming_both_keys(
+    memo_run, tmp_path, capsys, command
+):
+    """One plane named twice turned the rule into 2 x leaf > threshold:
+    ``unmix`` and ``report`` both exited 0."""
+    memo_ini, out = memo_run
+    ini = tmp_path / "config.ini"
+    ini.write_text(memo_ini.read_text() + "\n[unmix]\nspike_label = leaf\n")
+    before = _tree_bytes(out)
+    assert main([command, "--out", str(out), "--config", str(ini), "--stage-force"]) == 2
+    err = capsys.readouterr().err
+    assert "[unmix] spike_label and leaf_label are both 'leaf'" in err
+    assert _tree_bytes(out) == before
 
 
 def _run_with_key(memo_run, tmp_path, section, key, value) -> int:

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperfield import cube as hc
 from hyperfield import unmix
@@ -137,6 +139,74 @@ def test_solver_rejects_bad_arguments():
         bad = W.copy()
         bad[0, 0] = np.nan
         oracles.unmix_pixel(bad, np.ones(20))
+
+
+# ---------------------------------------------------------------------------
+# the certificate: full-support solves that need no enumeration
+
+
+def _block(W, X):
+    """``_solve_block``'s arguments for the pixels ``X`` (bands, n), as
+    ``unmix_cube`` makes them: a lone pixel beside a copy of itself."""
+    if X.shape[1] == 1:
+        X = np.repeat(X, 2, axis=1)
+    G = W.T @ W
+    solvers = [unmix._SupportSolver(s, G) for s in unmix._supports(W.shape[1])]
+    return (*unmix._correlate(np.asfortranarray(X), W), solvers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    e=st.integers(1, 6),
+    twin=st.sampled_from(["none", "duplicate", "near-duplicate"]),
+    n=st.sampled_from([1, 2, 3, 300]),
+    noise=st.sampled_from([0.0, 1e-3, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(e=4, twin="none", n=300, noise=0.0, seed=0)
+@example(e=4, twin="duplicate", n=300, noise=0.0, seed=0)
+@example(e=6, twin="near-duplicate", n=2, noise=1e-3, seed=1)
+def test_certified_solves_have_the_bits_of_the_enumeration(e, twin, n, noise, seed):
+    """Pixels inside the simplex, on its faces and at its vertices solve to
+    the bits of trying every support, with or without a twin endmember."""
+    rng = np.random.default_rng(seed)
+    W = random_endmembers(rng, d=24, e=e)
+    if e > 1 and twin == "duplicate":
+        W[:, -1] = W[:, 0]
+    elif e > 1 and twin == "near-duplicate":
+        W[:, -1] = W[:, 0] + rng.normal(0, 1e-7, size=len(W))
+    H = rng.dirichlet(np.ones(e), size=n).T
+    kind = rng.integers(0, 3, size=n)  # inside, on a face, at a vertex
+    drop = rng.random((e, n)) < 0.5
+    drop[rng.integers(0, e, size=n), np.arange(n)] = False  # a face keeps one member
+    H[:, kind == 1] *= ~drop[:, kind == 1]
+    H[:, kind == 2] = np.eye(e)[:, rng.integers(0, e, size=int((kind == 2).sum()))]
+    H /= H.sum(axis=0)
+    X = W @ H + rng.normal(0, noise, size=(len(W), n))
+    T, sq, solvers = _block(W, X)
+    h, resid = unmix._solve_block(T, sq, solvers)
+    h_all, resid_all = unmix._enumerate(T, sq, solvers)
+    assert h.tobytes() == h_all.tobytes()
+    assert resid.tobytes() == resid_all.tobytes()
+
+
+def test_few_pixels_of_an_interior_cube_reach_the_enumeration(monkeypatch):
+    """A certificate that certified nothing would still give the right
+    bits, only slowly: under 5% of a planted cube's pixels, all inside the
+    simplex but one pure pixel, may be enumerated."""
+    enumerated = []
+    enumerate_all = unmix._enumerate
+
+    def counting(T, sq, solvers):
+        enumerated.append(T.shape[1])
+        return enumerate_all(T, sq, solvers)
+
+    monkeypatch.setattr(unmix, "_enumerate", counting)
+    rng = np.random.default_rng(18)
+    cube, ems, H_true = planted_cube(rng, rows=40, cols=30, pure_fraction=0.0)
+    abund, _ = unmix.unmix_cube(cube, ems)
+    assert np.max(np.abs(abund.values - H_true)) < 1e-6
+    assert sum(enumerated) < 0.05 * 40 * 30, enumerated
 
 
 # ---------------------------------------------------------------------------
