@@ -40,15 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CubeParseError,
-    CubeSizeError,
-    DataError,
-    DegeneratePanelError,
-    EmptyBandMaskError,
-    ShapeMismatchError,
-    UnsupportedFormatError,
-)
+from .errors import DataError
 from .table import read_table, write_table
 
 HEADER_SUFFIX = ".hdr"
@@ -101,31 +93,27 @@ def check_box(what: str, box: tuple[int, int, int, int], rows: int, cols: int) -
     inside a ``rows`` x ``cols`` cube; ``what`` names the box in the message."""
     top, left, height, width = box
     if height <= 0 or width <= 0:
-        raise ShapeMismatchError(f"{what} ({top},{left},{height},{width}) is empty")
+        raise DataError(f"{what} ({top},{left},{height},{width}) is empty")
     if min(top, left, rows - top - height, cols - left - width) < 0:
-        raise ShapeMismatchError(
-            f"{what} ({top},{left},{height},{width}) exceeds cube {rows}x{cols}"
-        )
+        raise DataError(f"{what} ({top},{left},{height},{width}) exceeds cube {rows}x{cols}")
 
 
 def _check_metadata(bands: int, wavelengths: np.ndarray, units: str,
                     band_labels: tuple[str, ...] | None, wavelength_line: int | None = None):
     """The band metadata rules of ``HyperCube`` and ``_parse_header``.
 
-    Wavelengths that are not one per band are a parse error of the header
-    line ``wavelength_line`` when that is given, else a shape mismatch.
+    Wavelengths that are not one per band name the header line
+    ``wavelength_line`` when that is given.
     """
     if wavelengths.ndim != 1 or wavelengths.size != bands:
-        message = f"{wavelengths.size} wavelengths for {bands} bands"
-        if wavelength_line is None:
-            raise ShapeMismatchError(message)
-        raise CubeParseError(message, wavelength_line)
+        at = "" if wavelength_line is None else f"line {wavelength_line}: "
+        raise DataError(f"{at}{wavelengths.size} wavelengths for {bands} bands")
     if not np.all(np.diff(wavelengths) > 0):
-        raise ShapeMismatchError("wavelengths must be strictly increasing")
+        raise DataError("wavelengths must be strictly increasing")
     if units not in UNITS:
-        raise UnsupportedFormatError(f"unsupported units tag {units!r}")
+        raise DataError(f"unsupported units tag {units!r}")
     if band_labels is not None and len(band_labels) != bands:
-        raise ShapeMismatchError(f"{len(band_labels)} band labels for {bands} bands")
+        raise DataError(f"{len(band_labels)} band labels for {bands} bands")
 
 
 @dataclass
@@ -157,9 +145,7 @@ class HyperCube:
         self.data = np.asarray(self.data)
         self.wavelengths = np.asarray(self.wavelengths, dtype=np.float64)
         if self.data.ndim != 3:
-            raise ShapeMismatchError(
-                f"cube data must be 3-d (rows, cols, bands), got {self.data.ndim}-d"
-            )
+            raise DataError(f"cube data must be 3-d (rows, cols, bands), got {self.data.ndim}-d")
         if self.band_labels is not None:
             self.band_labels = tuple(self.band_labels)
         _check_metadata(self.data.shape[2], self.wavelengths, self.units, self.band_labels)
@@ -207,9 +193,9 @@ class CubeHeader(NamedTuple):
     def of(cls, cube: HyperCube, interleave: str = "bsq") -> CubeHeader:
         """The header ``cube`` is written with; rejects what no file can hold."""
         if interleave not in INTERLEAVES:
-            raise UnsupportedFormatError(f"unsupported interleave {interleave!r}")
+            raise DataError(f"unsupported interleave {interleave!r}")
         if cube.data.dtype.name not in _DTYPES:
-            raise UnsupportedFormatError(f"unsupported sample type {cube.data.dtype.name!r}")
+            raise DataError(f"unsupported sample type {cube.data.dtype.name!r}")
         return cls(cube.rows, cube.cols, cube.bands, cube.data.dtype.name, interleave,
                    cube.units, cube.wavelengths, cube.band_labels)
 
@@ -301,12 +287,12 @@ def write_strips(
         for top, strip in strips:
             bottom = top + strip.rows
             if (strip.cols, strip.bands) != (h.cols, h.bands) or not 0 <= top < bottom <= h.rows:
-                raise ShapeMismatchError(
+                raise DataError(
                     f"strip {strip.rows}x{strip.cols}x{strip.bands} at row {top} does not fit "
                     f"a {h.rows}x{h.cols}x{h.bands} cube"
                 )
             if written[top:bottom].any():
-                raise ShapeMismatchError(f"rows [{top}, {bottom}) overlap rows already written")
+                raise DataError(f"rows [{top}, {bottom}) overlap rows already written")
             written[top:bottom] = True
             payload = strip.data.transpose(_FILE_AXES[h.interleave])
             if payload.dtype != h.dtype or not payload.flags.c_contiguous:
@@ -320,7 +306,7 @@ def write_strips(
             for run, offset in _runs(payload, h, top):
                 _pwrite(fh.fileno(), run, offset)
     if not written.all():
-        raise ShapeMismatchError(
+        raise DataError(
             f"{h.rows - int(written.sum())} of the cube's {h.rows} rows were not written"
         )
     with open(hdr_path, "w", encoding="utf-8") as fh:
@@ -345,20 +331,21 @@ def _parse_header(hdr_path: str) -> CubeHeader:
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CubeParseError("not UTF-8 text", blob.count(b"\n", 0, exc.start) + 1) from None
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"line {lineno}: not UTF-8 text") from None
     fields: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CubeParseError(f"expected 'key = value', got {line!r}", lineno)
+            raise DataError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         fields[key.strip().lower()] = (value.strip(), lineno)
 
     def need(key: str) -> tuple[str, int]:
         if key not in fields:
-            raise CubeParseError(f"missing required header key {key!r}")
+            raise DataError(f"missing required header key {key!r}")
         return fields[key]
 
     dims = {}
@@ -367,16 +354,16 @@ def _parse_header(hdr_path: str) -> CubeHeader:
         try:
             dims[key] = int(value)
         except ValueError:
-            raise CubeParseError(f"{key} must be an integer, got {value!r}", lineno)
+            raise DataError(f"line {lineno}: {key} must be an integer, got {value!r}")
         if dims[key] <= 0:
-            raise CubeParseError(f"{key} must be positive, got {dims[key]}", lineno)
+            raise DataError(f"line {lineno}: {key} must be positive, got {dims[key]}")
 
     dtype_name, _ = need("data type")
     if dtype_name not in _DTYPES:
-        raise UnsupportedFormatError(f"unsupported sample type {dtype_name!r}")
+        raise DataError(f"unsupported sample type {dtype_name!r}")
     interleave, _ = need("interleave")
     if interleave not in INTERLEAVES:
-        raise UnsupportedFormatError(f"unsupported interleave {interleave!r}")
+        raise DataError(f"unsupported interleave {interleave!r}")
     units, _ = need("units")
 
     wl_text, wl_line = need("wavelength")
@@ -385,7 +372,7 @@ def _parse_header(hdr_path: str) -> CubeHeader:
             [float(tok) for tok in wl_text.split(",") if tok.strip()], dtype=np.float64
         )
     except ValueError:
-        raise CubeParseError("wavelength list contains a non-numeric entry", wl_line)
+        raise DataError(f"line {wl_line}: wavelength list contains a non-numeric entry")
 
     band_labels = None
     if "band labels" in fields:
@@ -400,8 +387,8 @@ def _parse_header(hdr_path: str) -> CubeHeader:
 def _read_header(path: str | os.PathLike) -> tuple[CubeHeader, str]:
     """The checked header and the raw path, after checking the payload size.
 
-    Each header fault keeps its error class (a parse error carries its
-    line) and names the ``.hdr`` file; a size error names the payload.
+    Each header fault names the ``.hdr`` file, and the line where it has
+    one; a size error names the payload.
     """
     hdr_path, raw_path = _paths(path)
     try:
@@ -412,7 +399,7 @@ def _read_header(path: str | os.PathLike) -> tuple[CubeHeader, str]:
     expected = header.rows * header.cols * header.bands * header.dtype.itemsize
     actual_bytes = os.path.getsize(raw_path)
     if actual_bytes != expected:
-        raise CubeSizeError(
+        raise DataError(
             f"{raw_path}: expected {expected} bytes "
             f"({header.rows}x{header.cols}x{header.bands} {header.dtype_name}), "
             f"found {actual_bytes}"
@@ -439,7 +426,7 @@ def _check_finite(block: np.ndarray, source: str) -> None:
     if block.dtype.kind == "f" and block.size and not (
         np.isfinite(block.min()) and np.isfinite(block.max())
     ):
-        raise ShapeMismatchError(f"{source}: cube data contains non-finite samples")
+        raise DataError(f"{source}: cube data contains non-finite samples")
 
 
 class CubeStream:
@@ -479,7 +466,7 @@ class CubeStream:
         while view:
             done = os.preadv(self._fh.fileno(), [view], offset)
             if not done:
-                raise CubeSizeError(f"{self.raw_path}: payload shrank while it was read")
+                raise DataError(f"{self.raw_path}: payload shrank while it was read")
             view, offset = view[done:], offset + done
 
     def read_rows(
@@ -495,9 +482,9 @@ class CubeStream:
         h = self.header
         bands = range(h.bands) if bands is None else bands
         if height <= 0 or top < 0 or top + height > h.rows:
-            raise ShapeMismatchError(f"rows [{top}, {top + height}) exceed the cube's {h.rows}")
+            raise DataError(f"rows [{top}, {top + height}) exceed the cube's {h.rows}")
         if bands.step != 1 or not 0 <= bands.start < bands.stop <= h.bands:
-            raise ShapeMismatchError(f"{bands} is not a band range of the cube's {h.bands}")
+            raise DataError(f"{bands} is not a band range of the cube's {h.bands}")
         shape = h._replace(rows=height, bands=len(bands)).file_shape()
         if buffer is None:
             part = np.empty(shape, h.dtype)
@@ -580,12 +567,12 @@ def panel_gain(
     top, left, height, width = panel_region
     panel_reflectance = np.asarray(panel_reflectance, dtype=np.float64)
     if panel_reflectance.shape != (cube.bands,):
-        raise ShapeMismatchError(
+        raise DataError(
             f"panel reflectance has {panel_reflectance.size} entries for "
             f"{cube.bands} bands"
         )
     if not np.all(panel_reflectance > 0):  # also false for NaN
-        raise DegeneratePanelError("panel reflectance must be positive in every band")
+        raise DataError("panel reflectance must be positive in every band")
 
     # One running sum per band over the pixels in row-major order: the
     # same bits as a mean over a C-order copy of two or more bands, and
@@ -596,7 +583,7 @@ def panel_gain(
     mean_panel = panel.reshape(-1, cube.bands).cumsum(axis=0)[-1] / (height * width)
     if not np.all(mean_panel > 0):  # also false for NaN
         bad = int(np.argmin(mean_panel > 0))
-        raise DegeneratePanelError(
+        raise DataError(
             f"panel mean is not positive in band {bad} "
             f"({cube.wavelengths[bad]:.1f} nm)"
         )
@@ -661,7 +648,7 @@ def write_panel_reflectance_csv(
     wavelengths = np.asarray(wavelengths, dtype=np.float64)
     reflectance = np.asarray(reflectance, dtype=np.float64)
     if wavelengths.shape != reflectance.shape or wavelengths.ndim != 1:
-        raise ShapeMismatchError(
+        raise DataError(
             f"wavelengths {wavelengths.shape} and reflectance "
             f"{reflectance.shape} do not align"
         )
@@ -701,12 +688,10 @@ def apply_band_mask(cube: HyperCube, mask: np.ndarray) -> HyperCube:
     """Copy the bands the boolean ``mask`` keeps into a new cube. At least
     two bands must survive."""
     if mask.shape != (cube.bands,):
-        raise ShapeMismatchError(
-            f"mask shape {mask.shape} does not match band count {cube.bands}"
-        )
+        raise DataError(f"mask shape {mask.shape} does not match band count {cube.bands}")
     kept = int(mask.sum())
     if kept < 2:
-        raise EmptyBandMaskError(f"band mask keeps {kept} band(s); at least 2 are required")
+        raise DataError(f"band mask keeps {kept} band(s); at least 2 are required")
     labels = cube.band_labels
     if labels is not None:
         labels = tuple(itertools.compress(labels, mask))

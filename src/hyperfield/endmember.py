@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cube import WAVELENGTH_TOL_NM
-from .errors import DataError, DegenerateSimplexError, RankError, ShapeMismatchError
+from .errors import DataError
 from .table import read_table, write_table
 
 
@@ -41,12 +41,12 @@ def pca_fit(pixels: np.ndarray, k: int) -> PcaBasis:
     """
     X = np.asarray(pixels, dtype=np.float64)
     if X.ndim != 2:
-        raise ShapeMismatchError("pixels must be a (bands, pixels) matrix")
+        raise DataError("pixels must be a (bands, pixels) matrix")
     d, n = X.shape
     if not 1 <= k <= d:
-        raise ShapeMismatchError(f"component count {k} outside [1, {d}]")
+        raise DataError(f"component count {k} outside [1, {d}]")
     if n <= k:
-        raise ShapeMismatchError(f"need more than {k} pixels, got {n}")
+        raise DataError(f"need more than {k} pixels, got {n}")
     mean = X.mean(axis=1)
     centred = X - mean[:, None]
     cov = (centred @ centred.T) / n
@@ -56,7 +56,7 @@ def pca_fit(pixels: np.ndarray, k: int) -> PcaBasis:
     eigvecs = eigvecs[:, order]
     rank = int(np.sum(eigvals > eigvals[0] * 1e-10)) if eigvals[0] > 0 else 0
     if k > rank:
-        raise RankError(f"requested {k} components but data rank is {rank}")
+        raise DataError(f"requested {k} components but data rank is {rank}")
     comps = eigvecs[:, :k].copy()
     for j in range(k):
         pivot = int(np.argmax(np.abs(comps[:, j])))
@@ -92,14 +92,14 @@ class EndmemberSet:
             self.wavelengths.size,
             len(self.labels),
         ):
-            raise ShapeMismatchError(
+            raise DataError(
                 f"spectra shape {self.spectra.shape} does not match "
                 f"{self.wavelengths.size} bands x {len(self.labels)} labels"
             )
         if self.wavelengths.size >= 2 and not np.all(np.diff(self.wavelengths) > 0):
-            raise ShapeMismatchError("wavelengths must be strictly increasing")
+            raise DataError("wavelengths must be strictly increasing")
         if self.wavelengths.size < len(self.labels) - 1:
-            raise ShapeMismatchError(
+            raise DataError(
                 f"{self.wavelengths.size} bands cannot span a "
                 f"{len(self.labels)}-member simplex"
             )
@@ -150,22 +150,20 @@ def svmax(
     """
     X = np.asarray(pixels, dtype=np.float64)
     if X.ndim != 2:
-        raise ShapeMismatchError("pixels must be a (bands, pixels) matrix")
+        raise DataError("pixels must be a (bands, pixels) matrix")
     d, n = X.shape
     if count < 2:
-        raise ShapeMismatchError(f"endmember count must be at least 2, got {count}")
+        raise DataError(f"endmember count must be at least 2, got {count}")
     if count > n:
-        raise ShapeMismatchError(f"cannot pick {count} endmembers from {n} pixels")
+        raise DataError(f"cannot pick {count} endmembers from {n} pixels")
     if d < count - 1:
-        raise ShapeMismatchError(
-            f"{d} bands cannot span a {count}-member simplex"
-        )
+        raise DataError(f"{d} bands cannot span a {count}-member simplex")
 
     if d > count - 1:
         try:
             basis = pca_fit(X, count - 1)
-        except RankError:
-            raise DegenerateSimplexError(
+        except DataError:  # the checks above leave only pca_fit's rank fault
+            raise DataError(
                 f"pixel cloud has rank below {count - 1}; "
                 f"no {count}-member simplex exists"
             )
@@ -178,7 +176,7 @@ def svmax(
 
     norms = np.linalg.norm(Y, axis=0)
     if norms.max() <= tol:
-        raise DegenerateSimplexError("all pixels are identical")
+        raise DataError("all pixels are identical")
     selected = [int(np.argmax(norms))]
 
     while len(selected) < count:
@@ -194,7 +192,7 @@ def svmax(
         dist[selected] = -1.0
         j = int(np.argmax(dist))
         if dist[j] <= tol:
-            raise DegenerateSimplexError(
+            raise DataError(
                 f"maximum distance to the current affine hull is {dist[j]:.3e}; "
                 f"pixels cannot span a {count}-member simplex"
             )
@@ -221,11 +219,11 @@ def refine_by_neighborhood(
     X = np.asarray(pixels, dtype=np.float64)
     d, n = X.shape
     if d != endmembers.wavelengths.size:
-        raise ShapeMismatchError(
+        raise DataError(
             f"pixel bands {d} do not match endmember bands {endmembers.wavelengths.size}"
         )
     if not 1 <= k <= n:
-        raise ShapeMismatchError(f"neighbourhood size {k} outside [1, {n}]")
+        raise DataError(f"neighbourhood size {k} outside [1, {n}]")
     refined = np.empty_like(endmembers.spectra)
     for j in range(endmembers.count):
         delta = X - endmembers.spectra[:, j][:, None]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AmbiguousCellError, AnchorError, DataError, ShapeMismatchError
+from .errors import DataError
 from .segment import PlotBox
 from .table import read_table, write_table
 
@@ -66,7 +66,7 @@ def cluster_corners(values, pitch_px: float) -> np.ndarray:
     if values.size == 0:
         return np.empty(0)
     if pitch_px <= 0:
-        raise ShapeMismatchError(f"pitch must be positive, got {pitch_px}")
+        raise DataError(f"pitch must be positive, got {pitch_px}")
     order = np.sort(values)
     cutoff = pitch_px / 2.0
     breaks = np.flatnonzero(np.diff(order) > cutoff)
@@ -115,24 +115,24 @@ def assign_ids(
     row_lines = np.asarray(row_lines, dtype=np.float64)
     col_lines = np.asarray(col_lines, dtype=np.float64)
     if row_lines.size == 0 or col_lines.size == 0:
-        raise ShapeMismatchError("grid needs at least one line per axis")
+        raise DataError("grid needs at least one line per axis")
 
     box_at: dict[tuple[int, int], PlotBox] = {}
     for box in boxes:
         cell = (_nearest(row_lines, box.top), _nearest(col_lines, box.left))
         if cell in box_at:
             a, b = sorted([box_at[cell], box], key=lambda bb: (bb.top, bb.left))
-            raise AmbiguousCellError(
+            raise DataError(
                 f"boxes at ({a.top},{a.left}) and ({b.top},{b.left}) both "
                 f"resolve to grid cell {cell}"
             )
         box_at[cell] = box
 
     if anchor_plot not in plot_map.positions:
-        raise AnchorError(f"anchor plot id {anchor_plot!r} is not in the plot map")
+        raise DataError(f"anchor plot id {anchor_plot!r} is not in the plot map")
     anchor_row, anchor_col = anchor_cell
     if not (0 <= anchor_row < row_lines.size and 0 <= anchor_col < col_lines.size):
-        raise AnchorError(f"anchor cell {anchor_cell} outside the detected grid")
+        raise DataError(f"anchor cell {anchor_cell} outside the detected grid")
     field_row, field_col = plot_map.positions[anchor_plot]
 
     assigned = []

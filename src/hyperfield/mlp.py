@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DivergenceError,
-    ShapeMismatchError,
-)
+from .errors import ConfigError, DataError, DivergenceError
 from .table import write_table
 
 log = logging.getLogger(__name__)
@@ -178,9 +173,7 @@ def stratified_split(
     if yields.ndim != 1 or yields.size == 0:
         raise DataError("no records to split")
     if len(plot_ids) != yields.size:
-        raise ShapeMismatchError(
-            f"{yields.size} yields but {len(plot_ids)} plot ids"
-        )
+        raise DataError(f"{yields.size} yields but {len(plot_ids)} plot ids")
     children = np.random.SeedSequence(spec.seed).spawn(2)
     plot_rng = np.random.default_rng(children[0])
     record_rng = np.random.default_rng(children[1])
@@ -212,7 +205,7 @@ class NormStats:
 
     def __post_init__(self):
         if self.mean.shape != self.variance.shape or self.mean.ndim != 1:
-            raise ShapeMismatchError("mean and variance must be matching vectors")
+            raise DataError("mean and variance must be matching vectors")
         if np.any(self.variance < 0):
             raise DataError("negative variance")
 
@@ -220,7 +213,7 @@ class NormStats:
 def standardize_fit(x: np.ndarray) -> NormStats:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeMismatchError(f"expected a (records, features) matrix, got {x.shape}")
+        raise DataError(f"expected a (records, features) matrix, got {x.shape}")
     return NormStats(mean=x.mean(axis=0), variance=x.var(axis=0))
 
 
@@ -259,10 +252,10 @@ class MlpModel:
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ConfigError(f"bad layer sizes {sizes}")
         if len(self.weights) != len(sizes) - 1 or len(self.biases) != len(sizes) - 1:
-            raise ShapeMismatchError("one weight matrix and bias per layer expected")
+            raise DataError("one weight matrix and bias per layer expected")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (sizes[i], sizes[i + 1]) or b.shape != (sizes[i + 1],):
-                raise ShapeMismatchError(
+                raise DataError(
                     f"layer {i}: weights {w.shape}, biases {b.shape} do not "
                     f"match sizes {sizes[i]}->{sizes[i + 1]}"
                 )
@@ -315,9 +308,7 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
     if x.shape[1] != model.layer_sizes[0]:
-        raise ShapeMismatchError(
-            f"input has {x.shape[1]} features, model expects {model.layer_sizes[0]}"
-        )
+        raise DataError(f"input has {x.shape[1]} features, model expects {model.layer_sizes[0]}")
     a = x
     last = model.n_layers - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -362,11 +353,11 @@ def backward(
     y = np.asarray(y, dtype=dtype).reshape(-1)
     n = x.shape[0]
     if y.size != n:
-        raise ShapeMismatchError(f"{n} inputs but {y.size} targets")
+        raise DataError(f"{n} inputs but {y.size} targets")
     if work is None:
         work = Workspace(model.layer_sizes, n, dtype)
     elif n > work.rows:
-        raise ShapeMismatchError(f"{n} rows but a workspace for {work.rows}")
+        raise DataError(f"{n} rows but a workspace for {work.rows}")
     last = model.n_layers - 1
     acts = [x]
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -438,7 +429,7 @@ def adam_step(
     bias corrections).
     """
     if params.ndim != 1 or params.shape != state.m.shape or grads.shape != params.shape:
-        raise ShapeMismatchError("parameter, gradient, and state vectors disagree")
+        raise DataError("parameter, gradient, and state vectors disagree")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     m, v, (s, r) = state.m, state.v, state.scratch
@@ -493,15 +484,11 @@ def train(
     val_x = np.asarray(val_x, dtype=np.float64)
     val_y = np.asarray(val_y, dtype=np.float64).reshape(-1)
     if train_x.ndim != 2 or train_x.shape[0] != train_y.size:
-        raise ShapeMismatchError(
-            f"training features {train_x.shape} do not match {train_y.size} targets"
-        )
+        raise DataError(f"training features {train_x.shape} do not match {train_y.size} targets")
     if val_x.ndim != 2 or val_x.shape[0] != val_y.size:
-        raise ShapeMismatchError(
-            f"validation features {val_x.shape} do not match {val_y.size} targets"
-        )
+        raise DataError(f"validation features {val_x.shape} do not match {val_y.size} targets")
     if val_x.shape[1] != train_x.shape[1]:
-        raise ShapeMismatchError("train and validation feature widths differ")
+        raise DataError("train and validation feature widths differ")
     if not (np.all(np.isfinite(train_x)) and np.all(np.isfinite(train_y))):
         raise DataError("non-finite values in the training set")
     if not (np.all(np.isfinite(val_x)) and np.all(np.isfinite(val_y))):
@@ -623,10 +610,10 @@ def evaluate(
     """
     yields = np.asarray(yields, dtype=np.float64)
     if len(plot_ids) != yields.size:
-        raise ShapeMismatchError(f"{yields.size} yields but {len(plot_ids)} plot ids")
+        raise DataError(f"{yields.size} yields but {len(plot_ids)} plot ids")
     preds = np.maximum(predict(model, features), 0.0)
     if preds.size != yields.size:
-        raise ShapeMismatchError(f"{preds.size} predictions but {yields.size} yields")
+        raise DataError(f"{preds.size} predictions but {yields.size} yields")
 
     ids = np.asarray(plot_ids, dtype=object)
     unique = np.unique(ids.astype(str))
@@ -696,6 +683,8 @@ def load_model(path: str | os.PathLike) -> MlpModel:
     if not (isinstance(sizes, list) and len(sizes) >= 2
             and all(_is_int(s) and s > 0 for s in sizes)):
         raise DataError(f"{path}: checkpoint layer_sizes must be two or more positive integers")
+    if sizes[-1] != 1:
+        raise DataError(f"{path}: checkpoint has {sizes[-1]} outputs; a yield model has 1")
     if not isinstance(header.get("normalized"), bool):
         raise DataError(f"{path}: checkpoint 'normalized' must be true or false")
     for key in ("best_epoch", "rng_seed"):

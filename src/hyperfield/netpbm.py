@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from .errors import UnsupportedFormatError
+from .errors import DataError
 
 # PGM exports carry the score-plane scaling in a comment so the file is
 # self-describing.
@@ -22,7 +22,7 @@ def write_pbm(path: str | os.PathLike, mask: np.ndarray) -> None:
     """Write a boolean mask as binary PBM (P4). True encodes foreground."""
     mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
-        raise UnsupportedFormatError("PBM payload must be 2-d")
+        raise DataError("PBM payload must be 2-d")
     rows, cols = mask.shape
     packed = np.packbits(mask, axis=1)
     with open(path, "wb") as fh:
@@ -38,7 +38,7 @@ def write_pgm(path: str | os.PathLike, values: np.ndarray) -> None:
     """
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2:
-        raise UnsupportedFormatError("PGM payload must be 2-d")
+        raise DataError("PGM payload must be 2-d")
     rows, cols = values.shape
     gray = np.clip(np.round((values + 1.0) * 0.5 * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as fh:
@@ -50,7 +50,7 @@ def write_ppm(path: str | os.PathLike, rgb: np.ndarray) -> None:
     """Write an interleaved uint8 (rows, cols, 3) image as binary PPM (P6)."""
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
-        raise UnsupportedFormatError("PPM payload must be uint8 (rows, cols, 3)")
+        raise DataError("PPM payload must be uint8 (rows, cols, 3)")
     rows, cols = rgb.shape[:2]
     with open(path, "wb") as fh:
         fh.write(f"P6\n{cols} {rows}\n255\n".encode("ascii"))
@@ -65,7 +65,7 @@ def _read_tokens(
     i = 0
     while len(tokens) < count:
         if i >= len(data):
-            raise UnsupportedFormatError(f"{path}: truncated netpbm header")
+            raise DataError(f"{path}: truncated netpbm header")
         c = data[i : i + 1]
         if c == b"#":
             while i < len(data) and data[i : i + 1] != b"\n":
@@ -90,21 +90,15 @@ def _read_netpbm(
         data = fh.read()
     tokens, offset = _read_tokens(path, data, 1 + fields)
     if tokens[0] != magic:
-        raise UnsupportedFormatError(
-            f"{path}: not a binary {kind} file: magic {tokens[0]!r}"
-        )
+        raise DataError(f"{path}: not a binary {kind} file: magic {tokens[0]!r}")
     if not all(t.isdigit() for t in tokens[1:]):
-        raise UnsupportedFormatError(
-            f"{path}: {kind} header values {tokens[1:]} are not non-negative integers"
-        )
+        raise DataError(f"{path}: {kind} header values {tokens[1:]} are not non-negative integers")
     return [int(t) for t in tokens[1:]], memoryview(data)[offset:]
 
 
 def _payload(path: str | os.PathLike, payload: memoryview, size: int) -> np.ndarray:
     if len(payload) < size:
-        raise UnsupportedFormatError(
-            f"{path}: truncated payload, {len(payload)} of {size} bytes"
-        )
+        raise DataError(f"{path}: truncated payload, {len(payload)} of {size} bytes")
     return np.frombuffer(payload, dtype=np.uint8, count=size)
 
 

@@ -920,6 +920,8 @@ def _stage_report(st: _Stage) -> Iterator[None]:
             value[name] = float(metrics[name])
         except ValueError:
             raise DataError(f"{metrics_path}: metric {name} is not a number") from None
+        if not np.isfinite(value[name]):
+            raise DataError(f"{metrics_path}: metric {name} is {value[name]}, not finite")
     scatter = _read_scatter_rows(predictions_path)
 
     # metrics: same content as the evaluate stage, under the report roof

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cube import CubeStream, HyperCube
-from .errors import (
-    DegenerateHistogramError,
-    ShapeMismatchError,
-    WavelengthCoverageError,
-)
+from .errors import DataError
 from .table import read_table, write_table
 
 RED_WINDOW_NM = (665.0, 675.0)
@@ -40,7 +36,7 @@ class PlotBox:
 
     def __post_init__(self):
         if self.height <= 0 or self.width <= 0 or self.area_px <= 0:
-            raise ShapeMismatchError(f"degenerate plot box {self}")
+            raise DataError(f"degenerate plot box {self}")
 
 
 def window_indices(wavelengths: np.ndarray, window: tuple[float, float]) -> np.ndarray:
@@ -48,7 +44,7 @@ def window_indices(wavelengths: np.ndarray, window: tuple[float, float]) -> np.n
     lo, hi = window
     idx = np.flatnonzero((wavelengths >= lo) & (wavelengths <= hi))
     if idx.size == 0:
-        raise WavelengthCoverageError(
+        raise DataError(
             f"no bands inside {lo:.1f}-{hi:.1f} nm "
             f"(grid spans {wavelengths[0]:.1f}-{wavelengths[-1]:.1f} nm)"
         )
@@ -102,9 +98,7 @@ def otsu_threshold(plane: np.ndarray) -> float:
     lo = float(values.min())
     hi = float(values.max())
     if lo == hi:
-        raise DegenerateHistogramError(
-            f"plane is constant at {lo}; no threshold separates it"
-        )
+        raise DataError(f"plane is constant at {lo}; no threshold separates it")
     nbins = 256
     width = (hi - lo) / nbins
     bins = np.minimum(((values - lo) / width).astype(np.int64), nbins - 1)
@@ -226,7 +220,7 @@ def binary_open(mask: np.ndarray, se: tuple[int, int] = DEFAULT_SE) -> np.ndarra
     mask = np.asarray(mask, dtype=bool)
     se_h, se_w = se
     if se_h <= 0 or se_w <= 0:
-        raise ShapeMismatchError(f"structuring element {se} must be positive")
+        raise DataError(f"structuring element {se} must be positive")
     for axis, size in enumerate(se):
         mask = _window_counts(mask, size, -(size // 2), axis) == size
     for axis, size in enumerate(se):

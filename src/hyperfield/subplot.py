@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, EmptyPlotError, ShapeMismatchError
+from .errors import DataError
 from .table import is_safe_id, read_table, write_table
 
 DEFAULT_WINDOW_PX = 15
@@ -55,10 +55,10 @@ def window_counts(mask: np.ndarray, window_px: int = DEFAULT_WINDOW_PX) -> np.nd
     windows count only the plot pixels they hold.
     """
     if window_px < 2:
-        raise ShapeMismatchError(f"window size must be at least 2, got {window_px}")
+        raise DataError(f"window size must be at least 2, got {window_px}")
     rows, cols = np.shape(mask)
     if rows <= 0 or cols <= 0:
-        raise ShapeMismatchError(f"plot extent {rows}x{cols} is empty")
+        raise DataError(f"plot extent {rows}x{cols} is empty")
     grid_rows, grid_cols = window_grid_shape(rows, cols, window_px)
     padded = np.zeros((grid_rows * window_px, grid_cols * window_px), dtype=bool)
     padded[:rows, :cols] = mask
@@ -73,7 +73,7 @@ def allocate_yield(counts: np.ndarray, plot_yield: float) -> np.ndarray:
     """
     counts = np.asarray(counts, dtype=np.float64)
     if counts.size == 0 or counts.sum() == 0:
-        raise EmptyPlotError("plot has no foreground pixels; nothing to allocate")
+        raise DataError("plot has no foreground pixels; nothing to allocate")
     if np.any(counts < 0):
         raise DataError("negative window count")
     return counts / counts.sum() * float(plot_yield)
@@ -122,7 +122,7 @@ class Records:
             or np.ndim(self.features) != 2
             or len(self.features) != n
         ):
-            raise ShapeMismatchError(
+            raise DataError(
                 f"record columns do not align: {n} plot ids, windows "
                 f"{np.shape(self.windows)}, yields {np.shape(self.yields)}, "
                 f"features {np.shape(self.features)}"
@@ -137,7 +137,7 @@ class Records:
         if not parts:
             raise DataError("no records")
         if len({part.features.shape[1] for part in parts}) > 1:
-            raise ShapeMismatchError("records carry differing feature lengths")
+            raise DataError("records carry differing feature lengths")
         return cls(
             [plot_id for part in parts for plot_id in part.plot_ids],
             np.concatenate([part.windows for part in parts]),
@@ -170,9 +170,7 @@ def build_records(
     data = np.asarray(data)
     mask = np.asarray(mask, dtype=bool)
     if data.ndim != 3 or data.shape[:2] != mask.shape:
-        raise ShapeMismatchError(
-            f"data {data.shape} and mask {mask.shape} do not align"
-        )
+        raise DataError(f"data {data.shape} and mask {mask.shape} do not align")
     counts = window_counts(mask, window_px)
     allocated = allocate_yield(counts, plot_yield).ravel()
     keep = np.flatnonzero(counts)
@@ -205,14 +203,23 @@ def write_records_csv(path: str | os.PathLike, records: Records) -> None:
 
 
 def read_records_csv(path: str | os.PathLike) -> Records:
-    """Every column but the five named ones is a feature, in header order."""
+    """Every column but the five named ones is a feature, in header order.
+
+    A ``DataError`` names a table without a feature column, and the line
+    of a negative window index or yield or an ``n_sl`` below 1.
+    """
     names = ("window_row", "window_col", "n_sl")
     table = read_table(path, ("plot_id", *names), floats=("yield_g",), extra_floats=True)
+    plot_ids = table.ids("plot_id")
+    ints = table.ints(*names)
+    if table.floats.shape[1] < 2:
+        raise DataError(f"{path}: no feature column")
+    for i, (values, grams) in enumerate(zip(ints, table.floats[:, 0].tolist())):
+        for name, value, least in zip((*names, "yield_g"), (*values, grams), (0, 0, 1, 0)):
+            if value < least:
+                raise DataError(f"{table.where(i)}: {name} {value!r} is below {least}")
     return Records(
-        table.ids("plot_id"),
-        np.array(table.ints(*names), dtype=np.int64),
-        table.floats[:, 0],
-        table.floats[:, 1:],
+        plot_ids, np.array(ints, dtype=np.int64), table.floats[:, 0], table.floats[:, 1:]
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cube import CubeStream, HyperCube, block_rows, wavelengths_match
 from .endmember import EndmemberSet
-from .errors import DataError, ShapeMismatchError
+from .errors import DataError
 from .netpbm import write_ppm
 from .pairwise import PairwiseSum
 
@@ -52,7 +52,7 @@ class AbundanceMap:
         self.values = np.asarray(self.values, dtype=np.float64)
         self.labels = tuple(self.labels)
         if self.values.ndim != 3 or self.values.shape[2] != len(self.labels):
-            raise ShapeMismatchError(
+            raise DataError(
                 f"abundance shape {self.values.shape} does not match "
                 f"{len(self.labels)} labels"
             )
@@ -216,15 +216,13 @@ def _solve_block(T, sq, solvers):
 
 def _check_W(W, bands):
     if W.ndim != 2:
-        raise ShapeMismatchError("endmember matrix must be (bands, members)")
+        raise DataError("endmember matrix must be (bands, members)")
     if W.shape[0] != bands:
-        raise ShapeMismatchError(
-            f"endmember matrix has {W.shape[0]} bands, spectra have {bands}"
-        )
+        raise DataError(f"endmember matrix has {W.shape[0]} bands, spectra have {bands}")
     if W.shape[1] < 1:
-        raise ShapeMismatchError("need at least one endmember")
+        raise DataError("need at least one endmember")
     if W.shape[1] > MAX_ENDMEMBERS:
-        raise ShapeMismatchError(
+        raise DataError(
             f"{W.shape[1]} endmembers: support enumeration is limited to "
             f"{MAX_ENDMEMBERS}"
         )
@@ -252,7 +250,7 @@ def unmix_cube(
     is solved, so the map is the only per-pixel array held.
     """
     if not wavelengths_match(endmembers.wavelengths, cube.wavelengths):
-        raise ShapeMismatchError(
+        raise DataError(
             "endmember wavelength grid does not match the cube "
             f"({endmembers.wavelengths.size} vs {cube.bands} bands)"
         )
@@ -348,5 +346,5 @@ def write_score_ppm(path: str | os.PathLike, score: np.ndarray) -> None:
     """Export a score plane as a PPM colormap."""
     score = np.asarray(score)
     if score.ndim != 2:
-        raise ShapeMismatchError("score plane must be 2-d")
+        raise DataError("score plane must be 2-d")
     write_ppm(path, score_to_rgb(score))

@@ -1319,6 +1319,11 @@ def test_each_error_class_exits_with_its_family_code(monkeypatch, tmp_path, caps
     assert capsys.readouterr().err == "error: injected\n"
 
 
+def test_the_families_are_the_only_error_classes():
+    """A more specific class below a family would be a new decision, made here."""
+    assert set(_error_classes()) == set(_FAMILY_CODES)
+
+
 def test_flag_validation():
     assert main(["synth", "--seed", "-1"]) == 2
 
@@ -1558,6 +1563,45 @@ def test_report_names_a_non_numeric_metric(memo_run, capsys):
     metrics.write_text(text.replace("\nplot_r2,", "\nplot_r2,x"))
     assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
     assert "metrics.csv: metric plot_r2 is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_report_names_a_non_finite_metric(memo_run, capsys, value):
+    ini, out = memo_run
+    summary = (out / "report" / "summary.txt").read_bytes()
+    metrics = out / "evaluate" / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    metrics.write_text("\n".join(
+        f"subplot_r2,{value}" if line.startswith("subplot_r2,") else line for line in lines
+    ) + "\n")
+    assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
+    assert f"metrics.csv: metric subplot_r2 is {float(value)}, not finite" in \
+        capsys.readouterr().err
+    assert (out / "report" / "summary.txt").read_bytes() == summary
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (None, None, "records.csv: no feature column"),
+        (4, "-5.0", "records.csv: line 2: yield_g -5.0 is below 0"),
+        (1, "-3", "records.csv: line 2: window_row -3 is below 0"),
+        (2, "-1", "records.csv: line 2: window_col -1 is below 0"),
+        (3, "0", "records.csv: line 2: n_sl 0 is below 1"),
+    ],
+    ids=["no-features", "negative-yield", "negative-window-row", "negative-window-col", "no-sl"],
+)
+def test_damaged_records_exit_4_naming_the_file(memo_run, capsys, column, value, message):
+    ini, out = memo_run
+    records = out / "dataset" / "records.csv"
+    rows = [line.split(",") for line in records.read_text().splitlines()]
+    if column is None:
+        rows = [row[:5] for row in rows]
+    else:
+        rows[1][column] = value
+    records.write_text("".join(",".join(row) + "\n" for row in rows))
+    assert main(["train", "--out", str(out), "--config", str(ini), "--stage-force"]) == 4
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -2069,6 +2113,22 @@ def test_damaged_checkpoint_header_exits_4(memo_run, capsys, header):
     path.write_bytes(b"\n".join([magic, header, payload]))
     assert main(["evaluate", "--out", str(out), "--config", str(ini), "--stage-force"]) == 4
     assert f"error: {path}: checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_with_more_than_one_output_exits_4(memo_run, capsys):
+    ini, out = memo_run
+    path = out / "train" / "model.ckpt"
+    model = mlp.load_model(path)
+    w, b = model.weights[-1], model.biases[-1]
+    wide = dataclasses.replace(
+        model,
+        layer_sizes=(*model.layer_sizes[:-1], 2),
+        weights=[*model.weights[:-1], np.hstack([w, w])],
+        biases=[*model.biases[:-1], np.concatenate([b, b])],
+    )
+    mlp.save_model(wide, path)
+    assert main(["evaluate", "--out", str(out), "--config", str(ini), "--stage-force"]) == 4
+    assert f"error: {path}: checkpoint has 2 outputs" in capsys.readouterr().err
 
 
 def test_panel_degenerate_in_a_dropped_band_still_fails_calibrate(memo_run, capsys):

@@ -14,15 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperfield import cube as hc
-from hyperfield.errors import (
-    CubeParseError,
-    CubeSizeError,
-    DataError,
-    DegeneratePanelError,
-    EmptyBandMaskError,
-    ShapeMismatchError,
-    UnsupportedFormatError,
-)
+from hyperfield.errors import DataError
 
 
 def random_cube(rng, rows=10, cols=10, bands=19, dtype=np.float32, units="radiance"):
@@ -110,9 +102,11 @@ def test_failed_write_keeps_the_old_pair_and_no_temporaries(tmp_path, failure):
     interleave = "bsq"
     if failure == "dtype":
         other = hc.HyperCube(other.data.astype(np.int32), other.wavelengths, "raw")
+        message = "unsupported sample type 'int32'"
     else:
         interleave = "bis"
-    with pytest.raises(UnsupportedFormatError):
+        message = "unsupported interleave 'bis'"
+    with pytest.raises(DataError, match=f"^{message}$"):
         hc.write_cube(other, tmp_path / "c", interleave)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
@@ -128,7 +122,7 @@ def test_read_rejects_non_finite_samples_in_every_interleave(tmp_path, interleav
     flat[37] = bad
     flat.tofile(raw)
     message = f"{raw}: cube data contains non-finite samples"
-    with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+    with pytest.raises(DataError, match=re.escape(message)):
         hc.read_cube(tmp_path / "c")
 
 
@@ -143,7 +137,7 @@ def test_finite_check_finds_each_non_finite_sample_without_a_mask(dtype, where, 
     flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = bad
     tracemalloc.start()
     try:
-        with pytest.raises(ShapeMismatchError, match="block: cube data contains non-finite"):
+        with pytest.raises(DataError, match="block: cube data contains non-finite"):
             hc._check_finite(block, "block")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -192,7 +186,7 @@ def test_stream_reads_equal_the_mapped_cube(tmp_path, monkeypatch, interleave, d
         assert np.array_equal(part.data, whole.data[2:5])
         assert _stride_order(part.data) == _stride_order(whole.data)
         for bad in [(-1, 2), (5, 3), (0, 0)]:
-            with pytest.raises(ShapeMismatchError, match="rows"):
+            with pytest.raises(DataError, match=r"^rows \[.*\) exceed the cube's"):
                 stream.read_rows(*bad)
 
 
@@ -245,7 +239,7 @@ def test_a_band_range_reads_as_that_slice_of_the_whole_cube(
                     assert not given_buffer or np.shares_memory(strip.data, buffer)
                 assert strips == full
                 for bad in [range(bands, bands + 1), range(start, start), range(0, bands, 2)]:
-                    with pytest.raises(ShapeMismatchError, match="band range"):
+                    with pytest.raises(DataError, match="is not a band range of the cube's"):
                         stream.read_rows(top, height, bands=bad)
 
 
@@ -332,7 +326,7 @@ def test_strips_are_written_as_the_whole_cube_cast_in_file_order(
 def test_strip_writer_needs_every_row_exactly_once(tmp_path, strips, message):
     cube = random_cube(np.random.default_rng(13), rows=8, cols=5, bands=6)
     header = hc.CubeHeader.of(cube)._replace(rows=7)
-    with pytest.raises(ShapeMismatchError, match=message):
+    with pytest.raises(DataError, match=message):
         hc.write_strips(tmp_path / "c", header, [(top, cube.crop(max(top, 0), 0, height, 5))
                                                  for top, height in strips])
     assert not (tmp_path / "c.hdr").exists()
@@ -365,7 +359,7 @@ def test_short_reads_and_writes_are_continued(tmp_path, monkeypatch, interleave)
     with hc.CubeStream(tmp_path / "c") as stream:
         assert np.array_equal(stream.read_rows(1, 4).data, cube.data[1:5])
         os.truncate(tmp_path / "c.raw", 100)  # after the size check
-        with pytest.raises(CubeSizeError, match="payload shrank while it was read"):
+        with pytest.raises(DataError, match="payload shrank while it was read"):
             stream.read_rows(0, 6)
 
 
@@ -388,9 +382,9 @@ def test_malformed_header_reports_line(tmp_path):
     lines = open(hdr).read().splitlines()
     lines.insert(2, "this line has no equals sign")
     open(hdr, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(CubeParseError) as err:
+    with pytest.raises(DataError, match="expected 'key = value'") as err:
         hc.read_cube(hdr)
-    assert err.value.line == 3
+    assert "line 3: " in str(err.value)
 
 
 def test_missing_header_key_is_a_parse_error(tmp_path):
@@ -398,7 +392,7 @@ def test_missing_header_key_is_a_parse_error(tmp_path):
     hdr = hc.write_cube(random_cube(rng), tmp_path / "c")
     lines = [l for l in open(hdr).read().splitlines() if not l.startswith("units")]
     open(hdr, "w").write("\n".join(lines) + "\n")
-    with pytest.raises(CubeParseError, match="units"):
+    with pytest.raises(DataError, match=re.escape(f"{hdr}: missing required header key 'units'")):
         hc.read_cube(hdr)
 
 
@@ -407,7 +401,7 @@ def test_wavelength_count_mismatch_is_a_parse_error(tmp_path):
     hdr = hc.write_cube(random_cube(rng, bands=5), tmp_path / "c")
     text = open(hdr).read().replace("bands = 5", "bands = 6")
     open(hdr, "w").write(text)
-    with pytest.raises((CubeParseError, CubeSizeError)):
+    with pytest.raises(DataError, match=re.escape(f"{hdr}: line 7: 5 wavelengths for 6 bands")):
         hc.read_cube(hdr)
 
 
@@ -417,33 +411,31 @@ def test_non_utf8_header_is_a_parse_error_naming_the_header_and_line(tmp_path):
     lines = open(hdr, "rb").read().split(b"\n")
     lines[4] = lines[4] + b"\xff"
     open(hdr, "wb").write(b"\n".join(lines))
-    with pytest.raises(CubeParseError, match=re.escape(f"{hdr}: line 5: not UTF-8 text")) as err:
+    with pytest.raises(DataError, match=re.escape(f"{hdr}: line 5: not UTF-8 text")) as err:
         hc.read_cube(hdr)
-    assert err.value.line == 5
+    assert "line 5: " in str(err.value)
 
 
 @pytest.mark.parametrize(
-    "old, new, error, message",
+    "old, new, message",
     [
-        ("units = radiance", "units = counts", UnsupportedFormatError,
-         "unsupported units tag 'counts'"),
-        ("wavelength = 400.0, 402.2,", "wavelength = 402.2, 400.0,", ShapeMismatchError,
+        ("units = radiance", "units = counts", "unsupported units tag 'counts'"),
+        ("wavelength = 400.0, 402.2,", "wavelength = 402.2, 400.0,",
          "wavelengths must be strictly increasing"),
-        ("wavelength = 400.0, 402.2,", "wavelength = 402.2,", CubeParseError,
+        ("wavelength = 400.0, 402.2,", "wavelength = 402.2,",
          "line 7: 18 wavelengths for 19 bands"),
-        ("units = radiance", "units = radiance\nband labels = a, b", ShapeMismatchError,
-         "2 band labels for 19 bands"),
+        ("units = radiance", "units = radiance\nband labels = a, b", "2 band labels for 19 bands"),
     ],
     ids=["units", "order", "count", "labels"],
 )
-def test_header_metadata_faults_name_the_header(tmp_path, old, new, error, message):
+def test_header_metadata_faults_name_the_header(tmp_path, old, new, message):
     rng = np.random.default_rng(0)
     hdr = hc.write_cube(random_cube(rng), tmp_path / "c")
     text = open(hdr).read()
     assert old in text
     open(hdr, "w").write(text.replace(old, new))
     for reader in (hc.read_cube, hc.CubeStream):
-        with pytest.raises(error, match=re.escape(f"{hdr}: {message}")):
+        with pytest.raises(DataError, match=re.escape(f"{hdr}: {message}")):
             reader(hdr)
 
 
@@ -455,37 +447,37 @@ def test_payload_size_mismatch_is_a_size_error(tmp_path, delta):
     blob = open(raw, "rb").read()
     blob = blob[:delta] if delta < 0 else blob + b"\0" * delta
     open(raw, "wb").write(blob)
-    with pytest.raises(CubeSizeError, match="bytes"):
+    with pytest.raises(DataError, match=r"c\.raw: expected \d+ bytes"):
         hc.read_cube(hdr)
 
 
 def test_unsupported_interleave_and_dtype(tmp_path):
     rng = np.random.default_rng(0)
     cube = random_cube(rng)
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(DataError, match="^unsupported interleave 'bix'$"):
         hc.write_cube(cube, tmp_path / "c", interleave="bix")
     hdr = hc.write_cube(cube, tmp_path / "c")
     text = open(hdr).read().replace("interleave = bsq", "interleave = weird")
     open(hdr, "w").write(text)
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(DataError, match=re.escape(f"{hdr}: unsupported interleave 'weird'")):
         hc.read_cube(hdr)
     text = open(hdr).read().replace("interleave = weird", "interleave = bsq")
     text = text.replace("data type = float32", "data type = int8")
     open(hdr, "w").write(text)
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(DataError, match=re.escape(f"{hdr}: unsupported sample type 'int8'")):
         hc.read_cube(hdr)
 
 
 def test_cube_validation_rejects_bad_shapes():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match=r"^cube data must be 3-d \(rows, cols, bands\), got 2-d$"):
         hc.HyperCube(np.zeros((4, 4)), np.arange(4.0), "raw")
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match="^4 wavelengths for 3 bands$"):
         hc.HyperCube(np.zeros((2, 2, 3)), np.arange(4.0), "raw")
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match="^wavelengths must be strictly increasing$"):
         hc.HyperCube(np.zeros((2, 2, 3)), np.array([1.0, 3.0, 2.0]), "raw")
-    with pytest.raises(UnsupportedFormatError):
+    with pytest.raises(DataError, match="^unsupported units tag 'counts'$"):
         hc.HyperCube(np.zeros((2, 2, 3)), np.arange(3.0), "counts")
-    with pytest.raises(ShapeMismatchError, match="2 band labels for 3 bands"):
+    with pytest.raises(DataError, match="2 band labels for 3 bands"):
         hc.HyperCube(np.zeros((2, 2, 3)), np.arange(3.0), "abundance", ("a", "b"))
 
 
@@ -543,7 +535,7 @@ def test_reflectance_overflow_is_reported_without_a_numpy_warning():
     cube = hc.HyperCube(data, np.arange(2.0), "radiance")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ShapeMismatchError, match="^reflectance: .*non-finite"):
+        with pytest.raises(DataError, match="^reflectance: .*non-finite"):
             hc.to_reflectance(cube, (0, 0, 1, 2), np.full(2, 0.5))
 
 
@@ -553,7 +545,7 @@ def test_float32_reflectance_past_its_range_is_an_overflow():
     cube = hc.HyperCube(data, np.arange(2.0), "radiance")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ShapeMismatchError, match="^reflectance: .*non-finite"):
+        with pytest.raises(DataError, match="^reflectance: .*non-finite"):
             hc.to_reflectance(cube, (0, 0, 1, 2), np.full(2, 0.5))
 
 
@@ -574,15 +566,15 @@ def test_degenerate_panel_raises():
     data = np.ones((4, 4, 4))
     data[:2, :2, 2] = 0.0  # dead band over the panel
     cube = hc.HyperCube(data, wl, "radiance")
-    with pytest.raises(DegeneratePanelError, match="band 2"):
+    with pytest.raises(DataError, match="panel mean is not positive in band 2"):
         hc.to_reflectance(cube, (0, 0, 2, 2), np.full(4, 0.4))
 
 
 def test_panel_region_must_fit():
     cube = hc.HyperCube(np.ones((4, 4, 2)), np.arange(2.0), "radiance")
-    with pytest.raises(ShapeMismatchError, match=r"^panel region \(3,3,2,2\) exceeds cube 4x4$"):
+    with pytest.raises(DataError, match=r"^panel region \(3,3,2,2\) exceeds cube 4x4$"):
         hc.to_reflectance(cube, (3, 3, 2, 2), np.full(2, 0.4))
-    with pytest.raises(ShapeMismatchError, match=r"^panel region \(0,0,0,2\) is empty$"):
+    with pytest.raises(DataError, match=r"^panel region \(0,0,0,2\) is empty$"):
         hc.to_reflectance(cube, (0, 0, 0, 2), np.full(2, 0.4))
 
 
@@ -701,7 +693,7 @@ def test_panel_reflectance_must_be_positive(bad):
     cube = hc.HyperCube(np.ones((2, 2, 3)), 400.0 + np.arange(3.0), "radiance")
     panel_refl = np.full(3, 0.4)
     panel_refl[1] = bad
-    with pytest.raises(DegeneratePanelError, match="positive in every band"):
+    with pytest.raises(DataError, match="positive in every band"):
         hc.to_reflectance(cube, (0, 0, 2, 2), panel_refl)
 
 
@@ -712,21 +704,21 @@ def test_masked_reflectance_still_checks_the_panel_in_dropped_bands():
     mask = hc.band_mask_from_windows(wl, keep_range=(430.0, 510.0))
     assert not mask[0]
     cube = hc.HyperCube(data, wl, "radiance")
-    with pytest.raises(DegeneratePanelError, match=r"band 0 \(400\.0 nm\)"):
+    with pytest.raises(DataError, match=r"band 0 \(400\.0 nm\)"):
         hc.to_reflectance(cube, (0, 0, 2, 2), np.full(6, 0.4), mask)
 
 
 def test_empty_mask_raises():
     cube = hc.HyperCube(np.ones((2, 2, 5)), 400.0 + np.arange(5.0), "radiance")
-    with pytest.raises(EmptyBandMaskError):
+    with pytest.raises(DataError, match=r"^band mask keeps 0 band\(s\); at least 2"):
         hc.apply_band_mask(cube, np.zeros(5, dtype=bool))
     keep_one = np.zeros(5, dtype=bool)
     keep_one[2] = True
-    with pytest.raises(EmptyBandMaskError):
+    with pytest.raises(DataError, match=r"^band mask keeps 1 band\(s\); at least 2"):
         hc.apply_band_mask(cube, keep_one)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match=r"^mask shape \(4,\) does not match band count 5$"):
         hc.apply_band_mask(cube, np.ones(4, dtype=bool))
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match=r"^mask shape \(1, 5\) does not match band count 5$"):
         hc.apply_band_mask(cube, np.ones((1, 5), dtype=bool))
 
 
@@ -735,11 +727,11 @@ def test_crop_bounds():
     sub = cube.crop(1, 1, 2, 2)
     assert sub.data.shape == (2, 2, 2)
     assert np.array_equal(sub.data, cube.data[1:3, 1:3])
-    with pytest.raises(ShapeMismatchError, match=r"^crop \(3,0,2,2\) exceeds cube 4x3$"):
+    with pytest.raises(DataError, match=r"^crop \(3,0,2,2\) exceeds cube 4x3$"):
         cube.crop(3, 0, 2, 2)
-    with pytest.raises(ShapeMismatchError, match=r"^crop \(-1,0,2,2\) exceeds cube 4x3$"):
+    with pytest.raises(DataError, match=r"^crop \(-1,0,2,2\) exceeds cube 4x3$"):
         cube.crop(-1, 0, 2, 2)
-    with pytest.raises(ShapeMismatchError, match=r"^crop \(0,0,2,0\) is empty$"):
+    with pytest.raises(DataError, match=r"^crop \(0,0,2,0\) is empty$"):
         cube.crop(0, 0, 2, 0)
 
 
@@ -766,15 +758,13 @@ def test_panel_csv_round_trip(tmp_path):
 
 
 def test_panel_csv_shape_check(tmp_path):
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DataError, match=r"^wavelengths \(3,\) and reflectance \(4,\) do not"):
         hc.write_panel_reflectance_csv(
             tmp_path / "p.csv", np.arange(3.0), np.arange(4.0)
         )
 
 
 def test_panel_csv_rejects_bad_files(tmp_path):
-    from hyperfield.errors import DataError
-
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("nm,value\n400.0,0.4\n")
     with pytest.raises(DataError, match="header"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hyperfield import gridmap
-from hyperfield.errors import AmbiguousCellError, AnchorError, DataError
+from hyperfield.errors import DataError
 from hyperfield.segment import PlotBox
 
 
@@ -117,7 +117,7 @@ def test_two_boxes_in_one_cell_is_ambiguous():
     boxes.append(PlotBox(top=12, left=17, height=30, width=60, area_px=1800))
     plot_map = make_plot_map(2, 2)
     rl, cl = gridmap.build_grid(boxes[:4], 40, 70)
-    with pytest.raises(AmbiguousCellError, match=r"\(10,15\) and \(12,17\)"):
+    with pytest.raises(DataError, match=r"\(10,15\) and \(12,17\)"):
         gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (0, 0))
 
 
@@ -141,9 +141,9 @@ def test_anchor_validation():
     boxes, _ = grid_boxes(2, 2)
     plot_map = make_plot_map(2, 2)
     rl, cl = gridmap.build_grid(boxes, 40, 70)
-    with pytest.raises(AnchorError, match="not in the plot map"):
+    with pytest.raises(DataError, match="not in the plot map"):
         gridmap.assign_ids(boxes, rl, cl, plot_map, "NOPE", (0, 0))
-    with pytest.raises(AnchorError, match="outside the detected grid"):
+    with pytest.raises(DataError, match="outside the detected grid"):
         gridmap.assign_ids(boxes, rl, cl, plot_map, "P-00-00", (5, 0))
 
 

@@ -6,12 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from hyperfield.errors import (
-    ConfigError,
-    DataError,
-    DivergenceError,
-    ShapeMismatchError,
-)
+from hyperfield.errors import ConfigError, DataError, DivergenceError
 from hyperfield.mlp import (
     DEFAULT_HIDDEN,
     AdamState,
@@ -240,7 +235,7 @@ class TestSplit:
             stratified_split(y, ids, SplitSpec(test_plot_ids=("zz",)))
         with pytest.raises(ConfigError):
             stratified_split(y, ids, SplitSpec(test_plots=4))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DataError, match="^3 yields but 4 plot ids$"):
             stratified_split(np.ones(3), ids, SplitSpec())
 
 
@@ -314,7 +309,7 @@ class TestForward:
 
     def test_feature_width_checked(self):
         model = init_model((4, 3, 1))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DataError, match="^input has 5 features, model expects 4$"):
             forward(model, np.ones((2, 5)))
 
 

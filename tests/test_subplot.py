@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from hyperfield.errors import DataError, EmptyPlotError, ShapeMismatchError
+from hyperfield.errors import DataError
 from hyperfield.subplot import (
     Records,
     allocate_yield,
@@ -80,11 +80,11 @@ class TestTiling:
         assert counts.tolist() == expected
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DataError, match="^window size must be at least 2, got 0$"):
             window_counts(np.ones((30, 30)), 0)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DataError, match="^window size must be at least 2, got 1$"):
             window_counts(np.ones((30, 30)), 1)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DataError, match="^plot extent 0x30 is empty$"):
             window_counts(np.ones((0, 30)), 10)
 
 
@@ -108,9 +108,9 @@ class TestAllocation:
         assert alloc.sum() == pytest.approx(8.0)
 
     def test_empty_plot_raises(self):
-        with pytest.raises(EmptyPlotError):
+        with pytest.raises(DataError, match="^plot has no foreground pixels; nothing to"):
             allocate_yield(np.zeros(6, dtype=int), 5.0)
-        with pytest.raises(EmptyPlotError):
+        with pytest.raises(DataError, match="^plot has no foreground pixels; nothing to"):
             allocate_yield(np.array([]), 5.0)
 
     def test_negative_count_rejected(self):
@@ -192,11 +192,11 @@ class TestBuildRecords:
     def test_all_background_raises(self):
         data = np.ones((20, 20, 3))
         mask = np.zeros((20, 20), dtype=bool)
-        with pytest.raises(EmptyPlotError):
+        with pytest.raises(DataError, match="^plot has no foreground pixels; nothing to"):
             build_records("p1", data, mask, 50.0)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DataError, match=r"^data \(5, 5, 2\) and mask \(6, 5\) do not align$"):
             build_records("p1", np.ones((5, 5, 2)), np.ones((6, 5), dtype=bool), 1.0)
 
 
@@ -214,7 +214,7 @@ class TestRecords:
         ids=["plot-ids", "windows", "yields", "yields-2d", "features", "features-1d"],
     )
     def test_misaligned_columns_rejected(self, columns):
-        with pytest.raises(ShapeMismatchError, match="do not align"):
+        with pytest.raises(DataError, match="do not align"):
             Records(*columns)
 
     def test_length_is_the_row_count(self):
@@ -236,7 +236,7 @@ class TestRecords:
             build_records("p0", *_random_plot(rng, bands=3), 1.0),
             build_records("p1", *_random_plot(rng, bands=4), 1.0),
         ]
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(DataError, match="^records carry differing feature lengths$"):
             Records.concat(parts)
 
     @pytest.mark.parametrize("cuts", [[2], [3, 5], [2, 4]])
