@@ -60,8 +60,8 @@ _DTYPES = {
 }
 
 # Canonical synthetic instrument grid: 240 channels, ~2.2 nm sampling.
-# With the default band mask below it keeps exactly 190 bands, and the
-# red/blue index windows used for segmentation each contain 5 bands.
+# The default ``[calibrate]`` band mask keeps exactly 190 of them, and the
+# default ``[segment]`` red and blue index windows each contain 5.
 BAND_COUNT = 240
 WAVELENGTH_START_NM = 400.0
 WAVELENGTH_STEP_NM = 2.195
@@ -74,13 +74,6 @@ def wavelengths_match(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether grids ``a`` and ``b`` have as many bands, each within
     ``WAVELENGTH_TOL_NM`` of its counterpart. A NaN matches nothing."""
     return a.shape == b.shape and bool((abs(a - b) <= WAVELENGTH_TOL_NM).all())
-
-
-# Default spectral mask: keep the well-behaved 430-870 nm range and
-# drop two atmospheric absorption windows (oxygen near 760 nm, water
-# vapour near 820 nm). Window widths are total widths in nm.
-KEEP_RANGE_NM = (430.0, 870.0)
-ABSORPTION_WINDOWS_NM = ((760.0, 10.0), (820.0, 14.0))
 
 
 def default_wavelengths() -> np.ndarray:
@@ -162,6 +155,14 @@ class HyperCube:
     def crop(self, top: int, left: int, height: int, width: int) -> "HyperCube":
         check_box("crop", (top, left, height, width), self.rows, self.cols)
         return replace(self, data=self.data[top : top + height, left : left + width])
+
+    def read_strips(self) -> Iterator[tuple[int, HyperCube]]:
+        """Every row once, top to bottom, as ``(top, strip)``: crops of
+        ``block_rows`` rows (fewer in the last), as ``CubeStream.read_strips``
+        gives a file's."""
+        height = block_rows(self.cols, self.bands)
+        for top in range(0, self.rows, height):
+            yield top, self.crop(top, 0, min(height, self.rows - top), self.cols)
 
 
 def _paths(path: str | os.PathLike) -> tuple[str, str]:
@@ -267,21 +268,21 @@ def _pwrite(fd: int, run: np.ndarray, offset: int) -> None:
 def write_strips(
     path: str | os.PathLike, header: CubeHeader, strips: Iterable[tuple[int, HyperCube]]
 ) -> None:
-    """Write a cube pair from ``(top, strip)`` pairs, as ``CubeStream.read_strips`` gives them.
+    """Write a cube pair from ``(top, strip)`` pairs, as ``read_strips`` gives them.
 
     A strip holds whole rows from ``top``, every band, in any memory order
-    and sample type. One already in file order and in the header's sample
-    type is written as it is. Any other is copied, an image row at a time,
-    into one payload buffer of the header's type, which is made once and
-    grows only for a taller strip; the copy converts each sample as
-    ``np.ascontiguousarray(..., dtype=)`` would. A strip is done with once
-    the next is asked for. Its runs are written with ``pwrite`` in file
-    order. Every row must be written exactly once, in any order of strips,
-    before the header follows the payload.
+    and sample type, and starts where the one before it ended: the strips
+    cover the rows once, top to bottom. One already in file order and in
+    the header's sample type is written as it is. Any other is copied, an
+    image row at a time, into one payload buffer of the header's type,
+    which is made once and grows only for a taller strip; the copy
+    converts each sample as ``np.ascontiguousarray(..., dtype=)`` would.
+    A strip is done with once the next is asked for. Its runs are written
+    with ``pwrite`` in file order, and the header follows the payload.
     """
     hdr_path, raw_path = _paths(path)
     h = header
-    written = np.zeros(h.rows, dtype=bool)
+    done = 0  # rows written
     buffer = np.empty(0, h.dtype)
     with open(raw_path, "wb") as fh:
         for top, strip in strips:
@@ -291,9 +292,9 @@ def write_strips(
                     f"strip {strip.rows}x{strip.cols}x{strip.bands} at row {top} does not fit "
                     f"a {h.rows}x{h.cols}x{h.bands} cube"
                 )
-            if written[top:bottom].any():
-                raise DataError(f"rows [{top}, {bottom}) overlap rows already written")
-            written[top:bottom] = True
+            if top != done:
+                raise DataError(f"strip at row {top} is out of order: the next row is {done}")
+            done = bottom
             payload = strip.data.transpose(_FILE_AXES[h.interleave])
             if payload.dtype != h.dtype or not payload.flags.c_contiguous:
                 size = strip.rows * h.cols * h.bands
@@ -305,10 +306,8 @@ def write_strips(
                     np.copyto(rows[r], strip.data[r], casting="unsafe")
             for run, offset in _runs(payload, h, top):
                 _pwrite(fh.fileno(), run, offset)
-    if not written.all():
-        raise DataError(
-            f"{h.rows - int(written.sum())} of the cube's {h.rows} rows were not written"
-        )
+    if done != h.rows:
+        raise DataError(f"{h.rows - done} of the cube's {h.rows} rows were not written")
     with open(hdr_path, "w", encoding="utf-8") as fh:
         fh.write(h.text())
 
@@ -667,8 +666,8 @@ def read_panel_reflectance_csv(
 
 def band_mask_from_windows(
     wavelengths: np.ndarray,
-    keep_range: tuple[float, float] = KEEP_RANGE_NM,
-    drop_windows: tuple[tuple[float, float], ...] = ABSORPTION_WINDOWS_NM,
+    keep_range: tuple[float, float],
+    drop_windows: tuple[tuple[float, float], ...],
 ) -> np.ndarray:
     """The spectral mask, a boolean per band: keep a closed range, cut
     absorption windows.

@@ -241,14 +241,20 @@ def write_endmembers_csv(path: str | os.PathLike, endmembers: EndmemberSet) -> N
 
 
 def read_endmembers_csv(path: str | os.PathLike) -> EndmemberSet:
-    """Every column but ``label`` is a band, named by its wavelength."""
-    table = read_table(path, ("label",), extra_floats=True)
+    """Every column but ``label`` is a band, named by its wavelength. Each
+    label is unique, not empty and holds no comma, which would split it
+    in a cube header's ``band labels`` list."""
+    table = read_table(path, ("label",), key="label", extra_floats=True)
+    labels = table.text("label")
+    for i, label in enumerate(labels):
+        if not label or "," in label:
+            raise DataError(f"{table.where(i)}: label {label!r} is empty or holds a comma")
     try:
         wavelengths = np.array([float(name) for name in table.float_columns])
     except ValueError:
         raise DataError(f"{path}: line 1: non-numeric wavelength") from None
     return EndmemberSet(
-        labels=tuple(table.text("label")), wavelengths=wavelengths, spectra=table.floats.T
+        labels=tuple(labels), wavelengths=wavelengths, spectra=table.floats.T
     )
 
 

@@ -44,6 +44,9 @@ class PlotMap:
 def read_plot_map(path: str | os.PathLike) -> PlotMap:
     table = read_table(path, ("plot_id", "field_row", "field_col"), key="plot_id")
     plot_ids, positions = table.ids("plot_id"), table.ints("field_row", "field_col")
+    for i, position in enumerate(positions):
+        if min(position) < 0:
+            raise DataError(f"{table.where(i)}: field position {position} is below 0")
     try:
         return PlotMap(dict(zip(plot_ids, positions)))
     except DataError as exc:  # a shared position: name the row that repeats it

@@ -34,7 +34,6 @@ from .table import write_table
 
 log = logging.getLogger(__name__)
 
-DEFAULT_HIDDEN = (256, 128, 64, 32)
 SIGMA_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"HYPERFIELD-MLP-1\n"
 
@@ -53,12 +52,12 @@ class SplitSpec:
     stratum, so all three partitions see similar yield distributions.
     """
 
-    train_fraction: float = 0.85
-    validation_fraction: float = 0.15
-    strata: int = 10
-    seed: int = 0
-    test_plots: int = 0
-    test_plot_ids: tuple[str, ...] | None = None
+    train_fraction: float
+    validation_fraction: float
+    strata: int
+    seed: int
+    test_plots: int
+    test_plot_ids: tuple[str, ...] | None
 
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
@@ -267,7 +266,7 @@ class MlpModel:
 
 
 def init_model(
-    layer_sizes: tuple[int, ...], seed: int = 0, rng: np.random.Generator | None = None
+    layer_sizes: tuple[int, ...], seed: int, rng: np.random.Generator | None = None
 ) -> MlpModel:
     """Glorot-uniform weights, zero biases."""
     if rng is None:
@@ -384,13 +383,13 @@ def backward(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    seed: int = 0
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    beta1: float
+    beta2: float
+    eps: float
+    seed: int
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -462,8 +461,8 @@ def train(
     train_y: np.ndarray,
     val_x: np.ndarray,
     val_y: np.ndarray,
-    hidden_sizes: tuple[int, ...] = DEFAULT_HIDDEN,
-    config: TrainConfig | None = None,
+    hidden_sizes: tuple[int, ...],
+    config: TrainConfig,
 ) -> tuple[MlpModel, list[EpochLog]]:
     """Fit the regressor; returns the best-validation-epoch model.
 
@@ -478,7 +477,6 @@ def train(
     and the best epoch's parameters are widened to float64 before the
     target scale is folded in.
     """
-    config = config or TrainConfig()
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64).reshape(-1)
     val_x = np.asarray(val_x, dtype=np.float64)

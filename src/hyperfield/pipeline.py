@@ -521,9 +521,7 @@ def _stage_synth(st: _Stage) -> Iterator[None]:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    ref_cube, ref_ems, _ = generate_reference_cube(
-        seed=st.config.getint("synth", "reference_seed")
-    )
+    ref_cube, ref_ems, _ = generate_reference_cube(st.config.getint("synth", "reference_seed"))
     write_cube(ref_cube, st.emit(F_REFERENCE))
     write_endmembers_csv(st.emit(F_REFERENCE_EMS), ref_ems)
 
@@ -551,11 +549,8 @@ def _stage_calibrate(st: _Stage) -> Iterator[None]:
                 f"{panel_path}: the panel's {wavelengths.size} wavelengths do not "
                 f"match the scene's {head.bands} within {WAVELENGTH_TOL_NM} nm"
             )
-        mask = band_mask_from_windows(
-            head.wavelengths,
-            keep_range=st.config.window_nm("calibrate", "keep_nm"),
-            drop_windows=st.config.drop_windows_nm(),
-        )
+        keep = st.config.window_nm("calibrate", "keep_nm")
+        mask = band_mask_from_windows(head.wavelengths, keep, st.config.drop_windows_nm())
         gain, header = panel_calibration(scene, st.config.panel_region(), panel, mask)
         write_strips(
             st.emit(F_REFLECTANCE),
@@ -582,13 +577,13 @@ def _stage_segment(st: _Stage) -> Iterator[None]:
     red = st.config.window_nm("segment", "red_window_nm")
     blue = st.config.window_nm("segment", "blue_window_nm")
     with CubeStream(stem) as cube:
-        plane = ndpsi(cube, red_window=red, blue_window=blue)
+        plane = ndpsi(cube, red, blue)
     threshold = st.config.segment_threshold()
     if threshold is None:  # computed here, not in threshold_mask: threshold.txt records it
         threshold = otsu_threshold(plane)
     mask = threshold_mask(plane, threshold)
     se = (st.config.getint("segment", "se_rows"), st.config.getint("segment", "se_cols"))
-    mask = binary_open(fill_holes(mask), se=se)
+    mask = binary_open(fill_holes(mask), se)
     boxes = extract_plots(mask, st.config.getint("segment", "min_area_px"))
     write_pgm(st.emit(F_SEG_SCORE), plane)
     write_pbm(st.emit(F_SEG_MASK), mask)
@@ -684,9 +679,7 @@ def _stage_unmix(st: _Stage) -> Iterator[None]:
     with CubeStream(stem) as cube:
         endmembers = endmembers.subset_for_wavelengths(cube.wavelengths)
         abundances, residual = unmix_cube(cube, endmembers)
-    foreground = sl_mask(
-        abundances, spike_label=spike_label, leaf_label=leaf_label, threshold=threshold
-    )
+    foreground = sl_mask(abundances, spike_label, leaf_label, threshold)
     write_cube(abundances.to_cube(), st.emit(F_ABUNDANCES))
     write_pbm(st.emit(F_SL_MASK), foreground)
     _float_line(st.emit(F_RESIDUAL), residual)
@@ -762,13 +755,16 @@ def _stage_dataset(st: _Stage) -> Iterator[None]:
     log.info("dataset: %d sub-plot records from %d plots", len(records), len(assigned))
 
 
+_ROLES = ("train", "validation", "test")  # of a record in split.csv and predictions.csv
+
+
 def _read_split_csv(path: str, count: int) -> dict[str, np.ndarray]:
     """Record indices per role; each index in [0, count) and listed once."""
     import numpy as np
 
     from .table import read_table
 
-    roles: dict[str, list[int]] = {"train": [], "validation": [], "test": []}
+    roles: dict[str, list[int]] = {role: [] for role in _ROLES}
     seen: set[int] = set()
     table = read_table(path, ("index", "role"))
     for i, ((index,), role) in enumerate(zip(table.ints("index"), table.text("role"))):
@@ -794,19 +790,14 @@ def _stage_train(st: _Stage) -> Iterator[None]:
     x, y = records.features, records.yields
     split = stratified_split(y, records.plot_ids, st.config.split_spec())
     model, logbook = train(
-        x[split.train],
-        y[split.train],
-        x[split.validation],
-        y[split.validation],
-        hidden_sizes=st.config.hidden_sizes(),
-        config=st.config.train_config(),
+        x[split.train], y[split.train], x[split.validation], y[split.validation],
+        st.config.hidden_sizes(), st.config.train_config(),
     )
     save_model(model, st.emit(F_MODEL))
     write_training_log_csv(st.emit(F_TRAIN_LOG), logbook)
-    rows = [(i, "train") for i in split.train.tolist()]
-    rows += [(i, "validation") for i in split.validation.tolist()]
-    rows += [(i, "test") for i in split.test.tolist()]
-    write_table(st.emit(F_SPLIT), ["index", "role"], sorted(rows), line_end="\n")
+    parts = zip(_ROLES, (split.train, split.validation, split.test))
+    rows = sorted((i, role) for role, part in parts for i in part.tolist())
+    write_table(st.emit(F_SPLIT), ["index", "role"], rows, line_end="\n")
     log.info(
         "train: %d/%d/%d records (train/val/test), best epoch %d",
         split.train.size, split.validation.size, split.test.size, model.best_epoch,
@@ -881,11 +872,16 @@ def read_metrics_csv(path: str | os.PathLike) -> dict[str, str]:
 
 
 def _read_scatter_rows(path: str) -> list[tuple[float, float, str]]:
-    """(actual_g, predicted_g, role) of each evaluate prediction row; both numbers finite."""
+    """(actual_g, predicted_g, role) of each evaluate prediction row; both numbers
+    finite, and the role one of ``_ROLES``."""
     from .table import read_table
 
     table = read_table(path, ("role",), floats=("actual_g", "predicted_g"))
-    return [(*numbers, role) for numbers, role in zip(table.floats.tolist(), table.text("role"))]
+    roles = table.text("role")
+    for i, role in enumerate(roles):
+        if role not in _ROLES:
+            raise DataError(f"{table.where(i)}: unknown role {role!r}")
+    return [(*numbers, role) for numbers, role in zip(table.floats.tolist(), roles)]
 
 
 def _stage_report(st: _Stage) -> Iterator[None]:
@@ -910,6 +906,9 @@ def _stage_report(st: _Stage) -> Iterator[None]:
     rows, cols, _ = abund.values.shape
     assigned = _assigned_plots(assignment_path, rows, cols)
     records = st.records(records_path)
+    unassigned = set(records.plot_ids).difference(plot.plot_id for plot in assigned)
+    if unassigned:
+        raise DataError(f"{records_path}: plot {min(unassigned)!r} has no row in {assignment_path}")
     metrics = read_metrics_csv(metrics_path)
     missing = [name for name in _SUMMARY_METRICS if name not in metrics]
     if missing:
@@ -941,7 +940,7 @@ def _stage_report(st: _Stage) -> Iterator[None]:
             continue
         shape = window_grid_shape(plot.box.height, plot.box.width, window_px)
         fraction, label = middle_third_ratio(
-            records.windows[rows], records.yields[rows], *shape, tau=tau
+            records.windows[rows], records.yields[rows], *shape, tau
         )
         thirds.append((plot.plot_id, fraction, label))
     write_table(

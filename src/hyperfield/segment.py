@@ -17,12 +17,6 @@ from .cube import CubeStream, HyperCube
 from .errors import DataError
 from .table import read_table, write_table
 
-RED_WINDOW_NM = (665.0, 675.0)
-BLUE_WINDOW_NM = (445.0, 455.0)
-
-DEFAULT_SE = (10, 5)
-DEFAULT_MIN_AREA_PX = 1000
-
 
 @dataclass(frozen=True)
 class PlotBox:
@@ -60,9 +54,7 @@ def _band_mean(data: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def ndpsi(
-    cube: HyperCube | CubeStream,
-    red_window: tuple[float, float] = RED_WINDOW_NM,
-    blue_window: tuple[float, float] = BLUE_WINDOW_NM,
+    cube: HyperCube | CubeStream, red_window: tuple[float, float], blue_window: tuple[float, float]
 ) -> np.ndarray:
     """Normalized-difference senescence index plane.
 
@@ -70,16 +62,15 @@ def ndpsi(
     window, over their sum. Pixels with a zero denominator map to 0.
     Bounded by [-1, 1] for non-negative reflectance.
 
-    Both windows are checked before any sample is read. A ``CubeStream``
-    is read in ``read_strips``' row strips, never whole. Each mean sums
-    its bands as float64 in band order, so neither the strips nor the
-    memory order or sample type change the bits.
+    Both windows are checked before any sample is read. The cube is read
+    in ``read_strips``' row strips, never whole. Each mean sums its bands
+    as float64 in band order, so neither the strips nor the memory order
+    or sample type change the bits.
     """
     red_idx = window_indices(cube.wavelengths, red_window)
     blue_idx = window_indices(cube.wavelengths, blue_window)
-    strips = cube.read_strips() if isinstance(cube, CubeStream) else [(0, cube)]
     out = np.zeros((cube.rows, cube.cols))
-    for top, strip in strips:
+    for top, strip in cube.read_strips():
         red = _band_mean(strip.data, red_idx)
         blue = _band_mean(strip.data, blue_idx)
         den = red + blue
@@ -205,7 +196,7 @@ def _window_counts(mask: np.ndarray, size: int, offset: int, axis: int) -> np.nd
     return np.take(total, hi, axis=axis) - np.take(total, lo, axis=axis)
 
 
-def binary_open(mask: np.ndarray, se: tuple[int, int] = DEFAULT_SE) -> np.ndarray:
+def binary_open(mask: np.ndarray, se: tuple[int, int]) -> np.ndarray:
     """Morphological opening with a flat rectangular structuring element.
 
     Pixels outside the image are background, so blobs touching the border
@@ -228,7 +219,7 @@ def binary_open(mask: np.ndarray, se: tuple[int, int] = DEFAULT_SE) -> np.ndarra
     return mask
 
 
-def extract_plots(mask: np.ndarray, min_area_px: int = DEFAULT_MIN_AREA_PX) -> list[PlotBox]:
+def extract_plots(mask: np.ndarray, min_area_px: int) -> list[PlotBox]:
     """Bounding boxes of 8-connected components with enough area.
 
     Boxes are ordered by (top, left), ties in raster-scan order of the

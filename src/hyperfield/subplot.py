@@ -24,9 +24,6 @@ import numpy as np
 from .errors import DataError
 from .table import is_safe_id, read_table, write_table
 
-DEFAULT_WINDOW_PX = 15
-DEFAULT_MIDDLE_TAU = 0.05
-
 
 def write_yields_csv(path: str | os.PathLike, yields: dict[str, float]) -> None:
     """One row per plot, in the order of ``yields``."""
@@ -48,7 +45,7 @@ def window_grid_shape(rows: int, cols: int, window_px: int) -> tuple[int, int]:
     return (rows + window_px - 1) // window_px, (cols + window_px - 1) // window_px
 
 
-def window_counts(mask: np.ndarray, window_px: int = DEFAULT_WINDOW_PX) -> np.ndarray:
+def window_counts(mask: np.ndarray, window_px: int) -> np.ndarray:
     """Foreground pixel count of every window, as the plot's window grid.
 
     The mask is padded with background up to whole windows, so the edge
@@ -80,7 +77,7 @@ def allocate_yield(counts: np.ndarray, plot_yield: float) -> np.ndarray:
 
 
 def extract_features(
-    data: np.ndarray, mask: np.ndarray, row: int, col: int, window_px: int = DEFAULT_WINDOW_PX
+    data: np.ndarray, mask: np.ndarray, row: int, col: int, window_px: int
 ) -> np.ndarray:
     """Feature vector of the window at grid position (row, col): band
     means, band stds, pixel count.
@@ -155,11 +152,7 @@ class Records:
 
 
 def build_records(
-    plot_id: str,
-    data: np.ndarray,
-    mask: np.ndarray,
-    plot_yield: float,
-    window_px: int = DEFAULT_WINDOW_PX,
+    plot_id: str, data: np.ndarray, mask: np.ndarray, plot_yield: float, window_px: int
 ) -> Records:
     """Tile, allocate, and featurize one plot crop.
 
@@ -224,11 +217,7 @@ def read_records_csv(path: str | os.PathLike) -> Records:
 
 
 def middle_third_ratio(
-    windows: np.ndarray,
-    yields: np.ndarray,
-    n_window_rows: int,
-    n_window_cols: int,
-    tau: float = DEFAULT_MIDDLE_TAU,
+    windows: np.ndarray, yields: np.ndarray, n_window_rows: int, n_window_cols: int, tau: float
 ) -> tuple[float, str]:
     """Fraction of plot yield in the middle third of the long axis.
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import load_config
 from .cube import HyperCube, default_wavelengths
 from .endmember import EndmemberSet
 from .errors import ConfigError, DataError
@@ -36,6 +37,9 @@ REFERENCE_PATCH_PX = 12  # side of each pure patch in the reference cube
 
 _MARGIN_PX = 16
 _PANEL_TOP_MARGIN_PX = 40
+# (top, left, height, width) of the reference panel: in the top margin, where
+# ``[calibrate]`` reads it by default. A narrow field widens the right margin.
+_PANEL_REGION = load_config().panel_region()
 _SL_LO, _SL_SPAN = 0.55, 0.40          # foreground mixing fraction range
 _BARE_LO, _BARE_SPAN = 0.25, 0.20      # in-plot background range
 _ALLEY_LO, _ALLEY_SPAN = 0.02, 0.10    # alley and margin range
@@ -82,21 +86,21 @@ def illumination_spectrum(wavelengths: np.ndarray) -> np.ndarray:
 class SynthSpec:
     """Everything that determines a generated scene."""
 
-    seed: int = 0
-    grid_rows: int = 8
-    grid_cols: int = 8
-    plot_height_px: int = 30
-    plot_width_px: int = 90
-    alley_px: int = 12
-    jitter_px: int = 2
-    window_px: int = 15
-    density_range: tuple[float, float] = (0.3, 0.8)
-    margin_boost: float = 1.0
-    side_heavy_fraction: float = 0.0
-    snr_db: float | None = None
-    yield_per_sl_pixel: float = 0.2
-    target_subplot_r2: float | None = None
-    yield_noise_sigma: float | None = None
+    seed: int
+    grid_rows: int
+    grid_cols: int
+    plot_height_px: int
+    plot_width_px: int
+    alley_px: int
+    jitter_px: int
+    window_px: int
+    density_range: tuple[float, float]
+    margin_boost: float
+    side_heavy_fraction: float
+    snr_db: float | None
+    yield_per_sl_pixel: float
+    target_subplot_r2: float | None
+    yield_noise_sigma: float | None
 
     def __post_init__(self):
         for name in ("margin_boost", "snr_db", "yield_per_sl_pixel", "yield_noise_sigma"):
@@ -142,18 +146,10 @@ class SynthSpec:
 
     @property
     def scene_shape(self) -> tuple[int, int]:
-        rows = (
-            _PANEL_TOP_MARGIN_PX
-            + self.grid_rows * self.plot_height_px
-            + (self.grid_rows - 1) * self.alley_px
-            + _MARGIN_PX
-        )
-        cols = (
-            2 * _MARGIN_PX
-            + self.grid_cols * self.plot_width_px
-            + (self.grid_cols - 1) * self.alley_px
-        )
-        return rows, cols
+        rows = _PANEL_TOP_MARGIN_PX + self.grid_rows * self.pitch_row_px - self.alley_px
+        cols = 2 * _MARGIN_PX + self.grid_cols * self.pitch_col_px - self.alley_px
+        _, left, _, width = _PANEL_REGION
+        return rows + _MARGIN_PX, max(cols, left + width + _MARGIN_PX)
 
 
 @dataclass
@@ -334,8 +330,7 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
     planes[:, :, 3] = (1.0 - s) * (1.0 - soil_share)
     planes[:, :, 4] = 0.0
 
-    panel_region = (8, _MARGIN_PX, 18, min(50, cols - 2 * _MARGIN_PX))
-    pt, pl, ph_, pw_ = panel_region
+    pt, pl, ph_, pw_ = _PANEL_REGION
     planes[pt : pt + ph_, pl : pl + pw_, :] = 0.0
     planes[pt : pt + ph_, pl : pl + pw_, 4] = 1.0
     abundances = AbundanceMap(values=planes, labels=SCENE_LABELS)
@@ -387,7 +382,7 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
         plot_yields=plot_yields,
         window_yields=window_yields,
         side_heavy=side_heavy,
-        panel_region=panel_region,
+        panel_region=_PANEL_REGION,
         panel_reflectance=library.spectra[:, library.index_of("panel")].copy(),
         illumination=illum,
         yield_noise_sigma=sigma_y,
@@ -398,7 +393,7 @@ def generate_scene(spec: SynthSpec) -> tuple[SceneRadiance, SynthTruth]:
 
 
 def generate_reference_cube(
-    seed: int = 0,
+    seed: int,
 ) -> tuple[HyperCube, EndmemberSet, dict[str, tuple[int, int, int, int]]]:
     """Close-range reflectance cube with one pure patch per crop class.
 

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import CubeStream, HyperCube, block_rows, wavelengths_match
+from .cube import CubeStream, HyperCube, wavelengths_match
 from .endmember import EndmemberSet
 from .errors import DataError
 from .netpbm import write_ppm
 from .pairwise import PairwiseSum
 
-SL_THRESHOLD = 0.5
 MAX_ENDMEMBERS = 12  # supports grow as 2^e; beyond this enumeration is misuse
 
 _FEAS_EPS = 1e-12
@@ -236,9 +235,8 @@ def unmix_cube(
     """Unmix every pixel of a cube against the endmember set.
 
     Returns the abundance map and the Frobenius residual ||X - W H||_F.
-    A ``CubeStream`` is read in ``read_strips``' row strips, never whole,
-    and an in-memory cube is cut into strips of the same ``block_rows``
-    height. Each strip's pixels are solved in row-major order, in blocks
+    The cube is read in ``read_strips``' row strips of ``block_rows``
+    height, never whole. Each strip's pixels are solved in row-major order, in blocks
     of near-equal size that would take at most the strip's own bytes as
     float64: two blocks for a float32 strip of an even pixel count. A
     block's correlations and squared norms are filled from float64
@@ -263,17 +261,11 @@ def unmix_cube(
     cols, bands = cube.cols, cube.bands
     out = np.empty((e, cube.rows * cols))
     sq_resid = PairwiseSum(cube.rows * cols)  # the bits of one sum over the whole plane
-    if isinstance(cube, CubeStream):
-        strips = cube.read_strips()
-    else:
-        height = min(block_rows(cols, bands), cube.rows)
-        tops = range(0, cube.rows, height)
-        strips = ((top, cube.crop(top, 0, min(height, cube.rows - top), cols)) for top in tops)
     # each pixel's spectrum contiguous whatever the cube's memory order:
     # the summation order, and so the correlations' bits, depend on it.
     # One copy of up to a row, and at least 3 pixels, is reused.
     copy = np.empty((bands, max(3, cols)), order="F")
-    for top, strip in strips:
+    for top, strip in cube.read_strips():
         pixels = strip.data.reshape(-1, bands)
         # near-equal blocks of at most ``step`` >= 3 pixels: none holds just one
         step = max(3, strip.data.nbytes // (8 * bands))
@@ -306,12 +298,7 @@ def unmix_cube(
 # spike+leaf mask
 
 
-def sl_mask(
-    abund: AbundanceMap,
-    spike_label: str = "spike",
-    leaf_label: str = "leaf",
-    threshold: float = SL_THRESHOLD,
-) -> np.ndarray:
+def sl_mask(abund: AbundanceMap, spike_label: str, leaf_label: str, threshold: float) -> np.ndarray:
     """Foreground where spike + leaf abundance strictly exceeds the threshold.
 
     With exact sum-to-one abundances and four members this is the same

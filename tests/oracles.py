@@ -17,7 +17,6 @@ from hyperfield.errors import DataError, DivergenceError
 from hyperfield.mlp import (
     SIGMA_FLOOR,
     EpochLog,
-    TrainConfig,
     forward,
     init_model,
     standardize_apply,
@@ -339,14 +338,13 @@ def adam_step_lists(params, grads, state, config):
         p -= config.learning_rate * (m / c1) / (np.sqrt(v / c2) + config.eps)
 
 
-def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config=None, dtype=np.float32):
+def train_lists(train_x, train_y, val_x, val_y, hidden_sizes, config, dtype=np.float32):
     """``mlp.train``'s arithmetic, one array at a time and one epoch after another.
 
     Standardization, the gram-scale errors and the returned model are
     float64; the network trains on ``dtype`` copies of the standardized
     features and targets (float32, as ``mlp.train`` does, by default).
     """
-    config = config or TrainConfig()
     train_x = np.asarray(train_x, dtype=np.float64)
     train_y = np.asarray(train_y, dtype=np.float64).reshape(-1)
     val_x = np.asarray(val_x, dtype=np.float64)

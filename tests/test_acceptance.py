@@ -15,6 +15,7 @@ window-size tie tradeoff, and byte-level determinism.
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from oracles import (
 )
 
 from hyperfield import cli
+from hyperfield.config import load_config
 from hyperfield.cube import (
     HyperCube,
     band_mask_from_windows,
@@ -65,6 +67,16 @@ from hyperfield.synth import (
 )
 from hyperfield.unmix import unmix_cube
 
+CONFIG = load_config(None)
+# [calibrate]'s default kept range and dropped windows, [segment]'s index windows
+MASK_NM = (CONFIG.window_nm("calibrate", "keep_nm"), CONFIG.drop_windows_nm())
+INDEX_WINDOWS = tuple(CONFIG.window_nm("segment", f"{c}_window_nm") for c in ("red", "blue"))
+
+
+def synth_spec(**changes) -> SynthSpec:
+    """``[synth]``'s defaults with ``changes``."""
+    return replace(CONFIG.synth_spec(), **changes)
+
 
 def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
     line = f"acceptance {number:02d} {name}: {'PASS' if ok else 'FAIL'}"
@@ -77,7 +89,7 @@ def _verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
 def _masked_crop_endmembers() -> tuple[np.ndarray, np.ndarray]:
     """Crop spectra restricted to the default analysis bands."""
     grid = default_wavelengths()
-    keep = band_mask_from_windows(grid)
+    keep = band_mask_from_windows(grid, *MASK_NM)
     library = endmember_library().select(CROP_LABELS)
     return library.spectra[keep], grid[keep]
 
@@ -235,7 +247,7 @@ def test_03_pure_pixels_selected_volume_maximal():
 # 4. allocation conserves the plot yield
 
 def test_04_allocation_conserves_plot_yield():
-    _, truth = generate_scene(SynthSpec(seed=11, snr_db=35.0))
+    _, truth = generate_scene(synth_spec(seed=11, snr_db=35.0))
     worst = 0.0
     cases = 0
     for pid, box in sorted(truth.boxes.items()):
@@ -287,6 +299,7 @@ def test_05_split_counts_and_stratum_rounding():
         validation_fraction=0.15,
         strata=10,
         seed=0,
+        test_plots=0,
         test_plot_ids=tuple(test_ids),
     )
     split = stratified_split(yields, record_plots, spec)
@@ -501,17 +514,17 @@ def test_09_detection_overlap():
     results = []
     ok = True
     for snr_db, gate in ((None, 0.95), (30.0, 0.90)):
-        cube, truth, _ = scene_cube(SynthSpec(seed=7, snr_db=snr_db))
+        cube, truth, _ = scene_cube(synth_spec(seed=7, snr_db=snr_db))
         reflectance = to_reflectance(
             cube, truth.panel_region, truth.panel_reflectance
         )
-        keep = band_mask_from_windows(reflectance.wavelengths)
+        keep = band_mask_from_windows(reflectance.wavelengths, *MASK_NM)
         masked = HyperCube(
             data=reflectance.data[:, :, keep],
             wavelengths=reflectance.wavelengths[keep],
             units="reflectance",
         )
-        plane = ndpsi(masked)
+        plane = ndpsi(masked, *INDEX_WINDOWS)
         mask = threshold_mask(plane, otsu_threshold(plane))
         mask = binary_open(fill_holes(mask), se=(10, 5))
         detected = extract_plots(mask, 1000)
@@ -532,7 +545,7 @@ def test_10_window_size_tie_ordering():
     violations = 0
     last = {}
     for seed in range(20):
-        _, truth = generate_scene(SynthSpec(seed=900 + seed, grid_rows=3, grid_cols=3))
+        _, truth = generate_scene(synth_spec(seed=900 + seed, grid_rows=3, grid_cols=3))
         fractions = {}
         for window in (10, 15, 20):
             parts = []

@@ -17,6 +17,7 @@ import pytest
 from hyperfield import cube as hc
 from hyperfield import pipeline
 from hyperfield.cli import main
+from hyperfield.config import load_config
 
 from processes import run_child
 from test_cli import TINY_INI
@@ -184,6 +185,25 @@ def test_float32_reflectance_past_its_range_exits_4_and_keeps_the_old_output(
     assert _calibrate(ini, out, "--stage-force") == 4
     assert "error: reflectance: cube data contains non-finite samples" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in (out / "calibrate").iterdir()} == before
+
+
+@pytest.mark.parametrize("plot_width_px", [40, 20])
+def test_a_narrow_synth_field_calibrates_its_panel_to_the_known_reflectance(
+    tmp_path, plot_width_px
+):
+    """Synth draws its panel whole where calibrate reads it by default: a margin
+    pixel in that region would enter every band's gain."""
+    ini = tmp_path / "narrow.ini"
+    ini.write_text(f"[synth]\ngrid_rows = 2\ngrid_cols = 1\nplot_width_px = {plot_width_px}\n")
+    out = tmp_path / "out"
+    for command in ("synth", "calibrate"):
+        assert main([command, "--out", str(out), "--config", str(ini)]) == 0
+    region = json.loads((out / "synth" / "truth.json").read_text())["panel_region"]
+    assert tuple(region) == load_config(None).panel_region()
+    top, left, height, width = region
+    reflectance = hc.read_cube(out / "calibrate" / "reflectance")
+    panel = reflectance.data[top : top + height, left : left + width]
+    assert np.allclose(panel, 0.4, rtol=1e-6, atol=0.0)  # the library panel's reflectance
 
 
 @pytest.mark.parametrize("interleave", ["bsq", "bil"])

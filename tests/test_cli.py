@@ -22,7 +22,7 @@ import hyperfield
 from hyperfield import cube as cube_module
 from hyperfield import cli, errors, mlp, pipeline, subplot, unmix
 from hyperfield.cli import main
-from hyperfield.config import DEFAULTS, load_config
+from hyperfield.config import DEFAULTS, PipelineConfig, load_config
 from hyperfield.cube import read_cube, write_cube
 from hyperfield.errors import ConfigError, DataError
 from hyperfield.pipeline import (
@@ -221,6 +221,49 @@ def test_stage_config_hashes_match_recorded_manifests():
     config = load_config(None)
     found = {name: config.config_hash(stage.sections) for name, stage in STAGES.items()}
     assert found == _DEFAULT_STAGE_HASHES
+
+
+class _RecordingConfig(PipelineConfig):
+    """Notes each ``(stage, section, key)`` it is read for: ``stage`` is the
+    stage whose body started last."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.stage = None
+        self.reads = set()
+
+    def get(self, section, key):
+        self.reads.add((self.stage, section, key))
+        return super().get(section, key)
+
+
+def test_each_stage_reads_only_the_config_sections_its_manifest_hashes(tmp_path, monkeypatch):
+    """A body that read a section its config hash leaves out would be skipped
+    when that section changed."""
+    def recorded(name, body):
+        def run(st):
+            st.config.stage = name
+            yield from body(st)
+        return run
+
+    for name, stage in list(STAGES.items()):
+        monkeypatch.setitem(STAGES, name, stage._replace(body=recorded(name, stage.body)))
+    ini = tmp_path / "config.ini"
+    ini.write_text(TINY_INI.replace("epochs = 30", "epochs = 2"))
+    config = _RecordingConfig(load_config(ini).values)
+    out = tmp_path / "out"
+    config.set("output", "dir", str(out))
+    pipeline.run_all(config, True, ("synth",))
+    pipeline.run_all(config, True)
+    # and the endmembers read from a table instead of the reference cube
+    shutil.copy(out / "endmembers" / "endmembers.csv", tmp_path / "ems.csv")
+    config.set("endmembers", "source", "csv")
+    config.set("endmembers", "csv", str(tmp_path / "ems.csv"))
+    pipeline.run_all(config, True, ("endmembers",))
+    reads = {read for read in config.reads if read[1:] != ("output", "dir")}
+    assert ("endmembers", "endmembers", "csv") in reads
+    assert {stage for stage, _, _ in reads} == set(STAGES) - {"evaluate"}
+    assert sorted(read for read in reads if read[1] not in STAGES[read[0]].sections) == []
 
 
 def test_stage_order_is_the_pipeline_order():
@@ -1658,8 +1701,11 @@ def test_damaged_mask_exits_4(memo_run, capsys, damage):
         ),
         ("role,actual_g,predicted_g\ntest,1.0,x\n", "line 2: non-numeric value 'x' in predicted_g"),
         ("role,actual_g,predicted_g\ntest,1.0,nan\n", "line 2: non-finite value nan in predicted_g"),
+        ("role,actual_g,predicted_g\ntest,1.0,2.0\nbogus,1.0,2.0\n", "line 3: unknown role 'bogus'"),
+        ("role,actual_g,predicted_g\n,1.0,2.0\n", "line 2: unknown role ''"),
     ],
-    ids=["empty", "no-columns", "short-row", "actual-x", "predicted-x", "predicted-nan"],
+    ids=["empty", "no-columns", "short-row", "actual-x", "predicted-x", "predicted-nan",
+         "unknown-role", "empty-role"],
 )
 def test_malformed_predictions_exit_4(memo_run, capsys, text, message):
     ini, out = memo_run
@@ -1667,6 +1713,23 @@ def test_malformed_predictions_exit_4(memo_run, capsys, text, message):
     assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
     err = capsys.readouterr().err
     assert "predictions.csv" in err and message in err
+
+
+def test_report_rejects_a_records_plot_that_no_assignment_row_names(memo_run, capsys):
+    """train and evaluate take a renamed plot id as it is; report joins the
+    records to the plots it maps."""
+    ini, out = memo_run
+    records = out / "dataset" / "records.csv"
+    lines = records.read_text().splitlines()
+    lines[1] = "ZZZ" + lines[1][lines[1].index(","):]
+    records.write_text("\n".join(lines) + "\n")
+    for stage in ("train", "evaluate"):
+        assert main([stage, "--out", str(out), "--config", str(ini)]) == 0
+    summary = (out / "report" / "summary.txt").read_bytes()
+    assert main(["report", "--out", str(out), "--config", str(ini)]) == 4
+    assert f"records.csv: plot 'ZZZ' has no row in {out / 'gridmap' / 'assignment.csv'}" in \
+        capsys.readouterr().err
+    assert (out / "report" / "summary.txt").read_bytes() == summary
 
 
 @pytest.mark.parametrize("stage", ["train", "evaluate", "report"])
@@ -1719,12 +1782,15 @@ def _csv_field(text: str) -> str:
         ("short", "line 2: expected 3 fields"),
         ("value", "line 3: field_row, field_col must be integers"),
         ("position", "line 3: plots 'P0000' and 'P0001' share field position (0, 0)"),
+        ("negative-row", "line 3: field position (-1, 1) is below 0"),
+        ("negative-col", "line 3: field position (0, -1) is below 0"),
         *[
             (("id", plot_id), f"line 17: plot id {plot_id!r} is unsafe as a file name")
             for plot_id in UNSAFE_PLOT_IDS
         ],
     ],
-    ids=["rename", "short", "value", "position", *(f"id-{repr(p)[1:-1]}" for p in UNSAFE_PLOT_IDS)],
+    ids=["rename", "short", "value", "position", "negative-row", "negative-col",
+         *(f"id-{repr(p)[1:-1]}" for p in UNSAFE_PLOT_IDS)],
 )
 def test_malformed_plot_map_exits_4(memo_run, tmp_path, capsys, damage, message):
     ini, out = memo_run
@@ -1738,6 +1804,10 @@ def test_malformed_plot_map_exits_4(memo_run, tmp_path, capsys, damage, message)
         lines[2] = lines[2] + ".5"
     elif damage == "position":
         lines[2] = lines[2].split(",")[0] + "," + lines[1].split(",", 1)[1]
+    elif damage == "negative-row":
+        lines[2] = lines[2].split(",")[0] + ",-1,1"
+    elif damage == "negative-col":
+        lines[2] = lines[2].split(",")[0] + ",0,-1"
     else:  # rename the last plot, in the field book and in the yields
         old, position = lines[-1].split(",", 1)
         new = _csv_field(damage[1])
@@ -1849,8 +1919,11 @@ def test_malformed_panel_csv_exits_4(memo_run, capsys, damage, message):
         ("wavelength", "line 1: non-numeric wavelength"),
         ("value", "line 2: non-numeric value"),
         ("short", "line 3: expected "),
+        ("empty-label", "line 3: label '' is empty or holds a comma"),
+        ("comma-label", "line 3: label 'a,b' is empty or holds a comma"),
+        ("repeated-label", "line 3: duplicate label "),
     ],
-    ids=["wavelength", "value", "short"],
+    ids=["wavelength", "value", "short", "empty-label", "comma-label", "repeated-label"],
 )
 def test_malformed_endmembers_csv_exits_4(memo_run, capsys, damage, message):
     ini, out = memo_run
@@ -1860,6 +1933,9 @@ def test_malformed_endmembers_csv_exits_4(memo_run, capsys, damage, message):
         lines[0] = lines[0].replace(",", ",nm", 1)
     elif damage == "value":
         lines[1] = lines[1].replace(",", ",x", 1)
+    elif damage.endswith("-label"):
+        label = {"empty-label": "", "comma-label": '"a,b"'}.get(damage, lines[1].split(",")[0])
+        lines[2] = label + lines[2][lines[2].index(","):]
     else:
         lines[2] = lines[2].rsplit(",", 1)[0]
     ems.write_text("\n".join(lines) + "\n")

@@ -14,7 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperfield import cube as hc
+from hyperfield.config import load_config
 from hyperfield.errors import DataError
+
+CONFIG = load_config(None)
+# [calibrate]'s default kept range and dropped windows
+KEEP_NM, DROP_NM = CONFIG.window_nm("calibrate", "keep_nm"), CONFIG.drop_windows_nm()
 
 
 def random_cube(rng, rows=10, cols=10, bands=19, dtype=np.float32, units="radiance"):
@@ -261,11 +266,12 @@ def test_strips_cover_every_row_once_and_end_only_at_cuts(tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize("interleave", hc.INTERLEAVES)
-def test_strips_written_in_any_order_give_the_whole_cube(tmp_path, interleave):
+def test_strips_written_top_to_bottom_give_the_whole_cube(tmp_path, interleave):
     cube = random_cube(np.random.default_rng(12), rows=7, cols=5, bands=6, dtype=np.float64)
     hc.write_cube(cube, tmp_path / "whole", interleave)
     header = hc.CubeHeader.of(cube, interleave)
-    strips = [(top, cube.crop(top, 0, height, cube.cols)) for top, height in [(4, 3), (0, 1), (1, 3)]]
+    bounds = [(0, 1), (1, 3), (4, 3)]
+    strips = [(top, cube.crop(top, 0, height, cube.cols)) for top, height in bounds]
     hc.write_strips(tmp_path / "strips", header, strips)
     for suffix in (".hdr", ".raw"):
         assert (tmp_path / f"strips{suffix}").read_bytes() == \
@@ -280,33 +286,32 @@ def test_strips_written_in_any_order_give_the_whole_cube(tmp_path, interleave):
     # the memory order of each strip: that of an interleave's file order,
     # so "bip" is C order and "bsq" band-major, as ``read_strips`` gives bsq
     layout=st.sampled_from(hc.INTERLEAVES),
-    # (height, rank) per strip from the top; strips go to the writer by rank
-    parts=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 5)), min_size=1, max_size=5),
+    # the height of each strip from the top
+    heights=st.lists(st.integers(1, 6), min_size=1, max_size=5),
     seed=st.integers(0, 2**16),
 )
 @example(interleave="bsq", file_type="float32", source_type=np.float64, layout="bip",
-         parts=[(1, 0), (5, 1)], seed=0)
+         heights=[1, 5], seed=0)
 @example(interleave="bsq", file_type="float32", source_type=np.float32, layout="bsq",
-         parts=[(3, 1), (2, 0), (6, 2)], seed=1)
+         heights=[3, 2, 6], seed=1)
 def test_strips_are_written_as_the_whole_cube_cast_in_file_order(
-    interleave, file_type, source_type, layout, parts, seed
+    interleave, file_type, source_type, layout, heights, seed
 ):
-    """Any strips, in any order, give the bytes of one transposing cast of the whole cube."""
+    """Any strips give the bytes of one transposing cast of the whole cube."""
     cols, bands = 4, 5
     wavelengths = 400.0 + np.arange(bands)
-    rows = sum(height for height, _ in parts)
+    rows = sum(heights)
     whole = np.random.default_rng(seed).normal(0.0, 1e3, (rows, cols, bands)).astype(source_type)
-    tops = np.cumsum([0] + [height for height, _ in parts])
+    tops = np.cumsum([0] + heights)
     strips = []
-    for (height, rank), top in zip(parts, tops.tolist()):
+    for height, top in zip(heights, tops.tolist()):
         stored = np.ascontiguousarray(whole[top : top + height].transpose(hc._FILE_AXES[layout]))
         data = hc._rows_cols_bands(stored, layout)
-        strips.append((rank, top, hc.HyperCube(data, wavelengths, "radiance")))
+        strips.append((top, hc.HyperCube(data, wavelengths, "radiance")))
     header = hc.CubeHeader(rows, cols, bands, file_type, interleave, "radiance", wavelengths)
     with tempfile.TemporaryDirectory() as folder:
         stem = os.path.join(folder, "c")
-        hc.write_strips(stem, header, ((top, strip) for _, top, strip in
-                                       sorted(strips, key=lambda part: part[0])))
+        hc.write_strips(stem, header, iter(strips))
         with open(stem + ".raw", "rb") as fh:
             written = fh.read()
     expected = np.ascontiguousarray(whole.transpose(hc._FILE_AXES[interleave]), header.dtype)
@@ -316,14 +321,17 @@ def test_strips_are_written_as_the_whole_cube_cast_in_file_order(
 @pytest.mark.parametrize(
     "strips, message",
     [
-        ([(0, 4), (3, 4)], r"rows \[3, 7\) overlap rows already written"),
-        ([(0, 4), (5, 2)], "1 of the cube's 7 rows were not written"),
+        ([(0, 4), (3, 4)], "strip at row 3 is out of order: the next row is 4"),
+        ([(0, 4), (5, 2)], "strip at row 5 is out of order: the next row is 4"),
+        ([(4, 3), (0, 4)], "strip at row 4 is out of order: the next row is 0"),
+        ([(0, 4)], "3 of the cube's 7 rows were not written"),
         ([(5, 3)], "does not fit"),
         ([(-1, 2)], "does not fit"),
     ],
-    ids=["twice", "missing", "past-the-end", "negative-top"],
+    ids=["twice", "missing", "out-of-order", "short", "past-the-end", "negative-top"],
 )
 def test_strip_writer_needs_every_row_exactly_once(tmp_path, strips, message):
+    """Strips cover the rows once, top to bottom, or no header is written."""
     cube = random_cube(np.random.default_rng(13), rows=8, cols=5, bands=6)
     header = hc.CubeHeader.of(cube)._replace(rows=7)
     with pytest.raises(DataError, match=message):
@@ -592,14 +600,14 @@ def test_uint16_input_converts():
 
 
 def test_default_mask_keeps_190_of_240():
-    mask = hc.band_mask_from_windows(hc.default_wavelengths())
+    mask = hc.band_mask_from_windows(hc.default_wavelengths(), KEEP_NM, DROP_NM)
     assert mask.shape == (240,)
     assert mask.sum() == 190
 
 
 def test_mask_drops_range_edges_and_windows():
     wl = np.array([420.0, 430.0, 600.0, 760.0, 764.9, 765.1, 820.0, 870.0, 880.0])
-    mask = hc.band_mask_from_windows(wl)
+    mask = hc.band_mask_from_windows(wl, KEEP_NM, DROP_NM)
     assert list(mask) == [False, True, True, False, False, True, False, True, False]
 
 
@@ -610,7 +618,7 @@ def test_mask_and_convert_commute():
     data = rng.uniform(0.05, 1.5, size=(7, 7, bands))
     region = (0, 0, 3, 3)
     panel_refl = rng.uniform(0.3, 0.5, size=bands)
-    mask = hc.band_mask_from_windows(wl, keep_range=(430.0, 810.0))
+    mask = hc.band_mask_from_windows(wl, (430.0, 810.0), DROP_NM)
     cube = hc.HyperCube(data, wl, "radiance")
 
     a = hc.apply_band_mask(hc.to_reflectance(cube, region, panel_refl), mask)
@@ -634,7 +642,7 @@ def test_masked_reflectance_is_bitwise_the_mask_of_the_full_one(layout, dtype):
         cube = hc.HyperCube(_band_major(cube.data), cube.wavelengths, cube.units)
     region = (1, 2, 4, 5)
     panel_refl = rng.uniform(0.3, 0.5, size=40)
-    mask = hc.band_mask_from_windows(cube.wavelengths, keep_range=(410.0, 470.0))
+    mask = hc.band_mask_from_windows(cube.wavelengths, (410.0, 470.0), DROP_NM)
     full = hc.apply_band_mask(hc.to_reflectance(cube, region, panel_refl), mask)
     masked = hc.to_reflectance(cube, region, panel_refl, mask)
     assert masked.data.dtype == (np.float64 if dtype == np.float64 else np.float32)
@@ -657,7 +665,7 @@ def test_narrow_samples_give_the_float64_reflectance_rounded_once(layout, dtype,
     panel_refl = rng.uniform(0.3, 0.5, size=40)
     mask = None
     if masked:
-        mask = hc.band_mask_from_windows(cube.wavelengths, keep_range=(410.0, 470.0))
+        mask = hc.band_mask_from_windows(cube.wavelengths, (410.0, 470.0), DROP_NM)
     narrow = hc.to_reflectance(cube, region, panel_refl, mask)
     want = hc.to_reflectance(wide, region, panel_refl, mask).data.astype(np.float32)
     assert narrow.data.dtype == np.float32
@@ -701,7 +709,7 @@ def test_masked_reflectance_still_checks_the_panel_in_dropped_bands():
     wl = 400.0 + 20.0 * np.arange(6)
     data = np.ones((4, 4, 6))
     data[:2, :2, 0] = 0.0  # dead band over the panel, outside the kept range
-    mask = hc.band_mask_from_windows(wl, keep_range=(430.0, 510.0))
+    mask = hc.band_mask_from_windows(wl, (430.0, 510.0), DROP_NM)
     assert not mask[0]
     cube = hc.HyperCube(data, wl, "radiance")
     with pytest.raises(DataError, match=r"band 0 \(400\.0 nm\)"):

@@ -2,13 +2,14 @@
 
 import hashlib
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hyperfield.config import load_config
 from hyperfield.errors import ConfigError, DataError, DivergenceError
 from hyperfield.mlp import (
-    DEFAULT_HIDDEN,
     AdamState,
     EpochLog,
     MlpModel,
@@ -37,6 +38,18 @@ from hyperfield.table import read_table
 
 from oracles import batch_mse, central_difference, mlp_forward_naive, train_lists
 
+CONFIG = load_config(None)
+
+
+def split_spec(**changes) -> SplitSpec:
+    """``[split]``'s defaults with ``changes``; no test plots unless they ask."""
+    return replace(CONFIG.split_spec(), **{"test_plots": 0, **changes})
+
+
+def train_config(**changes) -> TrainConfig:
+    """``[train]``'s defaults with ``changes``."""
+    return replace(CONFIG.train_config(), **changes)
+
 
 def _fake_rows(rng, n_plots=20, per_plot=8, k=5):
     """(plot_id, window_row, window_col, n_sl, yield_g, features) per record."""
@@ -63,7 +76,7 @@ class TestSplit:
         y = np.arange(100, dtype=float)
         ids = [f"p{i}" for i in range(100)]
         split = stratified_split(
-            y, ids, SplitSpec(train_fraction=0.9, validation_fraction=0.1, strata=1)
+            y, ids, split_spec(train_fraction=0.9, validation_fraction=0.1, strata=1)
         )
         assert split.train.size == 90
         assert split.validation.size == 10
@@ -74,7 +87,7 @@ class TestSplit:
         y = rng.uniform(1, 50, size=517)
         ids = [f"p{i % 37}" for i in range(517)]
         split = stratified_split(
-            y, ids, SplitSpec(seed=3, test_plot_ids=("p0", "p5"))
+            y, ids, split_spec(seed=3, test_plot_ids=("p0", "p5"))
         )
         everything = np.concatenate([split.train, split.validation, split.test])
         assert np.array_equal(np.sort(everything), np.arange(517))
@@ -86,7 +99,7 @@ class TestSplit:
         n = 1000
         y = rng.uniform(0, 100, size=n)
         ids = [f"p{i}" for i in range(n)]
-        spec = SplitSpec(train_fraction=0.85, validation_fraction=0.15, strata=10)
+        spec = split_spec(train_fraction=0.85, validation_fraction=0.15, strata=10)
         split = stratified_split(y, ids, spec)
         assert split.validation.size == round(0.15 * n)
         order = np.argsort(y, kind="stable")
@@ -101,7 +114,7 @@ class TestSplit:
         records = _fake_records(rng)
         y, ids = records.yields, records.plot_ids
         split = stratified_split(
-            y, ids, SplitSpec(test_plot_ids=("p003", "p011"))
+            y, ids, split_spec(test_plot_ids=("p003", "p011"))
         )
         test_plots = {ids[i] for i in split.test}
         assert test_plots == {"p003", "p011"}
@@ -113,7 +126,7 @@ class TestSplit:
         rng = np.random.default_rng(13)
         records = _fake_records(rng, n_plots=30)
         y, ids = records.yields, records.plot_ids
-        split = stratified_split(y, ids, SplitSpec(seed=2, test_plots=6))
+        split = stratified_split(y, ids, split_spec(seed=2, test_plots=6))
         assert len({ids[i] for i in split.test}) == 6
         assert split.test.size == 48
 
@@ -122,7 +135,7 @@ class TestSplit:
         # cannot take all its plots from one end.
         y = np.repeat(np.arange(40, dtype=float) + 1.0, 4)
         ids = [f"p{i:02d}" for i in range(40) for _ in range(4)]
-        split = stratified_split(y, ids, SplitSpec(seed=0, test_plots=10))
+        split = stratified_split(y, ids, split_spec(seed=0, test_plots=10))
         picked = sorted(int(ids[i][1:]) for i in split.test)
         held_plots = sorted(set(picked))
         assert len(held_plots) == 10
@@ -132,12 +145,12 @@ class TestSplit:
         rng = np.random.default_rng(17)
         y = rng.uniform(1, 9, size=300)
         ids = [f"p{i % 25}" for i in range(300)]
-        a = stratified_split(y, ids, SplitSpec(seed=4, test_plots=3))
-        b = stratified_split(y, ids, SplitSpec(seed=4, test_plots=3))
+        a = stratified_split(y, ids, split_spec(seed=4, test_plots=3))
+        b = stratified_split(y, ids, split_spec(seed=4, test_plots=3))
         assert np.array_equal(a.train, b.train)
         assert np.array_equal(a.validation, b.validation)
         assert np.array_equal(a.test, b.test)
-        c = stratified_split(y, ids, SplitSpec(seed=5, test_plots=3))
+        c = stratified_split(y, ids, split_spec(seed=5, test_plots=3))
         assert not np.array_equal(a.validation, c.validation)
 
     def test_tiny_strata_merge_instead_of_failing(self, caplog):
@@ -145,7 +158,7 @@ class TestSplit:
         ids = [f"p{i}" for i in range(5)]
         with caplog.at_level("WARNING", logger="hyperfield.mlp"):
             split = stratified_split(
-                y, ids, SplitSpec(train_fraction=0.8, validation_fraction=0.2, strata=10)
+                y, ids, split_spec(train_fraction=0.8, validation_fraction=0.2, strata=10)
             )
         assert split.train.size + split.validation.size == 5
         assert any("merged" in r.message for r in caplog.records)
@@ -164,12 +177,12 @@ class TestSplit:
         y = np.random.default_rng(8).uniform(1.0, 9.0, records)
         ids = [f"p{i % plots}" for i in range(records)]
         with caplog.at_level("WARNING", logger="hyperfield.mlp"):
-            stratified_split(y, ids, SplitSpec(**spec))
+            stratified_split(y, ids, split_spec(**spec))
         merges = [r.message for r in caplog.records if "merged" in r.message]
         assert merges
         assert all(f"stratum with 1 {unit} merged" in message for message in merges)
 
-    # (name, records, plots, SplitSpec keywords): each draws its yields from
+    # (name, records, plots, split_spec keywords): each draws its yields from
     # default_rng(29), and record i belongs to plot i % plots
     _PINNED = [
         ("tied", 21, 6, dict(strata=4, seed=5, test_plots=2)),
@@ -212,7 +225,7 @@ class TestSplit:
             y = np.repeat([3.0, 1.0, 2.0], 7)
         ids = [f"p{i % plots}" for i in range(records)]
         with caplog.at_level("WARNING", logger="hyperfield.mlp"):
-            split = stratified_split(y, ids, SplitSpec(**spec))
+            split = stratified_split(y, ids, split_spec(**spec))
         digest = hashlib.sha256()
         for part in (split.train, split.validation, split.test):
             digest.update(np.asarray(part, "<i8").tobytes() + b"|")
@@ -224,19 +237,19 @@ class TestSplit:
         y = np.ones(4)
         ids = ["a", "b", "c", "d"]
         with pytest.raises(ConfigError):
-            SplitSpec(train_fraction=0.0)
+            split_spec(train_fraction=0.0)
         with pytest.raises(ConfigError):
-            SplitSpec(train_fraction=0.9, validation_fraction=0.2)
+            split_spec(train_fraction=0.9, validation_fraction=0.2)
         with pytest.raises(ConfigError):
-            SplitSpec(strata=0)
+            split_spec(strata=0)
         with pytest.raises(ConfigError):
-            SplitSpec(test_plots=1, test_plot_ids=("a",))
+            split_spec(test_plots=1, test_plot_ids=("a",))
         with pytest.raises(DataError):
-            stratified_split(y, ids, SplitSpec(test_plot_ids=("zz",)))
+            stratified_split(y, ids, split_spec(test_plot_ids=("zz",)))
         with pytest.raises(ConfigError):
-            stratified_split(y, ids, SplitSpec(test_plots=4))
+            stratified_split(y, ids, split_spec(test_plots=4))
         with pytest.raises(DataError, match="^3 yields but 4 plot ids$"):
-            stratified_split(np.ones(3), ids, SplitSpec())
+            stratified_split(np.ones(3), ids, split_spec())
 
 
 class TestStandardize:
@@ -299,7 +312,7 @@ class TestForward:
     def test_matches_loop_oracle(self):
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed)
-            model = init_model((5, 7, 3, 1), rng=rng)
+            model = init_model((5, 7, 3, 1), seed=0, rng=rng)
             x = rng.normal(size=(9, 5))
             got = forward(model, x)
             expected = [
@@ -308,7 +321,7 @@ class TestForward:
             assert got == pytest.approx(np.array(expected).ravel(), abs=1e-12)
 
     def test_feature_width_checked(self):
-        model = init_model((4, 3, 1))
+        model = init_model((4, 3, 1), seed=0)
         with pytest.raises(DataError, match="^input has 5 features, model expects 4$"):
             forward(model, np.ones((2, 5)))
 
@@ -362,7 +375,7 @@ class TestBackward:
 def _kink_free_problem(layer_sizes, batch, guard=1e-3, tries=200):
     for seed in range(tries):
         rng = np.random.default_rng(seed)
-        model = init_model(layer_sizes, rng=rng)
+        model = init_model(layer_sizes, seed=0, rng=rng)
         x = rng.normal(size=(batch, layer_sizes[0]))
         y = rng.normal(size=batch)
         closest = _nearest_preactivation_to_zero(model, x)
@@ -385,7 +398,7 @@ def _nearest_preactivation_to_zero(model, x):
 class TestAdam:
     def test_first_step_magnitude(self):
         # Holds whenever |g| dominates Adam's epsilon.
-        config = TrainConfig(learning_rate=1e-3)
+        config = train_config(learning_rate=1e-3)
         for g0 in (0.5, -2.0, 0.05, 300.0):
             params = np.array([1.0])
             state = AdamState(params)
@@ -398,11 +411,11 @@ class TestAdam:
         params = np.array([3.0, -1.0])
         state = AdamState(params)
         for _ in range(10):
-            adam_step(params, np.zeros(2), state, TrainConfig())
+            adam_step(params, np.zeros(2), state, train_config())
         assert params == pytest.approx([3.0, -1.0])
 
     def test_scalar_quadratic_convergence(self):
-        config = TrainConfig(learning_rate=0.1)
+        config = train_config(learning_rate=0.1)
         params = np.array([0.0])
         state = AdamState(params)
         for _ in range(200):
@@ -422,8 +435,8 @@ class TestTrain:
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(31)
         x, y = _linear_problem(rng, 200, 6)
-        config = TrainConfig(epochs=5, batch_size=32, seed=9)
-        for hidden in ((8,), DEFAULT_HIDDEN):
+        config = train_config(epochs=5, batch_size=32, seed=9)
+        for hidden in ((8,), CONFIG.hidden_sizes()):
             m1, log1 = train(x[:160], y[:160], x[160:], y[160:], hidden, config)
             m2, log2 = train(x[:160], y[:160], x[160:], y[160:], hidden, config)
             for a, b in zip(m1.weights + m1.biases, m2.weights + m2.biases):
@@ -434,7 +447,7 @@ class TestTrain:
     def test_checkpoint_is_best_logged_epoch(self):
         rng = np.random.default_rng(37)
         x, y = _linear_problem(rng, 300, 5)
-        config = TrainConfig(epochs=20, seed=1)
+        config = train_config(epochs=20, seed=1)
         model, logbook = train(x[:240], y[:240], x[240:], y[240:], (12,), config)
         vals = [e.val_rmse for e in logbook]
         assert len(logbook) == 21
@@ -445,7 +458,7 @@ class TestTrain:
     def test_learns_a_linear_map(self):
         rng = np.random.default_rng(41)
         x, y = _linear_problem(rng, 2400, 30, noise=0.5)
-        config = TrainConfig(epochs=100, batch_size=32, seed=3)
+        config = train_config(epochs=100, batch_size=32, seed=3)
         model, _ = train(x[:2000], y[:2000], x[2000:2200], y[2000:2200], (16,), config)
         held_x, held_y = x[2200:], y[2200:]
         assert r2_score(held_y, predict(model, held_x)) >= 0.95
@@ -455,7 +468,7 @@ class TestTrain:
         # gradients, whose Adam update is NaN.
         rng = np.random.default_rng(43)
         x, y = _linear_problem(rng, 120, 4)
-        config = TrainConfig(epochs=5, learning_rate=1e28, seed=0)
+        config = train_config(epochs=5, learning_rate=1e28, seed=0)
         with pytest.raises(DivergenceError, match=r"epoch \d+"):
             train(x[:100], y[:100], x[100:], y[100:], (8,) * 7, config)
 
@@ -467,7 +480,7 @@ class TestTrain:
         # is non-finite and the error names the epoch; nothing crashes.
         rng = np.random.default_rng(43)
         x, y = _linear_problem(rng, 120, 4)
-        config = TrainConfig(epochs=5, learning_rate=learning_rate, seed=0)
+        config = train_config(epochs=5, learning_rate=learning_rate, seed=0)
         with pytest.raises(DivergenceError, match=r"^non-finite loss at epoch \d+$"):
             train(x[:100], y[:100], x[100:], y[100:], hidden, config)
 
@@ -475,13 +488,13 @@ class TestTrain:
         x = np.ones((10, 3))
         x[4, 1] = np.nan
         with pytest.raises(DataError):
-            train(x, np.ones(10), np.ones((3, 3)), np.ones(3), (4,))
+            train(x, np.ones(10), np.ones((3, 3)), np.ones(3), (4,), train_config())
 
     def test_norm_stats_travel_with_the_model(self):
         rng = np.random.default_rng(47)
         x, y = _linear_problem(rng, 150, 4)
         model, _ = train(
-            x[:120], y[:120], x[120:], y[120:], (6,), TrainConfig(epochs=3)
+            x[:120], y[:120], x[120:], y[120:], (6,), train_config(epochs=3)
         )
         assert model.norm_stats is not None
         assert model.norm_stats.mean == pytest.approx(x[:120].mean(axis=0))
@@ -493,7 +506,7 @@ class TestTrainMatchesPerArrayReference:
     @pytest.mark.parametrize(
         "n_train, hidden, epochs, batch_size",
         [
-            (150, DEFAULT_HIDDEN, 6, 64),  # the default net
+            (150, CONFIG.hidden_sizes(), 6, 64),  # the default net
             (128, (12,), 10, 64),  # one hidden layer, whole batches only
             (100, (16, 8), 8, 32),  # a partial last batch of 4
             (90, (10, 6), 5, 500),  # one batch larger than the training set
@@ -503,7 +516,7 @@ class TestTrainMatchesPerArrayReference:
     def test_same_bits_as_the_reference(self, n_train, hidden, epochs, batch_size):
         rng = np.random.default_rng(61)
         x, y = _linear_problem(rng, n_train + 40, 9)
-        config = TrainConfig(epochs=epochs, batch_size=batch_size, seed=5)
+        config = train_config(epochs=epochs, batch_size=batch_size, seed=5)
         args = (x[:n_train], y[:n_train], x[n_train:], y[n_train:], hidden, config)
         model, logbook = train(*args)
         ref_model, ref_logbook = train_lists(*args)
@@ -514,12 +527,12 @@ class TestTrainMatchesPerArrayReference:
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("hidden", [DEFAULT_HIDDEN, (16, 8)])
+    @pytest.mark.parametrize("hidden", [CONFIG.hidden_sizes(), (16, 8)])
     def test_epoch_errors_stay_close_to_the_float64_loop(self, hidden):
         # float32 training moves each epoch's errors by a few float32 ulps
         rng = np.random.default_rng(61)
         x, y = _linear_problem(rng, 190, 9)
-        config = TrainConfig(epochs=3, batch_size=64, seed=5)
+        config = train_config(epochs=3, batch_size=64, seed=5)
         args = (x[:150], y[:150], x[150:], y[150:], hidden, config)
         _, logbook = train(*args)
         _, ref_logbook = train_lists(*args, dtype=np.float64)
@@ -531,7 +544,7 @@ class TestTrainMatchesPerArrayReference:
     def test_divergence_names_the_reference_epoch(self):
         rng = np.random.default_rng(43)
         x, y = _linear_problem(rng, 120, 4)
-        config = TrainConfig(epochs=5, learning_rate=1e28, seed=0)
+        config = train_config(epochs=5, learning_rate=1e28, seed=0)
         args = (x[:100], y[:100], x[100:], y[100:], (8,) * 7, config)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as ref:
@@ -591,7 +604,7 @@ class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(53)
         x, y = _linear_problem(rng, 80, 3)
-        model, _ = train(x[:60], y[:60], x[60:], y[60:], (5, 4), TrainConfig(epochs=2, seed=7))
+        model, _ = train(x[:60], y[:60], x[60:], y[60:], (5, 4), train_config(epochs=2, seed=7))
         path = tmp_path / "model.hfm"
         save_model(model, path)
         back = load_model(path)
@@ -606,7 +619,7 @@ class TestCheckpoint:
     def test_round_trip_gives_back_the_widened_float32_values(self, tmp_path):
         rng = np.random.default_rng(71)
         x, y = _linear_problem(rng, 120, 6)
-        model, _ = train(x[:100], y[:100], x[100:], y[100:], (16, 8), TrainConfig(epochs=4))
+        model, _ = train(x[:100], y[:100], x[100:], y[100:], (16, 8), train_config(epochs=4))
         path = tmp_path / "model.hfm"
         save_model(model, path)
         back = load_model(path)

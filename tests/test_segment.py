@@ -11,10 +11,16 @@ from hypothesis import strategies as st
 
 from hyperfield import cube as hc
 from hyperfield import segment
+from hyperfield.config import load_config
 from hyperfield.cube import HyperCube
 from hyperfield.errors import DataError
 
 import oracles
+
+CONFIG = load_config(None)
+# [segment]'s default red and blue index windows and structuring element
+WINDOWS = tuple(CONFIG.window_nm("segment", key) for key in ("red_window_nm", "blue_window_nm"))
+SE = (CONFIG.getint("segment", "se_rows"), CONFIG.getint("segment", "se_cols"))
 
 
 def index_cube(red, blue, rows=4, cols=4):
@@ -27,12 +33,12 @@ def index_cube(red, blue, rows=4, cols=4):
 
 
 def test_ndpsi_basic_value():
-    plane = segment.ndpsi(index_cube(red=0.4, blue=0.1))
+    plane = segment.ndpsi(index_cube(red=0.4, blue=0.1), *WINDOWS)
     assert np.allclose(plane, (0.4 - 0.1) / (0.4 + 0.1))
 
 
 def test_ndpsi_zero_denominator_maps_to_zero():
-    plane = segment.ndpsi(index_cube(red=0.0, blue=0.0))
+    plane = segment.ndpsi(index_cube(red=0.0, blue=0.0), *WINDOWS)
     assert np.all(plane == 0.0)
 
 
@@ -40,7 +46,7 @@ def test_ndpsi_is_bounded():
     rng = np.random.default_rng(3)
     wl = np.concatenate([np.linspace(445, 455, 5), np.linspace(665, 675, 5)])
     data = rng.uniform(0.0, 3.0, size=(16, 16, 10))
-    plane = segment.ndpsi(HyperCube(data, wl, "reflectance"))
+    plane = segment.ndpsi(HyperCube(data, wl, "reflectance"), *WINDOWS)
     assert plane.min() >= -1.0 and plane.max() <= 1.0
 
 
@@ -48,7 +54,7 @@ def test_ndpsi_averages_over_window_bands():
     wl = np.array([446.0, 449.0, 453.0, 666.0, 674.0])
     data = np.zeros((1, 1, 5))
     data[0, 0] = [0.1, 0.2, 0.3, 0.5, 0.7]
-    plane = segment.ndpsi(HyperCube(data, wl, "reflectance"))
+    plane = segment.ndpsi(HyperCube(data, wl, "reflectance"), *WINDOWS)
     red, blue = 0.6, 0.2
     assert plane[0, 0] == pytest.approx((red - blue) / (red + blue))
 
@@ -63,7 +69,7 @@ def test_ndpsi_sums_window_bands_in_band_order(layout):
         data = np.ascontiguousarray(data.transpose(2, 0, 1)).transpose(1, 2, 0)
     blue = functools.reduce(np.add, [data[:, :, i] for i in range(12)]) / 12
     red = functools.reduce(np.add, [data[:, :, i] for i in range(12, 24)]) / 12
-    plane = segment.ndpsi(HyperCube(data, wl, "reflectance"))
+    plane = segment.ndpsi(HyperCube(data, wl, "reflectance"), *WINDOWS)
     assert np.array_equal(plane, (red - blue) / (red + blue))
 
 
@@ -90,7 +96,7 @@ def test_ndpsi_sums_window_bands_in_band_order(layout):
 def test_ndpsi_of_strips_has_the_whole_planes_bits(
     interleave, dtype, rows, cols, height, red_bands, blue_bands, zeros, seed
 ):
-    """``ndpsi`` of a ``CubeStream``, strip by strip, and of the cube in memory
+    """``ndpsi`` of a ``CubeStream`` and of the cube in memory, strip by strip,
     give the bits of the whole float64 cube averaged at once, in every
     interleave, sample type and strip height, one-pixel strips included."""
     rng = np.random.default_rng(seed)
@@ -109,8 +115,8 @@ def test_ndpsi_of_strips_has_the_whole_planes_bits(
         hc.write_cube(HyperCube(data, wavelengths, "reflectance"), stem, interleave)
         whole = hc.read_cube(stem)
         expected = oracles.whole_ndpsi(whole, red, blue).view(np.int64)
-        assert np.array_equal(segment.ndpsi(whole, red, blue).view(np.int64), expected)
         mp.setattr(hc, "BLOCK_BYTES", strip_rows * cols * bands * 8)
+        assert np.array_equal(segment.ndpsi(whole, red, blue).view(np.int64), expected)
         with hc.CubeStream(stem) as stream:
             plane = segment.ndpsi(stream, red, blue)
     assert np.array_equal(plane.view(np.int64), expected)
@@ -124,25 +130,24 @@ def test_ndpsi_of_one_pixel_sums_in_band_order():
     blue = functools.reduce(np.add, [data[:, :, i] for i in range(9)]) / 9
     red = functools.reduce(np.add, [data[:, :, i] for i in range(9, 18)]) / 9
     cube = HyperCube(data, wl, "reflectance")
-    plane = segment.ndpsi(cube)
+    plane = segment.ndpsi(cube, *WINDOWS)
     assert np.array_equal(plane, (red - blue) / (red + blue))
-    windows = (segment.RED_WINDOW_NM, segment.BLUE_WINDOW_NM)
-    assert not np.array_equal(oracles.whole_ndpsi(cube, *windows), plane)
+    assert not np.array_equal(oracles.whole_ndpsi(cube, *WINDOWS), plane)
 
 
 def test_ndpsi_missing_window_raises():
     wl = np.array([500.0, 600.0])
     cube = HyperCube(np.ones((2, 2, 2)), wl, "reflectance")
     with pytest.raises(DataError, match=r"^no bands inside 665\.0-675\.0 nm \(grid spans 500"):
-        segment.ndpsi(cube)
+        segment.ndpsi(cube, *WINDOWS)
 
 
 def test_canonical_grid_has_five_bands_per_window():
     from hyperfield.cube import default_wavelengths
 
     wl = default_wavelengths()
-    assert segment.window_indices(wl, segment.RED_WINDOW_NM).size == 5
-    assert segment.window_indices(wl, segment.BLUE_WINDOW_NM).size == 5
+    for window in WINDOWS:
+        assert segment.window_indices(wl, window).size == 5
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +240,7 @@ def test_fill_holes_matches_flood_oracle(seed):
 def test_opening_preserves_large_rectangle():
     mask = np.zeros((40, 40), dtype=bool)
     mask[5:30, 5:20] = True
-    assert np.array_equal(segment.binary_open(mask), mask)
+    assert np.array_equal(segment.binary_open(mask, SE), mask)
 
 
 def test_opening_removes_speckle_and_thin_bridge():
@@ -244,7 +249,7 @@ def test_opening_removes_speckle_and_thin_bridge():
     mask[5:25, 30:45] = True
     mask[14, 20:30] = True  # 1-px bridge
     mask[35, 50] = True  # speckle
-    opened = segment.binary_open(mask)
+    opened = segment.binary_open(mask, SE)
     assert opened[10, 10] and opened[10, 35]
     assert not opened[14, 25]
     assert not opened[35, 50]
@@ -265,7 +270,7 @@ def test_opening_matches_naive_oracle(seed):
 def test_default_se_matches_naive_oracle():
     rng = np.random.default_rng(99)
     mask = rng.uniform(size=(30, 26)) < 0.7
-    got = segment.binary_open(mask)
+    got = segment.binary_open(mask, SE)
     want = oracles.open_naive(mask, 10, 5)
     assert np.array_equal(got, want)
 
@@ -274,8 +279,8 @@ def test_default_se_matches_naive_oracle():
 def test_opening_is_idempotent(seed):
     rng = np.random.default_rng(seed + 50)
     mask = rng.uniform(size=(40, 40)) < 0.65
-    once = segment.binary_open(mask)
-    assert np.array_equal(segment.binary_open(once), once)
+    once = segment.binary_open(mask, SE)
+    assert np.array_equal(segment.binary_open(once, SE), once)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +331,7 @@ def test_segmentation_is_deterministic():
     cube = HyperCube(data, wl, "reflectance")
 
     def run():
-        plane = segment.ndpsi(cube)
+        plane = segment.ndpsi(cube, *WINDOWS)
         mask = segment.binary_open(
             segment.fill_holes(segment.threshold_mask(plane, segment.otsu_threshold(plane))),
             se=(3, 2),

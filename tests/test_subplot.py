@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from hyperfield.config import load_config
 from hyperfield.errors import DataError
 from hyperfield.subplot import (
     Records,
@@ -21,6 +22,11 @@ from hyperfield.subplot import (
 )
 
 from oracles import identical_yield_fraction
+
+CONFIG = load_config(None)
+# [dataset]'s default window size and middle-third tolerance
+WINDOW_PX = CONFIG.getint("dataset", "window_px")
+MIDDLE_TAU = CONFIG.getfloat("dataset", "middle_tau")
 
 
 def _random_plot(rng, rows=33, cols=71, bands=7, density=0.4):
@@ -193,11 +199,11 @@ class TestBuildRecords:
         data = np.ones((20, 20, 3))
         mask = np.zeros((20, 20), dtype=bool)
         with pytest.raises(DataError, match="^plot has no foreground pixels; nothing to"):
-            build_records("p1", data, mask, 50.0)
+            build_records("p1", data, mask, 50.0, WINDOW_PX)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DataError, match=r"^data \(5, 5, 2\) and mask \(6, 5\) do not align$"):
-            build_records("p1", np.ones((5, 5, 2)), np.ones((6, 5), dtype=bool), 1.0)
+            build_records("p1", np.ones((5, 5, 2)), np.ones((6, 5), dtype=bool), 1.0, WINDOW_PX)
 
 
 class TestRecords:
@@ -223,7 +229,7 @@ class TestRecords:
 
     def test_concat_keeps_row_order(self):
         rng = np.random.default_rng(32)
-        parts = [build_records(f"p{i}", *_random_plot(rng), 10.0 + i) for i in range(3)]
+        parts = [build_records(f"p{i}", *_random_plot(rng), 10.0 + i, WINDOW_PX) for i in range(3)]
         joined = Records.concat(parts)
         assert joined.plot_ids == [pid for part in parts for pid in part.plot_ids]
         assert np.array_equal(joined.windows, np.concatenate([p.windows for p in parts]))
@@ -233,8 +239,8 @@ class TestRecords:
     def test_concat_rejects_differing_feature_lengths(self):
         rng = np.random.default_rng(33)
         parts = [
-            build_records("p0", *_random_plot(rng, bands=3), 1.0),
-            build_records("p1", *_random_plot(rng, bands=4), 1.0),
+            build_records("p0", *_random_plot(rng, bands=3), 1.0, WINDOW_PX),
+            build_records("p1", *_random_plot(rng, bands=4), 1.0, WINDOW_PX),
         ]
         with pytest.raises(DataError, match="^records carry differing feature lengths$"):
             Records.concat(parts)
@@ -246,10 +252,11 @@ class TestRecords:
         rng = np.random.default_rng(34)
         data, mask = _random_plot(rng)
         data = np.ascontiguousarray(data.astype(np.float32).transpose(2, 0, 1)).transpose(1, 2, 0)
-        whole = build_records("p", data, mask, 12.5)
+        whole = build_records("p", data, mask, 12.5, WINDOW_PX)
         groups = np.split(np.arange(data.shape[2]), cuts)
         joined = Records.join_bands(
-            [build_records("p", data[:, :, g[0] : g[-1] + 1], mask, 12.5) for g in groups]
+            [build_records("p", data[:, :, g[0] : g[-1] + 1], mask, 12.5, WINDOW_PX)
+             for g in groups]
         )
         assert joined.plot_ids == whole.plot_ids
         assert np.array_equal(joined.windows, whole.windows)
@@ -279,7 +286,9 @@ class TestRecordsCsv:
     def test_bytes_are_what_csv_writer_writes(self, tmp_path):
         rng = np.random.default_rng(32)
         records = Records.concat([
-            build_records(plot_id, *_random_plot(rng, rows=30, cols=45, bands=5), 100.0 + i)
+            build_records(
+                plot_id, *_random_plot(rng, rows=30, cols=45, bands=5), 100.0 + i, WINDOW_PX
+            )
             for i, plot_id in enumerate(["P0000", "plot 03", "näher-7"])
         ])
         write_records_csv(tmp_path / "records.csv", records)
@@ -318,9 +327,9 @@ def _records(rows):
     )
 
 
-def _middle_third_ratio(rows, *shape, **kwargs):
+def _middle_third_ratio(rows, *shape, tau=MIDDLE_TAU):
     records = _records(rows)
-    return middle_third_ratio(records.windows, records.yields, *shape, **kwargs)
+    return middle_third_ratio(records.windows, records.yields, *shape, tau)
 
 
 class TestMiddleThird:

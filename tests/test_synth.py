@@ -3,7 +3,7 @@ radiance made in strips must be the bits of the whole-array computation."""
 
 import functools
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -13,17 +13,11 @@ from hypothesis import strategies as st
 from oracles import scene_cube, whole_radiance
 from processes import command_peak
 
-from hyperfield.cube import apply_band_mask, band_mask_from_windows, to_reflectance
+from hyperfield.config import load_config
+from hyperfield.cube import band_mask_from_windows, to_reflectance
 from hyperfield.endmember import svmax
 from hyperfield.errors import ConfigError
-from hyperfield.mlp import (
-    SplitSpec,
-    TrainConfig,
-    predict,
-    r2_score,
-    stratified_split,
-    train,
-)
+from hyperfield.mlp import predict, r2_score, stratified_split, train
 from hyperfield.pairwise import PairwiseSum
 from hyperfield.subplot import (
     Records,
@@ -43,10 +37,17 @@ from hyperfield.synth import (
 )
 from hyperfield.unmix import unmix_cube
 
+CONFIG = load_config(None)
+
+
+def synth_spec(**changes) -> SynthSpec:
+    """``[synth]``'s defaults with ``changes``."""
+    return replace(CONFIG.synth_spec(), **changes)
+
 
 @functools.lru_cache(maxsize=None)
 def small_scene():
-    spec = SynthSpec(
+    spec = synth_spec(
         seed=3,
         grid_rows=2,
         grid_cols=3,
@@ -90,15 +91,28 @@ def small_scene():
 )
 def test_spec_rejects_bad_values(kwargs):
     with pytest.raises(ConfigError):
-        SynthSpec(**kwargs)
+        synth_spec(**kwargs)
 
 
 def test_scene_shape_accounts_for_margins_and_alleys():
-    spec = SynthSpec(grid_rows=2, grid_cols=3, plot_height_px=30,
+    spec = synth_spec(grid_rows=2, grid_cols=3, plot_height_px=30,
                      plot_width_px=90, alley_px=12)
     rows, cols = spec.scene_shape
     assert rows == 40 + 2 * 30 + 12 + 16
     assert cols == 16 + 3 * 90 + 2 * 12 + 16
+
+
+@pytest.mark.parametrize("plot_width_px", [40, 20])
+def test_a_narrow_field_widens_its_margin_to_hold_the_calibrate_panel(plot_width_px):
+    """The panel is drawn whole where ``[calibrate]`` reads it by default."""
+    spec = synth_spec(grid_rows=2, grid_cols=1, plot_width_px=plot_width_px)
+    radiance, truth = generate_scene(spec)
+    assert truth.panel_region == CONFIG.panel_region()
+    top, left, height, width = truth.panel_region
+    assert (radiance.rows, radiance.cols) == spec.scene_shape
+    assert radiance.cols == left + width + 16
+    patch = truth.abundances.values[top : top + height, left : left + width]
+    assert np.all(patch[:, :, SCENE_LABELS.index("panel")] == 1.0)
 
 
 def test_library_labels_and_positivity():
@@ -148,7 +162,7 @@ def test_realized_snr_close_to_requested():
 
 
 def test_noiseless_scene_has_no_noise_bookkeeping():
-    _, truth, radiance = scene_cube(SynthSpec(
+    _, truth, radiance = scene_cube(synth_spec(
         seed=1, grid_rows=1, grid_cols=2, plot_height_px=20,
         plot_width_px=40, window_px=10, alley_px=8,
     ))
@@ -172,7 +186,7 @@ def test_noiseless_scene_has_no_noise_bookkeeping():
 @example(seed=0, grid=(1, 1), plot=(5, 5), snr_db=30.0, height=1)
 @example(seed=1, grid=(2, 3), plot=(12, 20), snr_db=None, height=100)
 def test_strips_match_the_whole_array_oracle(seed, grid, plot, snr_db, height):
-    spec = SynthSpec(
+    spec = synth_spec(
         seed=seed, grid_rows=grid[0], grid_cols=grid[1], plot_height_px=plot[0],
         plot_width_px=plot[1], window_px=5, alley_px=6, snr_db=snr_db,
     )
@@ -190,7 +204,7 @@ def test_strips_match_the_whole_array_oracle(seed, grid, plot, snr_db, height):
 @pytest.mark.parametrize("snr_db", [None, 30.0])
 def test_strips_are_made_in_one_buffer(snr_db):
     """So a strip is valid only until the next one is made."""
-    spec = SynthSpec(grid_rows=1, grid_cols=2, plot_height_px=5, plot_width_px=5,
+    spec = synth_spec(grid_rows=1, grid_cols=2, plot_height_px=5, plot_width_px=5,
                      window_px=5, alley_px=6, snr_db=snr_db)
     radiance, _ = generate_scene(spec)
     first, *rest = [strip.data for _, strip in radiance.strips(7)]
@@ -337,7 +351,7 @@ def test_target_ratio_solves_the_noise_level():
 
 
 def test_explicit_noise_sigma_reports_its_ratio():
-    _, truth = generate_scene(SynthSpec(
+    _, truth = generate_scene(synth_spec(
         seed=9, grid_rows=1, grid_cols=2, plot_height_px=20, plot_width_px=40,
         window_px=10, alley_px=8, yield_noise_sigma=0.25,
     ))
@@ -349,7 +363,7 @@ def test_explicit_noise_sigma_reports_its_ratio():
 # downstream recovery on noiseless scenes
 
 def test_unmix_recovers_planted_abundances():
-    spec = SynthSpec(seed=5, grid_rows=2, grid_cols=2, plot_height_px=24,
+    spec = synth_spec(seed=5, grid_rows=2, grid_cols=2, plot_height_px=24,
                      plot_width_px=45, alley_px=10, jitter_px=2)
     cube, truth, _ = scene_cube(spec)
     reflectance = to_reflectance(cube, truth.panel_region, truth.panel_reflectance)
@@ -371,35 +385,37 @@ def _records_from_truth(truth, window_px):
 
 
 def test_uniform_density_classifies_uniform():
-    spec = SynthSpec(seed=21, grid_rows=4, grid_cols=4)
+    spec = synth_spec(seed=21, grid_rows=4, grid_cols=4)
     _, truth = generate_scene(spec)
     shape = window_grid_shape(spec.plot_height_px, spec.plot_width_px, spec.window_px)
     records = _records_from_truth(truth, spec.window_px)
+    tau = CONFIG.getfloat("dataset", "middle_tau")
     labels = []
     for pid in truth.boxes:
-        _, label = middle_third_ratio(*records[pid], *shape)
+        _, label = middle_third_ratio(*records[pid], *shape, tau)
         labels.append(label)
     uniform = sum(1 for v in labels if v == "uniform")
     assert uniform >= 0.7 * len(labels)
 
 
 def test_margin_boost_classifies_side_heavy():
-    spec = SynthSpec(seed=22, grid_rows=4, grid_cols=4, margin_boost=1.8,
+    spec = synth_spec(seed=22, grid_rows=4, grid_cols=4, margin_boost=1.8,
                      side_heavy_fraction=1.0)
     _, truth = generate_scene(spec)
     assert all(truth.side_heavy.values())
     shape = window_grid_shape(spec.plot_height_px, spec.plot_width_px, spec.window_px)
     records = _records_from_truth(truth, spec.window_px)
+    tau = CONFIG.getfloat("dataset", "middle_tau")
     labels = []
     for pid in truth.boxes:
-        _, label = middle_third_ratio(*records[pid], *shape)
+        _, label = middle_third_ratio(*records[pid], *shape, tau)
         labels.append(label)
     heavy = sum(1 for v in labels if v == "one-side-heavy")
     assert heavy >= 0.7 * len(labels)
 
 
 def test_side_heavy_fraction_counts_plots():
-    spec = SynthSpec(seed=23, grid_rows=2, grid_cols=3, plot_height_px=24,
+    spec = synth_spec(seed=23, grid_rows=2, grid_cols=3, plot_height_px=24,
                      plot_width_px=45, alley_px=10, margin_boost=1.5,
                      side_heavy_fraction=0.5)
     _, truth = generate_scene(spec)
@@ -476,7 +492,7 @@ def generate_regression_set(spec: RegressionSpec) -> tuple[Records, RegressionTr
     ``intercept + c_mean . band_means + c_n . count + noise`` with the
     noise level solved from the requested theoretical ratio.
     """
-    scene_spec = SynthSpec(
+    scene_spec = synth_spec(
         seed=spec.seed,
         grid_rows=6,
         grid_cols=8,
@@ -487,7 +503,8 @@ def generate_regression_set(spec: RegressionSpec) -> tuple[Records, RegressionTr
         window_px=spec.window_px,
     )
     cube, truth, _ = scene_cube(scene_spec)
-    mask = band_mask_from_windows(cube.wavelengths)
+    keep = CONFIG.window_nm("calibrate", "keep_nm")
+    mask = band_mask_from_windows(cube.wavelengths, keep, CONFIG.drop_windows_nm())
     masked = to_reflectance(cube, truth.panel_region, truth.panel_reflectance, mask)
     parts = []
     for pid in sorted(truth.boxes):
@@ -572,8 +589,8 @@ def test_regression_theoretical_ratio_matches_request():
 def _fit_and_score(spec):
     records, truth = generate_regression_set(spec)
     x, y, ids = records.features, records.yields, records.plot_ids
-    split = stratified_split(y, ids, SplitSpec(seed=5, test_plots=8))
-    config = TrainConfig(epochs=500, batch_size=32, seed=3)
+    split = stratified_split(y, ids, replace(CONFIG.split_spec(), seed=5, test_plots=8))
+    config = replace(CONFIG.train_config(), epochs=500, batch_size=32, seed=3)
     model, _ = train(
         x[split.train], y[split.train],
         x[split.validation], y[split.validation],

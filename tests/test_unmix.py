@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hyperfield import cube as hc
 from hyperfield import unmix
+from hyperfield.config import load_config
 from hyperfield.cube import HyperCube
 from hyperfield.endmember import EndmemberSet
 from hyperfield.errors import DataError
@@ -460,20 +461,26 @@ def test_sl_rule_equivalence_on_exact_simplex():
     assert np.array_equal(above, more_than_background)
 
 
+CONFIG = load_config(None)
+# [unmix]'s default spike label, leaf label and threshold
+SL_RULE = (CONFIG.get("unmix", "spike_label"), CONFIG.get("unmix", "leaf_label"),
+           CONFIG.getfloat("unmix", "sl_threshold"))
+
+
 def test_sl_mask_threshold_is_strict():
     values = np.zeros((1, 3, 4))
     values[0, 0] = [0.25, 0.25, 0.25, 0.25]  # score 0.5: background
     values[0, 1] = [0.3, 0.21, 0.29, 0.2]  # score 0.51: foreground
     values[0, 2] = [0.1, 0.2, 0.3, 0.4]  # score 0.3: background
     am = unmix.AbundanceMap(values, ("spike", "leaf", "soil", "shadow"))
-    assert list(unmix.sl_mask(am)[0]) == [False, True, False]
+    assert list(unmix.sl_mask(am, *SL_RULE)[0]) == [False, True, False]
 
 
 def test_sl_mask_uses_labels_not_positions():
     values = np.zeros((1, 1, 4))
     values[0, 0] = [0.4, 0.3, 0.2, 0.1]
     am = unmix.AbundanceMap(values, ("soil", "shadow", "spike", "leaf"))
-    assert not unmix.sl_mask(am)[0, 0]  # spike + leaf is 0.3; the first two sum to 0.7
+    assert not unmix.sl_mask(am, *SL_RULE)[0, 0]  # spike + leaf is 0.3; the first two sum to 0.7
 
 
 # ---------------------------------------------------------------------------
